@@ -57,21 +57,9 @@ func suiteFresh(t *testing.T) []benchsuite.Result {
 		"nodes": float64(ks.F.NumInstrs()),
 	}))
 
-	{
-		fg, s, sink := cfgShapedGraph(60, rand.New(rand.NewSource(5)))
-		rs = append(rs, metrics("BenchmarkSuiteMinCutDinic",
-			map[string]float64{"max-flow": float64(fg.MaxFlowDinic(s, sink))}))
-	}
-	{
-		fg, s, sink := cfgShapedGraph(60, rand.New(rand.NewSource(5)))
-		rs = append(rs, metrics("BenchmarkSuiteMinCutEdmondsKarp",
-			map[string]float64{"max-flow": float64(fg.MaxFlow(s, sink))}))
-	}
-	{
-		fg, s, sink := cfgShapedGraph(60, rand.New(rand.NewSource(5)))
-		rs = append(rs, metrics("BenchmarkSuiteMinCutPushRelabel",
-			map[string]float64{"max-flow": float64(fg.MaxFlowPushRelabel(s, sink))}))
-	}
+	fg, s, sink := cfgShapedGraph(60, rand.New(rand.NewSource(5)))
+	rs = append(rs, metrics("BenchmarkSuiteMinCutEdmondsKarp",
+		map[string]float64{"max-flow": float64(fg.MaxFlow(s, sink))}))
 
 	pipeMetrics := func(p *exp.Pipeline) map[string]float64 {
 		return map[string]float64{

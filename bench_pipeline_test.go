@@ -95,34 +95,12 @@ func BenchmarkSuitePDGBuild(b *testing.B) {
 	})
 }
 
-func BenchmarkSuiteMinCutDinic(b *testing.B) {
-	mark := markAllocs()
-	var flow int64
-	for i := 0; i < b.N; i++ {
-		g, s, t := cfgShapedGraph(60, rand.New(rand.NewSource(5)))
-		flow = g.MaxFlowDinic(s, t)
-		g.MinCutSourceSide(s)
-	}
-	suiteRecord(b, mark, map[string]float64{"max-flow": float64(flow)})
-}
-
 func BenchmarkSuiteMinCutEdmondsKarp(b *testing.B) {
 	mark := markAllocs()
 	var flow int64
 	for i := 0; i < b.N; i++ {
 		g, s, t := cfgShapedGraph(60, rand.New(rand.NewSource(5)))
 		flow = g.MaxFlow(s, t)
-		g.MinCutSourceSide(s)
-	}
-	suiteRecord(b, mark, map[string]float64{"max-flow": float64(flow)})
-}
-
-func BenchmarkSuiteMinCutPushRelabel(b *testing.B) {
-	mark := markAllocs()
-	var flow int64
-	for i := 0; i < b.N; i++ {
-		g, s, t := cfgShapedGraph(60, rand.New(rand.NewSource(5)))
-		flow = g.MaxFlowPushRelabel(s, t)
 		g.MinCutSourceSide(s)
 	}
 	suiteRecord(b, mark, map[string]float64{"max-flow": float64(flow)})

@@ -142,24 +142,6 @@ func cfgShapedGraph(diamonds int, rng *rand.Rand) (*mincut.Graph, int, int) {
 	return g, 0, n - 1
 }
 
-func BenchmarkMinCutEdmondsKarp(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < b.N; i++ {
-		g, s, t := cfgShapedGraph(60, rng)
-		g.MaxFlow(s, t)
-		g.MinCutSourceSide(s)
-	}
-}
-
-func BenchmarkMinCutDinic(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < b.N; i++ {
-		g, s, t := cfgShapedGraph(60, rng)
-		g.MaxFlowDinic(s, t)
-		g.MinCutSourceSide(s)
-	}
-}
-
 // ablationComm measures relative dynamic communication for a COCO variant.
 func ablationComm(b *testing.B, name string, opts coco.Options) {
 	b.Helper()
@@ -203,18 +185,6 @@ func BenchmarkAblationNoControlPenalties(b *testing.B) {
 func BenchmarkAblationNoMemSharing(b *testing.B) {
 	opts := coco.DefaultOptions()
 	opts.ShareMemSync = false
-	ablationComm(b, "rel-comm-%", opts)
-}
-
-func BenchmarkAblationDinicFlow(b *testing.B) {
-	opts := coco.DefaultOptions()
-	opts.Dinic = true
-	ablationComm(b, "rel-comm-%", opts)
-}
-
-func BenchmarkAblationEdmondsKarpFlow(b *testing.B) {
-	opts := coco.DefaultOptions()
-	opts.EdmondsKarp = true
 	ablationComm(b, "rel-comm-%", opts)
 }
 

@@ -24,26 +24,9 @@ type Options struct {
 	// When false each memory dependence is cut (and synchronized)
 	// independently — the ablation baseline.
 	ShareMemSync bool
-	// Dinic forces Dinic's algorithm for max-flow. With no engine flag
-	// set, the engine is auto-selected by graph size
-	// (mincut.MaxFlowAuto): Edmonds–Karp on small networks (its constant
-	// factor wins there — the pipeline benchmarks showed it beating a
-	// blanket Dinic default on COCO's per-dependence graphs), Dinic in
-	// the middle range, push-relabel on large dense ones. Every engine
-	// yields identical cut values and communication placements because
-	// the source-side and sink-side minimum cuts are unique, independent
-	// of which maximum flow an algorithm finds.
-	Dinic bool
-	// EdmondsKarp forces Edmonds–Karp max-flow (the paper's algorithm),
-	// overriding Dinic and PushRelabel.
-	EdmondsKarp bool
-	// PushRelabel forces FIFO push-relabel max-flow, overriding Dinic.
-	PushRelabel bool
 }
 
-// DefaultOptions returns the configuration evaluated in the paper. No
-// max-flow engine is forced: the engine is picked per flow network by
-// size, which never changes a placement (see Options.Dinic).
+// DefaultOptions returns the configuration evaluated in the paper.
 func DefaultOptions() Options {
 	return Options{ControlPenalties: true, ShareMemSync: true}
 }
@@ -444,17 +427,7 @@ func (p *planner) cutRegister(r ir.Reg, ts, td int,
 		}
 	})
 
-	var flow int64
-	switch {
-	case p.opts.EdmondsKarp:
-		flow = fg.g.MaxFlow(fg.s, fg.t)
-	case p.opts.PushRelabel:
-		flow = fg.g.MaxFlowPushRelabel(fg.s, fg.t)
-	case p.opts.Dinic:
-		flow = fg.g.MaxFlowDinic(fg.s, fg.t)
-	default:
-		flow = fg.g.MaxFlowAuto(fg.s, fg.t)
-	}
+	flow := fg.g.MaxFlow(fg.s, fg.t)
 	if flow >= mincut.Inf {
 		return nil, fmt.Errorf("coco: no finite cut for %v from thread %d to %d in %s",
 			r, ts, td, p.f.Name)
@@ -526,7 +499,7 @@ func (p *planner) cutMemory(ts, td int, arcs []*pdg.Arc, deps map[depKey][]mtcg.
 		if err != nil {
 			return err
 		}
-		if fg.g.MaxFlowAuto(fg.instrNode[a.From.ID], fg.instrNode[a.To.ID]) >= mincut.Inf {
+		if fg.g.MaxFlow(fg.instrNode[a.From.ID], fg.instrNode[a.To.ID]) >= mincut.Inf {
 			return fmt.Errorf("coco: no finite memory cut for %v in %s", a, p.f.Name)
 		}
 		pts, err := fg.cutPoints(fg.g.MinCutSinkSide(fg.instrNode[a.To.ID]))

@@ -1,7 +1,6 @@
 package coco_test
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/coco"
@@ -9,120 +8,8 @@ import (
 	"repro/internal/ir"
 	"repro/internal/mtcg"
 	"repro/internal/pdg"
-	"repro/internal/randprog"
 	"repro/internal/testprog"
 )
-
-// engineOpts returns every max-flow engine selection: Edmonds–Karp (the
-// reference), Dinic, push-relabel, and the default size-based selector.
-func engineOpts() []struct {
-	name string
-	opts coco.Options
-} {
-	ek := coco.DefaultOptions()
-	ek.EdmondsKarp = true
-	dn := coco.DefaultOptions()
-	dn.Dinic = true
-	pr := coco.DefaultOptions()
-	pr.PushRelabel = true
-	return []struct {
-		name string
-		opts coco.Options
-	}{
-		{"edmonds-karp", ek},
-		{"dinic", dn},
-		{"push-relabel", pr},
-		{"auto", coco.DefaultOptions()},
-	}
-}
-
-// comparePlans fails the test when two plans place communication
-// differently.
-func comparePlans(t *testing.T, label string, ek, other *mtcg.Plan) {
-	t.Helper()
-	if len(ek.Comms) != len(other.Comms) {
-		t.Fatalf("%s: comm count: EK %d vs %d", label, len(ek.Comms), len(other.Comms))
-	}
-	for i := range ek.Comms {
-		a, b := ek.Comms[i], other.Comms[i]
-		if a.Kind != b.Kind || a.Reg != b.Reg || a.Src != b.Src || a.Dst != b.Dst {
-			t.Errorf("%s: comm %d differs: %v vs %v", label, i, a, b)
-			continue
-		}
-		if len(a.Points) != len(b.Points) {
-			t.Errorf("%s: comm %d points: EK %v vs %v", label, i, a.Points, b.Points)
-			continue
-		}
-		for j := range a.Points {
-			if a.Points[j] != b.Points[j] {
-				t.Errorf("%s: comm %d point %d: EK %v vs %v", label, i, j, a.Points[j], b.Points[j])
-			}
-		}
-	}
-}
-
-// TestEnginesMatchOnFixtures checks that every max-flow engine — and the
-// size-based auto selector — produces identical communication placements
-// on every fixture.
-func TestEnginesMatchOnFixtures(t *testing.T) {
-	for _, fx := range []struct {
-		name string
-		p    *testprog.Prog
-	}{
-		{"fig3", testprog.Fig3()},
-		{"fig4", testprog.Fig4()},
-		{"fig5", testprog.Fig5()},
-	} {
-		t.Run(fx.name, func(t *testing.T) {
-			variants := engineOpts()
-			ek := plan(t, fx.p, variants[0].opts)
-			for _, v := range variants[1:] {
-				comparePlans(t, v.name, ek, plan(t, fx.p, v.opts))
-			}
-		})
-	}
-}
-
-// TestEnginesMatchOnRandomPrograms extends the fixture check to random
-// programs and random partitions: for every generated (program, partition)
-// pair all max-flow engines and the auto selector must choose the same
-// communication placements, because each min-cut flow network has a
-// unique source-side and sink-side minimum cut regardless of the maximum
-// flow found.
-func TestEnginesMatchOnRandomPrograms(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	trials := 40
-	if testing.Short() {
-		trials = 10
-	}
-	for trial := 0; trial < trials; trial++ {
-		p := randprog.Generate(rng, randprog.DefaultOptions())
-		st, err := interp.Run(p.F, p.Args, append([]int64(nil), p.Mem...), 5_000_000)
-		if err != nil {
-			t.Fatalf("trial %d: single-threaded run: %v", trial, err)
-		}
-		g := pdg.Build(p.F, p.Objects)
-		assign := map[*ir.Instr]int{}
-		p.F.Instrs(func(in *ir.Instr) {
-			if in.Op != ir.Jump && in.Op != ir.Nop {
-				assign[in] = rng.Intn(2)
-			}
-		})
-
-		variants := engineOpts()
-		ek, errEK := coco.Plan(p.F, g, assign, 2, st.Profile, variants[0].opts)
-		for _, v := range variants[1:] {
-			pl, err := coco.Plan(p.F, g, assign, 2, st.Profile, v.opts)
-			if (errEK == nil) != (err == nil) {
-				t.Fatalf("trial %d: EK err %v, %s err %v", trial, errEK, v.name, err)
-			}
-			if errEK != nil {
-				continue // all engines must reject the partition identically
-			}
-			comparePlans(t, v.name, ek, pl)
-		}
-	}
-}
 
 // TestThreeThreadPlanConverges splits Figure 5's consumer thread in two,
 // making the thread graph have multiple arcs, and checks Algorithm 2

@@ -114,9 +114,6 @@ func optionsKey(b budget.Budget, opts coco.Options) string {
 	h.Int("budget.sim", b.SimCycles)
 	h.Bool("coco.control", opts.ControlPenalties)
 	h.Bool("coco.sharemem", opts.ShareMemSync)
-	h.Bool("coco.dinic", opts.Dinic)
-	h.Bool("coco.edmondskarp", opts.EdmondsKarp)
-	h.Bool("coco.pushrelabel", opts.PushRelabel)
 	return h.Sum()
 }
 

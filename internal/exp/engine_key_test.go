@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/budget"
+	"repro/internal/coco"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
@@ -76,11 +77,27 @@ func TestEngineKeysAreContentAddressed(t *testing.T) {
 }
 
 // TestEngineOptionsChangeKeys asserts the option fingerprint differs when
-// budgets or COCO options differ — the scheme the persistent cache reuses.
+// any field optionsKey hashes differs: each budget and each COCO option.
 func TestEngineOptionsChangeKeys(t *testing.T) {
-	base := NewEngine(EngineOptions{})
-	tighter := NewEngine(EngineOptions{Budget: budgetWith(1000)})
-	if base.optsKey == tighter.optsKey {
-		t.Fatal("budget not folded into the engine options key")
+	base := NewEngine(EngineOptions{}).optsKey
+	measure, simCycles := budget.Experiments(), budget.Experiments()
+	measure.MeasureSteps = 1000
+	simCycles.SimCycles = 1000
+	noPenalties, noSharing := coco.DefaultOptions(), coco.DefaultOptions()
+	noPenalties.ControlPenalties = false
+	noSharing.ShareMemSync = false
+	for _, c := range []struct {
+		name string
+		opts EngineOptions
+	}{
+		{"budget.profile", EngineOptions{Budget: budgetWith(1000)}},
+		{"budget.measure", EngineOptions{Budget: measure}},
+		{"budget.sim", EngineOptions{Budget: simCycles}},
+		{"coco.control", EngineOptions{Coco: &noPenalties}},
+		{"coco.sharemem", EngineOptions{Coco: &noSharing}},
+	} {
+		if NewEngine(c.opts).optsKey == base {
+			t.Errorf("%s not folded into the engine options key", c.name)
+		}
 	}
 }

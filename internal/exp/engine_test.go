@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/budget"
-	"repro/internal/coco"
 	"repro/internal/interp"
 	"repro/internal/sim"
 	"repro/internal/workloads"
@@ -157,45 +156,5 @@ func TestEngineBudgetEnforced(t *testing.T) {
 	_, err := e.CommExperiment(context.Background(), ws)
 	if !errors.Is(err, interp.ErrStepLimit) {
 		t.Fatalf("err = %v, want ErrStepLimit from the 10-step profile budget", err)
-	}
-}
-
-// TestAutoDefaultEquivalentOnWorkloads asserts the promoted default: the
-// size-based engine selector (no engine flag set) must produce, on the
-// full workload suite under both partitioners, exactly the communication
-// placements (identical generated threads) the Edmonds–Karp reference
-// produces — and therefore identical cut values and dynamic statistics.
-func TestAutoDefaultEquivalentOnWorkloads(t *testing.T) {
-	ws := workloads.All()
-	if testing.Short() {
-		ws = subset(t, "ks", "177.mesa", "181.mcf")
-	}
-	def := coco.DefaultOptions()
-	if def.Dinic || def.EdmondsKarp || def.PushRelabel {
-		t.Fatal("DefaultOptions no longer selects the auto engine")
-	}
-	ekOpts := coco.DefaultOptions()
-	ekOpts.EdmondsKarp = true
-	for _, w := range ws {
-		for _, part := range Partitioners() {
-			auto, err := Build(w, part, coco.DefaultOptions())
-			if err != nil {
-				t.Fatalf("%s/%s auto: %v", w.Name, part.Name(), err)
-			}
-			ek, err := Build(w, part, ekOpts)
-			if err != nil {
-				t.Fatalf("%s/%s EK: %v", w.Name, part.Name(), err)
-			}
-			if auto.Coco.NumQueues != ek.Coco.NumQueues {
-				t.Errorf("%s/%s: queues auto %d, EK %d", w.Name, part.Name(),
-					auto.Coco.NumQueues, ek.Coco.NumQueues)
-			}
-			for i := range auto.Coco.Threads {
-				if got, want := auto.Coco.Threads[i].String(), ek.Coco.Threads[i].String(); got != want {
-					t.Errorf("%s/%s: thread %d differs between auto and EK:\n--- auto ---\n%s\n--- EK ---\n%s",
-						w.Name, part.Name(), i, got, want)
-				}
-			}
-		}
 	}
 }

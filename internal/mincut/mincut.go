@@ -1,11 +1,10 @@
 // Package mincut implements the graph minimum-cut machinery behind COCO's
 // communication placement: max-flow via Edmonds–Karp (the algorithm the
-// paper's implementation uses, Section 4), Dinic, and FIFO push-relabel —
-// with size-based auto-selection between them (MaxFlowAuto) — min-cut arc
-// extraction from either side of the flow, and the successive-pair
-// heuristic for the NP-hard multiple source–sink ("multicut") problem of
-// Section 3.1.3. All engines yield identical cut extractions because the
-// canonical minimum cuts are unique properties of the network.
+// paper's implementation uses, Section 4), min-cut arc extraction from
+// either side of the flow, and the successive-pair heuristic for the
+// NP-hard multiple source–sink ("multicut") problem of Section 3.1.3. The
+// two extracted cuts are the canonical minimum cuts — unique properties of
+// the network, not of the maximum flow found.
 package mincut
 
 import "math"
@@ -80,24 +79,27 @@ func (g *Graph) RemoveArc(id ArcID) {
 }
 
 // MaxFlow computes the maximum s→t flow with Edmonds–Karp (BFS augmenting
-// paths): O(V·E²) worst case, fast in practice on CFG-shaped graphs.
+// paths): O(V·E²) worst case, fast in practice on CFG-shaped graphs. A
+// source that is its own sink has nothing to separate: the flow is 0.
 func (g *Graph) MaxFlow(s, t int) int64 {
+	if s == t {
+		return 0
+	}
 	var total int64
 	parent := make([]int32, g.n) // arc index used to reach node, -1 unset
+	var queue []int32            // BFS order, reused across augmenting paths
 	for {
 		for i := range parent {
 			parent[i] = -1
 		}
 		parent[s] = -2
-		queue := []int{s}
-		for len(queue) > 0 && parent[t] == -1 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, ai := range g.adj[u] {
+		queue = append(queue[:0], int32(s))
+		for head := 0; head < len(queue) && parent[t] == -1; head++ {
+			for _, ai := range g.adj[queue[head]] {
 				a := &g.arcs[ai]
 				if a.cap > 0 && parent[a.to] == -1 {
 					parent[a.to] = ai
-					queue = append(queue, int(a.to))
+					queue = append(queue, int32(a.to))
 				}
 			}
 		}
@@ -123,202 +125,9 @@ func (g *Graph) MaxFlow(s, t int) int64 {
 	}
 }
 
-// MaxFlowDinic computes the maximum flow with Dinic's algorithm: O(V²·E)
-// worst case but near-linear on the shallow graphs min-cut placement
-// produces.
-func (g *Graph) MaxFlowDinic(s, t int) int64 {
-	var total int64
-	level := make([]int32, g.n)
-	iter := make([]int, g.n)
-
-	bfs := func() bool {
-		for i := range level {
-			level[i] = -1
-		}
-		level[s] = 0
-		queue := []int{s}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, ai := range g.adj[u] {
-				a := &g.arcs[ai]
-				if a.cap > 0 && level[a.to] == -1 {
-					level[a.to] = level[u] + 1
-					queue = append(queue, int(a.to))
-				}
-			}
-		}
-		return level[t] >= 0
-	}
-
-	var dfs func(u int, f int64) int64
-	dfs = func(u int, f int64) int64 {
-		if u == t {
-			return f
-		}
-		for ; iter[u] < len(g.adj[u]); iter[u]++ {
-			ai := g.adj[u][iter[u]]
-			a := &g.arcs[ai]
-			if a.cap <= 0 || level[a.to] != level[u]+1 {
-				continue
-			}
-			d := f
-			if a.cap < d {
-				d = a.cap
-			}
-			if got := dfs(int(a.to), d); got > 0 {
-				a.cap -= got
-				g.arcs[ai^1].cap += got
-				return got
-			}
-		}
-		return 0
-	}
-
-	for bfs() {
-		for i := range iter {
-			iter[i] = 0
-		}
-		for {
-			f := dfs(s, Inf*4)
-			if f == 0 {
-				break
-			}
-			total += f
-		}
-	}
-	return total
-}
-
-// MaxFlowPushRelabel computes the maximum flow with the FIFO push-relabel
-// algorithm (current-arc pointers and the gap heuristic): O(V³) worst
-// case, the strongest practical engine on large dense networks where
-// Dinic's repeated global BFS phases dominate. The algorithm is run to
-// completion — labels may climb to 2V−1, so stranded excess drains back
-// to the source — which turns the preflow into a genuine maximum flow:
-// per-arc Flow values and the residual graph are exactly as valid for
-// min-cut extraction as after MaxFlow or MaxFlowDinic, and the canonical
-// source-side/sink-side cuts are identical (minimum cuts are determined
-// by the network, not by which engine found the flow).
-func (g *Graph) MaxFlowPushRelabel(s, t int) int64 {
-	if s == t {
-		return 0
-	}
-	n := g.n
-	height := make([]int, n)
-	excess := make([]int64, n)
-	count := make([]int32, 2*n+1) // nodes per height, for the gap heuristic
-	iter := make([]int, n)        // current-arc pointer per node
-	queue := make([]int, 0, n)    // FIFO of active nodes (excess>0, not s/t)
-	inQueue := make([]bool, n)
-	enq := func(u int) {
-		if !inQueue[u] && u != s && u != t {
-			inQueue[u] = true
-			queue = append(queue, u)
-		}
-	}
-
-	height[s] = n
-	count[0] = int32(n - 1)
-	count[n]++
-	for _, ai := range g.adj[s] {
-		a := &g.arcs[ai]
-		if a.cap > 0 && int(a.to) != s {
-			d := a.cap
-			a.cap = 0
-			g.arcs[ai^1].cap += d
-			excess[a.to] += d
-			enq(int(a.to))
-		}
-	}
-
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		inQueue[u] = false
-		for excess[u] > 0 {
-			if iter[u] == len(g.adj[u]) {
-				// Relabel: lift u just above its lowest residual neighbor.
-				iter[u] = 0
-				oldH := height[u]
-				minH := 2 * n
-				for _, ai := range g.adj[u] {
-					a := &g.arcs[ai]
-					if a.cap > 0 && height[a.to] < minH {
-						minH = height[a.to]
-					}
-				}
-				if minH >= 2*n {
-					break // no residual arc at all; cannot happen with excess
-				}
-				count[oldH]--
-				height[u] = minH + 1
-				count[minH+1]++
-				// Gap heuristic: if level oldH < n just emptied, no node
-				// above it (below n) can reach t anymore; lift them past n
-				// so their excess heads straight back to the source.
-				if count[oldH] == 0 && oldH < n {
-					for v := 0; v < n; v++ {
-						if v != s && height[v] > oldH && height[v] < n {
-							count[height[v]]--
-							height[v] = n + 1
-							count[n+1]++
-							iter[v] = 0
-						}
-					}
-				}
-				continue
-			}
-			ai := g.adj[u][iter[u]]
-			a := &g.arcs[ai]
-			if a.cap > 0 && height[u] == height[a.to]+1 {
-				d := excess[u]
-				if a.cap < d {
-					d = a.cap
-				}
-				a.cap -= d
-				g.arcs[ai^1].cap += d
-				excess[u] -= d
-				excess[a.to] += d
-				enq(int(a.to))
-			} else {
-				iter[u]++
-			}
-		}
-	}
-	return excess[t]
-}
-
-// Auto-selection thresholds (arc counts), calibrated against the pipeline
-// benchmarks: Edmonds–Karp's tiny constant factor wins on the small
-// CFG-shaped networks COCO emits per dependence, Dinic takes the middle
-// range, and push-relabel the large dense end.
-const (
-	autoEKMaxArcs    = 256
-	autoDinicMaxArcs = 8192
-)
-
-// MaxFlowAuto computes the maximum flow with an engine picked by graph
-// size. All three engines produce the same flow value and — because the
-// canonical source-side and sink-side minimum cuts are unique properties
-// of the network — identical cut extractions, so selection never changes
-// a placement, only how fast it is found.
-func (g *Graph) MaxFlowAuto(s, t int) int64 {
-	m := len(g.arcs) / 2
-	switch {
-	case m <= autoEKMaxArcs:
-		return g.MaxFlow(s, t)
-	case m <= autoDinicMaxArcs:
-		return g.MaxFlowDinic(s, t)
-	default:
-		return g.MaxFlowPushRelabel(s, t)
-	}
-}
-
-// reachable returns the set of nodes reachable from start over arcs with
-// residual capacity, following forward residual arcs if fwd, or arcs with
-// residual capacity *into* the frontier if traversing backwards from the
-// sink.
+// residualReach returns the set of nodes reachable from start over arcs
+// with residual capacity, or, if backwards, the set of nodes that can
+// reach start over such arcs.
 func (g *Graph) residualReach(start int, backwards bool) []bool {
 	seen := make([]bool, g.n)
 	seen[start] = true
@@ -348,7 +157,7 @@ func (g *Graph) residualReach(start int, backwards bool) []bool {
 	return seen
 }
 
-// MinCutSourceSide returns, after MaxFlow/MaxFlowDinic, the arcs of the
+// MinCutSourceSide returns, after MaxFlow, the arcs of the
 // minimum cut closest to the source: arcs leaving the residual-reachable
 // set of s. For register communication this is the "earliest" placement,
 // which pipelines values to the consumer as soon as possible (Section 5's

@@ -19,11 +19,20 @@ func TestMaxFlowClassic(t *testing.T) {
 	g.AddArc(3, 5, 20)
 	g.AddArc(4, 5, 4)
 	if got := g.MaxFlow(0, 5); got != 23 {
-		t.Errorf("Edmonds-Karp MaxFlow = %d, want 23", got)
+		t.Errorf("MaxFlow = %d, want 23", got)
 	}
-	g.Reset()
-	if got := g.MaxFlowDinic(0, 5); got != 23 {
-		t.Errorf("Dinic MaxFlow = %d, want 23", got)
+}
+
+// TestMaxFlowSourceIsSink pins the s == t guard: without it the BFS never
+// runs, the bottleneck walk is empty, and the augmenting loop adds Inf*4
+// forever.
+func TestMaxFlowSourceIsSink(t *testing.T) {
+	g := New(3)
+	g.AddArc(0, 1, 4)
+	g.AddArc(1, 2, 4)
+	g.AddArc(2, 1, 4)
+	if got := g.MaxFlow(1, 1); got != 0 {
+		t.Errorf("MaxFlow(1, 1) = %d, want 0", got)
 	}
 }
 
@@ -125,45 +134,11 @@ func TestMultiCutAlreadyDisconnected(t *testing.T) {
 	g.AddArc(0, 1, 5)
 	// Node 2,3 disconnected from 0.
 	g.AddArc(2, 3, 5)
-	res := MultiCut(g, []Pair{{0, 3}})
-	if res.Cost != 0 || len(res.Arcs) != 0 {
-		t.Errorf("disconnected pair produced cut %v cost %d", res.Arcs, res.Cost)
-	}
-}
-
-// TestEdmondsKarpAgreesWithDinicRandom cross-checks the two max-flow
-// implementations on random graphs.
-func TestEdmondsKarpAgreesWithDinicRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 100; trial++ {
-		n := 4 + rng.Intn(12)
-		g := New(n)
-		h := New(n)
-		arcs := 2 * n
-		for i := 0; i < arcs; i++ {
-			from, to := rng.Intn(n), rng.Intn(n)
-			if from == to {
-				continue
-			}
-			c := int64(1 + rng.Intn(20))
-			g.AddArc(from, to, c)
-			h.AddArc(from, to, c)
-		}
-		fg := g.MaxFlow(0, n-1)
-		fh := h.MaxFlowDinic(0, n-1)
-		if fg != fh {
-			t.Fatalf("trial %d: Edmonds-Karp=%d Dinic=%d", trial, fg, fh)
-		}
-		// Min-cut duality: cut cost equals flow value.
-		if fg > 0 {
-			cut := g.MinCutSourceSide(0)
-			if got := g.CutCost(cut); got != fg {
-				t.Fatalf("trial %d: cut cost %d != flow %d", trial, got, fg)
-			}
-			snk := g.MinCutSinkSide(n - 1)
-			if got := g.CutCost(snk); got != fg {
-				t.Fatalf("trial %d: sink cut cost %d != flow %d", trial, got, fg)
-			}
+	// A pair whose source is its sink has no cut to find either.
+	for _, p := range []Pair{{0, 3}, {1, 1}} {
+		res := MultiCut(g, []Pair{p})
+		if res.Cost != 0 || len(res.Arcs) != 0 {
+			t.Errorf("pair %v produced cut %v cost %d", p, res.Arcs, res.Cost)
 		}
 	}
 }

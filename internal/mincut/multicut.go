@@ -25,7 +25,7 @@ func MultiCut(g *Graph, pairs []Pair) MultiCutResult {
 	var res MultiCutResult
 	for _, p := range pairs {
 		g.Reset()
-		if g.MaxFlowAuto(p.S, p.T) == 0 {
+		if g.MaxFlow(p.S, p.T) == 0 {
 			continue // already disconnected by earlier cuts
 		}
 		cut := g.MinCutSinkSide(p.T)
@@ -48,7 +48,7 @@ func MultiCutIndependent(g *Graph, pairs []Pair) MultiCutResult {
 	seen := map[ArcID]bool{}
 	for _, p := range pairs {
 		g.Reset()
-		if g.MaxFlowAuto(p.S, p.T) == 0 {
+		if g.MaxFlow(p.S, p.T) == 0 {
 			continue
 		}
 		cut := g.MinCutSinkSide(p.T)

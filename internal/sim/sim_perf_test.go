@@ -138,48 +138,6 @@ func TestStepCoreFastEquivalence(t *testing.T) {
 	}
 }
 
-// TestParallelComponentsMatchSerial builds two queue-disjoint
-// producer/consumer pairs and checks that the component-parallel path
-// both triggers and reproduces the serial schedule exactly. The serial reference passes an empty Observer:
-// a non-nil observer only disables the parallel split — with no sinks set
-// the per-cycle machinery is otherwise identical.
-func TestParallelComponentsMatchSerial(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Cores = 4
-	cfg.SAPorts = 64 // enough that per-cycle SA ports can never block: split is exact
-	mkThreads := func() []*ir.Function {
-		return []*ir.Function{
-			mkProdCons(400, 0, true, 2),
-			mkProdCons(400, 0, false, 2),
-			mkProdCons(250, 1, true, 2),
-			mkProdCons(250, 1, false, 2),
-		}
-	}
-
-	// White-box: the grouping must see two components.
-	sys := &system{cfg: cfg, queues: make([]*saQueue, 2)}
-	for _, f := range mkThreads() {
-		sys.cores = append(sys.cores, &core{fn: f})
-	}
-	if groups := sys.parallelGroups(nil); len(groups) != 2 {
-		t.Fatalf("parallelGroups = %v, want two components", groups)
-	}
-
-	ref, err := RunObserved(cfg, mkThreads(), nil, nil, 10_000_000, &Observer{})
-	if err != nil {
-		t.Fatalf("serial reference: %v", err)
-	}
-	// The parallel path races real goroutines, so repeat to shake out any
-	// schedule dependence (and run under -race in CI).
-	for trial := 0; trial < 5; trial++ {
-		got, err := Run(cfg, mkThreads(), nil, nil, 10_000_000)
-		if err != nil {
-			t.Fatalf("parallel run %d: %v", trial, err)
-		}
-		resultsEqual(t, "parallel", got, ref)
-	}
-}
-
 // TestRunFastDeterministicRepeat re-runs the same simulation many times
 // and demands bit-identical results — the work-metric guarantee the bench
 // gate relies on.

@@ -362,13 +362,7 @@ func RunInjected(cfg Config, threads []*ir.Function, args []int64, mem []int64, 
 		}
 	}
 
-	var cycle int64
-	var err error
-	if groups := sys.parallelGroups(ob); groups != nil {
-		cycle, err = sys.runParallel(groups, maxCycles)
-	} else {
-		cycle, err = sys.run(maxCycles)
-	}
+	cycle, err := sys.run(maxCycles)
 	if err != nil {
 		return nil, err
 	}
