@@ -176,21 +176,12 @@ func (f *ObsFlags) Flush(o *exp.Obs) error {
 	return nil
 }
 
-// WorkloadNames returns every benchmark workload name, in figure order.
-func WorkloadNames() []string {
-	var names []string
-	for _, w := range workloads.All() {
-		names = append(names, w.Name)
-	}
-	return names
-}
-
 // ResolveWorkload maps a -workload flag value to its workload; an
 // unknown name is a usage error (exit 2) listing the valid names.
 func ResolveWorkload(name string) (*workloads.Workload, error) {
 	w, err := workloads.ByName(name)
 	if err != nil {
-		return nil, Usagef("unknown workload %q (valid: %s)", name, strings.Join(WorkloadNames(), ", "))
+		return nil, Usagef("unknown workload %q (valid: %s)", name, strings.Join(workloads.Names(), ", "))
 	}
 	return w, nil
 }

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/workloads"
 )
 
 func TestExitCodes(t *testing.T) {
@@ -143,7 +145,7 @@ func TestResolveWorkloadListsValidNames(t *testing.T) {
 	if ExitCode(err) != 2 {
 		t.Errorf("exit code = %d, want 2", ExitCode(err))
 	}
-	for _, name := range WorkloadNames() {
+	for _, name := range workloads.Names() {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("error does not list %q: %v", name, err)
 		}
@@ -152,7 +154,7 @@ func TestResolveWorkloadListsValidNames(t *testing.T) {
 
 func TestResolveWorkloadsSelections(t *testing.T) {
 	all, err := ResolveWorkloads("")
-	if err != nil || len(all) != len(WorkloadNames()) {
+	if err != nil || len(all) != len(workloads.Names()) {
 		t.Fatalf("empty selection: %d workloads, err=%v", len(all), err)
 	}
 	some, err := ResolveWorkloads(" ks , 181.mcf ")

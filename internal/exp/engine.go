@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/budget"
-	"repro/internal/cache"
 	"repro/internal/coco"
 	"repro/internal/fault"
 	"repro/internal/interp"
@@ -57,18 +56,25 @@ type EngineOptions struct {
 // both for every figure. All caches are filled under sync.Once, so any
 // number of concurrent experiments observe exactly one build.
 //
+// A workload here is one *workloads.Workload value, not its name or its
+// content: a PDG, a partition and an MTCG plan are maps over the
+// instructions of the ir.Function they were built from, so an artifact
+// is only valid for that function. Two values with equal content (two
+// workloads.KS() calls) get separate slots; pass the same pointer to
+// share one.
+//
 // Results are deterministic: matrix cells are identified by their index in
 // the serial iteration order and written to preallocated slots, so an
 // engine at any Jobs setting emits byte-identical rows to the serial path.
 //
 // Cache slots record the first outcome permanently (sync.Once), including
 // a cancellation that landed mid-build — discard an engine whose run was
-// cancelled rather than reusing it.
+// cancelled rather than reusing it. internal/serve honours that by
+// building one engine per computation.
 type Engine struct {
 	jobs    int
 	budget  budget.Budget
 	opts    coco.Options
-	optsKey string
 	obs     *Obs
 	chaos   *fault.Spec
 	degrade bool
@@ -79,8 +85,8 @@ type Engine struct {
 	faultsInjected atomic.Int64
 
 	mu        sync.Mutex
-	artifacts map[string]*memo[*Artifact]
-	pipelines map[string]*memo[*Pipeline]
+	artifacts map[*workloads.Workload]*memo[*Artifact]
+	pipelines map[pipeKey]*memo[*Pipeline]
 	stCycles  map[stKey]*memo[int64]
 }
 
@@ -97,32 +103,26 @@ func (m *memo[T]) do(f func() (T, error)) (T, error) {
 	return m.val, m.err
 }
 
+// slot returns key's once-filled slot in table, creating it on first use.
+func slot[K comparable, V any](mu *sync.Mutex, table map[K]*memo[V], key K) *memo[V] {
+	mu.Lock()
+	defer mu.Unlock()
+	s, ok := table[key]
+	if !ok {
+		s = &memo[V]{}
+		table[key] = s
+	}
+	return s
+}
+
+type pipeKey struct {
+	w    *workloads.Workload
+	part string // partitioner name
+}
+
 type stKey struct {
-	workload string // content fingerprint, not name
-	cfg      sim.Config
-}
-
-// optionsKey fingerprints every engine-level option that affects the
-// memoized artifacts: the budgets bound profiling/measurement/simulation
-// and the COCO options change generated programs. It is folded into every
-// cache key so the keying scheme stays correct if two engines ever share
-// a store — the same scheme internal/cache uses for its persistent keys.
-func optionsKey(b budget.Budget, opts coco.Options) string {
-	h := cache.NewHasher(1)
-	h.Int("budget.profile", b.ProfileSteps)
-	h.Int("budget.measure", b.MeasureSteps)
-	h.Int("budget.sim", b.SimCycles)
-	h.Bool("coco.control", opts.ControlPenalties)
-	h.Bool("coco.sharemem", opts.ShareMemSync)
-	return h.Sum()
-}
-
-// artifactKey identifies a workload's memoized artifact by content: the
-// workload fingerprint covers the IR, memory objects, and both inputs, so
-// two different workloads that happen to share a Name never collide (they
-// did when artifacts were keyed by bare name).
-func (e *Engine) artifactKey(w *workloads.Workload) string {
-	return e.optsKey + "|" + w.Fingerprint()
+	w   *workloads.Workload
+	cfg sim.Config
 }
 
 // NewEngine returns an engine with empty caches.
@@ -131,17 +131,15 @@ func NewEngine(o EngineOptions) *Engine {
 	if o.Coco != nil {
 		opts = *o.Coco
 	}
-	b := o.Budget.OrElse(budget.Experiments())
 	return &Engine{
 		jobs:      o.Jobs,
-		budget:    b,
+		budget:    o.Budget.OrElse(budget.Experiments()),
 		opts:      opts,
-		optsKey:   optionsKey(b, opts),
 		obs:       o.Obs,
 		chaos:     o.Chaos,
 		degrade:   o.Degrade,
-		artifacts: map[string]*memo[*Artifact]{},
-		pipelines: map[string]*memo[*Pipeline]{},
+		artifacts: map[*workloads.Workload]*memo[*Artifact]{},
+		pipelines: map[pipeKey]*memo[*Pipeline]{},
 		stCycles:  map[stKey]*memo[int64]{},
 	}
 }
@@ -189,42 +187,9 @@ func (e *Engine) noteInjected(n int64) {
 	}
 }
 
-func (e *Engine) artifactSlot(name string) *memo[*Artifact] {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	s, ok := e.artifacts[name]
-	if !ok {
-		s = &memo[*Artifact]{}
-		e.artifacts[name] = s
-	}
-	return s
-}
-
-func (e *Engine) pipelineSlot(key string) *memo[*Pipeline] {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	s, ok := e.pipelines[key]
-	if !ok {
-		s = &memo[*Pipeline]{}
-		e.pipelines[key] = s
-	}
-	return s
-}
-
-func (e *Engine) stSlot(key stKey) *memo[int64] {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	s, ok := e.stCycles[key]
-	if !ok {
-		s = &memo[int64]{}
-		e.stCycles[key] = s
-	}
-	return s
-}
-
 // Artifact returns w's memoized profile + PDG, computing them on first use.
 func (e *Engine) Artifact(ctx context.Context, w *workloads.Workload) (*Artifact, error) {
-	return e.artifactSlot(e.artifactKey(w)).do(func() (*Artifact, error) {
+	return slot(&e.mu, e.artifacts, w).do(func() (*Artifact, error) {
 		e.profileRuns.Add(1)
 		e.pdgBuilds.Add(1)
 		return buildArtifact(ctx, w, e.budget, e.obs)
@@ -234,7 +199,7 @@ func (e *Engine) Artifact(ctx context.Context, w *workloads.Workload) (*Artifact
 // Pipeline returns the memoized pipeline for (w, part), building it — and
 // its underlying artifact — on first use.
 func (e *Engine) Pipeline(ctx context.Context, w *workloads.Workload, part partition.Partitioner) (*Pipeline, error) {
-	return e.pipelineSlot(e.artifactKey(w) + "/" + part.Name()).do(func() (*Pipeline, error) {
+	return slot(&e.mu, e.pipelines, pipeKey{w, part.Name()}).do(func() (*Pipeline, error) {
 		art, err := e.Artifact(ctx, w)
 		if err != nil {
 			return nil, err
@@ -246,7 +211,7 @@ func (e *Engine) Pipeline(ctx context.Context, w *workloads.Workload, part parti
 // SingleThreadedCycles returns w's memoized single-threaded cycle count on
 // the given machine.
 func (e *Engine) SingleThreadedCycles(ctx context.Context, cfg sim.Config, w *workloads.Workload) (int64, error) {
-	return e.stSlot(stKey{workload: e.artifactKey(w), cfg: cfg}).do(func() (int64, error) {
+	return slot(&e.mu, e.stCycles, stKey{w, cfg}).do(func() (int64, error) {
 		if err := ctx.Err(); err != nil {
 			return 0, fmt.Errorf("exp: single-threaded %s: %w", w.Name, err)
 		}
@@ -263,9 +228,9 @@ func (e *Engine) CommCell(ctx context.Context, w *workloads.Workload, part parti
 
 // CommCellSpan is CommCell with per-call trace capture: each attempt of
 // the degradation chain, its pipeline/measure stages, and every
-// fallback hop are recorded as children of sp. Engines are shared
-// across requests (memoization), so per-request observation rides the
-// call, not EngineOptions.Obs. A nil span records nothing.
+// fallback hop are recorded as children of sp — the serve daemon's
+// per-request span tree; EngineOptions.Obs is the experiment-wide
+// trace/metrics sink. A nil span records nothing.
 func (e *Engine) CommCellSpan(ctx context.Context, w *workloads.Workload, part partition.Partitioner, sp *obs.Span) (CommRow, error) {
 	return e.commCell(ctx, cell{part: part, w: w}, sp)
 }

@@ -4,25 +4,18 @@ import (
 	"context"
 	"testing"
 
-	"repro/internal/budget"
-	"repro/internal/coco"
+	"repro/internal/partition"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
 
-func budgetWith(profileSteps int64) budget.Budget {
-	b := budget.Experiments()
-	b.ProfileSteps = profileSteps
-	return b
-}
-
-// TestEngineKeysAreContentAddressed pins the memo-key staleness fix: two
-// workloads sharing a Name but differing in content (here: swapped train
-// and reference inputs) must not collide in the engine's caches. Before
-// the fix, artifacts and single-threaded baselines were keyed by bare
-// workload name, so the second workload was served the first one's
-// artifacts.
-func TestEngineKeysAreContentAddressed(t *testing.T) {
+// TestEngineKeysAreIdentity pins the memo key: a slot belongs to one
+// *workloads.Workload value. Two workloads sharing a Name but differing
+// in content (here: swapped train and reference inputs) never collide —
+// they did when artifacts and single-threaded baselines were keyed by
+// bare name, and the second workload was served the first one's — and
+// re-asking for the same value recomputes nothing.
+func TestEngineKeysAreIdentity(t *testing.T) {
 	ctx := context.Background()
 	cfg := sim.DefaultConfig()
 
@@ -52,7 +45,7 @@ func TestEngineKeysAreContentAddressed(t *testing.T) {
 		t.Fatal("same-named workloads with different inputs share one artifact slot")
 	}
 	if st := e.Stats(); st.ProfileRuns != 2 {
-		t.Fatalf("ProfileRuns = %d, want 2 (one per distinct content)", st.ProfileRuns)
+		t.Fatalf("ProfileRuns = %d, want 2 (one per distinct workload)", st.ProfileRuns)
 	}
 
 	cyclesA, err := e.SingleThreadedCycles(ctx, cfg, a)
@@ -68,36 +61,33 @@ func TestEngineKeysAreContentAddressed(t *testing.T) {
 	}
 
 	// The memoization itself still works: asking again recomputes nothing.
-	if _, err := e.Artifact(ctx, a); err != nil {
+	again, err := e.Artifact(ctx, a)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if again != artA {
+		t.Fatal("re-asking for the same workload value built a second artifact")
 	}
 	if st := e.Stats(); st.ProfileRuns != 2 {
 		t.Fatalf("ProfileRuns after re-ask = %d, want 2", st.ProfileRuns)
 	}
 }
 
-// TestEngineOptionsChangeKeys asserts the option fingerprint differs when
-// any field optionsKey hashes differs: each budget and each COCO option.
-func TestEngineOptionsChangeKeys(t *testing.T) {
-	base := NewEngine(EngineOptions{}).optsKey
-	measure, simCycles := budget.Experiments(), budget.Experiments()
-	measure.MeasureSteps = 1000
-	simCycles.SimCycles = 1000
-	noPenalties, noSharing := coco.DefaultOptions(), coco.DefaultOptions()
-	noPenalties.ControlPenalties = false
-	noSharing.ShareMemSync = false
-	for _, c := range []struct {
-		name string
-		opts EngineOptions
-	}{
-		{"budget.profile", EngineOptions{Budget: budgetWith(1000)}},
-		{"budget.measure", EngineOptions{Budget: measure}},
-		{"budget.sim", EngineOptions{Budget: simCycles}},
-		{"coco.control", EngineOptions{Coco: &noPenalties}},
-		{"coco.sharemem", EngineOptions{Coco: &noSharing}},
-	} {
-		if NewEngine(c.opts).optsKey == base {
-			t.Errorf("%s not folded into the engine options key", c.name)
-		}
+// TestEngineEqualContentDistinctValues: two workloads with equal content
+// are still two functions with their own instructions, and an artifact
+// built over one is meaningless for the other. Keyed by fingerprint, the
+// second pipeline paired the first call's PDG with the second call's IR
+// and the partitioner found every instruction unassigned.
+func TestEngineEqualContentDistinctValues(t *testing.T) {
+	ctx := context.Background()
+	e := NewEngine(EngineOptions{Jobs: 1})
+	if _, err := e.Pipeline(ctx, workloads.KS(), partition.GREMIO{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Pipeline(ctx, workloads.KS(), partition.DSWP{}); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.ProfileRuns != 2 {
+		t.Fatalf("ProfileRuns = %d, want 2 (one per workload value)", st.ProfileRuns)
 	}
 }

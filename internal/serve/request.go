@@ -120,21 +120,21 @@ type errorBody struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
-// workload resolves the request's workload: a named benchmark (shared
-// artifact caching across requests) or an inline IR function (transient).
-func (r *Request) workload() (w *workloads.Workload, inline bool, err error) {
+// workload resolves the request's workload: a named benchmark or an
+// inline IR function. Either way the result is a fresh value — new IR,
+// new instruction pointers — that no other request shares.
+func (r *Request) workload() (*workloads.Workload, error) {
 	switch {
 	case r.Workload != "" && r.IR != "":
-		return nil, false, fmt.Errorf("workload and ir are mutually exclusive")
+		return nil, fmt.Errorf("workload and ir are mutually exclusive")
 	case r.Workload != "":
-		w, err := cli.ResolveWorkload(r.Workload)
-		return w, false, err
+		return cli.ResolveWorkload(r.Workload)
 	case r.IR == "":
-		return nil, false, fmt.Errorf("one of workload or ir is required")
+		return nil, fmt.Errorf("one of workload or ir is required")
 	}
 	f, err := ir.Parse(r.IR)
 	if err != nil {
-		return nil, false, fmt.Errorf("parsing ir: %v", err)
+		return nil, fmt.Errorf("parsing ir: %v", err)
 	}
 	name := r.Name
 	if name == "" {
@@ -143,7 +143,7 @@ func (r *Request) workload() (w *workloads.Workload, inline bool, err error) {
 	objs := make([]ir.MemObject, len(r.Objects))
 	for i, o := range r.Objects {
 		if o.Size <= 0 {
-			return nil, false, fmt.Errorf("object %q: size must be positive", o.Name)
+			return nil, fmt.Errorf("object %q: size must be positive", o.Name)
 		}
 		objs[i] = ir.MemObject{Name: o.Name, Base: o.Base, Size: o.Size}
 	}
@@ -163,7 +163,7 @@ func (r *Request) workload() (w *workloads.Workload, inline bool, err error) {
 		Objects:  objs,
 		Train:    input,
 		Ref:      input,
-	}, true, nil
+	}, nil
 }
 
 // toBudget normalizes the wire budget against the server defaults and

@@ -160,20 +160,28 @@ func TestSingleflightUnderDiskFaults(t *testing.T) {
 
 // TestDeadlineExceeded: a request whose deadline expires mid-compute
 // gets 504 and the deadline_exceeded counter; the same request without
-// a deadline succeeds, proving the deadline — not the workload — failed.
+// a deadline then computes from scratch and succeeds, proving the
+// deadline — not the workload — failed and that nothing of the
+// cancelled build outlives its request.
 func TestDeadlineExceeded(t *testing.T) {
 	ctx := context.Background()
 	s := newServer(t, Options{Degrade: true})
-	req := ksReq()
-	req.DeadlineMS = 1
+	req := &Request{Workload: "mpeg2enc", Partitioner: "gremio", Sim: true, DeadlineMS: 1}
 	res := s.Do(ctx, req)
 	if res.Status != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504: %s", res.Status, res.Body)
 	}
-	if st := s.StatsSnapshot(); st.DeadlineExceeded != 1 {
+	st := s.StatsSnapshot()
+	if st.DeadlineExceeded != 1 {
 		t.Fatalf("deadline_exceeded = %d, want 1", st.DeadlineExceeded)
 	}
-	mustOK(t, s.Do(ctx, ksReq()))
+	req.DeadlineMS = 0
+	res = s.Do(ctx, req)
+	mustOK(t, res)
+	if after := s.StatsSnapshot(); res.Source != "cold" || after.Compute != st.Compute+1 {
+		t.Fatalf("retry without a deadline: source %q, compute %d -> %d, want cold and one more",
+			res.Source, st.Compute, after.Compute)
+	}
 }
 
 // TestDeadlineClamp: the effective deadline is requested-else-default

@@ -18,6 +18,10 @@
 // hits, misses, evictions, singleflight merges, queue depth, and
 // in-flight counts are all surfaced through internal/obs (GET /v1/stats
 // and /v1/metrics).
+//
+// Response bytes are all that one request shares with another. Each
+// computation resolves its own workload and builds its own exp.Engine;
+// no analysis artifact outlives the request it was built for.
 package serve
 
 import (
@@ -29,7 +33,6 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -125,14 +128,6 @@ type Options struct {
 	AccessLog io.Writer
 }
 
-// engineKey identifies a shared engine: every option that changes what an
-// engine would compute. Workload identity is handled inside the engine by
-// content fingerprint.
-type engineKey struct {
-	budget  budget.Budget
-	degrade bool
-}
-
 // Server implements the scheduling service. Create with New, mount
 // Handler on an http.Server.
 type Server struct {
@@ -165,9 +160,6 @@ type Server struct {
 	durable   bool
 	fs        vfs.FS
 	access    *accessLogger
-
-	mu      sync.Mutex
-	engines map[engineKey]*exp.Engine
 }
 
 // New builds a server and opens (creating if needed) its cache
@@ -209,7 +201,6 @@ func New(o Options) (*Server, error) {
 		durable:     o.Durable,
 		fs:          fsys,
 		access:      newAccessLogger(o.AccessLog),
-		engines:     map[engineKey]*exp.Engine{},
 	}
 	if s.clock == nil {
 		s.clock = func() int64 { return s.tick.Add(1) }
@@ -312,7 +303,7 @@ func (s *Server) serveTraced(ctx context.Context, req *Request, root *obs.Span, 
 		defer cancel()
 	}
 
-	w, inline, err := req.workload()
+	w, err := req.workload()
 	if err != nil {
 		return errResult(http.StatusBadRequest, err, id)
 	}
@@ -378,7 +369,7 @@ func (s *Server) serveTraced(ctx context.Context, req *Request, root *obs.Span, 
 		if ok {
 			return body, nil
 		}
-		return s.compute(ctx, w, inline, p, req.Sim, b, degrade, key, root)
+		return s.compute(ctx, w, p, req.Sim, b, degrade, key, root)
 	})
 	switch {
 	case err == nil && merged:
@@ -417,10 +408,14 @@ func (s *Server) deadlineFor(req *Request) time.Duration {
 // compute runs the scheduling pipeline once and caches the exact response
 // bytes. The serve.compute counter is the "did the pipeline actually
 // run?" signal tests and the smoke job assert on.
-func (s *Server) compute(ctx context.Context, w *workloads.Workload, inline bool,
-	p partition.Partitioner, runSim bool, b budget.Budget, degrade bool, key string, root *obs.Span) ([]byte, error) {
+//
+// The engine lives for this one computation, sharing the pipeline between
+// the two cells below: its artifacts point into w.F, which every request
+// resolves afresh, and its slots would keep a cancelled build for good.
+func (s *Server) compute(ctx context.Context, w *workloads.Workload, p partition.Partitioner,
+	runSim bool, b budget.Budget, degrade bool, key string, root *obs.Span) ([]byte, error) {
 	s.scope.Counter("compute").Inc()
-	eng := s.engine(inline, b, degrade)
+	eng := exp.NewEngine(exp.EngineOptions{Jobs: 1, Budget: b, Degrade: degrade})
 
 	resp := Response{
 		Schema:      SchemaVersion,
@@ -484,26 +479,6 @@ func commPct(c interp.CommStats) float64 {
 	return 100 * float64(c.Comm()) / float64(t)
 }
 
-// engine returns the shared engine for (budget, degrade) — named
-// workloads reuse memoized artifacts across requests — or a transient one
-// for inline IR, whose artifacts would otherwise accumulate without
-// bound.
-func (s *Server) engine(inline bool, b budget.Budget, degrade bool) *exp.Engine {
-	opts := exp.EngineOptions{Jobs: 1, Budget: b, Degrade: degrade}
-	if inline {
-		return exp.NewEngine(opts)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	k := engineKey{budget: b, degrade: degrade}
-	e := s.engines[k]
-	if e == nil {
-		e = exp.NewEngine(opts)
-		s.engines[k] = e
-	}
-	return e
-}
-
 // Handler returns the HTTP API:
 //
 //	POST /v1/schedule     one request  -> one response
@@ -520,7 +495,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/schedule", s.handleSchedule)
 	mux.HandleFunc("POST /v1/batch", s.handleBatch)
 	mux.HandleFunc("GET /v1/workloads", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, map[string][]string{"workloads": cli.WorkloadNames()})
+		writeJSON(w, http.StatusOK, map[string][]string{"workloads": workloads.Names()})
 	})
 	mux.HandleFunc("GET /v1/partitioners", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, map[string][]string{"partitioners": cli.PartitionerNames()})

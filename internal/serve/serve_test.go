@@ -42,6 +42,15 @@ func mustOK(t *testing.T, res Result) Response {
 	return resp
 }
 
+// freshBody is the reference for byte comparisons: what a server that has
+// seen no other request, and does not degrade, answers req with.
+func freshBody(t *testing.T, req *Request) []byte {
+	t.Helper()
+	res := newServer(t, Options{}).Do(context.Background(), req)
+	mustOK(t, res)
+	return res.Body
+}
+
 // TestColdWarmRestartBytesIdentical is the serving contract: cold
 // compute, warm memory hit, and warm disk hit after a restart all return
 // the exact same bytes — and the warm paths never re-run the pipeline.
@@ -105,6 +114,10 @@ func TestColdWarmRestartBytesIdentical(t *testing.T) {
 // over a handful of distinct configurations must each compute exactly
 // once, and every response for a given configuration must be
 // byte-identical regardless of which path (cold, merged, warm) served it.
+// The server degrades, so a request that failed under its own partitioner
+// would still be a 200 — carrying the other partitioner's numbers. Hence
+// the comparison with a fresh non-degrading server: no fallback was
+// taken, under either partitioner, whichever the server saw first.
 func TestConcurrentMixedRequests(t *testing.T) {
 	s := newServer(t, Options{Degrade: true})
 	ctx := context.Background()
@@ -147,6 +160,12 @@ func TestConcurrentMixedRequests(t *testing.T) {
 				t.Fatalf("config %d request %d: bytes differ across paths", ci, j)
 			}
 		}
+		if bytes.Contains(first.Body, []byte(`"fallback"`)) {
+			t.Fatalf("config %d: answered by the degradation chain: %s", ci, first.Body)
+		}
+		if want := freshBody(t, configs[ci]); !bytes.Equal(first.Body, want) {
+			t.Fatalf("config %d: bytes differ from a fresh non-degrading server's:\n%s\n%s", ci, first.Body, want)
+		}
 	}
 	st := s.StatsSnapshot()
 	if st.Compute != int64(len(configs)) {
@@ -154,6 +173,65 @@ func TestConcurrentMixedRequests(t *testing.T) {
 	}
 	if st.Requests != int64(len(configs)*perConfig) {
 		t.Fatalf("requests = %d, want %d", st.Requests, len(configs)*perConfig)
+	}
+}
+
+// TestOneServerBothPartitioners: what a server has computed before never
+// changes an answer. Two servers schedule every built-in kernel under one
+// partitioner and then the other, in opposite orders; until its second
+// pass each is a server that only ever saw one partitioner, so its first
+// pass is the reference for the other's second. (A server that kept
+// analysis artifacts across requests answered 500 "instruction
+// unassigned" to every kernel's second partitioner: the kept PDG pointed
+// into the first request's IR.)
+func TestOneServerBothPartitioners(t *testing.T) {
+	ctx := context.Background()
+	names := workloads.Names()
+	pass := func(s *Server, part string) map[string][]byte {
+		bodies := map[string][]byte{}
+		for _, name := range names {
+			res := s.Do(ctx, &Request{Workload: name, Partitioner: part})
+			if res.Status != http.StatusOK || res.Source != "cold" {
+				t.Errorf("%s/%s: status %d source %q: %s", name, part, res.Status, res.Source, res.Body)
+			}
+			bodies[name] = res.Body
+		}
+		return bodies
+	}
+	a, b := newServer(t, Options{}), newServer(t, Options{})
+	want := map[string]map[string][]byte{"gremio": pass(a, "gremio"), "dswp": pass(b, "dswp")}
+	for part, got := range map[string]map[string][]byte{"dswp": pass(a, "dswp"), "gremio": pass(b, "gremio")} {
+		for _, name := range names {
+			if !bytes.Equal(got[name], want[part][name]) {
+				t.Errorf("%s/%s as a server's second partitioner differs from its first:\n%s\n%s",
+					name, part, got[name], want[part][name])
+			}
+		}
+	}
+	for _, s := range []*Server{a, b} {
+		if st := s.StatsSnapshot(); st.Compute != int64(2*len(names)) || st.Errors != 0 {
+			t.Errorf("compute = %d errors = %d, want %d / 0", st.Compute, st.Errors, 2*len(names))
+		}
+	}
+
+}
+
+// TestSimAfterCommSameKernel pins the one cross-request reuse the
+// per-request engine gives up (sim:false then sim:true for one kernel
+// used to share a pipeline): both still answer, with a fresh server's
+// bytes.
+func TestSimAfterCommSameKernel(t *testing.T) {
+	s := newServer(t, Options{})
+	for _, sim := range []bool{false, true} {
+		req := &Request{Workload: "adpcmdec", Partitioner: "dswp", Sim: sim}
+		res := s.Do(context.Background(), req)
+		mustOK(t, res)
+		if want := freshBody(t, req); !bytes.Equal(res.Body, want) {
+			t.Fatalf("sim=%v differs from a fresh server's:\n%s\n%s", sim, res.Body, want)
+		}
+	}
+	if st := s.StatsSnapshot(); st.Compute != 2 {
+		t.Fatalf("compute = %d, want 2", st.Compute)
 	}
 }
 
@@ -314,7 +392,8 @@ func TestHTTPEndpoints(t *testing.T) {
 	res, body := post("/v1/batch", `{"requests":[
 		{"workload":"adpcmdec","partitioner":"dswp"},
 		{"workload":"nope"},
-		{"workload":"adpcmdec","partitioner":"dswp"}
+		{"workload":"adpcmdec","partitioner":"dswp"},
+		{"workload":"adpcmdec","partitioner":"gremio"}
 	]}`)
 	if res.StatusCode != http.StatusOK {
 		t.Fatalf("batch: %d: %s", res.StatusCode, body)
@@ -323,10 +402,11 @@ func TestHTTPEndpoints(t *testing.T) {
 	if err := json.Unmarshal(body, &batch); err != nil {
 		t.Fatal(err)
 	}
-	if len(batch.Responses) != 3 {
-		t.Fatalf("batch responses = %d, want 3", len(batch.Responses))
+	if len(batch.Responses) != 4 {
+		t.Fatalf("batch responses = %d, want 4", len(batch.Responses))
 	}
-	if batch.Responses[0].Status != 200 || batch.Responses[1].Status != 400 || batch.Responses[2].Status != 200 {
+	if batch.Responses[0].Status != 200 || batch.Responses[1].Status != 400 ||
+		batch.Responses[2].Status != 200 || batch.Responses[3].Status != 200 {
 		t.Fatalf("batch statuses = %+v", batch.Responses)
 	}
 	if !bytes.Equal(batch.Responses[0].Body, batch.Responses[2].Body) {
@@ -335,13 +415,19 @@ func TestHTTPEndpoints(t *testing.T) {
 	if !bytes.Equal(batch.Responses[0].Body, cold) {
 		t.Fatal("batch bytes differ from schedule bytes for the same request")
 	}
+	// The other partitioner beside it in one batch, on a server that would
+	// degrade rather than fail: still that partitioner's own answer.
+	gremio := &Request{Workload: "adpcmdec", Partitioner: "gremio"}
+	if got, want := batch.Responses[3].Body, freshBody(t, gremio); !bytes.Equal(got, want) {
+		t.Fatalf("mixed-partitioner batch item differs from a fresh server's:\n%s\n%s", got, want)
+	}
 
 	var stats Stats
 	if err := json.Unmarshal(get("/v1/stats"), &stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Compute != 1 {
-		t.Fatalf("stats compute = %d, want 1", stats.Compute)
+	if stats.Compute != 2 {
+		t.Fatalf("stats compute = %d, want 2", stats.Compute)
 	}
 	var names map[string][]string
 	if err := json.Unmarshal(get("/v1/workloads"), &names); err != nil {

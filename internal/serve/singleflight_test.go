@@ -23,7 +23,7 @@ func TestMergedFlightCancellationNotCounted(t *testing.T) {
 	// Derive the exact cache/flight key the request below will use, and
 	// plant a leader flight on it that ends in cancellation.
 	req := &Request{Workload: "ks", Partitioner: "gremio"}
-	w, _, err := req.workload()
+	w, err := req.workload()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,28 +78,50 @@ func (w *Workload) Fingerprint() string {
 	return w.fp
 }
 
+// kernels lists every workload in the order of Figure 6(b) — the order
+// every figure and golden is rendered in. name repeats what build().Name
+// returns so a lookup or a listing constructs no kernel it does not hand
+// out.
+var kernels = []struct {
+	name  string
+	build func() *Workload
+}{
+	{"adpcmdec", ADPCMDec},
+	{"adpcmenc", ADPCMEnc},
+	{"ks", KS},
+	{"mpeg2enc", MPEG2Enc},
+	{"177.mesa", Mesa},
+	{"181.mcf", MCF},
+	{"183.equake", Equake},
+	{"188.ammp", AMMP},
+	{"300.twolf", Twolf},
+	{"435.gromacs", Gromacs},
+	{"458.sjeng", Sjeng},
+}
+
 // All returns every workload, in the order of Figure 6(b).
 func All() []*Workload {
-	return []*Workload{
-		ADPCMDec(),
-		ADPCMEnc(),
-		KS(),
-		MPEG2Enc(),
-		Mesa(),
-		MCF(),
-		Equake(),
-		AMMP(),
-		Twolf(),
-		Gromacs(),
-		Sjeng(),
+	ws := make([]*Workload, len(kernels))
+	for i, k := range kernels {
+		ws[i] = k.build()
 	}
+	return ws
+}
+
+// Names returns every workload name, in the order of Figure 6(b).
+func Names() []string {
+	names := make([]string, len(kernels))
+	for i, k := range kernels {
+		names[i] = k.name
+	}
+	return names
 }
 
 // ByName returns the workload with the given name.
 func ByName(name string) (*Workload, error) {
-	for _, w := range All() {
-		if w.Name == name {
-			return w, nil
+	for _, k := range kernels {
+		if k.name == name {
+			return k.build(), nil
 		}
 	}
 	return nil, fmt.Errorf("workloads: unknown workload %q", name)

@@ -2,6 +2,7 @@ package workloads_test
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -65,8 +66,25 @@ func TestWorkloadNamesUniqueAndComplete(t *testing.T) {
 			t.Errorf("%s: missing metadata", w.Name)
 		}
 	}
-	if _, err := workloads.ByName("ks"); err != nil {
-		t.Errorf("ByName(ks): %v", err)
+	// Figure 6(b) order feeds every golden; All, Names and ByName are
+	// driven by one table whose name column must match what each
+	// constructor returns.
+	want := []string{"adpcmdec", "adpcmenc", "ks", "mpeg2enc", "177.mesa", "181.mcf",
+		"183.equake", "188.ammp", "300.twolf", "435.gromacs", "458.sjeng"}
+	names := workloads.Names()
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("Names() = %v, want Figure 6(b) order %v", names, want)
+	}
+	for i, name := range names {
+		if all[i].Name != name {
+			t.Errorf("All()[%d].Name = %q, but the table row is named %q", i, all[i].Name, name)
+		}
+		w, err := workloads.ByName(name)
+		if err != nil {
+			t.Errorf("ByName(%s): %v", name, err)
+		} else if w.Name != name {
+			t.Errorf("ByName(%s) built %q", name, w.Name)
+		}
 	}
 	if _, err := workloads.ByName("nope"); err == nil {
 		t.Error("ByName accepted unknown workload")
