@@ -10,6 +10,7 @@
 package gmt_test
 
 import (
+	"context"
 	"math/rand"
 	"os"
 	"testing"
@@ -21,6 +22,7 @@ import (
 	"repro/internal/interp"
 	"repro/internal/partition"
 	"repro/internal/pdg"
+	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
@@ -96,6 +98,14 @@ func suiteFresh(t *testing.T) []benchsuite.Result {
 		t.Fatal(err)
 	}
 	rs = append(rs, metrics("BenchmarkSuiteSimKS", map[string]float64{"cycles": float64(cycles)}))
+
+	rs = append(rs, metrics("BenchmarkSuiteFingerprintMpeg2enc",
+		map[string]float64{"words": suiteInputWords(workloads.MPEG2Enc())}))
+
+	req := &serve.Request{Workload: "adpcmdec", Partitioner: "dswp", Sim: true}
+	srv, before := suiteWarmServer(t, req)
+	srv.Do(context.Background(), req)
+	rs = append(rs, metrics("BenchmarkSuiteServeWarmAdpcmdec", suiteWarmMetrics(before, srv.StatsSnapshot(), 1)))
 	return rs
 }
 

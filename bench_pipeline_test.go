@@ -1,9 +1,10 @@
 // Benchmark-regression suite: the BenchmarkSuite* benchmarks cover each
 // pipeline stage (PDG construction, min-cut, the full per-workload
 // pipelines, the multi-threaded interpreter, the cycle-level simulator)
-// and serialize their results — wall-clock ns/op plus each stage's
-// deterministic work metrics — to BENCH_pipeline.json whenever benchmarks
-// run:
+// and the two halves of request keying (a kernel's first content hash, a
+// warm request through serve.Server.Do), and serialize their results —
+// wall-clock ns/op plus each stage's deterministic work metrics — to
+// BENCH_pipeline.json whenever benchmarks run:
 //
 //	go test -run '^$' -bench BenchmarkSuite -benchtime 1x .
 //
@@ -12,6 +13,7 @@
 package gmt_test
 
 import (
+	"context"
 	"flag"
 	"math/rand"
 	"runtime"
@@ -25,6 +27,7 @@ import (
 	"repro/internal/interp"
 	"repro/internal/partition"
 	"repro/internal/pdg"
+	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
@@ -194,4 +197,75 @@ func BenchmarkSuiteSimKS(b *testing.B) {
 		}
 	}
 	suiteRecord(b, mark, map[string]float64{"cycles": float64(cycles)})
+}
+
+// suiteInputWords counts what a workload's content hash renders besides
+// the IR text: every argument and memory word of both input sets.
+func suiteInputWords(w *workloads.Workload) float64 {
+	train, ref := w.Train(), w.Ref()
+	return float64(len(train.Args) + len(train.Mem) + len(ref.Args) + len(ref.Mem))
+}
+
+// BenchmarkSuiteFingerprintMpeg2enc times the content hash itself: what
+// the first request for a kernel in a process, and every inline-IR
+// request, pays. Directly constructed values never see the kernels
+// table's memo, so each iteration hashes both images.
+func BenchmarkSuiteFingerprintMpeg2enc(b *testing.B) {
+	ws := make([]*workloads.Workload, b.N)
+	for i := range ws {
+		ws[i] = workloads.MPEG2Enc()
+	}
+	words := suiteInputWords(ws[0]) // builds both images: before the mark
+	mark := markAllocs()
+	b.ResetTimer()
+	var fp string
+	for _, w := range ws {
+		fp = w.Fingerprint()
+	}
+	if len(fp) != 64 {
+		b.Fatalf("fingerprint %q", fp)
+	}
+	suiteRecord(b, mark, map[string]float64{"words": words})
+}
+
+// suiteWarmServer returns a memory-only server that has already computed
+// req, and its counters at that point.
+func suiteWarmServer(tb testing.TB, req *serve.Request) (*serve.Server, serve.Stats) {
+	tb.Helper()
+	s, err := serve.New(serve.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if res := s.Do(context.Background(), req); res.Source != "cold" {
+		tb.Fatalf("first request: status %d source %q: %s", res.Status, res.Source, res.Body)
+	}
+	return s, s.StatsSnapshot()
+}
+
+// suiteWarmMetrics is the work n warm requests did since before: no
+// computation, and one memory hit each (per request, so the metric does
+// not depend on -benchtime).
+func suiteWarmMetrics(before, after serve.Stats, n int) map[string]float64 {
+	return map[string]float64{
+		"compute": float64(after.Compute - before.Compute),
+		"hit_mem": float64(after.CacheHitMem-before.CacheHitMem) / float64(n),
+	}
+}
+
+// BenchmarkSuiteServeWarmAdpcmdec times a warm request end to end inside
+// the process: resolve the kernel, key it, read the memory layer, render
+// the trace. adpcmdec is the kernel a quarter of warm_zipf's traffic asks
+// for.
+func BenchmarkSuiteServeWarmAdpcmdec(b *testing.B) {
+	req := &serve.Request{Workload: "adpcmdec", Partitioner: "dswp", Sim: true}
+	s, before := suiteWarmServer(b, req)
+	ctx := context.Background()
+	mark := markAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res := s.Do(ctx, req); res.Source != "warm" {
+			b.Fatalf("status %d source %q: %s", res.Status, res.Source, res.Body)
+		}
+	}
+	suiteRecord(b, mark, suiteWarmMetrics(before, s.StatsSnapshot(), b.N))
 }

@@ -347,9 +347,26 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 // jsonString renders s as a JSON string literal (encoding/json escaping,
 // so any name is safe).
 func jsonString(s string) string {
-	b, err := json.Marshal(s)
-	if err != nil { // cannot happen for a string
-		panic(err)
+	return string(appendJSONString(nil, s))
+}
+
+// appendJSONString appends s as a JSON string literal, byte for byte what
+// json.Marshal writes. Span names, attribute keys and nearly every value
+// are printable ASCII that json.Marshal copies through unescaped, so
+// those are quoted in place; anything else — quotes, backslashes, control
+// bytes, the <, > and & that encoding/json escapes for HTML, non-ASCII,
+// invalid UTF-8 — goes to json.Marshal itself.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			m, err := json.Marshal(s)
+			if err != nil { // cannot happen for a string
+				panic(err)
+			}
+			return append(b, m...)
+		}
 	}
-	return string(b)
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }

@@ -15,9 +15,10 @@ package obs
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 )
 
@@ -221,33 +222,46 @@ func (t *SpanTree) WriteJSON(w io.Writer) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, err := fmt.Fprintf(w, "{\n\"trace_id\": %s,\n\"clock\": %s,\n\"spans\": [",
-		jsonString(t.traceID), jsonString("logical")); err != nil {
-		return err
-	}
+	// The server renders a tree per request, so this is append and
+	// strconv into one buffer and one Write — no fmt, no per-attribute
+	// allocation.
+	b := make([]byte, 0, 256+128*len(t.spans))
+	b = append(b, "{\n\"trace_id\": "...)
+	b = appendJSONString(b, t.traceID)
+	b = append(b, ",\n\"clock\": \"logical\",\n\"spans\": ["...)
+	var attrs []spanAttr
 	for i, s := range t.spans {
-		sep := ","
-		if i == 0 {
-			sep = ""
+		if i > 0 {
+			b = append(b, ',')
 		}
-		attrs := append([]spanAttr(nil), s.attrs...)
-		sort.Slice(attrs, func(i, j int) bool { return attrs[i].key < attrs[j].key })
-		var ab []byte
+		b = append(b, "\n{\"id\": "...)
+		b = strconv.AppendInt(b, int64(s.id), 10)
+		b = append(b, ", \"parent\": "...)
+		b = strconv.AppendInt(b, int64(s.parent), 10)
+		b = append(b, ", \"name\": "...)
+		b = appendJSONString(b, s.name)
+		b = append(b, ", \"start\": "...)
+		b = strconv.AppendInt(b, s.start, 10)
+		b = append(b, ", \"end\": "...)
+		b = strconv.AppendInt(b, s.end, 10)
+		b = append(b, ", \"attrs\": {"...)
+		attrs = append(attrs[:0], s.attrs...)
+		slices.SortFunc(attrs, func(x, y spanAttr) int { return strings.Compare(x.key, y.key) })
 		for j, a := range attrs {
 			if j > 0 {
-				ab = append(ab, ", "...)
+				b = append(b, ", "...)
 			}
+			b = appendJSONString(b, a.key)
+			b = append(b, ": "...)
 			if a.isStr {
-				ab = append(ab, fmt.Sprintf("%s: %s", jsonString(a.key), jsonString(a.str))...)
+				b = appendJSONString(b, a.str)
 			} else {
-				ab = append(ab, fmt.Sprintf("%s: %d", jsonString(a.key), a.num)...)
+				b = strconv.AppendInt(b, a.num, 10)
 			}
 		}
-		if _, err := fmt.Fprintf(w, "%s\n{\"id\": %d, \"parent\": %d, \"name\": %s, \"start\": %d, \"end\": %d, \"attrs\": {%s}}",
-			sep, s.id, s.parent, jsonString(s.name), s.start, s.end, ab); err != nil {
-			return err
-		}
+		b = append(b, "}}"...)
 	}
-	_, err := io.WriteString(w, "\n]\n}")
+	b = append(b, "\n]\n}"...)
+	_, err := w.Write(b)
 	return err
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -171,6 +173,107 @@ func TestSpanTreeWriteJSON(t *testing.T) {
 	tr2.WriteJSON(&b2)
 	if !bytes.Equal(b.Bytes(), b2.Bytes()) {
 		t.Error("identical span trees rendered different bytes")
+	}
+}
+
+// hostileStrings is what a span name, attribute or trace ID could carry
+// that a JSON string literal must escape — or that encoding/json escapes
+// although JSON would not ask it to.
+var hostileStrings = []string{
+	"", "ks", "cache.lookup", "a b", "~", "\x7f",
+	`say "hi"`, `back\slash`, `\"`, "<script>", "a&b", "x>y",
+	"tab\there", "line\nfeed", "cr\r", "nul\x00", "esc\x1b[0m", "\x1f",
+	"naïve", "日本語", "\u2028line\u2029sep", "😀",
+	"\xff", "bad\xc3", "\xed\xa0\x80", "ok\xf0\x9f\x98", "\xc0\x80",
+}
+
+// refSpanJSON is SpanTree.WriteJSON as it was while it rendered with fmt
+// and one json.Marshal per string, kept as the reference for the bytes of
+// every retained trace, flight dump and golden.
+func refSpanJSON(t *SpanTree) string {
+	str := func(s string) string {
+		b, _ := json.Marshal(s)
+		return string(b)
+	}
+	var out strings.Builder
+	fmt.Fprintf(&out, "{\n\"trace_id\": %s,\n\"clock\": %s,\n\"spans\": [", str(t.traceID), str("logical"))
+	for i, s := range t.spans {
+		sep := ","
+		if i == 0 {
+			sep = ""
+		}
+		attrs := append([]spanAttr(nil), s.attrs...)
+		sort.Slice(attrs, func(i, j int) bool { return attrs[i].key < attrs[j].key })
+		var ab []byte
+		for j, a := range attrs {
+			if j > 0 {
+				ab = append(ab, ", "...)
+			}
+			if a.isStr {
+				ab = append(ab, fmt.Sprintf("%s: %s", str(a.key), str(a.str))...)
+			} else {
+				ab = append(ab, fmt.Sprintf("%s: %d", str(a.key), a.num)...)
+			}
+		}
+		fmt.Fprintf(&out, "%s\n{\"id\": %d, \"parent\": %d, \"name\": %s, \"start\": %d, \"end\": %d, \"attrs\": {%s}}",
+			sep, s.id, s.parent, str(s.name), s.start, s.end, ab)
+	}
+	out.WriteString("\n]\n}")
+	return out.String()
+}
+
+// TestSpanJSONMatchesEncodingJSON: the span renderer writes strings
+// itself when they are plain ASCII and hands the rest to json.Marshal;
+// either way the bytes are json.Marshal's, string by string and for whole
+// trees.
+func TestSpanJSONMatchesEncodingJSON(t *testing.T) {
+	strs := append([]string(nil), hostileStrings...)
+	for c := 0; c < 256; c++ { // every single byte, alone and inside ASCII
+		strs = append(strs, string([]byte{byte(c)}), "ab"+string([]byte{byte(c)})+"cd")
+	}
+	rng := rand.New(rand.NewSource(14))
+	for i := 0; i < 200; i++ {
+		b := make([]byte, rng.Intn(24))
+		rng.Read(b)
+		strs = append(strs, string(b))
+	}
+	for _, s := range strs {
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendJSONString([]byte("x"), s); string(got) != "x"+string(want) {
+			t.Errorf("appendJSONString(%q) = %s, json.Marshal = %s", s, got[1:], want)
+		}
+	}
+
+	// Whole trees: hostile strings in every position a string can take,
+	// extreme integers, attributes set out of key order and overwritten,
+	// an unfinished span, an empty tree.
+	trees := []*SpanTree{NewSpanTree("", nil), NewSpanTree("deadbeef00000000", nil)}
+	for i, s := range hostileStrings {
+		tr := NewSpanTree(s, nil)
+		root := tr.Root(s)
+		root.SetStr("z", s).SetStr(s, "v").SetInt("m", math.MinInt64).SetInt("a", math.MaxInt64)
+		root.SetStr("z", hostileStrings[(i+1)%len(hostileStrings)])
+		child := root.Child("child." + s)
+		child.SetInt(s, int64(-i))
+		root.Child("unfinished")
+		child.Finish()
+		root.Finish()
+		trees = append(trees, tr)
+	}
+	for _, tr := range trees {
+		var b bytes.Buffer
+		if err := tr.WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		if want := refSpanJSON(tr); b.String() != want {
+			t.Errorf("trace %q renders\n%s\nwant\n%s", tr.traceID, b.String(), want)
+		}
+		if !json.Valid(b.Bytes()) {
+			t.Errorf("trace %q is not valid JSON:\n%s", tr.traceID, b.String())
+		}
 	}
 }
 

@@ -693,14 +693,20 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, body)
 }
 
-// readJSON decodes a bounded request body, replying 400 on bad JSON.
+// readJSON decodes a bounded request body, replying 413 to a body over
+// maxBody and 400 to bad JSON.
 func readJSON(w http.ResponseWriter, r *http.Request, into any) bool {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 	if err == nil {
 		err = json.Unmarshal(body, into)
 	}
 	if err != nil {
-		res := errResult(http.StatusBadRequest, fmt.Errorf("decoding request: %v", err), "")
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		res := errResult(status, fmt.Errorf("decoding request: %v", err), "")
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(res.Status)
 		w.Write(res.Body)

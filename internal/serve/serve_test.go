@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -450,6 +451,71 @@ func TestHTTPEndpoints(t *testing.T) {
 	res, body = post("/v1/schedule", `{"workload":`)
 	if res.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad JSON: %d: %s", res.StatusCode, body)
+	}
+}
+
+// TestOversizeBodyIs413: a body over maxBody is the client's to shrink,
+// not malformed JSON — 413 with the usual JSON error shape, on both
+// endpoints that read a body.
+func TestOversizeBodyIs413(t *testing.T) {
+	s := newServer(t, Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// Valid JSON all the way, so only the size can be what is wrong.
+	pad := strings.Repeat(" ", maxBody)
+	for path, body := range map[string]string{
+		"/v1/schedule": `{"workload":"ks"` + pad + `}`,
+		"/v1/batch":    `{"requests":[]` + pad + `}`,
+	} {
+		res, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e errorBody
+		err = json.NewDecoder(res.Body).Decode(&e)
+		res.Body.Close()
+		if res.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d, want 413", path, res.StatusCode)
+		}
+		if ct := res.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s: Content-Type %q", path, ct)
+		}
+		if err != nil || !strings.HasPrefix(e.Error, "decoding request: ") || !strings.Contains(e.Error, "too large") {
+			t.Errorf("%s: error body %+v (decode: %v)", path, e, err)
+		}
+	}
+	if n := s.StatsSnapshot().Requests; n != 0 {
+		t.Errorf("an oversize body reached the request path: requests = %d", n)
+	}
+}
+
+// TestWarmRequestAllocation pins the warm path: once mpeg2enc (the
+// kernel with the largest images) has been served, a repeat resolves the
+// kernel, takes its fingerprint from the kernels table and reads the
+// cache — it neither rebuilds nor rehashes the two memory images, which
+// alone were over 1 MiB a call.
+func TestWarmRequestAllocation(t *testing.T) {
+	s := newServer(t, Options{})
+	req := &Request{Workload: "mpeg2enc", Partitioner: "dswp"}
+	ctx := context.Background()
+	cold := s.Do(ctx, req)
+	mustOK(t, cold)
+
+	const calls = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		if res := s.Do(ctx, req); res.Source != "warm" || !bytes.Equal(res.Body, cold.Body) {
+			t.Fatalf("warm call %d: source %q, same bytes %v", i, res.Source, bytes.Equal(res.Body, cold.Body))
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; perCall >= 64<<10 {
+		t.Errorf("a warm mpeg2enc request allocates %d bytes, want under 64 KiB", perCall)
+	}
+	if st := s.StatsSnapshot(); st.Compute != 1 {
+		t.Errorf("compute = %d after 1 cold + %d warm requests, want 1", st.Compute, calls)
 	}
 }
 

@@ -2,7 +2,9 @@ package workloads_test
 
 import (
 	"fmt"
+	"os"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -88,6 +90,102 @@ func TestWorkloadNamesUniqueAndComplete(t *testing.T) {
 	}
 	if _, err := workloads.ByName("nope"); err == nil {
 		t.Error("ByName accepted unknown workload")
+	}
+}
+
+// constructors is the test's own name → constructor table: the values
+// these build never see the kernels table, so their fingerprints are
+// hashed from their content.
+var constructors = map[string]func() *workloads.Workload{
+	"adpcmdec": workloads.ADPCMDec, "adpcmenc": workloads.ADPCMEnc, "ks": workloads.KS,
+	"mpeg2enc": workloads.MPEG2Enc, "177.mesa": workloads.Mesa, "181.mcf": workloads.MCF,
+	"183.equake": workloads.Equake, "188.ammp": workloads.AMMP, "300.twolf": workloads.Twolf,
+	"435.gromacs": workloads.Gromacs, "458.sjeng": workloads.Sjeng,
+}
+
+// TestFingerprintConcurrentFirstUse: the table's memo is the one piece of
+// state requests share, and its first use may come from many at once (CI
+// runs this package under -race).
+func TestFingerprintConcurrentFirstUse(t *testing.T) {
+	want := constructors["188.ammp"]().Fingerprint()
+	var wg sync.WaitGroup
+	got := make([]string, 8)
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if w, err := workloads.ByName("188.ammp"); err == nil {
+				got[g] = w.Fingerprint()
+			}
+		}()
+	}
+	wg.Wait()
+	for g, fp := range got {
+		if fp != want {
+			t.Errorf("goroutine %d: fingerprint %q, want %s", g, fp, want)
+		}
+	}
+}
+
+// TestFingerprintMemoIsPerKernelNotPerName: a value built and changed by
+// the caller hashes what it holds, and neither reads nor writes the memo
+// the kernels table keeps for its name — in either order of first use.
+func TestFingerprintMemoIsPerKernelNotPerName(t *testing.T) {
+	swapped := func(name string) *workloads.Workload {
+		w := constructors[name]()
+		w.Train, w.Ref = w.Ref, w.Train
+		return w
+	}
+	early := swapped("adpcmenc").Fingerprint() // before the table's value is hashed
+	for _, name := range []string{"adpcmenc", "adpcmdec"} {
+		w, _ := workloads.ByName(name)
+		own := constructors[name]().Fingerprint()
+		if w.Fingerprint() != own {
+			t.Errorf("%s: table value %s, own content %s", name, w.Fingerprint(), own)
+		}
+		if fp := swapped(name).Fingerprint(); fp == own {
+			t.Errorf("%s: swapping Train and Ref left the fingerprint at %s", name, fp)
+		}
+	}
+	if late := swapped("adpcmenc").Fingerprint(); late != early {
+		t.Errorf("swapped adpcmenc hashed to %s before the table was used and %s after", early, late)
+	}
+}
+
+// TestFingerprintsGolden holds every kernel's fingerprint to
+// testdata/fingerprints.golden, generated before the kernels table
+// memoized fingerprints and before cache.Hasher stopped using fmt. Cache
+// directories written by older binaries are keyed by these strings, so
+// the file changes only together with a schema bump. Both ways to a
+// fingerprint must give the golden one: the table's memo (ByName, hashed
+// once, then a load) and the content hash of a directly constructed value.
+func TestFingerprintsGolden(t *testing.T) {
+	data, err := os.ReadFile("testdata/fingerprints.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	names := workloads.Names()
+	if len(lines) != len(names) {
+		t.Fatalf("golden has %d lines, want one per kernel (%d)", len(lines), len(names))
+	}
+	for i, line := range lines {
+		name, want, _ := strings.Cut(line, " ")
+		if name != names[i] {
+			t.Fatalf("golden line %d is %q, want %q (Figure 6(b) order)", i+1, name, names[i])
+		}
+		for round := 1; round <= 2; round++ {
+			w, err := workloads.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := w.Fingerprint(); got != want {
+				t.Errorf("ByName(%s).Fingerprint(), value %d = %s, want %s", name, round, got, want)
+			}
+			if got := constructors[name]().Fingerprint(); got != want {
+				t.Errorf("%s constructed directly, value %d: content hash %s, want %s", name, round, got, want)
+			}
+		}
 	}
 }
 
