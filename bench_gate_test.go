@@ -4,7 +4,7 @@
 // the work metrics must not drift between commits unless the change
 // intends them to — in which case regenerate the baseline:
 //
-//	go test -run '^$' -bench BenchmarkSuite -benchtime 1x .
+//	go test -run '^$' -bench BenchmarkSuite -benchtime 5x .
 //
 // and commit the rewritten file alongside the change that explains it.
 package gmt_test
@@ -62,6 +62,8 @@ func suiteFresh(t *testing.T) []benchsuite.Result {
 	fg, s, sink := cfgShapedGraph(60, rand.New(rand.NewSource(5)))
 	rs = append(rs, metrics("BenchmarkSuiteMinCutEdmondsKarp",
 		map[string]float64{"max-flow": float64(fg.MaxFlow(s, sink))}))
+
+	rs = append(rs, metrics("BenchmarkSuiteCocoPlanRandprog160", suiteCocoPlans(t, suiteRandprog160(t))))
 
 	pipeMetrics := func(p *exp.Pipeline) map[string]float64 {
 		return map[string]float64{

@@ -1,12 +1,13 @@
 // Benchmark-regression suite: the BenchmarkSuite* benchmarks cover each
-// pipeline stage (PDG construction, min-cut, the full per-workload
-// pipelines, the multi-threaded interpreter, the cycle-level simulator)
+// pipeline stage (PDG construction, min-cut, COCO's planner alone, the
+// full per-workload pipelines, the multi-threaded interpreter, the
+// cycle-level simulator)
 // and the two halves of request keying (a kernel's first content hash, a
 // warm request through serve.Server.Do), and serialize their results —
 // wall-clock ns/op plus each stage's deterministic work metrics — to
 // BENCH_pipeline.json whenever benchmarks run:
 //
-//	go test -run '^$' -bench BenchmarkSuite -benchtime 1x .
+//	go test -run '^$' -bench BenchmarkSuite -benchtime 5x .
 //
 // CI archives the file per commit; the deterministic metrics must not
 // drift between commits unless the change intends them to.
@@ -25,8 +26,10 @@ import (
 	"repro/internal/coco"
 	"repro/internal/exp"
 	"repro/internal/interp"
+	"repro/internal/ir"
 	"repro/internal/partition"
 	"repro/internal/pdg"
+	"repro/internal/randprog"
 	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/workloads"
@@ -107,6 +110,80 @@ func BenchmarkSuiteMinCutEdmondsKarp(b *testing.B) {
 		g.MinCutSourceSide(s)
 	}
 	suiteRecord(b, mark, map[string]float64{"max-flow": float64(flow)})
+}
+
+// suiteCocoInput is everything one coco.Plan call reads.
+type suiteCocoInput struct {
+	f      *ir.Function
+	g      *pdg.Graph
+	assign map[*ir.Instr]int
+	prof   *ir.Profile
+}
+
+// suiteRandprog160 prepares the first 16 programs of the benchmark's
+// default inline corpus (bench/corpus.go: seeds subSeed(DefaultSeed,
+// "inline") + i, size 160, the other axes from the seed), profiled on
+// their own input and partitioned as cold_inline sends them: straight-line
+// programs by GREMIO, the rest by DSWP.
+func suiteRandprog160(tb testing.TB) []suiteCocoInput {
+	tb.Helper()
+	const base = 7454799319867459659
+	ins := make([]suiteCocoInput, 16)
+	for i := range ins {
+		axes, p := randprog.GenerateSized(base+int64(i), 160)
+		res, err := interp.Run(p.F, p.Args, append([]int64(nil), p.Mem...), budget.Experiments().ProfileSteps)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		var part partition.Partitioner = partition.DSWP{}
+		if axes.Shape == randprog.ShapeStraight {
+			part = partition.GREMIO{}
+		}
+		g := pdg.Build(p.F, p.Objects)
+		assign, err := part.Partition(p.F, g, res.Profile, 2)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ins[i] = suiteCocoInput{f: p.F, g: g, assign: assign, prof: res.Profile}
+	}
+	return ins
+}
+
+// suiteCocoPlans runs COCO's planner once over every input and returns
+// what it decided: communications, their placement points, and passes of
+// Algorithm 2's repeat-until loop.
+func suiteCocoPlans(tb testing.TB, ins []suiteCocoInput) map[string]float64 {
+	tb.Helper()
+	var comms, points, iterations int
+	for _, in := range ins {
+		plan, err := coco.Plan(in.f, in.g, in.assign, 2, in.prof, coco.DefaultOptions())
+		if err != nil {
+			tb.Fatal(err)
+		}
+		comms += len(plan.Comms)
+		for _, c := range plan.Comms {
+			points += len(c.Points)
+		}
+		iterations += plan.Iterations
+	}
+	return map[string]float64{
+		"comms":      float64(comms),
+		"points":     float64(points),
+		"iterations": float64(iterations),
+	}
+}
+
+// BenchmarkSuiteCocoPlanRandprog160 times coco.Plan alone — the layer that
+// was 61 % of a cold_inline request — on programs of that workload's size.
+func BenchmarkSuiteCocoPlanRandprog160(b *testing.B) {
+	ins := suiteRandprog160(b)
+	mark := markAllocs()
+	b.ResetTimer()
+	var m map[string]float64
+	for i := 0; i < b.N; i++ {
+		m = suiteCocoPlans(b, ins)
+	}
+	suiteRecord(b, mark, m)
 }
 
 // benchSuitePipeline times the full compilation pipeline (profile, PDG,

@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench BenchmarkSuite -benchtime 1x .
+//	go test -run '^$' -bench BenchmarkSuite -benchtime 5x .
 //	go run ./cmd/benchgate -baseline /path/to/committed.json -fresh BENCH_pipeline.json
 package main
 

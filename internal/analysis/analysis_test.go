@@ -152,6 +152,26 @@ func TestControlDepsSelfLoop(t *testing.T) {
 	}
 }
 
+// TestClosuresMatchClosure: the all-blocks form lists, for every block,
+// exactly the members of its Closure set, each once.
+func TestClosuresMatchClosure(t *testing.T) {
+	for _, f := range []*ir.Function{buildLoopNest(), buildDiamond()} {
+		g := MustControlDeps(f, nil)
+		all := g.Closures()
+		for _, b := range f.Blocks {
+			want := g.Closure(b)
+			if len(all[b.ID]) != len(want) {
+				t.Errorf("%s/%s: Closures lists %v, Closure is %v", f.Name, b.Name, all[b.ID], want)
+			}
+			for _, id := range all[b.ID] {
+				if !want[id] {
+					t.Errorf("%s/%s: Closures lists block %d, Closure does not hold it", f.Name, b.Name, id)
+				}
+			}
+		}
+	}
+}
+
 func TestFindLoopsNest(t *testing.T) {
 	f := buildLoopNest()
 	lf := FindLoops(f, nil)

@@ -93,6 +93,30 @@ func (g *CDG) Closure(b *ir.Block) map[int]bool {
 	return set
 }
 
+// Closures returns Closure of every block at once, as ID lists indexed by
+// block ID. A client that asks about the same blocks many times walks these
+// slices where it would otherwise build a set per question.
+func (g *CDG) Closures() [][]int {
+	out := make([][]int, len(g.deps))
+	inClosure := make([]int, len(g.deps)) // inClosure[id] == b+1: id is in out[b]
+	var stack []int
+	for b := range g.deps {
+		stack = append(stack[:0], b)
+		for len(stack) > 0 {
+			x := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, d := range g.deps[x] {
+				if id := d.Branch.ID; inClosure[id] != b+1 {
+					inClosure[id] = b + 1
+					out[b] = append(out[b], id)
+					stack = append(stack, id)
+				}
+			}
+		}
+	}
+	return out
+}
+
 // ClosureOf returns the transitive control-dependence closure of an existing
 // branch-block set: the given set plus every branch controlling a member.
 func (g *CDG) ClosureOf(branchBlocks map[int]bool) map[int]bool {

@@ -41,39 +41,41 @@ type depKey struct {
 	seq int
 }
 
-// planner carries the state of one COCO run (Algorithm 2).
+// planner carries the state of one COCO run (Algorithm 2). Everything that
+// depends only on the function and the partition is computed once, here;
+// optimizePair adds what depends on the thread pair, and a single cut only
+// prices the flow graph's arcs.
 type planner struct {
 	f        *ir.Function
 	g        *pdg.Graph
-	assign   map[*ir.Instr]int
 	nThreads int
 	prof     *ir.Profile
 	opts     Options
 
+	// thread maps instruction IDs to their thread.
+	thread []int
 	cdg    *analysis.CDG
-	chains []dataflow.UseChain
-	// relevant[t] is the set of block IDs whose terminating branch is
-	// relevant to thread t (Definition 1). It only grows.
-	relevant []map[int]bool
-	// occupied[t][blockID] reports whether thread t has an instruction in
-	// the block; used for the new-block tie-break penalty.
-	occupied []map[int]bool
-}
+	// closure[b] lists the blocks whose branches control block b, directly
+	// or transitively.
+	closure [][]int
+	chains  []dataflow.UseChain
+	// blockWeight[b] is the profile's execution count of block b.
+	blockWeight []int64
+	// relevant[t][b] reports whether block b's terminating branch is
+	// relevant to thread t (Definition 1). The sets only grow; grew records
+	// that one did.
+	relevant [][]bool
+	grew     bool
+	// occupied[t][b] reports whether thread t has an instruction in block
+	// b; used for the new-block tie-break penalty.
+	occupied [][]bool
 
-// blockPenaltyFor returns the tie-break cost of placing communication from
-// ts to td in block b: one sub-unit per thread that would materialize the
-// block only for this communication.
-func (p *planner) blockPenaltyFor(ts, td int) func(*ir.Block) int64 {
-	return func(b *ir.Block) int64 {
-		var c int64
-		if !p.occupied[ts][b.ID] {
-			c++
-		}
-		if !p.occupied[td][b.ID] {
-			c++
-		}
-		return c
-	}
+	// live and safe hold, per program point, the registers live toward the
+	// current pair's target thread and SAFE in its source thread.
+	live, safe *dataflow.PointSets
+	// fg is built by the first cut; blockCost is its per-cut scratch.
+	fg        *flowGraph
+	blockCost []int64
 }
 
 // Plan runs COCO (Algorithm 2) and returns the optimized communication plan
@@ -87,36 +89,49 @@ func Plan(f *ir.Function, g *pdg.Graph, assign map[*ir.Instr]int, numThreads int
 		return nil, err
 	}
 	p := &planner{
-		f: f, g: g, assign: assign, nThreads: numThreads, prof: prof, opts: opts,
-		cdg: cdg,
+		f: f, g: g, nThreads: numThreads, prof: prof, opts: opts,
+		thread:      make([]int, f.NumInstrIDs()),
+		cdg:         cdg,
+		closure:     cdg.Closures(),
+		chains:      dataflow.ComputeReachingDefs(f).Chains(dataflow.AllUses),
+		blockWeight: make([]int64, len(f.Blocks)),
+		relevant:    make([][]bool, numThreads),
+		occupied:    make([][]bool, numThreads),
+		live:        dataflow.NewPointSets(f),
+		safe:        dataflow.NewPointSets(f),
+		blockCost:   make([]int64, len(f.Blocks)),
 	}
-	rd := dataflow.ComputeReachingDefs(f)
-	p.chains = rd.Chains(dataflow.AllUses)
-	p.initRelevant()
-	p.occupied = make([]map[int]bool, numThreads)
-	for t := range p.occupied {
-		p.occupied[t] = map[int]bool{}
+	for _, b := range f.Blocks {
+		p.blockWeight[b.ID] = prof.BlockWeight(b)
+	}
+	for t := range p.relevant {
+		p.relevant[t] = make([]bool, len(f.Blocks))
+		p.occupied[t] = make([]bool, len(f.Blocks))
 	}
 	f.Instrs(func(in *ir.Instr) {
+		p.thread[in.ID] = assign[in]
 		if in.Op != ir.Jump && in.Op != ir.Nop {
 			p.occupied[assign[in]][in.Block().ID] = true
 		}
 	})
+	p.initRelevant()
 
+	// iterate reads nothing that changes but the relevant sets, so a pass
+	// that grew none of them would be repeated exactly by the next: its
+	// placements are the fixpoint.
 	deps := map[depKey][]mtcg.Point{}
 	maxIter := 2 + numThreads*len(f.Blocks)
-	for iter := 0; ; iter++ {
+	iter := 0
+	for done := false; !done; iter++ {
 		if iter > maxIter {
 			return nil, fmt.Errorf("coco: %s did not converge after %d iterations", f.Name, iter)
 		}
+		p.grew = false
 		next, err := p.iterate()
 		if err != nil {
 			return nil, err
 		}
-		if depsEqual(deps, next) {
-			deps = next
-			break
-		}
+		done = !p.grew || depsEqual(deps, next)
 		deps = next
 	}
 
@@ -124,7 +139,16 @@ func Plan(f *ir.Function, g *pdg.Graph, assign map[*ir.Instr]int, numThreads int
 		F:          f,
 		Assign:     assign,
 		NumThreads: numThreads,
-		Relevant:   p.relevant,
+		Relevant:   make([]map[int]bool, numThreads),
+		Iterations: iter,
+	}
+	for t, set := range p.relevant {
+		plan.Relevant[t] = map[int]bool{}
+		for id, in := range set {
+			if in {
+				plan.Relevant[t][id] = true
+			}
+		}
 	}
 	var keys []depKey
 	for k := range deps {
@@ -161,40 +185,35 @@ func Plan(f *ir.Function, g *pdg.Graph, assign map[*ir.Instr]int, numThreads int
 // Definition 1 plus the branches controlling each thread's own instructions
 // (whose control dependences must be implemented regardless of placement).
 func (p *planner) initRelevant() {
-	p.relevant = make([]map[int]bool, p.nThreads)
-	seeds := make([]map[int]bool, p.nThreads)
-	for t := range seeds {
-		seeds[t] = map[int]bool{}
-	}
 	p.f.Instrs(func(in *ir.Instr) {
 		if in.Op == ir.Jump || in.Op == ir.Nop {
 			return
 		}
-		t := p.assign[in]
+		rel, b := p.relevant[p.thread[in.ID]], in.Block().ID
 		if in.Op == ir.Br {
-			seeds[t][in.Block().ID] = true
+			rel[b] = true
 		}
-		for _, d := range p.cdg.Deps(in.Block()) {
-			seeds[t][d.Branch.ID] = true
+		for _, id := range p.closure[b] {
+			rel[id] = true
 		}
 	})
-	for t := range seeds {
-		p.relevant[t] = p.cdg.ClosureOf(seeds[t])
-	}
 }
 
 // markPointsRelevant adds the controllers of every chosen point to the
-// target thread's relevant set (rule 2 of Definition 1 plus closure).
-func (p *planner) markPointsRelevant(td int, pts []mtcg.Point) {
-	add := map[int]bool{}
+// target thread's relevant set (rule 2 of Definition 1 plus closure) and
+// reports whether the set grew.
+func (p *planner) markPointsRelevant(td int, pts []mtcg.Point) bool {
+	grew := false
 	for _, pt := range pts {
-		for id := range p.cdg.Closure(pt.Block) {
-			add[id] = true
+		for _, id := range p.closure[pt.Block.ID] {
+			if !p.relevant[td][id] {
+				p.relevant[td][id] = true
+				grew = true
+			}
 		}
 	}
-	for id := range p.cdg.ClosureOf(add) {
-		p.relevant[td][id] = true
-	}
+	p.grew = p.grew || grew
+	return grew
 }
 
 // pointRelevantTo implements Definition 2: every branch the block is
@@ -217,9 +236,9 @@ func (p *planner) penaltyFor(td int, b *ir.Block) int64 {
 		return 0
 	}
 	var pen int64
-	for id := range p.cdg.Closure(b) {
+	for _, id := range p.closure[b.ID] {
 		if !p.relevant[td][id] {
-			pen += p.prof.BlockWeight(p.f.Blocks[id])
+			pen += p.blockWeight[id]
 		}
 	}
 	return pen
@@ -231,7 +250,7 @@ func (p *planner) executesIn(in *ir.Instr, t int) bool {
 	if in.Op == ir.Jump || in.Op == ir.Nop {
 		return false
 	}
-	if p.assign[in] == t {
+	if p.thread[in.ID] == t {
 		return true
 	}
 	return in.Op == ir.Br && p.relevant[t][in.Block().ID]
@@ -247,7 +266,7 @@ func (p *planner) pairs() []threadPair {
 		if a.From.Op == ir.Jump || a.To.Op == ir.Jump {
 			continue
 		}
-		ts, td := p.assign[a.From], p.assign[a.To]
+		ts, td := p.thread[a.From.ID], p.thread[a.To.ID]
 		if ts != td {
 			set[threadPair{ts, td}] = true
 		}
@@ -258,7 +277,7 @@ func (p *planner) pairs() []threadPair {
 			if def == nil {
 				continue
 			}
-			ts := p.assign[def]
+			ts := p.thread[def.ID]
 			if uc.Use.Op != ir.Br {
 				continue
 			}
@@ -335,17 +354,6 @@ func (p *planner) iterate() (map[depKey][]mtcg.Point, error) {
 // optimizePair computes placements for every register and for the memory
 // dependences from ts to td (Sections 3.1.1–3.1.3).
 func (p *planner) optimizePair(ts, td int, deps map[depKey][]mtcg.Point) error {
-	// Thread-aware analyses for this pair under the current relevant sets.
-	live := dataflow.ComputeLiveness(p.f, func(in *ir.Instr) []ir.Reg {
-		if p.executesIn(in, td) {
-			return in.Uses()
-		}
-		return nil
-	})
-	safety := dataflow.ComputeSafety(p.f, func(in *ir.Instr) bool {
-		return p.executesIn(in, ts)
-	})
-
 	// Registers with a dependence from a definition in ts to a use in td
 	// (including uses by branches replicated into td).
 	regSet := map[ir.Reg]bool{}
@@ -354,7 +362,7 @@ func (p *planner) optimizePair(ts, td int, deps map[depKey][]mtcg.Point) error {
 			continue
 		}
 		for _, def := range uc.Defs {
-			if def != nil && p.assign[def] == ts && ts != td {
+			if def != nil && p.thread[def.ID] == ts && ts != td {
 				regSet[uc.Reg] = true
 			}
 		}
@@ -365,19 +373,41 @@ func (p *planner) optimizePair(ts, td int, deps map[depKey][]mtcg.Point) error {
 	}
 	sort.Slice(regs, func(i, j int) bool { return regs[i] < regs[j] })
 
-	for _, r := range regs {
-		pts, err := p.cutRegister(r, ts, td, live, safety)
-		if err != nil {
-			return err
+	if len(regs) > 0 {
+		// Thread-aware analyses for this pair under the current relevant
+		// sets, spread over the program points once for all registers.
+		live := dataflow.ComputeLiveness(p.f, func(in *ir.Instr) []ir.Reg {
+			if p.executesIn(in, td) {
+				return in.Uses()
+			}
+			return nil
+		})
+		dataflow.ComputeSafety(p.f, func(in *ir.Instr) bool {
+			return p.executesIn(in, ts)
+		}).Points(p.safe)
+
+		// A cut can make branches relevant to td, and the next register
+		// must see their operand uses inside their own blocks (the sets
+		// at block boundaries stay those of the pair's entry), so the
+		// live table is respread after every cut that grew the set.
+		stale := true
+		for _, r := range regs {
+			if stale {
+				live.Points(p.live)
+			}
+			pts, err := p.cutRegister(r, ts, td)
+			if err != nil {
+				return err
+			}
+			deps[depKey{pdg.KindReg, r, ts, td, 0}] = pts
+			stale = p.markPointsRelevant(td, pts)
 		}
-		deps[depKey{pdg.KindReg, r, ts, td, 0}] = pts
-		p.markPointsRelevant(td, pts)
 	}
 
 	// Memory dependences ts -> td.
 	var memArcs []*pdg.Arc
 	for _, a := range p.g.Arcs {
-		if a.Kind == pdg.KindMem && p.assign[a.From] == ts && p.assign[a.To] == td {
+		if a.Kind == pdg.KindMem && p.thread[a.From.ID] == ts && p.thread[a.To.ID] == td {
 			memArcs = append(memArcs, a)
 		}
 	}
@@ -395,31 +425,67 @@ func (p *planner) optimizePair(ts, td int, deps map[depKey][]mtcg.Point) error {
 	return nil
 }
 
-// cutRegister solves the single register min-cut problem of Section 3.1.1.
-func (p *planner) cutRegister(r ir.Reg, ts, td int,
-	live *dataflow.Liveness, safety *dataflow.Safety) ([]mtcg.Point, error) {
-
-	// Per-block per-position live and safe tables.
-	liveTab := make(map[int][]dataflow.RegSet)
-	safeTab := make(map[int][]dataflow.RegSet)
-	for _, b := range p.f.Blocks {
-		liveTab[b.ID] = live.BlockLive(b)
-		safeTab[b.ID] = safety.BlockSafe(b)
+// price prepares the flow graph for one cut from ts to td: it drops the
+// previous cut's terminals and gives every point its cost. A point where r
+// is dead gets no capacity (it cannot lie on a def→use path); one that is
+// not relevant to the source thread (Property 2) or where r is not SAFE
+// there (Property 3) costs Inf; any other costs its profile weight plus the
+// Section 3.1.2 penalty for the branches it would make relevant to td, and,
+// below one profile unit, a tie-break for each thread that would
+// materialize the point's block only to hold this communication — whole
+// blocks and their jumps added to the generated CFGs. Memory (r == NoReg)
+// is live and safe everywhere.
+func (p *planner) price(r ir.Reg, ts, td int) (*flowGraph, error) {
+	if p.fg == nil {
+		fg, err := newFlowGraph(p.f, p.prof, p.live)
+		if err != nil {
+			return nil, err
+		}
+		p.fg = fg
 	}
+	fg := p.fg
+	fg.g.Truncate(len(fg.points)) // the previous cut's terminals
 
-	fg, err := newFlowGraph(p.f, arcCosts{
-		prof:         p.prof,
-		liveAt:       func(pt mtcg.Point) bool { return liveTab[pt.Block.ID][pt.Index].Has(r) },
-		safeAt:       func(pt mtcg.Point) bool { return safeTab[pt.Block.ID][pt.Index].Has(r) },
-		relevantSrc:  func(b *ir.Block) bool { return p.pointRelevantTo(ts, b) },
-		penalty:      func(b *ir.Block) int64 { return p.penaltyFor(td, b) },
-		blockPenalty: p.blockPenaltyFor(ts, td),
-	})
+	// What a point's block contributes is the same for all its points.
+	for _, b := range p.f.Blocks {
+		if !p.pointRelevantTo(ts, b) {
+			p.blockCost[b.ID] = mincut.Inf
+			continue
+		}
+		c := p.penaltyFor(td, b) * costScale
+		if !p.occupied[ts][b.ID] {
+			c++
+		}
+		if !p.occupied[td][b.ID] {
+			c++
+		}
+		p.blockCost[b.ID] = c
+	}
+	for k := range fg.points {
+		pt := &fg.points[k]
+		c := p.blockCost[pt.pt.Block.ID]
+		switch {
+		case r != ir.NoReg && !p.live.Has(pt.pos, r):
+			c = 0
+		case c == mincut.Inf:
+		case r != ir.NoReg && !p.safe.Has(pt.pos, r):
+			c = mincut.Inf
+		default:
+			c += pt.weight * costScale
+		}
+		fg.g.SetCap(mincut.ArcID(k), c)
+	}
+	return fg, nil
+}
+
+// cutRegister solves the single register min-cut problem of Section 3.1.1.
+func (p *planner) cutRegister(r ir.Reg, ts, td int) ([]mtcg.Point, error) {
+	fg, err := p.price(r, ts, td)
 	if err != nil {
 		return nil, err
 	}
 	p.f.Instrs(func(in *ir.Instr) {
-		if in.Defs() == r && p.assign[in] == ts {
+		if in.Defs() == r && p.thread[in.ID] == ts {
 			fg.addSource(in)
 		}
 		if in.UsesReg(r) && p.executesIn(in, td) {
@@ -442,15 +508,6 @@ func (p *planner) cutRegister(r ir.Reg, ts, td int,
 
 // cutMemory solves the multi source–sink problem of Section 3.1.3.
 func (p *planner) cutMemory(ts, td int, arcs []*pdg.Arc, deps map[depKey][]mtcg.Point) error {
-	build := func() (*flowGraph, error) {
-		return newFlowGraph(p.f, arcCosts{
-			prof:         p.prof,
-			relevantSrc:  func(b *ir.Block) bool { return p.pointRelevantTo(ts, b) },
-			penalty:      func(b *ir.Block) int64 { return p.penaltyFor(td, b) },
-			blockPenalty: p.blockPenaltyFor(ts, td),
-		})
-	}
-
 	if p.opts.ShareMemSync {
 		// The successive-pair heuristic is order sensitive: cutting a
 		// late-source pair first places synchronization where earlier
@@ -463,7 +520,7 @@ func (p *planner) cutMemory(ts, td int, arcs []*pdg.Arc, deps map[depKey][]mtcg.
 		var bestPts []mtcg.Point
 		bestCost := int64(-1)
 		for _, order := range [][]*pdg.Arc{reversed, arcs} {
-			fg, err := build()
+			fg, err := p.price(ir.NoReg, ts, td) // MultiCut consumed the last pricing
 			if err != nil {
 				return err
 			}
@@ -495,7 +552,7 @@ func (p *planner) cutMemory(ts, td int, arcs []*pdg.Arc, deps map[depKey][]mtcg.
 
 	// Ablation: every memory dependence synchronized independently.
 	for i, a := range arcs {
-		fg, err := build()
+		fg, err := p.price(ir.NoReg, ts, td)
 		if err != nil {
 			return err
 		}

@@ -7,6 +7,7 @@ package coco
 import (
 	"fmt"
 
+	"repro/internal/dataflow"
 	"repro/internal/ir"
 	"repro/internal/mincut"
 	"repro/internal/mtcg"
@@ -15,54 +16,41 @@ import (
 // flowGraph is the G_f of Sections 3.1.1–3.1.3: nodes are the original
 // instructions plus one entry node per basic block, plus the special source
 // S and sink T; arcs are control flow at instruction granularity, each
-// finite arc corresponding to one program point where communication may be
-// placed.
+// corresponding to one program point where communication may be placed.
+//
+// The topology is a property of the function, so a plan builds it once.
+// Every cut then prices the same arcs (planner.price) and, for a register,
+// hangs that register's definitions and uses off S and T; the next cut
+// drops those terminal arcs again.
 type flowGraph struct {
-	fn     *ir.Function
-	g      *mincut.Graph
-	s, t   int
-	points map[mincut.ArcID]mtcg.Point
+	fn   *ir.Function
+	g    *mincut.Graph
+	s, t int
+	// points[k] is the program point of arc k; terminal arcs come after.
+	points []flowPoint
 	// instrNode maps instruction IDs to node indices.
 	instrNode []int
 }
 
-// arcCosts parameterizes flow-graph construction.
-type arcCosts struct {
-	prof *ir.Profile
-	// liveAt reports whether the optimized value is live at the point;
-	// dead points get no arc (they cannot lie on a def→use path). nil
-	// means always live (memory).
-	liveAt func(mtcg.Point) bool
-	// safeAt reports Property 3 at the point; unsafe points cost Inf.
-	// nil means always safe (memory).
-	safeAt func(mtcg.Point) bool
-	// relevantSrc reports Property 2: whether the point is relevant to
-	// the source thread. Irrelevant points cost Inf.
-	relevantSrc func(*ir.Block) bool
-	// penalty is the Section 3.1.2 control-flow penalty added to arcs
-	// whose points would make new branches relevant to the target thread.
-	penalty func(*ir.Block) int64
-	// blockPenalty is a sub-unit tie-break charged to points in blocks
-	// that neither thread materializes anyway: placing communication
-	// there adds whole blocks (and their jumps) to the generated thread
-	// CFGs. All other costs are scaled by costScale so this never
-	// overrides a genuinely cheaper cut.
-	blockPenalty func(*ir.Block) int64
+// flowPoint is one place where communication may go.
+type flowPoint struct {
+	pt mtcg.Point
+	// pos is the point's position in the planner's per-point live and
+	// safe tables.
+	pos int
+	// weight is how often the profile says execution passes the point.
+	weight int64
 }
 
 // costScale leaves room below one profile-count unit for tie-break
 // penalties.
 const costScale = 16
 
-// nodeEntry returns the node index of a block's entry.
-func (fg *flowGraph) nodeEntry(b *ir.Block) int { return b.ID }
-
-// newFlowGraph builds the shared skeleton: every feasible point becomes an
-// arc with its profile weight (plus penalties), or Inf when a property
-// forbids cutting there. It fails on a function whose critical edges were
-// not split — a malformed input, not a planner bug — so callers can surface
-// the bad function instead of crashing.
-func newFlowGraph(f *ir.Function, costs arcCosts) (*flowGraph, error) {
+// newFlowGraph builds the arcs of f, all with capacity zero. It fails on a
+// function whose critical edges were not split — a malformed input, not a
+// planner bug — so callers can surface the bad function instead of
+// crashing.
+func newFlowGraph(f *ir.Function, prof *ir.Profile, tables *dataflow.PointSets) (*flowGraph, error) {
 	nBlocks := len(f.Blocks)
 	nInstrs := 0
 	instrNode := make([]int, f.NumInstrIDs())
@@ -78,38 +66,15 @@ func newFlowGraph(f *ir.Function, costs arcCosts) (*flowGraph, error) {
 		g:         mincut.New(nBlocks + nInstrs + 2),
 		s:         nBlocks + nInstrs,
 		t:         nBlocks + nInstrs + 1,
-		points:    map[mincut.ArcID]mtcg.Point{},
 		instrNode: instrNode,
 	}
-
-	cost := func(pt mtcg.Point, base int64) (int64, bool) {
-		if costs.liveAt != nil && !costs.liveAt(pt) {
-			return 0, false
-		}
-		if !costs.relevantSrc(pt.Block) {
-			return mincut.Inf, true
-		}
-		if costs.safeAt != nil && !costs.safeAt(pt) {
-			return mincut.Inf, true
-		}
-		c := (base + costs.penalty(pt.Block)) * costScale
-		if costs.blockPenalty != nil {
-			c += costs.blockPenalty(pt.Block)
-		}
-		return c, true
+	addPoint := func(from, to int, pt mtcg.Point, weight int64) {
+		fg.g.AddArc(from, to, 0)
+		fg.points = append(fg.points, flowPoint{pt: pt, pos: tables.Pos(pt.Block, pt.Index), weight: weight})
 	}
-	addPoint := func(from, to int, pt mtcg.Point, base int64) {
-		c, ok := cost(pt, base)
-		if !ok {
-			return
-		}
-		id := fg.g.AddArc(from, to, c)
-		fg.points[id] = pt
-	}
-
 	for _, b := range f.Blocks {
-		w := costs.prof.BlockWeight(b)
-		prev := fg.nodeEntry(b)
+		w := prof.BlockWeight(b)
+		prev := b.ID // a block's entry node is its ID
 		for i, in := range b.Instrs {
 			node := instrNode[in.ID]
 			addPoint(prev, node, mtcg.Point{Block: b, Index: i}, w)
@@ -130,7 +95,7 @@ func newFlowGraph(f *ir.Function, costs arcCosts) (*flowGraph, error) {
 				}
 				pt = mtcg.Point{Block: s, Index: 0}
 			}
-			addPoint(prev, fg.nodeEntry(s), pt, costs.prof.EdgeWeight(b, s))
+			addPoint(prev, s.ID, pt, prof.EdgeWeight(b, s))
 		}
 	}
 	return fg, nil
@@ -147,21 +112,25 @@ func (fg *flowGraph) addSink(in *ir.Instr) {
 }
 
 // cutPoints converts cut arcs back to program points, deduplicated in
-// deterministic order. A cut containing a special (source/sink/infinite)
-// arc means the min-cut solver returned an unusable cut; report it rather
-// than crash mid-optimization.
+// deterministic order. A cut containing a terminal arc means the min-cut
+// solver returned an unusable cut; report it rather than crash
+// mid-optimization.
 func (fg *flowGraph) cutPoints(arcs []mincut.ArcID) ([]mtcg.Point, error) {
-	seen := map[mtcg.Point]bool{}
 	var out []mtcg.Point
+next:
 	for _, id := range arcs {
-		pt, ok := fg.points[id]
-		if !ok {
+		if int(id) >= len(fg.points) {
 			return nil, fmt.Errorf("coco: cut in %s includes a special arc", fg.fn.Name)
 		}
-		if !seen[pt] {
-			seen[pt] = true
-			out = append(out, pt)
+		// The point before a lone jump is both an arc inside the block
+		// and the arc to its successor; a cut is a handful of points.
+		pt := fg.points[id].pt
+		for _, have := range out {
+			if have == pt {
+				continue next
+			}
 		}
+		out = append(out, pt)
 	}
 	return out, nil
 }

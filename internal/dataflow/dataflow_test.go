@@ -140,18 +140,26 @@ func TestBlockLivePositions(t *testing.T) {
 	f, regs := buildCountLoop()
 	l := ComputeLiveness(f, AllUses)
 	loop := f.BlockByName("loop")
-	pos := l.BlockLive(loop)
-	if len(pos) != len(loop.Instrs)+1 {
-		t.Fatalf("BlockLive returned %d positions, want %d", len(pos), len(loop.Instrs)+1)
+	ps := NewPointSets(f)
+	l.Points(ps)
+	for _, b := range f.Blocks {
+		if !ps.At(ps.Pos(b, 0)).Equal(l.LiveIn(b)) || !ps.At(ps.Pos(b, len(b.Instrs))).Equal(l.LiveOut(b)) {
+			t.Errorf("%s: first and last positions must be the block's live-in and live-out", b.Name)
+		}
 	}
 	// Before the compare (second to last instr), c is dead; after it
 	// (before the Br), c is live.
 	brIdx := len(loop.Instrs) - 1
-	if pos[brIdx-1].Has(regs["c"]) {
+	if ps.Has(ps.Pos(loop, brIdx-1), regs["c"]) {
 		t.Error("c live before its definition")
 	}
-	if !pos[brIdx].Has(regs["c"]) {
+	if !ps.Has(ps.Pos(loop, brIdx), regs["c"]) {
 		t.Error("c dead right before the branch that uses it")
+	}
+	// A refill overwrites every position: the table is reusable.
+	ComputeLiveness(f, func(*ir.Instr) []ir.Reg { return nil }).Points(ps)
+	if ps.Has(ps.Pos(loop, brIdx), regs["c"]) {
+		t.Error("refilled table kept a bit of the previous analysis")
 	}
 }
 
@@ -292,21 +300,17 @@ func TestBlockSafePositions(t *testing.T) {
 	f, regs := buildCountLoop()
 	safety := ComputeSafety(f, func(in *ir.Instr) bool { return true })
 	loop := f.BlockByName("loop")
-	pos := safety.BlockSafe(loop)
-	if len(pos) != len(loop.Instrs)+1 {
-		t.Fatalf("BlockSafe returned %d positions, want %d", len(pos), len(loop.Instrs)+1)
+	ps := NewPointSets(f)
+	safety.Points(ps)
+	for _, b := range f.Blocks {
+		if !ps.At(ps.Pos(b, 0)).Equal(safety.SafeIn(b)) || !ps.At(ps.Pos(b, len(b.Instrs))).Equal(safety.SafeOut(b)) {
+			t.Errorf("%s: first and last positions must be the block's SAFE-in and SAFE-out", b.Name)
+		}
 	}
-	// c is safe only after the compare defines it.
+	// Before the compare c may or may not be safe (undefined on the entry
+	// path, defined by T_s on the back edge); after it, it must be.
 	cmpIdx := len(loop.Instrs) - 2
-	if pos[cmpIdx].Has(regs["c"]) {
-		// Before the compare in the first iteration c is undefined, but
-		// on back edges it was defined by T_s, so it is actually safe.
-		// The entry path intersects it away only at loop entry; inside
-		// the block before the compare the back-edge value may persist.
-		// What must hold: after the compare it is safe.
-		_ = cmpIdx
-	}
-	if !pos[cmpIdx+1].Has(regs["c"]) {
+	if !ps.Has(ps.Pos(loop, cmpIdx+1), regs["c"]) {
 		t.Error("c must be SAFE right after its definition")
 	}
 }

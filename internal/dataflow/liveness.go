@@ -25,12 +25,9 @@ func ComputeLiveness(f *ir.Function, uses func(*ir.Instr) []ir.Reg) *Liveness {
 	l := &Liveness{fn: f, uses: uses}
 	n := len(f.Blocks)
 	max := f.MaxReg()
-	l.liveIn = make([]RegSet, n)
-	l.liveOut = make([]RegSet, n)
-	for i := 0; i < n; i++ {
-		l.liveIn[i] = NewRegSet(max)
-		l.liveOut[i] = NewRegSet(max)
-	}
+	sets := newRegSets(2*n+1, max)
+	l.liveIn, l.liveOut = sets[:n], sets[n:2*n]
+	in := sets[2*n] // scratch: the block being transferred
 	// Iterate in postorder (reverse of RPO) until stable.
 	// Worklist over blocks keeps it near-linear for reducible CFGs.
 	order := reversed(rpo(f))
@@ -43,7 +40,7 @@ func ComputeLiveness(f *ir.Function, uses func(*ir.Instr) []ir.Reg) *Liveness {
 					changed = true
 				}
 			}
-			in := out.Clone()
+			in.CopyFrom(out)
 			for i := len(b.Instrs) - 1; i >= 0; i-- {
 				l.transfer(b.Instrs[i], in)
 			}
@@ -72,19 +69,21 @@ func (l *Liveness) LiveIn(b *ir.Block) RegSet { return l.liveIn[b.ID] }
 // LiveOut returns the registers live after the terminator of b.
 func (l *Liveness) LiveOut(b *ir.Block) RegSet { return l.liveOut[b.ID] }
 
-// BlockLive returns live-before sets for every instruction position of b:
-// entry i holds the set live immediately before b.Instrs[i], and entry
-// len(b.Instrs) holds the block's live-out. The slices are fresh copies.
-func (l *Liveness) BlockLive(b *ir.Block) []RegSet {
-	n := len(b.Instrs)
-	out := make([]RegSet, n+1)
-	cur := l.liveOut[b.ID].Clone()
-	out[n] = cur.Clone()
-	for i := n - 1; i >= 0; i-- {
-		l.transfer(b.Instrs[i], cur)
-		out[i] = cur.Clone()
+// Points fills ps with the live-before set of every instruction position:
+// position i of block b holds the set live immediately before b.Instrs[i],
+// and position len(b.Instrs) the block's live-out.
+func (l *Liveness) Points(ps *PointSets) {
+	for _, b := range l.fn.Blocks {
+		n := len(b.Instrs)
+		cur := ps.At(ps.Pos(b, n))
+		cur.CopyFrom(l.liveOut[b.ID])
+		for i := n - 1; i >= 0; i-- {
+			before := ps.At(ps.Pos(b, i))
+			before.CopyFrom(cur)
+			l.transfer(b.Instrs[i], before)
+			cur = before
+		}
 	}
-	return out
 }
 
 func rpo(f *ir.Function) []*ir.Block {

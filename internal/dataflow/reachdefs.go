@@ -1,6 +1,10 @@
 package dataflow
 
-import "repro/internal/ir"
+import (
+	"math/bits"
+
+	"repro/internal/ir"
+)
 
 // defSet is a bit set over definition sites, indexed by a dense def number.
 type defSet []uint64
@@ -152,9 +156,9 @@ func (rd *ReachingDefs) Chains(uses func(*ir.Instr) []ir.Reg) []UseChain {
 					continue
 				}
 				uc := UseChain{Use: in, Reg: r}
-				for i, def := range rd.defs {
-					if ds.has(i) && cur.has(i) {
-						uc.Defs = append(uc.Defs, def)
+				for w := range ds { // r's definitions that reach here, in def order
+					for m := ds[w] & cur[w]; m != 0; m &= m - 1 {
+						uc.Defs = append(uc.Defs, rd.defs[w*64+bits.TrailingZeros64(m)])
 					}
 				}
 				if len(uc.Defs) > 0 {

@@ -16,8 +16,21 @@ import (
 type RegSet []uint64
 
 // NewRegSet returns an empty set able to hold registers 0..max.
-func NewRegSet(max ir.Reg) RegSet {
-	return make(RegSet, (int(max)+64)/64)
+func NewRegSet(max ir.Reg) RegSet { return make(RegSet, regWords(max)) }
+
+// regWords is the length of a set able to hold registers 0..max.
+func regWords(max ir.Reg) int { return (int(max) + 64) / 64 }
+
+// newRegSets returns n empty sets for registers 0..max carved from one
+// backing array: an analysis allocates its per-block sets in one piece.
+func newRegSets(n int, max ir.Reg) []RegSet {
+	words := regWords(max)
+	backing := make([]uint64, n*words)
+	sets := make([]RegSet, n)
+	for i := range sets {
+		sets[i] = backing[i*words : (i+1)*words : (i+1)*words]
+	}
+	return sets
 }
 
 // Add inserts r.
@@ -115,4 +128,40 @@ func (s RegSet) Regs() []ir.Reg {
 		}
 	}
 	return out
+}
+
+// PointSets holds one register set for every instruction position of a
+// function: the point before each instruction and each block's exit. A
+// thread-aware analysis fills it once (Liveness.Points, Safety.Points) and
+// its client then reads single bits, so placing many registers over the
+// same analysis costs one pass over the function, not one per register.
+// The storage is one array, reusable across fills.
+type PointSets struct {
+	start []int // block ID -> position of the point before its first instruction
+	words int
+	bits  []uint64
+}
+
+// NewPointSets returns empty sets for every position of f.
+func NewPointSets(f *ir.Function) *PointSets {
+	p := &PointSets{start: make([]int, len(f.Blocks)), words: regWords(f.MaxReg())}
+	n := 0
+	for _, b := range f.Blocks {
+		p.start[b.ID] = n
+		n += len(b.Instrs) + 1
+	}
+	p.bits = make([]uint64, n*p.words)
+	return p
+}
+
+// Pos returns the position of the point immediately before b.Instrs[i];
+// i == len(b.Instrs) is the block's exit.
+func (p *PointSets) Pos(b *ir.Block, i int) int { return p.start[b.ID] + i }
+
+// At returns the set at a position. It aliases the table.
+func (p *PointSets) At(pos int) RegSet { return p.bits[pos*p.words : (pos+1)*p.words] }
+
+// Has reports whether r is in the set at a position.
+func (p *PointSets) Has(pos int, r ir.Reg) bool {
+	return p.bits[pos*p.words+int(r)/64]&(1<<(uint(r)%64)) != 0
 }

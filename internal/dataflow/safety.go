@@ -37,14 +37,12 @@ func ComputeSafety(f *ir.Function, inTs func(*ir.Instr) bool) *Safety {
 	s := &Safety{fn: f, inTs: inTs}
 	n := len(f.Blocks)
 	max := f.MaxReg()
-	s.safeIn = make([]RegSet, n)
-	s.safeOut = make([]RegSet, n)
-	for i := 0; i < n; i++ {
-		s.safeIn[i] = NewRegSet(max)
-		s.safeOut[i] = NewRegSet(max)
-		s.safeIn[i].Fill()
-		s.safeOut[i].Fill()
+	sets := newRegSets(2*n+1, max)
+	s.safeIn, s.safeOut = sets[:n], sets[n:2*n]
+	for _, set := range sets[:2*n] {
+		set.Fill()
 	}
+	out := sets[2*n] // scratch: the block being transferred
 	// Entry: only live-ins are safe.
 	entry := f.Entry()
 	s.safeIn[entry.ID].Clear()
@@ -64,7 +62,7 @@ func ComputeSafety(f *ir.Function, inTs func(*ir.Instr) bool) *Safety {
 					}
 				}
 			}
-			out := in.Clone()
+			out.CopyFrom(in)
 			for _, instr := range b.Instrs {
 				s.transfer(instr, out)
 			}
@@ -97,17 +95,18 @@ func (s *Safety) SafeIn(b *ir.Block) RegSet { return s.safeIn[b.ID] }
 // SafeOut returns the SAFE set after the terminator of b.
 func (s *Safety) SafeOut(b *ir.Block) RegSet { return s.safeOut[b.ID] }
 
-// BlockSafe returns SAFE-before sets for every instruction position of b:
-// entry i is the set before b.Instrs[i]; entry len(b.Instrs) is SAFE at
-// block exit. The slices are fresh copies.
-func (s *Safety) BlockSafe(b *ir.Block) []RegSet {
-	n := len(b.Instrs)
-	out := make([]RegSet, n+1)
-	cur := s.safeIn[b.ID].Clone()
-	out[0] = cur.Clone()
-	for i, instr := range b.Instrs {
-		s.transfer(instr, cur)
-		out[i+1] = cur.Clone()
+// Points fills ps with the SAFE-before set of every instruction position:
+// position i of block b is the set before b.Instrs[i]; position
+// len(b.Instrs) is SAFE at block exit.
+func (s *Safety) Points(ps *PointSets) {
+	for _, b := range s.fn.Blocks {
+		cur := ps.At(ps.Pos(b, 0))
+		cur.CopyFrom(s.safeIn[b.ID])
+		for i, instr := range b.Instrs {
+			after := ps.At(ps.Pos(b, i+1))
+			after.CopyFrom(cur)
+			s.transfer(instr, after)
+			cur = after
+		}
 	}
-	return out
 }

@@ -23,16 +23,25 @@ type arc struct {
 	orig int64 // original capacity
 }
 
-// Graph is a directed flow network. Nodes are dense integers [0, n).
+// Graph is a directed flow network. Nodes are dense integers [0, n). A
+// client that solves many cuts over one topology keeps one Graph and
+// rewrites it between solves (SetCap, Truncate): the arcs, the adjacency
+// lists and the search scratch are allocated once.
 type Graph struct {
 	n    int
 	arcs []arc // arcs[2k] is the k-th forward arc, arcs[2k+1] its residual twin
 	adj  [][]int32
+
+	// Search scratch, reused across calls.
+	parent []int32 // MaxFlow: arc index used to reach node, -1 unset
+	queue  []int32 // MaxFlow: BFS order
+	seen   []bool  // residualReach
+	stack  []int32 // residualReach
 }
 
 // New returns an empty flow network with n nodes.
 func New(n int) *Graph {
-	return &Graph{n: n, adj: make([][]int32, n)}
+	return &Graph{n: n, adj: make([][]int32, n), parent: make([]int32, n), seen: make([]bool, n)}
 }
 
 // NumNodes returns the number of nodes.
@@ -46,6 +55,25 @@ func (g *Graph) AddArc(from, to int, capacity int64) ArcID {
 	g.adj[to] = append(g.adj[to], int32(len(g.arcs)))
 	g.arcs = append(g.arcs, arc{to: from, cap: 0, orig: 0})
 	return id
+}
+
+// SetCap gives an existing arc a new capacity and no flow. Zero removes
+// the arc from every cut and every path until it is set again.
+func (g *Graph) SetCap(id ArcID, capacity int64) {
+	g.arcs[2*int(id)] = arc{to: g.arcs[2*int(id)].to, cap: capacity, orig: capacity}
+	g.arcs[2*int(id)+1].cap = 0
+}
+
+// Truncate deletes every arc whose ID is n or larger, undoing the AddArc
+// calls made since the network had n arcs.
+func (g *Graph) Truncate(n int) {
+	// Adjacency lists grow in arc order, so the arcs to drop are the tails
+	// of their nodes' lists, latest first.
+	for i := len(g.arcs) - 1; i >= 2*n; i-- {
+		from := g.arcs[i^1].to
+		g.adj[from] = g.adj[from][:len(g.adj[from])-1]
+	}
+	g.arcs = g.arcs[:2*n]
 }
 
 // ArcEnds returns the endpoints of an arc.
@@ -71,12 +99,7 @@ func (g *Graph) Reset() {
 
 // RemoveArc deletes an arc from the network (capacity zero in both
 // directions). Used by the multicut heuristic after an arc is chosen.
-func (g *Graph) RemoveArc(id ArcID) {
-	g.arcs[2*int(id)].cap = 0
-	g.arcs[2*int(id)].orig = 0
-	g.arcs[2*int(id)+1].cap = 0
-	g.arcs[2*int(id)+1].orig = 0
-}
+func (g *Graph) RemoveArc(id ArcID) { g.SetCap(id, 0) }
 
 // MaxFlow computes the maximum s→t flow with Edmonds–Karp (BFS augmenting
 // paths): O(V·E²) worst case, fast in practice on CFG-shaped graphs. A
@@ -86,8 +109,7 @@ func (g *Graph) MaxFlow(s, t int) int64 {
 		return 0
 	}
 	var total int64
-	parent := make([]int32, g.n) // arc index used to reach node, -1 unset
-	var queue []int32            // BFS order, reused across augmenting paths
+	parent, queue := g.parent, g.queue
 	for {
 		for i := range parent {
 			parent[i] = -1
@@ -104,6 +126,7 @@ func (g *Graph) MaxFlow(s, t int) int64 {
 			}
 		}
 		if parent[t] == -1 {
+			g.queue = queue // keep what the searches grew it to
 			return total
 		}
 		// Find bottleneck.
@@ -128,10 +151,15 @@ func (g *Graph) MaxFlow(s, t int) int64 {
 // residualReach returns the set of nodes reachable from start over arcs
 // with residual capacity, or, if backwards, the set of nodes that can
 // reach start over such arcs.
+//
+// The result is the graph's scratch: it is valid until the next call.
 func (g *Graph) residualReach(start int, backwards bool) []bool {
-	seen := make([]bool, g.n)
+	seen := g.seen
+	for i := range seen {
+		seen[i] = false
+	}
 	seen[start] = true
-	stack := []int{start}
+	stack := append(g.stack[:0], int32(start))
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -150,10 +178,11 @@ func (g *Graph) residualReach(start int, backwards bool) []bool {
 			}
 			if ok && !seen[v] {
 				seen[v] = true
-				stack = append(stack, v)
+				stack = append(stack, int32(v))
 			}
 		}
 	}
+	g.stack = stack
 	return seen
 }
 
@@ -172,13 +201,12 @@ func (g *Graph) MinCutSourceSide(s int) []ArcID {
 // cuts late maximizes sharing between source–sink pairs, which is what the
 // memory multicut heuristic wants.
 func (g *Graph) MinCutSinkSide(t int) []ArcID {
-	canReachT := g.residualReach(t, true)
-	// Source side = complement of canReachT.
-	seen := make([]bool, g.n)
-	for i := range seen {
-		seen[i] = !canReachT[i]
+	// Source side = complement of the nodes that can reach t.
+	sourceSide := g.residualReach(t, true)
+	for i := range sourceSide {
+		sourceSide[i] = !sourceSide[i]
 	}
-	return g.crossingArcs(seen)
+	return g.crossingArcs(sourceSide)
 }
 
 // crossingArcs returns the saturated forward arcs from the set to its

@@ -2,6 +2,7 @@ package mincut
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -186,5 +187,51 @@ func TestArcAccessors(t *testing.T) {
 	g.Reset()
 	if g.Flow(id) != 0 {
 		t.Errorf("Flow after Reset = %d, want 0", g.Flow(id))
+	}
+}
+
+// TestRewrittenGraphMatchesFresh: a network rewritten in place (SetCap on
+// the kept arcs, Truncate of the arcs added for the previous solve) must
+// give the flow and both canonical cuts of a network built from scratch.
+func TestRewrittenGraphMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	type edge struct{ from, to int }
+	const n = 12
+	var skeleton []edge
+	for i := 0; i < 40; i++ {
+		if a, b := rng.Intn(n), rng.Intn(n); a != b {
+			skeleton = append(skeleton, edge{a, b})
+		}
+	}
+	reused := New(n + 2)
+	for _, e := range skeleton {
+		reused.AddArc(e.from, e.to, 0)
+	}
+	s, sink := n, n+1
+	for round := 0; round < 50; round++ {
+		fresh := New(n + 2)
+		reused.Truncate(len(skeleton))
+		for k, e := range skeleton {
+			c := int64(rng.Intn(6)) // 0 takes the arc out of the network
+			if rng.Intn(8) == 0 {
+				c = Inf
+			}
+			reused.SetCap(ArcID(k), c)
+			fresh.AddArc(e.from, e.to, c)
+		}
+		for _, g := range []*Graph{reused, fresh} {
+			g.AddArc(s, round%n, Inf)
+			g.AddArc(s, (round+5)%n, Inf)
+			g.AddArc((round+3)%n, sink, Inf)
+		}
+		if got, want := reused.MaxFlow(s, sink), fresh.MaxFlow(s, sink); got != want {
+			t.Fatalf("round %d: flow %d on the rewritten network, %d on a fresh one", round, got, want)
+		}
+		if got, want := reused.MinCutSourceSide(s), fresh.MinCutSourceSide(s); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: source-side cut %v, fresh %v", round, got, want)
+		}
+		if got, want := reused.MinCutSinkSide(sink), fresh.MinCutSinkSide(sink); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: sink-side cut %v, fresh %v", round, got, want)
+		}
 	}
 }

@@ -72,6 +72,9 @@ type Plan struct {
 	// Relevant[t] holds the IDs of blocks whose terminating branch thread
 	// t must contain (owned or duplicated).
 	Relevant []map[int]bool
+	// Iterations is how many passes of Algorithm 2's repeat-until loop
+	// produced the plan; a NaivePlan, which runs none, has 0.
+	Iterations int
 }
 
 // assignable reports whether an instruction takes part in partitioning.

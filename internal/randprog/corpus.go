@@ -165,6 +165,16 @@ func GenerateEntry(seed int64, maxSize int) (Entry, *Program) {
 	}, p
 }
 
+// GenerateSized builds the program of one seed at a fixed size: every axis
+// but the size follows the seed. A corpus of equal-sized programs isolates
+// what the other axes cost (the benchmark's inline corpus draws its
+// programs this way).
+func GenerateSized(seed int64, size int) (Axes, *Program) {
+	axes := AxesForSeed(seed, 0)
+	axes.Size = size
+	return axes, Generate(rand.New(rand.NewSource(seed)), axes.Options())
+}
+
 // BuildManifest generates the n-program corpus rooted at seed and returns
 // its manifest (programs themselves are regenerated on demand from the
 // entries — the corpus streams, it is never held in memory at once).
