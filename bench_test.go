@@ -6,14 +6,12 @@
 //	BenchmarkFig7Communication — COCO's relative dynamic communication
 //	BenchmarkFig8Speedup       — speedups over single-threaded execution
 //	BenchmarkFig6aConfig       — sanity-checks the machine table
-//	BenchmarkMinCut*           — the Section 3.1.1 min-cut engines
 //	BenchmarkAblation*         — design-choice ablations (DESIGN.md)
 package gmt_test
 
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"repro/internal/budget"
@@ -21,7 +19,6 @@ import (
 	"repro/internal/exp"
 	"repro/internal/interp"
 	"repro/internal/ir"
-	"repro/internal/mincut"
 	"repro/internal/mtcg"
 	"repro/internal/partition"
 	"repro/internal/pdg"
@@ -119,27 +116,6 @@ func BenchmarkFig6aConfig(b *testing.B) {
 	}
 	b.ReportMetric(float64(cfg.IssueWidth), "issue-width")
 	b.ReportMetric(float64(cfg.MemLat), "mem-latency-cycles")
-}
-
-// cfgShapedGraph builds a CFG-shaped flow network: a chain of diamonds, the
-// structure register min-cut sees in practice.
-func cfgShapedGraph(diamonds int, rng *rand.Rand) (*mincut.Graph, int, int) {
-	n := diamonds*3 + 2
-	g := mincut.New(n)
-	prev := 0
-	node := 1
-	for d := 0; d < diamonds; d++ {
-		a, bn, c := node, node+1, node+2
-		node += 3
-		w := int64(1 + rng.Intn(100))
-		g.AddArc(prev, a, w+int64(rng.Intn(20)))
-		g.AddArc(a, bn, w/2+1)
-		g.AddArc(a, c, w/2+1)
-		g.AddArc(bn, c, w+1)
-		prev = c
-	}
-	g.AddArc(prev, n-1, int64(1+rng.Intn(100)))
-	return g, 0, n - 1
 }
 
 // ablationComm measures relative dynamic communication for a COCO variant.

@@ -64,16 +64,6 @@ func MustControlDeps(f *ir.Function, pdom *DomTree) *CDG {
 // and blocks that execute unconditionally have none.
 func (g *CDG) Deps(b *ir.Block) []CtrlDep { return g.deps[b.ID] }
 
-// ControllingBranches returns the set of blocks whose terminating branches b
-// is directly control dependent on, as a block-ID set.
-func (g *CDG) ControllingBranches(b *ir.Block) map[int]bool {
-	set := map[int]bool{}
-	for _, d := range g.deps[b.ID] {
-		set[d.Branch.ID] = true
-	}
-	return set
-}
-
 // Closure returns the transitive control-dependence closure of block b: all
 // blocks whose branches directly or indirectly control b's execution. The
 // result is a block-ID set and does not include b itself unless b controls
@@ -135,10 +125,4 @@ func (g *CDG) ClosureOf(branchBlocks map[int]bool) map[int]bool {
 		visit(g.fn.Blocks[id])
 	}
 	return set
-}
-
-// Controls reports whether the branch ending block br (directly or
-// transitively) controls block b.
-func (g *CDG) Controls(br, b *ir.Block) bool {
-	return g.Closure(b)[br.ID]
 }

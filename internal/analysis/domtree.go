@@ -41,16 +41,6 @@ func PostDominators(f *ir.Function) (*DomTree, error) {
 	return buildDomTree(f, true, ret.Block().ID), nil
 }
 
-// MustPostDominators is PostDominators for callers holding a verified
-// function, where a missing Ret is a programming error.
-func MustPostDominators(f *ir.Function) *DomTree {
-	t, err := PostDominators(f)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 func buildDomTree(f *ir.Function, post bool, root int) *DomTree {
 	n := len(f.Blocks)
 	t := &DomTree{fn: f, post: post, root: root, idom: make([]int, n)}
@@ -207,15 +197,6 @@ func (t *DomTree) Dominates(a, b *ir.Block) bool {
 // StrictlyDominates reports whether a (post-)dominates b and a != b.
 func (t *DomTree) StrictlyDominates(a, b *ir.Block) bool {
 	return a != b && t.Dominates(a, b)
-}
-
-// Children returns b's children in the dominator tree.
-func (t *DomTree) Children(b *ir.Block) []*ir.Block {
-	var out []*ir.Block
-	for _, c := range t.childs[b.ID] {
-		out = append(out, t.fn.Blocks[c])
-	}
-	return out
 }
 
 // WalkUp calls fn on b and then each of its ancestors in tree order, stopping

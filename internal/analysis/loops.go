@@ -100,14 +100,6 @@ func FindLoops(f *ir.Function, dom *DomTree) *LoopForest {
 // InnermostLoop returns the innermost loop containing b, or nil.
 func (lf *LoopForest) InnermostLoop(b *ir.Block) *Loop { return lf.of[b.ID] }
 
-// Depth returns the loop-nesting depth of block b (0 outside all loops).
-func (lf *LoopForest) Depth(b *ir.Block) int {
-	if l := lf.of[b.ID]; l != nil {
-		return l.Depth
-	}
-	return 0
-}
-
 // TopLevel returns the loops that are not nested in any other loop.
 func (lf *LoopForest) TopLevel() []*Loop {
 	var out []*Loop

@@ -24,7 +24,12 @@ func subset(t *testing.T, names ...string) []*workloads.Workload {
 }
 
 func TestBuildPipelineAllCombinations(t *testing.T) {
-	ws := subset(t, "ks", "177.mesa")
+	// Static shape — instructions over both threads, queues after
+	// allocation; naive then COCO — of a combination tier 1 pins nowhere
+	// else: metrics_ks.golden.json holds ks, the benchmark's smoke run
+	// checks only its first kernel against bench/testdata/expected.json.
+	shapes := map[string][4]int64{"mpeg2enc/GREMIO": {63, 63, 5, 5}}
+	ws := subset(t, "ks", "177.mesa", "mpeg2enc")
 	for _, w := range ws {
 		for _, part := range Partitioners() {
 			p, err := Build(w, part, coco.DefaultOptions())
@@ -33,6 +38,10 @@ func TestBuildPipelineAllCombinations(t *testing.T) {
 			}
 			if p.Naive == nil || p.Coco == nil {
 				t.Fatalf("%s/%s: missing programs", w.Name, part.Name())
+			}
+			got := [4]int64{progInstrs(p.Naive), progInstrs(p.Coco), int64(p.Naive.NumQueues), int64(p.Coco.NumQueues)}
+			if want, ok := shapes[w.Name+"/"+part.Name()]; ok && got != want {
+				t.Errorf("%s/%s: instrs and queues (naive, COCO) = %v, want %v", w.Name, part.Name(), got, want)
 			}
 			naive, err := p.MeasureComm(p.Naive)
 			if err != nil {

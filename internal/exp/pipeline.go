@@ -123,14 +123,9 @@ func BuildObserved(w *workloads.Workload, part partition.Partitioner, opts coco.
 	return buildFromArtifact(ctx, w, part, opts, art, budget.Experiments(), o)
 }
 
-// BuildFromArtifact runs the partitioner-dependent tail of the pipeline —
+// buildFromArtifact runs the partitioner-dependent tail of the pipeline —
 // partitioning, naive MTCG, COCO, and queue allocation — over a
 // precomputed (and possibly shared) artifact. It never mutates art.
-func BuildFromArtifact(ctx context.Context, w *workloads.Workload, part partition.Partitioner,
-	opts coco.Options, art *Artifact, b budget.Budget) (*Pipeline, error) {
-	return buildFromArtifact(ctx, w, part, opts, art, b, nil)
-}
-
 func buildFromArtifact(ctx context.Context, w *workloads.Workload, part partition.Partitioner,
 	opts coco.Options, art *Artifact, b budget.Budget, o *Obs) (*Pipeline, error) {
 

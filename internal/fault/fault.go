@@ -212,10 +212,6 @@ func (i *Injector) Count() int64 {
 	return i.count
 }
 
-// Events returns the recorded fault schedule (capped at maxRecorded
-// entries; Count is exact).
-func (i *Injector) Events() []Event { return i.events }
-
 // Schedule renders the fault schedule deterministically, one event per
 // line, for byte-identical reports across runs with the same seed.
 func (i *Injector) Schedule() string {

@@ -1,7 +1,9 @@
 package interp
 
 import (
+	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/ir"
@@ -104,7 +106,11 @@ func TestQueueDepthTraceEvents(t *testing.T) {
 	for _, qs := range res.PerQueue {
 		want += qs.Produced + qs.Consumed
 	}
-	if got := int64(tr.Len()); got != want {
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := int64(strings.Count(buf.String(), "\"ph\": \"C\"")); got != want {
 		t.Errorf("trace has %d events, want one per produce/consume = %d", got, want)
 	}
 }

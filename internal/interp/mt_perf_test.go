@@ -66,9 +66,9 @@ func TestRunMTNoObserverAllocsConstant(t *testing.T) {
 }
 
 // BenchmarkRunMTNoObserver measures the raw no-observer interpreter loop
-// (the path BENCH_pipeline.json's MTInterp entry exercises through the
-// full pipeline) on the ping-pong microprogram; run with -benchmem to see
-// the zero per-step allocation profile.
+// (the path bench/'s interp.mt_ms layer times through the full pipeline)
+// on the ping-pong microprogram; run with -benchmem to see the zero
+// per-step allocation profile.
 func BenchmarkRunMTNoObserver(b *testing.B) {
 	threads, nq := mtPair(10_000, true)
 	b.ReportAllocs()

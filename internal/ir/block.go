@@ -23,9 +23,6 @@ type Block struct {
 	fn *Function
 }
 
-// Func returns the function containing the block.
-func (b *Block) Func() *Function { return b.fn }
-
 // Terminator returns the block's terminator instruction, or nil if the block
 // is unterminated (only legal while under construction).
 func (b *Block) Terminator() *Instr {
@@ -59,9 +56,6 @@ func (b *Block) InsertAt(idx int, in *Instr) {
 	b.Instrs[idx] = in
 }
 
-// HasInstr reports whether the block contains the given instruction.
-func (b *Block) HasInstr(in *Instr) bool { return in.blk == b }
-
 // addPred records p as a predecessor of b.
 func (b *Block) addPred(p *Block) { b.Preds = append(b.Preds, p) }
 
@@ -84,21 +78,5 @@ func (b *Block) SetSuccs(succs ...*Block) {
 	b.Succs = append(b.Succs[:0:0], succs...)
 	for _, s := range b.Succs {
 		s.addPred(b)
-	}
-}
-
-// ReplaceSucc redirects every successor edge from old to new, updating
-// predecessor lists.
-func (b *Block) ReplaceSucc(old, new *Block) {
-	changed := false
-	for i, s := range b.Succs {
-		if s == old {
-			b.Succs[i] = new
-			changed = true
-		}
-	}
-	if changed {
-		old.removePred(b)
-		new.addPred(b)
 	}
 }

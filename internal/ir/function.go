@@ -193,18 +193,3 @@ func (p *Profile) BlockWeight(b *Block) int64 {
 	}
 	return w
 }
-
-// Scale multiplies every edge count by num/den, rounding to at least 1 for
-// nonzero counts. It is used to normalize train-input profiles.
-func (p *Profile) Scale(num, den int64) {
-	for e, w := range p.Edges {
-		if w == 0 {
-			continue
-		}
-		s := w * num / den
-		if s == 0 {
-			s = 1
-		}
-		p.Edges[e] = s
-	}
-}

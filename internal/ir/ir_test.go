@@ -203,10 +203,6 @@ func TestProfileWeights(t *testing.T) {
 	if w := p.EdgeWeight(entry, els); w != 3 {
 		t.Errorf("EdgeWeight(entry,else) = %d, want 3", w)
 	}
-	p.Scale(1, 5)
-	if w := p.EdgeWeight(entry, els); w != 1 {
-		t.Errorf("scaled EdgeWeight = %d, want 1 (rounds up to 1)", w)
-	}
 }
 
 func TestInstrStringFormats(t *testing.T) {

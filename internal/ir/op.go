@@ -114,9 +114,6 @@ func (op Op) String() string {
 // IsTerminator reports whether the opcode ends a basic block.
 func (op Op) IsTerminator() bool { return op == Br || op == Jump || op == Ret }
 
-// IsBranch reports whether the opcode is a conditional branch.
-func (op Op) IsBranch() bool { return op == Br }
-
 // IsMemAccess reports whether the opcode reads or writes program memory.
 func (op Op) IsMemAccess() bool { return op == Load || op == Store }
 
@@ -125,10 +122,6 @@ func (op Op) IsMemAccess() bool { return op == Load || op == Store }
 func (op Op) IsComm() bool {
 	return op == Produce || op == Consume || op == ProduceSync || op == ConsumeSync
 }
-
-// IsSync reports whether the opcode is a pure synchronization (memory
-// dependence) instruction.
-func (op Op) IsSync() bool { return op == ProduceSync || op == ConsumeSync }
 
 // IsFloat reports whether the opcode executes on the floating-point units.
 func (op Op) IsFloat() bool {

@@ -44,9 +44,6 @@ func New(n int) *Graph {
 	return &Graph{n: n, adj: make([][]int32, n), parent: make([]int32, n), seen: make([]bool, n)}
 }
 
-// NumNodes returns the number of nodes.
-func (g *Graph) NumNodes() int { return g.n }
-
 // AddArc adds a directed arc with the given capacity and returns its ID.
 func (g *Graph) AddArc(from, to int, capacity int64) ArcID {
 	id := ArcID(len(g.arcs) / 2)

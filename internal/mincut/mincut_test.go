@@ -6,21 +6,54 @@ import (
 	"testing"
 )
 
+// cfgShapedGraph builds a CFG-shaped flow network: a chain of diamonds, the
+// structure register min-cut sees in practice.
+func cfgShapedGraph(diamonds int, rng *rand.Rand) (*Graph, int, int) {
+	n := diamonds*3 + 2
+	g := New(n)
+	prev := 0
+	node := 1
+	for d := 0; d < diamonds; d++ {
+		a, bn, c := node, node+1, node+2
+		node += 3
+		w := int64(1 + rng.Intn(100))
+		g.AddArc(prev, a, w+int64(rng.Intn(20)))
+		g.AddArc(a, bn, w/2+1)
+		g.AddArc(a, c, w/2+1)
+		g.AddArc(bn, c, w+1)
+		prev = c
+	}
+	g.AddArc(prev, n-1, int64(1+rng.Intn(100)))
+	return g, 0, n - 1
+}
+
 func TestMaxFlowClassic(t *testing.T) {
-	// CLRS-style network; max flow 23.
-	g := New(6)
-	g.AddArc(0, 1, 16)
-	g.AddArc(0, 2, 13)
-	g.AddArc(1, 2, 10)
-	g.AddArc(2, 1, 4)
-	g.AddArc(1, 3, 12)
-	g.AddArc(3, 2, 9)
-	g.AddArc(2, 4, 14)
-	g.AddArc(4, 3, 7)
-	g.AddArc(3, 5, 20)
-	g.AddArc(4, 5, 4)
-	if got := g.MaxFlow(0, 5); got != 23 {
-		t.Errorf("MaxFlow = %d, want 23", got)
+	clrs := New(6)
+	clrs.AddArc(0, 1, 16)
+	clrs.AddArc(0, 2, 13)
+	clrs.AddArc(1, 2, 10)
+	clrs.AddArc(2, 1, 4)
+	clrs.AddArc(1, 3, 12)
+	clrs.AddArc(3, 2, 9)
+	clrs.AddArc(2, 4, 14)
+	clrs.AddArc(4, 3, 7)
+	clrs.AddArc(3, 5, 20)
+	clrs.AddArc(4, 5, 4)
+	// 182 nodes, far past what the cut-enumeration oracle can try: the
+	// chain's narrowest diamond lets 2 through.
+	cfg, s, sink := cfgShapedGraph(60, rand.New(rand.NewSource(5)))
+	for _, c := range []struct {
+		name    string
+		g       *Graph
+		s, sink int
+		want    int64
+	}{
+		{"CLRS network", clrs, 0, 5, 23},
+		{"60 CFG diamonds, seed 5", cfg, s, sink, 2},
+	} {
+		if got := c.g.MaxFlow(c.s, c.sink); got != c.want {
+			t.Errorf("%s: MaxFlow = %d, want %d", c.name, got, c.want)
+		}
 	}
 }
 
@@ -94,19 +127,23 @@ func TestInfiniteArcsNeverCut(t *testing.T) {
 	}
 }
 
-func TestMultiCutSharesArcs(t *testing.T) {
-	// Two pairs whose paths share a late arc:
-	//   d -> m -> x -> k1
-	//   g -> x (via m? no: g -> x directly)  ... layout:
-	//   0(d) -> 2(m) -12-> 3(x) ; 1(g) -8-> 3(x) ; 3 -8-> 4 ; 4 -> sinks
-	// Pair (0,5) and pair (1,6), both routed through arc 3->4.
-	g := New(7)
+// lateArcNetwork has two pairs, (0,5) and (1,6), whose paths share a late
+// arc:
+//
+//	0(d) -> 2(m) -12-> 3(x) ; 1(g) -8-> 3(x) ; 3 -8-> 4 ; 4 -> sinks
+func lateArcNetwork() (g *Graph, shared ArcID) {
+	g = New(7)
 	g.AddArc(0, 2, 12)
 	g.AddArc(2, 3, 12)
 	g.AddArc(1, 3, 8)
-	shared := g.AddArc(3, 4, 8)
+	shared = g.AddArc(3, 4, 8)
 	g.AddArc(4, 5, Inf)
 	g.AddArc(4, 6, Inf)
+	return g, shared
+}
+
+func TestMultiCutSharesArcs(t *testing.T) {
+	g, shared := lateArcNetwork()
 	res := MultiCut(g, []Pair{{0, 5}, {1, 6}})
 	if res.Cost != 8 {
 		t.Errorf("MultiCut cost = %d, want 8 (shared arc)", res.Cost)
@@ -116,17 +153,16 @@ func TestMultiCutSharesArcs(t *testing.T) {
 	}
 }
 
+// TestMultiCutIndependentDoesNotShare is the other side: cut alone, each
+// pair pays for the late arc itself, so what MultiCut saves is the sharing.
 func TestMultiCutIndependentDoesNotShare(t *testing.T) {
-	g := New(7)
-	g.AddArc(0, 2, 12)
-	g.AddArc(2, 3, 12)
-	g.AddArc(1, 3, 8)
-	g.AddArc(3, 4, 8)
-	g.AddArc(4, 5, Inf)
-	g.AddArc(4, 6, Inf)
-	res := MultiCutIndependent(g, []Pair{{0, 5}, {1, 6}})
-	if res.Cost != 16 {
-		t.Errorf("independent cost = %d, want 16 (8 per pair)", res.Cost)
+	var cost int64
+	for _, p := range []Pair{{0, 5}, {1, 6}} {
+		g, _ := lateArcNetwork()
+		cost += MultiCut(g, []Pair{p}).Cost
+	}
+	if cost != 16 {
+		t.Errorf("independent cost = %d, want 16 (8 per pair)", cost)
 	}
 }
 

@@ -37,28 +37,3 @@ func MultiCut(g *Graph, pairs []Pair) MultiCutResult {
 	}
 	return res
 }
-
-// MultiCutIndependent is the ablation baseline: each pair is cut
-// independently with no sharing (arcs are not removed between pairs), as if
-// every memory dependence required its own synchronization. Duplicate arcs
-// across pairs are reported once but costed once per pair, modelling
-// per-dependence synchronization instructions.
-func MultiCutIndependent(g *Graph, pairs []Pair) MultiCutResult {
-	var res MultiCutResult
-	seen := map[ArcID]bool{}
-	for _, p := range pairs {
-		g.Reset()
-		if g.MaxFlow(p.S, p.T) == 0 {
-			continue
-		}
-		cut := g.MinCutSinkSide(p.T)
-		for _, id := range cut {
-			res.Cost += g.ArcCap(id)
-			if !seen[id] {
-				seen[id] = true
-				res.Arcs = append(res.Arcs, id)
-			}
-		}
-	}
-	return res
-}

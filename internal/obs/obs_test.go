@@ -64,7 +64,6 @@ func TestNilSafety(t *testing.T) {
 	l.Span("a", "b", 1)
 	l.SpanAt("a", "b", 0, 1)
 	l.Counter("q", 0, "depth", 1)
-	l.Instant("i", "c", 0)
 	tr.ProcessName(1, "p")
 	tr.ThreadName(1, 1, "t")
 	var buf bytes.Buffer
@@ -144,15 +143,15 @@ func TestTraceEventLimit(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		l.Span("s", "c", 1)
 	}
-	if tr.Len() != 3 {
-		t.Errorf("Len = %d, want 3", tr.Len())
-	}
 	if tr.Dropped() != 7 {
 		t.Errorf("Dropped = %d, want 7", tr.Dropped())
 	}
 	var buf bytes.Buffer
 	if err := tr.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
+	}
+	if kept := strings.Count(buf.String(), "\"ph\": \"X\""); kept != 3 {
+		t.Errorf("%d events written, want 3", kept)
 	}
 	if !strings.Contains(buf.String(), "\"droppedEvents\": 7") {
 		t.Errorf("drop count missing from JSON:\n%s", buf.String())
@@ -168,12 +167,9 @@ func TestLaneCursor(t *testing.T) {
 	if ts := l.Span("b", "c", 5); ts != 10 {
 		t.Errorf("second span ts = %d, want 10", ts)
 	}
-	if l.Now() != 15 {
-		t.Errorf("Now = %d, want 15", l.Now())
-	}
 	// Same (pid, tid) resolves to the same lane and cursor.
-	if tr.Lane(1, 1).Now() != 15 {
-		t.Error("Lane(1,1) did not return the cached lane")
+	if ts := tr.Lane(1, 1).Span("c", "c", 0); ts != 15 {
+		t.Errorf("Lane(1,1) continues at %d, want the cached lane's 15", ts)
 	}
 }
 
@@ -189,7 +185,6 @@ func TestTraceJSONShape(t *testing.T) {
 	l.Span("phase", "pipeline", 10, A("size", 3))
 	l.SpanAt("stall", "sim", 4, 2)
 	l.Counter("q0", 5, "depth", 1)
-	l.Instant("done", "sim", 12)
 
 	var buf bytes.Buffer
 	if err := tr.WriteJSON(&buf); err != nil {
@@ -279,7 +274,7 @@ func TestRecordDrops(t *testing.T) {
 	tr.SetLimit(2)
 	l := tr.Lane(1, 1)
 	for i := 0; i < 5; i++ {
-		l.Instant("e", "c", int64(i))
+		l.SpanAt("e", "c", int64(i), 0)
 	}
 	if tr.Dropped() != 3 {
 		t.Fatalf("dropped = %d, want 3", tr.Dropped())

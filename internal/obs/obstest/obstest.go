@@ -11,7 +11,7 @@ import (
 // CheckTraceShape asserts raw is a schema-shaped Chrome trace-event file:
 // a JSON object with a non-empty traceEvents array and a drop counter,
 // every event carrying name/ph/pid/tid, phases drawn from the emitted set
-// (M metadata, X complete, C counter, i instant, s/f flow), complete
+// (M metadata, X complete, C counter, s/f flow), complete
 // events with a non-negative duration, flow events with a binding id and
 // every start matched by exactly one finish, and events time-ordered
 // within each (pid, tid) lane — the properties Perfetto and
@@ -59,7 +59,7 @@ func CheckTraceShape(t *testing.T, raw []byte) {
 			if d, ok := e["dur"].(float64); !ok || d < 0 {
 				t.Errorf("complete event %d has bad dur: %v", i, e)
 			}
-		case "C", "i":
+		case "C":
 			if _, ok := e["ts"]; !ok {
 				t.Errorf("event %d missing ts: %v", i, e)
 			}

@@ -158,21 +158,6 @@ func (s *Span) setAttr(a spanAttr) *Span {
 	return s
 }
 
-// IntAttr returns the value of an integer attribute, if set.
-func (s *Span) IntAttr(key string) (int64, bool) {
-	if s == nil {
-		return 0, false
-	}
-	s.tree.mu.Lock()
-	defer s.tree.mu.Unlock()
-	for _, a := range s.attrs {
-		if a.key == key && !a.isStr {
-			return a.num, true
-		}
-	}
-	return 0, false
-}
-
 // StrAttr returns the value of a string attribute, if set.
 func (s *Span) StrAttr(key string) (string, bool) {
 	if s == nil {

@@ -29,7 +29,7 @@ type laneKey struct{ pid, tid int }
 
 type event struct {
 	name, cat string
-	ph        byte // 'X' complete, 'C' counter, 'i' instant, 's'/'f' flow
+	ph        byte // 'X' complete, 'C' counter, 's'/'f' flow
 	ts, dur   int64
 	pid, tid  int
 	seq       int64
@@ -89,16 +89,6 @@ func (t *Trace) Dropped() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.dropped
-}
-
-// Len returns the number of buffered timeline events.
-func (t *Trace) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.events)
 }
 
 // ProcessName labels a pid in the viewer.
@@ -164,16 +154,6 @@ type Lane struct {
 	cursor int64
 }
 
-// Now returns the lane cursor (the end of the last self-clocked span).
-func (l *Lane) Now() int64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.cursor
-}
-
 // Span appends a complete event of the given abstract duration at the
 // lane cursor and advances the cursor past it. It returns the span's
 // start timestamp.
@@ -207,14 +187,6 @@ func (l *Lane) Counter(name string, ts int64, series string, v int64) {
 		return
 	}
 	l.t.emit(event{name: name, ph: 'C', ts: ts, pid: l.pid, tid: l.tid, args: []Arg{{series, v}}})
-}
-
-// Instant appends an instant event at an explicit timestamp.
-func (l *Lane) Instant(name, cat string, ts int64, args ...Arg) {
-	if l == nil {
-		return
-	}
-	l.t.emit(event{name: name, cat: cat, ph: 'i', ts: ts, pid: l.pid, tid: l.tid, args: args})
 }
 
 // FlowStart appends a flow-start event ('s') at an explicit timestamp. A
@@ -339,9 +311,6 @@ func (t *Trace) WriteJSON(w io.Writer) error {
 		case 'C':
 			err = line("{\"name\": %s, \"ph\": \"C\", \"ts\": %d, \"pid\": %d, \"tid\": %d, \"args\": {%s}}",
 				jsonString(e.name), e.ts, e.pid, e.tid, args)
-		case 'i':
-			err = line("{\"name\": %s, \"cat\": %s, \"ph\": \"i\", \"ts\": %d, \"pid\": %d, \"tid\": %d, \"s\": \"t\", \"args\": {%s}}",
-				jsonString(e.name), jsonString(e.cat), e.ts, e.pid, e.tid, args)
 		case 's':
 			err = line("{\"name\": %s, \"cat\": %s, \"ph\": \"s\", \"id\": %d, \"ts\": %d, \"pid\": %d, \"tid\": %d, \"args\": {%s}}",
 				jsonString(e.name), jsonString(e.cat), e.id, e.ts, e.pid, e.tid, args)

@@ -242,17 +242,6 @@ func (r *Report) Has(k Kind) bool {
 	return false
 }
 
-// Merge folds another report into r.
-func (r *Report) Merge(o *Report) {
-	r.Programs += o.Programs
-	r.Runs += o.Runs
-	r.Failures = append(r.Failures, o.Failures...)
-	r.Injected += o.Injected
-	if r.FaultSchedule == "" {
-		r.FaultSchedule = o.FaultSchedule
-	}
-}
-
 // Err returns nil when the report is clean, or an error summarizing the
 // first failures.
 func (r *Report) Err() error {

@@ -53,6 +53,11 @@ import (
 // comfortably, unbounded bodies do not.
 const maxBody = 8 << 20
 
+// maxBatch bounds the requests of one POST /v1/batch: each allocates a span
+// tree, a trace-ring slot and a BatchItem, and maxBody alone admits
+// millions of empty ones.
+const maxBatch = 1024
+
 // errQueueFull is returned by the admission queue; it maps to 503.
 var errQueueFull = errors.New("server busy: admission queue is full, retry later")
 
@@ -534,10 +539,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	body, ok := s.traces.Get(id)
 	if !ok {
-		res := errResult(http.StatusNotFound, fmt.Errorf("trace %q is not retained", id), "")
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(res.Status)
-		w.Write(res.Body)
+		writeError(w, http.StatusNotFound, fmt.Errorf("trace %q is not retained", id))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -568,6 +570,10 @@ type BatchResponse struct {
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var batch BatchRequest
 	if !readJSON(w, r, &batch) {
+		return
+	}
+	if n := len(batch.Requests); n > maxBatch {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("batch of %d requests exceeds the limit of %d", n, maxBatch))
 		return
 	}
 	s.scope.Counter("batches").Inc()
@@ -706,13 +712,15 @@ func readJSON(w http.ResponseWriter, r *http.Request, into any) bool {
 		if errors.As(err, &tooLarge) {
 			status = http.StatusRequestEntityTooLarge
 		}
-		res := errResult(status, fmt.Errorf("decoding request: %v", err), "")
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(res.Status)
-		w.Write(res.Body)
+		writeError(w, status, fmt.Errorf("decoding request: %v", err))
 		return false
 	}
 	return true
+}
+
+// writeError answers with the JSON error body Do's failures carry.
+func writeError(w http.ResponseWriter, status int, err error) {
+	writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

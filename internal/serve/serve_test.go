@@ -452,6 +452,21 @@ func TestHTTPEndpoints(t *testing.T) {
 	if res.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad JSON: %d: %s", res.StatusCode, body)
 	}
+
+	// A batch at the limit is answered item by item; one request over it
+	// is refused whole, before any item runs.
+	res, body = post("/v1/batch", `{"requests":[{}`+strings.Repeat(`,{}`, maxBatch-1)+`]}`)
+	if err := json.Unmarshal(body, &batch); err != nil || res.StatusCode != http.StatusOK || len(batch.Responses) != maxBatch {
+		t.Fatalf("full batch: %d, %d responses (%v)", res.StatusCode, len(batch.Responses), err)
+	}
+	before := s.StatsSnapshot().Requests
+	res, body = post("/v1/batch", `{"requests":[{}`+strings.Repeat(`,{}`, maxBatch)+`]}`)
+	if res.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "limit of 1024") {
+		t.Fatalf("oversize batch: %d: %s", res.StatusCode, body)
+	}
+	if n := s.StatsSnapshot().Requests - before; n != 0 {
+		t.Fatalf("oversize batch ran %d items", n)
+	}
 }
 
 // TestOversizeBodyIs413: a body over maxBody is the client's to shrink,
@@ -514,8 +529,9 @@ func TestWarmRequestAllocation(t *testing.T) {
 	if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; perCall >= 64<<10 {
 		t.Errorf("a warm mpeg2enc request allocates %d bytes, want under 64 KiB", perCall)
 	}
-	if st := s.StatsSnapshot(); st.Compute != 1 {
-		t.Errorf("compute = %d after 1 cold + %d warm requests, want 1", st.Compute, calls)
+	if st := s.StatsSnapshot(); st.Compute != 1 || st.CacheHitMem != calls {
+		t.Errorf("compute = %d, memory hits = %d after 1 cold + %d warm requests, want 1 and one hit per warm request",
+			st.Compute, st.CacheHitMem, calls)
 	}
 }
 

@@ -184,8 +184,9 @@ func TestRunNoObserverAllocsConstant(t *testing.T) {
 }
 
 // BenchmarkRunNoObserver measures the raw unobserved cycle loop (the path
-// BENCH_pipeline.json's SimKS entry exercises through the full pipeline);
-// run with -benchmem to see the fixed setup-only allocation profile.
+// bench/'s sim.st_ms, sim.naive_ms and sim.coco_ms layers time through the
+// full pipeline); run with -benchmem to see the fixed setup-only
+// allocation profile.
 func BenchmarkRunNoObserver(b *testing.B) {
 	cfg := DefaultConfig()
 	b.ReportAllocs()

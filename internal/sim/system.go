@@ -96,8 +96,6 @@ type saQueue struct {
 	ring.Buf[saEntry]
 }
 
-func (q *saQueue) inFlight() int { return q.Len() }
-
 // core is one in-order processor.
 type core struct {
 	id    int

@@ -58,16 +58,6 @@ var (
 		fault.SwapQueue, fault.MisplacePlan}
 )
 
-// splitmix advances the SplitMix64 generator (same construction randprog
-// and fault use): seeded draws independent of math/rand internals.
-func splitmix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	z := x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // configSalt decorrelates the config draw from the program draw (which
 // hashes the same seed inside randprog.AxesForSeed).
 const configSalt = 0x73747265737363 // "stressc"
@@ -76,26 +66,26 @@ const configSalt = 0x73747265737363 // "stressc"
 // arguments; the returned config is exactly what a failing cell's
 // reproducer records.
 func DrawConfig(seed int64, i int) oracle.ReplayConfig {
-	h := splitmix(uint64(seed+int64(i)) ^ configSalt)
+	h := fault.Splitmix(uint64(seed+int64(i)) ^ configSalt)
 	rc := oracle.ReplayConfig{Partitioner: partPool[h%uint64(len(partPool))]}
-	h = splitmix(h)
+	h = fault.Splitmix(h)
 	rc.Threads = threadsPool[h%uint64(len(threadsPool))]
-	h = splitmix(h)
+	h = fault.Splitmix(h)
 	rc.Schedule = schedPool[h%uint64(len(schedPool))]
 	if rc.Schedule == "random" {
-		h = splitmix(h)
+		h = fault.Splitmix(h)
 		rc.ScheduleSeed = int64(h % 1_000_000)
 	}
-	h = splitmix(h)
+	h = fault.Splitmix(h)
 	rc.QueueCap = qcapPool[h%uint64(len(qcapPool))]
-	h = splitmix(h)
+	h = fault.Splitmix(h)
 	rc.Fault = faultPool[h%uint64(len(faultPool))]
 	if rc.Fault != "" {
-		h = splitmix(h)
+		h = fault.Splitmix(h)
 		rc.FaultSeed = int64(h%1_000_000) + 1
 	}
 	// The simulator cross-check is the expensive quarter of the matrix.
-	h = splitmix(h)
+	h = fault.Splitmix(h)
 	rc.NoSim = h%4 != 0
 	return rc
 }
