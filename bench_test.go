@@ -47,7 +47,7 @@ func BenchmarkFig1Breakdown(b *testing.B) {
 	var rows []exp.CommRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = exp.CommExperiment(ws)
+		rows, err = exp.NewEngine(exp.EngineOptions{Jobs: 1}).CommExperiment(context.Background(), ws)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func BenchmarkFig7Communication(b *testing.B) {
 	var rows []exp.CommRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = exp.CommExperiment(ws)
+		rows, err = exp.NewEngine(exp.EngineOptions{Jobs: 1}).CommExperiment(context.Background(), ws)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func BenchmarkFig8Speedup(b *testing.B) {
 	var rows []exp.SpeedupRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = exp.SpeedupExperiment(cfg, ws)
+		rows, err = exp.NewEngine(exp.EngineOptions{Jobs: 1}).SpeedupExperiment(context.Background(), cfg, ws)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func ablationComm(b *testing.B, name string, opts coco.Options) {
 		rel = rel[:0]
 		for _, part := range exp.Partitioners() {
 			for _, w := range ws {
-				p, err := exp.Build(w, part, opts)
+				p, err := exp.NewEngine(exp.EngineOptions{Jobs: 1, Coco: &opts}).Pipeline(context.Background(), w, part)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -171,7 +171,7 @@ func BenchmarkAblationQueueAllocation(b *testing.B) {
 	}
 	var before, after int
 	for i := 0; i < b.N; i++ {
-		p, err := exp.Build(w, partition.GREMIO{}, coco.DefaultOptions())
+		p, err := exp.NewEngine(exp.EngineOptions{Jobs: 1}).Pipeline(context.Background(), w, partition.GREMIO{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -207,7 +207,7 @@ func BenchmarkCompilePipeline(b *testing.B) {
 				opts := coco.DefaultOptions()
 				for i := 0; i < b.N; i++ {
 					if withCoco {
-						if _, err := exp.Build(w, sched, opts); err != nil {
+						if _, err := exp.NewEngine(exp.EngineOptions{Jobs: 1, Coco: &opts}).Pipeline(context.Background(), w, sched); err != nil {
 							b.Fatal(err)
 						}
 					} else {
@@ -254,7 +254,7 @@ func sensitivityCycles(b *testing.B, mutate func(*sim.Config)) float64 {
 	mutate(&cfg)
 	var speedup float64
 	for i := 0; i < b.N; i++ {
-		p, err := exp.Build(w, partition.GREMIO{}, coco.DefaultOptions())
+		p, err := exp.NewEngine(exp.EngineOptions{Jobs: 1}).Pipeline(context.Background(), w, partition.GREMIO{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -86,11 +86,7 @@ func run() (err error) {
 	cfg := sim.DefaultConfig()
 	ctx := context.Background()
 	o := of.New()
-	defer func() {
-		if ferr := of.Flush(o); ferr != nil && err == nil {
-			err = ferr
-		}
-	}()
+	defer of.FlushTo(o, &err)
 	eopts := exp.EngineOptions{Jobs: *jobs, Obs: o, Degrade: !*failFast}
 	if *chaos != "" && *chaos != "matrix" {
 		cls, err := fault.ParseClass(*chaos)

@@ -90,7 +90,7 @@ func run() error {
 		programs += rep.Programs
 		injected += rep.Injected
 		if chaosClass != "" {
-			if !chaosOK(chaosClass, rep) {
+			if chaosClass.Judge(rep.Injected, rep.Ok()) != fault.VerdictOK {
 				fail++
 				fmt.Printf("UNEXPECTED %s: class %s injected %d faults, failures %v\n",
 					c.Name, chaosClass, rep.Injected, rep.Failures)
@@ -181,19 +181,6 @@ func replayRepro(path string, opts oracle.Options, shrink bool) error {
 		fmt.Printf("reproducer:\n%s", oracle.FormatCase(min))
 	}
 	return cli.Exit(1)
-}
-
-// chaosOK applies the per-class detector contract to one chaos-armed
-// report: destructive faults must be detected (or never fire), benign
-// faults must be tolerated.
-func chaosOK(cls fault.Class, rep *oracle.Report) bool {
-	if rep.Injected == 0 {
-		return rep.Ok() // vacuous schedule: the run must simply pass
-	}
-	if cls.Benign() {
-		return rep.Ok()
-	}
-	return !rep.Ok()
 }
 
 // checkWorkloads runs the oracle experiment over one or all benchmark

@@ -59,11 +59,7 @@ func run() (err error) {
 	}
 
 	o := of.New()
-	defer func() {
-		if ferr := of.Flush(o); ferr != nil && err == nil {
-			err = ferr
-		}
-	}()
+	defer of.FlushTo(o, &err)
 	var tr *obs.Trace
 	if o != nil {
 		tr = o.Trace

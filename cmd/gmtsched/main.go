@@ -15,12 +15,12 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 
 	"repro/internal/budget"
 	"repro/internal/cli"
-	"repro/internal/coco"
 	"repro/internal/exp"
 	"repro/internal/interp"
 	"repro/internal/queue"
@@ -50,13 +50,11 @@ func run() (err error) {
 	}
 
 	o := of.New()
-	defer func() {
-		if ferr := of.Flush(o); ferr != nil && err == nil {
-			err = ferr
-		}
-	}()
+	defer of.FlushTo(o, &err)
 
-	pipe, err := exp.BuildObserved(w, p, coco.DefaultOptions(), o)
+	ctx := context.Background()
+	eng := exp.NewEngine(exp.EngineOptions{Jobs: 1, Obs: o})
+	pipe, err := eng.Pipeline(ctx, w, p)
 	if err != nil {
 		return err
 	}
@@ -114,7 +112,7 @@ func run() (err error) {
 
 	if *simulate {
 		cfg := sim.DefaultConfig()
-		stc, err := exp.SingleThreadedCyclesObserved(cfg, w, o)
+		stc, err := eng.SingleThreadedCycles(ctx, cfg, w)
 		if err != nil {
 			return err
 		}

@@ -12,7 +12,7 @@
 //	         [-max-sim-cycles N] [-no-degrade] [-metrics out.json]
 //	         [-durable] [-deadline D] [-max-deadline D] [-disk-retries N]
 //	         [-breaker-faults N] [-breaker-probe N] [-trace-retain N]
-//	         [-flight-recorder-size N] [-flight-dir DIR] [-access-log FILE]
+//	         [-flight-dir DIR] [-access-log FILE]
 //
 // API (see internal/serve):
 //
@@ -35,11 +35,10 @@
 //
 // Every response carries its trace ID in the X-Gmtserve-Trace header
 // (and error bodies carry it inline); the span tree of the last
-// -trace-retain requests is queryable at GET /v1/trace/{id}. A bounded
-// flight recorder keeps the last -flight-recorder-size traces and — if
-// -flight-dir is set — snapshots them atomically to disk on every 5xx,
-// breaker trip, and drain. -access-log appends one structured JSON
-// line per request.
+// -trace-retain requests is queryable at GET /v1/trace/{id}. If
+// -flight-dir is set, the newest 32 of them are snapshotted atomically
+// to disk on every 5xx, breaker trip, and drain. -access-log appends
+// one structured JSON line per request.
 //
 // -deadline/-max-deadline bound per-request wall-clock time (504 on
 // expiry); deadlines never enter the cache key. -metrics writes the
@@ -88,7 +87,6 @@ func run() (err error) {
 	breakerFaults := flag.Int("breaker-faults", 0, "consecutive disk faults before tripping to memory-only (0 = default 8, -1 = off)")
 	breakerProbe := flag.Int("breaker-probe", 0, "probe the tripped disk every Nth operation (0 = default 16)")
 	traceRetain := flag.Int("trace-retain", 0, "request traces retained for GET /v1/trace/{id} (0 = default 256)")
-	flightSize := flag.Int("flight-recorder-size", 0, "flight-recorder ring size in traces (0 = default 32)")
 	flightDir := flag.String("flight-dir", "", "directory for flight-recorder dumps on 5xx/breaker/drain (\"\" = disabled)")
 	accessLog := flag.String("access-log", "", "append structured JSON access-log lines to this file (\"\" = disabled)")
 	flag.Parse()
@@ -133,7 +131,6 @@ func run() (err error) {
 		BreakerProbe:     *breakerProbe,
 		Metrics:          reg,
 		TraceRetain:      *traceRetain,
-		FlightSize:       *flightSize,
 		FlightDir:        *flightDir,
 		AccessLog:        accessW,
 	})

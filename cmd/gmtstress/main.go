@@ -39,7 +39,7 @@ import (
 
 func main() { cli.Main("gmtstress", run) }
 
-func run() error {
+func run() (err error) {
 	seed := flag.Int64("seed", 1, "corpus base seed (cell i uses program seed+i)")
 	cells := flag.Int("cells", 16, "number of matrix cells to run")
 	jobs := flag.Int("j", 0, "parallel workers (0 = GOMAXPROCS; output is identical for every value)")
@@ -59,11 +59,7 @@ func run() error {
 	if o != nil {
 		metrics = o.Metrics
 	}
-	defer func() {
-		if err := obsf.Flush(o); err != nil {
-			fmt.Fprintf(os.Stderr, "gmtstress: %v\n", err)
-		}
-	}()
+	defer obsf.FlushTo(o, &err)
 
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {

@@ -113,9 +113,9 @@ func WriteFileAtomic(path string, write func(w io.Writer) error) error {
 // ObsFlags bundles the observability flags shared by experiments,
 // gmtsched, and gmtprof (-trace, -metrics, -trace-limit) and the flush
 // that writes their artifacts. Register the flags, build the sinks with
-// New, and defer Flush inside run() — the deferred flush runs on error
-// paths too, so a failing run still writes complete, parseable JSON of
-// everything recorded up to the failure.
+// New, and `defer of.FlushTo(o, &err)` inside run() — the deferred flush
+// runs on error paths too, so a failing run still writes complete,
+// parseable JSON of everything recorded up to the failure.
 type ObsFlags struct {
 	Trace      string
 	Metrics    string
@@ -151,11 +151,18 @@ func (f *ObsFlags) New() *exp.Obs {
 	return o
 }
 
-// Flush writes the requested artifacts atomically and reports dropped
+// FlushTo writes the requested artifacts atomically and reports dropped
 // trace events on stderr. Safe to call with a nil o (writes nothing).
-// Deferred inside run(), it guarantees artifacts land complete whether
-// the run succeeded or failed.
-func (f *ObsFlags) Flush(o *exp.Obs) error {
+// Deferred inside run() with the address of run's named error result, it
+// guarantees artifacts land complete whether the run succeeded or failed,
+// and a failed flush fails a run that had not failed already.
+func (f *ObsFlags) FlushTo(o *exp.Obs, err *error) {
+	if ferr := f.flush(o); ferr != nil && *err == nil {
+		*err = ferr
+	}
+}
+
+func (f *ObsFlags) flush(o *exp.Obs) error {
 	if o == nil {
 		return nil
 	}

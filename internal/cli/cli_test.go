@@ -86,7 +86,7 @@ func TestWriteFileAtomicPreservesPreviousArtifact(t *testing.T) {
 }
 
 // TestFailingRunFlushesCompleteArtifacts emulates a command body that
-// records observability data and then fails: the deferred Flush must
+// records observability data and then fails: the deferred FlushTo must
 // still write complete, parseable JSON files.
 func TestFailingRunFlushesCompleteArtifacts(t *testing.T) {
 	dir := t.TempDir()
@@ -97,11 +97,7 @@ func TestFailingRunFlushesCompleteArtifacts(t *testing.T) {
 
 	run := func() (err error) {
 		o := flags.New()
-		defer func() {
-			if ferr := flags.Flush(o); ferr != nil && err == nil {
-				err = ferr
-			}
-		}()
+		defer flags.FlushTo(o, &err)
 		// Record something, then fail mid-run the way a budget overrun or
 		// bad workload would.
 		o.Metrics.Counter("test.runs").Inc()
@@ -124,9 +120,28 @@ func TestFailingRunFlushesCompleteArtifacts(t *testing.T) {
 	}
 }
 
+// TestFailingFlushFailsRun: an artifact that cannot be written turns a
+// successful run into exit status 1 and leaves a failed run's own error
+// alone.
+func TestFailingFlushFailsRun(t *testing.T) {
+	flags := &ObsFlags{Metrics: filepath.Join(t.TempDir(), "no-such-dir", "metrics.json")}
+	run := func(fail error) (err error) {
+		o := flags.New()
+		defer flags.FlushTo(o, &err)
+		return fail
+	}
+	if err := run(nil); err == nil || ExitCode(err) != 1 {
+		t.Errorf("clean run with an unwritable -metrics: error %v, exit status %d, want 1", err, ExitCode(err))
+	}
+	if err := run(Usagef("bad flag")); ExitCode(err) != 2 || err.Error() != "bad flag" {
+		t.Errorf("the flush error replaced the run's own: %v", err)
+	}
+}
+
 func TestFlushNilObsIsNoop(t *testing.T) {
 	flags := &ObsFlags{}
-	if err := flags.Flush(nil); err != nil {
+	var err error
+	if flags.FlushTo(nil, &err); err != nil {
 		t.Fatal(err)
 	}
 	if flags.New() != nil {

@@ -15,10 +15,11 @@ import (
 // TestPlanAllocations bounds what one coco.Plan call allocates, so that a
 // change cannot quietly go back to rebuilding the planner's inputs — the
 // per-point live and safe sets, the flow graph, the control-dependence
-// closures — once per register. Each bound is a third of what the call
-// allocated while it did (362fca4: 8 026 allocations for ks under DSWP,
-// 18 579 for the 160-instruction program); the planner now needs about an
-// eleventh of either.
+// closures once per register, or the reaching-definition chains and the
+// CDG the PDG already carries once per plan. Each bound is half of what
+// the call allocated while it computed its own chains and CDG (6127341:
+// 703 allocations for ks under DSWP, 1 738 for the 160-instruction
+// program).
 func TestPlanAllocations(t *testing.T) {
 	ks := workloads.KS()
 	train := ks.Train()
@@ -31,8 +32,8 @@ func TestPlanAllocations(t *testing.T) {
 		mem     []int64
 		limit   float64
 	}{
-		{"ks", ks.F, ks.Objects, train.Args, train.Mem, 8026 / 3},
-		{"randprog160", rp.F, rp.Objects, rp.Args, rp.Mem, 18579 / 3},
+		{"ks", ks.F, ks.Objects, train.Args, train.Mem, 351},
+		{"randprog160", rp.F, rp.Objects, rp.Args, rp.Mem, 869},
 	} {
 		res, err := interp.Run(c.f, c.args, append([]int64(nil), c.mem...), 1<<30)
 		if err != nil {

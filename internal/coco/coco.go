@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/analysis"
 	"repro/internal/dataflow"
 	"repro/internal/ir"
 	"repro/internal/mincut"
@@ -54,11 +53,9 @@ type planner struct {
 
 	// thread maps instruction IDs to their thread.
 	thread []int
-	cdg    *analysis.CDG
 	// closure[b] lists the blocks whose branches control block b, directly
 	// or transitively.
 	closure [][]int
-	chains  []dataflow.UseChain
 	// blockWeight[b] is the profile's execution count of block b.
 	blockWeight []int64
 	// relevant[t][b] reports whether block b's terminating branch is
@@ -84,16 +81,10 @@ type planner struct {
 func Plan(f *ir.Function, g *pdg.Graph, assign map[*ir.Instr]int, numThreads int,
 	prof *ir.Profile, opts Options) (*mtcg.Plan, error) {
 
-	cdg, err := analysis.ControlDeps(f, nil)
-	if err != nil {
-		return nil, err
-	}
 	p := &planner{
 		f: f, g: g, nThreads: numThreads, prof: prof, opts: opts,
 		thread:      make([]int, f.NumInstrIDs()),
-		cdg:         cdg,
-		closure:     cdg.Closures(),
-		chains:      dataflow.ComputeReachingDefs(f).Chains(dataflow.AllUses),
+		closure:     g.CDG.Closures(),
 		blockWeight: make([]int64, len(f.Blocks)),
 		relevant:    make([][]bool, numThreads),
 		occupied:    make([][]bool, numThreads),
@@ -220,7 +211,7 @@ func (p *planner) markPointsRelevant(td int, pts []mtcg.Point) bool {
 // directly control dependent on must be relevant to t (relevance is closed
 // under rule 3, so direct controllers suffice).
 func (p *planner) pointRelevantTo(t int, b *ir.Block) bool {
-	for _, d := range p.cdg.Deps(b) {
+	for _, d := range p.g.CDG.Deps(b) {
 		if !p.relevant[t][d.Branch.ID] {
 			return false
 		}
@@ -272,7 +263,7 @@ func (p *planner) pairs() []threadPair {
 		}
 	}
 	// Operand dependences of replicated branches also connect threads.
-	for _, uc := range p.chains {
+	for _, uc := range p.g.Chains {
 		for _, def := range uc.Defs {
 			if def == nil {
 				continue
@@ -357,7 +348,7 @@ func (p *planner) optimizePair(ts, td int, deps map[depKey][]mtcg.Point) error {
 	// Registers with a dependence from a definition in ts to a use in td
 	// (including uses by branches replicated into td).
 	regSet := map[ir.Reg]bool{}
-	for _, uc := range p.chains {
+	for _, uc := range p.g.Chains {
 		if !p.executesIn(uc.Use, td) {
 			continue
 		}

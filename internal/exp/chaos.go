@@ -45,18 +45,12 @@ type ChaosCell struct {
 	Detail string
 }
 
-// Expected reports whether the cell's outcome matches its fault class's
-// contract: destructive classes (and the mis-specified plan) must be
-// detected, benign classes must be tolerated, and a cell whose schedule
-// never fired is vacuously fine.
+// Expected reports whether the cell met its fault class's contract
+// (fault.Class.Judge): destructive classes (and the mis-specified plan)
+// must be detected, benign classes tolerated, and a cell whose schedule
+// never fired must be clean.
 func (c ChaosCell) Expected() bool {
-	if c.Outcome == ChaosNotInjected {
-		return true
-	}
-	if c.Class.Benign() {
-		return c.Outcome == ChaosTolerated
-	}
-	return c.Outcome == ChaosDetected
+	return c.Class.Judge(c.Injected, c.Outcome != ChaosDetected) == fault.VerdictOK
 }
 
 // ChaosOK reports whether every cell met its contract.

@@ -3,7 +3,11 @@ package exp
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -122,18 +126,21 @@ func TestChaosCellExpected(t *testing.T) {
 		cell ChaosCell
 		want bool
 	}{
-		{ChaosCell{Class: fault.DropProduce, Outcome: ChaosDetected}, true},
-		{ChaosCell{Class: fault.DropProduce, Outcome: ChaosTolerated}, false},
-		{ChaosCell{Class: fault.StallThread, Outcome: ChaosTolerated}, true},
-		{ChaosCell{Class: fault.StallThread, Outcome: ChaosDetected}, false},
-		{ChaosCell{Class: fault.ShrinkQueue, Outcome: ChaosTolerated}, true},
+		{ChaosCell{Class: fault.DropProduce, Outcome: ChaosDetected, Injected: 3}, true},
+		{ChaosCell{Class: fault.DropProduce, Outcome: ChaosTolerated, Injected: 3}, false},
+		{ChaosCell{Class: fault.StallThread, Outcome: ChaosTolerated, Injected: 3}, true},
+		{ChaosCell{Class: fault.StallThread, Outcome: ChaosDetected, Injected: 3}, false},
+		{ChaosCell{Class: fault.ShrinkQueue, Outcome: ChaosTolerated, Injected: 1}, true},
 		{ChaosCell{Class: fault.SwapQueue, Outcome: ChaosNotInjected}, true},
-		{ChaosCell{Class: fault.MisplacePlan, Outcome: ChaosDetected}, true},
-		{ChaosCell{Class: fault.MisplacePlan, Outcome: ChaosTolerated}, false},
+		{ChaosCell{Class: fault.MisplacePlan, Outcome: ChaosDetected, Injected: 1}, true},
+		{ChaosCell{Class: fault.MisplacePlan, Outcome: ChaosTolerated, Injected: 1}, false},
+		// Failures with nothing injected are a miscompile, not a detection.
+		{ChaosCell{Class: fault.DropProduce, Outcome: ChaosDetected}, false},
 	}
 	for _, tc := range cases {
 		if got := tc.cell.Expected(); got != tc.want {
-			t.Errorf("Expected(%s, %s) = %v, want %v", tc.cell.Class, tc.cell.Outcome, got, tc.want)
+			t.Errorf("Expected(%s, %s, injected %d) = %v, want %v",
+				tc.cell.Class, tc.cell.Outcome, tc.cell.Injected, got, tc.want)
 		}
 	}
 	if ChaosOK([]ChaosCell{cases[0].cell, cases[1].cell}) {
@@ -259,5 +266,107 @@ func TestChaosContextCancel(t *testing.T) {
 	}
 	if _, err := e.CoverageMatrix(ctx, chaosWorkloads(t), 1); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled coverage matrix returned %v, want context.Canceled", err)
+	}
+}
+
+// spanShape renders a span tree as one "depth name key,key" line per span,
+// in creation order: names, nesting and attribute keys, no values or times.
+func spanShape(t *testing.T, tree *obs.SpanTree) []string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tree.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Spans []struct {
+			ID, Parent int
+			Name       string
+			Attrs      map[string]any
+		}
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	depth := map[int]int{}
+	var out []string
+	for _, s := range doc.Spans {
+		depth[s.ID] = depth[s.Parent] + 1
+		keys := make([]string, 0, len(s.Attrs))
+		for k := range s.Attrs {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		out = append(out, fmt.Sprintf("%d %s %s", depth[s.ID]-1, s.Name, strings.Join(keys, ",")))
+	}
+	return out
+}
+
+// TestDegradeSpanShapes pins the span tree both cell kinds record, on a
+// clean run and while walking the whole degradation chain, so the comm and
+// the speedup path cannot drift apart in what they trace.
+func TestDegradeSpanShapes(t *testing.T) {
+	w := chaosWorkloads(t)[0]
+	part := Partitioners()[0]
+	comm := func(e *Engine, sp *obs.Span) (string, error) {
+		row, err := e.CommCellSpan(context.Background(), w, part, sp)
+		return row.Fallback, err
+	}
+	speedup := func(e *Engine, sp *obs.Span) (string, error) {
+		row, err := e.SpeedupCellSpan(context.Background(), sim.DefaultConfig(), w, part, sp)
+		return row.Fallback, err
+	}
+	failed := func(stage string) []string {
+		return []string{
+			"1 attempt class,outcome,partitioner,stage",
+			"2 pipeline ",
+			stage,
+			"1 degrade class,from,stage",
+		}
+	}
+	chain := func(stage string) []string {
+		return append(append(failed(stage), failed(stage)...), "1 attempt outcome,partitioner")
+	}
+	for _, tc := range []struct {
+		name     string
+		chaos    *fault.Spec
+		run      func(*Engine, *obs.Span) (string, error)
+		fallback string
+		want     []string
+	}{
+		{"comm", nil, comm, "", []string{
+			"0 cell ",
+			"1 attempt outcome,partitioner",
+			"2 pipeline ",
+			"2 measure-naive compute,produce",
+			"2 measure-coco compute,produce",
+		}},
+		{"speedup", nil, speedup, "", []string{
+			"0 cell ",
+			"1 single-threaded-baseline cycles",
+			"1 attempt outcome,partitioner",
+			"2 pipeline ",
+			"2 simulate-naive cycles",
+			"2 simulate-coco cycles",
+		}},
+		{"comm/drop-produce", &fault.Spec{Class: fault.DropProduce, Seed: 1}, comm, FallbackSingle,
+			append([]string{"0 cell "}, chain("2 measure-naive compute,produce")...)},
+		{"speedup/drop-produce", &fault.Spec{Class: fault.DropProduce, Seed: 1}, speedup, FallbackSingle,
+			append([]string{"0 cell ", "1 single-threaded-baseline cycles"}, chain("2 simulate-naive cycles")...)},
+	} {
+		e := NewEngine(EngineOptions{Jobs: 1, Chaos: tc.chaos, Degrade: true})
+		tree := obs.NewSpanTree(tc.name, nil)
+		root := tree.Root("cell")
+		fb, err := tc.run(e, root)
+		root.Finish()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if fb != tc.fallback {
+			t.Errorf("%s: fallback %q, want %q", tc.name, fb, tc.fallback)
+		}
+		got := strings.Join(spanShape(t, tree), "\n")
+		if want := strings.Join(tc.want, "\n"); got != want {
+			t.Errorf("%s span shape:\n%s\nwant:\n%s", tc.name, got, want)
+		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"os"
 	"testing"
 
-	"repro/internal/budget"
 	"repro/internal/coco"
 	"repro/internal/ir"
 	"repro/internal/mtcg"
@@ -107,6 +106,7 @@ func cocoPlanDigest(t *testing.T, label string, w *workloads.Workload, art *Arti
 // after the one pass that grew no relevant set, 40 need a second.
 func TestCocoPlanGolden(t *testing.T) {
 	ctx := context.Background()
+	e := NewEngine(EngineOptions{Jobs: 1})
 	var got bytes.Buffer
 	passes := 0
 	digest := func(label string, w *workloads.Workload, art *Artifact, part partition.Partitioner, opts coco.Options) {
@@ -116,7 +116,7 @@ func TestCocoPlanGolden(t *testing.T) {
 	}
 	for i := 0; i < 64; i++ {
 		w, _ := inlineWorkload(t, i)
-		art, err := BuildArtifact(ctx, w, budget.Budget{})
+		art, err := e.Artifact(ctx, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func TestCocoPlanGolden(t *testing.T) {
 		}
 	}
 	for _, w := range workloads.All() {
-		art, err := BuildArtifact(ctx, w, budget.Budget{})
+		art, err := e.Artifact(ctx, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +197,7 @@ func TestCocoNeverWorseThanNaiveCorpus(t *testing.T) {
 	for i := 0; i < n; i++ {
 		w, part := inlineWorkload(t, i)
 		label := w.Name + "/" + part.Name()
-		p, err := Build(w, part, coco.DefaultOptions())
+		p, err := NewEngine(EngineOptions{Jobs: 1}).Pipeline(context.Background(), w, part)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/coco"
 	"repro/internal/fault"
 	"repro/internal/interp"
+	"repro/internal/mtcg"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/partition"
@@ -247,27 +248,6 @@ func (e *Engine) SpeedupCellSpan(ctx context.Context, cfg sim.Config, w *workloa
 	return e.speedupCell(ctx, cfg, cell{part: part, w: w}, sp)
 }
 
-// spanAttempt opens one degradation-chain attempt span under sp.
-func spanAttempt(sp *obs.Span, part partition.Partitioner) *obs.Span {
-	asp := sp.Child("attempt")
-	if part == nil {
-		asp.SetStr("partitioner", FallbackSingle)
-	} else {
-		asp.SetStr("partitioner", part.Name())
-	}
-	return asp
-}
-
-// spanFail stamps a failed attempt with its structured cause and
-// records the fallback hop the chain is about to take.
-func spanFail(sp, asp *obs.Span, serr *StageError) {
-	asp.SetStr("outcome", "failed").SetStr("stage", serr.Stage).SetStr("class", string(serr.Class))
-	asp.Finish()
-	hop := sp.Child("degrade")
-	hop.SetStr("from", serr.Partitioner).SetStr("stage", serr.Stage).SetStr("class", string(serr.Class))
-	hop.Finish()
-}
-
 // cell identifies one matrix position: the serial iteration order is
 // partitioner-major (for each partitioner, for each workload), which the
 // index encodes so parallel runs fill rows identically.
@@ -309,82 +289,19 @@ func (e *Engine) CommExperiment(ctx context.Context, ws []*workloads.Workload) (
 	return rows, nil
 }
 
-// commCell measures one matrix cell, walking the degradation chain when
-// enabled: requested partitioner → alternate partitioner → single-threaded.
+// commCell measures one matrix cell's dynamic instruction mix; its last
+// resort is the unpartitioned program on the counting interpreter.
 func (e *Engine) commCell(ctx context.Context, c cell, sp *obs.Span) (CommRow, error) {
 	row := CommRow{Workload: c.w.Name, Partitioner: c.part.Name()}
-	attempts := []partition.Partitioner{c.part}
-	if e.degrade {
-		attempts = append(attempts, fallbackFor(c.part)...)
-	}
-	for _, part := range attempts {
-		asp := spanAttempt(sp, part)
-		if part == nil { // last resort: the unpartitioned program
-			st, err := e.singleThreadedComm(ctx, c.w)
-			if err != nil {
-				asp.SetStr("outcome", "failed")
-				asp.Finish()
-				return row, err
-			}
-			row.Naive, row.Coco, row.Fallback = st, st, FallbackSingle
-			asp.SetStr("outcome", "ok")
-			asp.Finish()
-			return row, nil
-		}
-		naive, opt, serr := e.measureCommAttempt(ctx, c.w, part, asp)
-		if serr == nil {
-			row.Naive, row.Coco = naive, opt
-			if part.Name() != c.part.Name() {
-				row.Fallback = part.Name()
-			}
-			asp.SetStr("outcome", "ok")
-			asp.Finish()
-			return row, nil
-		}
-		if !e.degrade || isCtxErr(serr) {
-			asp.SetStr("outcome", "failed").SetStr("stage", serr.Stage).SetStr("class", string(serr.Class))
-			asp.Finish()
-			return row, serr
-		}
-		e.noteFallback()
-		spanFail(sp, asp, serr)
-	}
-	return row, fmt.Errorf("exp: %s/%s: degradation chain exhausted", c.w.Name, c.part.Name())
-}
-
-// measureCommAttempt builds and measures one (workload, partitioner)
-// pipeline, converting any failure — including a panic — into a structured
-// StageError.
-func (e *Engine) measureCommAttempt(ctx context.Context, w *workloads.Workload,
-	part partition.Partitioner, sp *obs.Span) (naive, opt interp.CommStats, serr *StageError) {
-	defer func() {
-		if v := recover(); v != nil {
-			serr = recovered("measure", w, part, v)
-		}
-	}()
-	psp := sp.Child("pipeline")
-	p, err := e.Pipeline(ctx, w, part)
-	psp.Finish()
-	if err != nil {
-		return naive, opt, stageError("pipeline", w, part, err)
-	}
-	msp := sp.Child("measure-naive")
-	n, injected, err := p.measureCommInjected(ctx, p.Naive, e.chaos)
-	e.noteInjected(injected)
-	msp.SetInt("compute", n.Compute).SetInt("produce", n.Produce)
-	msp.Finish()
-	if err != nil {
-		return naive, opt, stageError("measure", w, part, err)
-	}
-	msp = sp.Child("measure-coco")
-	o, injected, err := p.measureCommInjected(ctx, p.Coco, e.chaos)
-	e.noteInjected(injected)
-	msp.SetInt("compute", o.Compute).SetInt("produce", o.Produce)
-	msp.Finish()
-	if err != nil {
-		return naive, opt, stageError("measure", w, part, err)
-	}
-	return n, o, nil
+	var err error
+	row.Naive, row.Coco, row.Fallback, err = chain(ctx, e, c, sp, "measure",
+		func(p *Pipeline, prog *mtcg.Program, msp *obs.Span) (interp.CommStats, int64, error) {
+			st, injected, err := p.measureCommInjected(ctx, prog, e.chaos)
+			msp.SetInt("compute", st.Compute).SetInt("produce", st.Produce)
+			return st, injected, err
+		},
+		func() (interp.CommStats, error) { return e.singleThreadedComm(ctx, c.w) })
+	return row, err
 }
 
 // SpeedupExperiment produces Figure 8's data on the given machine, fanning
@@ -409,8 +326,10 @@ func (e *Engine) SpeedupExperiment(ctx context.Context, cfg sim.Config, ws []*wo
 	return rows, nil
 }
 
-// speedupCell simulates one matrix cell, walking the degradation chain
-// when enabled.
+// speedupCell simulates one matrix cell; its last resort is the
+// single-threaded baseline itself (speedup 1.0x). With chaos armed the
+// no-progress watchdog is lowered so an injected deadlock fails in bounded
+// time.
 func (e *Engine) speedupCell(ctx context.Context, cfg sim.Config, c cell, sp *obs.Span) (SpeedupRow, error) {
 	row := SpeedupRow{Workload: c.w.Name, Partitioner: c.part.Name()}
 	ssp := sp.Child("single-threaded-baseline")
@@ -421,48 +340,84 @@ func (e *Engine) speedupCell(ctx context.Context, cfg sim.Config, c cell, sp *ob
 		return row, err
 	}
 	row.STCycles = st
+	row.NaiveCycles, row.CocoCycles, row.Fallback, err = chain(ctx, e, c, sp, "simulate",
+		func(p *Pipeline, prog *mtcg.Program, msp *obs.Span) (int64, int64, error) {
+			mtCfg := p.Machine(cfg)
+			if e.chaos != nil {
+				mtCfg.StallLimit = 100_000
+			}
+			cycles, injected, err := p.measureCyclesInjected(mtCfg, prog, e.chaos)
+			msp.SetInt("cycles", cycles)
+			return cycles, injected, err
+		},
+		func() (int64, error) { return st, nil })
+	return row, err
+}
+
+// measureFunc measures one generated program of a built pipeline, stamps
+// what it measured on msp, and reports how many faults the run injected —
+// even when the run fails.
+type measureFunc[T any] func(p *Pipeline, prog *mtcg.Program, msp *obs.Span) (T, int64, error)
+
+// chain measures cell c with the degradation policy every cell kind
+// shares: the requested partitioner and, when Degrade is on, the alternate
+// partitioner and then single, the always-correct single-threaded last
+// resort. It returns the naive and the COCO program's measurement and what
+// the chain substituted ("" when the cell ran as requested). Each attempt
+// and each fallback hop is recorded as a child of sp (which may be nil).
+// stage names what measure does ("measure", "simulate") in spans and
+// StageErrors. A context error is never absorbed.
+func chain[T any](ctx context.Context, e *Engine, c cell, sp *obs.Span, stage string,
+	measure measureFunc[T], single func() (T, error)) (naive, opt T, fallback string, err error) {
 	attempts := []partition.Partitioner{c.part}
 	if e.degrade {
 		attempts = append(attempts, fallbackFor(c.part)...)
 	}
 	for _, part := range attempts {
-		asp := spanAttempt(sp, part)
-		if part == nil { // last resort: the single-threaded baseline itself
-			row.NaiveCycles, row.CocoCycles, row.Fallback = st, st, FallbackSingle
-			asp.SetStr("outcome", "ok")
-			asp.Finish()
-			return row, nil
-		}
-		naive, opt, serr := e.measureCyclesAttempt(ctx, cfg, c.w, part, asp)
-		if serr == nil {
-			row.NaiveCycles, row.CocoCycles = naive, opt
-			if part.Name() != c.part.Name() {
-				row.Fallback = part.Name()
+		asp := sp.Child("attempt")
+		if part == nil { // last resort: the unpartitioned program
+			asp.SetStr("partitioner", FallbackSingle)
+			st, err := single()
+			if err != nil {
+				asp.SetStr("outcome", "failed")
+				asp.Finish()
+				return naive, opt, "", err
 			}
 			asp.SetStr("outcome", "ok")
 			asp.Finish()
-			return row, nil
+			return st, st, FallbackSingle, nil
 		}
-		if !e.degrade || isCtxErr(serr) {
-			asp.SetStr("outcome", "failed").SetStr("stage", serr.Stage).SetStr("class", string(serr.Class))
+		asp.SetStr("partitioner", part.Name())
+		n, o, serr := attempt(ctx, e, c.w, part, asp, stage, measure)
+		if serr == nil {
+			if part.Name() != c.part.Name() {
+				fallback = part.Name()
+			}
+			asp.SetStr("outcome", "ok")
 			asp.Finish()
-			return row, serr
+			return n, o, fallback, nil
+		}
+		asp.SetStr("outcome", "failed").SetStr("stage", serr.Stage).SetStr("class", string(serr.Class))
+		asp.Finish()
+		if !e.degrade || isCtxErr(serr) {
+			return naive, opt, "", serr
 		}
 		e.noteFallback()
-		spanFail(sp, asp, serr)
+		hop := sp.Child("degrade")
+		hop.SetStr("from", serr.Partitioner).SetStr("stage", serr.Stage).SetStr("class", string(serr.Class))
+		hop.Finish()
 	}
-	return row, fmt.Errorf("exp: %s/%s: degradation chain exhausted", c.w.Name, c.part.Name())
+	return naive, opt, "", fmt.Errorf("exp: %s/%s: degradation chain exhausted", c.w.Name, c.part.Name())
 }
 
-// measureCyclesAttempt builds and simulates one (workload, partitioner)
-// pipeline, converting any failure — including a panic — into a structured
-// StageError. With chaos armed the no-progress watchdog is lowered so an
-// injected deadlock fails in bounded time.
-func (e *Engine) measureCyclesAttempt(ctx context.Context, cfg sim.Config, w *workloads.Workload,
-	part partition.Partitioner, sp *obs.Span) (naive, opt int64, serr *StageError) {
+// attempt builds one (workload, partitioner) pipeline and measures its
+// naive and its COCO program, converting any failure — including a panic —
+// into a structured StageError.
+func attempt[T any](ctx context.Context, e *Engine, w *workloads.Workload, part partition.Partitioner,
+	sp *obs.Span, stage string, measure measureFunc[T]) (naive, opt T, serr *StageError) {
 	defer func() {
 		if v := recover(); v != nil {
-			serr = recovered("simulate", w, part, v)
+			serr = recovered(stage, w, part, v)
 		}
 	}()
 	psp := sp.Child("pipeline")
@@ -471,25 +426,17 @@ func (e *Engine) measureCyclesAttempt(ctx context.Context, cfg sim.Config, w *wo
 	if err != nil {
 		return naive, opt, stageError("pipeline", w, part, err)
 	}
-	mtCfg := p.Machine(cfg)
-	if e.chaos != nil {
-		mtCfg.StallLimit = 100_000
+	var out [2]T
+	for i, prog := range [2]*mtcg.Program{p.Naive, p.Coco} {
+		label, _ := p.progLabel(prog)
+		msp := sp.Child(stage + "-" + label)
+		v, injected, err := measure(p, prog, msp)
+		e.noteInjected(injected)
+		msp.Finish()
+		if err != nil {
+			return naive, opt, stageError(stage, w, part, err)
+		}
+		out[i] = v
 	}
-	ssp := sp.Child("simulate-naive")
-	n, injected, err := p.measureCyclesInjected(mtCfg, p.Naive, e.chaos)
-	e.noteInjected(injected)
-	ssp.SetInt("cycles", n)
-	ssp.Finish()
-	if err != nil {
-		return naive, opt, stageError("simulate", w, part, err)
-	}
-	ssp = sp.Child("simulate-coco")
-	o, injected, err := p.measureCyclesInjected(mtCfg, p.Coco, e.chaos)
-	e.noteInjected(injected)
-	ssp.SetInt("cycles", o)
-	ssp.Finish()
-	if err != nil {
-		return naive, opt, stageError("simulate", w, part, err)
-	}
-	return n, o, nil
+	return out[0], out[1], nil
 }

@@ -1,10 +1,10 @@
 package exp
 
 import (
+	"context"
 	"strings"
 	"testing"
 
-	"repro/internal/coco"
 	"repro/internal/partition"
 	"repro/internal/sim"
 	"repro/internal/workloads"
@@ -32,7 +32,7 @@ func TestBuildPipelineAllCombinations(t *testing.T) {
 	ws := subset(t, "ks", "177.mesa", "mpeg2enc")
 	for _, w := range ws {
 		for _, part := range Partitioners() {
-			p, err := Build(w, part, coco.DefaultOptions())
+			p, err := NewEngine(EngineOptions{Jobs: 1}).Pipeline(context.Background(), w, part)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", w.Name, part.Name(), err)
 			}
@@ -60,7 +60,7 @@ func TestBuildPipelineAllCombinations(t *testing.T) {
 
 func TestCommExperimentRows(t *testing.T) {
 	ws := subset(t, "ks")
-	rows, err := CommExperiment(ws)
+	rows, err := NewEngine(EngineOptions{Jobs: 1}).CommExperiment(context.Background(), ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestCommExperimentRows(t *testing.T) {
 
 func TestSpeedupExperimentRows(t *testing.T) {
 	ws := subset(t, "435.gromacs")
-	rows, err := SpeedupExperiment(sim.DefaultConfig(), ws)
+	rows, err := NewEngine(EngineOptions{Jobs: 1}).SpeedupExperiment(context.Background(), sim.DefaultConfig(), ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestSpeedupExperimentRows(t *testing.T) {
 
 func TestRenderersProduceTables(t *testing.T) {
 	ws := subset(t, "ks")
-	rows, err := CommExperiment(ws)
+	rows, err := NewEngine(EngineOptions{Jobs: 1}).CommExperiment(context.Background(), ws)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
@@ -55,13 +54,6 @@ func (r CommRow) MemSyncRemovedPct() float64 {
 	return 100 * float64(n-r.Coco.MemSync()) / float64(n)
 }
 
-// CommExperiment produces the data behind Figures 1 and 7 for all
-// workloads under both partitioners. It is the serial convenience wrapper
-// around Engine.CommExperiment (one worker, fresh caches).
-func CommExperiment(ws []*workloads.Workload) ([]CommRow, error) {
-	return NewEngine(EngineOptions{Jobs: 1}).CommExperiment(context.Background(), ws)
-}
-
 // SpeedupRow is one group of Figure 8: cycle counts for a workload.
 type SpeedupRow struct {
 	Workload    string
@@ -85,13 +77,6 @@ func (r SpeedupRow) NaiveSpeedup() float64 {
 // CocoSpeedup returns the MTCG+COCO speedup over single-threaded.
 func (r SpeedupRow) CocoSpeedup() float64 {
 	return float64(r.STCycles) / float64(r.CocoCycles)
-}
-
-// SpeedupExperiment produces Figure 8's data on the given machine. It is
-// the serial convenience wrapper around Engine.SpeedupExperiment (one
-// worker, fresh caches).
-func SpeedupExperiment(cfg sim.Config, ws []*workloads.Workload) ([]SpeedupRow, error) {
-	return NewEngine(EngineOptions{Jobs: 1}).SpeedupExperiment(context.Background(), cfg, ws)
 }
 
 // fallbackNote annotates a figure row that the degradation chain rescued;

@@ -5,11 +5,11 @@
 // speedups over single-threaded execution (Fig. 8) — using the paper's
 // methodology: profile on the train input, measure on the reference input.
 //
-// Two entry points exist: the serial convenience functions
-// (CommExperiment, SpeedupExperiment, Build) and the concurrent,
-// cache-aware Engine, which fans the workload × partitioner matrix out
-// over a worker pool and memoizes per-workload analysis artifacts so the
-// train-input profile and the PDG are computed exactly once per workload.
+// Every job has one entry point, on Engine: it builds pipelines, measures
+// cells and fans the workload × partitioner matrix out over a worker pool,
+// memoizing per-workload analysis artifacts so the train-input profile and
+// the PDG are computed exactly once per workload. A serial, uncached run is
+// an engine with Jobs: 1 used once.
 package exp
 
 import (
@@ -39,11 +39,7 @@ type Artifact struct {
 	Graph   *pdg.Graph
 }
 
-// BuildArtifact profiles w on its train input and builds its PDG.
-func BuildArtifact(ctx context.Context, w *workloads.Workload, b budget.Budget) (*Artifact, error) {
-	return buildArtifact(ctx, w, b, nil)
-}
-
+// buildArtifact profiles w on its train input and builds its PDG.
 func buildArtifact(ctx context.Context, w *workloads.Workload, b budget.Budget, o *Obs) (*Artifact, error) {
 	b = b.OrElse(budget.Experiments())
 	train := w.Train()
@@ -103,24 +99,6 @@ func progInstrs(prog *mtcg.Program) int64 {
 		n += int64(f.NumInstrs())
 	}
 	return n
-}
-
-// Build runs the full compilation pipeline for a workload and partitioner:
-// train-input profiling, PDG construction, partitioning, naive MTCG, COCO,
-// and queue allocation on both programs.
-func Build(w *workloads.Workload, part partition.Partitioner, opts coco.Options) (*Pipeline, error) {
-	return BuildObserved(w, part, opts, nil)
-}
-
-// BuildObserved is Build with every phase recorded into o's sinks (a nil
-// o records nothing and is exactly Build).
-func BuildObserved(w *workloads.Workload, part partition.Partitioner, opts coco.Options, o *Obs) (*Pipeline, error) {
-	ctx := context.Background()
-	art, err := buildArtifact(ctx, w, budget.Experiments(), o)
-	if err != nil {
-		return nil, err
-	}
-	return buildFromArtifact(ctx, w, part, opts, art, budget.Experiments(), o)
 }
 
 // buildFromArtifact runs the partitioner-dependent tail of the pipeline —
@@ -183,15 +161,11 @@ func buildFromArtifact(ctx context.Context, w *workloads.Workload, part partitio
 // MeasureComm executes a generated program on the reference input with the
 // counting interpreter and returns its dynamic instruction statistics.
 func (p *Pipeline) MeasureComm(prog *mtcg.Program) (interp.CommStats, error) {
-	return p.measureComm(context.Background(), prog)
-}
-
-func (p *Pipeline) measureComm(ctx context.Context, prog *mtcg.Program) (interp.CommStats, error) {
-	st, _, err := p.measureCommInjected(ctx, prog, nil)
+	st, _, err := p.measureCommInjected(context.Background(), prog, nil)
 	return st, err
 }
 
-// measureCommInjected is measureComm with an optional armed fault spec: a
+// measureCommInjected is MeasureComm with an optional armed fault spec: a
 // fresh injector is built per run (same spec ⇒ same deterministic fault
 // schedule) and the number of faults actually injected is returned even
 // when the run fails — a chaos run that dies of an injected deadlock still
@@ -275,12 +249,6 @@ func (p *Pipeline) measureBudget() budget.Budget {
 // SingleThreadedCycles simulates the original function on one core.
 func SingleThreadedCycles(cfg sim.Config, w *workloads.Workload) (int64, error) {
 	return singleThreadedCycles(cfg, w, budget.Experiments(), nil)
-}
-
-// SingleThreadedCyclesObserved is SingleThreadedCycles with the baseline
-// simulation recorded into o's sinks.
-func SingleThreadedCyclesObserved(cfg sim.Config, w *workloads.Workload, o *Obs) (int64, error) {
-	return singleThreadedCycles(cfg, w, budget.Experiments(), o)
 }
 
 func singleThreadedCycles(cfg sim.Config, w *workloads.Workload, b budget.Budget, o *Obs) (int64, error) {

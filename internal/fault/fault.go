@@ -80,6 +80,38 @@ func RuntimeClasses() []Class {
 // detect it.
 func (c Class) Benign() bool { return c == StallThread || c == ShrinkQueue }
 
+// Verdict is how one chaos-armed run measured up to its class's detector
+// contract.
+type Verdict uint8
+
+const (
+	// VerdictOK: the contract held.
+	VerdictOK Verdict = iota
+	// VerdictMismatch: the run reported failures although no destructive
+	// fault fired — nothing excuses them.
+	VerdictMismatch
+	// VerdictUndetected: a destructive fault fired and every check passed.
+	VerdictUndetected
+)
+
+// Judge applies the detector contract to a run that injected the given
+// number of faults and was clean (no check failed) or not: a destructive
+// fault that fired must be detected; a benign one, or a schedule that never
+// fired, must leave the run clean. The empty class — a fault-free run —
+// injects nothing and so must be clean.
+func (c Class) Judge(injected int64, clean bool) Verdict {
+	switch {
+	case injected > 0 && !c.Benign():
+		if clean {
+			return VerdictUndetected
+		}
+		return VerdictOK
+	case clean:
+		return VerdictOK
+	}
+	return VerdictMismatch
+}
+
 // ParseClass resolves a CLI spelling to a class.
 func ParseClass(s string) (Class, error) {
 	for _, c := range Classes() {

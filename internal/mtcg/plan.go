@@ -17,8 +17,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/analysis"
-	"repro/internal/dataflow"
 	"repro/internal/ir"
 	"repro/internal/pdg"
 )
@@ -98,7 +96,7 @@ func Before(in *ir.Instr) Point {
 // and every transitive control dependence is implemented by replicating the
 // branch and communicating its operand immediately before it.
 func NaivePlan(f *ir.Function, g *pdg.Graph, assign map[*ir.Instr]int, numThreads int) *Plan {
-	cdg := analysis.MustControlDeps(f, nil)
+	cdg := g.CDG
 	p := &Plan{F: f, Assign: assign, NumThreads: numThreads}
 
 	// Seed relevant branches: branches assigned to t, and branches
@@ -185,11 +183,9 @@ func NaivePlan(f *ir.Function, g *pdg.Graph, assign map[*ir.Instr]int, numThread
 	// Iterate to a fixpoint: each consume point makes the branches
 	// controlling it relevant to the target thread, and newly relevant
 	// branches need their own operand communication.
-	rd := dataflow.ComputeReachingDefs(f)
-	chains := rd.Chains(dataflow.AllUses)
 	for changed := true; changed; {
 		changed = false
-		for _, uc := range chains {
+		for _, uc := range g.Chains {
 			if uc.Use.Op != ir.Br {
 				continue
 			}

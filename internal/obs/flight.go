@@ -91,16 +91,17 @@ func (f *FlightRecorder) ordered() []TraceRecord {
 	return out
 }
 
-// WriteDump renders every retained trace oldest to newest, with the
-// dump's reason and sequence number, in a stable format: two dumps of
+// WriteDump renders the newest n retained traces oldest to newest, with
+// the dump's reason and sequence number, in a stable format: two dumps of
 // the same recorder state are byte-identical.
-func (f *FlightRecorder) WriteDump(w io.Writer, reason string, dumpSeq int64) error {
+func (f *FlightRecorder) WriteDump(w io.Writer, reason string, dumpSeq int64, n int) error {
 	if f == nil {
 		_, err := io.WriteString(w, "{}\n")
 		return err
 	}
 	f.mu.Lock()
-	recs := append([]TraceRecord(nil), f.ordered()...)
+	recs := f.ordered()
+	recs = append([]TraceRecord(nil), recs[max(0, len(recs)-n):]...)
 	total := f.seq
 	f.mu.Unlock()
 	if _, err := fmt.Fprintf(w, "{\n\"schema\": 1,\n\"reason\": %s,\n\"dump\": %d,\n\"recorded\": %d,\n\"retained\": %d,\n\"traces\": [",

@@ -325,7 +325,7 @@ func TestFlightRecorderRing(t *testing.T) {
 	}
 
 	var b bytes.Buffer
-	if err := f.WriteDump(&b, "test", 1); err != nil {
+	if err := f.WriteDump(&b, "test", 1, 3); err != nil {
 		t.Fatal(err)
 	}
 	if !json.Valid(b.Bytes()) {
@@ -356,9 +356,27 @@ func TestFlightRecorderRing(t *testing.T) {
 	}
 
 	var b2 bytes.Buffer
-	f.WriteDump(&b2, "test", 1)
+	f.WriteDump(&b2, "test", 1, 3)
 	if !bytes.Equal(b.Bytes(), b2.Bytes()) {
 		t.Error("two dumps of the same state differ")
+	}
+
+	// A dump of fewer traces than the ring retains holds the newest ones,
+	// oldest first; the older ones still resolve by ID.
+	b.Reset()
+	if err := f.WriteDump(&b, "test", 2, 2); err != nil {
+		t.Fatal(err)
+	}
+	doc.Traces = nil
+	if err := json.Unmarshal(b.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Recorded != 5 || doc.Retained != 2 || len(doc.Traces) != 2 ||
+		doc.Traces[0].TraceID != "id4" || doc.Traces[1].TraceID != "id5" {
+		t.Errorf("dump of the newest 2 = %+v", doc)
+	}
+	if _, ok := f.Get("id3"); !ok {
+		t.Error("a trace older than the dump window no longer resolves")
 	}
 
 	var nilF *FlightRecorder

@@ -63,6 +63,12 @@ func (a *Arc) String() string {
 type Graph struct {
 	Fn   *ir.Function
 	Arcs []*Arc
+	// Chains are the reaching-definition chains the register arcs were
+	// built from and CDG the control dependences behind the control arcs.
+	// The planners downstream (mtcg.NaivePlan, coco.Plan) read them here
+	// instead of analysing Fn again.
+	Chains []dataflow.UseChain
+	CDG    *analysis.CDG
 
 	out map[int][]*Arc // instr ID -> outgoing arcs
 	in  map[int][]*Arc // instr ID -> incoming arcs
@@ -88,8 +94,8 @@ func Build(f *ir.Function, objects []ir.MemObject) *Graph {
 	// Register dependences from reaching-definition chains. Parameter
 	// pseudo-definitions (nil) need no arcs: every thread starts with a
 	// copy of the live-ins.
-	rd := dataflow.ComputeReachingDefs(f)
-	for _, uc := range rd.Chains(dataflow.AllUses) {
+	g.Chains = dataflow.ComputeReachingDefs(f).Chains(dataflow.AllUses)
+	for _, uc := range g.Chains {
 		for _, def := range uc.Defs {
 			if def == nil {
 				continue
@@ -141,9 +147,9 @@ func Build(f *ir.Function, objects []ir.MemObject) *Graph {
 
 	// Control dependences: the branch terminating block u controls every
 	// instruction of each block control dependent on u.
-	cdg := analysis.MustControlDeps(f, nil)
+	g.CDG = analysis.MustControlDeps(f, nil)
 	for _, blk := range f.Blocks {
-		for _, d := range cdg.Deps(blk) {
+		for _, d := range g.CDG.Deps(blk) {
 			br := d.Branch.Terminator()
 			for _, in := range blk.Instrs {
 				if in == br || in.Op == ir.Jump {

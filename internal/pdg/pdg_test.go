@@ -220,3 +220,59 @@ func TestJumpsExcludedFromControlDeps(t *testing.T) {
 		}
 	})
 }
+
+// TestCarriedAnalysesMatchArcs: the chains and the CDG a Graph carries for
+// the planners are the ones its arcs came from — Chains yields exactly the
+// register arcs (first occurrence of each, live-in definitions skipped) and
+// CDG.Deps exactly the control arcs, in arc order.
+func TestCarriedAnalysesMatchArcs(t *testing.T) {
+	for name, p := range map[string]*testprog.Prog{
+		"fig3": testprog.Fig3(), "fig4": testprog.Fig4(), "fig5": testprog.Fig5(),
+	} {
+		g := Build(p.F, p.Objects)
+		var want []Arc
+		seen := map[Arc]bool{}
+		add := func(a Arc) {
+			if !seen[a] {
+				seen[a] = true
+				want = append(want, a)
+			}
+		}
+		for _, uc := range g.Chains {
+			for _, def := range uc.Defs {
+				if def != nil {
+					add(Arc{From: def, To: uc.Use, Kind: KindReg, Reg: uc.Reg})
+				}
+			}
+		}
+		nReg := len(want)
+		for _, blk := range p.F.Blocks {
+			for _, d := range g.CDG.Deps(blk) {
+				br := d.Branch.Terminator()
+				for _, in := range blk.Instrs {
+					if in != br && in.Op != ir.Jump {
+						add(Arc{From: br, To: in, Kind: KindControl})
+					}
+				}
+			}
+		}
+		if nReg == 0 || len(want) == nReg {
+			t.Fatalf("%s: fixture has %d register and %d control arcs; want both", name, nReg, len(want)-nReg)
+		}
+		var got []Arc
+		for _, a := range g.Arcs {
+			if a.Kind != KindMem {
+				got = append(got, *a)
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d register+control arcs, the carried analyses yield %d", name, len(got), len(want))
+		}
+		// Build adds register arcs, then memory, then control.
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s: arc %d is %v, the carried analyses yield %v", name, i, &got[i], &want[i])
+			}
+		}
+	}
+}

@@ -118,14 +118,12 @@ type Options struct {
 	// wall clock here to trade that determinism for real durations.
 	Clock func() int64
 	// TraceRetain bounds how many completed request traces stay
-	// queryable via GET /v1/trace/{id}; <= 0 means 256.
+	// queryable via GET /v1/trace/{id}; <= 0 means 256. The newest 32 of
+	// them are what a flight dump snapshots to disk on 5xx, breaker trip,
+	// or drain.
 	TraceRetain int
-	// FlightSize bounds the flight recorder's ring of recent traces
-	// snapshotted to disk on 5xx, breaker trip, or drain; <= 0 means 32.
-	FlightSize int
-	// FlightDir is where flight-recorder dumps are written (atomically,
-	// through the server's vfs); "" disables dumping (the in-memory
-	// recorder still runs).
+	// FlightDir is where flight dumps are written (atomically, through
+	// the server's vfs); "" disables dumping.
 	FlightDir string
 	// AccessLog, when non-nil, receives one structured JSON line per
 	// served request: trace ID, outcome, cache path, degradation count,
@@ -153,14 +151,13 @@ type Server struct {
 	inflight atomic.Int64
 
 	// Telemetry: per-request span trees timed by clock (logical by
-	// default), retained in traces for GET /v1/trace/{id} and in flight
-	// for postmortem dumps under flightDir.
+	// default), retained in traces for GET /v1/trace/{id} and for
+	// postmortem dumps under flightDir.
 	clock     func() int64
 	tick      atomic.Int64
 	reqSeq    atomic.Int64
 	dumpSeq   atomic.Int64
 	traces    *obs.FlightRecorder
-	flight    *obs.FlightRecorder
 	flightDir string
 	durable   bool
 	fs        vfs.FS
@@ -201,7 +198,6 @@ func New(o Options) (*Server, error) {
 		scope:       reg.Scope("serve"),
 		clock:       o.Clock,
 		traces:      obs.NewFlightRecorder(o.TraceRetain),
-		flight:      obs.NewFlightRecorder(o.FlightSize),
 		flightDir:   o.FlightDir,
 		durable:     o.Durable,
 		fs:          fsys,

@@ -53,21 +53,24 @@ func spanCacheEvents(sp *obs.Span, ev *cache.OpEvents) {
 }
 
 // finishTrace renders a completed request's span tree once and fans the
-// bytes out: trace retention, flight recorder, access log, and — on a
-// 5xx — an immediate flight dump so the failure's own trace is in it.
+// bytes out: trace retention, access log, and — on a 5xx — an immediate
+// flight dump so the failure's own trace is in it.
 func (s *Server) finishTrace(tree *obs.SpanTree, root *obs.Span, req *Request, res Result) {
 	var buf bytes.Buffer
 	tree.WriteJSON(&buf)
 	rec := obs.TraceRecord{TraceID: tree.TraceID(), Status: res.Status, JSON: buf.Bytes()}
 	s.traces.Record(rec)
-	s.flight.Record(rec)
 	s.logAccess(tree, root, req, res)
 	if res.Status >= 500 {
 		s.dumpFlight("5xx")
 	}
 }
 
-// dumpFlight snapshots the flight recorder to
+// flightDumpTraces is how many of the newest retained traces a flight
+// dump holds.
+const flightDumpTraces = 32
+
+// dumpFlight snapshots the newest retained traces to
 // flightDir/flight-<seq>-<reason>.json, atomically through the server's
 // vfs (durable when the server is). A "" flightDir disables dumping; a
 // failed dump is counted, never propagated — telemetry must not take a
@@ -78,7 +81,7 @@ func (s *Server) dumpFlight(reason string) {
 	}
 	seq := s.dumpSeq.Add(1)
 	var buf bytes.Buffer
-	if err := s.flight.WriteDump(&buf, reason, seq); err != nil {
+	if err := s.traces.WriteDump(&buf, reason, seq, flightDumpTraces); err != nil {
 		s.scope.Counter("flight.dump_errors").Inc()
 		return
 	}

@@ -550,6 +550,47 @@ func TestFlightDumpOnDrainAndBreaker(t *testing.T) {
 		t.Errorf("flight_dumps = %d, want 1", st.FlightDumps)
 	}
 
+	// One ring serves lookups and dumps: after 40 requests a dump holds
+	// exactly the newest 32, oldest first, while the first still resolves
+	// by ID.
+	flightDir40 := t.TempDir()
+	s40 := newServer(t, Options{Degrade: true, FlightDir: flightDir40})
+	var ids []string
+	for i := 0; i < 40; i++ {
+		res := s40.Do(context.Background(), &Request{Workload: "adpcmdec"})
+		mustOK(t, res)
+		ids = append(ids, res.TraceID)
+	}
+	s40.BeginDrain()
+	dump, err = os.ReadFile(filepath.Join(flightDir40, "flight-001-drain.json"))
+	if err != nil {
+		t.Fatalf("drain did not dump: %v", err)
+	}
+	var doc struct {
+		Recorded, Retained int
+		Traces             []struct {
+			TraceID string `json:"trace_id"`
+		}
+	}
+	if err := json.Unmarshal(dump, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Recorded != 40 || doc.Retained != 32 || len(doc.Traces) != 32 {
+		t.Fatalf("dump after 40 requests: recorded %d, retained %d, %d traces; want 40, 32, 32",
+			doc.Recorded, doc.Retained, len(doc.Traces))
+	}
+	for i, tr := range doc.Traces {
+		if tr.TraceID != ids[8+i] {
+			t.Errorf("dump trace %d is %s, want request %d's %s", i, tr.TraceID, 9+i, ids[8+i])
+		}
+	}
+	if _, ok := s40.traces.Get(ids[0]); !ok {
+		t.Error("trace 1 no longer resolves by ID")
+	}
+	if st := s40.StatsSnapshot(); st.TracesRetained != 40 {
+		t.Errorf("traces_retained = %d, want 40", st.TracesRetained)
+	}
+
 	// Breaker trip dumps too (scripted via the health hook's path: a
 	// tripping cache calls OnDiskState(true)). Exactly one scripted write
 	// fault: the cache.put fails and trips the breaker, and the dump write

@@ -382,30 +382,17 @@ func runCell(c Cell, opts Options) CellResult {
 		res.Detail = rep.Failures[0].String()
 	}
 
-	switch {
-	case c.Config.Fault != "" && !c.Config.Fault.Benign():
-		// Destructive-fault cell: the detector contract. A fault that
-		// never fired is vacuous — the run must simply pass.
-		if rep.Injected == 0 {
-			if rep.Ok() {
-				res.Status = StatusOK
-			} else {
-				res.Status = StatusMismatch
-			}
-		} else if rep.Ok() {
-			res.Status = StatusUndetected
-			res.Detail = fmt.Sprintf("%s fired %d time(s), no detector reported it",
-				c.Config.Fault, rep.Injected)
-		} else {
-			res.Status = StatusOK
-		}
-	default:
-		// Fault-free and benign-fault cells must be clean.
-		if rep.Ok() {
-			res.Status = StatusOK
-		} else {
-			res.Status = StatusMismatch
-		}
+	// The detector contract: fault-free and benign-fault cells must be
+	// clean, a destructive fault that fired must be reported.
+	switch c.Config.Fault.Judge(rep.Injected, rep.Ok()) {
+	case fault.VerdictOK:
+		res.Status = StatusOK
+	case fault.VerdictMismatch:
+		res.Status = StatusMismatch
+	case fault.VerdictUndetected:
+		res.Status = StatusUndetected
+		res.Detail = fmt.Sprintf("%s fired %d time(s), no detector reported it",
+			c.Config.Fault, rep.Injected)
 	}
 	return res
 }
