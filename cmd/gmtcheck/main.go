@@ -73,6 +73,16 @@ func run() error {
 		return replayRepro(*replay, opts, *shrink)
 	}
 	if *workload != "" {
+		// The workload check runs exp's fixed oracle matrix; a flag that
+		// shapes the random-program sweep must not be silently dropped.
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{{"-chaos", *chaos != ""}, {"-schedule", *schedule != ""}, {"-nosim", *nosim}} {
+			if f.set {
+				return cli.Usagef("%s does not apply to -workload", f.name)
+			}
+		}
 		return checkWorkloads(*workload, *seed)
 	}
 

@@ -23,7 +23,6 @@ import (
 	"repro/internal/cli"
 	"repro/internal/exp"
 	"repro/internal/interp"
-	"repro/internal/queue"
 	"repro/internal/sim"
 )
 
@@ -62,12 +61,11 @@ func run() (err error) {
 	if *noCoco {
 		prog = pipe.Naive
 	}
-	alloc := queue.Allocate(prog)
 
 	fmt.Printf("workload:    %s (%s, %s, %d%% of execution)\n", w.Name, w.Function, w.Suite, w.ExecPct)
 	fmt.Printf("partitioner: %s, COCO=%v\n", p.Name(), !*noCoco)
 	fmt.Printf("queues:      %d (from %d per-dependence queues), %d entries deep\n",
-		alloc.After, alloc.Before, pipe.QueueCap)
+		prog.NumQueues, len(prog.Comms), pipe.QueueCap)
 
 	// Correctness: the multi-threaded reference run must match the
 	// single-threaded one.

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/oracle"
-	"repro/internal/par"
 	"repro/internal/workloads"
 )
 
@@ -85,27 +84,17 @@ func (e *Engine) CoverageMatrix(ctx context.Context, ws []*workloads.Workload, s
 			keys = append(keys, key{c, cls})
 		}
 	}
-	out := make([]ChaosCell, len(keys))
-	err := par.Run(ctx, e.jobs, len(keys), func(i int) error {
-		cc, err := e.chaosCell(ctx, keys[i].c, keys[i].cls, seed)
-		if err != nil {
-			return err
-		}
-		out[i] = *cc
-		return nil
+	return fanOut(ctx, e, "coverage matrix", keys, func(k key) (ChaosCell, error) {
+		return e.chaosCell(ctx, k.c, k.cls, seed)
 	})
-	if err != nil {
-		return nil, fmt.Errorf("exp: coverage matrix: %w", err)
-	}
-	return out, nil
 }
 
 // chaosCell runs one coverage cell through the oracle.
-func (e *Engine) chaosCell(ctx context.Context, c cell, cls fault.Class, seed int64) (*ChaosCell, error) {
-	out := &ChaosCell{Workload: c.w.Name, Partitioner: c.part.Name(), Class: cls}
+func (e *Engine) chaosCell(ctx context.Context, c cell, cls fault.Class, seed int64) (ChaosCell, error) {
+	out := ChaosCell{Workload: c.w.Name, Partitioner: c.part.Name(), Class: cls}
 	p, err := e.Pipeline(ctx, c.w, c.part)
 	if err != nil {
-		return nil, err
+		return out, err
 	}
 	train := c.w.Train()
 	golden, err := oracle.RunGolden(&oracle.Case{
@@ -113,7 +102,7 @@ func (e *Engine) chaosCell(ctx context.Context, c cell, cls fault.Class, seed in
 		Args: train.Args, Mem: train.Mem,
 	}, e.budget.MeasureSteps)
 	if err != nil {
-		return nil, fmt.Errorf("exp: chaos golden run of %s: %w", c.w.Name, err)
+		return out, fmt.Errorf("exp: chaos golden run of %s: %w", c.w.Name, err)
 	}
 	opts := oracle.Options{
 		// Two schedules keep the cell cheap while still exercising both a
@@ -129,7 +118,7 @@ func (e *Engine) chaosCell(ctx context.Context, c cell, cls fault.Class, seed in
 	if cls == fault.MisplacePlan {
 		mut, desc, ok, err := fault.Misplan(p.Naive, seed)
 		if err != nil {
-			return nil, fmt.Errorf("exp: chaos misplan on %s/%s: %w", c.w.Name, c.part.Name(), err)
+			return out, fmt.Errorf("exp: chaos misplan on %s/%s: %w", c.w.Name, c.part.Name(), err)
 		}
 		if !ok {
 			out.Outcome = ChaosNotInjected

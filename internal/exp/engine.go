@@ -256,6 +256,21 @@ type cell struct {
 	w    *workloads.Workload
 }
 
+// fanOut computes one row per item on the engine's worker pool. Each row is
+// written to its item's slot, so the result is in item order at any Jobs
+// setting; what names the experiment in the error of a failed fan-out.
+func fanOut[K, R any](ctx context.Context, e *Engine, what string, items []K, fn func(K) (R, error)) ([]R, error) {
+	rows := make([]R, len(items))
+	err := par.Run(ctx, e.jobs, len(items), func(i int) (err error) {
+		rows[i], err = fn(items[i])
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("exp: %s: %w", what, err)
+	}
+	return rows, nil
+}
+
 func matrix(ws []*workloads.Workload) []cell {
 	var cs []cell
 	for _, part := range Partitioners() {
@@ -273,20 +288,9 @@ func matrix(ws []*workloads.Workload) []cell {
 // then single-threaded) instead of aborting the matrix; the row's Fallback
 // field records what happened.
 func (e *Engine) CommExperiment(ctx context.Context, ws []*workloads.Workload) ([]CommRow, error) {
-	cells := matrix(ws)
-	rows := make([]CommRow, len(cells))
-	err := par.Run(ctx, e.jobs, len(cells), func(i int) error {
-		row, err := e.commCell(ctx, cells[i], nil)
-		if err != nil {
-			return err
-		}
-		rows[i] = row
-		return nil
+	return fanOut(ctx, e, "communication experiment", matrix(ws), func(c cell) (CommRow, error) {
+		return e.commCell(ctx, c, nil)
 	})
-	if err != nil {
-		return nil, fmt.Errorf("exp: communication experiment: %w", err)
-	}
-	return rows, nil
 }
 
 // commCell measures one matrix cell's dynamic instruction mix; its last
@@ -310,20 +314,9 @@ func (e *Engine) commCell(ctx context.Context, c cell, sp *obs.Span) (CommRow, e
 // enabled, a failing cell falls back (alternate partitioner, then the
 // single-threaded baseline itself — speedup 1.0x) instead of aborting.
 func (e *Engine) SpeedupExperiment(ctx context.Context, cfg sim.Config, ws []*workloads.Workload) ([]SpeedupRow, error) {
-	cells := matrix(ws)
-	rows := make([]SpeedupRow, len(cells))
-	err := par.Run(ctx, e.jobs, len(cells), func(i int) error {
-		row, err := e.speedupCell(ctx, cfg, cells[i], nil)
-		if err != nil {
-			return err
-		}
-		rows[i] = row
-		return nil
+	return fanOut(ctx, e, "speedup experiment", matrix(ws), func(c cell) (SpeedupRow, error) {
+		return e.speedupCell(ctx, cfg, c, nil)
 	})
-	if err != nil {
-		return nil, fmt.Errorf("exp: speedup experiment: %w", err)
-	}
-	return rows, nil
 }
 
 // speedupCell simulates one matrix cell; its last resort is the

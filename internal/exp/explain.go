@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/partition"
 	"repro/internal/profile"
 	"repro/internal/sim"
@@ -71,25 +70,23 @@ func (e *Engine) AnnotateSpeedups(ctx context.Context, cfg sim.Config, ws []*wor
 	for _, p := range Partitioners() {
 		parts[p.Name()] = p
 	}
-	err := par.Run(ctx, e.jobs, len(rows), func(i int) error {
-		r := &rows[i]
+	notes, err := fanOut(ctx, e, "explaining speedups", rows, func(r SpeedupRow) (string, error) {
 		w, p := byName[r.Workload], parts[r.Partitioner]
 		if w == nil || p == nil || r.Fallback != "" {
-			return nil
+			return r.Note, nil
 		}
 		naive, err := e.Profile(ctx, cfg, w, p, false, nil, 0)
 		if err != nil {
-			return err
+			return "", err
 		}
 		coco, err := e.Profile(ctx, cfg, w, p, true, nil, 0)
 		if err != nil {
-			return err
+			return "", err
 		}
-		r.Note = profile.Explain(naive, coco).Summary()
-		return nil
+		return profile.Explain(naive, coco).Summary(), nil
 	})
-	if err != nil {
-		return fmt.Errorf("exp: explaining speedups: %w", err)
+	for i, n := range notes {
+		rows[i].Note = n
 	}
-	return nil
+	return err
 }

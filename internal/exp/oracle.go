@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/budget"
 	"repro/internal/oracle"
-	"repro/internal/par"
 	"repro/internal/workloads"
 )
 
@@ -31,29 +30,21 @@ type OracleRow struct {
 // correctness gate the perf experiments stand on; a clean pass means no
 // interleaving, queue depth, or executor disagrees on any workload.
 func (e *Engine) OracleExperiment(ctx context.Context, ws []*workloads.Workload, schedSeed int64) ([]OracleRow, error) {
-	cells := matrix(ws)
-	rows := make([]OracleRow, len(cells))
-	err := par.Run(ctx, e.jobs, len(cells), func(i int) error {
-		c := cells[i]
+	return fanOut(ctx, e, "oracle experiment", matrix(ws), func(c cell) (OracleRow, error) {
 		p, err := e.Pipeline(ctx, c.w, c.part)
 		if err != nil {
-			return err
+			return OracleRow{}, err
 		}
 		row, err := oraclePass(c.w, p, schedSeed, e.budget)
 		if err != nil {
-			return fmt.Errorf("exp: oracle on %s/%s: %w", c.w.Name, c.part.Name(), err)
+			return row, fmt.Errorf("exp: oracle on %s/%s: %w", c.w.Name, c.part.Name(), err)
 		}
-		rows[i] = *row
-		return nil
+		return row, nil
 	})
-	if err != nil {
-		return nil, fmt.Errorf("exp: oracle experiment: %w", err)
-	}
-	return rows, nil
 }
 
 // oraclePass checks one pipeline's two programs on the train input.
-func oraclePass(w *workloads.Workload, p *Pipeline, schedSeed int64, b budget.Budget) (*OracleRow, error) {
+func oraclePass(w *workloads.Workload, p *Pipeline, schedSeed int64, b budget.Budget) (OracleRow, error) {
 	b = b.OrElse(budget.Experiments())
 	train := w.Train()
 	golden, err := oracle.RunGolden(&oracle.Case{
@@ -61,7 +52,7 @@ func oraclePass(w *workloads.Workload, p *Pipeline, schedSeed int64, b budget.Bu
 		Args: train.Args, Mem: train.Mem,
 	}, b.MeasureSteps)
 	if err != nil {
-		return nil, fmt.Errorf("golden run: %w", err)
+		return OracleRow{}, fmt.Errorf("golden run: %w", err)
 	}
 	caps := []int{p.QueueCap}
 	if p.QueueCap != 1 {
@@ -76,7 +67,7 @@ func oraclePass(w *workloads.Workload, p *Pipeline, schedSeed int64, b budget.Bu
 	rep := &oracle.Report{}
 	oracle.CheckProgram(rep, w.Name, golden, p.Part.Name()+"/naive", p.Naive, train.Args, train.Mem, opts)
 	oracle.CheckProgram(rep, w.Name, golden, p.Part.Name()+"/coco", p.Coco, train.Args, train.Mem, opts)
-	return &OracleRow{
+	return OracleRow{
 		Workload: w.Name, Partitioner: p.Part.Name(),
 		Programs: rep.Programs, Runs: rep.Runs, Failures: rep.Failures,
 	}, nil

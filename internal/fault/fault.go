@@ -11,6 +11,12 @@
 // same seed produces the same fault schedule, byte for byte, on every run.
 // No wall-clock time and no global randomness are ever consulted.
 //
+// What this package shares with the filesystem injector (vfs.Faulty) is the
+// seeded machinery — Splitmix, ClassSalt and the Cadence both embed. The
+// class tables and report formats stay apart on purpose: queue faults are
+// judged by the oracle per run (Class.Judge, Event schedules), filesystem
+// faults by the cache's recovery scan, and neither vocabulary fits the other.
+//
 // The runtime classes are intercepted at the synchronization-array hooks of
 // the multi-threaded interpreter (interp.MTConfig.Inject) and the
 // cycle-level simulator (sim.RunInjected); MisplacePlan is a compile-time
@@ -145,9 +151,9 @@ func (s Spec) New() *Injector {
 	// First opportunity to fire, and the refire period. Both are small
 	// enough that any realistic run presents an opportunity, and the
 	// period is large enough that runs are perturbed, not buried.
-	i.offset = int64(h%29) + 1
+	i.Offset = int64(h%29) + 1
 	h = Splitmix(h)
-	i.period = int64(h%389) + 97
+	i.Period = int64(h%389) + 97
 	h = Splitmix(h)
 	// Nonzero corruption mask; flips low and high bits so both integer
 	// and reinterpreted float values change materially.
@@ -178,6 +184,18 @@ func Splitmix(x uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
+}
+
+// Cadence is the periodic firing pattern of a seeded injector: opportunity
+// Offset fires, and every Period-th after it. Injector and vfs.Faulty embed
+// it and draw the two numbers from their own seed.
+type Cadence struct {
+	Offset, Period int64
+}
+
+// Fires reports whether opportunity n (1-based) is on the schedule.
+func (c Cadence) Fires(n int64) bool {
+	return n >= c.Offset && (n-c.Offset)%c.Period == 0
 }
 
 // Event is one injected fault, recorded for the schedule report.
@@ -215,9 +233,8 @@ const maxRecorded = 64
 // Scheduler. The runtimes call the hook methods below at each injection
 // opportunity; the injector decides deterministically whether to fire.
 type Injector struct {
-	spec     Spec
-	offset   int64
-	period   int64
+	spec Spec
+	Cadence
 	mask     int64
 	stallLen int64
 	pickSalt uint64
@@ -268,11 +285,6 @@ func (i *Injector) record(e Event) {
 	}
 }
 
-// fires reports whether opportunity n (1-based) is on the schedule.
-func (i *Injector) fires(n int64) bool {
-	return n >= i.offset && (n-i.offset)%i.period == 0
-}
-
 // QueueCap returns the effective queue capacity: halved (never below one)
 // under ShrinkQueue, untouched otherwise. The first effective shrink is
 // recorded once.
@@ -303,13 +315,13 @@ func (i *Injector) Produce(t, q int, v int64, numQueues int, data bool) (int, in
 	switch i.spec.Class {
 	case DropProduce:
 		i.produces++
-		if i.fires(i.produces) {
+		if i.Fires(i.produces) {
 			i.record(Event{N: i.produces, Where: t, Queue: q, Detail: "produce dropped"})
 			return q, v, 0
 		}
 	case DupProduce:
 		i.produces++
-		if i.fires(i.produces) {
+		if i.Fires(i.produces) {
 			i.record(Event{N: i.produces, Where: t, Queue: q, Detail: "produce duplicated"})
 			return q, v, 2
 		}
@@ -318,7 +330,7 @@ func (i *Injector) Produce(t, q int, v int64, numQueues int, data bool) (int, in
 			break // corrupting an ignored sync token is undetectable
 		}
 		i.produces++
-		if i.fires(i.produces) {
+		if i.Fires(i.produces) {
 			i.record(Event{N: i.produces, Where: t, Queue: q,
 				Detail: fmt.Sprintf("value %d corrupted to %d", v, v^i.mask)})
 			return q, v ^ i.mask, 1
@@ -328,7 +340,7 @@ func (i *Injector) Produce(t, q int, v int64, numQueues int, data bool) (int, in
 			break // nowhere to misdirect to
 		}
 		i.produces++
-		if i.fires(i.produces) {
+		if i.Fires(i.produces) {
 			to := (q + 1 + int(Splitmix(uint64(i.produces))%uint64(numQueues-1))) % numQueues
 			i.record(Event{N: i.produces, Where: t, Queue: q,
 				Detail: fmt.Sprintf("produce misdirected to q%d", to)})
@@ -356,11 +368,11 @@ func (i *Injector) Stall(t, n int) bool {
 		return false
 	}
 	i.picks++
-	if i.picks < i.offset {
+	if i.picks < i.Offset {
 		return false // freeze begins at the offset-th pick of the target
 	}
 	i.stallLeft--
-	if i.picks == i.offset {
+	if i.picks == i.Offset {
 		i.record(Event{N: i.picks, Where: t, Queue: -1,
 			Detail: fmt.Sprintf("frozen for %d turns", i.stallLen)})
 	} else {

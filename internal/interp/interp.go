@@ -11,7 +11,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/ir"
 )
@@ -92,122 +91,42 @@ func RunCtx(ctx context.Context, f *ir.Function, args []int64, mem Memory, maxSt
 				res.LiveOuts = append(res.LiveOuts, regs[r])
 			}
 			return res, nil
-		default:
+		case ir.Load, ir.Store:
 			if err := exec(in, regs, mem); err != nil {
 				return nil, fmt.Errorf("interp: %s: %v: %w", f.Name, in, err)
+			}
+			idx++
+		default:
+			if !in.Eval(regs) {
+				return nil, fmt.Errorf("interp: %s: %v: %w", f.Name, in, errOpcode(in.Op))
 			}
 			idx++
 		}
 	}
 }
 
-// exec evaluates one non-control, non-communication instruction.
+// exec executes a memory instruction (Load or Store), bounds-checked.
+// Everything else that is neither control flow nor communication goes
+// through ir.Instr.Eval, called directly from the two interpreter loops.
 func exec(in *ir.Instr, regs []int64, mem Memory) error {
-	get := func(i int) int64 { return regs[in.Srcs[i]] }
-	fget := func(i int) float64 { return ir.Float64FromBits(uint64(get(i))) }
-	setf := func(v float64) { regs[in.Dst] = int64(ir.Float64Bits(v)) }
-	b2i := func(b bool) int64 {
-		if b {
-			return 1
-		}
-		return 0
-	}
 	switch in.Op {
-	case ir.Nop:
-	case ir.Const:
-		regs[in.Dst] = in.Imm
-	case ir.Mov:
-		regs[in.Dst] = get(0)
-	case ir.Add:
-		regs[in.Dst] = get(0) + get(1)
-	case ir.Sub:
-		regs[in.Dst] = get(0) - get(1)
-	case ir.Mul:
-		regs[in.Dst] = get(0) * get(1)
-	case ir.Div:
-		if get(1) == 0 {
-			regs[in.Dst] = 0
-		} else {
-			regs[in.Dst] = get(0) / get(1)
-		}
-	case ir.Rem:
-		if get(1) == 0 {
-			regs[in.Dst] = 0
-		} else {
-			regs[in.Dst] = get(0) % get(1)
-		}
-	case ir.And:
-		regs[in.Dst] = get(0) & get(1)
-	case ir.Or:
-		regs[in.Dst] = get(0) | get(1)
-	case ir.Xor:
-		regs[in.Dst] = get(0) ^ get(1)
-	case ir.Shl:
-		regs[in.Dst] = get(0) << (uint64(get(1)) & 63)
-	case ir.Shr:
-		regs[in.Dst] = get(0) >> (uint64(get(1)) & 63)
-	case ir.Neg:
-		regs[in.Dst] = -get(0)
-	case ir.Not:
-		regs[in.Dst] = ^get(0)
-	case ir.Abs:
-		v := get(0)
-		if v < 0 {
-			v = -v
-		}
-		regs[in.Dst] = v
-	case ir.CmpEQ:
-		regs[in.Dst] = b2i(get(0) == get(1))
-	case ir.CmpNE:
-		regs[in.Dst] = b2i(get(0) != get(1))
-	case ir.CmpLT:
-		regs[in.Dst] = b2i(get(0) < get(1))
-	case ir.CmpLE:
-		regs[in.Dst] = b2i(get(0) <= get(1))
-	case ir.CmpGT:
-		regs[in.Dst] = b2i(get(0) > get(1))
-	case ir.CmpGE:
-		regs[in.Dst] = b2i(get(0) >= get(1))
-	case ir.FAdd:
-		setf(fget(0) + fget(1))
-	case ir.FSub:
-		setf(fget(0) - fget(1))
-	case ir.FMul:
-		setf(fget(0) * fget(1))
-	case ir.FDiv:
-		setf(fget(0) / fget(1))
-	case ir.FNeg:
-		setf(-fget(0))
-	case ir.FAbs:
-		v := fget(0)
-		if v < 0 {
-			v = -v
-		}
-		setf(v)
-	case ir.FSqrt:
-		setf(math.Sqrt(fget(0)))
-	case ir.FCmpLT:
-		regs[in.Dst] = b2i(fget(0) < fget(1))
-	case ir.FCmpGT:
-		regs[in.Dst] = b2i(fget(0) > fget(1))
-	case ir.ItoF:
-		setf(float64(get(0)))
-	case ir.FtoI:
-		regs[in.Dst] = int64(fget(0))
 	case ir.Load:
-		a := get(0) + in.Imm
+		a := regs[in.Srcs[0]] + in.Imm
 		if a < 0 || a >= int64(len(mem)) {
 			return fmt.Errorf("load address %d out of range [0,%d)", a, len(mem))
 		}
 		regs[in.Dst] = mem[a]
 	case ir.Store:
-		a := get(1) + in.Imm
+		a := regs[in.Srcs[1]] + in.Imm
 		if a < 0 || a >= int64(len(mem)) {
 			return fmt.Errorf("store address %d out of range [0,%d)", a, len(mem))
 		}
-		mem[a] = get(0)
-	default:
-		return fmt.Errorf("unexpected opcode %v", in.Op)
+		mem[a] = regs[in.Srcs[0]]
 	}
 	return nil
 }
+
+// errOpcode reports an opcode Eval declined and no interpreter loop handles:
+// a communication instruction in a single-threaded run, or a value outside
+// the table.
+func errOpcode(op ir.Op) error { return fmt.Errorf("unexpected opcode %v", op) }

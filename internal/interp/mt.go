@@ -118,12 +118,11 @@ type MTConfig struct {
 	// Ctx, when non-nil, is polled every checkEvery steps; a done context
 	// aborts the run with its error. Nil means run to completion.
 	Ctx context.Context
-	// Metrics, when non-nil, receives live per-role instruction counters,
-	// per-queue traffic counters and depth high-water gauges, and
-	// scheduler-policy counts, recorded at the instrumentation points as
-	// the run executes. This is a second accounting path, independent of
-	// the MTResult bookkeeping; the oracle reconciliation tests assert the
-	// two agree exactly.
+	// Metrics, when non-nil, receives the finished run's totals — per-role
+	// instruction counters, per-queue traffic counters and depth high-water
+	// gauges, and scheduler-policy counts — published once from the MTResult
+	// when the run succeeds. A run that fails publishes nothing, as in the
+	// simulator (sim.Observer.Metrics).
 	Metrics *obs.Scope
 	// Trace, when non-nil, receives a per-queue occupancy timeline:
 	// counter events named "q<N>" with series "depth", timestamped in
@@ -175,70 +174,50 @@ type MTResult struct {
 	Attr *attr.Run
 }
 
-// mtMetrics holds the live obs instruments of one run — the second
-// accounting path recorded alongside the MTResult bookkeeping.
-type mtMetrics struct {
-	steps, compute, dupBranch                  *obs.Counter
-	produce, consume, produceSync, consumeSync *obs.Counter
-	schedPicks, schedBlocked                   *obs.Counter
-	queueProduced, queueConsumed               []*obs.Counter
-	queueHWM                                   []*obs.Gauge
-}
-
-func newMTMetrics(s *obs.Scope, numQueues int) *mtMetrics {
+// publish adds the finished run's counts to s: the one place the
+// interpreter's ledger (the MTResult) is copied into the metrics registry.
+func (r *MTResult) publish(s *obs.Scope) {
 	if s == nil {
-		return nil
+		return
 	}
-	m := &mtMetrics{
-		steps:        s.Counter("steps"),
-		compute:      s.Counter("compute"),
-		dupBranch:    s.Counter("dup_branch"),
-		produce:      s.Counter("produce"),
-		consume:      s.Counter("consume"),
-		produceSync:  s.Counter("produce_sync"),
-		consumeSync:  s.Counter("consume_sync"),
-		schedPicks:   s.Counter("sched.picks"),
-		schedBlocked: s.Counter("sched.blocked_turns"),
+	s.Counter("steps").Add(r.Steps)
+	s.Counter("compute").Add(r.Stats.Compute)
+	s.Counter("dup_branch").Add(r.Stats.DupBranch)
+	s.Counter("produce").Add(r.Stats.Produce)
+	s.Counter("consume").Add(r.Stats.Consume)
+	s.Counter("produce_sync").Add(r.Stats.ProduceSync)
+	s.Counter("consume_sync").Add(r.Stats.ConsumeSync)
+	s.Counter("sched.picks").Add(r.Sched.Picks)
+	s.Counter("sched.blocked_turns").Add(r.Sched.BlockedTurns)
+	for q, qs := range r.PerQueue {
+		sq := s.Child(fmt.Sprintf("queue.%d", q))
+		sq.Counter("produced").Add(qs.Produced)
+		sq.Counter("consumed").Add(qs.Consumed)
+		sq.Gauge("hwm").SetMax(r.QueueHWM[q])
 	}
-	for q := 0; q < numQueues; q++ {
-		qs := s.Child(fmt.Sprintf("queue.%d", q))
-		m.queueProduced = append(m.queueProduced, qs.Counter("produced"))
-		m.queueConsumed = append(m.queueConsumed, qs.Counter("consumed"))
-		m.queueHWM = append(m.queueHWM, qs.Gauge("hwm"))
-	}
-	return m
 }
 
-// runObs bundles the optional observability sinks threaded through the
-// interpreter loop; a nil *runObs (or nil fields) records nothing.
+// runObs is the optional queue-occupancy timeline threaded through the
+// interpreter loop; a nil *runObs records nothing.
 type runObs struct {
-	m      *mtMetrics
 	lane   *obs.Lane
 	qnames []string // cached "q<N>" counter-track names for the lane
 }
 
 func newRunObs(cfg *MTConfig) *runObs {
-	if cfg.Metrics == nil && cfg.Trace == nil {
+	if cfg.Trace == nil {
 		return nil
 	}
-	o := &runObs{m: newMTMetrics(cfg.Metrics, cfg.NumQueues), lane: cfg.Trace}
-	if o.lane != nil {
-		for q := 0; q < cfg.NumQueues; q++ {
-			o.qnames = append(o.qnames, fmt.Sprintf("q%d", q))
-		}
+	o := &runObs{lane: cfg.Trace}
+	for q := 0; q < cfg.NumQueues; q++ {
+		o.qnames = append(o.qnames, fmt.Sprintf("q%d", q))
 	}
 	return o
 }
 
 // queueDepth records a queue's occupancy after a produce or consume.
 func (o *runObs) queueDepth(q int, step int64, depth int) {
-	if o == nil {
-		return
-	}
-	if o.m != nil {
-		o.m.queueHWM[q].SetMax(int64(depth))
-	}
-	if o.lane != nil {
+	if o != nil {
 		o.lane.Counter(o.qnames[q], step, "depth", int64(depth))
 	}
 }
@@ -409,26 +388,20 @@ func RunMT(cfg MTConfig) (*MTResult, error) {
 	}
 	sc.runnable = sized(sc.runnable, nThreads)
 
-	var steps int64
 	if cfg.Sched == nil && x.inj == nil && ro == nil && arun == nil {
-		// Default configuration: round-robin policy, nothing observing.
-		// The specialized loop below issues the same interleaving without
-		// the per-pick interface dispatch and instrumentation checks;
+		// Default configuration: round-robin policy, no injector, timeline
+		// or attribution (metrics are published from the result afterwards,
+		// so asking for them does not disqualify a run). The specialized
+		// loop below issues the same interleaving without the per-pick
+		// interface dispatch and instrumentation checks;
 		// TestRunMTFastPathEquivalence pins it against the general loop.
-		n, err := runMTFast(&cfg, x, threads, active, blocked, res)
+		steps, err := runMTFast(&cfg, x, threads, active, blocked, res)
 		if err != nil {
 			return nil, err
 		}
-		steps = n
-		res.Steps = steps
-		for ti := range threads {
-			if threads[ti].outs != nil {
-				res.LiveOuts = threads[ti].outs
-			}
-			res.Stats.Add(res.PerThread[ti])
-		}
-		return res, nil
+		return res.finish(threads, steps, cfg.Metrics), nil
 	}
+	var steps int64
 	for len(active) > 0 {
 		runnable := active
 		if blockedCount > 0 {
@@ -451,9 +424,6 @@ func RunMT(cfg MTConfig) (*MTResult, error) {
 		if res.ThreadPicks != nil {
 			res.ThreadPicks[ti]++
 		}
-		if ro != nil && ro.m != nil {
-			ro.m.schedPicks.Inc()
-		}
 		// curIn (attribution runs only) is the instruction the picked thread
 		// is at — the one issued this pick, or the one it blocked on.
 		var curIn *ir.Instr
@@ -469,9 +439,6 @@ func RunMT(cfg MTConfig) (*MTResult, error) {
 			res.Sched.BlockedTurns++
 			if arun != nil {
 				arun.Note(ti, attr.Fault, curIn.ID, -1)
-			}
-			if ro != nil && ro.m != nil {
-				ro.m.schedBlocked.Inc()
 			}
 			continue
 		}
@@ -492,16 +459,10 @@ func RunMT(cfg MTConfig) (*MTResult, error) {
 				}
 				arun.Note(ti, b, curIn.ID, curIn.Queue)
 			}
-			if ro != nil && ro.m != nil {
-				ro.m.schedBlocked.Inc()
-			}
 			continue
 		}
 		if arun != nil {
 			arun.Note(ti, attr.Issue, curIn.ID, -1)
-		}
-		if ro != nil && ro.m != nil {
-			ro.m.steps.Inc()
 		}
 		if blockedCount > 0 {
 			clear(blocked)
@@ -527,19 +488,26 @@ func RunMT(cfg MTConfig) (*MTResult, error) {
 		}
 	}
 
-	res.Steps = steps
+	return res.finish(threads, steps, cfg.Metrics), nil
+}
+
+// finish closes the ledger of a successful run — issued steps, live-outs,
+// the per-thread role counts summed — and publishes it to m.
+func (r *MTResult) finish(threads []threadState, steps int64, m *obs.Scope) *MTResult {
+	r.Steps = steps
 	for ti := range threads {
 		if threads[ti].outs != nil {
-			res.LiveOuts = threads[ti].outs
+			r.LiveOuts = threads[ti].outs
 		}
-		res.Stats.Add(res.PerThread[ti])
+		r.Stats.Add(r.PerThread[ti])
 	}
-	return res, nil
+	r.publish(m)
+	return r
 }
 
 // runMTFast is the scheduler loop specialized for RunMT's default
-// configuration — round-robin policy, no fault injector, no metrics or
-// trace sinks, no attribution. It issues the exact interleaving of the
+// configuration — round-robin policy, no fault injector, no trace lane,
+// no attribution. It issues the exact interleaving of the
 // general loop (the inlined pick mirrors roundRobin.Pick: first unblocked
 // thread at or after the cursor, wrapping to the first unblocked) while
 // skipping the per-pick interface dispatch, scheduler validation, lastRan
@@ -621,11 +589,9 @@ type mtExec struct {
 
 // stepThread executes at most one instruction of ts, returning whether it
 // made progress (false when blocked on a queue). x.res receives per-queue
-// traffic and depth high-water bookkeeping; x.ro (optional) is the obs
-// accounting path, and step is the issued-step timestamp for its queue
-// occupancy timeline.
+// traffic and depth high-water bookkeeping; step is the issued-step
+// timestamp for x.ro's (optional) queue occupancy timeline.
 func (x *mtExec) stepThread(ts *threadState, ti int, stats *CommStats, step int64) (bool, error) {
-	ro := x.ro
 	in := ts.blk.Instrs[ts.idx]
 	switch in.Op {
 	case ir.Produce, ir.ProduceSync:
@@ -654,21 +620,9 @@ func (x *mtExec) stepThread(ts *threadState, ti int, stats *CommStats, step int6
 			if d := int64(qb.Len()); d > x.res.QueueHWM[q] {
 				x.res.QueueHWM[q] = d
 			}
-			if ro != nil && ro.m != nil {
-				ro.m.queueProduced[q].Inc()
-			}
 		}
-		if ro != nil {
-			if ro.m != nil {
-				if in.Op == ir.Produce {
-					ro.m.produce.Inc()
-				} else {
-					ro.m.produceSync.Inc()
-				}
-			}
-			if times > 0 {
-				ro.queueDepth(q, step, x.queues[q].Len())
-			}
+		if times > 0 {
+			x.ro.queueDepth(q, step, x.queues[q].Len())
 		}
 		ts.idx++
 	case ir.Consume, ir.ConsumeSync:
@@ -684,29 +638,13 @@ func (x *mtExec) stepThread(ts *threadState, ti int, stats *CommStats, step int6
 		} else {
 			stats.ConsumeSync++
 		}
-		if ro != nil {
-			if ro.m != nil {
-				if in.Op == ir.Consume {
-					ro.m.consume.Inc()
-				} else {
-					ro.m.consumeSync.Inc()
-				}
-				ro.m.queueConsumed[in.Queue].Inc()
-			}
-			ro.queueDepth(in.Queue, step, qb.Len())
-		}
+		x.ro.queueDepth(in.Queue, step, qb.Len())
 		ts.idx++
 	case ir.Br:
 		if ts.dup[in.ID] {
 			stats.DupBranch++
-			if ro != nil && ro.m != nil {
-				ro.m.dupBranch.Inc()
-			}
 		} else {
 			stats.Compute++
-			if ro != nil && ro.m != nil {
-				ro.m.compute.Inc()
-			}
 		}
 		next := ts.blk.Succs[1]
 		if ts.regs[in.Srcs[0]] != 0 {
@@ -715,15 +653,9 @@ func (x *mtExec) stepThread(ts *threadState, ti int, stats *CommStats, step int6
 		ts.blk, ts.idx = next, 0
 	case ir.Jump:
 		stats.Compute++
-		if ro != nil && ro.m != nil {
-			ro.m.compute.Inc()
-		}
 		ts.blk, ts.idx = ts.blk.Succs[0], 0
 	case ir.Ret:
 		stats.Compute++
-		if ro != nil && ro.m != nil {
-			ro.m.compute.Inc()
-		}
 		ts.done = true
 		if len(in.Srcs) > 0 {
 			ts.outs = []int64{}
@@ -731,13 +663,16 @@ func (x *mtExec) stepThread(ts *threadState, ti int, stats *CommStats, step int6
 				ts.outs = append(ts.outs, ts.regs[r])
 			}
 		}
-	default:
+	case ir.Load, ir.Store:
 		stats.Compute++
-		if ro != nil && ro.m != nil {
-			ro.m.compute.Inc()
-		}
 		if err := exec(in, ts.regs, x.mem); err != nil {
 			return false, fmt.Errorf("interp: thread %d: %v: %w", ti, in, err)
+		}
+		ts.idx++
+	default:
+		stats.Compute++
+		if !in.Eval(ts.regs) {
+			return false, fmt.Errorf("interp: thread %d: %v: %w", ti, in, errOpcode(in.Op))
 		}
 		ts.idx++
 	}

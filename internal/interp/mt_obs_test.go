@@ -56,7 +56,8 @@ func hwmBurst(n int) []*ir.Function {
 
 // TestQueueHWMTrackedPerQueue pins the high-water semantics: occupancy is
 // tracked per (producer, consumer) queue. A single global maximum would
-// report the burst queue's depth for the single-entry queue too.
+// report the burst queue's depth for the single-entry queue too. The hwm
+// gauges are the published copy of MTResult.QueueHWM, one per queue.
 func TestQueueHWMTrackedPerQueue(t *testing.T) {
 	const n = 8
 	for _, tc := range []struct {

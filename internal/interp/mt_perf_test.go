@@ -1,15 +1,21 @@
 package interp
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // TestRunMTFastPathEquivalence pins the specialized default-configuration
 // loop (runMTFast) against the general scheduler loop: an explicit
 // RoundRobin() scheduler routes RunMT through the general loop, a nil
 // Sched through the fast one, and every observable field of the MTResult
-// must be deep-equal across queue capacities and iteration counts.
+// must be deep-equal across queue capacities and iteration counts. A
+// metrics-only run takes the fast loop too (metrics are published from the
+// finished result): its MTResult must equal the unobserved one and the
+// published counters must be that result's fields.
 func TestRunMTFastPathEquivalence(t *testing.T) {
 	for _, qcap := range []int{1, 2, 3, 32} {
 		for _, iters := range []int64{0, 1, 7, 100, 1000} {
@@ -31,6 +37,41 @@ func TestRunMTFastPathEquivalence(t *testing.T) {
 			if !reflect.DeepEqual(fast, slow) {
 				t.Errorf("cap=%d n=%d: fast path result differs from general loop:\nfast: %+v\nslow: %+v",
 					qcap, iters, fast, slow)
+			}
+
+			threads3, nq3 := mtPair(iters, true)
+			reg := obs.NewRegistry()
+			metered, err := RunMT(MTConfig{
+				Threads: threads3, NumQueues: nq3, QueueCap: qcap, MaxSteps: 100_000,
+				Metrics: reg.Scope("interp"),
+			})
+			if err != nil {
+				t.Fatalf("cap=%d n=%d: metrics-only run: %v", qcap, iters, err)
+			}
+			if !reflect.DeepEqual(metered, fast) {
+				t.Errorf("cap=%d n=%d: metrics-only result differs from the unobserved run:\nmetered: %+v\nfast:    %+v",
+					qcap, iters, metered, fast)
+			}
+			want := map[string]int64{
+				"interp.steps": fast.Steps, "interp.compute": fast.Stats.Compute,
+				"interp.dup_branch": fast.Stats.DupBranch,
+				"interp.produce":    fast.Stats.Produce, "interp.consume": fast.Stats.Consume,
+				"interp.produce_sync": fast.Stats.ProduceSync, "interp.consume_sync": fast.Stats.ConsumeSync,
+				"interp.sched.picks": fast.Sched.Picks, "interp.sched.blocked_turns": fast.Sched.BlockedTurns,
+			}
+			for q, qs := range fast.PerQueue {
+				want[fmt.Sprintf("interp.queue.%d.produced", q)] = qs.Produced
+				want[fmt.Sprintf("interp.queue.%d.consumed", q)] = qs.Consumed
+			}
+			for name, v := range want {
+				if got := reg.Counter(name).Value(); got != v {
+					t.Errorf("cap=%d n=%d: published %s = %d, MTResult says %d", qcap, iters, name, got, v)
+				}
+			}
+			for q, hwm := range fast.QueueHWM {
+				if got := reg.Gauge(fmt.Sprintf("interp.queue.%d.hwm", q)).Value(); got != hwm {
+					t.Errorf("cap=%d n=%d: published queue %d hwm = %d, MTResult says %d", qcap, iters, q, got, hwm)
+				}
 			}
 		}
 	}

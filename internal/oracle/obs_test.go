@@ -75,9 +75,10 @@ func obsPrograms(t *testing.T) []struct {
 	return out
 }
 
-// TestInterpObsCountersMatchAccounting: the obs metrics RunMT records are
-// a second, independent accounting path; on every corpus program they must
-// reconcile exactly with the MTResult bookkeeping the oracle verifies.
+// TestInterpObsCountersMatchAccounting: RunMT counts once, in the MTResult
+// the oracle verifies, and publishes that result to the metrics scope when
+// the run succeeds. On every corpus program each published counter and
+// gauge must carry its MTResult field under the documented name.
 func TestInterpObsCountersMatchAccounting(t *testing.T) {
 	for _, pc := range obsPrograms(t) {
 		for _, qcap := range []int{1, interp.DefaultQueueCap} {

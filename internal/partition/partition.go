@@ -48,9 +48,12 @@ func QueueCapFor(p Partitioner) int {
 	return 1
 }
 
-// latency estimates an instruction's execution latency in cycles, matching
-// the simulator's functional-unit model. Partitioners use it to balance
-// estimated dynamic cycles.
+// latency estimates an instruction's execution latency in cycles, following
+// the simulator's functional-unit model (sim.DefaultConfig) with one known
+// gap: FSqrt falls to the 1-cycle default here while sim charges it
+// FDivLatency (16). Partitioners use the estimate to balance dynamic cycles;
+// fixing the gap would move 435.gromacs's partitions and every golden
+// downstream, so it is recorded (EXPERIMENTS.md, deviation 4), not changed.
 func latency(in *ir.Instr) int64 {
 	switch in.Op {
 	case ir.Mul:

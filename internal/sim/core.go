@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"math"
-
 	"repro/internal/attr"
 	"repro/internal/ir"
 	"repro/internal/obs"
@@ -287,7 +285,7 @@ func (s *system) stepCore(c *core, cycle int64, saPortsUsed *int) (int, cycleTag
 			}
 			stop = true
 		default:
-			execALU(in, c.regs)
+			in.Eval(c.regs)
 			done = cycle + s.lat[in.Op]
 			c.ready[in.Dst] = done
 			if c.readyCause != nil {
@@ -515,7 +513,7 @@ loop:
 			}
 			stop = true
 		default:
-			execALU(c.dblk.irs[idx], regs)
+			c.dblk.irs[idx].Eval(regs)
 			ready[di.dst] = cycle + s.lat[di.op]
 		}
 
@@ -537,102 +535,5 @@ func (s *system) fault(c *core, in *ir.Instr, addr int64) {
 	s.doneCores++
 	if s.err == nil {
 		s.err = &MemFaultError{Core: c.id, Instr: in, Addr: addr, Size: int64(len(s.mem))}
-	}
-}
-
-// execALU evaluates arithmetic/logic instructions on the core's register
-// file (the functional half of timing simulation).
-func execALU(in *ir.Instr, regs []int64) {
-	get := func(i int) int64 { return regs[in.Srcs[i]] }
-	fget := func(i int) float64 { return ir.Float64FromBits(uint64(get(i))) }
-	setf := func(v float64) { regs[in.Dst] = int64(ir.Float64Bits(v)) }
-	b2i := func(b bool) int64 {
-		if b {
-			return 1
-		}
-		return 0
-	}
-	switch in.Op {
-	case ir.Nop:
-	case ir.Const:
-		regs[in.Dst] = in.Imm
-	case ir.Mov:
-		regs[in.Dst] = get(0)
-	case ir.Add:
-		regs[in.Dst] = get(0) + get(1)
-	case ir.Sub:
-		regs[in.Dst] = get(0) - get(1)
-	case ir.Mul:
-		regs[in.Dst] = get(0) * get(1)
-	case ir.Div:
-		if get(1) == 0 {
-			regs[in.Dst] = 0
-		} else {
-			regs[in.Dst] = get(0) / get(1)
-		}
-	case ir.Rem:
-		if get(1) == 0 {
-			regs[in.Dst] = 0
-		} else {
-			regs[in.Dst] = get(0) % get(1)
-		}
-	case ir.And:
-		regs[in.Dst] = get(0) & get(1)
-	case ir.Or:
-		regs[in.Dst] = get(0) | get(1)
-	case ir.Xor:
-		regs[in.Dst] = get(0) ^ get(1)
-	case ir.Shl:
-		regs[in.Dst] = get(0) << (uint64(get(1)) & 63)
-	case ir.Shr:
-		regs[in.Dst] = get(0) >> (uint64(get(1)) & 63)
-	case ir.Neg:
-		regs[in.Dst] = -get(0)
-	case ir.Not:
-		regs[in.Dst] = ^get(0)
-	case ir.Abs:
-		if v := get(0); v < 0 {
-			regs[in.Dst] = -v
-		} else {
-			regs[in.Dst] = v
-		}
-	case ir.CmpEQ:
-		regs[in.Dst] = b2i(get(0) == get(1))
-	case ir.CmpNE:
-		regs[in.Dst] = b2i(get(0) != get(1))
-	case ir.CmpLT:
-		regs[in.Dst] = b2i(get(0) < get(1))
-	case ir.CmpLE:
-		regs[in.Dst] = b2i(get(0) <= get(1))
-	case ir.CmpGT:
-		regs[in.Dst] = b2i(get(0) > get(1))
-	case ir.CmpGE:
-		regs[in.Dst] = b2i(get(0) >= get(1))
-	case ir.FAdd:
-		setf(fget(0) + fget(1))
-	case ir.FSub:
-		setf(fget(0) - fget(1))
-	case ir.FMul:
-		setf(fget(0) * fget(1))
-	case ir.FDiv:
-		setf(fget(0) / fget(1))
-	case ir.FNeg:
-		setf(-fget(0))
-	case ir.FAbs:
-		if v := fget(0); v < 0 {
-			setf(-v)
-		} else {
-			setf(v)
-		}
-	case ir.FSqrt:
-		setf(math.Sqrt(fget(0)))
-	case ir.FCmpLT:
-		regs[in.Dst] = b2i(fget(0) < fget(1))
-	case ir.FCmpGT:
-		regs[in.Dst] = b2i(fget(0) > fget(1))
-	case ir.ItoF:
-		setf(float64(get(0)))
-	case ir.FtoI:
-		regs[in.Dst] = int64(fget(0))
 	}
 }

@@ -9,7 +9,7 @@ import "repro/internal/ir"
 // instruction visit. Decoding once at system setup packs them into a
 // contiguous 32-byte record with the first two sources and the port class
 // inline, two records per cache line. The originating *ir.Instr (needed
-// only on rare paths: faults, the execALU fallback, Ret live-out lists)
+// only on rare paths: faults, the ir.Instr.Eval fallback, Ret live-out lists)
 // lives in the parallel decBlock.irs slice.
 type decIns struct {
 	imm   int64

@@ -117,9 +117,8 @@ func (s Spec) String() string {
 // safe for concurrent use (the cache calls them from request
 // goroutines).
 type Faulty struct {
-	spec     Spec
-	offset   int64
-	period   int64
+	spec Spec
+	fault.Cadence
 	tearSalt uint64
 	budget   int64
 
@@ -138,9 +137,9 @@ type Faulty struct {
 func NewFaulty(spec Spec) *Faulty {
 	f := &Faulty{spec: spec}
 	h := fault.Splitmix(uint64(spec.Seed) ^ fault.ClassSalt(string(spec.Class)))
-	f.offset = int64(h%5) + 1
+	f.Offset = int64(h%5) + 1
 	h = fault.Splitmix(h)
-	f.period = int64(h%7) + 2
+	f.Period = int64(h%7) + 2
 	h = fault.Splitmix(h)
 	f.tearSalt = h
 	f.budget = spec.ByteBudget
@@ -167,11 +166,6 @@ func (f *Faulty) Crashed() bool {
 	return f.crashed
 }
 
-// fires reports whether opportunity n (1-based) is on the schedule.
-func (f *Faulty) fires(n int64) bool {
-	return n >= f.offset && (n-f.offset)%f.period == 0
-}
-
 // tearAt picks the deterministic truncation point for an n-byte payload:
 // strictly less than n, so a torn write is actually torn.
 func (f *Faulty) tearAt(n int) int {
@@ -185,7 +179,7 @@ func (f *Faulty) ReadFile(path string) ([]byte, error) {
 	if f.spec.Class == ReadEIO {
 		f.mu.Lock()
 		f.reads++
-		fire := f.fires(f.reads)
+		fire := f.Fires(f.reads)
 		if fire {
 			f.injected++
 		}
@@ -223,14 +217,14 @@ func (f *Faulty) WriteFile(path string, data []byte, durable bool) error {
 		}
 		f.written += int64(len(data))
 	case TornWrite:
-		if f.fires(n) {
+		if f.Fires(n) {
 			f.injected++
 			// Reports success; the visible file is truncated at a
 			// seed-derived byte.
 			return writeTorn(path, data, f.tearAt(len(data)), true)
 		}
 	case RenameFail:
-		if f.fires(n) {
+		if f.Fires(n) {
 			f.injected++
 			writeTorn(path, data, len(data), false) // orphaned complete temp
 			return fmt.Errorf("vfs: injected rename failure on %s: %w", filepath.Base(path), syscall.EIO)

@@ -5,7 +5,10 @@
 // filesystem, and Faulty, a seeded fault injector in the style of
 // internal/fault that can fill the disk, tear writes, fail renames,
 // return EIO on reads, and freeze all writes at a chosen crash point to
-// simulate kill -9.
+// simulate kill -9. Faulty shares that package's seeded machinery
+// (Splitmix, ClassSalt, the embedded fault.Cadence); its class table and
+// report format are its own on purpose — a filesystem fault is judged by
+// the cache's recovery scan and checksums, not by the execution oracle.
 //
 // Durability is folded into the write primitive rather than exposed as a
 // separate sync call: WriteFile(path, data, durable=true) fsyncs the
