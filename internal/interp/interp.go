@@ -1,10 +1,25 @@
 // Package interp executes IR functionally: single-threaded functions for
 // golden results and edge profiles, and multi-threaded programs (the output
 // of MTCG) over blocking synchronization-array queues. The multi-threaded
-// interpreter is deterministic — threads step round-robin — so equivalence
-// against the single-threaded run is reproducible. It also classifies every
-// dynamic instruction as computation or communication, producing the data
-// behind Figures 1 and 7.
+// interpreter is deterministic — which thread steps next is a Scheduler's
+// choice, and every Scheduler here is a pure function of the run so far —
+// so equivalence against the single-threaded run is reproducible. It also
+// classifies every dynamic instruction as computation or communication,
+// producing the data behind Figures 1 and 7.
+//
+// RunMT has two loops. The general one asks the Scheduler before every
+// step and walks the IR; it is the reference, and the only one that serves a
+// fault injector, a trace lane, pick attribution or an explicit policy. The
+// default one (no policy named, nothing attached) runs a thread until it
+// blocks on a queue or returns, over the thread decoded once into a flat
+// stream (ir.Stream) — the Adversarial policy, which is also what a nil
+// Scheduler means in the general loop. That is sound because a correct MTCG
+// program's live-outs, memory and instruction counts do not depend on the
+// interleaving (the oracle holds every corpus program to that under five
+// policies), and cheap because threads only interact at a queue hand-off:
+// consulting the policy anywhere else buys nothing. Only the
+// schedule-dependent numbers — SchedStats, QueueHWM — are the default
+// schedule's own.
 package interp
 
 import (

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/attr"
@@ -81,12 +82,15 @@ type QueueStats struct {
 }
 
 // SchedStats counts scheduler-policy activity during one run: how many
-// times the policy was consulted and how many of those picks found the
-// chosen thread blocked on a queue. Picks == BlockedTurns + issued steps.
+// turns the policy handed out and how many of them found the chosen thread
+// blocked on a queue. Picks == BlockedTurns + issued steps.
 type SchedStats struct {
 	// Policy is the scheduling policy's name.
 	Policy string
-	// Picks is the number of Scheduler.Pick calls.
+	// Picks is the number of turns granted, one per issued instruction and
+	// one per blocked turn: the general loop's Scheduler.Pick calls. The
+	// default loop decides once per burst and reports the number the
+	// general loop would have counted for the same schedule.
 	Picks int64
 	// BlockedTurns is the number of picks whose thread could not step
 	// because its queue operation would block.
@@ -102,9 +106,13 @@ type MTConfig struct {
 	// defaults to DefaultQueueCap (32). Use partition.QueueCapFor to pick
 	// the paper's depth for a given partitioner.
 	QueueCap int
-	// Sched picks which runnable thread steps next; nil means the
-	// deterministic round-robin policy. Any correct MTCG program yields
-	// identical results under every policy.
+	// Sched picks which runnable thread steps next; nil means run-to-block,
+	// the Adversarial policy: the picked thread keeps issuing until it
+	// blocks on a queue or returns. Any correct MTCG program yields
+	// identical live-outs, memory and instruction counts under every policy,
+	// so the default is the policy with the fewest picks — and a nil Sched
+	// with no Inject, Trace or Attr runs it over a decoded instruction
+	// stream (runDecoded) instead of asking a Scheduler once per step.
 	Sched Scheduler
 	// Assign is the original partition; used to classify replicated
 	// branches (via Instr.Orig).
@@ -225,24 +233,42 @@ func (o *runObs) queueDepth(q int, step int64, depth int) {
 // threadState is one thread's execution context. Register files of all
 // threads share one contiguous backing allocation (regs is a window into
 // it), and dup caches the replicated-branch classification per static
-// instruction ID so the hot loop never consults the Assign map.
+// instruction ID so the hot loop never consults the Assign map. A run
+// advances either blk/idx (stepThread, the general loop) or pc (runDecoded)
+// — which loop runs is fixed before the first step.
 type threadState struct {
 	fn   *ir.Function
 	regs []int64 // window into the run's shared register backing
 	dup  []bool  // instr ID -> branch replicated into a non-owning thread
 	blk  *ir.Block
 	idx  int
+	pc   int // position in the thread's decoded stream
 	done bool
 	outs []int64 // live-outs captured at this thread's Ret
+}
+
+// locate recovers blk/idx from the instruction the decoded loop stopped
+// at, so its deadlock report reads exactly as the general loop's.
+func (ts *threadState) locate(at *ir.Instr) {
+	for _, b := range ts.fn.Blocks {
+		for i, in := range b.Instrs {
+			if in == at {
+				ts.blk, ts.idx = b, i
+				return
+			}
+		}
+	}
 }
 
 // mtScratch is the reusable hot-loop state of one RunMT call. Runs acquire
 // a scratch from mtPool and return it on exit, so steady-state execution
 // allocates only the MTResult the caller keeps: thread states, register
 // backing, queue rings, and scheduler bookkeeping all settle at their
-// high-water capacity. Nothing in a scratch escapes into the MTResult.
+// high-water capacity. Nothing in a scratch escapes into the MTResult, and
+// nothing of the program stays in a scratch once its run is over (release).
 type mtScratch struct {
 	threads  []threadState
+	streams  []ir.Stream // per-thread decoded code: validated at setup, run by runDecoded
 	regsBack []int64
 	dupBack  []bool
 	queues   []ring.Buf[int64]
@@ -254,6 +280,19 @@ type mtScratch struct {
 
 var mtPool = sync.Pool{New: func() any { return new(mtScratch) }}
 
+// release drops every reference into the caller's program — thread
+// functions, current blocks, decoded instructions — and returns sc to the
+// pool. Without it an idle scratch pins the whole function of the last
+// request it served (for gmtserve, a client's inline IR) until the pool
+// happens to be collected.
+func (sc *mtScratch) release() {
+	clear(sc.threads)
+	for i := range sc.streams {
+		sc.streams[i].Release()
+	}
+	mtPool.Put(sc)
+}
+
 // sized returns s resliced to length n, growing the backing array if
 // needed. Contents are unspecified; callers reinitialize.
 func sized[T any](s []T, n int) []T {
@@ -264,11 +303,12 @@ func sized[T any](s []T, n int) []T {
 }
 
 // RunMT executes a multi-threaded program over blocking synchronization-
-// array queues. Thread interleaving is chosen by cfg.Sched (round-robin by
-// default, so runs are reproducible); a thread that cannot step because its
-// queue is full or empty is set aside until another thread makes progress.
-// It returns ErrDeadlock if no thread can make progress and ErrStepLimit if
-// cfg.MaxSteps issued instructions are exhausted.
+// array queues. Thread interleaving is chosen by cfg.Sched (run-to-block by
+// default; every policy here is deterministic, so runs are reproducible); a
+// thread that cannot step because its queue is full or empty is set aside
+// until another thread makes progress. It returns ErrDeadlock if no thread
+// can make progress and ErrStepLimit if cfg.MaxSteps issued instructions
+// are exhausted.
 func RunMT(cfg MTConfig) (*MTResult, error) {
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = DefaultQueueCap
@@ -279,10 +319,10 @@ func RunMT(cfg MTConfig) (*MTResult, error) {
 	cfg.QueueCap = cfg.Inject.QueueCap(cfg.QueueCap)
 	sched := cfg.Sched
 	if sched == nil {
-		sched = RoundRobin()
+		sched = Adversarial()
 	}
 	sc := mtPool.Get().(*mtScratch)
-	defer mtPool.Put(sc)
+	defer sc.release()
 
 	nThreads := len(cfg.Threads)
 	sc.queues = sized(sc.queues, cfg.NumQueues)
@@ -302,6 +342,7 @@ func RunMT(cfg MTConfig) (*MTResult, error) {
 	clear(sc.regsBack)
 	clear(sc.dupBack)
 	sc.threads = sized(sc.threads, nThreads)
+	sc.streams = sized(sc.streams, nThreads)
 	threads := sc.threads
 	regsOff, dupOff := 0, 0
 	for i, fn := range cfg.Threads {
@@ -319,19 +360,25 @@ func RunMT(cfg MTConfig) (*MTResult, error) {
 		}
 		regsOff += nRegs
 		dupOff += nIDs
-		var badQ error
-		ti := i
-		fn.Instrs(func(in *ir.Instr) {
-			if badQ == nil && in.Op.IsComm() && (in.Queue < 0 || in.Queue >= cfg.NumQueues) {
-				badQ = fmt.Errorf("%w: thread %s: %v references queue %d of %d",
-					ErrBadProgram, fn.Name, in, in.Queue, cfg.NumQueues)
+		// One pass over the decoded thread validates its queues and marks
+		// the replicated branches, for both loops: in dup, which the general
+		// loop indexes by instruction ID, and in the record's Tag, which
+		// runDecoded reads in passing.
+		st := &sc.streams[i]
+		st.Decode(fn)
+		for pc := range st.Code {
+			di := &st.Code[pc]
+			switch {
+			case di.Op.IsComm():
+				if in := st.Instrs[pc]; in.Queue < 0 || in.Queue >= cfg.NumQueues {
+					return nil, fmt.Errorf("%w: thread %s: %v references queue %d of %d",
+						ErrBadProgram, fn.Name, in, in.Queue, cfg.NumQueues)
+				}
+			case di.Op == ir.Br:
+				if in := st.Instrs[pc]; in.Orig != nil && cfg.Assign[in.Orig] != i {
+					ts.dup[di.ID], di.Tag = true, 1
+				}
 			}
-			if in.Op == ir.Br && in.Orig != nil && cfg.Assign[in.Orig] != ti {
-				ts.dup[in.ID] = true
-			}
-		})
-		if badQ != nil {
-			return nil, badQ
 		}
 		for j, p := range fn.Params {
 			ts.regs[p] = cfg.Args[j]
@@ -389,13 +436,13 @@ func RunMT(cfg MTConfig) (*MTResult, error) {
 	sc.runnable = sized(sc.runnable, nThreads)
 
 	if cfg.Sched == nil && x.inj == nil && ro == nil && arun == nil {
-		// Default configuration: round-robin policy, no injector, timeline
-		// or attribution (metrics are published from the result afterwards,
-		// so asking for them does not disqualify a run). The specialized
-		// loop below issues the same interleaving without the per-pick
-		// interface dispatch and instrumentation checks;
-		// TestRunMTFastPathEquivalence pins it against the general loop.
-		steps, err := runMTFast(&cfg, x, threads, active, blocked, res)
+		// Default configuration: no explicit policy, injector, timeline or
+		// attribution (metrics are published from the result afterwards, so
+		// asking for them does not disqualify a run). runDecoded issues the
+		// interleaving the loop below would under Adversarial() — one pick
+		// per burst instead of one per step, over a decoded stream;
+		// TestRunMTFastPathEquivalence pins the two against each other.
+		steps, err := x.runDecoded(&cfg, sc, active)
 		if err != nil {
 			return nil, err
 		}
@@ -471,12 +518,7 @@ func RunMT(cfg MTConfig) (*MTResult, error) {
 		lastRan[ti] = steps
 		steps++
 		if threads[ti].done {
-			for i, a := range active {
-				if a == ti {
-					active = append(active[:i], active[i+1:]...)
-					break
-				}
-			}
+			active = dropThread(active, ti)
 		}
 		if steps > cfg.MaxSteps {
 			return nil, fmt.Errorf("%w (multi-threaded, %d steps)", ErrStepLimit, steps)
@@ -489,6 +531,12 @@ func RunMT(cfg MTConfig) (*MTResult, error) {
 	}
 
 	return res.finish(threads, steps, cfg.Metrics), nil
+}
+
+// dropThread removes finished thread ti from the ascending active list.
+func dropThread(active []int, ti int) []int {
+	i := slices.Index(active, ti)
+	return slices.Delete(active, i, i+1)
 }
 
 // finish closes the ledger of a successful run — issued steps, live-outs,
@@ -505,73 +553,215 @@ func (r *MTResult) finish(threads []threadState, steps int64, m *obs.Scope) *MTR
 	return r
 }
 
-// runMTFast is the scheduler loop specialized for RunMT's default
-// configuration — round-robin policy, no fault injector, no trace lane,
-// no attribution. It issues the exact interleaving of the
-// general loop (the inlined pick mirrors roundRobin.Pick: first unblocked
-// thread at or after the cursor, wrapping to the first unblocked) while
-// skipping the per-pick interface dispatch, scheduler validation, lastRan
-// bookkeeping, and instrumentation nil-checks. Every counter the general
-// loop maintains (Picks, BlockedTurns, per-queue traffic, HWM) is
-// maintained identically; TestRunMTFastPathEquivalence asserts the two
-// loops produce deep-equal MTResults on a program matrix.
-func runMTFast(cfg *MTConfig, x *mtExec, threads []threadState, active []int, blocked []bool, res *MTResult) (int64, error) {
+// runDecoded is the scheduler loop of RunMT's default configuration — no
+// explicit policy, fault injector, trace lane or attribution. It issues
+// exactly the interleaving the general loop issues under Adversarial(): the
+// picked thread runs until it blocks on a queue or returns, then the
+// runnable thread that has waited longest takes over. What makes that the
+// cheap schedule is that the policy is only consulted where threads
+// interact at all — at a queue hand-off — so a burst is a tight loop over
+// the thread's decoded stream (ir.Stream: flat records, branch targets
+// resolved to pcs, the hot ALU opcodes executed in the switch) with the
+// thread's registers and counters held in locals, and the scheduler
+// bookkeeping (blocked set, lastRan, the step budget, the context poll) is
+// settled once per burst instead of once per step. Every counter the general
+// loop maintains — Picks, BlockedTurns, per-queue traffic, HWM — comes out
+// identical, as do the deadlock report, the step at which ErrStepLimit and a
+// cancelled context strike, and memory-fault errors;
+// TestRunMTFastPathEquivalence asserts deep-equal MTResults and equal error
+// text on a program matrix, and the oracle runs both loops corpus-wide.
+func (x *mtExec) runDecoded(cfg *MTConfig, sc *mtScratch, active []int) (int64, error) {
+	threads, blocked, lastRan := sc.threads, sc.blocked, sc.lastRan
+	queues, qcap, mem, res := x.queues, x.qcap, x.mem, x.res
 	var steps int64
 	blockedCount := 0
-	cursor := 0
-	maxSteps := cfg.MaxSteps
-	ctx := cfg.Ctx
+	cur := -1
 	for len(active) > 0 {
 		if blockedCount == len(active) {
-			return 0, fmt.Errorf("%w\n%s", ErrDeadlock, describeBlocked(threads, x.queues, x.qcap))
-		}
-		ti := -1
-		for _, a := range active {
-			if !blocked[a] {
-				if a >= cursor {
-					ti = a
-					break
+			for ti := range threads {
+				if ts := &threads[ti]; !ts.done {
+					ts.locate(sc.streams[ti].Instrs[ts.pc])
 				}
-				if ti < 0 {
-					ti = a
+			}
+			return 0, fmt.Errorf("%w\n%s", ErrDeadlock, describeBlocked(threads, queues, qcap))
+		}
+		if cur < 0 || blocked[cur] || threads[cur].done {
+			// adversarial.Pick: the longest-waiting runnable thread, lowest
+			// index first among equals.
+			cur = -1
+			for _, a := range active {
+				if !blocked[a] && (cur < 0 || lastRan[a] < lastRan[cur]) {
+					cur = a
 				}
 			}
 		}
-		cursor = ti + 1
-		res.Sched.Picks++
-		stepped, err := x.stepThread(&threads[ti], ti, &res.PerThread[ti], steps)
-		if err != nil {
-			return 0, err
+
+		// One burst: issue from cur until it blocks, returns, or reaches
+		// the next step count the loop has to look up at — a multiple of
+		// checkEvery (context poll) or MaxSteps+1 (budget), whichever is
+		// nearer.
+		quota := checkEvery - steps&(checkEvery-1)
+		if room := cfg.MaxSteps - steps; room < quota {
+			quota = max(room+1, 1)
 		}
-		if !stepped {
-			blocked[ti] = true
-			blockedCount++
-			res.Sched.BlockedTurns++
-			continue
+		ts, stats := &threads[cur], &res.PerThread[cur]
+		code, regs, pc := sc.streams[cur].Code, ts.regs, ts.pc
+		// n counts the burst's issued instructions, comm and dup those of
+		// them that are not the original program's computation
+		// (communication, replicated branches). pc is advanced before the
+		// switch, so a terminator just overwrites it and a blocked operation
+		// backs up.
+		var n, comm, dup int64
+		stalled := false
+	burst:
+		for n < quota {
+			di := &code[pc]
+			pc++
+			switch di.Op {
+			case ir.Add:
+				regs[di.Dst] = regs[di.S0] + regs[di.S1]
+			case ir.Const:
+				regs[di.Dst] = di.Imm
+			case ir.Mov:
+				regs[di.Dst] = regs[di.S0]
+			case ir.Sub:
+				regs[di.Dst] = regs[di.S0] - regs[di.S1]
+			case ir.CmpLT:
+				if regs[di.S0] < regs[di.S1] {
+					regs[di.Dst] = 1
+				} else {
+					regs[di.Dst] = 0
+				}
+			case ir.CmpGT:
+				if regs[di.S0] > regs[di.S1] {
+					regs[di.Dst] = 1
+				} else {
+					regs[di.Dst] = 0
+				}
+			case ir.Shl:
+				regs[di.Dst] = regs[di.S0] << (uint64(regs[di.S1]) & 63)
+			case ir.Shr:
+				regs[di.Dst] = regs[di.S0] >> (uint64(regs[di.S1]) & 63)
+			case ir.And:
+				regs[di.Dst] = regs[di.S0] & regs[di.S1]
+			case ir.Xor:
+				regs[di.Dst] = regs[di.S0] ^ regs[di.S1]
+			case ir.Produce, ir.ProduceSync:
+				qb := &queues[di.Queue]
+				if qb.Len() >= qcap {
+					pc--
+					stalled = true
+					break burst
+				}
+				v := int64(0)
+				if di.Op == ir.Produce {
+					v = regs[di.S0]
+					stats.Produce++
+				} else {
+					stats.ProduceSync++
+				}
+				qb.Push(v)
+				res.PerQueue[di.Queue].Produced++
+				if d := int64(qb.Len()); d > res.QueueHWM[di.Queue] {
+					res.QueueHWM[di.Queue] = d
+				}
+				comm++
+			case ir.Consume, ir.ConsumeSync:
+				qb := &queues[di.Queue]
+				if qb.Len() == 0 {
+					pc--
+					stalled = true
+					break burst
+				}
+				v := qb.Pop()
+				res.PerQueue[di.Queue].Consumed++
+				if di.Op == ir.Consume {
+					regs[di.Dst] = v
+					stats.Consume++
+				} else {
+					stats.ConsumeSync++
+				}
+				comm++
+			case ir.Load:
+				a := regs[di.S0] + di.Imm
+				if a < 0 || a >= int64(len(mem)) {
+					return 0, x.memFault(sc, cur, pc-1)
+				}
+				regs[di.Dst] = mem[a]
+			case ir.Store:
+				a := regs[di.S1] + di.Imm
+				if a < 0 || a >= int64(len(mem)) {
+					return 0, x.memFault(sc, cur, pc-1)
+				}
+				mem[a] = regs[di.S0]
+			case ir.Br:
+				if di.Tag != 0 {
+					dup++
+				}
+				if regs[di.S0] != 0 {
+					pc = di.Taken()
+				} else {
+					pc = di.Fall()
+				}
+			case ir.Jump:
+				pc = di.Taken()
+			case ir.Ret:
+				ts.done = true
+				if di.NSrc > 0 {
+					ts.outs = []int64{}
+					for _, r := range sc.streams[cur].Instrs[pc-1].Srcs {
+						ts.outs = append(ts.outs, regs[r])
+					}
+				}
+				n++
+				break burst
+			default:
+				if in := sc.streams[cur].Instrs[pc-1]; !in.Eval(regs) {
+					return 0, fmt.Errorf("interp: thread %d: %v: %w", cur, in, errOpcode(in.Op))
+				}
+			}
+			n++
 		}
-		if blockedCount > 0 {
+		ts.pc = pc
+		stats.DupBranch += dup
+		stats.Compute += n - comm - dup
+		if n > 0 {
+			// The burst's first instruction is what unblocked everyone set
+			// aside before it.
 			clear(blocked)
 			blockedCount = 0
+			steps += n
+			lastRan[cur] = steps - 1
 		}
-		steps++
-		if threads[ti].done {
-			for i, a := range active {
-				if a == ti {
-					active = append(active[:i], active[i+1:]...)
-					break
-				}
-			}
+		if stalled {
+			blocked[cur] = true
+			blockedCount++
+			res.Sched.BlockedTurns++
 		}
-		if steps > maxSteps {
+		if n == 0 {
+			continue
+		}
+		if ts.done {
+			active = dropThread(active, cur)
+		}
+		if steps > cfg.MaxSteps {
 			return 0, fmt.Errorf("%w (multi-threaded, %d steps)", ErrStepLimit, steps)
 		}
-		if steps&(checkEvery-1) == 0 && ctx != nil {
-			if err := ctx.Err(); err != nil {
+		if steps&(checkEvery-1) == 0 && cfg.Ctx != nil {
+			if err := cfg.Ctx.Err(); err != nil {
 				return 0, fmt.Errorf("interp: multi-threaded run after %d steps: %w", steps, err)
 			}
 		}
 	}
+	res.Sched.Picks = steps + res.Sched.BlockedTurns
 	return steps, nil
+}
+
+// memFault renders the out-of-range access at thread ti's pc as the general
+// loop does: exec re-derives the address and words the error.
+func (x *mtExec) memFault(sc *mtScratch, ti, pc int) error {
+	in := sc.streams[ti].Instrs[pc]
+	return fmt.Errorf("interp: thread %d: %v: %w", ti, in, exec(in, sc.threads[ti].regs, x.mem))
 }
 
 // mtExec bundles the state stepThread touches every issued instruction.

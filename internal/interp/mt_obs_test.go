@@ -12,9 +12,10 @@ import (
 
 // hwmBurst builds a two-thread program: thread 0 pushes n values into
 // queue 0 back-to-back and then one value into queue 1; thread 1 spends n
-// compute steps before draining both queues. Under round-robin the
-// producer runs n steps ahead, so queue 0's occupancy climbs to
-// min(n, cap) while queue 1 never holds more than one value.
+// compute steps before draining both queues. The producer runs ahead of
+// the consumer — under the default run-to-block schedule until its queue
+// fills, under round-robin by the n steps — so queue 0's occupancy climbs
+// to min(n, cap) while queue 1 never holds more than one value.
 func hwmBurst(n int) []*ir.Function {
 	prod := ir.NewFunction("prod")
 	prod.NumQueues = 2

@@ -1,87 +1,14 @@
 package interp
 
 import (
-	"fmt"
-	"reflect"
 	"testing"
-
-	"repro/internal/obs"
 )
-
-// TestRunMTFastPathEquivalence pins the specialized default-configuration
-// loop (runMTFast) against the general scheduler loop: an explicit
-// RoundRobin() scheduler routes RunMT through the general loop, a nil
-// Sched through the fast one, and every observable field of the MTResult
-// must be deep-equal across queue capacities and iteration counts. A
-// metrics-only run takes the fast loop too (metrics are published from the
-// finished result): its MTResult must equal the unobserved one and the
-// published counters must be that result's fields.
-func TestRunMTFastPathEquivalence(t *testing.T) {
-	for _, qcap := range []int{1, 2, 3, 32} {
-		for _, iters := range []int64{0, 1, 7, 100, 1000} {
-			threads, nq := mtPair(iters, true)
-			fast, errFast := RunMT(MTConfig{
-				Threads: threads, NumQueues: nq, QueueCap: qcap, MaxSteps: 100_000,
-			})
-			threads2, nq2 := mtPair(iters, true)
-			slow, errSlow := RunMT(MTConfig{
-				Threads: threads2, NumQueues: nq2, QueueCap: qcap,
-				Sched: RoundRobin(), MaxSteps: 100_000,
-			})
-			if (errFast != nil) != (errSlow != nil) {
-				t.Fatalf("cap=%d n=%d: fast err %v, slow err %v", qcap, iters, errFast, errSlow)
-			}
-			if errFast != nil {
-				continue
-			}
-			if !reflect.DeepEqual(fast, slow) {
-				t.Errorf("cap=%d n=%d: fast path result differs from general loop:\nfast: %+v\nslow: %+v",
-					qcap, iters, fast, slow)
-			}
-
-			threads3, nq3 := mtPair(iters, true)
-			reg := obs.NewRegistry()
-			metered, err := RunMT(MTConfig{
-				Threads: threads3, NumQueues: nq3, QueueCap: qcap, MaxSteps: 100_000,
-				Metrics: reg.Scope("interp"),
-			})
-			if err != nil {
-				t.Fatalf("cap=%d n=%d: metrics-only run: %v", qcap, iters, err)
-			}
-			if !reflect.DeepEqual(metered, fast) {
-				t.Errorf("cap=%d n=%d: metrics-only result differs from the unobserved run:\nmetered: %+v\nfast:    %+v",
-					qcap, iters, metered, fast)
-			}
-			want := map[string]int64{
-				"interp.steps": fast.Steps, "interp.compute": fast.Stats.Compute,
-				"interp.dup_branch": fast.Stats.DupBranch,
-				"interp.produce":    fast.Stats.Produce, "interp.consume": fast.Stats.Consume,
-				"interp.produce_sync": fast.Stats.ProduceSync, "interp.consume_sync": fast.Stats.ConsumeSync,
-				"interp.sched.picks": fast.Sched.Picks, "interp.sched.blocked_turns": fast.Sched.BlockedTurns,
-			}
-			for q, qs := range fast.PerQueue {
-				want[fmt.Sprintf("interp.queue.%d.produced", q)] = qs.Produced
-				want[fmt.Sprintf("interp.queue.%d.consumed", q)] = qs.Consumed
-			}
-			for name, v := range want {
-				if got := reg.Counter(name).Value(); got != v {
-					t.Errorf("cap=%d n=%d: published %s = %d, MTResult says %d", qcap, iters, name, got, v)
-				}
-			}
-			for q, hwm := range fast.QueueHWM {
-				if got := reg.Gauge(fmt.Sprintf("interp.queue.%d.hwm", q)).Value(); got != hwm {
-					t.Errorf("cap=%d n=%d: published queue %d hwm = %d, MTResult says %d", qcap, iters, q, got, hwm)
-				}
-			}
-		}
-	}
-}
 
 // TestRunMTNoObserverAllocsConstant proves the no-observer path allocates
 // nothing per step: after a pool-warming run, a run 50× longer must cost
 // exactly the same number of allocations (the MTResult the caller keeps),
-// so per-step work — queue pushes, register writes, scheduler picks — is
-// allocation-free.
+// so per-step work — queue pushes, register writes, scheduler picks, the
+// decode into the pooled streams — is allocation-free.
 func TestRunMTNoObserverAllocsConstant(t *testing.T) {
 	run := func(iters int64) {
 		threads, nq := mtPair(iters, true)
@@ -94,6 +21,12 @@ func TestRunMTNoObserverAllocsConstant(t *testing.T) {
 	run(2000) // warm the scratch pool to its high-water capacity
 	short := testing.AllocsPerRun(10, func() { run(40) })
 	long := testing.AllocsPerRun(10, func() { run(2000) })
+	if raceEnabled {
+		// Under the race detector sync.Pool drops a share of what is put
+		// back, on purpose, so a run now and then rebuilds its scratch and
+		// the two counts differ by that, not by anything per step.
+		t.Skipf("race detector on: ran both lengths (%v and %v allocations), counts not compared", short, long)
+	}
 	if short != long {
 		t.Errorf("allocations scale with steps: %v for 40 iterations vs %v for 2000", short, long)
 	}
@@ -106,19 +39,54 @@ func TestRunMTNoObserverAllocsConstant(t *testing.T) {
 	}
 }
 
-// BenchmarkRunMTNoObserver measures the raw no-observer interpreter loop
-// (the path bench/'s interp.mt_ms layer times through the full pipeline)
-// on the ping-pong microprogram; run with -benchmem to see the zero
-// per-step allocation profile.
-func BenchmarkRunMTNoObserver(b *testing.B) {
-	threads, nq := mtPair(10_000, true)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunMT(MTConfig{
-			Threads: threads, NumQueues: nq, QueueCap: 32, MaxSteps: 10_000_000,
-		}); err != nil {
-			b.Fatal(err)
+// TestScratchReleasedClean: a scratch back in the pool holds nothing of the
+// program it last ran — no thread function, current block or decoded
+// instruction — through either loop, whether the run succeeded or not.
+// (gmtserve's inline-IR requests would otherwise each stay reachable from
+// the pool after their reply was sent.)
+func TestScratchReleasedClean(t *testing.T) {
+	threads, nq := mtPair(100, true)
+	runs := map[string]MTConfig{
+		"decoded":  {Threads: threads, NumQueues: nq, MaxSteps: 100_000},
+		"general":  {Threads: threads, NumQueues: nq, MaxSteps: 100_000, Sched: RoundRobin()},
+		"deadlock": {Threads: deadlockPair(), NumQueues: 2, MaxSteps: 100_000},
+		"limit":    {Threads: threads, NumQueues: nq, MaxSteps: 50},
+	}
+	for name, cfg := range runs {
+		// A scratch of our own goes in first, so the one examined is the one
+		// the run used. The pool may still hand the run another (it drops
+		// items under the race detector, and a goroutine that changes
+		// processor between Put and Get misses its own): try again, and
+		// settle for whatever a fresh Get sees.
+		var sc *mtScratch
+		for try := 0; try < 5; try++ {
+			sc = new(mtScratch)
+			mtPool.Put(sc)
+			_, err := RunMT(cfg)
+			if wantErr := name == "deadlock" || name == "limit"; (err != nil) != wantErr {
+				t.Fatalf("%s: err = %v", name, err)
+			}
+			if cap(sc.threads) > 0 {
+				break
+			}
+			sc = mtPool.Get().(*mtScratch)
+		}
+		if cap(sc.threads) == 0 && !raceEnabled {
+			t.Fatalf("%s: no run used a pooled scratch", name)
+		}
+		for i, ts := range sc.threads[:cap(sc.threads)] {
+			if ts.fn != nil || ts.blk != nil || ts.regs != nil || ts.outs != nil {
+				t.Errorf("%s: pooled thread state %d still points into the run: %+v", name, i, ts)
+			}
+		}
+		for i := range sc.streams[:cap(sc.streams)] {
+			st := &sc.streams[i]
+			for pc, in := range st.Instrs[:cap(st.Instrs)] {
+				if in != nil {
+					t.Errorf("%s: pooled stream %d still holds the instruction at pc %d", name, i, pc)
+					break
+				}
+			}
 		}
 	}
 }

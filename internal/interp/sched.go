@@ -28,11 +28,13 @@ type Scheduler interface {
 	Pick(runnable []int, lastRan []int64, step int64) int
 }
 
-// roundRobin is the default policy and reproduces the historical RunMT
-// behavior: threads take turns in index order, skipping blocked threads.
+// roundRobin makes threads take turns in index order, skipping blocked
+// threads: the finest interleaving there is, one switch per instruction, and
+// so the most picks. It was RunMT's default until the default became
+// run-to-block (see Adversarial).
 type roundRobin struct{ cursor int }
 
-// RoundRobin returns the deterministic take-turns policy (the default).
+// RoundRobin returns the deterministic take-turns policy.
 func RoundRobin() Scheduler { return &roundRobin{} }
 
 func (s *roundRobin) Name() string { return "round-robin" }
@@ -73,9 +75,19 @@ func (s *randomSched) Pick(runnable []int, _ []int64, _ int64) int {
 // longest (smallest last-ran step — "longest-blocked-first"). This drives
 // queues to their capacity limits and starves consumers, the schedule most
 // likely to expose placement and synchronization bugs.
+//
+// It is also the default: a nil MTConfig.Sched means this policy. The
+// schedule that is hardest on a wrong program is the cheapest on a right
+// one — the policy changes its mind only when a thread blocks or returns, so
+// a run makes one decision per burst instead of one per instruction, and
+// with nothing attached RunMT does not ask a Scheduler at all (runDecoded
+// issues the same interleaving from a decoded stream). Results cannot tell
+// the difference: they are schedule-independent for every program the
+// oracle passes.
 type adversarial struct{ current int }
 
-// Adversarial returns the deterministic longest-blocked-first policy.
+// Adversarial returns the deterministic run-to-block, longest-blocked-first
+// policy (the default).
 func Adversarial() Scheduler { return &adversarial{current: -1} }
 
 func (s *adversarial) Name() string { return "adversarial" }

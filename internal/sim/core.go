@@ -316,10 +316,11 @@ func (s *system) stepCore(c *core, cycle int64, saPortsUsed *int) (int, cycleTag
 // cycle's attribution tag is never read on that path, so the tag and
 // first-issued-instruction bookkeeping, the per-instruction sink checks,
 // and the readyCause plumbing all drop out of the issue loop, which runs
-// over the decoded (flat, pointer-free) instruction stream instead of the
-// IR. Timing, statistics, fault injection, and block memos are
-// bit-identical to stepCore — TestStepCoreFastEquivalence pins the two
-// against each other.
+// over the thread's decoded stream (ir.Stream — the same flat, pc-indexed
+// records the interpreter's default loop runs over, with Tag holding the
+// issue-port class) instead of the IR. Timing, statistics, fault injection,
+// and block memos are bit-identical to stepCore —
+// TestStepCoreFastEquivalence pins the two against each other.
 func (s *system) stepCoreFast(c *core, cycle int64, saPortsUsed *int) int {
 	if cycle < c.fetchReady {
 		c.wake = c.fetchReady
@@ -333,30 +334,30 @@ func (s *system) stepCoreFast(c *core, cycle int64, saPortsUsed *int) int {
 	issued := 0
 	// avail counts remaining port slots per class; the &3 masks keep the
 	// class in the compiler-provable [0,4) range so the array indexing is
-	// bounds-check free. idx shadows c.idx in a register for the duration
+	// bounds-check free. pc shadows c.pc in a register for the duration
 	// of the call (written back at the single exit below).
 	avail := s.limits
-	ins := c.dblk.ins // stable within the call: taken branches break out
-	idx := c.idx
+	code := c.code.Code
+	pc := c.pc
 
 loop:
 	for issued < issueWidth && !c.done {
-		di := &ins[idx]
-		cls := di.cls & 3
+		di := &code[pc]
+		cls := di.Tag & 3
 		if avail[cls] == 0 {
 			break loop
 		}
 		var lateT int64 = -1
-		if di.nsrc > 0 {
-			if t := ready[di.s0]; t > cycle {
+		if di.NSrc > 0 {
+			if t := ready[di.S0]; t > cycle {
 				lateT = t
 			}
-			if di.nsrc > 1 {
-				if t := ready[di.s1]; t > cycle && t > lateT {
+			if di.NSrc > 1 {
+				if t := ready[di.S1]; t > cycle && t > lateT {
 					lateT = t
 				}
-				if di.nsrc > 2 {
-					for _, r := range c.dblk.irs[idx].Srcs[2:] {
+				if di.NSrc > 2 {
+					for _, r := range c.code.Instrs[pc].Srcs[2:] {
 						if t := ready[r]; t > cycle && t > lateT {
 							lateT = t
 						}
@@ -373,49 +374,49 @@ loop:
 
 		stop := false
 
-		switch di.op {
+		switch di.Op {
 		case ir.Add:
-			regs[di.dst] = regs[di.s0] + regs[di.s1]
-			ready[di.dst] = cycle + 1
+			regs[di.Dst] = regs[di.S0] + regs[di.S1]
+			ready[di.Dst] = cycle + 1
 		case ir.Const:
-			regs[di.dst] = di.imm
-			ready[di.dst] = cycle + 1
+			regs[di.Dst] = di.Imm
+			ready[di.Dst] = cycle + 1
 		case ir.Mov:
-			regs[di.dst] = regs[di.s0]
-			ready[di.dst] = cycle + 1
+			regs[di.Dst] = regs[di.S0]
+			ready[di.Dst] = cycle + 1
 		case ir.Sub:
-			regs[di.dst] = regs[di.s0] - regs[di.s1]
-			ready[di.dst] = cycle + 1
+			regs[di.Dst] = regs[di.S0] - regs[di.S1]
+			ready[di.Dst] = cycle + 1
 		case ir.CmpLT:
-			if regs[di.s0] < regs[di.s1] {
-				regs[di.dst] = 1
+			if regs[di.S0] < regs[di.S1] {
+				regs[di.Dst] = 1
 			} else {
-				regs[di.dst] = 0
+				regs[di.Dst] = 0
 			}
-			ready[di.dst] = cycle + 1
+			ready[di.Dst] = cycle + 1
 		case ir.CmpGT:
-			if regs[di.s0] > regs[di.s1] {
-				regs[di.dst] = 1
+			if regs[di.S0] > regs[di.S1] {
+				regs[di.Dst] = 1
 			} else {
-				regs[di.dst] = 0
+				regs[di.Dst] = 0
 			}
-			ready[di.dst] = cycle + 1
+			ready[di.Dst] = cycle + 1
 		case ir.Shl:
-			regs[di.dst] = regs[di.s0] << (uint64(regs[di.s1]) & 63)
-			ready[di.dst] = cycle + 1
+			regs[di.Dst] = regs[di.S0] << (uint64(regs[di.S1]) & 63)
+			ready[di.Dst] = cycle + 1
 		case ir.Shr:
-			regs[di.dst] = regs[di.s0] >> (uint64(regs[di.s1]) & 63)
-			ready[di.dst] = cycle + 1
+			regs[di.Dst] = regs[di.S0] >> (uint64(regs[di.S1]) & 63)
+			ready[di.Dst] = cycle + 1
 		case ir.And:
-			regs[di.dst] = regs[di.s0] & regs[di.s1]
-			ready[di.dst] = cycle + 1
+			regs[di.Dst] = regs[di.S0] & regs[di.S1]
+			ready[di.Dst] = cycle + 1
 		case ir.Xor:
-			regs[di.dst] = regs[di.s0] ^ regs[di.s1]
-			ready[di.dst] = cycle + 1
+			regs[di.Dst] = regs[di.S0] ^ regs[di.S1]
+			ready[di.Dst] = cycle + 1
 		case ir.Produce, ir.ProduceSync:
-			if s.queues[di.queue].Len() >= s.qcap {
+			if s.queues[di.Queue].Len() >= s.qcap {
 				if issued == 0 {
-					c.blockedFullQ = di.queue
+					c.blockedFullQ = di.Queue
 				}
 				break loop
 			}
@@ -424,12 +425,12 @@ loop:
 			}
 			*saPortsUsed++
 			v := int64(0)
-			if di.op == ir.Produce {
-				v = regs[di.s0]
+			if di.Op == ir.Produce {
+				v = regs[di.S0]
 			}
-			tq, val, times := int(di.queue), v, 1
+			tq, val, times := int(di.Queue), v, 1
 			if s.inj != nil {
-				tq, val, times = s.inj.Produce(c.id, int(di.queue), v, len(s.queues), di.op == ir.Produce)
+				tq, val, times = s.inj.Produce(c.id, int(di.Queue), v, len(s.queues), di.Op == ir.Produce)
 			}
 			c.stats.Produces++
 			for k := 0; k < times; k++ {
@@ -442,10 +443,10 @@ loop:
 				}
 			}
 		case ir.Consume, ir.ConsumeSync:
-			q := s.queues[di.queue]
+			q := s.queues[di.Queue]
 			if q.Len() == 0 {
 				if issued == 0 {
-					c.blockedEmptyQ = di.queue
+					c.blockedEmptyQ = di.Queue
 				}
 				break loop
 			}
@@ -455,66 +456,66 @@ loop:
 			*saPortsUsed++
 			e := q.Pop()
 			c.stats.Consumes++
-			s.qstats[di.queue].Consumed++
-			if di.op == ir.Consume {
-				regs[di.dst] = e.val
+			s.qstats[di.Queue].Consumed++
+			if di.Op == ir.Consume {
+				regs[di.Dst] = e.val
 				arr := e.arrival
 				if arr < cycle+1 {
 					arr = cycle + 1
 				}
-				ready[di.dst] = arr
+				ready[di.Dst] = arr
 			}
 		case ir.Load:
-			addr := regs[di.s0] + di.imm
+			addr := regs[di.S0] + di.Imm
 			if addr < 0 || addr >= int64(len(s.mem)) {
-				s.fault(c, c.dblk.irs[idx], addr)
+				s.fault(c, c.code.Instrs[pc], addr)
 				break loop
 			}
 			lat := c.caches.load(addr, &c.stats.Mem)
-			regs[di.dst] = s.mem[addr]
-			ready[di.dst] = cycle + int64(lat)
+			regs[di.Dst] = s.mem[addr]
+			ready[di.Dst] = cycle + int64(lat)
 		case ir.Store:
-			addr := regs[di.s1] + di.imm
+			addr := regs[di.S1] + di.Imm
 			if addr < 0 || addr >= int64(len(s.mem)) {
-				s.fault(c, c.dblk.irs[idx], addr)
+				s.fault(c, c.code.Instrs[pc], addr)
 				break loop
 			}
 			c.caches.store(addr, c.inval, &c.stats.Mem)
-			s.mem[addr] = regs[di.s0]
+			s.mem[addr] = regs[di.S0]
 		case ir.Br:
-			taken := regs[di.s0] != 0
-			predTaken := c.pred[di.id] >= 2
+			taken := regs[di.S0] != 0
+			predTaken := c.pred[di.ID] >= 2
 			if taken != predTaken {
 				c.stats.Mispreds++
 				c.fetchReady = cycle + 1 + int64(cfg.MispredictPenalty)
 			}
-			if taken && c.pred[di.id] < 3 {
-				c.pred[di.id]++
-			} else if !taken && c.pred[di.id] > 0 {
-				c.pred[di.id]--
+			if taken && c.pred[di.ID] < 3 {
+				c.pred[di.ID]++
+			} else if !taken && c.pred[di.ID] > 0 {
+				c.pred[di.ID]--
 			}
-			next := c.dblk.succs[1]
 			if taken {
-				next = c.dblk.succs[0]
+				pc = di.Taken()
+			} else {
+				pc = di.Fall()
 			}
-			c.dblk, idx = next, 0
 			stop = true
 		case ir.Jump:
-			c.dblk, idx = c.dblk.succs[0], 0
+			pc = di.Taken()
 			stop = true
 		case ir.Ret:
 			c.done = true
 			s.doneCores++
-			if di.nsrc > 0 {
+			if di.NSrc > 0 {
 				c.outs = []int64{}
-				for _, r := range c.dblk.irs[idx].Srcs {
+				for _, r := range c.code.Instrs[pc].Srcs {
 					c.outs = append(c.outs, regs[r])
 				}
 			}
 			stop = true
 		default:
-			c.dblk.irs[idx].Eval(regs)
-			ready[di.dst] = cycle + s.lat[di.op]
+			c.code.Instrs[pc].Eval(regs)
+			ready[di.Dst] = cycle + s.lat[di.Op]
 		}
 
 		avail[cls]--
@@ -523,9 +524,9 @@ loop:
 		if stop {
 			break loop
 		}
-		idx++
+		pc++
 	}
-	c.idx = idx
+	c.pc = pc
 	return issued
 }
 

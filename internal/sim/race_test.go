@@ -1,0 +1,8 @@
+//go:build race
+
+package sim
+
+// raceEnabled reports that the race detector is on: sync.Pool then drops
+// items on purpose and the runtime allocates for its own bookkeeping, so
+// tests that count allocations exactly run their code but skip the count.
+const raceEnabled = true

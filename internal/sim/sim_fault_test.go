@@ -63,6 +63,48 @@ func TestSimBadProgramRejected(t *testing.T) {
 	}
 }
 
+// TestSimUnsoundFunction: the simulator takes functions nobody verified
+// (gmtserve times a client's inline IR single-threaded). A block without a
+// terminator that the run never reaches changes nothing — same cycles as the
+// sound function — and one it does reach ends in ErrCycleLimit: the decoded
+// stream holds a trap there, where the block walk indexed out of range.
+func TestSimUnsoundFunction(t *testing.T) {
+	mk := func(open, reach bool) *ir.Function {
+		f := ir.NewFunction("unsound")
+		entry, side, exit := f.NewBlock("entry"), f.NewBlock("side"), f.NewBlock("exit")
+		c := f.NewReg()
+		ci := f.NewInstr(ir.Const, c)
+		if reach {
+			ci.Imm = 1
+		}
+		entry.Append(ci)
+		entry.Append(f.NewInstr(ir.Br, ir.NoReg, c))
+		entry.SetSuccs(side, exit)
+		side.Append(f.NewInstr(ir.Nop, ir.NoReg))
+		if !open {
+			side.Append(f.NewInstr(ir.Jump, ir.NoReg))
+			side.SetSuccs(exit)
+		}
+		exit.Append(f.NewInstr(ir.Ret, ir.NoReg, c))
+		return f
+	}
+	sound, err := RunSingle(DefaultConfig(), mk(false, false), nil, nil, 10_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unreached, err := RunSingle(DefaultConfig(), mk(true, false), nil, nil, 10_000)
+	if err != nil {
+		t.Fatalf("open block never reached: %v", err)
+	}
+	if unreached.Cycles != sound.Cycles || unreached.LiveOuts[0] != 0 {
+		t.Errorf("open block never reached: %d cycles, live-outs %v; the sound function takes %d",
+			unreached.Cycles, unreached.LiveOuts, sound.Cycles)
+	}
+	if _, err := RunSingle(DefaultConfig(), mk(true, true), nil, nil, 10_000); !errors.Is(err, ErrCycleLimit) {
+		t.Errorf("open block reached: err = %v, want ErrCycleLimit", err)
+	}
+}
+
 // TestSimInjectDropStalls: dropped produces starve the consumer core; with
 // a low stall limit the watchdog converts the silent hang into a named
 // no-progress error instead of burning the full cycle budget.

@@ -178,6 +178,11 @@ func TestRunNoObserverAllocsConstant(t *testing.T) {
 	run(2000) // warm any lazily-grown runtime state
 	short := testing.AllocsPerRun(10, func() { run(40) })
 	long := testing.AllocsPerRun(10, func() { run(2000) })
+	if raceEnabled {
+		// The race detector's runtime allocates for its own bookkeeping as
+		// a run goes on; the runs above still executed under it.
+		t.Skipf("race detector on: ran both lengths (%v and %v allocations), counts not compared", short, long)
+	}
 	if short != long {
 		t.Errorf("allocations scale with cycles: %v for 40 iterations vs %v for 2000", short, long)
 	}

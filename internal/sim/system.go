@@ -103,12 +103,13 @@ type core struct {
 	regs  []int64
 	ready []int64 // reg -> cycle the value is available
 	blk   *ir.Block
-	// dblk is the decoded view of the current block, advanced by
-	// stepCoreFast. A run drives either blk (stepCore, observed runs) or
-	// dblk (stepCoreFast) exclusively — the sink set is fixed for the
-	// whole run — so the two cursors never need reconciling.
-	dblk *decBlock
-	idx  int
+	idx   int
+	// code is the thread decoded for stepCoreFast (Tag: issue-port class)
+	// and pc its position in it. A run drives either blk/idx (stepCore,
+	// observed runs) or pc (stepCoreFast) exclusively — the sink set is
+	// fixed for the whole run — so the two cursors never need reconciling.
+	code ir.Stream
+	pc   int
 	done bool
 	// fetchReady is the first cycle issue may resume after a mispredict.
 	fetchReady int64
@@ -295,7 +296,6 @@ func RunInjected(cfg Config, threads []*ir.Function, args []int64, mem []int64, 
 			regs:          make([]int64, int(f.MaxReg())+1),
 			ready:         make([]int64, int(f.MaxReg())+1),
 			blk:           f.Entry(),
-			dblk:          decodeFunction(f),
 			pred:          make([]uint8, f.NumInstrIDs()),
 			blockedEmptyQ: -1,
 			blockedFullQ:  -1,
@@ -308,6 +308,11 @@ func RunInjected(cfg Config, threads []*ir.Function, args []int64, mem []int64, 
 		}
 		for j, p := range f.Params {
 			c.regs[p] = args[j]
+		}
+		c.code.Decode(f)
+		for pc := range c.code.Code {
+			di := &c.code.Code[pc]
+			di.Tag = uint8(portTab[di.Op])
 		}
 		sys.cores = append(sys.cores, c)
 	}
