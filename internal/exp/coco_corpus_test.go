@@ -32,6 +32,9 @@ func inlineWorkload(t testing.TB, i int) (*workloads.Workload, partition.Partiti
 	seed := int64(inlineCorpusBase) + int64(i)
 	axes, p := randprog.GenerateSized(seed, 160)
 	f, err := ir.Parse(p.F.String())
+	if err == nil {
+		err = f.Verify() // gmtserve refuses inline IR that does not verify
+	}
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
@@ -187,19 +190,24 @@ var cocoWorseThanNaive = map[string][2]int64{
 // to the benchmark's 360 inline programs, each under the partitioner
 // cold_inline sends it to and profiled on the input it is measured on.
 // The claim fails on exactly the programs of cocoWorseThanNaive; the test
-// fails when that list is wrong in either direction.
+// fails when that list is wrong in either direction. It also holds the
+// share of the corpus COCO leaves as naive MTCG generated it — the programs
+// a pipeline measures once (cocoLeavesNaive lists the kernels' pairs).
 func TestCocoNeverWorseThanNaiveCorpus(t *testing.T) {
-	n := 360
+	n, wantSame := 360, 94
 	if testing.Short() {
-		n = 64 // reaches the first two known violations
+		n, wantSame = 64, 12 // reaches the first two known violations
 	}
-	visited := 0
+	visited, same := 0, 0
 	for i := 0; i < n; i++ {
 		w, part := inlineWorkload(t, i)
 		label := w.Name + "/" + part.Name()
 		p, err := NewEngine(EngineOptions{Jobs: 1}).Pipeline(context.Background(), w, part)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
+		}
+		if sameProgram(p.Naive, p.Coco) {
+			same++
 		}
 		naive, err := p.MeasureComm(p.Naive)
 		if err != nil {
@@ -224,5 +232,8 @@ func TestCocoNeverWorseThanNaiveCorpus(t *testing.T) {
 	}
 	if !testing.Short() && visited != len(cocoWorseThanNaive) {
 		t.Errorf("%d of the %d listed violations name a corpus program", visited, len(cocoWorseThanNaive))
+	}
+	if same != wantSame {
+		t.Errorf("COCO's program is the naive program on %d of the first %d corpus programs, want %d", same, n, wantSame)
 	}
 }

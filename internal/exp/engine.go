@@ -300,7 +300,7 @@ func (e *Engine) commCell(ctx context.Context, c cell, sp *obs.Span) (CommRow, e
 	var err error
 	row.Naive, row.Coco, row.Fallback, err = chain(ctx, e, c, sp, "measure",
 		func(p *Pipeline, prog *mtcg.Program, msp *obs.Span) (interp.CommStats, int64, error) {
-			st, injected, err := p.measureCommInjected(ctx, prog, e.chaos)
+			st, injected, err := p.measureCommInjected(ctx, prog, e.chaos, msp)
 			msp.SetInt("compute", st.Compute).SetInt("produce", st.Produce)
 			return st, injected, err
 		},
@@ -339,7 +339,7 @@ func (e *Engine) speedupCell(ctx context.Context, cfg sim.Config, c cell, sp *ob
 			if e.chaos != nil {
 				mtCfg.StallLimit = 100_000
 			}
-			cycles, injected, err := p.measureCyclesInjected(mtCfg, prog, e.chaos)
+			cycles, injected, err := p.measureCyclesInjected(mtCfg, prog, e.chaos, msp)
 			msp.SetInt("cycles", cycles)
 			return cycles, injected, err
 		},

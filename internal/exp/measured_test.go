@@ -1,0 +1,345 @@
+package exp
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/fault"
+	"repro/internal/mtcg"
+	"repro/internal/obs"
+	"repro/internal/sim"
+	"repro/internal/workloads"
+)
+
+// cocoLeavesNaive lists the kernel × partitioner pairs whose COCO program
+// is the naive program instruction for instruction, IDs and queues
+// included: the benchmarks of Figure 7 on which COCO removes nothing. A
+// pipeline measures such a pair once (measured). The inline corpus has 94
+// such programs of 360 (12 of its first 64); that share is held by
+// TestCocoNeverWorseThanNaiveCorpus, which builds every one of them anyway.
+var cocoLeavesNaive = map[string]bool{
+	"adpcmdec/DSWP":    true,
+	"adpcmenc/DSWP":    true,
+	"mpeg2enc/GREMIO":  true,
+	"mpeg2enc/DSWP":    true,
+	"177.mesa/DSWP":    true,
+	"181.mcf/GREMIO":   true,
+	"183.equake/DSWP":  true,
+	"188.ammp/GREMIO":  true,
+	"188.ammp/DSWP":    true,
+	"435.gromacs/DSWP": true,
+}
+
+func buildPipeline(t *testing.T, w *workloads.Workload, pi int) *Pipeline {
+	t.Helper()
+	p, err := NewEngine(EngineOptions{Jobs: 1}).Pipeline(context.Background(), w, Partitioners()[pi])
+	if err != nil {
+		t.Fatalf("%s/%s: %v", w.Name, Partitioners()[pi].Name(), err)
+	}
+	return p
+}
+
+func kernel(t *testing.T, name string) *workloads.Workload {
+	t.Helper()
+	w, err := workloads.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// TestCocoLeavesNaiveList fails when cocoLeavesNaive is wrong in either
+// direction, and when a listed pair no longer names a kernel.
+func TestCocoLeavesNaiveList(t *testing.T) {
+	visited := 0
+	for _, w := range workloads.All() {
+		for pi, part := range Partitioners() {
+			label := w.Name + "/" + part.Name()
+			p := buildPipeline(t, w, pi)
+			listed := cocoLeavesNaive[label]
+			if listed {
+				visited++
+			}
+			if same := sameProgram(p.Naive, p.Coco); same != listed {
+				t.Errorf("%s: COCO's program is the naive program: %t; the list says %t", label, same, listed)
+			}
+		}
+	}
+	if visited != len(cocoLeavesNaive) {
+		t.Errorf("%d of the %d listed pairs name a kernel and a partitioner", visited, len(cocoLeavesNaive))
+	}
+}
+
+// TestMeasuredOncePerDistinctProgram: on every pair, measuring Coco after
+// Naive returns what a pipeline that never measured Naive gets by running
+// Coco, and the executors ran once per distinct program — twice where the
+// programs differ, once where COCO left the naive program as it was.
+func TestMeasuredOncePerDistinctProgram(t *testing.T) {
+	ws := workloads.All()
+	if testing.Short() {
+		ws = subset(t, "ks", "mpeg2enc")
+	}
+	for _, w := range ws {
+		for pi, part := range Partitioners() {
+			label := w.Name + "/" + part.Name()
+			p, fresh := buildPipeline(t, w, pi), buildPipeline(t, w, pi)
+			cfg := p.Machine(sim.DefaultConfig())
+
+			if _, err := p.MeasureComm(p.Naive); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			comm, err := p.MeasureComm(p.Coco)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if _, err := p.MeasureCycles(cfg, p.Naive); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			cycles, err := p.MeasureCycles(cfg, p.Coco)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+
+			wantComm, err := fresh.MeasureComm(fresh.Coco)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			wantCycles, err := fresh.MeasureCycles(cfg, fresh.Coco)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if comm != wantComm || cycles != wantCycles {
+				t.Errorf("%s: Coco after Naive measured %+v and %d cycles; a run of Coco alone %+v and %d",
+					label, comm, cycles, wantComm, wantCycles)
+			}
+			want := int64(4)
+			if cocoLeavesNaive[label] {
+				want = 2
+			}
+			if got := p.plain.executed.Load(); got != want {
+				t.Errorf("%s: %d executor runs for two measurements of each program, want %d", label, got, want)
+			}
+			if got := fresh.plain.executed.Load(); got != 2 {
+				t.Errorf("%s: %d executor runs on the pipeline that measured only Coco, want 2", label, got)
+			}
+		}
+	}
+}
+
+// TestMeasuredReadsEitherWay: the record is filed under the program that
+// ran, so Naive reads Coco's run as Coco reads Naive's; a program whose twin
+// has not run is run each time it is measured; and a hand-built literal —
+// what bench/staged.go makes — behaves as an engine's pipeline does.
+func TestMeasuredReadsEitherWay(t *testing.T) {
+	built := buildPipeline(t, kernel(t, "mpeg2enc"), 0)
+	p := &Pipeline{W: built.W, Part: built.Part, Assign: built.Assign, Graph: built.Graph,
+		Profile: built.Profile, Naive: built.Naive, Coco: built.Coco, QueueCap: built.QueueCap}
+	for i, call := range []struct {
+		prog *mtcg.Program
+		runs int64
+	}{{p.Coco, 1}, {p.Naive, 1}, {p.Naive, 1}, {p.Coco, 2}, {p.Coco, 3}} {
+		if _, err := p.MeasureComm(call.prog); err != nil {
+			t.Fatal(err)
+		}
+		if got := p.plain.executed.Load(); got != call.runs {
+			label, _ := p.progLabel(call.prog)
+			t.Fatalf("after call %d (%s): %d executor runs, want %d", i+1, label, got, call.runs)
+		}
+	}
+}
+
+// TestObservedAndInjectedRunsAreNotShared: a pipeline with an observer
+// runs both programs in full — both leave their metrics — and so does a
+// run with a fault spec armed, whatever becomes of it.
+func TestObservedAndInjectedRunsAreNotShared(t *testing.T) {
+	w := kernel(t, "mpeg2enc")
+	o := &Obs{Metrics: obs.NewRegistry()}
+	e := NewEngine(EngineOptions{Jobs: 1, Obs: o})
+	ctx := context.Background()
+	if _, err := e.CommCell(ctx, w, Partitioners()[0]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.SpeedupCell(ctx, sim.DefaultConfig(), w, Partitioners()[0]); err != nil {
+		t.Fatal(err)
+	}
+	for _, scope := range []string{"naive.interp", "coco.interp", "naive.sim", "coco.sim"} {
+		prefix, found := "exp.mpeg2enc.GREMIO."+scope+".", false
+		for _, m := range o.Metrics.Snapshot() {
+			found = found || strings.HasPrefix(m.Name, prefix)
+		}
+		if !found {
+			t.Errorf("the observed run published nothing under %s", prefix)
+		}
+	}
+	p, err := e.Pipeline(ctx, w, Partitioners()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := p.plain.executed.Load(); got != 4 {
+		t.Errorf("%d executor runs on the observed pipeline, want 4", got)
+	}
+
+	p = buildPipeline(t, w, 0)
+	spec := &fault.Spec{Class: fault.StallThread, Seed: 3}
+	cfg := p.Machine(sim.DefaultConfig())
+	for _, prog := range []*mtcg.Program{p.Naive, p.Coco} {
+		p.measureCommInjected(ctx, prog, spec, nil)
+		p.measureCyclesInjected(cfg, prog, spec, nil)
+	}
+	if got := p.plain.executed.Load(); got != 4 {
+		t.Errorf("%d executor runs with a fault spec armed, want 4", got)
+	}
+	if len(p.plain.runs) != 0 {
+		t.Errorf("injected runs left %d results on record", len(p.plain.runs))
+	}
+}
+
+// TestFailedRunRecordsNothing: a cancelled interpreter run and a simulation
+// out of budget leave no result behind, so the twin's call runs.
+func TestFailedRunRecordsNothing(t *testing.T) {
+	p := buildPipeline(t, kernel(t, "mpeg2enc"), 0)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := p.measureCommInjected(cancelled, p.Naive, nil, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run: err = %v, want context.Canceled", err)
+	}
+	if _, err := p.MeasureComm(p.Coco); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.plain.executed.Load(); got != 2 {
+		t.Errorf("%d executor runs after a cancelled run and its twin's, want 2", got)
+	}
+
+	cfg := p.Machine(sim.DefaultConfig())
+	full := p.budget
+	p.budget.SimCycles = 100
+	if _, err := p.MeasureCycles(cfg, p.Naive); !errors.Is(err, sim.ErrCycleLimit) {
+		t.Fatalf("100-cycle budget: err = %v, want sim.ErrCycleLimit", err)
+	}
+	p.budget = full
+	if _, err := p.MeasureCycles(cfg, p.Coco); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.plain.executed.Load(); got != 4 {
+		t.Errorf("%d executor runs after a failed simulation and its twin's, want 4", got)
+	}
+	if _, err := p.MeasureCycles(cfg, p.Naive); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.plain.executed.Load(); got != 4 {
+		t.Errorf("%d executor runs, want 4: Naive reads the simulation of Coco that succeeded", got)
+	}
+}
+
+// TestMachineIsPartOfTheRecord: a simulation on another machine is another
+// entry — it runs, and returns that machine's cycles.
+func TestMachineIsPartOfTheRecord(t *testing.T) {
+	w := kernel(t, "mpeg2enc")
+	p, fresh := buildPipeline(t, w, 1), buildPipeline(t, w, 1)
+	paper := p.Machine(sim.DefaultConfig())
+	slow := paper
+	slow.MemLat *= 2
+	if _, err := p.MeasureCycles(paper, p.Naive); err != nil {
+		t.Fatal(err)
+	}
+	got, err := p.MeasureCycles(slow, p.Coco)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.MeasureCycles(slow, fresh.Coco)
+	if err != nil {
+		t.Fatal(err)
+	}
+	onPaper, err := p.MeasureCycles(paper, p.Coco)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want || got == onPaper {
+		t.Errorf("doubled memory latency: %d cycles, a fresh pipeline %d; the paper's machine %d", got, want, onPaper)
+	}
+	if runs := p.plain.executed.Load(); runs != 2 {
+		t.Errorf("%d simulations for two machines, want 2", runs)
+	}
+}
+
+// TestMeasuredConcurrently: two goroutines measure one pipeline, as a
+// communication cell and a speedup cell of one engine do (run under -race).
+func TestMeasuredConcurrently(t *testing.T) {
+	p := buildPipeline(t, kernel(t, "mpeg2enc"), 0)
+	cfg := p.Machine(sim.DefaultConfig())
+	fresh := buildPipeline(t, p.W, 0)
+	want, err := fresh.MeasureCycles(cfg, fresh.Coco)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, prog := range []*mtcg.Program{p.Naive, p.Coco} {
+				if _, err := p.MeasureComm(prog); err != nil {
+					t.Error(err)
+				}
+				if got, err := p.MeasureCycles(cfg, prog); err != nil || got != want {
+					t.Errorf("%d cycles, err %v; want %d", got, err, want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestReusedResultSaysSo: in a request's span tree the span of a result
+// read from the twin's run names the twin, so a near-empty measure-coco or
+// simulate-coco span explains itself; a span that ran carries no such mark.
+func TestReusedResultSaysSo(t *testing.T) {
+	for _, tc := range []struct {
+		kernel, coco string
+	}{{"mpeg2enc", " same_as=naive"}, {"ks", ""}} {
+		e := NewEngine(EngineOptions{Jobs: 1})
+		tree := obs.NewSpanTree(tc.kernel, nil)
+		root := tree.Root("cell")
+		w, part := kernel(t, tc.kernel), Partitioners()[0]
+		if _, err := e.CommCellSpan(context.Background(), w, part, root); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.SpeedupCellSpan(context.Background(), sim.DefaultConfig(), w, part, root); err != nil {
+			t.Fatal(err)
+		}
+		root.Finish()
+		var buf bytes.Buffer
+		if err := tree.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			Spans []struct {
+				Name  string
+				Attrs map[string]any
+			}
+		}
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, s := range doc.Spans {
+			if strings.HasPrefix(s.Name, "measure-") || strings.HasPrefix(s.Name, "simulate-") {
+				line := s.Name
+				if v, ok := s.Attrs["same_as"]; ok {
+					line += fmt.Sprintf(" same_as=%v", v)
+				}
+				got = append(got, line)
+			}
+		}
+		want := []string{"measure-naive", "measure-coco" + tc.coco, "simulate-naive", "simulate-coco" + tc.coco}
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("%s: spans %q, want %q", tc.kernel, got, want)
+		}
+	}
+}

@@ -15,6 +15,8 @@ package exp
 import (
 	"context"
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/budget"
 	"repro/internal/coco"
@@ -81,6 +83,114 @@ type Pipeline struct {
 
 	budget budget.Budget
 	o      *Obs
+	plain  measured
+}
+
+// measured is a pipeline's record of its plain executor runs. A run that
+// is neither observed nor injected is a function of code, input and
+// machine, and a pipeline fixes the input: where Coco is the same code as
+// Naive (COCO found nothing to move) the measurement of one is the
+// measurement of the other, and the second call reads it instead of running
+// the executor again. Results are filed under the program that ran and only
+// the other program reads them: a program whose twin has not run is run each
+// time it is measured. The zero value is ready: a Pipeline built as a literal
+// is treated as one an Engine built.
+type measured struct {
+	mu            sync.Mutex
+	decided, same bool
+	runs          map[plainRun]reading
+	// executed counts the executor runs the pipeline started, of any kind;
+	// the tests hold it to one per distinct program.
+	executed atomic.Int64
+}
+
+// plainRun names one recorded run: the program that ran and the executor —
+// the simulator on cfg, or the counting interpreter (sim false; all it sees
+// of a machine is cfg.QueueCap).
+type plainRun struct {
+	prog *mtcg.Program
+	sim  bool
+	cfg  sim.Config
+}
+
+// reading is what a plainRun measured: comm from the interpreter, cycles
+// from the simulator.
+type reading struct {
+	comm   interp.CommStats
+	cycles int64
+}
+
+// twin returns the pipeline's other program when prog is one of an
+// identical Naive/Coco pair and the run is plain — no observer, no armed
+// fault spec — and nil otherwise. The comparison is made once per pipeline,
+// on first use.
+func (p *Pipeline) twin(prog *mtcg.Program, spec *fault.Spec) *mtcg.Program {
+	var other *mtcg.Program
+	switch prog {
+	case p.Naive:
+		other = p.Coco
+	case p.Coco:
+		other = p.Naive
+	}
+	if other == nil || other == prog || p.o != nil || spec != nil {
+		return nil
+	}
+	m := &p.plain
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !m.decided {
+		m.decided, m.same = true, sameProgram(prog, other)
+	}
+	if !m.same {
+		return nil
+	}
+	return other
+}
+
+// sameProgram reports whether two generated programs are the same code,
+// thread for thread.
+func sameProgram(a, b *mtcg.Program) bool {
+	if a.NumQueues != b.NumQueues || len(a.Threads) != len(b.Threads) {
+		return false
+	}
+	for i, f := range a.Threads {
+		if !f.SameCode(b.Threads[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// twinReading returns what twin's run of the same kind as run measured, if
+// it has one on record, and says on msp (which may be nil) whose it was. A
+// nil twin has nothing on record.
+func (p *Pipeline) twinReading(twin *mtcg.Program, run plainRun, msp *obs.Span) (reading, bool) {
+	if twin == nil {
+		return reading{}, false
+	}
+	run.prog = twin
+	p.plain.mu.Lock()
+	r, ok := p.plain.runs[run]
+	p.plain.mu.Unlock()
+	if ok {
+		label, _ := p.progLabel(twin)
+		msp.SetStr("same_as", label)
+	}
+	return r, ok
+}
+
+// record files a successful plain run for its twin to read; with no twin
+// there is no reader and nothing is kept.
+func (p *Pipeline) record(twin *mtcg.Program, run plainRun, r reading) {
+	if twin == nil {
+		return
+	}
+	p.plain.mu.Lock()
+	defer p.plain.mu.Unlock()
+	if p.plain.runs == nil {
+		p.plain.runs = map[plainRun]reading{}
+	}
+	p.plain.runs[run] = r
 }
 
 // progLabel names a measured program and gives its stable trace-pid bit:
@@ -159,9 +269,11 @@ func buildFromArtifact(ctx context.Context, w *workloads.Workload, part partitio
 }
 
 // MeasureComm executes a generated program on the reference input with the
-// counting interpreter and returns its dynamic instruction statistics.
+// counting interpreter and returns its dynamic instruction statistics. Where
+// Coco is the same code as Naive, a plain measurement of the second of them
+// returns the first one's result (see measured); MeasureCycles likewise.
 func (p *Pipeline) MeasureComm(prog *mtcg.Program) (interp.CommStats, error) {
-	st, _, err := p.measureCommInjected(context.Background(), prog, nil)
+	st, _, err := p.measureCommInjected(context.Background(), prog, nil, nil)
 	return st, err
 }
 
@@ -169,9 +281,14 @@ func (p *Pipeline) MeasureComm(prog *mtcg.Program) (interp.CommStats, error) {
 // fresh injector is built per run (same spec ⇒ same deterministic fault
 // schedule) and the number of faults actually injected is returned even
 // when the run fails — a chaos run that dies of an injected deadlock still
-// reports its injections.
-func (p *Pipeline) measureCommInjected(ctx context.Context, prog *mtcg.Program, spec *fault.Spec) (interp.CommStats, int64, error) {
+// reports its injections. msp is the caller's span for this measurement
+// (nil for none): a result read from the twin's run is marked on it.
+func (p *Pipeline) measureCommInjected(ctx context.Context, prog *mtcg.Program, spec *fault.Spec, msp *obs.Span) (interp.CommStats, int64, error) {
 	label, bit := p.progLabel(prog)
+	twin, run := p.twin(prog, spec), plainRun{prog: prog, cfg: sim.Config{QueueCap: p.QueueCap}}
+	if r, ok := p.twinReading(twin, run, msp); ok {
+		return r.comm, 0, nil
+	}
 	in := p.W.Ref()
 	cfg := interp.MTConfig{
 		Threads:   prog.Threads,
@@ -190,6 +307,7 @@ func (p *Pipeline) measureCommInjected(ctx context.Context, prog *mtcg.Program, 
 		cfg.Metrics = p.o.partScope(p.W.Name, p.Part.Name()).Child(label + ".interp")
 		cfg.Trace = p.o.interpLane(p.W.Name, p.Part.Name(), label, bit)
 	}
+	p.plain.executed.Add(1)
 	mt, err := interp.RunMT(cfg)
 	if err != nil {
 		return interp.CommStats{}, cfg.Inject.Count(),
@@ -197,6 +315,7 @@ func (p *Pipeline) measureCommInjected(ctx context.Context, prog *mtcg.Program, 
 	}
 	p.o.partLane(p.W.Name, p.Part.Name()).Span("measure-"+label, "measure",
 		mt.Steps, obs.A("steps", mt.Steps))
+	p.record(twin, run, reading{comm: mt.Stats})
 	return mt.Stats, cfg.Inject.Count(), nil
 }
 
@@ -216,27 +335,34 @@ func (p *Pipeline) Machine(cfg sim.Config) sim.Config {
 // returns the cycle count. The machine is taken as given; callers modeling
 // the paper's per-partitioner queue depths wrap cfg with Machine first.
 func (p *Pipeline) MeasureCycles(cfg sim.Config, prog *mtcg.Program) (int64, error) {
-	cycles, _, err := p.measureCyclesInjected(cfg, prog, nil)
+	cycles, _, err := p.measureCyclesInjected(cfg, prog, nil, nil)
 	return cycles, err
 }
 
 // measureCyclesInjected is MeasureCycles with an optional armed fault spec
-// (fresh deterministic injector per run); it also returns the number of
-// faults injected, even when the simulation fails.
-func (p *Pipeline) measureCyclesInjected(cfg sim.Config, prog *mtcg.Program, spec *fault.Spec) (int64, int64, error) {
+// (fresh deterministic injector per run) and the caller's span, as
+// measureCommInjected; it also returns the number of faults injected, even
+// when the simulation fails.
+func (p *Pipeline) measureCyclesInjected(cfg sim.Config, prog *mtcg.Program, spec *fault.Spec, msp *obs.Span) (int64, int64, error) {
 	label, bit := p.progLabel(prog)
+	twin, run := p.twin(prog, spec), plainRun{prog: prog, sim: true, cfg: cfg}
+	if r, ok := p.twinReading(twin, run, msp); ok {
+		return r.cycles, 0, nil
+	}
 	in := p.W.Ref()
 	ob := p.o.simObserver(p.W.Name, p.Part.Name(), label, bit)
 	var inj *fault.Injector
 	if spec != nil {
 		inj = spec.New()
 	}
+	p.plain.executed.Add(1)
 	res, err := sim.RunInjected(cfg, prog.Threads, in.Args, in.Mem, p.measureBudget().SimCycles, ob, inj)
 	if err != nil {
 		return 0, inj.Count(), fmt.Errorf("exp: simulating %s/%s: %w", p.W.Name, p.Part.Name(), err)
 	}
 	p.o.partLane(p.W.Name, p.Part.Name()).Span("simulate-"+label, "measure",
 		res.Cycles, obs.A("cycles", res.Cycles))
+	p.record(twin, run, reading{cycles: res.Cycles})
 	return res.Cycles, inj.Count(), nil
 }
 

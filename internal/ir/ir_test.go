@@ -172,6 +172,24 @@ func TestVerifyCatchesBrokenFunctions(t *testing.T) {
 			t.Error("Verify accepted out-of-range queue")
 		}
 	})
+	t.Run("instruction ID outside the ID space", func(t *testing.T) {
+		f := NewFunction("bad")
+		e := f.NewBlock("entry")
+		ret := f.NewInstr(Ret, NoReg)
+		ret.ID = f.NumInstrIDs()
+		e.Append(ret)
+		if err := f.Verify(); err == nil {
+			t.Error("Verify accepted an instruction ID the executors' tables have no slot for")
+		}
+	})
+	t.Run("duplicate instruction ID", func(t *testing.T) {
+		f := everyOpFunction(t)
+		a, b := f.Blocks[0].Instrs[0], f.Blocks[0].Instrs[70%len(f.Blocks[0].Instrs)]
+		b.ID = a.ID
+		if err := f.Verify(); err == nil || !strings.Contains(err.Error(), "duplicate instr ID") {
+			t.Errorf("Verify on two instructions with one ID: %v", err)
+		}
+	})
 	t.Run("unreachable block", func(t *testing.T) {
 		f := NewFunction("bad")
 		e := f.NewBlock("entry")
@@ -251,5 +269,57 @@ func TestInsertAtAndIndex(t *testing.T) {
 	}
 	if in.Block() != blk {
 		t.Error("Block link not set by InsertAt")
+	}
+}
+
+// TestSameCode: two builds of one function are the same code, names aside,
+// and a change to any one thing an executor reads makes them different. The
+// comparison allocates nothing — it sits on every request's path.
+func TestSameCode(t *testing.T) {
+	f := everyOpFunction(t)
+	same := everyOpFunction(t)
+	same.Name, same.Blocks[1].Name = "other", "renamed"
+	if !f.SameCode(f) || !f.SameCode(same) || !same.SameCode(f) {
+		t.Fatal("two builds of one function are not the same code")
+	}
+	if n := testing.AllocsPerRun(10, func() { f.SameCode(same) }); n != 0 {
+		t.Errorf("SameCode allocates %v times a call, want 0", n)
+	}
+
+	first := func(g *Function, op Op) *Instr {
+		for _, in := range g.Blocks[0].Instrs {
+			if in.Op == op {
+				return in
+			}
+		}
+		t.Fatalf("fixture has no %v", op)
+		return nil
+	}
+	for _, tc := range []struct {
+		name   string
+		change func(g *Function)
+	}{
+		{"op", func(g *Function) { first(g, Add).Op = Sub }},
+		{"dst", func(g *Function) { first(g, Add).Dst = first(g, Sub).Dst }},
+		{"source", func(g *Function) { first(g, Add).Srcs[1] = g.Params[0] }},
+		{"source count", func(g *Function) { ret := g.RetInstr(); ret.Srcs = ret.Srcs[:3] }},
+		{"imm", func(g *Function) { first(g, Const).Imm++ }},
+		{"queue", func(g *Function) { first(g, Produce).Queue++ }},
+		{"ID", func(g *Function) { a, b := first(g, Add), first(g, Sub); a.ID, b.ID = b.ID, a.ID }},
+		{"orig", func(g *Function) { first(g, Br).Orig = first(f, Br) }},
+		{"successor", func(g *Function) { b := g.Blocks[0]; b.SetSuccs(b.Succs[1], b.Succs[0]) }},
+		{"parameter", func(g *Function) { g.Params[0], g.Params[1] = g.Params[1], g.Params[0] }},
+		{"parameter count", func(g *Function) { g.Params = g.Params[:1] }},
+		{"NumQueues", func(g *Function) { g.NumQueues++ }},
+		{"register space", func(g *Function) { g.NewReg() }},
+		{"instruction-ID space", func(g *Function) { g.NewInstr(Nop, NoReg) }},
+		{"instruction count", func(g *Function) { g.Blocks[2].InsertAt(0, g.NewInstr(Nop, NoReg)) }},
+		{"block count", func(g *Function) { g.NewBlock("extra") }},
+	} {
+		g := everyOpFunction(t)
+		tc.change(g)
+		if f.SameCode(g) || g.SameCode(f) {
+			t.Errorf("a different %s is still the same code", tc.name)
+		}
 	}
 }

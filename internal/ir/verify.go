@@ -1,6 +1,9 @@
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Verify checks the structural invariants of the function and returns the
 // first violation found, or nil. The invariants are:
@@ -11,7 +14,9 @@ import "fmt"
 //   - Successor counts match terminators (Br: 2, Jump: 1, Ret: 0).
 //   - Pred/succ lists are mutually consistent.
 //   - Instruction source counts match opcodes, and registers are allocated.
-//   - Every instruction belongs to the block listing it, and IDs are unique.
+//   - Every instruction belongs to the block listing it, and IDs are unique
+//     and inside the function's ID space (NumInstrIDs sizes the executors'
+//     tables).
 //   - Exactly one Ret exists and every block reaches it or is reachable
 //     from entry (no dangling unreachable garbage is allowed in source
 //     functions; thread functions are built reachable by construction).
@@ -19,7 +24,7 @@ func (f *Function) Verify() error {
 	if len(f.Blocks) == 0 {
 		return fmt.Errorf("%s: no blocks", f.Name)
 	}
-	seenID := make(map[int]*Instr)
+	seenID := make([]uint64, (f.nextInst+63)/64) // one bit per ID: a request pays for this
 	retCount := 0
 	for i, b := range f.Blocks {
 		if b.ID != i {
@@ -36,10 +41,13 @@ func (f *Function) Verify() error {
 			if in.blk != b {
 				return fmt.Errorf("%s: instr %v in %s has wrong block link", f.Name, in, b.Name)
 			}
-			if prev, dup := seenID[in.ID]; dup {
-				return fmt.Errorf("%s: duplicate instr ID %d (%v, %v)", f.Name, in.ID, prev, in)
+			if in.ID < 0 || in.ID >= f.nextInst {
+				return fmt.Errorf("%s: instr %v has ID %d outside [0, %d)", f.Name, in, in.ID, f.nextInst)
 			}
-			seenID[in.ID] = in
+			if seenID[in.ID/64]&(1<<(in.ID%64)) != 0 {
+				return fmt.Errorf("%s: duplicate instr ID %d (%v)", f.Name, in.ID, in)
+			}
+			seenID[in.ID/64] |= 1 << (in.ID % 64)
 			if in.IsTerminator() && j != len(b.Instrs)-1 {
 				return fmt.Errorf("%s: terminator %v mid-block in %s", f.Name, in, b.Name)
 			}
@@ -76,8 +84,8 @@ func (f *Function) Verify() error {
 	}
 	// Reachability from entry.
 	reached := make([]bool, len(f.Blocks))
-	var stack []*Block
-	stack = append(stack, f.Entry())
+	stack := make([]*Block, 1, len(f.Blocks))
+	stack[0] = f.Entry()
 	reached[f.Entry().ID] = true
 	for len(stack) > 0 {
 		b := stack[len(stack)-1]
@@ -133,4 +141,42 @@ func containsBlock(bs []*Block, b *Block) bool {
 		}
 	}
 	return false
+}
+
+// SameCode reports whether f and g are the same code to an executor: the
+// same parameters, queue count and register and instruction-ID spaces, the
+// same blocks in the same order with the same successors, and in every
+// block the same instructions field by field — ID, Op, Dst, Srcs, Imm,
+// Queue, and the Orig an instruction was copied from. Function and block
+// names are not compared; they reach error text only. Two functions that
+// are the same code run identically on any input and machine, so one
+// measurement serves both. SameCode allocates nothing and returns at the
+// first difference.
+func (f *Function) SameCode(g *Function) bool {
+	if f == g {
+		return true
+	}
+	if f.NumQueues != g.NumQueues || f.nextReg != g.nextReg || f.nextInst != g.nextInst ||
+		len(f.Blocks) != len(g.Blocks) || !slices.Equal(f.Params, g.Params) {
+		return false
+	}
+	for i, b := range f.Blocks {
+		c := g.Blocks[i]
+		if len(b.Instrs) != len(c.Instrs) || len(b.Succs) != len(c.Succs) {
+			return false
+		}
+		for j, s := range b.Succs {
+			if s.ID != c.Succs[j].ID {
+				return false
+			}
+		}
+		for j, in := range b.Instrs {
+			o := c.Instrs[j]
+			if in.ID != o.ID || in.Op != o.Op || in.Dst != o.Dst || in.Imm != o.Imm ||
+				in.Queue != o.Queue || in.Orig != o.Orig || !slices.Equal(in.Srcs, o.Srcs) {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -267,3 +267,21 @@ func TestSingleThreadPlanIsIdentity(t *testing.T) {
 		t.Errorf("single-thread run executed %d comm instructions", mt.Stats.Comm())
 	}
 }
+
+// TestGenerateIsRepeatable: two generations of one plan are the same code,
+// thread for thread — instruction IDs, queues and Orig links included — which
+// is what lets a pipeline measure a COCO program that came out as the naive
+// one only once. Threads of one program are not each other's code.
+func TestGenerateIsRepeatable(t *testing.T) {
+	for _, p := range []*testprog.Prog{testprog.Fig3(), testprog.Fig4()} {
+		a, b := naiveProgram(t, p), naiveProgram(t, p)
+		for i, ft := range a.Threads {
+			if !ft.SameCode(b.Threads[i]) {
+				t.Errorf("thread %d differs between two generations of one plan:\n%s\n%s", i, ft, b.Threads[i])
+			}
+		}
+		if a.Threads[0].SameCode(a.Threads[1]) {
+			t.Errorf("the two threads of one program are the same code:\n%s", a.Threads[0])
+		}
+	}
+}

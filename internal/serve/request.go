@@ -136,6 +136,12 @@ func (r *Request) workload() (*workloads.Workload, error) {
 	if err != nil {
 		return nil, fmt.Errorf("parsing ir: %v", err)
 	}
+	// Text that parses can still be no function — a block with no
+	// terminator, two rets — and the executors index by Verify's
+	// invariants: refuse it here, as the client's error it is.
+	if err := f.Verify(); err != nil {
+		return nil, fmt.Errorf("verifying ir: %v", err)
+	}
 	name := r.Name
 	if name == "" {
 		name = "inline"

@@ -321,6 +321,17 @@ func TestInlineIR(t *testing.T) {
 	if res := s1.Do(ctx, &Request{Workload: "ks", IR: "x"}); res.Status != http.StatusBadRequest {
 		t.Fatalf("workload+ir status = %d, want 400", res.Status)
 	}
+	// Text that parses but is no function is the client's error too: the
+	// profile run used to reach side's missing terminator and the request
+	// was answered 500 after a recovered index-out-of-range panic.
+	unterminated := "func f()\nentry:\n  r2 = const 1\n  br r2 side, exit\nside:\n  r3 = add r2, r2\nexit:\n  ret r2\n"
+	res := s1.Do(ctx, &Request{IR: unterminated})
+	if res.Status != http.StatusBadRequest || !strings.Contains(string(res.Body), "block side is unterminated") {
+		t.Fatalf("unterminated block: status %d, want 400 naming the block: %s", res.Status, res.Body)
+	}
+	if st := s1.StatsSnapshot(); st.Compute != 1 {
+		t.Fatalf("compute = %d, want 1: a refused request computes nothing", st.Compute)
+	}
 }
 
 // TestBudgetClampSharesKey: requested budgets past the server cap clamp
