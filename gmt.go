@@ -164,8 +164,12 @@ func (r *Result) CommCount() int { return len(r.program.Comms) }
 
 // Parallelize runs the full pipeline of Figure 2 on a region: profiling,
 // PDG construction, partitioning, communication planning (naive or COCO),
-// MTCG, and queue allocation.
+// MTCG, and queue allocation. A region that fails ir.Function.Verify is
+// rejected before any of it runs.
 func Parallelize(f *Function, objects []MemObject, cfg Config) (*Result, error) {
+	if err := f.Verify(); err != nil {
+		return nil, fmt.Errorf("gmt: verifying region: %w", err)
+	}
 	if cfg.Threads == 0 {
 		cfg.Threads = 2
 	}
@@ -289,8 +293,12 @@ func Execute(r *Result, args []int64, mem Memory) (*ExecResult, error) {
 }
 
 // ExecuteSingle runs the original single-threaded region, returning its
-// live-outs and dynamic instruction count — the golden reference.
+// live-outs and dynamic instruction count — the golden reference. Like
+// Parallelize, it verifies the region first.
 func ExecuteSingle(f *Function, args []int64, mem Memory) (liveOuts []int64, steps int64, err error) {
+	if err := f.Verify(); err != nil {
+		return nil, 0, fmt.Errorf("gmt: verifying region: %w", err)
+	}
 	res, err := interp.Run(f, args, mem, budget.Default().ProfileSteps)
 	if err != nil {
 		return nil, 0, err

@@ -299,3 +299,28 @@ func TestConfigBudgetEnforced(t *testing.T) {
 		t.Fatal("want step-limit error under a 5-step budget")
 	}
 }
+
+// TestUnverifiedRegionRejected: the public API checks its input before it
+// runs it. A region whose reached block has no terminator (the shape
+// gmtserve answers 400 for) panicked the profile run; now Parallelize and
+// ExecuteSingle name Verify's complaint instead.
+func TestUnverifiedRegionRejected(t *testing.T) {
+	f := ir.NewFunction("open")
+	entry, side, exit := f.NewBlock("entry"), f.NewBlock("side"), f.NewBlock("exit")
+	c := f.NewReg()
+	one := f.NewInstr(ir.Const, c)
+	one.Imm = 1
+	entry.Append(one)
+	entry.Append(f.NewInstr(ir.Br, ir.NoReg, c))
+	entry.SetSuccs(side, exit)
+	side.Append(f.NewInstr(ir.Add, f.NewReg(), c, c))
+	exit.Append(f.NewInstr(ir.Ret, ir.NoReg, c))
+
+	const want = "gmt: verifying region: open: block side is unterminated"
+	if _, err := gmt.Parallelize(f, nil, gmt.Config{}); err == nil || err.Error() != want {
+		t.Errorf("Parallelize: err = %v, want %q", err, want)
+	}
+	if _, _, err := gmt.ExecuteSingle(f, nil, nil); err == nil || err.Error() != want {
+		t.Errorf("ExecuteSingle: err = %v, want %q", err, want)
+	}
+}

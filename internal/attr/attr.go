@@ -1,25 +1,21 @@
 // Package attr defines the cycle-attribution taxonomy shared by the
-// cycle-level simulator, the multi-threaded interpreter, and the profiler
-// (internal/profile). Every simulated core-cycle (and every interpreter
-// scheduler pick) is tagged with exactly one cause Bucket, so the bucket
-// sums obey an exact conservation invariant: per core they equal the run's
-// cycle count (per thread, the thread's pick count). The profiler's
-// speedup-explanation reports rest on that invariant — a delta in total
-// cycles decomposes exactly into per-bucket deltas.
+// cycle-level simulator and the profiler (internal/profile). Every simulated
+// core-cycle is tagged with exactly one cause Bucket, so the bucket sums
+// obey an exact conservation invariant: per core they equal the run's cycle
+// count. The profiler's speedup-explanation reports rest on that invariant —
+// a delta in total cycles decomposes exactly into per-bucket deltas.
 //
-// attr is a leaf package: sim and interp both fill attr.Run values, and
-// profile consumes them, without sim and interp having to know about each
-// other or about the profiler.
+// attr is a leaf package: sim fills attr.Run values and profile consumes
+// them, without the simulator having to know about the profiler.
 package attr
 
 import "fmt"
 
-// Bucket is one cause a core-cycle (or scheduler pick) is attributed to.
+// Bucket is one cause a core-cycle is attributed to.
 type Bucket uint8
 
 const (
-	// Issue: the core issued at least one instruction this cycle (for the
-	// interpreter: the picked thread issued its instruction).
+	// Issue: the core issued at least one instruction this cycle.
 	Issue Bucket = iota
 	// DepStall: issue blocked on an operand still in flight from an ALU /
 	// FP instruction (plain dataflow latency).
@@ -39,11 +35,10 @@ const (
 	QueueFull
 	// Branch: front-end bubble after a mispredicted branch.
 	Branch
-	// Fault: an injected stall froze the core/thread (fault injection
-	// runs only; always zero on clean runs).
+	// Fault: an injected stall froze the core (fault injection runs only;
+	// always zero on clean runs).
 	Fault
-	// Idle: the core finished its thread before the end of the run (the
-	// interpreter never tags Idle: finished threads are no longer picked).
+	// Idle: the core finished its thread before the end of the run.
 	Idle
 
 	// NumBuckets is the number of cause buckets.
@@ -63,7 +58,7 @@ func (b Bucket) String() string {
 	return fmt.Sprintf("bucket(%d)", int(b))
 }
 
-// Buckets is a per-bucket cycle (or pick) tally.
+// Buckets is a per-bucket cycle tally.
 type Buckets [NumBuckets]int64
 
 // Total returns the sum over all buckets.
@@ -82,12 +77,11 @@ func (b *Buckets) Add(o *Buckets) {
 	}
 }
 
-// Run is the attribution of one simulator or interpreter run: a bucket
-// tally per core (thread), per static instruction, and per queue. It is
-// filled observationally — recording never changes timing — and obeys:
+// Run is the attribution of one simulator run: a bucket tally per core, per
+// static instruction, and per queue. It is filled observationally —
+// recording never changes timing — and obeys:
 //
-//   - Cores[c].Total() == the run's cycle count, for every core c
-//     (interpreter: == the number of times thread c was picked), and
+//   - Cores[c].Total() == the run's cycle count, for every core c, and
 //   - sum over instructions of Instrs[c] == Cores[c] minus the Idle
 //     bucket (idle cycles happen after the core's last instruction and
 //     belong to no instruction).
@@ -95,9 +89,7 @@ func (b *Buckets) Add(o *Buckets) {
 // Queues tallies only communication-caused buckets (QueueEmpty, QueueFull,
 // CommLatency): the cycles each queue arc stalled a core.
 type Run struct {
-	// Clock names the unit: "cycles" (simulator) or "picks" (interpreter).
-	Clock string
-	// Cores[c] is core/thread c's per-bucket tally.
+	// Cores[c] is core c's per-bucket tally.
 	Cores []Buckets
 	// Instrs[c][id] is the tally attributed to static instruction id of
 	// core c's thread function (indexed by ir.Instr.ID; rows are sized by
@@ -109,9 +101,8 @@ type Run struct {
 
 // NewRun returns a zeroed attribution for the given per-core instruction-ID
 // space sizes and queue count.
-func NewRun(clock string, instrIDs []int, numQueues int) *Run {
+func NewRun(instrIDs []int, numQueues int) *Run {
 	r := &Run{
-		Clock:  clock,
 		Cores:  make([]Buckets, len(instrIDs)),
 		Instrs: make([][]Buckets, len(instrIDs)),
 		Queues: make([]Buckets, numQueues),
@@ -122,7 +113,7 @@ func NewRun(clock string, instrIDs []int, numQueues int) *Run {
 	return r
 }
 
-// Note tags one cycle (pick) of core with bucket b, optionally blaming a
+// Note tags one cycle of core with bucket b, optionally blaming a
 // static instruction ID (instr >= 0) and a queue (queue >= 0). A nil Run
 // records nothing, so instrumented code needs no nil checks.
 func (r *Run) Note(core int, b Bucket, instr, queue int) {
@@ -139,7 +130,7 @@ func (r *Run) Note(core int, b Bucket, instr, queue int) {
 }
 
 // CheckConservation verifies the attribution invariants against the run's
-// per-core totals (cycle count per core, or per-thread pick counts): every
+// per-core totals (the cycle count, once per core): every
 // core's buckets must sum exactly to its total, and the per-instruction
 // tallies must sum to the core tally minus Idle. It returns nil when the
 // attribution conserves.
@@ -152,7 +143,7 @@ func (r *Run) CheckConservation(totals []int64) error {
 	}
 	for c := range r.Cores {
 		if got := r.Cores[c].Total(); got != totals[c] {
-			return fmt.Errorf("attr: core %d buckets sum to %d %s, run says %d", c, got, r.Clock, totals[c])
+			return fmt.Errorf("attr: core %d buckets sum to %d cycles, run says %d", c, got, totals[c])
 		}
 		var instrSum Buckets
 		for i := range r.Instrs[c] {

@@ -23,7 +23,7 @@ func TestBucketNames(t *testing.T) {
 }
 
 func TestNoteAndConservation(t *testing.T) {
-	r := NewRun("cycles", []int{3, 2}, 2)
+	r := NewRun([]int{3, 2}, 2)
 	// Core 0: 4 cycles — issue, issue, queue-empty (instr 1, queue 0), idle.
 	r.Note(0, Issue, 0, -1)
 	r.Note(0, Issue, 2, -1)
@@ -57,7 +57,7 @@ func TestNoteAndConservation(t *testing.T) {
 }
 
 func TestConservationCatchesInstrMismatch(t *testing.T) {
-	r := NewRun("cycles", []int{2}, 0)
+	r := NewRun([]int{2}, 0)
 	// Core tally says issue, but no instruction blamed: instr sums diverge.
 	r.Cores[0][Issue] = 1
 	if err := r.CheckConservation([]int64{1}); err == nil {

@@ -7,19 +7,20 @@
 // classifies every dynamic instruction as computation or communication,
 // producing the data behind Figures 1 and 7.
 //
-// RunMT has two loops. The general one asks the Scheduler before every
-// step and walks the IR; it is the reference, and the only one that serves a
-// fault injector, a trace lane, pick attribution or an explicit policy. The
+// RunMT decodes every thread once into a flat stream (ir.Stream), and a
+// thread's position is one program counter into it. Two loops advance that
+// counter. The general one asks the Scheduler before every step; it is the
+// one that serves an explicit policy, a fault injector or a trace lane. The
 // default one (no policy named, nothing attached) runs a thread until it
-// blocks on a queue or returns, over the thread decoded once into a flat
-// stream (ir.Stream) — the Adversarial policy, which is also what a nil
-// Scheduler means in the general loop. That is sound because a correct MTCG
-// program's live-outs, memory and instruction counts do not depend on the
-// interleaving (the oracle holds every corpus program to that under five
-// policies), and cheap because threads only interact at a queue hand-off:
-// consulting the policy anywhere else buys nothing. Only the
+// blocks on a queue or returns — the Adversarial policy, which is also what
+// a nil Scheduler means in the general loop. That is sound because a
+// correct MTCG program's live-outs, memory and instruction counts do not
+// depend on the interleaving (the oracle holds every corpus program to that
+// under five policies), and cheap because threads only interact at a queue
+// hand-off: consulting the policy anywhere else buys nothing. Only the
 // schedule-dependent numbers — SchedStats, QueueHWM — are the default
-// schedule's own.
+// schedule's own. Run, the single-threaded reference every executor is
+// compared against, walks the IR's blocks directly.
 package interp
 
 import (

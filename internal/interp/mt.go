@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sync"
 
-	"repro/internal/attr"
 	"repro/internal/fault"
 	"repro/internal/ir"
 	"repro/internal/obs"
@@ -111,8 +110,8 @@ type MTConfig struct {
 	// blocks on a queue or returns. Any correct MTCG program yields
 	// identical live-outs, memory and instruction counts under every policy,
 	// so the default is the policy with the fewest picks — and a nil Sched
-	// with no Inject, Trace or Attr runs it over a decoded instruction
-	// stream (runDecoded) instead of asking a Scheduler once per step.
+	// with no Inject or Trace runs it a burst at a time (runDecoded) instead
+	// of asking a Scheduler once per step.
 	Sched Scheduler
 	// Assign is the original partition; used to classify replicated
 	// branches (via Instr.Orig).
@@ -140,12 +139,6 @@ type MTConfig struct {
 	// each queue operation and scheduler pick. An injector belongs to one
 	// run: create a fresh one (fault.Spec.New) per RunMT call.
 	Inject *fault.Injector
-	// Attr enables pick attribution: every scheduler pick is tagged with a
-	// cause bucket (issue, queue-empty, queue-full, fault) into
-	// MTResult.Attr, conserving exactly — per-thread bucket sums equal
-	// MTResult.ThreadPicks. Attribution is observational and never changes
-	// the interleaving.
-	Attr bool
 }
 
 // MTResult is the outcome of a multi-threaded run.
@@ -173,13 +166,6 @@ type MTResult struct {
 	QueueHWM []int64
 	// Sched counts scheduler-policy activity.
 	Sched SchedStats
-	// ThreadPicks (attribution runs only) counts how many times each thread
-	// was picked; the entries sum to Sched.Picks.
-	ThreadPicks []int64
-	// Attr (attribution runs only) tags every scheduler pick with a cause
-	// bucket, per thread, per static instruction, and per queue. Per-thread
-	// bucket sums equal ThreadPicks exactly.
-	Attr *attr.Run
 }
 
 // publish adds the finished run's counts to s: the one place the
@@ -230,33 +216,22 @@ func (o *runObs) queueDepth(q int, step int64, depth int) {
 	}
 }
 
-// threadState is one thread's execution context. Register files of all
-// threads share one contiguous backing allocation (regs is a window into
-// it), and dup caches the replicated-branch classification per static
-// instruction ID so the hot loop never consults the Assign map. A run
-// advances either blk/idx (stepThread, the general loop) or pc (runDecoded)
-// — which loop runs is fixed before the first step.
+// threadState is one thread's execution context: its registers and one
+// program counter into its decoded stream (mtScratch.streams), which both
+// loops advance. Register files of all threads share one contiguous
+// backing allocation; regs is a window into it.
 type threadState struct {
-	fn   *ir.Function
 	regs []int64 // window into the run's shared register backing
-	dup  []bool  // instr ID -> branch replicated into a non-owning thread
-	blk  *ir.Block
-	idx  int
-	pc   int // position in the thread's decoded stream
+	pc   int     // position in the thread's decoded stream
 	done bool
 	outs []int64 // live-outs captured at this thread's Ret
 }
 
-// locate recovers blk/idx from the instruction the decoded loop stopped
-// at, so its deadlock report reads exactly as the general loop's.
-func (ts *threadState) locate(at *ir.Instr) {
-	for _, b := range ts.fn.Blocks {
-		for i, in := range b.Instrs {
-			if in == at {
-				ts.blk, ts.idx = b, i
-				return
-			}
-		}
+// ret finishes the thread at Ret instruction in, capturing its live-outs.
+func (ts *threadState) ret(in *ir.Instr) {
+	ts.done = true
+	for _, r := range in.Srcs {
+		ts.outs = append(ts.outs, ts.regs[r])
 	}
 }
 
@@ -268,9 +243,8 @@ func (ts *threadState) locate(at *ir.Instr) {
 // nothing of the program stays in a scratch once its run is over (release).
 type mtScratch struct {
 	threads  []threadState
-	streams  []ir.Stream // per-thread decoded code: validated at setup, run by runDecoded
+	streams  []ir.Stream // per-thread decoded code, validated at setup
 	regsBack []int64
-	dupBack  []bool
 	queues   []ring.Buf[int64]
 	blocked  []bool
 	lastRan  []int64
@@ -280,11 +254,11 @@ type mtScratch struct {
 
 var mtPool = sync.Pool{New: func() any { return new(mtScratch) }}
 
-// release drops every reference into the caller's program — thread
-// functions, current blocks, decoded instructions — and returns sc to the
-// pool. Without it an idle scratch pins the whole function of the last
-// request it served (for gmtserve, a client's inline IR) until the pool
-// happens to be collected.
+// release drops every reference into the caller's run — decoded
+// instructions, captured live-outs — and returns sc to the pool. Without it
+// an idle scratch pins the whole function of the last request it served
+// (for gmtserve, a client's inline IR) until the pool happens to be
+// collected.
 func (sc *mtScratch) release() {
 	clear(sc.threads)
 	for i := range sc.streams {
@@ -330,40 +304,29 @@ func RunMT(cfg MTConfig) (*MTResult, error) {
 	for i := range queues {
 		queues[i].Init(cfg.QueueCap)
 	}
-	// Size the shared register and dup-branch backings, then carve one
-	// window per thread.
-	regsNeed, dupNeed := 0, 0
+	// Size the shared register backing, then carve one window per thread.
+	regsNeed := 0
 	for _, fn := range cfg.Threads {
 		regsNeed += int(fn.MaxReg()) + 1
-		dupNeed += fn.NumInstrIDs()
 	}
 	sc.regsBack = sized(sc.regsBack, regsNeed)
-	sc.dupBack = sized(sc.dupBack, dupNeed)
 	clear(sc.regsBack)
-	clear(sc.dupBack)
 	sc.threads = sized(sc.threads, nThreads)
 	sc.streams = sized(sc.streams, nThreads)
 	threads := sc.threads
-	regsOff, dupOff := 0, 0
+	regsOff := 0
 	for i, fn := range cfg.Threads {
 		if len(cfg.Args) != len(fn.Params) {
 			return nil, fmt.Errorf("interp: thread %s takes %d params, got %d",
 				fn.Name, len(fn.Params), len(cfg.Args))
 		}
-		nRegs, nIDs := int(fn.MaxReg())+1, fn.NumInstrIDs()
+		nRegs := int(fn.MaxReg()) + 1
 		ts := &threads[i]
-		*ts = threadState{
-			fn:   fn,
-			regs: sc.regsBack[regsOff : regsOff+nRegs],
-			dup:  sc.dupBack[dupOff : dupOff+nIDs],
-			blk:  fn.Entry(),
-		}
+		*ts = threadState{regs: sc.regsBack[regsOff : regsOff+nRegs]}
 		regsOff += nRegs
-		dupOff += nIDs
 		// One pass over the decoded thread validates its queues and marks
-		// the replicated branches, for both loops: in dup, which the general
-		// loop indexes by instruction ID, and in the record's Tag, which
-		// runDecoded reads in passing.
+		// the replicated branches in the record's Tag, which both loops read
+		// in passing.
 		st := &sc.streams[i]
 		st.Decode(fn)
 		for pc := range st.Code {
@@ -376,7 +339,7 @@ func RunMT(cfg MTConfig) (*MTResult, error) {
 				}
 			case di.Op == ir.Br:
 				if in := st.Instrs[pc]; in.Orig != nil && cfg.Assign[in.Orig] != i {
-					ts.dup[di.ID], di.Tag = true, 1
+					di.Tag = 1
 				}
 			}
 		}
@@ -393,16 +356,6 @@ func RunMT(cfg MTConfig) (*MTResult, error) {
 		Sched:     SchedStats{Policy: sched.Name()},
 	}
 	ro := newRunObs(&cfg)
-	var arun *attr.Run
-	if cfg.Attr {
-		ids := make([]int, len(cfg.Threads))
-		for i, f := range cfg.Threads {
-			ids[i] = f.NumInstrIDs()
-		}
-		arun = attr.NewRun("picks", ids, cfg.NumQueues)
-		res.Attr = arun
-		res.ThreadPicks = make([]int64, nThreads)
-	}
 	x := &mtExec{
 		queues: queues,
 		qcap:   cfg.QueueCap,
@@ -435,13 +388,13 @@ func RunMT(cfg MTConfig) (*MTResult, error) {
 	}
 	sc.runnable = sized(sc.runnable, nThreads)
 
-	if cfg.Sched == nil && x.inj == nil && ro == nil && arun == nil {
-		// Default configuration: no explicit policy, injector, timeline or
-		// attribution (metrics are published from the result afterwards, so
-		// asking for them does not disqualify a run). runDecoded issues the
-		// interleaving the loop below would under Adversarial() — one pick
-		// per burst instead of one per step, over a decoded stream;
-		// TestRunMTFastPathEquivalence pins the two against each other.
+	if cfg.Sched == nil && x.inj == nil && ro == nil {
+		// Default configuration: no explicit policy, injector or timeline
+		// (metrics are published from the result afterwards, so asking for
+		// them does not disqualify a run). runDecoded issues the interleaving
+		// the loop below would under Adversarial() — one pick per burst
+		// instead of one per step; TestRunMTFastPathEquivalence pins the two
+		// against each other.
 		steps, err := x.runDecoded(&cfg, sc, active)
 		if err != nil {
 			return nil, err
@@ -453,7 +406,7 @@ func RunMT(cfg MTConfig) (*MTResult, error) {
 		runnable := active
 		if blockedCount > 0 {
 			if blockedCount == len(active) {
-				return nil, fmt.Errorf("%w\n%s", ErrDeadlock, describeBlocked(threads, queues, cfg.QueueCap))
+				return nil, fmt.Errorf("%w\n%s", ErrDeadlock, describeBlocked(threads, sc.streams, queues, cfg.QueueCap))
 			}
 			runnable = sc.runnable[:0]
 			for _, ti := range active {
@@ -468,15 +421,6 @@ func RunMT(cfg MTConfig) (*MTResult, error) {
 				ErrBadSchedule, sched.Name(), ti, runnable)
 		}
 		res.Sched.Picks++
-		if res.ThreadPicks != nil {
-			res.ThreadPicks[ti]++
-		}
-		// curIn (attribution runs only) is the instruction the picked thread
-		// is at — the one issued this pick, or the one it blocked on.
-		var curIn *ir.Instr
-		if arun != nil {
-			curIn = threads[ti].blk.Instrs[threads[ti].idx]
-		}
 		if x.inj != nil && x.inj.Stall(ti, nThreads) {
 			// A frozen thread wastes its turn without issuing. It is NOT
 			// marked blocked: blocked[] feeds the deadlock detector, and a
@@ -484,12 +428,9 @@ func RunMT(cfg MTConfig) (*MTResult, error) {
 			// stuck queue operation. Counted as a blocked turn to preserve
 			// Picks == BlockedTurns + issued steps.
 			res.Sched.BlockedTurns++
-			if arun != nil {
-				arun.Note(ti, attr.Fault, curIn.ID, -1)
-			}
 			continue
 		}
-		stepped, err := x.stepThread(&threads[ti], ti, &res.PerThread[ti], steps)
+		stepped, err := x.stepThread(&threads[ti], &sc.streams[ti], ti, &res.PerThread[ti], steps)
 		if err != nil {
 			return nil, err
 		}
@@ -497,19 +438,7 @@ func RunMT(cfg MTConfig) (*MTResult, error) {
 			blocked[ti] = true
 			blockedCount++
 			res.Sched.BlockedTurns++
-			if arun != nil {
-				// A step only blocks on a queue operation: full for the
-				// produce side, empty for the consume side.
-				b := attr.QueueEmpty
-				if curIn.Op == ir.Produce || curIn.Op == ir.ProduceSync {
-					b = attr.QueueFull
-				}
-				arun.Note(ti, b, curIn.ID, curIn.Queue)
-			}
 			continue
-		}
-		if arun != nil {
-			arun.Note(ti, attr.Issue, curIn.ID, -1)
 		}
 		if blockedCount > 0 {
 			clear(blocked)
@@ -554,8 +483,8 @@ func (r *MTResult) finish(threads []threadState, steps int64, m *obs.Scope) *MTR
 }
 
 // runDecoded is the scheduler loop of RunMT's default configuration — no
-// explicit policy, fault injector, trace lane or attribution. It issues
-// exactly the interleaving the general loop issues under Adversarial(): the
+// explicit policy, fault injector or trace lane. It issues exactly the
+// interleaving the general loop issues under Adversarial(): the
 // picked thread runs until it blocks on a queue or returns, then the
 // runnable thread that has waited longest takes over. What makes that the
 // cheap schedule is that the policy is only consulted where threads
@@ -578,12 +507,7 @@ func (x *mtExec) runDecoded(cfg *MTConfig, sc *mtScratch, active []int) (int64, 
 	cur := -1
 	for len(active) > 0 {
 		if blockedCount == len(active) {
-			for ti := range threads {
-				if ts := &threads[ti]; !ts.done {
-					ts.locate(sc.streams[ti].Instrs[ts.pc])
-				}
-			}
-			return 0, fmt.Errorf("%w\n%s", ErrDeadlock, describeBlocked(threads, queues, qcap))
+			return 0, fmt.Errorf("%w\n%s", ErrDeadlock, describeBlocked(threads, sc.streams, queues, qcap))
 		}
 		if cur < 0 || blocked[cur] || threads[cur].done {
 			// adversarial.Pick: the longest-waiting runnable thread, lowest
@@ -685,13 +609,13 @@ func (x *mtExec) runDecoded(cfg *MTConfig, sc *mtScratch, active []int) (int64, 
 			case ir.Load:
 				a := regs[di.S0] + di.Imm
 				if a < 0 || a >= int64(len(mem)) {
-					return 0, x.memFault(sc, cur, pc-1)
+					return 0, x.memFault(&sc.streams[cur], cur, pc-1, regs)
 				}
 				regs[di.Dst] = mem[a]
 			case ir.Store:
 				a := regs[di.S1] + di.Imm
 				if a < 0 || a >= int64(len(mem)) {
-					return 0, x.memFault(sc, cur, pc-1)
+					return 0, x.memFault(&sc.streams[cur], cur, pc-1, regs)
 				}
 				mem[a] = regs[di.S0]
 			case ir.Br:
@@ -706,13 +630,7 @@ func (x *mtExec) runDecoded(cfg *MTConfig, sc *mtScratch, active []int) (int64, 
 			case ir.Jump:
 				pc = di.Taken()
 			case ir.Ret:
-				ts.done = true
-				if di.NSrc > 0 {
-					ts.outs = []int64{}
-					for _, r := range sc.streams[cur].Instrs[pc-1].Srcs {
-						ts.outs = append(ts.outs, regs[r])
-					}
-				}
+				ts.ret(sc.streams[cur].Instrs[pc-1])
 				n++
 				break burst
 			default:
@@ -757,11 +675,11 @@ func (x *mtExec) runDecoded(cfg *MTConfig, sc *mtScratch, active []int) (int64, 
 	return steps, nil
 }
 
-// memFault renders the out-of-range access at thread ti's pc as the general
-// loop does: exec re-derives the address and words the error.
-func (x *mtExec) memFault(sc *mtScratch, ti, pc int) error {
-	in := sc.streams[ti].Instrs[pc]
-	return fmt.Errorf("interp: thread %d: %v: %w", ti, in, exec(in, sc.threads[ti].regs, x.mem))
+// memFault renders the out-of-range access at pc of thread ti's stream st:
+// exec re-derives the address and words the error.
+func (x *mtExec) memFault(st *ir.Stream, ti, pc int, regs []int64) error {
+	in := st.Instrs[pc]
+	return fmt.Errorf("interp: thread %d: %v: %w", ti, in, exec(in, regs, x.mem))
 }
 
 // mtExec bundles the state stepThread touches every issued instruction.
@@ -777,20 +695,21 @@ type mtExec struct {
 	ro     *runObs
 }
 
-// stepThread executes at most one instruction of ts, returning whether it
-// made progress (false when blocked on a queue). x.res receives per-queue
-// traffic and depth high-water bookkeeping; step is the issued-step
-// timestamp for x.ro's (optional) queue occupancy timeline.
-func (x *mtExec) stepThread(ts *threadState, ti int, stats *CommStats, step int64) (bool, error) {
-	in := ts.blk.Instrs[ts.idx]
-	switch in.Op {
+// stepThread executes at most one instruction of ts — the record at ts.pc
+// in its decoded stream st — returning whether it made progress (false when
+// blocked on a queue). x.res receives per-queue traffic and depth
+// high-water bookkeeping; step is the issued-step timestamp for x.ro's
+// (optional) queue occupancy timeline.
+func (x *mtExec) stepThread(ts *threadState, st *ir.Stream, ti int, stats *CommStats, step int64) (bool, error) {
+	di, regs := &st.Code[ts.pc], ts.regs
+	switch di.Op {
 	case ir.Produce, ir.ProduceSync:
-		if x.queues[in.Queue].Len() >= x.qcap {
+		if x.queues[di.Queue].Len() >= x.qcap {
 			return false, nil // queue full
 		}
 		v := int64(0)
-		if in.Op == ir.Produce {
-			v = ts.regs[in.Srcs[0]]
+		if di.Op == ir.Produce {
+			v = regs[di.S0]
 			stats.Produce++
 		} else {
 			stats.ProduceSync++
@@ -799,9 +718,9 @@ func (x *mtExec) stepThread(ts *threadState, ti int, stats *CommStats, step int6
 		// below counts what actually lands in the array. Under injection
 		// the two may diverge (drop, dup, swap) — that divergence is
 		// exactly what the oracle's balance/ownership checks detect.
-		q, val, times := in.Queue, v, 1
+		q, val, times := int(di.Queue), v, 1
 		if x.inj != nil {
-			q, val, times = x.inj.Produce(ti, in.Queue, v, x.nq, in.Op == ir.Produce)
+			q, val, times = x.inj.Produce(ti, q, v, x.nq, di.Op == ir.Produce)
 		}
 		for k := 0; k < times; k++ {
 			qb := &x.queues[q]
@@ -814,57 +733,61 @@ func (x *mtExec) stepThread(ts *threadState, ti int, stats *CommStats, step int6
 		if times > 0 {
 			x.ro.queueDepth(q, step, x.queues[q].Len())
 		}
-		ts.idx++
+		ts.pc++
 	case ir.Consume, ir.ConsumeSync:
-		qb := &x.queues[in.Queue]
+		qb := &x.queues[di.Queue]
 		if qb.Len() == 0 {
 			return false, nil // queue empty
 		}
 		v := qb.Pop()
-		x.res.PerQueue[in.Queue].Consumed++
-		if in.Op == ir.Consume {
-			ts.regs[in.Dst] = v
+		x.res.PerQueue[di.Queue].Consumed++
+		if di.Op == ir.Consume {
+			regs[di.Dst] = v
 			stats.Consume++
 		} else {
 			stats.ConsumeSync++
 		}
-		x.ro.queueDepth(in.Queue, step, qb.Len())
-		ts.idx++
+		x.ro.queueDepth(int(di.Queue), step, qb.Len())
+		ts.pc++
 	case ir.Br:
-		if ts.dup[in.ID] {
+		if di.Tag != 0 {
 			stats.DupBranch++
 		} else {
 			stats.Compute++
 		}
-		next := ts.blk.Succs[1]
-		if ts.regs[in.Srcs[0]] != 0 {
-			next = ts.blk.Succs[0]
+		if regs[di.S0] != 0 {
+			ts.pc = di.Taken()
+		} else {
+			ts.pc = di.Fall()
 		}
-		ts.blk, ts.idx = next, 0
 	case ir.Jump:
 		stats.Compute++
-		ts.blk, ts.idx = ts.blk.Succs[0], 0
+		ts.pc = di.Taken()
 	case ir.Ret:
 		stats.Compute++
-		ts.done = true
-		if len(in.Srcs) > 0 {
-			ts.outs = []int64{}
-			for _, r := range in.Srcs {
-				ts.outs = append(ts.outs, ts.regs[r])
-			}
-		}
-	case ir.Load, ir.Store:
+		ts.ret(st.Instrs[ts.pc])
+	case ir.Load:
 		stats.Compute++
-		if err := exec(in, ts.regs, x.mem); err != nil {
-			return false, fmt.Errorf("interp: thread %d: %v: %w", ti, in, err)
+		a := regs[di.S0] + di.Imm
+		if a < 0 || a >= int64(len(x.mem)) {
+			return false, x.memFault(st, ti, ts.pc, regs)
 		}
-		ts.idx++
+		regs[di.Dst] = x.mem[a]
+		ts.pc++
+	case ir.Store:
+		stats.Compute++
+		a := regs[di.S1] + di.Imm
+		if a < 0 || a >= int64(len(x.mem)) {
+			return false, x.memFault(st, ti, ts.pc, regs)
+		}
+		x.mem[a] = regs[di.S0]
+		ts.pc++
 	default:
 		stats.Compute++
-		if !in.Eval(ts.regs) {
+		if in := st.Instrs[ts.pc]; !in.Eval(regs) {
 			return false, fmt.Errorf("interp: thread %d: %v: %w", ti, in, errOpcode(in.Op))
 		}
-		ts.idx++
+		ts.pc++
 	}
 	return true, nil
 }
@@ -874,7 +797,7 @@ func (x *mtExec) stepThread(ts *threadState, ti int, stats *CommStats, step int6
 // instruction, and the occupancy of the queue it is blocked on — so a
 // deadlock report can be pasted into a regression test or bug report
 // verbatim.
-func describeBlocked(threads []threadState, queues []ring.Buf[int64], qcap int) string {
+func describeBlocked(threads []threadState, streams []ir.Stream, queues []ring.Buf[int64], qcap int) string {
 	s := ""
 	for ti := range threads {
 		ts := &threads[ti]
@@ -882,9 +805,9 @@ func describeBlocked(threads []threadState, queues []ring.Buf[int64], qcap int) 
 			s += fmt.Sprintf("thread %d: done\n", ti)
 			continue
 		}
-		in := ts.blk.Instrs[ts.idx]
+		in := streams[ti].Instrs[ts.pc]
 		if !in.Op.IsComm() {
-			s += fmt.Sprintf("thread %d: stopped at %s[%d]: %v\n", ti, ts.blk.Name, ts.idx, in)
+			s += fmt.Sprintf("thread %d: stopped at %s[%d]: %v\n", ti, in.Block().Name, in.Index(), in)
 			continue
 		}
 		state := "empty"
@@ -894,7 +817,7 @@ func describeBlocked(threads []threadState, queues []ring.Buf[int64], qcap int) 
 			state = fmt.Sprintf("%d buffered", qlen)
 		}
 		s += fmt.Sprintf("thread %d: blocked at %s[%d]: %v (queue %d: %d/%d, %s)\n",
-			ti, ts.blk.Name, ts.idx, in, in.Queue, queues[in.Queue].Len(), qcap, state)
+			ti, in.Block().Name, in.Index(), in, in.Queue, queues[in.Queue].Len(), qcap, state)
 	}
 	return s
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/coco"
+	"repro/internal/fault"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/mtcg"
@@ -92,7 +93,7 @@ func kernel(tb testing.TB, name string) *region {
 func bothLoops(t *testing.T, label string, mk func() interp.MTConfig) (*interp.MTResult, error) {
 	t.Helper()
 	cfg := mk()
-	if cfg.Sched != nil || cfg.Inject != nil || cfg.Trace != nil || cfg.Attr {
+	if cfg.Sched != nil || cfg.Inject != nil || cfg.Trace != nil {
 		t.Fatalf("%s: config would not take the decoded loop", label)
 	}
 	dec, decErr := interp.RunMT(cfg)
@@ -325,9 +326,9 @@ func TestRunMTFastPathEquivalence(t *testing.T) {
 	t.Run("unsound-function", func(t *testing.T) {
 		// A block without a terminator that no run reaches costs neither
 		// loop anything (gmtserve takes inline IR it has not verified). One
-		// that is reached made the block walk index out of range; the
-		// decoded loop spins on the trap ir.Stream.Decode planted there and
-		// reports the step budget.
+		// that is reached made the block walk index out of range; both loops
+		// spin on the trap ir.Stream.Decode planted there and report the
+		// step budget — whatever takes the run off the default loop.
 		mk := func(reach bool) *ir.Function {
 			f := ir.NewFunction("unsound")
 			entry, open, exit := f.NewBlock("entry"), f.NewBlock("open"), f.NewBlock("exit")
@@ -349,9 +350,20 @@ func TestRunMTFastPathEquivalence(t *testing.T) {
 		if err != nil || len(res.LiveOuts) != 1 || res.Steps != 3 {
 			t.Errorf("unreached open block: result %+v, err %v", res, err)
 		}
-		_, err = interp.RunMT(interp.MTConfig{Threads: []*ir.Function{mk(true)}, MaxSteps: 100})
-		if !errors.Is(err, interp.ErrStepLimit) {
-			t.Errorf("reached open block: err = %v, want ErrStepLimit", err)
+		for _, tc := range []struct {
+			name string
+			set  func(*interp.MTConfig)
+		}{
+			{"default", func(*interp.MTConfig) {}},
+			{"round-robin", func(c *interp.MTConfig) { c.Sched = interp.RoundRobin() }},
+			{"stall-thread", func(c *interp.MTConfig) { c.Inject = fault.Spec{Class: fault.StallThread, Seed: 1}.New() }},
+			{"trace", func(c *interp.MTConfig) { c.Trace = obs.NewTrace().Lane(1, 0) }},
+		} {
+			cfg := interp.MTConfig{Threads: []*ir.Function{mk(true)}, MaxSteps: 100}
+			tc.set(&cfg)
+			if _, err := interp.RunMT(cfg); !errors.Is(err, interp.ErrStepLimit) {
+				t.Errorf("reached open block, %s: err = %v, want ErrStepLimit", tc.name, err)
+			}
 		}
 	})
 

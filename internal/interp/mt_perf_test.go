@@ -40,8 +40,8 @@ func TestRunMTNoObserverAllocsConstant(t *testing.T) {
 }
 
 // TestScratchReleasedClean: a scratch back in the pool holds nothing of the
-// program it last ran — no thread function, current block or decoded
-// instruction — through either loop, whether the run succeeded or not.
+// run it last served — no decoded instruction, register window or live-out
+// — through either loop, whether the run succeeded or not.
 // (gmtserve's inline-IR requests would otherwise each stay reachable from
 // the pool after their reply was sent.)
 func TestScratchReleasedClean(t *testing.T) {
@@ -75,7 +75,7 @@ func TestScratchReleasedClean(t *testing.T) {
 			t.Fatalf("%s: no run used a pooled scratch", name)
 		}
 		for i, ts := range sc.threads[:cap(sc.threads)] {
-			if ts.fn != nil || ts.blk != nil || ts.regs != nil || ts.outs != nil {
+			if ts.regs != nil || ts.outs != nil {
 				t.Errorf("%s: pooled thread state %d still points into the run: %+v", name, i, ts)
 			}
 		}

@@ -81,7 +81,7 @@ func (s *randomSched) Pick(runnable []int, _ []int64, _ int64) int {
 // one — the policy changes its mind only when a thread blocks or returns, so
 // a run makes one decision per burst instead of one per instruction, and
 // with nothing attached RunMT does not ask a Scheduler at all (runDecoded
-// issues the same interleaving from a decoded stream). Results cannot tell
+// issues the same interleaving a burst at a time). Results cannot tell
 // the difference: they are schedule-independent for every program the
 // oracle passes.
 type adversarial struct{ current int }
@@ -120,17 +120,4 @@ func SchedulerByName(name string, seed int64) (Scheduler, error) {
 		return Adversarial(), nil
 	}
 	return nil, fmt.Errorf("interp: unknown schedule %q (want round-robin, random, or adversarial)", name)
-}
-
-// AllSchedulers returns the oracle's standard policy matrix: round-robin,
-// three seeded-random interleavings derived from seed, and the adversarial
-// longest-blocked-first policy.
-func AllSchedulers(seed int64) []Scheduler {
-	return []Scheduler{
-		RoundRobin(),
-		Random(seed),
-		Random(seed + 1),
-		Random(seed + 2),
-		Adversarial(),
-	}
 }

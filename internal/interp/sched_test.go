@@ -15,7 +15,7 @@ import (
 func TestRunMTSchedulesAgree(t *testing.T) {
 	for _, qcap := range []int{1, 2, 32} {
 		var want *MTResult
-		for _, sched := range AllSchedulers(7) {
+		for _, sched := range []Scheduler{RoundRobin(), Random(7), Random(8), Random(9), Adversarial()} {
 			threads, nq := mtPair(100, true)
 			res, err := RunMT(MTConfig{
 				Threads: threads, NumQueues: nq, QueueCap: qcap,
@@ -145,7 +145,7 @@ func TestDeadlockDiagnosticFormat(t *testing.T) {
 // TestDeadlockDetectedUnderEverySchedule checks that no policy can mask a
 // deadlock or spin forever on one.
 func TestDeadlockDetectedUnderEverySchedule(t *testing.T) {
-	for _, sched := range AllSchedulers(3) {
+	for _, sched := range []Scheduler{RoundRobin(), Random(3), Random(4), Random(5), Adversarial()} {
 		_, err := RunMT(MTConfig{
 			Threads: deadlockPair(), NumQueues: 2, Sched: sched, MaxSteps: 10_000,
 		})

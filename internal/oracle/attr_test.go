@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/attr"
 	"repro/internal/fault"
-	"repro/internal/interp"
 	"repro/internal/sim"
 )
 
@@ -59,59 +58,6 @@ func TestSimAttrConservesOnCorpus(t *testing.T) {
 		}
 	}
 	if faultCycles == 0 {
-		t.Error("stall injection left the fault bucket empty across the whole corpus")
-	}
-}
-
-// TestInterpAttrConservesOnCorpus: the interpreter's pick attribution must
-// conserve against per-thread pick counts on every corpus program, with
-// Issue picks equal to executed steps and the queue buckets equal to the
-// scheduler's blocked turns; injected stalls land in the Fault bucket.
-func TestInterpAttrConservesOnCorpus(t *testing.T) {
-	var faultPicks int64
-	for _, pc := range obsPrograms(t) {
-		for _, spec := range []*fault.Spec{nil, {Class: fault.StallThread, Seed: 11}} {
-			config := pc.config + "/clean"
-			var inj *fault.Injector
-			if spec != nil {
-				config = pc.config + "/" + string(spec.Class)
-				inj = spec.New()
-			}
-			mt, err := interp.RunMT(interp.MTConfig{
-				Threads: pc.prog.Threads, NumQueues: pc.prog.NumQueues,
-				Assign: pc.prog.Assign,
-				Args:   pc.c.Args, Mem: append([]int64(nil), pc.c.Mem...),
-				MaxSteps: 5_000_000,
-				Attr:     true,
-				Inject:   inj,
-			})
-			if err != nil {
-				t.Errorf("%s: %v", config, err)
-				continue
-			}
-			if err := mt.Attr.CheckConservation(mt.ThreadPicks); err != nil {
-				t.Errorf("%s: %v", config, err)
-				continue
-			}
-			tot := mt.Attr.TotalBuckets()
-			if tot[attr.Issue] != mt.Steps {
-				t.Errorf("%s: issue picks %d != steps %d", config, tot[attr.Issue], mt.Steps)
-			}
-			// Injected stalls waste a turn without a queue being at fault,
-			// so the Fault bucket joins the queue buckets in accounting for
-			// every blocked turn (it is zero on clean runs).
-			if got := tot[attr.QueueEmpty] + tot[attr.QueueFull] + tot[attr.Fault]; got != mt.Sched.BlockedTurns {
-				t.Errorf("%s: queue+fault buckets %d != blocked turns %d", config, got, mt.Sched.BlockedTurns)
-			}
-			if spec == nil && tot[attr.Fault] != 0 {
-				t.Errorf("%s: clean run attributed %d picks to fault", config, tot[attr.Fault])
-			}
-			if spec != nil {
-				faultPicks += tot[attr.Fault]
-			}
-		}
-	}
-	if faultPicks == 0 {
 		t.Error("stall injection left the fault bucket empty across the whole corpus")
 	}
 }

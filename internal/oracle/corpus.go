@@ -222,6 +222,11 @@ func formatInts(vs []int64) string {
 	return b.String()
 }
 
+// maxCaseWords bounds the memory image a reproducer's objects may ask
+// ParseCase to allocate: an object directive is a few bytes of text, and
+// without a bound one of them could demand terabytes.
+const maxCaseWords = 1 << 20
+
 // ParseCase parses a reproducer file back into a Case (the replay
 // directive, if any, lands in Case.Replay). Truncated or corrupt files —
 // malformed directives, unknown replay keys, bad object geometry, an arg
@@ -266,8 +271,9 @@ func ParseCase(text string) (*Case, error) {
 			if o.Size, err = strconv.ParseInt(f[2], 10, 64); err != nil {
 				break
 			}
-			if o.Base < 0 || o.Size <= 0 {
-				err = fmt.Errorf("object %s has impossible geometry base=%d size=%d", o.Name, o.Base, o.Size)
+			if o.Base < 0 || o.Size <= 0 || o.Base > maxCaseWords-o.Size {
+				err = fmt.Errorf("object %s has impossible geometry base=%d size=%d (memory holds at most %d words)",
+					o.Name, o.Base, o.Size, maxCaseWords)
 				break
 			}
 			c.Objects = append(c.Objects, o)

@@ -141,7 +141,7 @@ func (r *Report) Render(w io.Writer, top int) error {
 	}
 	fmt.Fprintf(w, "cycles=%d cores=%d instrs=%d ipc=%d.%02d\n",
 		r.Cycles, r.Cores, r.Instrs, ipc100/100, ipc100%100)
-	fmt.Fprintf(w, "\ncycle attribution (%s):\n", r.Attr.Clock)
+	fmt.Fprintf(w, "\ncycle attribution (cycles):\n")
 	for c := range r.Attr.Cores {
 		fmt.Fprintf(w, "  core%d: %s\n", c, bucketLine(&r.Attr.Cores[c]))
 	}
@@ -149,11 +149,11 @@ func (r *Report) Render(w io.Writer, top int) error {
 	fmt.Fprintf(w, "  total: %s\n", bucketLine(&tot))
 	queueStalls := renderQueueStalls(r.Attr)
 	if queueStalls != "" {
-		fmt.Fprintf(w, "\nqueue stall blame (%s):\n%s", r.Attr.Clock, queueStalls)
+		fmt.Fprintf(w, "\nqueue stall blame (cycles):\n%s", queueStalls)
 	}
 	p := r.Path
-	fmt.Fprintf(w, "\ncritical path: length=%d %s, %d events (run: %d cycles)\n",
-		p.Length, r.Attr.Clock, p.Nodes, r.Cycles)
+	fmt.Fprintf(w, "\ncritical path: length=%d cycles, %d events (run: %d cycles)\n",
+		p.Length, p.Nodes, r.Cycles)
 	fmt.Fprintf(w, "top instructions by critical-path share:\n")
 	for i, b := range capTop(p.Instrs, top) {
 		fmt.Fprintf(w, "  %2d. %8d cy  n=%-7d core%d #%d: %s\n",

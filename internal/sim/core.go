@@ -83,11 +83,12 @@ func blockTag(issued, firstID int, b attr.Bucket, instr, queue int) cycleTag {
 // queue state). It returns the number of instructions issued and the
 // cycle's attribution tag (meaningful only on attribution runs).
 func (s *system) stepCore(c *core, cycle int64, saPortsUsed *int) (int, cycleTag) {
+	code := c.code.Code
 	if cycle < c.fetchReady {
 		// Front-end bubble after a mispredict: blame the instruction whose
 		// fetch is delayed. The bubble's end is known exactly.
 		c.wake = c.fetchReady
-		return 0, cycleTag{bucket: attr.Branch, instr: c.blk.Instrs[c.idx].ID, queue: -1}
+		return 0, cycleTag{bucket: attr.Branch, instr: int(code[c.pc].ID), queue: -1}
 	}
 	cfg := &s.cfg
 	issueWidth := cfg.IssueWidth
@@ -97,38 +98,47 @@ func (s *system) stepCore(c *core, cycle int64, saPortsUsed *int) (int, cycleTag
 	ports := [4]int{}
 
 	for issued < issueWidth && !c.done {
-		in := c.blk.Instrs[c.idx]
-		cls := portTab[in.Op]
+		pc := c.pc
+		di := &code[pc]
+		id := int(di.ID)
+		cls := di.Tag & 3
 		if ports[cls] >= limits[cls] {
 			// Structural hazard; in-order issue stops. At issued == 0 this
 			// is only reachable with a zero-port config.
-			return issued, blockTag(issued, firstID, attr.DepStall, in.ID, -1)
+			return issued, blockTag(issued, firstID, attr.DepStall, id, -1)
 		}
 		// Operand readiness (stall-on-use: the stall happens here, at
 		// the first instruction that needs a late value). The stall is
-		// blamed on the cause of the latest-arriving unready operand, and
-		// its clearing time — the latest ready time, which only this
-		// core's own issues could ever move — is memoized as the wake.
-		var lateT int64 = -1
-		for _, r := range in.Srcs {
-			if t := c.ready[r]; t > cycle && t > lateT {
-				lateT = t
+		// blamed on the cause of the latest-arriving unready operand (the
+		// first such in source order), and its clearing time — the latest
+		// ready time, which only this core's own issues could ever move —
+		// is memoized as the wake.
+		lateT, lateR := int64(-1), int32(0)
+		if di.NSrc > 0 {
+			if t := c.ready[di.S0]; t > cycle {
+				lateT, lateR = t, di.S0
+			}
+			if di.NSrc > 1 {
+				if t := c.ready[di.S1]; t > cycle && t > lateT {
+					lateT, lateR = t, di.S1
+				}
+				if di.NSrc > 2 {
+					for _, r := range c.code.Instrs[pc].Srcs[2:] {
+						if t := c.ready[r]; t > cycle && t > lateT {
+							lateT, lateR = t, int32(r)
+						}
+					}
+				}
 			}
 		}
 		if lateT >= 0 {
 			b, bq := attr.DepStall, -1
 			if c.readyCause != nil {
-				for _, r := range in.Srcs {
-					if c.ready[r] == lateT {
-						b = attr.Bucket(c.readyCause[r])
-						bq = int(c.readyQueue[r])
-						break
-					}
-				}
+				b, bq = attr.Bucket(c.readyCause[lateR]), int(c.readyQueue[lateR])
 			} else if issued == 0 {
 				c.wake = lateT
 			}
-			return issued, blockTag(issued, firstID, b, in.ID, bq)
+			return issued, blockTag(issued, firstID, b, id, bq)
 		}
 
 		// done is the cycle the instruction's result becomes usable (the
@@ -138,30 +148,30 @@ func (s *system) stepCore(c *core, cycle int64, saPortsUsed *int) (int, cycleTag
 		evQueue, evTimes := -1, 1
 		stop := false // terminator: the issue group ends here
 
-		switch in.Op {
+		switch di.Op {
 		case ir.Produce, ir.ProduceSync:
-			if s.queues[in.Queue].Len() >= s.qcap {
+			if s.queues[di.Queue].Len() >= s.qcap {
 				// Queue full: blocked until the consumer frees a slot.
 				if issued == 0 {
-					c.blockedFullQ = int32(in.Queue)
+					c.blockedFullQ = di.Queue
 				}
-				return issued, blockTag(issued, firstID, attr.QueueFull, in.ID, in.Queue)
+				return issued, blockTag(issued, firstID, attr.QueueFull, id, int(di.Queue))
 			}
 			if *saPortsUsed >= cfg.SAPorts {
 				// SA request ports exhausted this cycle: contention.
-				return issued, blockTag(issued, firstID, attr.CommLatency, in.ID, in.Queue)
+				return issued, blockTag(issued, firstID, attr.CommLatency, id, int(di.Queue))
 			}
 			*saPortsUsed++
 			v := int64(0)
-			if in.Op == ir.Produce {
-				v = c.regs[in.Srcs[0]]
+			if di.Op == ir.Produce {
+				v = c.regs[di.S0]
 			}
 			// Core stats count the issued instruction; queue stats count
 			// what actually lands in the array — under injection (drop,
 			// dup, swap) the two diverge, which is the detection signal.
-			tq, val, times := in.Queue, v, 1
+			tq, val, times := int(di.Queue), v, 1
 			if s.inj != nil {
-				tq, val, times = s.inj.Produce(c.id, in.Queue, v, len(s.queues), in.Op == ir.Produce)
+				tq, val, times = s.inj.Produce(c.id, tq, v, len(s.queues), di.Op == ir.Produce)
 			}
 			c.stats.Produces++
 			for k := 0; k < times; k++ {
@@ -190,107 +200,107 @@ func (s *system) stepCore(c *core, cycle int64, saPortsUsed *int) (int, cycleTag
 			done = cycle + int64(cfg.SALatency)
 			evQueue, evTimes = tq, times
 		case ir.Consume, ir.ConsumeSync:
-			q := s.queues[in.Queue]
+			q := s.queues[di.Queue]
 			if q.Len() == 0 {
 				// Nothing produced yet: the producing thread is behind.
 				if issued == 0 {
-					c.blockedEmptyQ = int32(in.Queue)
+					c.blockedEmptyQ = di.Queue
 				}
-				return issued, blockTag(issued, firstID, attr.QueueEmpty, in.ID, in.Queue)
+				return issued, blockTag(issued, firstID, attr.QueueEmpty, id, int(di.Queue))
 			}
 			if *saPortsUsed >= cfg.SAPorts {
-				return issued, blockTag(issued, firstID, attr.CommLatency, in.ID, in.Queue)
+				return issued, blockTag(issued, firstID, attr.CommLatency, id, int(di.Queue))
 			}
 			*saPortsUsed++
 			e := q.Pop()
 			v := e.val
 			arr := e.arrival
 			if s.flows {
-				s.coreLanes[c.id].SpanAt("consume", "sa", cycle, 1, obs.A("q", int64(in.Queue)))
-				s.coreLanes[c.id].FlowEnd(s.qnames[in.Queue], "sa", e.flow, cycle)
+				s.coreLanes[c.id].SpanAt("consume", "sa", cycle, 1, obs.A("q", int64(di.Queue)))
+				s.coreLanes[c.id].FlowEnd(s.qnames[di.Queue], "sa", e.flow, cycle)
 			}
 			c.stats.Consumes++
-			s.qstats[in.Queue].Consumed++
+			s.qstats[di.Queue].Consumed++
 			if s.saLane != nil {
-				s.saLane.Counter(s.qnames[in.Queue], cycle, "depth", int64(q.Len()))
+				s.saLane.Counter(s.qnames[di.Queue], cycle, "depth", int64(q.Len()))
 			}
-			if in.Op == ir.Consume {
-				c.regs[in.Dst] = v
+			if di.Op == ir.Consume {
+				c.regs[di.Dst] = v
 				// Stall-on-use: the consume completes now; its value
 				// becomes usable when the SA delivers it.
 				if arr < cycle+1 {
 					arr = cycle + 1
 				}
-				c.ready[in.Dst] = arr
+				c.ready[di.Dst] = arr
 				if c.readyCause != nil {
-					c.readyCause[in.Dst] = uint8(attr.CommLatency)
-					c.readyQueue[in.Dst] = int32(in.Queue)
+					c.readyCause[di.Dst] = uint8(attr.CommLatency)
+					c.readyQueue[di.Dst] = di.Queue
 				}
 				done = arr
 			}
-			evQueue = in.Queue
+			evQueue = int(di.Queue)
 		case ir.Load:
-			addr := c.regs[in.Srcs[0]] + in.Imm
+			addr := c.regs[di.S0] + di.Imm
 			if addr < 0 || addr >= int64(len(s.mem)) {
-				s.fault(c, in, addr)
-				return issued, blockTag(issued, firstID, attr.Memory, in.ID, -1)
+				s.fault(c, c.code.Instrs[pc], addr)
+				return issued, blockTag(issued, firstID, attr.Memory, id, -1)
 			}
 			lat := c.caches.load(addr, &c.stats.Mem)
-			c.regs[in.Dst] = s.mem[addr]
-			c.ready[in.Dst] = cycle + int64(lat)
+			c.regs[di.Dst] = s.mem[addr]
+			c.ready[di.Dst] = cycle + int64(lat)
 			if c.readyCause != nil {
-				c.readyCause[in.Dst] = uint8(attr.Memory)
-				c.readyQueue[in.Dst] = -1
+				c.readyCause[di.Dst] = uint8(attr.Memory)
+				c.readyQueue[di.Dst] = -1
 			}
 			done = cycle + int64(lat)
 		case ir.Store:
-			addr := c.regs[in.Srcs[1]] + in.Imm
+			addr := c.regs[di.S1] + di.Imm
 			if addr < 0 || addr >= int64(len(s.mem)) {
-				s.fault(c, in, addr)
-				return issued, blockTag(issued, firstID, attr.Memory, in.ID, -1)
+				s.fault(c, c.code.Instrs[pc], addr)
+				return issued, blockTag(issued, firstID, attr.Memory, id, -1)
 			}
 			c.caches.store(addr, c.inval, &c.stats.Mem)
-			s.mem[addr] = c.regs[in.Srcs[0]]
+			s.mem[addr] = c.regs[di.S0]
 		case ir.Br:
-			taken := c.regs[in.Srcs[0]] != 0
-			predTaken := c.pred[in.ID] >= 2
+			taken := c.regs[di.S0] != 0
+			predTaken := c.pred[id] >= 2
 			if taken != predTaken {
 				c.stats.Mispreds++
 				c.fetchReady = cycle + 1 + int64(cfg.MispredictPenalty)
 				done = c.fetchReady
 			}
 			// 2-bit saturating counter update.
-			if taken && c.pred[in.ID] < 3 {
-				c.pred[in.ID]++
-			} else if !taken && c.pred[in.ID] > 0 {
-				c.pred[in.ID]--
+			if taken && c.pred[id] < 3 {
+				c.pred[id]++
+			} else if !taken && c.pred[id] > 0 {
+				c.pred[id]--
 			}
-			next := c.blk.Succs[1]
 			if taken {
-				next = c.blk.Succs[0]
+				c.pc = di.Taken()
+			} else {
+				c.pc = di.Fall()
 			}
-			c.blk, c.idx = next, 0
 			stop = true // control transfer ends the issue group
 		case ir.Jump:
-			c.blk, c.idx = c.blk.Succs[0], 0
+			c.pc = di.Taken()
 			stop = true
 		case ir.Ret:
 			c.done = true
 			s.doneCores++
-			if len(in.Srcs) > 0 {
+			if di.NSrc > 0 {
 				c.outs = []int64{}
-				for _, r := range in.Srcs {
+				for _, r := range c.code.Instrs[pc].Srcs {
 					c.outs = append(c.outs, c.regs[r])
 				}
 			}
 			stop = true
 		default:
-			in.Eval(c.regs)
-			done = cycle + s.lat[in.Op]
-			c.ready[in.Dst] = done
+			c.code.Instrs[pc].Eval(c.regs)
+			done = cycle + s.lat[di.Op]
+			c.ready[di.Dst] = done
 			if c.readyCause != nil {
-				c.readyCause[in.Dst] = uint8(attr.DepStall)
-				c.readyQueue[in.Dst] = -1
+				c.readyCause[di.Dst] = uint8(attr.DepStall)
+				c.readyQueue[di.Dst] = -1
 			}
 		}
 
@@ -298,15 +308,15 @@ func (s *system) stepCore(c *core, cycle int64, saPortsUsed *int) (int, cycleTag
 		c.stats.Instrs++
 		issued++
 		if firstID < 0 {
-			firstID = in.ID
+			firstID = id
 		}
 		if s.events != nil {
-			s.events(Event{Core: c.id, In: in, Issue: cycle, Done: done, Queue: evQueue, Times: evTimes})
+			s.events(Event{Core: c.id, In: c.code.Instrs[pc], Issue: cycle, Done: done, Queue: evQueue, Times: evTimes})
 		}
 		if stop {
 			return issued, cycleTag{bucket: attr.Issue, instr: firstID, queue: -1}
 		}
-		c.idx++
+		c.pc++
 	}
 	return issued, blockTag(issued, firstID, attr.DepStall, -1, -1)
 }
@@ -315,12 +325,13 @@ func (s *system) stepCore(c *core, cycle int64, saPortsUsed *int) (int, cycleTag
 // (no attribution, no event stream, no trace lanes, no flow arrows): the
 // cycle's attribution tag is never read on that path, so the tag and
 // first-issued-instruction bookkeeping, the per-instruction sink checks,
-// and the readyCause plumbing all drop out of the issue loop, which runs
-// over the thread's decoded stream (ir.Stream — the same flat, pc-indexed
-// records the interpreter's default loop runs over, with Tag holding the
-// issue-port class) instead of the IR. Timing, statistics, fault injection,
-// and block memos are bit-identical to stepCore —
-// TestStepCoreFastEquivalence pins the two against each other.
+// and the readyCause plumbing all drop out of the issue loop, which keeps
+// the pc in a register and executes the hot ALU opcodes in its switch. Both
+// run over the thread's decoded stream (ir.Stream — the flat, pc-indexed
+// records the interpreter runs over too, with Tag holding the issue-port
+// class). Timing, statistics, fault injection, and block memos are
+// bit-identical to stepCore — TestStepCoreFastEquivalence pins the two
+// against each other.
 func (s *system) stepCoreFast(c *core, cycle int64, saPortsUsed *int) int {
 	if cycle < c.fetchReady {
 		c.wake = c.fetchReady

@@ -100,8 +100,25 @@ func TestSimUnsoundFunction(t *testing.T) {
 		t.Errorf("open block never reached: %d cycles, live-outs %v; the sound function takes %d",
 			unreached.Cycles, unreached.LiveOuts, sound.Cycles)
 	}
-	if _, err := RunSingle(DefaultConfig(), mk(true, true), nil, nil, 10_000); !errors.Is(err, ErrCycleLimit) {
-		t.Errorf("open block reached: err = %v, want ErrCycleLimit", err)
+	// Every loop spins on the trap, not only the unobserved one: an observed
+	// run (stepCore) and an injected one.
+	events := 0
+	for _, tc := range []struct {
+		name string
+		ob   *Observer
+		inj  *fault.Injector
+	}{
+		{"plain", nil, nil},
+		{"observed", &Observer{Attr: true, Events: func(Event) { events++ }}, nil},
+		{"injected", nil, fault.Spec{Class: fault.StallThread, Seed: 1}.New()},
+	} {
+		_, err := RunInjected(DefaultConfig(), []*ir.Function{mk(true, true)}, nil, nil, 10_000, tc.ob, tc.inj)
+		if !errors.Is(err, ErrCycleLimit) {
+			t.Errorf("open block reached, %s: err = %v, want ErrCycleLimit", tc.name, err)
+		}
+	}
+	if events == 0 {
+		t.Error("observed run streamed no events")
 	}
 }
 

@@ -99,15 +99,10 @@ type saQueue struct {
 // core is one in-order processor.
 type core struct {
 	id    int
-	fn    *ir.Function
 	regs  []int64
 	ready []int64 // reg -> cycle the value is available
-	blk   *ir.Block
-	idx   int
-	// code is the thread decoded for stepCoreFast (Tag: issue-port class)
-	// and pc its position in it. A run drives either blk/idx (stepCore,
-	// observed runs) or pc (stepCoreFast) exclusively — the sink set is
-	// fixed for the whole run — so the two cursors never need reconciling.
+	// code is the core's thread decoded (Tag: issue-port class) and pc its
+	// position in it: the one cursor stepCore and stepCoreFast both advance.
 	code ir.Stream
 	pc   int
 	done bool
@@ -188,7 +183,9 @@ type system struct {
 type Event struct {
 	// Core is the issuing core.
 	Core int
-	// In is the issued static instruction (of the core's thread function).
+	// In is the issued static instruction (of the core's thread function);
+	// nil for the self-loop ir.Stream.Decode closes an unterminated block
+	// with, which only an unverified function ever reaches.
 	In *ir.Instr
 	// Issue is the cycle the instruction issued.
 	Issue int64
@@ -270,20 +267,6 @@ func RunInjected(cfg Config, threads []*ir.Function, args []int64, mem []int64, 
 		return nil, fmt.Errorf("sim: program needs %d queues, hardware has %d (run queue allocation)",
 			numQueues, cfg.NumQueues)
 	}
-	for _, f := range threads {
-		var badQ error
-		fn := f
-		f.Instrs(func(in *ir.Instr) {
-			if badQ == nil && in.Op.IsComm() && (in.Queue < 0 || in.Queue >= numQueues) {
-				badQ = fmt.Errorf("%w: thread %s: %v references queue %d of %d",
-					ErrBadProgram, fn.Name, in, in.Queue, numQueues)
-			}
-		})
-		if badQ != nil {
-			return nil, badQ
-		}
-	}
-
 	l3 := newCache(cfg.L3Sets, cfg.L3Ways, cfg.L3Line)
 	sys := &system{cfg: cfg, qcap: inj.QueueCap(cfg.QueueCap), inj: inj, mem: mem}
 	for i, f := range threads {
@@ -292,10 +275,8 @@ func RunInjected(cfg Config, threads []*ir.Function, args []int64, mem []int64, 
 		}
 		c := &core{
 			id:            i,
-			fn:            f,
 			regs:          make([]int64, int(f.MaxReg())+1),
 			ready:         make([]int64, int(f.MaxReg())+1),
-			blk:           f.Entry(),
 			pred:          make([]uint8, f.NumInstrIDs()),
 			blockedEmptyQ: -1,
 			blockedFullQ:  -1,
@@ -309,9 +290,15 @@ func RunInjected(cfg Config, threads []*ir.Function, args []int64, mem []int64, 
 		for j, p := range f.Params {
 			c.regs[p] = args[j]
 		}
+		// One pass over the decoded thread validates its queues and tags
+		// each record with its issue-port class.
 		c.code.Decode(f)
 		for pc := range c.code.Code {
 			di := &c.code.Code[pc]
+			if in := c.code.Instrs[pc]; di.Op.IsComm() && (in.Queue < 0 || in.Queue >= numQueues) {
+				return nil, fmt.Errorf("%w: thread %s: %v references queue %d of %d",
+					ErrBadProgram, f.Name, in, in.Queue, numQueues)
+			}
 			di.Tag = uint8(portTab[di.Op])
 		}
 		sys.cores = append(sys.cores, c)
@@ -354,7 +341,7 @@ func RunInjected(cfg Config, threads []*ir.Function, args []int64, mem []int64, 
 			for i, f := range threads {
 				ids[i] = f.NumInstrIDs()
 			}
-			sys.attr = attr.NewRun("cycles", ids, numQueues)
+			sys.attr = attr.NewRun(ids, numQueues)
 			for _, c := range sys.cores {
 				c.readyCause = make([]uint8, len(c.ready))
 				c.readyQueue = make([]int32, len(c.ready))
@@ -451,7 +438,7 @@ func (s *system) run(maxCycles int64) (int64, error) {
 				// stall can delay but never deadlock the simulation.
 				c.stats.IssueStallCycles++
 				if s.attr != nil {
-					s.attr.Note(ci, attr.Fault, c.blk.Instrs[c.idx].ID, -1)
+					s.attr.Note(ci, attr.Fault, int(c.code.Code[c.pc].ID), -1)
 				}
 				if s.coreLanes != nil && stallStart[ci] < 0 {
 					stallStart[ci] = cycle
