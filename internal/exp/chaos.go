@@ -116,7 +116,7 @@ func (e *Engine) chaosCell(ctx context.Context, c cell, cls fault.Class, seed in
 	rep := &oracle.Report{}
 	label := fmt.Sprintf("%s/chaos=%s", c.part.Name(), cls)
 	if cls == fault.MisplacePlan {
-		mut, desc, ok, err := fault.Misplan(p.Naive, seed)
+		mut, desc, ok, err := oracle.Misplanned(p.Naive, seed)
 		if err != nil {
 			return out, fmt.Errorf("exp: chaos misplan on %s/%s: %w", c.w.Name, c.part.Name(), err)
 		}

@@ -28,7 +28,6 @@ import (
 	"strings"
 
 	"repro/internal/ir"
-	"repro/internal/mtcg"
 )
 
 // Class names one fault class.
@@ -381,33 +380,28 @@ func (i *Injector) Stall(t, n int) bool {
 	return true
 }
 
-// Misplan returns a structural clone of prog with one consume rewired
-// to the wrong queue — the mis-specified-plan fault. The clone is built by
-// an IR print→parse round trip, so prog itself is never touched. It
-// returns ok=false when the program has no communication to corrupt. The
-// mutation deterministically picks a consume and a wrong target queue from
-// the seed; when the program has a single queue the consume is rewired to
-// an out-of-range queue, which the runtimes reject as a typed error.
-func Misplan(prog *mtcg.Program, seed int64) (*mtcg.Program, string, bool, error) {
-	if prog.NumQueues == 0 {
+// Misplan returns structural clones of a generated program's threads with
+// one consume rewired to the wrong queue — the mis-specified-plan fault.
+// The clones are built by an IR print→parse round trip, so the threads
+// themselves are never touched. It returns ok=false when the program has no
+// communication to corrupt. The mutation deterministically picks a consume
+// and a wrong target queue from the seed; when the program has a single
+// queue the consume is rewired to an out-of-range queue, which the runtimes
+// reject as a typed error.
+func Misplan(threads []*ir.Function, numQueues int, seed int64) ([]*ir.Function, string, bool, error) {
+	if numQueues == 0 {
 		return nil, "", false, nil
 	}
-	clone := &mtcg.Program{
-		Orig:       prog.Orig,
-		NumQueues:  prog.NumQueues,
-		NumThreads: prog.NumThreads,
-		Assign:     prog.Assign,
-		Comms:      append([]*mtcg.Comm(nil), prog.Comms...),
-	}
-	for _, f := range prog.Threads {
+	var clone []*ir.Function
+	for _, f := range threads {
 		cf, err := ir.Parse(f.String())
 		if err != nil {
 			return nil, "", false, fmt.Errorf("fault: cloning thread %s: %w", f.Name, err)
 		}
-		clone.Threads = append(clone.Threads, cf)
+		clone = append(clone, cf)
 	}
 	var consumes []*ir.Instr
-	for _, f := range clone.Threads {
+	for _, f := range clone {
 		f.Instrs(func(in *ir.Instr) {
 			if in.Op == ir.Consume || in.Op == ir.ConsumeSync {
 				consumes = append(consumes, in)
@@ -420,9 +414,9 @@ func Misplan(prog *mtcg.Program, seed int64) (*mtcg.Program, string, bool, error
 	h := Splitmix(uint64(seed) ^ ClassSalt(string(MisplacePlan)))
 	victim := consumes[h%uint64(len(consumes))]
 	from := victim.Queue
-	to := prog.NumQueues // out of range: the single-queue case
-	if prog.NumQueues > 1 {
-		to = (from + 1 + int(Splitmix(h)%uint64(prog.NumQueues-1))) % prog.NumQueues
+	to := numQueues // out of range: the single-queue case
+	if numQueues > 1 {
+		to = (from + 1 + int(Splitmix(h)%uint64(numQueues-1))) % numQueues
 	}
 	victim.Queue = to
 	desc := fmt.Sprintf("consume rewired from q%d to q%d", from, to)

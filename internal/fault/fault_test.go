@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/ir"
-	"repro/internal/mtcg"
 )
 
 // drive presents n produce opportunities to an injector and returns the
@@ -234,7 +233,9 @@ func mustParse(t *testing.T, src string) *ir.Function {
 	return f
 }
 
-func testProgram(t *testing.T, queues int) *mtcg.Program {
+// testThreads is a producer and a consumer thread talking over queues
+// queues.
+func testThreads(t *testing.T, queues int) []*ir.Function {
 	t.Helper()
 	var prod, cons strings.Builder
 	prod.WriteString("func t0(r1)\nentry:\n")
@@ -245,29 +246,25 @@ func testProgram(t *testing.T, queues int) *mtcg.Program {
 	}
 	prod.WriteString("\tret\n")
 	cons.WriteString("\tret\n")
-	return &mtcg.Program{
-		Threads:    []*ir.Function{mustParse(t, prod.String()), mustParse(t, cons.String())},
-		NumQueues:  queues,
-		NumThreads: 2,
-	}
+	return []*ir.Function{mustParse(t, prod.String()), mustParse(t, cons.String())}
 }
 
 func TestMisplanDeterministicAndNonMutating(t *testing.T) {
-	prog := testProgram(t, 3)
-	m1, d1, ok1, err1 := Misplan(prog, 11)
-	m2, d2, ok2, err2 := Misplan(prog, 11)
+	prog := testThreads(t, 3)
+	m1, d1, ok1, err1 := Misplan(prog, 3, 11)
+	m2, d2, ok2, err2 := Misplan(prog, 3, 11)
 	if err1 != nil || err2 != nil || !ok1 || !ok2 {
 		t.Fatalf("Misplan failed: %v %v ok=%v,%v", err1, err2, ok1, ok2)
 	}
 	if d1 != d2 {
 		t.Errorf("same seed gave different mutations: %q vs %q", d1, d2)
 	}
-	if m1.Threads[1].String() != m2.Threads[1].String() {
+	if m1[1].String() != m2[1].String() {
 		t.Error("same seed gave different mutated programs")
 	}
 	// The original is untouched: every consume still reads its own queue.
 	q := 0
-	prog.Threads[1].Instrs(func(in *ir.Instr) {
+	prog[1].Instrs(func(in *ir.Instr) {
 		if in.Op == ir.Consume {
 			if in.Queue != q {
 				t.Errorf("original program mutated: consume %d reads q%d", q, in.Queue)
@@ -276,14 +273,13 @@ func TestMisplanDeterministicAndNonMutating(t *testing.T) {
 		}
 	})
 	// The mutation changed exactly one consume's queue.
-	if m1.Threads[1].String() == prog.Threads[1].String() {
+	if m1[1].String() == prog[1].String() {
 		t.Error("mutated consumer is identical to the original")
 	}
 }
 
 func TestMisplanSingleQueueGoesOutOfRange(t *testing.T) {
-	prog := testProgram(t, 1)
-	m, desc, ok, err := Misplan(prog, 5)
+	m, desc, ok, err := Misplan(testThreads(t, 1), 1, 5)
 	if err != nil || !ok {
 		t.Fatalf("Misplan: %v ok=%v", err, ok)
 	}
@@ -291,7 +287,7 @@ func TestMisplanSingleQueueGoesOutOfRange(t *testing.T) {
 		t.Errorf("single-queue misplan should rewire out of range, got %q", desc)
 	}
 	found := false
-	m.Threads[1].Instrs(func(in *ir.Instr) {
+	m[1].Instrs(func(in *ir.Instr) {
 		if in.Op == ir.Consume && in.Queue == 1 {
 			found = true
 		}
@@ -303,8 +299,7 @@ func TestMisplanSingleQueueGoesOutOfRange(t *testing.T) {
 
 func TestMisplanNoComm(t *testing.T) {
 	f := mustParse(t, "func t0(r1)\nentry:\n\tret\n")
-	prog := &mtcg.Program{Threads: []*ir.Function{f}, NumQueues: 0, NumThreads: 1}
-	if _, _, ok, err := Misplan(prog, 1); ok || err != nil {
+	if _, _, ok, err := Misplan([]*ir.Function{f}, 0, 1); ok || err != nil {
 		t.Errorf("Misplan on comm-free program: ok=%v err=%v, want vacuous", ok, err)
 	}
 }

@@ -18,6 +18,10 @@ type Program struct {
 	Comms      []*Comm
 	Assign     map[*ir.Instr]int
 	NumThreads int
+	// Origins[t][i] is the block of Orig that thread t's block i copies.
+	// A program not built by Generate (a hand-written or mutated one)
+	// has none.
+	Origins [][]*ir.Block
 }
 
 // commEmit is one produce or consume to materialize at a point.
@@ -60,17 +64,20 @@ func Generate(p *Plan) (*Program, error) {
 	}
 
 	for t := 0; t < p.NumThreads; t++ {
-		ft, err := generateThread(p, t, pdomTree, retBlock)
+		ft, origins, err := generateThread(p, t, pdomTree, retBlock)
 		if err != nil {
 			return nil, err
 		}
 		ft.NumQueues = len(p.Comms)
 		prog.Threads = append(prog.Threads, ft)
+		prog.Origins = append(prog.Origins, origins)
 	}
 	return prog, nil
 }
 
-func generateThread(p *Plan, t int, pdomTree *analysis.DomTree, retBlock *ir.Block) (*ir.Function, error) {
+// generateThread builds thread t's function and returns with it the
+// original block each of its blocks copies, in block order.
+func generateThread(p *Plan, t int, pdomTree *analysis.DomTree, retBlock *ir.Block) (*ir.Function, []*ir.Block, error) {
 	f := p.F
 
 	// Communication points involving this thread, grouped by point.
@@ -202,7 +209,7 @@ func generateThread(p *Plan, t int, pdomTree *analysis.DomTree, retBlock *ir.Blo
 			} else {
 				t0, t1 := nextRel(b.Succs[0]), nextRel(b.Succs[1])
 				if t0 != t1 {
-					return nil, fmt.Errorf(
+					return nil, nil, fmt.Errorf(
 						"mtcg: %s thread %d: irrelevant branch in %s separates relevant blocks %s and %s",
 						f.Name, t, b.Name, t0.Name, t1.Name)
 				}
@@ -222,5 +229,5 @@ func generateThread(p *Plan, t int, pdomTree *analysis.DomTree, retBlock *ir.Blo
 		}
 		e.from.SetSuccs(succs...)
 	}
-	return ft, nil
+	return ft, order, nil
 }

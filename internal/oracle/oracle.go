@@ -20,6 +20,10 @@
 //   - loop equivalence: the interpreter's default loop (a nil scheduler:
 //     run-to-block over a decoded stream) reproduces the general loop's
 //     adversarial run exactly, schedule-dependent counters included;
+//   - counted communication: on a clean cell every run's dynamic counts
+//     equal the program's placement counted over the golden run's edge
+//     profile (mtcg.Program.Counts), which is how the experiment harness
+//     measures Figures 1 and 7 without running the program;
 //   - sim agreement: the simulator's functional results and dynamic
 //     produce/consume counts match the interpreter's.
 //
@@ -364,7 +368,7 @@ func checkPlan(rep *Report, c *Case, g *Golden, label string, plan *mtcg.Plan, o
 	// runtime injectors never see it (Injector ignores the class), so it
 	// is applied here, between code generation and execution.
 	if opts.Inject != nil && opts.Inject.Class == fault.MisplacePlan {
-		mut, desc, applied, err := fault.Misplan(prog, opts.Inject.Seed)
+		mut, desc, applied, err := Misplanned(prog, opts.Inject.Seed)
 		if err != nil {
 			rep.add(c.Name, label, ExecError, "misplan: "+err.Error())
 			return
@@ -378,6 +382,25 @@ func checkPlan(rep *Report, c *Case, g *Golden, label string, plan *mtcg.Plan, o
 		}
 	}
 	CheckProgram(rep, c.Name, g, label, prog, c.Args, c.Mem, opts)
+}
+
+// Misplanned returns a copy of prog whose threads carry fault.Misplan's
+// rewired consume, with the fault's description; ok is false when prog has
+// no communication to corrupt. The copy is no longer MTCG's output, so it
+// records no Origins.
+func Misplanned(prog *mtcg.Program, seed int64) (*mtcg.Program, string, bool, error) {
+	threads, desc, ok, err := fault.Misplan(prog.Threads, prog.NumQueues, seed)
+	if !ok || err != nil {
+		return nil, "", ok, err
+	}
+	return &mtcg.Program{
+		Orig:       prog.Orig,
+		Threads:    threads,
+		NumQueues:  prog.NumQueues,
+		Comms:      append([]*mtcg.Comm(nil), prog.Comms...),
+		Assign:     prog.Assign,
+		NumThreads: prog.NumThreads,
+	}, desc, true, nil
 }
 
 // CheckProgram cross-checks one compiled multi-threaded program against
@@ -413,6 +436,17 @@ func CheckProgram(rep *Report, caseName string, g *Golden, label string,
 	if err != nil {
 		rep.add(caseName, label, InvariantViolation, err.Error())
 		return
+	}
+
+	// On a clean cell the program's counts are also known without a run:
+	// each generated block executes as often as the original block it
+	// copies did in the golden run (mtcg.Program.Counts). Like the
+	// default-loop twin, the comparison belongs to the runs it checks and
+	// adds none to Runs.
+	var counted *interp.CommStats
+	if opts.Inject == nil && prog.Origins != nil {
+		c := prog.Counts(g.Profile)
+		counted = &c
 	}
 
 	// ref is the first successful interpreter run; every later run must
@@ -456,6 +490,11 @@ func CheckProgram(rep *Report, caseName string, g *Golden, label string,
 				rep.add(caseName, config, MemMismatch, d)
 			}
 			checkRunInvariants(rep, caseName, config, mt, prodOf, consOf)
+			if counted != nil && mt.Stats != *counted {
+				rep.add(caseName, config, InvariantViolation, fmt.Sprintf(
+					"counted communication: the run executed %+v, the placement over the golden profile counts %+v",
+					mt.Stats, *counted))
+			}
 			if ref == nil {
 				ref, refConfig = mt, config
 			} else {

@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/mtcg"
 	"repro/internal/pdg"
 	"repro/internal/queue"
+	"repro/internal/randprog"
 )
 
 // TestCheckKnownGoodSeeds is the seeded smoke pass: the full differential
@@ -160,6 +162,50 @@ func TestCheckProgramDetectsQueueImbalance(t *testing.T) {
 	if rep.Has(LiveOutMismatch) || rep.Has(MemMismatch) {
 		t.Fatalf("imbalance corrupted outputs unexpectedly: %+v", rep.Failures)
 	}
+}
+
+// TestCheckProgramDetectsMiscountedBlock points every block of one thread
+// at the original entry block, as if MTCG had lost track of what each
+// block copies: the runs are untouched and clean, and only the counted
+// communication check can tell.
+func TestCheckProgramDetectsMiscountedBlock(t *testing.T) {
+	for seed := int64(1); seed < 20; seed++ {
+		c := Generate(seed)
+		g, err := RunGolden(c, 1_000_000)
+		if err != nil {
+			continue
+		}
+		assign := randprog.RandomPartition(rand.New(rand.NewSource(seed)), c.F, 2)
+		prog, err := mtcg.Generate(mtcg.NaivePlan(c.F, pdg.Build(c.F, c.Objects), assign, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		queue.Allocate(prog)
+		rep := &Report{}
+		CheckProgram(rep, c.Name, g, "random", prog, c.Args, c.Mem, Options{SkipSim: true})
+		if err := rep.Err(); err != nil {
+			t.Fatal(err)
+		}
+		counted := prog.Counts(g.Profile)
+		for i := range prog.Origins[0] {
+			prog.Origins[0][i] = c.F.Entry()
+		}
+		if prog.Counts(g.Profile) == counted {
+			continue // every block of thread 0 runs once: nothing to miscount
+		}
+		rep = &Report{}
+		CheckProgram(rep, c.Name, g, "random", prog, c.Args, c.Mem, Options{SkipSim: true})
+		if len(rep.Failures) == 0 {
+			t.Fatalf("%s: miscounted blocks not detected", c.Name)
+		}
+		for _, f := range rep.Failures {
+			if f.Kind != InvariantViolation || !strings.Contains(f.Detail, "counted communication") {
+				t.Fatalf("%s: unexpected failure %s", c.Name, f)
+			}
+		}
+		return
+	}
+	t.Fatal("no seed gave a thread whose blocks run other than once")
 }
 
 // TestShrinkMinimizes shrinks a generated program against a synthetic
