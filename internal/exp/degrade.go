@@ -110,12 +110,13 @@ func isCtxErr(err error) bool {
 // singleThreadedComm measures the original function single-threaded on the
 // reference input: all instructions are computation, communication is zero.
 // It is the last resort of the communication experiment's degradation chain
-// and is correct by construction (it runs the unpartitioned program).
+// and is correct by construction (it is the unpartitioned program's
+// reference run, which the engine has already made if any pipeline of w
+// measured its communication).
 func (e *Engine) singleThreadedComm(ctx context.Context, w *workloads.Workload) (interp.CommStats, error) {
-	in := w.Ref()
-	res, err := interp.RunCtx(ctx, w.F, in.Args, in.Mem, e.budget.MeasureSteps)
+	ref, err := referenceRun(ctx, slot(&e.mu, e.refs, w), w, e.budget.MeasureSteps)
 	if err != nil {
 		return interp.CommStats{}, fmt.Errorf("exp: single-threaded fallback for %s: %w", w.Name, err)
 	}
-	return interp.CommStats{Compute: res.Steps}, nil
+	return interp.CommStats{Compute: ref.steps}, nil
 }

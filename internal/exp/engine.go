@@ -88,6 +88,7 @@ type Engine struct {
 	mu        sync.Mutex
 	artifacts map[*workloads.Workload]*memo[*Artifact]
 	pipelines map[pipeKey]*memo[*Pipeline]
+	refs      map[*workloads.Workload]*memo[*reference]
 	stCycles  map[stKey]*memo[int64]
 }
 
@@ -141,6 +142,7 @@ func NewEngine(o EngineOptions) *Engine {
 		degrade:   o.Degrade,
 		artifacts: map[*workloads.Workload]*memo[*Artifact]{},
 		pipelines: map[pipeKey]*memo[*Pipeline]{},
+		refs:      map[*workloads.Workload]*memo[*reference]{},
 		stCycles:  map[stKey]*memo[int64]{},
 	}
 }
@@ -205,7 +207,12 @@ func (e *Engine) Pipeline(ctx context.Context, w *workloads.Workload, part parti
 		if err != nil {
 			return nil, err
 		}
-		return buildFromArtifact(ctx, w, part, e.opts, art, e.budget, e.obs)
+		p, err := buildFromArtifact(ctx, w, part, e.opts, art, e.budget, e.obs)
+		if err != nil {
+			return nil, err
+		}
+		p.ref = slot(&e.mu, e.refs, w)
+		return p, nil
 	})
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/interp"
 	"repro/internal/mtcg"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -20,7 +21,7 @@ import (
 // cocoLeavesNaive lists the kernel × partitioner pairs whose COCO program
 // is the naive program instruction for instruction, IDs and queues
 // included: the benchmarks of Figure 7 on which COCO removes nothing. A
-// pipeline measures such a pair once (measured). The inline corpus has 94
+// pipeline simulates such a pair once (measured). The inline corpus has 94
 // such programs of 360 (12 of its first 64); that share is held by
 // TestCocoNeverWorseThanNaiveCorpus, which builds every one of them anyway.
 var cocoLeavesNaive = map[string]bool{
@@ -76,10 +77,12 @@ func TestCocoLeavesNaiveList(t *testing.T) {
 	}
 }
 
-// TestMeasuredOncePerDistinctProgram: on every pair, measuring Coco after
-// Naive returns what a pipeline that never measured Naive gets by running
-// Coco, and the executors ran once per distinct program — twice where the
-// programs differ, once where COCO left the naive program as it was.
+// TestMeasuredOncePerDistinctProgram: on every pair, simulating Coco after
+// Naive returns what a pipeline that never simulated Naive gets by
+// simulating Coco, and the simulator ran once per distinct program — twice
+// where the programs differ, once where COCO left the naive program as it
+// was. Plain communication measurements, of either program and in any
+// order, start no executor run at all.
 func TestMeasuredOncePerDistinctProgram(t *testing.T) {
 	ws := workloads.All()
 	if testing.Short() {
@@ -118,38 +121,140 @@ func TestMeasuredOncePerDistinctProgram(t *testing.T) {
 				t.Errorf("%s: Coco after Naive measured %+v and %d cycles; a run of Coco alone %+v and %d",
 					label, comm, cycles, wantComm, wantCycles)
 			}
-			want := int64(4)
+			want := int64(2)
 			if cocoLeavesNaive[label] {
-				want = 2
+				want = 1
 			}
 			if got := p.plain.executed.Load(); got != want {
-				t.Errorf("%s: %d executor runs for two measurements of each program, want %d", label, got, want)
+				t.Errorf("%s: %d executor runs for two measurements of each program, want %d simulations", label, got, want)
 			}
-			if got := fresh.plain.executed.Load(); got != 2 {
-				t.Errorf("%s: %d executor runs on the pipeline that measured only Coco, want 2", label, got)
+			if got := fresh.plain.executed.Load(); got != 1 {
+				t.Errorf("%s: %d executor runs on the pipeline that measured only Coco, want 1", label, got)
 			}
 		}
 	}
 }
 
 // TestMeasuredReadsEitherWay: the record is filed under the program that
-// ran, so Naive reads Coco's run as Coco reads Naive's; a program whose twin
-// has not run is run each time it is measured; and a hand-built literal —
-// what bench/staged.go makes — behaves as an engine's pipeline does.
+// ran, so Naive reads Coco's simulation as Coco reads Naive's; a program
+// whose twin has not run is run each time it is simulated; and a
+// hand-built literal — what bench/staged.go makes — behaves as an engine's
+// pipeline does.
 func TestMeasuredReadsEitherWay(t *testing.T) {
 	built := buildPipeline(t, kernel(t, "mpeg2enc"), 0)
 	p := &Pipeline{W: built.W, Part: built.Part, Assign: built.Assign, Graph: built.Graph,
 		Profile: built.Profile, Naive: built.Naive, Coco: built.Coco, QueueCap: built.QueueCap}
+	cfg := p.Machine(sim.DefaultConfig())
 	for i, call := range []struct {
 		prog *mtcg.Program
 		runs int64
 	}{{p.Coco, 1}, {p.Naive, 1}, {p.Naive, 1}, {p.Coco, 2}, {p.Coco, 3}} {
-		if _, err := p.MeasureComm(call.prog); err != nil {
+		if _, err := p.MeasureCycles(cfg, call.prog); err != nil {
 			t.Fatal(err)
 		}
 		if got := p.plain.executed.Load(); got != call.runs {
 			label, _ := p.progLabel(call.prog)
-			t.Fatalf("after call %d (%s): %d executor runs, want %d", i+1, label, got, call.runs)
+			t.Fatalf("after call %d (%s): %d simulations, want %d", i+1, label, got, call.runs)
+		}
+	}
+}
+
+// TestPlainCommRunsNoProgram: a plain communication measurement executes
+// neither generated program — on an engine's pipeline or on a literal's —
+// and equals what the counting interpreter reports when it does run the
+// program. One engine makes one reference run per workload, shared by both
+// partitioners' pipelines and the last resort, and counts none of them as
+// a train profile.
+func TestPlainCommRunsNoProgram(t *testing.T) {
+	ws := subset(t, "ks", "mpeg2enc")
+	e := NewEngine(EngineOptions{Jobs: 1})
+	ctx := context.Background()
+	for _, w := range ws {
+		var shared *memo[*reference]
+		for _, part := range Partitioners() {
+			row, err := e.CommCell(ctx, w, part)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := e.Pipeline(ctx, w, part)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lit := &Pipeline{W: w, Part: part, Assign: p.Assign, Graph: p.Graph,
+				Profile: p.Profile, Naive: p.Naive, Coco: p.Coco, QueueCap: p.QueueCap}
+			for _, m := range []struct {
+				prog *mtcg.Program
+				got  interp.CommStats
+			}{{p.Naive, row.Naive}, {p.Coco, row.Coco}} {
+				onLit, err := lit.MeasureComm(m.prog)
+				if err != nil {
+					t.Fatal(err)
+				}
+				in := w.Ref()
+				mt, err := interp.RunMT(interp.MTConfig{Threads: m.prog.Threads, NumQueues: m.prog.NumQueues,
+					QueueCap: p.QueueCap, Assign: p.Assign, Args: in.Args, Mem: in.Mem,
+					MaxSteps: p.measureBudget().MeasureSteps})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if m.got != mt.Stats || onLit != mt.Stats {
+					label, _ := p.progLabel(m.prog)
+					t.Errorf("%s/%s/%s: counted %+v on the engine, %+v on a literal; the run executed %+v",
+						w.Name, part.Name(), label, m.got, onLit, mt.Stats)
+				}
+			}
+			if got := p.plain.executed.Load() + lit.plain.executed.Load(); got != 0 {
+				t.Errorf("%s/%s: %d executor runs for plain communication measurements, want 0", w.Name, part.Name(), got)
+			}
+			if shared == nil {
+				shared = p.ref
+			}
+			if p.ref == nil || p.ref != shared {
+				t.Errorf("%s/%s: the pipeline does not share its workload's reference run", w.Name, part.Name())
+			}
+		}
+		last, err := e.singleThreadedComm(ctx, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last.Compute != shared.val.steps {
+			t.Errorf("%s: the last resort counted %d steps, the reference run %d", w.Name, last.Compute, shared.val.steps)
+		}
+	}
+	if len(e.refs) != len(ws) {
+		t.Errorf("%d reference runs for %d workloads under both partitioners", len(e.refs), len(ws))
+	}
+	if got, want := e.Stats().ProfileRuns, int64(len(ws)); got != want {
+		t.Errorf("ProfileRuns = %d, want %d: the reference run is not a train profile", got, want)
+	}
+}
+
+// TestCountedStepLimit: a plain communication measurement fails with
+// interp.ErrStepLimit exactly where running the program would, one step
+// under its total, and succeeds at its total.
+func TestCountedStepLimit(t *testing.T) {
+	for _, name := range []string{"ks", "adpcmdec"} {
+		p := buildPipeline(t, kernel(t, name), 0)
+		st, err := p.MeasureComm(p.Coco)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			max  int64
+			fail bool
+		}{{st.Total() - 1, true}, {st.Total(), false}} {
+			lim := buildPipeline(t, p.W, 0)
+			lim.budget.MeasureSteps = tc.max
+			_, counted := lim.MeasureComm(lim.Coco)
+			in := p.W.Ref()
+			_, ran := interp.RunMT(interp.MTConfig{Threads: p.Coco.Threads, NumQueues: p.Coco.NumQueues,
+				QueueCap: p.QueueCap, Assign: p.Assign, Args: in.Args, Mem: in.Mem, MaxSteps: tc.max})
+			for what, err := range map[string]error{"counted": counted, "run": ran} {
+				if errors.Is(err, interp.ErrStepLimit) != tc.fail || (!tc.fail && err != nil) {
+					t.Errorf("%s, budget %d of %d steps: %s err = %v, want step limit %t",
+						name, tc.max, st.Total(), what, err, tc.fail)
+				}
+			}
 		}
 	}
 }
@@ -195,27 +300,15 @@ func TestObservedAndInjectedRunsAreNotShared(t *testing.T) {
 	if got := p.plain.executed.Load(); got != 4 {
 		t.Errorf("%d executor runs with a fault spec armed, want 4", got)
 	}
-	if len(p.plain.runs) != 0 {
-		t.Errorf("injected runs left %d results on record", len(p.plain.runs))
+	if len(p.plain.cycles) != 0 {
+		t.Errorf("injected runs left %d results on record", len(p.plain.cycles))
 	}
 }
 
-// TestFailedRunRecordsNothing: a cancelled interpreter run and a simulation
-// out of budget leave no result behind, so the twin's call runs.
+// TestFailedRunRecordsNothing: a simulation out of budget leaves no result
+// behind, so the twin's call runs.
 func TestFailedRunRecordsNothing(t *testing.T) {
 	p := buildPipeline(t, kernel(t, "mpeg2enc"), 0)
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, err := p.measureCommInjected(cancelled, p.Naive, nil, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled run: err = %v, want context.Canceled", err)
-	}
-	if _, err := p.MeasureComm(p.Coco); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.plain.executed.Load(); got != 2 {
-		t.Errorf("%d executor runs after a cancelled run and its twin's, want 2", got)
-	}
-
 	cfg := p.Machine(sim.DefaultConfig())
 	full := p.budget
 	p.budget.SimCycles = 100
@@ -226,14 +319,14 @@ func TestFailedRunRecordsNothing(t *testing.T) {
 	if _, err := p.MeasureCycles(cfg, p.Coco); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.plain.executed.Load(); got != 4 {
-		t.Errorf("%d executor runs after a failed simulation and its twin's, want 4", got)
+	if got := p.plain.executed.Load(); got != 2 {
+		t.Errorf("%d simulations after a failed simulation and its twin's, want 2", got)
 	}
 	if _, err := p.MeasureCycles(cfg, p.Naive); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.plain.executed.Load(); got != 4 {
-		t.Errorf("%d executor runs, want 4: Naive reads the simulation of Coco that succeeded", got)
+	if got := p.plain.executed.Load(); got != 2 {
+		t.Errorf("%d simulations, want 2: Naive reads the simulation of Coco that succeeded", got)
 	}
 }
 
@@ -296,9 +389,10 @@ func TestMeasuredConcurrently(t *testing.T) {
 	wg.Wait()
 }
 
-// TestReusedResultSaysSo: in a request's span tree the span of a result
-// read from the twin's run names the twin, so a near-empty measure-coco or
-// simulate-coco span explains itself; a span that ran carries no such mark.
+// TestReusedResultSaysSo: in a request's span tree the span of a
+// simulation read from the twin's run names the twin, so a near-empty
+// simulate-coco span explains itself; a span that ran carries no such
+// mark, and neither does a communication measurement, which is counted.
 func TestReusedResultSaysSo(t *testing.T) {
 	for _, tc := range []struct {
 		kernel, coco string
@@ -337,7 +431,7 @@ func TestReusedResultSaysSo(t *testing.T) {
 				got = append(got, line)
 			}
 		}
-		want := []string{"measure-naive", "measure-coco" + tc.coco, "simulate-naive", "simulate-coco" + tc.coco}
+		want := []string{"measure-naive", "measure-coco", "simulate-naive", "simulate-coco" + tc.coco}
 		if strings.Join(got, "\n") != strings.Join(want, "\n") {
 			t.Errorf("%s: spans %q, want %q", tc.kernel, got, want)
 		}

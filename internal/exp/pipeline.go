@@ -84,40 +84,63 @@ type Pipeline struct {
 	budget budget.Budget
 	o      *Obs
 	plain  measured
+	// ref holds the workload's reference run, one slot per workload of
+	// the engine that built the pipeline, which its other pipelines and
+	// its last resort share; a Pipeline built as a literal has none and
+	// keeps its own in plain.ref.
+	ref *memo[*reference]
 }
 
-// measured is a pipeline's record of its plain executor runs. A run that
-// is neither observed nor injected is a function of code, input and
+// reference is a workload's single-threaded run on its reference input.
+// A plain communication measurement counts a program's placement over its
+// edge profile (mtcg.Program.Counts) instead of running the program, and
+// the communication experiment's last resort reports its steps. It is not
+// a train profile: nothing is partitioned or planned with it.
+type reference struct {
+	profile *ir.Profile
+	steps   int64
+}
+
+// referenceRun returns the reference run held in m, running w
+// single-threaded on its reference input within maxSteps — the budget of
+// the multi-threaded run it stands in for — on first use.
+func referenceRun(ctx context.Context, m *memo[*reference], w *workloads.Workload, maxSteps int64) (*reference, error) {
+	return m.do(func() (*reference, error) {
+		in := w.Ref()
+		res, err := interp.RunCtx(ctx, w.F, in.Args, in.Mem, maxSteps)
+		if err != nil {
+			return nil, err
+		}
+		return &reference{profile: res.Profile, steps: res.Steps}, nil
+	})
+}
+
+// measured is a pipeline's record of its plain simulations. A simulation
+// that is neither observed nor injected is a function of code, input and
 // machine, and a pipeline fixes the input: where Coco is the same code as
-// Naive (COCO found nothing to move) the measurement of one is the
-// measurement of the other, and the second call reads it instead of running
-// the executor again. Results are filed under the program that ran and only
-// the other program reads them: a program whose twin has not run is run each
-// time it is measured. The zero value is ready: a Pipeline built as a literal
-// is treated as one an Engine built.
+// Naive (COCO found nothing to move) the simulation of one is the
+// simulation of the other, and the second call reads it instead of running
+// the simulator again. Results are filed under the program that ran and
+// only the other program reads them: a program whose twin has not run is
+// run each time it is simulated. The zero value is ready: a Pipeline built
+// as a literal is treated as one an Engine built, with a reference run of
+// its own.
 type measured struct {
 	mu            sync.Mutex
 	decided, same bool
-	runs          map[plainRun]reading
+	cycles        map[plainRun]int64
+	ref           memo[*reference]
 	// executed counts the executor runs the pipeline started, of any kind;
-	// the tests hold it to one per distinct program.
+	// the tests hold it to one simulation per distinct program and no run
+	// for a plain communication measurement.
 	executed atomic.Int64
 }
 
-// plainRun names one recorded run: the program that ran and the executor —
-// the simulator on cfg, or the counting interpreter (sim false; all it sees
-// of a machine is cfg.QueueCap).
+// plainRun names one recorded simulation: the program that ran and the
+// machine it ran on.
 type plainRun struct {
 	prog *mtcg.Program
-	sim  bool
 	cfg  sim.Config
-}
-
-// reading is what a plainRun measured: comm from the interpreter, cycles
-// from the simulator.
-type reading struct {
-	comm   interp.CommStats
-	cycles int64
 }
 
 // twin returns the pipeline's other program when prog is one of an
@@ -161,36 +184,36 @@ func sameProgram(a, b *mtcg.Program) bool {
 	return true
 }
 
-// twinReading returns what twin's run of the same kind as run measured, if
-// it has one on record, and says on msp (which may be nil) whose it was. A
-// nil twin has nothing on record.
-func (p *Pipeline) twinReading(twin *mtcg.Program, run plainRun, msp *obs.Span) (reading, bool) {
+// twinCycles returns what twin's simulation of the same kind as run
+// measured, if it has one on record, and says on msp (which may be nil)
+// whose it was. A nil twin has nothing on record.
+func (p *Pipeline) twinCycles(twin *mtcg.Program, run plainRun, msp *obs.Span) (int64, bool) {
 	if twin == nil {
-		return reading{}, false
+		return 0, false
 	}
 	run.prog = twin
 	p.plain.mu.Lock()
-	r, ok := p.plain.runs[run]
+	c, ok := p.plain.cycles[run]
 	p.plain.mu.Unlock()
 	if ok {
 		label, _ := p.progLabel(twin)
 		msp.SetStr("same_as", label)
 	}
-	return r, ok
+	return c, ok
 }
 
-// record files a successful plain run for its twin to read; with no twin
-// there is no reader and nothing is kept.
-func (p *Pipeline) record(twin *mtcg.Program, run plainRun, r reading) {
+// record files a successful plain simulation for its twin to read; with
+// no twin there is no reader and nothing is kept.
+func (p *Pipeline) record(twin *mtcg.Program, run plainRun, cycles int64) {
 	if twin == nil {
 		return
 	}
 	p.plain.mu.Lock()
 	defer p.plain.mu.Unlock()
-	if p.plain.runs == nil {
-		p.plain.runs = map[plainRun]reading{}
+	if p.plain.cycles == nil {
+		p.plain.cycles = map[plainRun]int64{}
 	}
-	p.plain.runs[run] = r
+	p.plain.cycles[run] = cycles
 }
 
 // progLabel names a measured program and gives its stable trace-pid bit:
@@ -268,27 +291,30 @@ func buildFromArtifact(ctx context.Context, w *workloads.Workload, part partitio
 	}, nil
 }
 
-// MeasureComm executes a generated program on the reference input with the
-// counting interpreter and returns its dynamic instruction statistics. Where
-// Coco is the same code as Naive, a plain measurement of the second of them
-// returns the first one's result (see measured); MeasureCycles likewise.
+// MeasureComm returns a generated program's dynamic instruction statistics
+// on the reference input. A plain measurement — no observer, no fault
+// spec — runs no program: it counts them from the program's placement over
+// the workload's reference run (mtcg.Program.Counts), and fails with
+// interp.ErrStepLimit, as the run would, when they exceed the MeasureSteps
+// budget.
 func (p *Pipeline) MeasureComm(prog *mtcg.Program) (interp.CommStats, error) {
 	st, _, err := p.measureCommInjected(context.Background(), prog, nil, nil)
 	return st, err
 }
 
-// measureCommInjected is MeasureComm with an optional armed fault spec: a
-// fresh injector is built per run (same spec ⇒ same deterministic fault
-// schedule) and the number of faults actually injected is returned even
-// when the run fails — a chaos run that dies of an injected deadlock still
-// reports its injections. msp is the caller's span for this measurement
-// (nil for none): a result read from the twin's run is marked on it.
+// measureCommInjected is MeasureComm with an optional armed fault spec. A
+// run with a spec armed, or with an observer attached, executes the
+// program on the counting interpreter: a fresh injector is built per run
+// (same spec ⇒ same deterministic fault schedule) and the number of faults
+// actually injected is returned even when the run fails — a chaos run that
+// dies of an injected deadlock still reports its injections. msp is the
+// caller's span for this measurement (nil for none).
 func (p *Pipeline) measureCommInjected(ctx context.Context, prog *mtcg.Program, spec *fault.Spec, msp *obs.Span) (interp.CommStats, int64, error) {
-	label, bit := p.progLabel(prog)
-	twin, run := p.twin(prog, spec), plainRun{prog: prog, cfg: sim.Config{QueueCap: p.QueueCap}}
-	if r, ok := p.twinReading(twin, run, msp); ok {
-		return r.comm, 0, nil
+	if p.o == nil && spec == nil {
+		st, err := p.countComm(ctx, prog)
+		return st, 0, err
 	}
+	label, bit := p.progLabel(prog)
 	in := p.W.Ref()
 	cfg := interp.MTConfig{
 		Threads:   prog.Threads,
@@ -315,8 +341,27 @@ func (p *Pipeline) measureCommInjected(ctx context.Context, prog *mtcg.Program, 
 	}
 	p.o.partLane(p.W.Name, p.Part.Name()).Span("measure-"+label, "measure",
 		mt.Steps, obs.A("steps", mt.Steps))
-	p.record(twin, run, reading{comm: mt.Stats})
 	return mt.Stats, cfg.Inject.Count(), nil
+}
+
+// countComm is a plain communication measurement: prog's placement counted
+// over the reference run's edge profile.
+func (p *Pipeline) countComm(ctx context.Context, prog *mtcg.Program) (interp.CommStats, error) {
+	steps := p.measureBudget().MeasureSteps
+	m := p.ref
+	if m == nil {
+		m = &p.plain.ref
+	}
+	ref, err := referenceRun(ctx, m, p.W, steps)
+	if err != nil {
+		return interp.CommStats{}, fmt.Errorf("exp: measuring %s/%s: %w", p.W.Name, p.Part.Name(), err)
+	}
+	st := prog.Counts(ref.profile)
+	if st.Total() > steps {
+		return interp.CommStats{}, fmt.Errorf("exp: measuring %s/%s: %w (multi-threaded, %d steps counted)",
+			p.W.Name, p.Part.Name(), interp.ErrStepLimit, st.Total())
+	}
+	return st, nil
 }
 
 // Machine returns cfg adjusted to the pipeline's partitioner: the
@@ -332,7 +377,9 @@ func (p *Pipeline) Machine(cfg sim.Config) sim.Config {
 }
 
 // MeasureCycles simulates a generated program on the reference input and
-// returns the cycle count. The machine is taken as given; callers modeling
+// returns the cycle count. Where Coco is the same code as Naive, a plain
+// simulation of the second of them returns the first one's result (see
+// measured). The machine is taken as given; callers modeling
 // the paper's per-partitioner queue depths wrap cfg with Machine first.
 func (p *Pipeline) MeasureCycles(cfg sim.Config, prog *mtcg.Program) (int64, error) {
 	cycles, _, err := p.measureCyclesInjected(cfg, prog, nil, nil)
@@ -345,9 +392,9 @@ func (p *Pipeline) MeasureCycles(cfg sim.Config, prog *mtcg.Program) (int64, err
 // when the simulation fails.
 func (p *Pipeline) measureCyclesInjected(cfg sim.Config, prog *mtcg.Program, spec *fault.Spec, msp *obs.Span) (int64, int64, error) {
 	label, bit := p.progLabel(prog)
-	twin, run := p.twin(prog, spec), plainRun{prog: prog, sim: true, cfg: cfg}
-	if r, ok := p.twinReading(twin, run, msp); ok {
-		return r.cycles, 0, nil
+	twin, run := p.twin(prog, spec), plainRun{prog: prog, cfg: cfg}
+	if c, ok := p.twinCycles(twin, run, msp); ok {
+		return c, 0, nil
 	}
 	in := p.W.Ref()
 	ob := p.o.simObserver(p.W.Name, p.Part.Name(), label, bit)
@@ -362,7 +409,7 @@ func (p *Pipeline) measureCyclesInjected(cfg sim.Config, prog *mtcg.Program, spe
 	}
 	p.o.partLane(p.W.Name, p.Part.Name()).Span("simulate-"+label, "measure",
 		res.Cycles, obs.A("cycles", res.Cycles))
-	p.record(twin, run, reading{cycles: res.Cycles})
+	p.record(twin, run, res.Cycles)
 	return res.Cycles, inj.Count(), nil
 }
 

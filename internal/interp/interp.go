@@ -76,7 +76,10 @@ func RunCtx(ctx context.Context, f *ir.Function, args []int64, mem Memory, maxSt
 	for i, p := range f.Params {
 		regs[p] = args[i]
 	}
-	res := &Result{Mem: mem, Profile: ir.NewProfile()}
+	res := &Result{Mem: mem}
+	// tally[b][s] counts block b's exits to its successor s; the profile
+	// is filled from it once, at Ret.
+	tally := make([][2]int64, len(f.Blocks))
 	blk := f.Entry()
 	idx := 0
 	for {
@@ -92,19 +95,27 @@ func RunCtx(ctx context.Context, f *ir.Function, args []int64, mem Memory, maxSt
 		res.Steps++
 		switch in.Op {
 		case ir.Br:
-			next := blk.Succs[1]
+			s := 1
 			if regs[in.Srcs[0]] != 0 {
-				next = blk.Succs[0]
+				s = 0
 			}
-			res.Profile.AddEdge(blk, next, 1)
-			blk, idx = next, 0
+			tally[blk.ID][s]++
+			blk, idx = blk.Succs[s], 0
 		case ir.Jump:
-			next := blk.Succs[0]
-			res.Profile.AddEdge(blk, next, 1)
-			blk, idx = next, 0
+			tally[blk.ID][0]++
+			blk, idx = blk.Succs[0], 0
 		case ir.Ret:
 			for _, r := range in.Srcs {
 				res.LiveOuts = append(res.LiveOuts, regs[r])
+			}
+			res.Profile = ir.NewProfile()
+			for id, exits := range tally {
+				for s, n := range exits {
+					if n != 0 {
+						b := f.Blocks[id]
+						res.Profile.AddEdge(b, b.Succs[s], n)
+					}
+				}
 			}
 			return res, nil
 		case ir.Load, ir.Store:

@@ -143,6 +143,49 @@ func TestRunProfileCountsEdges(t *testing.T) {
 	}
 }
 
+// TestRunProfileOneEntryPerEdge: the profile holds exactly the edges taken,
+// and a branch whose two targets are one block adds both of its exits to
+// that one edge.
+func TestRunProfileOneEntryPerEdge(t *testing.T) {
+	b := ir.NewBuilder("same")
+	loop := b.Block("loop")
+	join := b.Block("join")
+	exit := b.Block("exit")
+	i := b.F.NewReg()
+	b.ConstTo(i, 0)
+	b.Jump(loop)
+	b.SetBlock(loop)
+	b.Op2To(i, ir.Add, i, b.Const(1))
+	odd := b.And(i, b.Const(1))
+	b.Br(odd, join, join)
+	b.SetBlock(join)
+	b.Br(b.CmpLT(i, b.Const(5)), loop, exit)
+	b.SetBlock(exit)
+	b.Ret(i)
+	if err := b.F.Verify(); err != nil {
+		t.Fatal(err)
+	}
+
+	res, err := Run(b.F, nil, nil, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[ir.Edge]int64{
+		{From: b.F.Entry().ID, To: loop.ID}: 1,
+		{From: loop.ID, To: join.ID}:        5,
+		{From: join.ID, To: loop.ID}:        4,
+		{From: join.ID, To: exit.ID}:        1,
+	}
+	if len(res.Profile.Edges) != len(want) {
+		t.Errorf("profile = %v, want %v", res.Profile.Edges, want)
+	}
+	for e, n := range want {
+		if got := res.Profile.Edges[e]; got != n {
+			t.Errorf("edge %v = %d, want %d", e, got, n)
+		}
+	}
+}
+
 // mtPair builds a two-thread ping-pong program exchanging n values.
 func mtPair(n int64, capOK bool) ([]*ir.Function, int) {
 	mk := func(producer bool) *ir.Function {
