@@ -48,7 +48,8 @@ func (e *StageError) Error() string {
 
 func (e *StageError) Unwrap() error { return e.Err }
 
-// stageError wraps err for one cell, classifying it by stage; a nil err
+// stageError wraps err for one cell, classifying it by stage — or as
+// FailPanic when it carries a panic a memo slot recovered; a nil err
 // returns nil and an error that already is a StageError passes through.
 func stageError(stage string, w *workloads.Workload, part partition.Partitioner, err error) *StageError {
 	if err == nil {
@@ -58,11 +59,14 @@ func stageError(stage string, w *workloads.Workload, part partition.Partitioner,
 	if errors.As(err, &se) {
 		return se
 	}
+	var pe *panicError
 	cls := FailExecution
-	switch stage {
-	case "partition":
+	switch {
+	case errors.As(err, &pe):
+		cls = FailPanic
+	case stage == "partition":
 		cls = FailPartition
-	case "pipeline":
+	case stage == "pipeline":
 		cls = FailCompile
 	}
 	return &StageError{
@@ -73,11 +77,7 @@ func stageError(stage string, w *workloads.Workload, part partition.Partitioner,
 
 // recovered converts a recovered panic value into a FailPanic StageError.
 func recovered(stage string, w *workloads.Workload, part partition.Partitioner, v any) *StageError {
-	return &StageError{
-		Class: FailPanic, Stage: stage,
-		Workload: w.Name, Partitioner: part.Name(),
-		Err: fmt.Errorf("panic: %v", v),
-	}
+	return stageError(stage, w, part, &panicError{v})
 }
 
 // fallbackFor returns the degradation chain for a partitioner: the other

@@ -100,10 +100,25 @@ type memo[T any] struct {
 }
 
 // do fills the slot on first use and returns the cached result afterwards.
+// A fill that panics is an outcome too: the slot keeps the panic as its
+// error, so no caller, first or later, reads the zero value as a result.
 func (m *memo[T]) do(f func() (T, error)) (T, error) {
-	m.once.Do(func() { m.val, m.err = f() })
+	m.once.Do(func() {
+		defer func() {
+			if v := recover(); v != nil {
+				m.err = &panicError{v}
+			}
+		}()
+		m.val, m.err = f()
+	})
 	return m.val, m.err
 }
+
+// panicError is a panic recovered where it could not be classified, kept
+// as an error that stageError classifies FailPanic.
+type panicError struct{ v any }
+
+func (e *panicError) Error() string { return fmt.Sprintf("panic: %v", e.v) }
 
 // slot returns key's once-filled slot in table, creating it on first use.
 func slot[K comparable, V any](mu *sync.Mutex, table map[K]*memo[V], key K) *memo[V] {

@@ -10,6 +10,8 @@ import (
 
 	"repro/internal/budget"
 	"repro/internal/interp"
+	"repro/internal/ir"
+	"repro/internal/pdg"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
@@ -144,6 +146,42 @@ func TestEngineCancellation(t *testing.T) {
 	}
 	if elapsed > 10*time.Second {
 		t.Errorf("cancelled run took %v, want prompt return", elapsed)
+	}
+}
+
+// panicPartitioner panics wherever it is asked to partition.
+type panicPartitioner struct{}
+
+func (panicPartitioner) Name() string { return "PANIC" }
+func (panicPartitioner) Partition(*ir.Function, *pdg.Graph, *ir.Profile, int) (map[*ir.Instr]int, error) {
+	panic("partitioner exploded")
+}
+
+// TestMemoKeepsPanic: a pipeline slot whose fill panicked answers every
+// later caller with that panic, not with a nil pipeline the next measure
+// dereferences (a different panic) or zero cycles and no error.
+func TestMemoKeepsPanic(t *testing.T) {
+	ctx := context.Background()
+	w := subset(t, "ks")[0]
+	e := NewEngine(EngineOptions{Jobs: 1})
+	wantPanic := func(what string, err error) {
+		t.Helper()
+		var se *StageError
+		if !errors.As(err, &se) || se.Class != FailPanic || !strings.Contains(se.Error(), "partitioner exploded") {
+			t.Errorf("%s: err = %v, want a %s StageError carrying the partitioner's panic", what, err, FailPanic)
+		}
+	}
+	_, err := e.CommCell(ctx, w, panicPartitioner{})
+	wantPanic("CommCell", err)
+	_, err = e.SpeedupCell(ctx, sim.DefaultConfig(), w, panicPartitioner{})
+	wantPanic("SpeedupCell after it", err)
+
+	var m memo[int64]
+	for i := 0; i < 2; i++ {
+		v, err := m.do(func() (int64, error) { panic("fill exploded") })
+		if v != 0 || err == nil || err.Error() != "panic: fill exploded" {
+			t.Errorf("call %d: (%d, %v), want the fill's panic as the error", i, v, err)
+		}
 	}
 }
 

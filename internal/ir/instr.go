@@ -1,9 +1,6 @@
 package ir
 
-import (
-	"fmt"
-	"strings"
-)
+import "strconv"
 
 // Reg names a virtual register. Register 0 is the invalid register; the
 // framework never allocates it.
@@ -17,7 +14,15 @@ func (r Reg) String() string {
 	if r == NoReg {
 		return "r?"
 	}
-	return fmt.Sprintf("r%d", int(r))
+	return string(r.appendTo(make([]byte, 0, 8)))
+}
+
+// appendTo appends the register's spelling to b.
+func (r Reg) appendTo(b []byte) []byte {
+	if r == NoReg {
+		return append(b, "r?"...)
+	}
+	return strconv.AppendInt(append(b, 'r'), int64(r), 10)
 }
 
 // NoQueue marks an instruction that does not use a communication queue.
@@ -88,56 +93,76 @@ func (in *Instr) Index() int {
 
 // String renders the instruction in assembler-like syntax.
 func (in *Instr) String() string {
-	var b strings.Builder
+	return string(in.appendTo(make([]byte, 0, 32)))
+}
+
+// appendTo appends the instruction's assembler text to b. A branch names
+// its targets by their block names; Function.String, which must tell
+// blocks of one name apart, prints branches itself.
+func (in *Instr) appendTo(b []byte) []byte {
 	switch in.Op {
 	case Const:
-		fmt.Fprintf(&b, "%s = const %d", in.Dst, in.Imm)
+		b = append(in.Dst.appendTo(b), " = const "...)
+		b = strconv.AppendInt(b, in.Imm, 10)
 	case Load:
-		fmt.Fprintf(&b, "%s = load [%s+%d]", in.Dst, in.Srcs[0], in.Imm)
+		b = append(in.Dst.appendTo(b), " = load "...)
+		b = appendMem(b, in.Srcs[0], in.Imm)
 	case Store:
-		fmt.Fprintf(&b, "store [%s+%d] = %s", in.Srcs[1], in.Imm, in.Srcs[0])
+		b = append(appendMem(append(b, "store "...), in.Srcs[1], in.Imm), " = "...)
+		b = in.Srcs[0].appendTo(b)
 	case Br:
-		fmt.Fprintf(&b, "br %s", in.Srcs[0])
+		b = in.Srcs[0].appendTo(append(b, "br "...))
 		if in.blk != nil && len(in.blk.Succs) == 2 {
-			fmt.Fprintf(&b, " %s, %s", in.blk.Succs[0].Name, in.blk.Succs[1].Name)
+			b = append(append(b, ' '), in.blk.Succs[0].Name...)
+			b = append(append(b, ", "...), in.blk.Succs[1].Name...)
 		}
 	case Jump:
-		b.WriteString("jump")
+		b = append(b, "jump"...)
 		if in.blk != nil && len(in.blk.Succs) == 1 {
-			fmt.Fprintf(&b, " %s", in.blk.Succs[0].Name)
+			b = append(append(b, ' '), in.blk.Succs[0].Name...)
 		}
 	case Ret:
-		b.WriteString("ret")
+		b = append(b, "ret"...)
 		for i, s := range in.Srcs {
 			if i > 0 {
-				b.WriteString(",")
+				b = append(b, ',')
 			}
-			fmt.Fprintf(&b, " %s", s)
+			b = s.appendTo(append(b, ' '))
 		}
 	case Produce:
-		fmt.Fprintf(&b, "produce [q%d] = %s", in.Queue, in.Srcs[0])
+		b = append(appendQueue(append(b, "produce "...), in.Queue), " = "...)
+		b = in.Srcs[0].appendTo(b)
 	case Consume:
-		fmt.Fprintf(&b, "%s = consume [q%d]", in.Dst, in.Queue)
+		b = appendQueue(append(in.Dst.appendTo(b), " = consume "...), in.Queue)
 	case ProduceSync:
-		fmt.Fprintf(&b, "produce.sync [q%d]", in.Queue)
+		b = appendQueue(append(b, "produce.sync "...), in.Queue)
 	case ConsumeSync:
-		fmt.Fprintf(&b, "consume.sync [q%d]", in.Queue)
+		b = appendQueue(append(b, "consume.sync "...), in.Queue)
 	default:
 		if in.Op.HasDst() {
-			fmt.Fprintf(&b, "%s = %s", in.Dst, in.Op)
-		} else {
-			b.WriteString(in.Op.String())
+			b = append(in.Dst.appendTo(b), " = "...)
 		}
+		b = append(b, in.Op.String()...)
 		for i, s := range in.Srcs {
-			if i == 0 && !in.Op.HasDst() {
-				b.WriteString(" ")
-			} else if i == 0 {
-				b.WriteString(" ")
+			if i == 0 {
+				b = append(b, ' ')
 			} else {
-				b.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			b.WriteString(s.String())
+			b = s.appendTo(b)
 		}
 	}
-	return b.String()
+	return b
+}
+
+// appendMem appends a memory operand, "[rN+OFF]"; a negative offset keeps
+// the '+' ("[r1+-3]"), which is what Parse splits on.
+func appendMem(b []byte, base Reg, off int64) []byte {
+	b = append(base.appendTo(append(b, '[')), '+')
+	return append(strconv.AppendInt(b, off, 10), ']')
+}
+
+// appendQueue appends a queue operand, "[qN]".
+func appendQueue(b []byte, q int) []byte {
+	return append(strconv.AppendInt(append(b, "[q"...), int64(q), 10), ']')
 }

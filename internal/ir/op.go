@@ -14,7 +14,7 @@
 // algorithm.
 package ir
 
-import "fmt"
+import "strconv"
 
 // Op identifies an instruction opcode.
 type Op uint8
@@ -108,7 +108,7 @@ func (op Op) String() string {
 	if int(op) < len(opNames) && opNames[op] != "" {
 		return opNames[op]
 	}
-	return fmt.Sprintf("op(%d)", uint8(op))
+	return "op(" + strconv.Itoa(int(op)) + ")"
 }
 
 // IsTerminator reports whether the opcode ends a basic block.

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Parse reconstructs a Function from the textual form produced by
@@ -24,24 +26,25 @@ import (
 //		br r6 then, else
 //	then: ...
 func Parse(text string) (*Function, error) {
-	p := &parser{}
-	lines := strings.Split(text, "\n")
-	for num, raw := range lines {
-		line := raw
-		if i := strings.Index(line, ";"); i >= 0 {
-			line = line[:i]
-		}
+	// Most lines of a function's text are instructions; the bound keeps a
+	// text of blank lines from reserving more than 8 KiB of pointers.
+	p := &parser{body: make([]*Instr, 0, min(strings.Count(text, "\n"), 16*slabSize))}
+	for num, rest, more := 1, text, true; more; num++ {
+		var raw string
+		raw, rest, more = strings.Cut(rest, "\n")
+		line, _, _ := strings.Cut(raw, ";")
 		line = strings.TrimSpace(line)
 		if line == "" {
 			continue
 		}
 		if err := p.line(line); err != nil {
-			return nil, fmt.Errorf("ir: line %d: %q: %w", num+1, raw, err)
+			return nil, fmt.Errorf("ir: line %d: %q: %w", num, raw, err)
 		}
 	}
 	if p.f == nil {
 		return nil, fmt.Errorf("ir: no function header")
 	}
+	p.endBlock()
 	if err := p.resolve(); err != nil {
 		return nil, err
 	}
@@ -59,8 +62,13 @@ func MustParse(text string) *Function {
 
 type pendingBranch struct {
 	block   *Block
-	targets []string
+	targets [2]string
+	n       int // targets in use: 1 for a jump, 2 for a br
 }
+
+// slabSize is how many instructions, or operands, one allocation of the
+// parser's slabs holds.
+const slabSize = 64
 
 type parser struct {
 	f        *Function
@@ -68,6 +76,57 @@ type parser struct {
 	blocks   map[string]*Block
 	pending  []pendingBranch
 	maxQueue int
+
+	// A parsed function's instructions and their operands are carved from
+	// slabs rather than allocated one by one, and every block's Instrs is
+	// a capacity-capped window of body, which lists the instructions in
+	// text order; start is where cur's window begins. Capped windows keep
+	// the pieces independent: an append to one copies it.
+	instrs []Instr
+	regs   []Reg
+	body   []*Instr
+	start  int
+}
+
+// newInstr is Function.NewInstr with the instruction taken from a slab.
+func (p *parser) newInstr(op Op, dst Reg, srcs []Reg) *Instr {
+	if len(p.instrs) == cap(p.instrs) {
+		p.instrs = make([]Instr, 0, slabSize)
+	}
+	p.instrs = append(p.instrs, Instr{ID: p.f.nextInst, Op: op, Dst: dst, Srcs: srcs, Queue: NoQueue})
+	p.f.nextInst++
+	return &p.instrs[len(p.instrs)-1]
+}
+
+// operands returns n register slots from a slab.
+func (p *parser) operands(n int) []Reg {
+	if cap(p.regs)-len(p.regs) < n {
+		p.regs = make([]Reg, 0, max(slabSize, n))
+	}
+	i := len(p.regs)
+	p.regs = p.regs[:i+n]
+	return p.regs[i : i+n : i+n]
+}
+
+// srcs copies rs into an operand list from the slab.
+func (p *parser) srcs(rs ...Reg) []Reg {
+	s := p.operands(len(rs))
+	copy(s, rs)
+	return s
+}
+
+// emit appends in to the current block.
+func (p *parser) emit(in *Instr) {
+	in.blk = p.cur
+	p.body = append(p.body, in)
+}
+
+// endBlock hands the current block its instructions.
+func (p *parser) endBlock() {
+	if n := len(p.body); n > p.start {
+		p.cur.Instrs = p.body[p.start:n:n]
+		p.start = n
+	}
 }
 
 func (p *parser) line(line string) error {
@@ -116,6 +175,7 @@ func (p *parser) blockStart(name string) error {
 	if _, dup := p.blocks[name]; dup {
 		return fmt.Errorf("duplicate block %q", name)
 	}
+	p.endBlock()
 	b := p.f.NewBlock(name)
 	p.blocks[name] = b
 	p.cur = b
@@ -182,12 +242,60 @@ var opByName = func() map[string]Op {
 	return m
 }()
 
-func (p *parser) emit(in *Instr) { p.cur.Append(in) }
+// field splits the first token off s, skipping leading space; rest is
+// what follows the token, untrimmed. Outside assignments a comma is a
+// token of its own, so "br r1,a, b" reads as br, r1, ",", a, ",", b.
+func field(s string) (tok, rest string) {
+	s = strings.TrimLeftFunc(s, unicode.IsSpace)
+	if strings.HasPrefix(s, ",") {
+		return ",", s[1:]
+	}
+	if i := strings.IndexFunc(s, isFieldEnd); i >= 0 {
+		return s[:i], s[i:]
+	}
+	return s, ""
+}
+
+func isFieldEnd(r rune) bool { return r == ',' || unicode.IsSpace(r) }
+
+// indexSpace is strings.IndexFunc(s, unicode.IsSpace) with a fast path
+// for ASCII, which is all the printer writes.
+func indexSpace(s string) int {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c >= utf8.RuneSelf:
+			if j := strings.IndexFunc(s[i:], unicode.IsSpace); j >= 0 {
+				return i + j
+			}
+			return -1
+		case c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r':
+			return i
+		}
+	}
+	return -1
+}
+
+// regList parses a comma-separated register list; an empty list is nil.
+func (p *parser) regList(list string) ([]Reg, error) {
+	if list == "" {
+		return nil, nil
+	}
+	srcs := p.operands(strings.Count(list, ",") + 1)
+	for i := range srcs {
+		var rs string
+		rs, list, _ = strings.Cut(list, ",")
+		r, err := p.reg(strings.TrimSpace(rs))
+		if err != nil {
+			return nil, err
+		}
+		srcs[i] = r
+	}
+	return srcs, nil
+}
 
 func (p *parser) instr(line string) error {
-	fields := strings.Fields(strings.ReplaceAll(line, ",", " , "))
-	// Re-join and split on "=" first for assignment forms.
-	if eq := strings.Index(line, "="); eq >= 0 && !strings.HasPrefix(line, "store") &&
+	// Assignment forms split on "=" first.
+	if eq := strings.IndexByte(line, '='); eq >= 0 && !strings.HasPrefix(line, "store") &&
 		!strings.HasPrefix(line, "produce") {
 		lhs := strings.TrimSpace(line[:eq])
 		rhs := strings.TrimSpace(line[eq+1:])
@@ -197,10 +305,11 @@ func (p *parser) instr(line string) error {
 		}
 		return p.assign(dst, rhs)
 	}
-	switch fields[0] {
+	mnemonic, rest := field(line)
+	switch mnemonic {
 	case "store":
 		// store [rM+OFF] = rN
-		eq := strings.Index(line, "=")
+		eq := strings.IndexByte(line, '=')
 		if eq < 0 {
 			return fmt.Errorf("malformed store")
 		}
@@ -212,12 +321,12 @@ func (p *parser) instr(line string) error {
 		if err != nil {
 			return err
 		}
-		in := p.f.NewInstr(Store, NoReg, val, base)
+		in := p.newInstr(Store, NoReg, p.srcs(val, base))
 		in.Imm = off
 		p.emit(in)
 	case "produce":
 		// produce [qK] = rN
-		eq := strings.Index(line, "=")
+		eq := strings.IndexByte(line, '=')
 		if eq < 0 {
 			return fmt.Errorf("malformed produce")
 		}
@@ -229,7 +338,7 @@ func (p *parser) instr(line string) error {
 		if err != nil {
 			return err
 		}
-		in := p.f.NewInstr(Produce, NoReg, src)
+		in := p.newInstr(Produce, NoReg, p.srcs(src))
 		in.Queue = q
 		p.emit(in)
 	case "produce.sync", "consume.sync":
@@ -239,118 +348,117 @@ func (p *parser) instr(line string) error {
 			return err
 		}
 		op := ProduceSync
-		if fields[0] == "consume.sync" {
+		if mnemonic == "consume.sync" {
 			op = ConsumeSync
 		}
-		in := p.f.NewInstr(op, NoReg)
+		in := p.newInstr(op, NoReg, nil)
 		in.Queue = q
 		p.emit(in)
 	case "br":
 		// br rN target1, target2
-		if len(fields) < 2 {
+		c, rest := field(rest)
+		if c == "" {
 			return fmt.Errorf("malformed br")
 		}
-		cond, err := p.reg(fields[1])
+		cond, err := p.reg(c)
 		if err != nil {
 			return err
 		}
-		rest := strings.TrimSpace(line[strings.Index(line, fields[1])+len(fields[1]):])
-		parts := strings.Split(rest, ",")
-		if len(parts) != 2 {
+		t0, t1, ok := strings.Cut(rest, ",")
+		if !ok || strings.Contains(t1, ",") {
 			return fmt.Errorf("br needs two targets")
 		}
-		p.emit(p.f.NewInstr(Br, NoReg, cond))
+		p.emit(p.newInstr(Br, NoReg, p.srcs(cond)))
 		p.pending = append(p.pending, pendingBranch{
 			block:   p.cur,
-			targets: []string{strings.TrimSpace(parts[0]), strings.TrimSpace(parts[1])},
+			targets: [2]string{strings.TrimSpace(t0), strings.TrimSpace(t1)},
+			n:       2,
 		})
 	case "jump":
-		if len(fields) < 2 {
+		target, _ := field(rest)
+		if target == "" {
 			return fmt.Errorf("jump needs a target")
 		}
-		p.emit(p.f.NewInstr(Jump, NoReg))
-		p.pending = append(p.pending, pendingBranch{block: p.cur, targets: []string{fields[1]}})
+		p.emit(p.newInstr(Jump, NoReg, nil))
+		p.pending = append(p.pending, pendingBranch{block: p.cur, targets: [2]string{target}, n: 1})
 	case "ret":
-		var srcs []Reg
-		rest := strings.TrimSpace(strings.TrimPrefix(line, "ret"))
-		if rest != "" {
-			for _, rs := range strings.Split(rest, ",") {
-				r, err := p.reg(strings.TrimSpace(rs))
-				if err != nil {
-					return err
-				}
-				srcs = append(srcs, r)
-			}
+		srcs, err := p.regList(strings.TrimSpace(strings.TrimPrefix(line, "ret")))
+		if err != nil {
+			return err
 		}
-		p.emit(p.f.NewInstr(Ret, NoReg, srcs...))
+		p.emit(p.newInstr(Ret, NoReg, srcs))
 	case "nop":
-		p.emit(p.f.NewInstr(Nop, NoReg))
+		p.emit(p.newInstr(Nop, NoReg, nil))
 	default:
-		return fmt.Errorf("unknown instruction %q", fields[0])
+		return fmt.Errorf("unknown instruction %q", mnemonic)
 	}
 	return nil
 }
 
-// assign handles "rN = ..." forms.
+// assign handles "rN = ..." forms. Here only whitespace separates tokens:
+// the mnemonic runs to the first space, and a const, load or consume
+// takes exactly one more token.
 func (p *parser) assign(dst Reg, rhs string) error {
-	fields := strings.Fields(rhs)
-	if len(fields) == 0 {
+	if rhs == "" {
 		return fmt.Errorf("empty right-hand side")
 	}
-	switch fields[0] {
+	mnemonic, operands := rhs, ""
+	if i := indexSpace(rhs); i >= 0 {
+		mnemonic, operands = rhs[:i], strings.TrimLeftFunc(rhs[i:], unicode.IsSpace)
+	}
+	// operand is the single token a const, load or consume takes; "" when
+	// there is none or more than one.
+	operand := operands
+	if indexSpace(operands) >= 0 {
+		operand = ""
+	}
+	switch mnemonic {
 	case "const":
-		if len(fields) != 2 {
+		if operand == "" {
 			return fmt.Errorf("malformed const")
 		}
-		imm, err := strconv.ParseInt(fields[1], 10, 64)
+		imm, err := strconv.ParseInt(operand, 10, 64)
 		if err != nil {
-			return fmt.Errorf("bad immediate %q", fields[1])
+			return fmt.Errorf("bad immediate %q", operand)
 		}
-		in := p.f.NewInstr(Const, dst)
+		in := p.newInstr(Const, dst, nil)
 		in.Imm = imm
 		p.emit(in)
 	case "load":
-		if len(fields) != 2 {
+		if operand == "" {
 			return fmt.Errorf("malformed load")
 		}
-		base, off, err := p.memRef(fields[1])
+		base, off, err := p.memRef(operand)
 		if err != nil {
 			return err
 		}
-		in := p.f.NewInstr(Load, dst, base)
+		in := p.newInstr(Load, dst, p.srcs(base))
 		in.Imm = off
 		p.emit(in)
 	case "consume":
-		if len(fields) != 2 {
+		if operand == "" {
 			return fmt.Errorf("malformed consume")
 		}
-		q, err := p.queueRef(fields[1])
+		q, err := p.queueRef(operand)
 		if err != nil {
 			return err
 		}
-		in := p.f.NewInstr(Consume, dst)
+		in := p.newInstr(Consume, dst, nil)
 		in.Queue = q
 		p.emit(in)
 	default:
-		op, ok := opByName[fields[0]]
+		op, ok := opByName[mnemonic]
 		if !ok || !op.HasDst() {
-			return fmt.Errorf("unknown operation %q", fields[0])
+			return fmt.Errorf("unknown operation %q", mnemonic)
 		}
-		operands := strings.TrimSpace(rhs[len(fields[0]):])
-		var srcs []Reg
-		if operands != "" {
-			for _, rs := range strings.Split(operands, ",") {
-				r, err := p.reg(strings.TrimSpace(rs))
-				if err != nil {
-					return err
-				}
-				srcs = append(srcs, r)
-			}
+		srcs, err := p.regList(operands)
+		if err != nil {
+			return err
 		}
 		if want := op.NumSrcs(); want >= 0 && len(srcs) != want {
 			return fmt.Errorf("%s takes %d operands, got %d", op, want, len(srcs))
 		}
-		p.emit(p.f.NewInstr(op, dst, srcs...))
+		p.emit(p.newInstr(op, dst, srcs))
 	}
 	return nil
 }
@@ -358,15 +466,15 @@ func (p *parser) assign(dst Reg, rhs string) error {
 // resolve wires branch targets once all blocks exist.
 func (p *parser) resolve() error {
 	for _, pb := range p.pending {
-		var succs []*Block
-		for _, name := range pb.targets {
+		var succs [2]*Block
+		for i, name := range pb.targets[:pb.n] {
 			b, ok := p.blocks[name]
 			if !ok {
 				return fmt.Errorf("ir: unknown branch target %q", name)
 			}
-			succs = append(succs, b)
+			succs[i] = b
 		}
-		pb.block.SetSuccs(succs...)
+		pb.block.SetSuccs(succs[:pb.n]...)
 	}
 	p.f.NumQueues = p.maxQueue
 	return nil

@@ -114,21 +114,23 @@ entry:
 	}
 }
 
+// parseErrorCases are texts Parse must refuse; FuzzParse seeds from them.
+var parseErrorCases = []struct {
+	name, text string
+}{
+	{"no header", "entry:\n\tret\n"},
+	{"dup header", "func a()\nfunc b()\nentry:\n\tret\n"},
+	{"instr outside block", "func a()\nr1 = const 1\n"},
+	{"unknown op", "func a()\nentry:\n\tr1 = frobnicate r1\n\tret\n"},
+	{"bad register", "func a()\nentry:\n\tx1 = const 1\n\tret\n"},
+	{"unknown target", "func a()\nentry:\n\tjump nowhere\n"},
+	{"dup block", "func a()\nentry:\n\tret\nentry:\n\tret\n"},
+	{"wrong arity", "func a(r1)\nentry:\n\tr2 = add r1\n\tret\n"},
+	{"bad queue", "func a(r1)\nentry:\n\tproduce [x0] = r1\n\tret\n"},
+}
+
 func TestParseErrors(t *testing.T) {
-	cases := []struct {
-		name, text string
-	}{
-		{"no header", "entry:\n\tret\n"},
-		{"dup header", "func a()\nfunc b()\nentry:\n\tret\n"},
-		{"instr outside block", "func a()\nr1 = const 1\n"},
-		{"unknown op", "func a()\nentry:\n\tr1 = frobnicate r1\n\tret\n"},
-		{"bad register", "func a()\nentry:\n\tx1 = const 1\n\tret\n"},
-		{"unknown target", "func a()\nentry:\n\tjump nowhere\n"},
-		{"dup block", "func a()\nentry:\n\tret\nentry:\n\tret\n"},
-		{"wrong arity", "func a(r1)\nentry:\n\tr2 = add r1\n\tret\n"},
-		{"bad queue", "func a(r1)\nentry:\n\tproduce [x0] = r1\n\tret\n"},
-	}
-	for _, tc := range cases {
+	for _, tc := range parseErrorCases {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := Parse(tc.text); err == nil {
 				t.Errorf("Parse accepted %q", tc.text)

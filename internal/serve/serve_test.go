@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/budget"
+	"repro/internal/randprog"
 	"repro/internal/workloads"
 )
 
@@ -516,33 +517,54 @@ func TestOversizeBodyIs413(t *testing.T) {
 	}
 }
 
-// TestWarmRequestAllocation pins the warm path: once mpeg2enc (the
+// TestWarmRequestAllocation pins the warm path. Once mpeg2enc (the
 // kernel with the largest images) has been served, a repeat resolves the
 // kernel, takes its fingerprint from the kernels table and reads the
 // cache — it neither rebuilds nor rehashes the two memory images, which
-// alone were over 1 MiB a call.
+// alone were over 1 MiB a call. A repeated inline program still parses
+// its text and prints it again for its key; with fmt in the printer and a
+// token slice per parsed line that was about 104 KiB a call for a size-160
+// random program.
 func TestWarmRequestAllocation(t *testing.T) {
-	s := newServer(t, Options{})
-	req := &Request{Workload: "mpeg2enc", Partitioner: "dswp"}
-	ctx := context.Background()
-	cold := s.Do(ctx, req)
-	mustOK(t, cold)
+	axes, p := randprog.GenerateSized(600000, 160)
+	inline := &Request{IR: p.F.String(), Name: "rp", Args: p.Args, Mem: p.Mem, Partitioner: "dswp"}
+	if axes.Shape == randprog.ShapeStraight {
+		inline.Partitioner = "gremio"
+	}
+	for _, o := range p.Objects {
+		inline.Objects = append(inline.Objects, MemObject{Name: o.Name, Base: o.Base, Size: o.Size})
+	}
+	for _, tc := range []struct {
+		name  string
+		req   *Request
+		limit uint64
+	}{
+		{"mpeg2enc", &Request{Workload: "mpeg2enc", Partitioner: "dswp"}, 64 << 10},
+		{"inline", inline, 72 << 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newServer(t, Options{})
+			ctx := context.Background()
+			cold := s.Do(ctx, tc.req)
+			mustOK(t, cold)
 
-	const calls = 100
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < calls; i++ {
-		if res := s.Do(ctx, req); res.Source != "warm" || !bytes.Equal(res.Body, cold.Body) {
-			t.Fatalf("warm call %d: source %q, same bytes %v", i, res.Source, bytes.Equal(res.Body, cold.Body))
-		}
-	}
-	runtime.ReadMemStats(&after)
-	if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; perCall >= 64<<10 {
-		t.Errorf("a warm mpeg2enc request allocates %d bytes, want under 64 KiB", perCall)
-	}
-	if st := s.StatsSnapshot(); st.Compute != 1 || st.CacheHitMem != calls {
-		t.Errorf("compute = %d, memory hits = %d after 1 cold + %d warm requests, want 1 and one hit per warm request",
-			st.Compute, st.CacheHitMem, calls)
+			const calls = 100
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < calls; i++ {
+				if res := s.Do(ctx, tc.req); res.Source != "warm" || !bytes.Equal(res.Body, cold.Body) {
+					t.Fatalf("warm call %d: source %q, same bytes %v", i, res.Source, bytes.Equal(res.Body, cold.Body))
+				}
+			}
+			runtime.ReadMemStats(&after)
+			if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; perCall >= tc.limit {
+				t.Errorf("a warm %s request allocates %d bytes, want under %d KiB", tc.name, perCall, tc.limit>>10)
+			}
+			if st := s.StatsSnapshot(); st.Compute != 1 || st.CacheHitMem != calls {
+				t.Errorf("compute = %d, memory hits = %d after 1 cold + %d warm requests, want 1 and one hit per warm request",
+					st.Compute, st.CacheHitMem, calls)
+			}
+		})
 	}
 }
 
