@@ -18,10 +18,7 @@ import (
 
 type objSet []uint64
 
-func newObjSet(n int) objSet { return make(objSet, (n+63)/64) }
-
-func (s objSet) add(i int)      { s[i/64] |= 1 << (uint(i) % 64) }
-func (s objSet) has(i int) bool { return s[i/64]&(1<<(uint(i)%64)) != 0 }
+func (s objSet) add(i int) { s[i/64] |= 1 << (uint(i) % 64) }
 
 func (s objSet) unionWith(o objSet) bool {
 	changed := false
@@ -72,30 +69,34 @@ type Result struct {
 	content []objSet // object -> objects whose addresses it may hold
 	// constBase marks registers with exactly one definition, a Const:
 	// their runtime value is fixed, enabling exact offset disambiguation.
-	constBase map[ir.Reg]bool
+	constBase []bool
 }
 
 // Analyze computes the points-to solution of f given its memory-object
 // table.
 func Analyze(f *ir.Function, objects []ir.MemObject) *Result {
 	nObj := len(objects)
+	nRegs := int(f.MaxReg()) + 1
 	r := &Result{
-		fn:      f,
-		objects: objects,
-		pts:     make([]objSet, int(f.MaxReg())+1),
-		content: make([]objSet, nObj),
+		fn:        f,
+		objects:   objects,
+		pts:       make([]objSet, nRegs),
+		content:   make([]objSet, nObj),
+		constBase: make([]bool, nRegs),
 	}
-	for i := range r.pts {
-		r.pts[i] = newObjSet(nObj)
-	}
-	for i := range r.content {
-		r.content[i] = newObjSet(nObj)
+	// Every set is cut from one slab.
+	words := (nObj + 63) / 64
+	slab := make(objSet, words*(nRegs+nObj))
+	for _, sets := range [][]objSet{r.pts, r.content} {
+		for i := range sets {
+			sets[i] = slab[:words:words]
+			slab = slab[words:]
+		}
 	}
 
 	// Seed: address constants; also find registers whose only definition
 	// is a Const.
-	r.constBase = map[ir.Reg]bool{}
-	defCount := map[ir.Reg]int{}
+	defCount := make([]int, nRegs)
 	f.Instrs(func(in *ir.Instr) {
 		if d := in.Defs(); d != ir.NoReg {
 			defCount[d]++
@@ -114,7 +115,7 @@ func Analyze(f *ir.Function, objects []ir.MemObject) *Result {
 	})
 	for reg, n := range defCount {
 		if n != 1 {
-			delete(r.constBase, reg)
+			r.constBase[reg] = false
 		}
 	}
 
@@ -124,18 +125,21 @@ func Analyze(f *ir.Function, objects []ir.MemObject) *Result {
 		f.Instrs(func(in *ir.Instr) {
 			switch in.Op {
 			case ir.Load:
-				base := r.pts[in.Srcs[0]]
-				for _, oi := range base.elems() {
-					if r.pts[in.Dst].unionWith(r.content[oi]) {
-						changed = true
+				dst := r.pts[in.Dst]
+				for w, m := range r.pts[in.Srcs[0]] {
+					for ; m != 0; m &= m - 1 {
+						if dst.unionWith(r.content[w*64+bits.TrailingZeros64(m)]) {
+							changed = true
+						}
 					}
 				}
 			case ir.Store:
-				base := r.pts[in.Srcs[1]]
 				val := r.pts[in.Srcs[0]]
-				for _, oi := range base.elems() {
-					if r.content[oi].unionWith(val) {
-						changed = true
+				for w, m := range r.pts[in.Srcs[1]] {
+					for ; m != 0; m &= m - 1 {
+						if r.content[w*64+bits.TrailingZeros64(m)].unionWith(val) {
+							changed = true
+						}
 					}
 				}
 			default:

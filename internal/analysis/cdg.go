@@ -15,7 +15,6 @@ type CtrlDep struct {
 // Ferrante–Ottenstein–Warren construction. A block's instructions all share
 // the block's control dependences.
 type CDG struct {
-	fn   *ir.Function
 	deps [][]CtrlDep // block ID -> direct control dependences
 }
 
@@ -30,7 +29,7 @@ func ControlDeps(f *ir.Function, pdom *DomTree) (*CDG, error) {
 			return nil, err
 		}
 	}
-	g := &CDG{fn: f, deps: make([][]CtrlDep, len(f.Blocks))}
+	g := &CDG{deps: make([][]CtrlDep, len(f.Blocks))}
 	for _, u := range f.Blocks {
 		if len(u.Succs) < 2 {
 			continue
@@ -64,28 +63,10 @@ func MustControlDeps(f *ir.Function, pdom *DomTree) *CDG {
 // and blocks that execute unconditionally have none.
 func (g *CDG) Deps(b *ir.Block) []CtrlDep { return g.deps[b.ID] }
 
-// Closure returns the transitive control-dependence closure of block b: all
-// blocks whose branches directly or indirectly control b's execution. The
-// result is a block-ID set and does not include b itself unless b controls
-// itself (a loop exit branch).
-func (g *CDG) Closure(b *ir.Block) map[int]bool {
-	set := map[int]bool{}
-	var visit func(*ir.Block)
-	visit = func(x *ir.Block) {
-		for _, d := range g.deps[x.ID] {
-			if !set[d.Branch.ID] {
-				set[d.Branch.ID] = true
-				visit(d.Branch)
-			}
-		}
-	}
-	visit(b)
-	return set
-}
-
-// Closures returns Closure of every block at once, as ID lists indexed by
-// block ID. A client that asks about the same blocks many times walks these
-// slices where it would otherwise build a set per question.
+// Closures returns the transitive control-dependence closure of every block
+// at once, as ID lists indexed by block ID: all blocks whose branches
+// directly or indirectly control the block. A list does not include its own
+// block unless that block controls itself (a loop exit branch).
 func (g *CDG) Closures() [][]int {
 	out := make([][]int, len(g.deps))
 	inClosure := make([]int, len(g.deps)) // inClosure[id] == b+1: id is in out[b]
@@ -105,24 +86,4 @@ func (g *CDG) Closures() [][]int {
 		}
 	}
 	return out
-}
-
-// ClosureOf returns the transitive control-dependence closure of an existing
-// branch-block set: the given set plus every branch controlling a member.
-func (g *CDG) ClosureOf(branchBlocks map[int]bool) map[int]bool {
-	set := map[int]bool{}
-	var visit func(*ir.Block)
-	visit = func(x *ir.Block) {
-		for _, d := range g.deps[x.ID] {
-			if !set[d.Branch.ID] {
-				set[d.Branch.ID] = true
-				visit(d.Branch)
-			}
-		}
-	}
-	for id := range branchBlocks {
-		set[id] = true
-		visit(g.fn.Blocks[id])
-	}
-	return set
 }

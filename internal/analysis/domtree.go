@@ -66,7 +66,8 @@ func buildDomTree(f *ir.Function, post bool, root int) *DomTree {
 				continue
 			}
 			newIdom := -1
-			for _, p := range t.walkPreds(id) {
+			for _, pb := range t.walkPreds(id) {
+				p := pb.ID
 				if t.idom[p] == -1 {
 					continue // predecessor not yet processed
 				}
@@ -94,34 +95,19 @@ func buildDomTree(f *ir.Function, post bool, root int) *DomTree {
 }
 
 // walkSuccs returns the successors in the traversal direction.
-func (t *DomTree) walkSuccs(id int) []int {
-	b := t.fn.Blocks[id]
-	var out []int
+func (t *DomTree) walkSuccs(id int) []*ir.Block {
 	if t.post {
-		for _, p := range b.Preds {
-			out = append(out, p.ID)
-		}
-	} else {
-		for _, s := range b.Succs {
-			out = append(out, s.ID)
-		}
+		return t.fn.Blocks[id].Preds
 	}
-	return out
+	return t.fn.Blocks[id].Succs
 }
 
-func (t *DomTree) walkPreds(id int) []int {
-	b := t.fn.Blocks[id]
-	var out []int
+// walkPreds returns the predecessors in the traversal direction.
+func (t *DomTree) walkPreds(id int) []*ir.Block {
 	if t.post {
-		for _, s := range b.Succs {
-			out = append(out, s.ID)
-		}
-	} else {
-		for _, p := range b.Preds {
-			out = append(out, p.ID)
-		}
+		return t.fn.Blocks[id].Succs
 	}
-	return out
+	return t.fn.Blocks[id].Preds
 }
 
 func (t *DomTree) reversePostorder() []int {
@@ -132,8 +118,8 @@ func (t *DomTree) reversePostorder() []int {
 	dfs = func(id int) {
 		seen[id] = true
 		for _, s := range t.walkSuccs(id) {
-			if !seen[s] {
-				dfs(s)
+			if !seen[s.ID] {
+				dfs(s.ID)
 			}
 		}
 		post = append(post, id)

@@ -139,12 +139,13 @@ func ReversePostorder(f *ir.Function) []*ir.Block {
 func Reachability(f *ir.Function) [][]bool {
 	n := len(f.Blocks)
 	r := make([][]bool, n)
+	rows := make([]bool, n*n)
 	for i := range r {
-		r[i] = make([]bool, n)
+		r[i] = rows[i*n : (i+1)*n : (i+1)*n]
 	}
-	// BFS from each block (n is small for the regions we schedule).
+	// DFS from each block (n is small for the regions we schedule).
+	var stack []*ir.Block
 	for _, b := range f.Blocks {
-		var stack []*ir.Block
 		for _, s := range b.Succs {
 			if !r[b.ID][s.ID] {
 				r[b.ID][s.ID] = true

@@ -130,16 +130,9 @@ func Plan(f *ir.Function, g *pdg.Graph, assign map[*ir.Instr]int, numThreads int
 		F:          f,
 		Assign:     assign,
 		NumThreads: numThreads,
-		Relevant:   make([]map[int]bool, numThreads),
+		Relevant:   p.relevant,
 		Iterations: iter,
-	}
-	for t, set := range p.relevant {
-		plan.Relevant[t] = map[int]bool{}
-		for id, in := range set {
-			if in {
-				plan.Relevant[t][id] = true
-			}
-		}
+		PostDom:    g.PostDom,
 	}
 	var keys []depKey
 	for k := range deps {

@@ -19,6 +19,9 @@ func plan(t *testing.T, p *testprog.Prog, opts coco.Options) *mtcg.Plan {
 	if err != nil {
 		t.Fatalf("coco.Plan: %v", err)
 	}
+	if pl.PostDom == nil || pl.PostDom != g.PostDom {
+		t.Fatal("coco.Plan does not carry the graph's post-dominator tree")
+	}
 	return pl
 }
 

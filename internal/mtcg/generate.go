@@ -2,7 +2,8 @@ package mtcg
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 
 	"repro/internal/analysis"
 	"repro/internal/ir"
@@ -26,8 +27,9 @@ type Program struct {
 
 // commEmit is one produce or consume to materialize at a point.
 type commEmit struct {
-	comm    *Comm
-	produce bool
+	blk, idx int // the point: block ID and position in the block
+	comm     *Comm
+	produce  bool
 }
 
 // Generate materializes a communication plan into per-thread functions
@@ -38,9 +40,12 @@ type commEmit struct {
 // closure.
 func Generate(p *Plan) (*Program, error) {
 	f := p.F
-	pdomTree, err := analysis.PostDominators(f)
-	if err != nil {
-		return nil, fmt.Errorf("mtcg: %w", err)
+	pdomTree := p.PostDom
+	if pdomTree == nil {
+		var err error
+		if pdomTree, err = analysis.PostDominators(f); err != nil {
+			return nil, fmt.Errorf("mtcg: %w", err)
+		}
 	}
 	retBlock := f.RetInstr().Block()
 
@@ -63,8 +68,9 @@ func Generate(p *Plan) (*Program, error) {
 		NumThreads: p.NumThreads,
 	}
 
+	thread := threadTable(f, p.Assign)
 	for t := 0; t < p.NumThreads; t++ {
-		ft, origins, err := generateThread(p, t, pdomTree, retBlock)
+		ft, origins, err := generateThread(p, t, thread, pdomTree, retBlock)
 		if err != nil {
 			return nil, err
 		}
@@ -76,53 +82,57 @@ func Generate(p *Plan) (*Program, error) {
 }
 
 // generateThread builds thread t's function and returns with it the
-// original block each of its blocks copies, in block order.
-func generateThread(p *Plan, t int, pdomTree *analysis.DomTree, retBlock *ir.Block) (*ir.Function, []*ir.Block, error) {
+// original block each of its blocks copies, in block order. thread is the
+// plan's assignment indexed by instruction ID.
+func generateThread(p *Plan, t int, thread []int, pdomTree *analysis.DomTree, retBlock *ir.Block) (*ir.Function, []*ir.Block, error) {
 	f := p.F
 
-	// Communication points involving this thread, grouped by point.
-	emits := map[Point][]commEmit{}
+	// Communication points involving this thread, in program order, and
+	// at each point in an order shared by producer and consumer threads:
+	// produces first (cannot deadlock and are value-correct at any point
+	// of their cut), then consumes, each by queue number.
+	var emits []commEmit
 	for _, c := range p.Comms {
 		for _, pt := range c.Points {
 			if c.Src == t {
-				emits[pt] = append(emits[pt], commEmit{c, true})
+				emits = append(emits, commEmit{pt.Block.ID, pt.Index, c, true})
 			}
 			if c.Dst == t {
-				emits[pt] = append(emits[pt], commEmit{c, false})
+				emits = append(emits, commEmit{pt.Block.ID, pt.Index, c, false})
 			}
 		}
 	}
-	// Deterministic per-point order shared by producer and consumer
-	// threads: produces first (cannot deadlock and are value-correct at
-	// any point of their cut), then consumes, each by queue number.
-	for _, es := range emits {
-		sort.Slice(es, func(i, j int) bool {
-			if es[i].produce != es[j].produce {
-				return es[i].produce
+	slices.SortFunc(emits, func(a, b commEmit) int {
+		if a.blk != b.blk {
+			return a.blk - b.blk
+		}
+		if a.idx != b.idx {
+			return a.idx - b.idx
+		}
+		if a.produce != b.produce {
+			if a.produce {
+				return -1
 			}
-			return es[i].comm.Queue < es[j].comm.Queue
-		})
-	}
+			return 1
+		}
+		return a.comm.Queue - b.comm.Queue
+	})
 
 	// Relevant blocks: content, communication points, replicated
 	// branches, entry and exit.
-	relevant := map[int]bool{
-		f.Entry().ID: true,
-		retBlock.ID:  true,
-	}
+	relevant := append([]bool(nil), p.Relevant[t]...)
+	relevant[f.Entry().ID] = true
+	relevant[retBlock.ID] = true
 	f.Instrs(func(in *ir.Instr) {
-		if assignable(in) && p.Assign[in] == t && in.Op != ir.Ret {
+		if assignable(in) && thread[in.ID] == t && in.Op != ir.Ret {
 			relevant[in.Block().ID] = true
 		}
 	})
-	for pt := range emits {
-		relevant[pt.Block.ID] = true
-	}
-	for id := range p.Relevant[t] {
-		relevant[id] = true
+	for _, e := range emits {
+		relevant[e.blk] = true
 	}
 
-	ft := ir.NewFunction(fmt.Sprintf("%s.t%d", f.Name, t))
+	ft := ir.NewFunction(f.Name + ".t" + strconv.Itoa(t))
 	ft.Params = append([]ir.Reg(nil), f.Params...)
 	ft.ReserveRegs(f.MaxReg())
 
@@ -141,7 +151,7 @@ func generateThread(p *Plan, t int, pdomTree *analysis.DomTree, retBlock *ir.Blo
 	}
 
 	// Create the blocks in original layout order.
-	copies := map[int]*ir.Block{}
+	copies := make([]*ir.Block, len(f.Blocks))
 	var order []*ir.Block
 	for _, b := range f.Blocks {
 		if relevant[b.ID] {
@@ -152,14 +162,37 @@ func generateThread(p *Plan, t int, pdomTree *analysis.DomTree, retBlock *ir.Blo
 
 	type pendingEdge struct {
 		from    *ir.Block
-		targets []*ir.Block // original targets
+		targets [2]*ir.Block // original targets
+		n       int          // targets in use: 1 for a jump, 2 for a br
 	}
 	var edges []pendingEdge
 
+	// Copied operand lists are cut from slabs rather than allocated one by
+	// one; each is capacity-capped, so an append to one copies it.
+	var regs []ir.Reg
+	operands := func(rs []ir.Reg) []ir.Reg {
+		if len(rs) == 0 {
+			return nil
+		}
+		if cap(regs)-len(regs) < len(rs) {
+			regs = make([]ir.Reg, 0, max(64, len(rs)))
+		}
+		start := len(regs)
+		regs = append(regs, rs...)
+		return regs[start:len(regs):len(regs)]
+	}
+
+	// Blocks are created in ID order, so one cursor walks the sorted
+	// emits; a point past its block's terminator is never reached.
+	next := 0
 	for _, b := range order {
 		nb := copies[b.ID]
 		emitComms := func(idx int) {
-			for _, e := range emits[Point{Block: b, Index: idx}] {
+			for ; next < len(emits) && emits[next].blk == b.ID && emits[next].idx <= idx; next++ {
+				e := emits[next]
+				if e.idx < idx {
+					continue
+				}
 				var in *ir.Instr
 				switch {
 				case e.comm.Kind == pdg.KindReg && e.produce:
@@ -180,32 +213,35 @@ func generateThread(p *Plan, t int, pdomTree *analysis.DomTree, retBlock *ir.Blo
 			if in.IsTerminator() {
 				break
 			}
-			if assignable(in) && p.Assign[in] == t {
-				cp := ft.NewInstr(in.Op, in.Dst, append([]ir.Reg(nil), in.Srcs...)...)
+			if assignable(in) && thread[in.ID] == t {
+				cp := ft.NewInstr(in.Op, in.Dst, operands(in.Srcs)...)
 				cp.Imm = in.Imm
 				cp.Orig = in
 				nb.Append(cp)
 			}
+		}
+		for next < len(emits) && emits[next].blk == b.ID {
+			next++
 		}
 
 		term := b.Terminator()
 		switch term.Op {
 		case ir.Ret:
 			var ret *ir.Instr
-			if p.Assign[term] == t {
-				ret = ft.NewInstr(ir.Ret, ir.NoReg, append([]ir.Reg(nil), term.Srcs...)...)
+			if thread[term.ID] == t {
+				ret = ft.NewInstr(ir.Ret, ir.NoReg, operands(term.Srcs)...)
 				ret.Orig = term
 			} else {
 				ret = ft.NewInstr(ir.Ret, ir.NoReg)
 			}
 			nb.Append(ret)
 		case ir.Br:
-			if p.Relevant[t][b.ID] || p.Assign[term] == t {
+			if p.Relevant[t][b.ID] || thread[term.ID] == t {
 				br := ft.NewInstr(ir.Br, ir.NoReg, term.Srcs[0])
 				br.Orig = term
 				nb.Append(br)
 				t0, t1 := nextRel(b.Succs[0]), nextRel(b.Succs[1])
-				edges = append(edges, pendingEdge{nb, []*ir.Block{t0, t1}})
+				edges = append(edges, pendingEdge{nb, [2]*ir.Block{t0, t1}, 2})
 			} else {
 				t0, t1 := nextRel(b.Succs[0]), nextRel(b.Succs[1])
 				if t0 != t1 {
@@ -214,20 +250,20 @@ func generateThread(p *Plan, t int, pdomTree *analysis.DomTree, retBlock *ir.Blo
 						f.Name, t, b.Name, t0.Name, t1.Name)
 				}
 				nb.Append(ft.NewInstr(ir.Jump, ir.NoReg))
-				edges = append(edges, pendingEdge{nb, []*ir.Block{t0}})
+				edges = append(edges, pendingEdge{nb, [2]*ir.Block{t0}, 1})
 			}
 		case ir.Jump:
 			nb.Append(ft.NewInstr(ir.Jump, ir.NoReg))
-			edges = append(edges, pendingEdge{nb, []*ir.Block{nextRel(b.Succs[0])}})
+			edges = append(edges, pendingEdge{nb, [2]*ir.Block{nextRel(b.Succs[0])}, 1})
 		}
 	}
 
 	for _, e := range edges {
-		var succs []*ir.Block
-		for _, orig := range e.targets {
-			succs = append(succs, copies[orig.ID])
+		var succs [2]*ir.Block
+		for i, orig := range e.targets[:e.n] {
+			succs[i] = copies[orig.ID]
 		}
-		e.from.SetSuccs(succs...)
+		e.from.SetSuccs(succs[:e.n]...)
 	}
 	return ft, order, nil
 }

@@ -10,6 +10,12 @@ import (
 	"repro/internal/testprog"
 )
 
+// after is the point immediately after a non-terminator instruction.
+func after(in *ir.Instr) mtcg.Point { return mtcg.Point{Block: in.Block(), Index: in.Index() + 1} }
+
+// before is the point immediately before an instruction.
+func before(in *ir.Instr) mtcg.Point { return mtcg.Point{Block: in.Block(), Index: in.Index()} }
+
 // naiveProgram builds the naive-MTCG multi-threaded program for a fixture.
 func naiveProgram(t *testing.T, p *testprog.Prog) *mtcg.Program {
 	t.Helper()
@@ -78,8 +84,8 @@ func TestFig3NaivePlan(t *testing.T) {
 		t.Fatalf("no r1 communication in plan: %v", plan.Comms)
 	}
 	wantPts := map[mtcg.Point]bool{
-		mtcg.After(p.Instrs["A"]): true,
-		mtcg.After(p.Instrs["E"]): true,
+		after(p.Instrs["A"]): true,
+		after(p.Instrs["E"]): true,
 	}
 	if len(r1c.Points) != 2 || !wantPts[r1c.Points[0]] || !wantPts[r1c.Points[1]] {
 		t.Errorf("r1 points = %v, want after A and after E", r1c.Points)
@@ -99,7 +105,7 @@ func TestFig3NaivePlan(t *testing.T) {
 	if r2c == nil {
 		t.Fatal("no r2 communication for duplicated branch D")
 	}
-	if len(r2c.Points) != 1 || r2c.Points[0] != mtcg.Before(p.Instrs["D"]) {
+	if len(r2c.Points) != 1 || r2c.Points[0] != before(p.Instrs["D"]) {
 		t.Errorf("r2 points = %v, want before D", r2c.Points)
 	}
 
@@ -172,8 +178,8 @@ func TestFig5NaiveMemorySync(t *testing.T) {
 		t.Fatal("no memory synchronization in plan")
 	}
 	wantPts := map[mtcg.Point]bool{
-		mtcg.After(p.Instrs["D"]): true,
-		mtcg.After(p.Instrs["G"]): true,
+		after(p.Instrs["D"]): true,
+		after(p.Instrs["G"]): true,
 	}
 	if len(memc.Points) != 2 || !wantPts[memc.Points[0]] || !wantPts[memc.Points[1]] {
 		t.Errorf("memory sync points = %v, want after D and after G", memc.Points)
@@ -203,7 +209,7 @@ func TestGenerateRejectsBadPlans(t *testing.T) {
 		bad.Comms = append([]*mtcg.Comm{}, plan.Comms...)
 		bad.Comms = append(bad.Comms, &mtcg.Comm{
 			Kind: pdg.KindReg, Reg: p.Regs["r1"], Src: 1, Dst: 1,
-			Points: []mtcg.Point{mtcg.After(p.Instrs["B"])},
+			Points: []mtcg.Point{after(p.Instrs["B"])},
 		})
 		if _, err := mtcg.Generate(&bad); err == nil {
 			t.Error("Generate accepted Src==Dst communication")
@@ -282,6 +288,34 @@ func TestGenerateIsRepeatable(t *testing.T) {
 		}
 		if a.Threads[0].SameCode(a.Threads[1]) {
 			t.Errorf("the two threads of one program are the same code:\n%s", a.Threads[0])
+		}
+	}
+}
+
+// TestGenerateSharesPostDominators: a plan built from a PDG carries the
+// graph's post-dominator tree, and a plan without one, as a hand-built plan
+// has, generates the same code from a tree Generate computes itself.
+func TestGenerateSharesPostDominators(t *testing.T) {
+	for _, p := range []*testprog.Prog{testprog.Fig3(), testprog.Fig4(), testprog.Fig5()} {
+		g := pdg.Build(p.F, p.Objects)
+		plan := mtcg.NaivePlan(p.F, g, p.Assign, 2)
+		if plan.PostDom == nil || plan.PostDom != g.PostDom {
+			t.Fatalf("%s: the naive plan does not carry the graph's post-dominator tree", p.F.Name)
+		}
+		shared, err := mtcg.Generate(plan)
+		if err != nil {
+			t.Fatalf("%s: %v", p.F.Name, err)
+		}
+		bare := *plan
+		bare.PostDom = nil
+		own, err := mtcg.Generate(&bare)
+		if err != nil {
+			t.Fatalf("%s without a tree: %v", p.F.Name, err)
+		}
+		for i, ft := range shared.Threads {
+			if !ft.SameCode(own.Threads[i]) {
+				t.Errorf("%s thread %d differs with a computed tree:\n%s\n%s", p.F.Name, i, ft, own.Threads[i])
+			}
 		}
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/analysis"
 	"repro/internal/ir"
 	"repro/internal/pdg"
 )
@@ -67,12 +68,16 @@ type Plan struct {
 	Assign     map[*ir.Instr]int
 	NumThreads int
 	Comms      []*Comm
-	// Relevant[t] holds the IDs of blocks whose terminating branch thread
-	// t must contain (owned or duplicated).
-	Relevant []map[int]bool
+	// Relevant[t][b] reports whether thread t must contain (own or
+	// duplicate) the branch terminating block ID b.
+	Relevant [][]bool
 	// Iterations is how many passes of Algorithm 2's repeat-until loop
 	// produced the plan; a NaivePlan, which runs none, has 0.
 	Iterations int
+	// PostDom is F's post-dominator tree, which places each thread's
+	// blocks. Plans built from a pdg.Graph carry the graph's; Generate
+	// computes one for a plan without it.
+	PostDom *analysis.DomTree
 }
 
 // assignable reports whether an instruction takes part in partitioning.
@@ -80,14 +85,12 @@ type Plan struct {
 // terminators.
 func assignable(in *ir.Instr) bool { return in.Op != ir.Jump && in.Op != ir.Nop }
 
-// After returns the point immediately after a non-terminator instruction.
-func After(in *ir.Instr) Point {
-	return Point{Block: in.Block(), Index: in.Index() + 1}
-}
-
-// Before returns the point immediately before an instruction.
-func Before(in *ir.Instr) Point {
-	return Point{Block: in.Block(), Index: in.Index()}
+// threadTable returns assign indexed by instruction ID. An instruction
+// assign leaves out reads thread 0, as a read of the map does.
+func threadTable(f *ir.Function, assign map[*ir.Instr]int) []int {
+	thread := make([]int, f.NumInstrIDs())
+	f.Instrs(func(in *ir.Instr) { thread[in.ID] = assign[in] })
+	return thread
 }
 
 // NaivePlan builds the communication plan of the original MTCG algorithm
@@ -96,20 +99,28 @@ func Before(in *ir.Instr) Point {
 // and every transitive control dependence is implemented by replicating the
 // branch and communicating its operand immediately before it.
 func NaivePlan(f *ir.Function, g *pdg.Graph, assign map[*ir.Instr]int, numThreads int) *Plan {
-	cdg := g.CDG
-	p := &Plan{F: f, Assign: assign, NumThreads: numThreads}
+	closure := g.CDG.Closures()
+	p := &Plan{F: f, Assign: assign, NumThreads: numThreads, PostDom: g.PostDom}
+	thread := threadTable(f, assign)
+	// after[id] is the point just after instruction id.
+	after := make([]Point, f.NumInstrIDs())
+	for _, b := range f.Blocks {
+		for i, in := range b.Instrs {
+			after[in.ID] = Point{Block: b, Index: i + 1}
+		}
+	}
 
 	// Seed relevant branches: branches assigned to t, and branches
 	// controlling an instruction assigned to t.
-	seeds := make([]map[int]bool, numThreads)
+	seeds := make([][]bool, numThreads)
 	for t := range seeds {
-		seeds[t] = map[int]bool{}
+		seeds[t] = make([]bool, len(f.Blocks))
 	}
 	f.Instrs(func(in *ir.Instr) {
 		if !assignable(in) {
 			return
 		}
-		t := assign[in]
+		t := thread[in.ID]
 		if in.Op == ir.Br {
 			seeds[t][in.Block().ID] = true
 		}
@@ -144,19 +155,19 @@ func NaivePlan(f *ir.Function, g *pdg.Graph, assign map[*ir.Instr]int, numThread
 		c.Points = append(c.Points, pt)
 	}
 	for _, a := range g.Arcs {
-		ts, td := assign[a.From], assign[a.To]
+		ts, td := thread[a.From.ID], thread[a.To.ID]
 		if ts == td || !assignable(a.From) || !assignable(a.To) {
 			continue
 		}
 		switch a.Kind {
 		case pdg.KindReg:
-			addPoint(key{pdg.KindReg, a.Reg, ts, td}, After(a.From))
-			for id := range cdg.Closure(a.From.Block()) {
+			addPoint(key{pdg.KindReg, a.Reg, ts, td}, after[a.From.ID])
+			for _, id := range closure[a.From.Block().ID] {
 				seeds[td][id] = true
 			}
 		case pdg.KindMem:
-			addPoint(key{pdg.KindMem, ir.NoReg, ts, td}, After(a.From))
-			for id := range cdg.Closure(a.From.Block()) {
+			addPoint(key{pdg.KindMem, ir.NoReg, ts, td}, after[a.From.ID])
+			for _, id := range closure[a.From.Block().ID] {
 				seeds[td][id] = true
 			}
 		case pdg.KindControl:
@@ -166,10 +177,19 @@ func NaivePlan(f *ir.Function, g *pdg.Graph, assign map[*ir.Instr]int, numThread
 		}
 	}
 
-	p.Relevant = make([]map[int]bool, numThreads)
-	for t := range p.Relevant {
-		p.Relevant[t] = cdg.ClosureOf(seeds[t])
+	// A thread's relevant branches are its seeds and every branch
+	// controlling one. A closure is transitive, so a branch it marks adds
+	// nothing when the loop reaches it as a seed.
+	for _, rel := range seeds {
+		for b := range rel {
+			if rel[b] {
+				for _, id := range closure[b] {
+					rel[id] = true
+				}
+			}
+		}
 	}
+	p.Relevant = seeds
 
 	// Operand communication for every branch a thread replicates but does
 	// not own: the duplicated branch's operand is a register use in that
@@ -191,15 +211,15 @@ func NaivePlan(f *ir.Function, g *pdg.Graph, assign map[*ir.Instr]int, numThread
 			}
 			br := uc.Use
 			for t := 0; t < numThreads; t++ {
-				if !p.Relevant[t][br.Block().ID] || assign[br] == t {
+				if !p.Relevant[t][br.Block().ID] || thread[br.ID] == t {
 					continue
 				}
 				for _, def := range uc.Defs {
-					if def == nil || assign[def] == t {
+					if def == nil || thread[def.ID] == t {
 						continue
 					}
-					addPoint(key{pdg.KindReg, uc.Reg, assign[def], t}, After(def))
-					for id := range cdg.Closure(def.Block()) {
+					addPoint(key{pdg.KindReg, uc.Reg, thread[def.ID], t}, after[def.ID])
+					for _, id := range closure[def.Block().ID] {
 						if !p.Relevant[t][id] {
 							p.Relevant[t][id] = true
 							changed = true

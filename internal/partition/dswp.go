@@ -23,11 +23,12 @@ func (DSWP) QueueCap() int { return 32 }
 // Partition implements Partitioner.
 func (DSWP) Partition(f *ir.Function, g *pdg.Graph, prof *ir.Profile, numThreads int) (map[*ir.Instr]int, error) {
 	sccs := g.SCCs()
+	bw := blockWeights(f, prof)
 	weights := make([]int64, len(sccs))
-	sccOf := map[int]int{}
+	sccOf := make([]int, f.NumInstrIDs())
 	for i, c := range sccs {
 		for _, in := range c.Instrs {
-			weights[i] += weight(in, prof)
+			weights[i] += latency(in) * bw[in.Block().ID]
 			sccOf[in.ID] = i
 		}
 	}
@@ -36,40 +37,40 @@ func (DSWP) Partition(f *ir.Function, g *pdg.Graph, prof *ir.Profile, numThreads
 	// value per dependence — min(producer, consumer frequency), the rate
 	// optimized placement (COCO) achieves — deduplicated per
 	// (instruction, target SCC) since one queue serves all uses there.
-	type crossKey struct {
-		from  int
-		toSCC int
-	}
-	crossing := map[crossKey]int64{}
-	for _, a := range g.Arcs {
-		fs, ts := sccOf[a.From.ID], sccOf[a.To.ID]
-		if fs == ts {
-			continue
-		}
-		k := crossKey{a.From.ID, ts}
-		need := min64(prof.BlockWeight(a.From.Block()), prof.BlockWeight(a.To.Block()))
-		if prev, seen := crossing[k]; !seen || need > prev {
-			crossing[k] = need
-		}
-	}
 	// commAcross[i] is the communication cost of cutting between SCCs
 	// i-1 and i (arcs spanning the boundary), used to break ties among
 	// equally balanced pipelines.
 	commAcross := make([]int64, len(sccs)+1)
-	for k, w := range crossing {
-		fs := sccOf[k.from]
-		lo, hi := fs, k.toSCC
-		if lo > hi {
-			lo, hi = hi, lo
+	need := make([]int64, len(sccs)) // target SCC -> the costliest arc into it from the current instruction
+	mark := make([]int, len(sccs))   // mark[ts] == ID+1: need[ts] holds instruction ID's cost
+	var targets []int
+	f.Instrs(func(in *ir.Instr) {
+		fs := sccOf[in.ID]
+		targets = targets[:0]
+		for _, a := range g.OutArcs(in) {
+			ts := sccOf[a.To.ID]
+			if ts == fs {
+				continue
+			}
+			w := min(bw[in.Block().ID], bw[a.To.Block().ID])
+			if mark[ts] != in.ID+1 {
+				mark[ts], need[ts] = in.ID+1, w
+				targets = append(targets, ts)
+			} else if w > need[ts] {
+				need[ts] = w
+			}
 		}
-		for b := lo + 1; b <= hi; b++ {
-			commAcross[b] += w
+		for _, ts := range targets {
+			lo, hi := min(fs, ts), max(fs, ts)
+			for b := lo + 1; b <= hi; b++ {
+				commAcross[b] += need[ts]
+			}
 		}
-	}
+	})
 
 	bounds := balanceContiguous(weights, numThreads, commAcross)
 
-	assign := map[*ir.Instr]int{}
+	assign := make(map[*ir.Instr]int, f.NumInstrs())
 	stage := 0
 	for i, c := range sccs {
 		for stage < numThreads-1 && i >= bounds[stage] {

@@ -32,17 +32,29 @@ type GREMIO struct {
 // Name implements Partitioner.
 func (GREMIO) Name() string { return "GREMIO" }
 
-// gremioState carries one partitioning run.
+// gremioState carries one partitioning run. Its per-instruction tables are
+// indexed by instruction ID.
 type gremioState struct {
-	f        *ir.Function
-	g        *pdg.Graph
-	prof     *ir.Profile
-	n        int // threads
-	commLat  int64
-	lf       *analysis.LoopForest
-	assign   map[*ir.Instr]int
-	weightOf map[*ir.Instr]int64
-	execsOf  map[*ir.Instr]int64
+	f       *ir.Function
+	g       *pdg.Graph
+	n       int // threads
+	commLat int64
+	lf      *analysis.LoopForest
+	// thread is the working assignment, -1 while unassigned; Partition
+	// turns it into the returned map once, at the end.
+	thread []int
+	weight []int64 // estimated dynamic cycles (latency × block weight)
+	execs  []int64 // executions: the block's profile weight
+	pos    []int64 // block ID << 20 | position in the block
+	// nodeOf maps an instruction to its node in the region being
+	// scheduled, -1 outside it; blockHome maps a block ID to the thread its
+	// first scheduled instruction went to, -1 before that.
+	nodeOf    []int
+	blockHome []int
+	// mark and stamp deduplicate without a set per question: mark[k] ==
+	// stamp means key k was seen since stamp last moved.
+	mark  []int
+	stamp int
 }
 
 // Partition implements Partitioner.
@@ -51,19 +63,31 @@ func (g GREMIO) Partition(f *ir.Function, dg *pdg.Graph, prof *ir.Profile, numTh
 	if commLat == 0 {
 		commLat = 30
 	}
+	ids := f.NumInstrIDs()
 	st := &gremioState{
-		f: f, g: dg, prof: prof, n: numThreads, commLat: commLat,
-		lf:       analysis.FindLoops(f, nil),
-		assign:   map[*ir.Instr]int{},
-		weightOf: map[*ir.Instr]int64{},
-		execsOf:  map[*ir.Instr]int64{},
+		f: f, g: dg, n: numThreads, commLat: commLat,
+		lf:        analysis.FindLoops(f, nil),
+		thread:    make([]int, ids),
+		weight:    make([]int64, ids),
+		execs:     make([]int64, ids),
+		pos:       make([]int64, ids),
+		nodeOf:    make([]int, ids),
+		blockHome: make([]int, len(f.Blocks)),
+		mark:      make([]int, ids*numThreads),
 	}
-	f.Instrs(func(in *ir.Instr) {
-		if schedulable(in) {
-			st.weightOf[in] = weight(in, prof)
-			st.execsOf[in] = prof.BlockWeight(in.Block())
+	for id := range st.thread {
+		st.thread[id] = -1
+	}
+	bw := blockWeights(f, prof)
+	for _, b := range f.Blocks {
+		for i, in := range b.Instrs {
+			st.pos[in.ID] = int64(b.ID)<<20 | int64(i)
+			if schedulable(in) {
+				st.weight[in.ID] = latency(in) * bw[b.ID]
+				st.execs[in.ID] = bw[b.ID]
+			}
 		}
-	})
+	}
 
 	// Bottom-up over the loop forest, then the root region.
 	var scheduleLoop func(l *analysis.Loop) []int64
@@ -82,10 +106,22 @@ func (g GREMIO) Partition(f *ir.Function, dg *pdg.Graph, prof *ir.Profile, numTh
 	st.scheduleRegion(nil, costs)
 	st.refine()
 
-	if err := validate(f, st.assign, numThreads); err != nil {
+	assign := make(map[*ir.Instr]int, f.NumInstrs())
+	f.Instrs(func(in *ir.Instr) {
+		if t := st.thread[in.ID]; t >= 0 {
+			assign[in] = t
+		}
+	})
+	if err := validate(f, assign, numThreads); err != nil {
 		return nil, err
 	}
-	return st.assign, nil
+	return assign, nil
+}
+
+// newStamp starts a fresh deduplication round over mark.
+func (st *gremioState) newStamp() int {
+	st.stamp++
+	return st.stamp
 }
 
 // refine is a Kernighan–Lin-style cleanup pass over the list-scheduled
@@ -96,8 +132,10 @@ func (g GREMIO) Partition(f *ir.Function, dg *pdg.Graph, prof *ir.Profile, numTh
 // consumers; a few refinement sweeps pull them back.
 func (st *gremioState) refine() {
 	load := make([]int64, st.n)
-	for in, t := range st.assign {
-		load[t] += st.weightOf[in]
+	for id, t := range st.thread {
+		if t >= 0 {
+			load[t] += st.weight[id]
+		}
 	}
 	maxLoad := func() int64 {
 		m := load[0]
@@ -113,26 +151,27 @@ func (st *gremioState) refine() {
 	// cycles of queue occupancy once per *dependence* — min(producer,
 	// consumer) executions — since optimized communication placement
 	// (COCO) communicates a value only as often as it is actually needed.
+	// Each source instruction counts once, and each target thread once.
 	const occupancy = 4
+	seenDst := make([]int, st.n)
 	commCost := func(in *ir.Instr, t int) int64 {
 		var c int64
-		seenSrc := map[*ir.Instr]bool{}
+		stamp := st.newStamp()
 		for _, a := range st.g.InArcs(in) {
-			tf, ok := st.assign[a.From]
-			if !ok || tf == t || seenSrc[a.From] {
+			tf := st.thread[a.From.ID]
+			if tf < 0 || tf == t || st.mark[a.From.ID] == stamp {
 				continue
 			}
-			seenSrc[a.From] = true
-			c += occupancy * min64(st.execsOf[a.From], st.execsOf[in])
+			st.mark[a.From.ID] = stamp
+			c += occupancy * min(st.execs[a.From.ID], st.execs[in.ID])
 		}
-		seenDst := map[int]bool{}
 		for _, a := range st.g.OutArcs(in) {
-			tt, ok := st.assign[a.To]
-			if !ok || tt == t || seenDst[tt] {
+			tt := st.thread[a.To.ID]
+			if tt < 0 || tt == t || seenDst[tt] == stamp {
 				continue
 			}
-			seenDst[tt] = true
-			c += occupancy * min64(st.execsOf[in], st.execsOf[a.To])
+			seenDst[tt] = stamp
+			c += occupancy * min(st.execs[in.ID], st.execs[a.To.ID])
 		}
 		return c
 	}
@@ -146,8 +185,8 @@ func (st *gremioState) refine() {
 	for sweep := 0; sweep < 4; sweep++ {
 		moved := false
 		for _, in := range instrs {
-			cur := st.assign[in]
-			w := st.weightOf[in]
+			cur := max(st.thread[in.ID], 0) // an unassigned instruction scores as thread 0
+			w := st.weight[in.ID]
 			bestT, bestScore := cur, commCost(in, cur)+maxLoad()
 			for t := 0; t < st.n; t++ {
 				if t == cur {
@@ -165,7 +204,7 @@ func (st *gremioState) refine() {
 			if bestT != cur {
 				load[cur] -= w
 				load[bestT] += w
-				st.assign[in] = bestT
+				st.thread[in.ID] = bestT
 				moved = true
 			}
 		}
@@ -186,13 +225,23 @@ type node struct {
 
 // scheduleRegion schedules one region — loop l's direct blocks plus its
 // immediate child loops, or (l == nil) the blocks outside all loops plus
-// the top-level loops. It fills st.assign for the region's direct
+// the top-level loops. It fills st.thread for the region's direct
 // instructions, may permute child assignments, and returns the region's
 // per-thread cost vector.
 func (st *gremioState) scheduleRegion(l *analysis.Loop, costs map[*analysis.Loop][]int64) []int64 {
-	// Collect nodes.
+	// Collect nodes. Each node's position is the minimum program position
+	// over its instructions; blocks and instructions are visited in program
+	// order, so a node's first instruction sets it.
 	var nodes []node
-	nodeOf := map[*ir.Instr]int{} // instruction -> node index (incl. inside children)
+	var nodePos []int64
+	nodeOf := st.nodeOf // instruction ID -> node index (incl. inside children)
+	for i := range nodeOf {
+		nodeOf[i] = -1
+	}
+	setNode := func(in *ir.Instr, i int) {
+		nodeOf[in.ID] = i
+		nodePos[i] = min(nodePos[i], st.pos[in.ID])
+	}
 	var children []*analysis.Loop
 	if l == nil {
 		children = st.lf.TopLevel()
@@ -203,6 +252,7 @@ func (st *gremioState) scheduleRegion(l *analysis.Loop, costs map[*analysis.Loop
 	for _, c := range children {
 		childIdx[c] = len(nodes)
 		nodes = append(nodes, node{child: c})
+		nodePos = append(nodePos, 1<<62)
 	}
 	inRegion := func(b *ir.Block) bool { return st.lf.InnermostLoop(b) == l }
 	for _, b := range st.f.Blocks {
@@ -212,8 +262,9 @@ func (st *gremioState) scheduleRegion(l *analysis.Loop, costs map[*analysis.Loop
 		if inRegion(b) {
 			for _, in := range b.Instrs {
 				if schedulable(in) {
-					nodeOf[in] = len(nodes)
 					nodes = append(nodes, node{in: in})
+					nodePos = append(nodePos, 1<<62)
+					setNode(in, len(nodes)-1)
 				}
 			}
 			continue
@@ -228,7 +279,7 @@ func (st *gremioState) scheduleRegion(l *analysis.Loop, costs map[*analysis.Loop
 			if c != nil {
 				for _, in := range b.Instrs {
 					if schedulable(in) {
-						nodeOf[in] = childIdx[c]
+						setNode(in, childIdx[c])
 					}
 				}
 			}
@@ -246,11 +297,11 @@ func (st *gremioState) scheduleRegion(l *analysis.Loop, costs map[*analysis.Loop
 	// block in program order (loop body ... region block ... loop latch),
 	// so instruction-level "forward" arcs can run both into and out of the
 	// contracted node, forming a cycle the list scheduler never drains.
-	// Each node's position is the minimum program position over its
-	// instructions — a strict total order, so keeping only arcs that
+	// Node positions form a strict total order, so keeping only arcs that
 	// increase it yields a DAG.
 	preds := make([][]*pdg.Arc, nn)
 	succs := make([][]int, nn)
+	indeg := make([]int, nn)
 	addSucc := func(a, b int) {
 		for _, s := range succs[a] {
 			if s == b {
@@ -258,23 +309,11 @@ func (st *gremioState) scheduleRegion(l *analysis.Loop, costs map[*analysis.Loop
 			}
 		}
 		succs[a] = append(succs[a], b)
-	}
-	progPos := func(in *ir.Instr) int64 {
-		return int64(in.Block().ID)<<20 | int64(in.Index())
-	}
-	nodePos := make([]int64, nn)
-	for i := range nodePos {
-		nodePos[i] = int64(1) << 62
-	}
-	for in, i := range nodeOf {
-		if p := progPos(in); p < nodePos[i] {
-			nodePos[i] = p
-		}
+		indeg[b]++
 	}
 	for _, a := range st.g.Arcs {
-		fi, okF := nodeOf[a.From]
-		ti, okT := nodeOf[a.To]
-		if !okF || !okT || fi == ti {
+		fi, ti := nodeOf[a.From.ID], nodeOf[a.To.ID]
+		if fi < 0 || ti < 0 || fi == ti {
 			continue
 		}
 		if nodePos[fi] < nodePos[ti] {
@@ -282,22 +321,11 @@ func (st *gremioState) scheduleRegion(l *analysis.Loop, costs map[*analysis.Loop
 			addSucc(fi, ti)
 		}
 	}
-	indeg := make([]int, nn)
-	for ti := range preds {
-		seen := map[int]bool{}
-		for _, a := range preds[ti] {
-			fi := nodeOf[a.From]
-			if !seen[fi] {
-				seen[fi] = true
-				indeg[ti]++
-			}
-		}
-	}
 
 	// Node weights and critical-path priorities.
 	nodeWeight := func(i int) int64 {
 		if nodes[i].in != nil {
-			return st.weightOf[nodes[i].in]
+			return st.weight[nodes[i].in.ID]
 		}
 		var w int64
 		for _, c := range costs[nodes[i].child] {
@@ -309,24 +337,16 @@ func (st *gremioState) scheduleRegion(l *analysis.Loop, costs map[*analysis.Loop
 	// Topological order via Kahn for priority computation.
 	topo := make([]int, 0, nn)
 	tmpDeg := append([]int(nil), indeg...)
-	queue := []int{}
 	for i := 0; i < nn; i++ {
 		if tmpDeg[i] == 0 {
-			queue = append(queue, i)
+			topo = append(topo, i)
 		}
 	}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		topo = append(topo, u)
-		seen := map[int]bool{}
-		for _, s := range succs[u] {
-			if !seen[s] {
-				seen[s] = true
-				tmpDeg[s]--
-				if tmpDeg[s] == 0 {
-					queue = append(queue, s)
-				}
+	for head := 0; head < len(topo); head++ {
+		for _, s := range succs[topo[head]] {
+			tmpDeg[s]--
+			if tmpDeg[s] == 0 {
+				topo = append(topo, s)
 			}
 		}
 	}
@@ -344,14 +364,18 @@ func (st *gremioState) scheduleRegion(l *analysis.Loop, costs map[*analysis.Loop
 	// List scheduling.
 	avail := make([]int64, st.n)
 	finish := make([]int64, nn)
-	scheduledDeg := append([]int(nil), indeg...)
+	scheduledDeg := tmpDeg
+	copy(scheduledDeg, indeg)
 	ready := []int{}
 	for i := 0; i < nn; i++ {
 		if scheduledDeg[i] == 0 {
 			ready = append(ready, i)
 		}
 	}
-	blockHome := map[int]int{}
+	blockHome := st.blockHome
+	for i := range blockHome {
+		blockHome[i] = -1
+	}
 	pop := func() int {
 		bi := 0
 		for i := 1; i < len(ready); i++ {
@@ -368,29 +392,24 @@ func (st *gremioState) scheduleRegion(l *analysis.Loop, costs map[*analysis.Loop
 	// crossCost sums communication penalties for arcs into node u if its
 	// instructions run under the given thread lookup. Crossings cost the
 	// communication latency once per dependence (min of producer and
-	// consumer frequency), modelling optimized placement.
+	// consumer frequency), modelling optimized placement: each (source
+	// instruction, target thread) counts once.
 	crossCost := func(u int, threadOfTo func(*ir.Instr) int) int64 {
 		var c int64
-		type k struct {
-			src *ir.Instr
-			dst int
-		}
-		seen := map[k]bool{}
+		stamp := st.newStamp()
 		for _, a := range preds[u] {
-			tf, ok := st.assign[a.From]
-			if !ok {
+			tf := st.thread[a.From.ID]
+			if tf < 0 {
 				continue
 			}
 			tt := threadOfTo(a.To)
 			if tf == tt {
 				continue
 			}
-			kk := k{a.From, tt}
-			if seen[kk] {
-				continue
+			if k := a.From.ID*st.n + tt; st.mark[k] != stamp {
+				st.mark[k] = stamp
+				c += st.commLat * min(st.execs[a.From.ID], st.execs[a.To.ID])
 			}
-			seen[kk] = true
-			c += st.commLat * min64(st.execsOf[a.From], st.execsOf[a.To])
 		}
 		return c
 	}
@@ -399,7 +418,7 @@ func (st *gremioState) scheduleRegion(l *analysis.Loop, costs map[*analysis.Loop
 		u := pop()
 		var est int64
 		for _, a := range preds[u] {
-			fi := nodeOf[a.From]
+			fi := nodeOf[a.From.ID]
 			if finish[fi] > est {
 				est = finish[fi]
 			}
@@ -413,24 +432,24 @@ func (st *gremioState) scheduleRegion(l *analysis.Loop, costs map[*analysis.Loop
 				if est > start {
 					start = est
 				}
-				score := start + st.weightOf[in] +
+				score := start + st.weight[in.ID] +
 					crossCost(u, func(*ir.Instr) int { return t })
-				if home, ok := blockHome[in.Block().ID]; ok && home == t {
-					score -= st.commLat * st.execsOf[in] / 2
+				if blockHome[in.Block().ID] == t {
+					score -= st.commLat * st.execs[in.ID] / 2
 				}
 				if bestScore < 0 || score < bestScore {
 					bestT, bestScore = t, score
 				}
 			}
-			st.assign[in] = bestT
-			if _, ok := blockHome[in.Block().ID]; !ok {
+			st.thread[in.ID] = bestT
+			if blockHome[in.Block().ID] < 0 {
 				blockHome[in.Block().ID] = bestT
 			}
 			start := avail[bestT]
 			if est > start {
 				start = est
 			}
-			finish[u] = start + st.weightOf[in]
+			finish[u] = start + st.weight[in.ID]
 			avail[bestT] = finish[u]
 		} else {
 			// Child loop: choose a thread permutation (identity or, for
@@ -465,22 +484,27 @@ func (st *gremioState) scheduleRegion(l *analysis.Loop, costs map[*analysis.Loop
 					}
 				}
 				score := completion + crossCost(u, func(to *ir.Instr) int {
-					return mapT(st.assign[to])
+					return mapT(max(st.thread[to.ID], 0))
 				})
 				if bestScore < 0 || score < bestScore {
 					bestPerm, bestScore, bestFinish = perm, score, completion
 				}
 			}
 			if bestPerm == 1 {
-				// Apply the swap to the child's instructions.
-				for in, t := range st.assign {
-					if nodeOf[in] == u {
-						switch t {
-						case 0:
-							st.assign[in] = 1
-						case 1:
-							st.assign[in] = 0
-						}
+				// Apply the swap to the child's instructions. An assigned
+				// instruction outside the region counts as node 0, so
+				// when the child is node 0 the swap reaches it too: a
+				// defect (ROADMAP item 4) kept until the partitions it
+				// moves are regenerated on purpose.
+				for id, t := range st.thread {
+					if t < 0 || nodeOf[id] != u && (nodeOf[id] >= 0 || u != 0) {
+						continue
+					}
+					switch t {
+					case 0:
+						st.thread[id] = 1
+					case 1:
+						st.thread[id] = 0
 					}
 				}
 				cv = append([]int64(nil), cv...)
@@ -498,12 +522,7 @@ func (st *gremioState) scheduleRegion(l *analysis.Loop, costs map[*analysis.Loop
 			finish[u] = bestFinish
 		}
 
-		seen := map[int]bool{}
 		for _, s := range succs[u] {
-			if seen[s] {
-				continue
-			}
-			seen[s] = true
 			scheduledDeg[s]--
 			if scheduledDeg[s] == 0 {
 				ready = append(ready, s)
@@ -514,8 +533,8 @@ func (st *gremioState) scheduleRegion(l *analysis.Loop, costs map[*analysis.Loop
 	// Per-thread cost vector of this region.
 	out := make([]int64, st.n)
 	addInstr := func(in *ir.Instr) {
-		if t, ok := st.assign[in]; ok {
-			out[t] += st.weightOf[in]
+		if t := st.thread[in.ID]; t >= 0 {
+			out[t] += st.weight[in.ID]
 		}
 	}
 	for _, b := range st.f.Blocks {

@@ -71,10 +71,15 @@ func latency(in *ir.Instr) int64 {
 	}
 }
 
-// weight estimates the dynamic cycles contributed by an instruction: its
-// latency times its block's profile weight.
-func weight(in *ir.Instr, prof *ir.Profile) int64 {
-	return latency(in) * prof.BlockWeight(in.Block())
+// blockWeights returns each block's profile weight, indexed by block ID. An
+// instruction's estimated dynamic cycles are its latency times its block's
+// weight.
+func blockWeights(f *ir.Function, prof *ir.Profile) []int64 {
+	bw := make([]int64, len(f.Blocks))
+	for _, b := range f.Blocks {
+		bw[b.ID] = prof.BlockWeight(b)
+	}
+	return bw
 }
 
 // validate checks a partition for completeness and range.
@@ -94,12 +99,4 @@ func validate(f *ir.Function, assign map[*ir.Instr]int, numThreads int) error {
 		}
 	})
 	return err
-}
-
-// min64 returns the smaller of two int64 values.
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -69,27 +69,42 @@ type Graph struct {
 	// instead of analysing Fn again.
 	Chains []dataflow.UseChain
 	CDG    *analysis.CDG
+	// PostDom is the post-dominator tree CDG was computed from. The plans
+	// carry it to mtcg.Generate, which places each thread's blocks by it.
+	PostDom *analysis.DomTree
 
-	out map[int][]*Arc // instr ID -> outgoing arcs
-	in  map[int][]*Arc // instr ID -> incoming arcs
+	out, in adjacency
+}
+
+// adjacency lists each instruction's arcs in arc order: instruction ID i's
+// arcs are arcs[start[i]:start[i+1]].
+type adjacency struct {
+	start []int32
+	arcs  []*Arc
+}
+
+// of returns instruction ID id's arcs, nil when it has none or the ID lies
+// outside the function.
+func (a *adjacency) of(id int) []*Arc {
+	if uint(id) >= uint(len(a.start)-1) {
+		return nil
+	}
+	lo, hi := a.start[id], a.start[id+1]
+	if lo == hi {
+		return nil
+	}
+	return a.arcs[lo:hi:hi]
 }
 
 // Build constructs the PDG of f. objects is the memory-object table used by
 // the points-to analysis; pass nil if f performs no memory accesses.
 func Build(f *ir.Function, objects []ir.MemObject) *Graph {
-	g := &Graph{Fn: f, out: map[int][]*Arc{}, in: map[int][]*Arc{}}
-	seen := map[string]bool{}
-	add := func(a Arc) {
-		key := fmt.Sprintf("%d/%d/%d/%d", a.From.ID, a.To.ID, a.Kind, a.Reg)
-		if seen[key] {
-			return
-		}
-		seen[key] = true
-		arc := &a
-		g.Arcs = append(g.Arcs, arc)
-		g.out[a.From.ID] = append(g.out[a.From.ID], arc)
-		g.in[a.To.ID] = append(g.in[a.To.ID], arc)
-	}
+	g := &Graph{Fn: f}
+	// Arcs are cut from one slab. No arc is added twice, so none needs
+	// deduplication: the chains name each (definition, use, register)
+	// once, the memory loop visits each ordered pair once, and the control
+	// loop skips a branch a block's dependences name twice.
+	var slab []Arc
 
 	// Register dependences from reaching-definition chains. Parameter
 	// pseudo-definitions (nil) need no arcs: every thread starts with a
@@ -100,7 +115,7 @@ func Build(f *ir.Function, objects []ir.MemObject) *Graph {
 			if def == nil {
 				continue
 			}
-			add(Arc{From: def, To: uc.Use, Kind: KindReg, Reg: uc.Reg})
+			slab = append(slab, Arc{From: def, To: uc.Use, Kind: KindReg, Reg: uc.Reg})
 		}
 	}
 
@@ -110,46 +125,56 @@ func Build(f *ir.Function, objects []ir.MemObject) *Graph {
 	// memory dependences "essentially bi-directional" (Section 4) and
 	// forces the instructions into one DSWP pipeline stage.
 	al := alias.Analyze(f, objects)
-	var mems []*ir.Instr
-	f.Instrs(func(in *ir.Instr) {
-		if in.Op.IsMemAccess() {
-			mems = append(mems, in)
-		}
-	})
-	reach := analysis.Reachability(f)
-	ordered := func(a, b *ir.Instr) bool {
-		if a.Block() == b.Block() {
-			if a.Index() < b.Index() {
-				return true
+	type access struct {
+		in       *ir.Instr
+		blk, idx int // block ID and position in it
+	}
+	var mems []access
+	for _, b := range f.Blocks {
+		for i, in := range b.Instrs {
+			if in.Op.IsMemAccess() {
+				mems = append(mems, access{in, b.ID, i})
 			}
-			// Later instruction reaches the earlier one only around a
-			// cycle through the block itself.
-			return reach[a.Block().ID][b.Block().ID]
 		}
-		return reach[a.Block().ID][b.Block().ID]
+	}
+	reach := analysis.Reachability(f)
+	// ordered reports whether a may execute before b. A later instruction
+	// of the same block reaches an earlier one only around a cycle through
+	// the block itself.
+	ordered := func(a, b access) bool {
+		return a.blk == b.blk && a.idx < b.idx || reach[a.blk][b.blk]
 	}
 	for i, a := range mems {
 		for _, b := range mems[i+1:] {
-			if a.Op != ir.Store && b.Op != ir.Store {
+			if a.in.Op != ir.Store && b.in.Op != ir.Store {
 				continue // load-load pairs are unordered
 			}
-			if !al.MayAlias(a, b) {
+			if !al.MayAlias(a.in, b.in) {
 				continue
 			}
 			if ordered(a, b) {
-				add(Arc{From: a, To: b, Kind: KindMem})
+				slab = append(slab, Arc{From: a.in, To: b.in, Kind: KindMem})
 			}
 			if ordered(b, a) {
-				add(Arc{From: b, To: a, Kind: KindMem})
+				slab = append(slab, Arc{From: b.in, To: a.in, Kind: KindMem})
 			}
 		}
 	}
 
 	// Control dependences: the branch terminating block u controls every
 	// instruction of each block control dependent on u.
-	g.CDG = analysis.MustControlDeps(f, nil)
+	pdom, err := analysis.PostDominators(f)
+	if err != nil {
+		panic(err) // Build takes verified functions, which have a Ret
+	}
+	g.PostDom = pdom
+	g.CDG = analysis.MustControlDeps(f, pdom)
 	for _, blk := range f.Blocks {
-		for _, d := range g.CDG.Deps(blk) {
+		deps := g.CDG.Deps(blk)
+		for k, d := range deps {
+			if namedBefore(deps[:k], d.Branch) {
+				continue // both edges of one branch reach blk
+			}
 			br := d.Branch.Terminator()
 			for _, in := range blk.Instrs {
 				if in == br || in.Op == ir.Jump {
@@ -159,30 +184,56 @@ func Build(f *ir.Function, objects []ir.MemObject) *Graph {
 					// partitioning or dependence enforcement.
 					continue
 				}
-				add(Arc{From: br, To: in, Kind: KindControl})
+				slab = append(slab, Arc{From: br, To: in, Kind: KindControl})
 			}
 		}
 	}
+
+	g.Arcs = make([]*Arc, len(slab))
+	for i := range slab {
+		g.Arcs[i] = &slab[i]
+	}
+	g.out = index(g.Arcs, f.NumInstrIDs(), func(a *Arc) int { return a.From.ID })
+	g.in = index(g.Arcs, f.NumInstrIDs(), func(a *Arc) int { return a.To.ID })
 	return g
 }
 
+// namedBefore reports whether one of deps names branch block br.
+func namedBefore(deps []analysis.CtrlDep, br *ir.Block) bool {
+	for _, d := range deps {
+		if d.Branch == br {
+			return true
+		}
+	}
+	return false
+}
+
+// index groups arcs by the instruction ID end returns, keeping arc order
+// within each group (a counting sort).
+func index(arcs []*Arc, ids int, end func(*Arc) int) adjacency {
+	adj := adjacency{start: make([]int32, ids+1), arcs: make([]*Arc, len(arcs))}
+	for _, a := range arcs {
+		adj.start[end(a)]++
+	}
+	var sum int32
+	for id := range ids {
+		sum += adj.start[id]
+		adj.start[id] = sum // one past the group's last slot
+	}
+	adj.start[ids] = sum
+	for i := len(arcs) - 1; i >= 0; i-- { // back to front, so each group fills down to its first slot
+		id := end(arcs[i])
+		adj.start[id]--
+		adj.arcs[adj.start[id]] = arcs[i]
+	}
+	return adj
+}
+
 // OutArcs returns the dependences whose source is in.
-func (g *Graph) OutArcs(in *ir.Instr) []*Arc { return g.out[in.ID] }
+func (g *Graph) OutArcs(in *ir.Instr) []*Arc { return g.out.of(in.ID) }
 
 // InArcs returns the dependences whose target is in.
-func (g *Graph) InArcs(in *ir.Instr) []*Arc { return g.in[in.ID] }
+func (g *Graph) InArcs(in *ir.Instr) []*Arc { return g.in.of(in.ID) }
 
 // NumArcs returns the number of dependence arcs.
 func (g *Graph) NumArcs() int { return len(g.Arcs) }
-
-// ArcsBetween returns the arcs from one instruction set into another, where
-// membership is given by thread assignment.
-func (g *Graph) ArcsBetween(assign map[*ir.Instr]int, from, to int) []*Arc {
-	var out []*Arc
-	for _, a := range g.Arcs {
-		if assign[a.From] == from && assign[a.To] == to && from != to {
-			out = append(out, a)
-		}
-	}
-	return out
-}

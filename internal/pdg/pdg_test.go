@@ -68,11 +68,23 @@ func TestFig3Dependences(t *testing.T) {
 	}
 }
 
+// arcsBetween returns the arcs from thread from's instructions into thread
+// to's under assign.
+func arcsBetween(g *Graph, assign map[*ir.Instr]int, from, to int) []*Arc {
+	var out []*Arc
+	for _, a := range g.Arcs {
+		if assign[a.From] == from && assign[a.To] == to && from != to {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
 func TestFig4SingleInterThreadDep(t *testing.T) {
 	p := testprog.Fig4()
 	g := Build(p.F, p.Objects)
 
-	inter := g.ArcsBetween(p.Assign, 0, 1)
+	inter := arcsBetween(g, p.Assign, 0, 1)
 	// Paper: "The only inter-thread dependence is the register dependence
 	// (B->E)". Plus our explicit live-out arcs into ret: s is defined in
 	// T_t, so only (B->E) crosses threads.
@@ -88,7 +100,7 @@ func TestFig4SingleInterThreadDep(t *testing.T) {
 		t.Errorf("%d inter-thread arcs, want 1 (B->E)", len(inter))
 	}
 	// No arcs flow T_t -> T_s (the partition is a pipeline).
-	if back := g.ArcsBetween(p.Assign, 1, 0); len(back) != 0 {
+	if back := arcsBetween(g, p.Assign, 1, 0); len(back) != 0 {
 		t.Errorf("unexpected backward arcs: %v", back)
 	}
 }

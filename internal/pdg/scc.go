@@ -17,24 +17,28 @@ type SCC struct {
 // condensation (sources first). The result also carries the condensed
 // successor relation.
 func (g *Graph) SCCs() []*SCC {
-	index := map[int]int{} // instr ID -> visitation index
-	low := map[int]int{}
-	onStack := map[int]bool{}
+	ids := g.Fn.NumInstrIDs()
+	// index[id] is the instruction's visitation number, counted from 1 so
+	// that 0 means unvisited; sccOf[id] reuses the table once Tarjan is done.
+	index := make([]int, ids)
+	low := make([]int, ids)
+	onStack := make([]bool, ids)
+	members := make([]*ir.Instr, 0, g.Fn.NumInstrs()) // every component's instructions, back to back
 	var stack []*ir.Instr
 	var comps [][]*ir.Instr
 	counter := 0
 
 	var strongconnect func(v *ir.Instr)
 	strongconnect = func(v *ir.Instr) {
+		counter++
 		index[v.ID] = counter
 		low[v.ID] = counter
-		counter++
 		stack = append(stack, v)
 		onStack[v.ID] = true
 
-		for _, a := range g.out[v.ID] {
+		for _, a := range g.OutArcs(v) {
 			w := a.To
-			if _, seen := index[w.ID]; !seen {
+			if index[w.ID] == 0 {
 				strongconnect(w)
 				if low[w.ID] < low[v.ID] {
 					low[v.ID] = low[w.ID]
@@ -45,22 +49,22 @@ func (g *Graph) SCCs() []*SCC {
 		}
 
 		if low[v.ID] == index[v.ID] {
-			var comp []*ir.Instr
+			start := len(members)
 			for {
 				w := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
 				onStack[w.ID] = false
-				comp = append(comp, w)
+				members = append(members, w)
 				if w == v {
 					break
 				}
 			}
-			comps = append(comps, comp)
+			comps = append(comps, members[start:len(members):len(members)])
 		}
 	}
 
 	g.Fn.Instrs(func(in *ir.Instr) {
-		if _, seen := index[in.ID]; !seen {
+		if index[in.ID] == 0 {
 			strongconnect(in)
 		}
 	})
@@ -70,24 +74,32 @@ func (g *Graph) SCCs() []*SCC {
 		comps[i], comps[j] = comps[j], comps[i]
 	}
 
-	sccOf := map[int]int{}
+	sccOf := index
+	scc := make([]SCC, len(comps))
 	out := make([]*SCC, len(comps))
 	for ci, comp := range comps {
-		out[ci] = &SCC{Instrs: comp}
+		scc[ci].Instrs = comp
+		out[ci] = &scc[ci]
 		for _, in := range comp {
 			sccOf[in.ID] = ci
 		}
 	}
+	// seen[cj] == ci+1: component cj is already a successor of ci.
+	seen := make([]int, len(comps))
+	var succs []int // every component's successors, back to back
 	for ci, comp := range comps {
-		seen := map[int]bool{}
+		start := len(succs)
 		for _, in := range comp {
-			for _, a := range g.out[in.ID] {
+			for _, a := range g.OutArcs(in) {
 				tj := sccOf[a.To.ID]
-				if tj != ci && !seen[tj] {
-					seen[tj] = true
-					out[ci].Succs = append(out[ci].Succs, tj)
+				if tj != ci && seen[tj] != ci+1 {
+					seen[tj] = ci + 1
+					succs = append(succs, tj)
 				}
 			}
+		}
+		if len(succs) > start {
+			scc[ci].Succs = succs[start:len(succs):len(succs)]
 		}
 	}
 	return out

@@ -9,8 +9,8 @@
 package queue
 
 import (
-	"fmt"
-	"sort"
+	"encoding/binary"
+	"slices"
 
 	"repro/internal/ir"
 	"repro/internal/mtcg"
@@ -28,38 +28,33 @@ type Allocation struct {
 // place, merging mergeable communications, and returns the allocation. The
 // program's thread functions and NumQueues are updated.
 func Allocate(prog *mtcg.Program) Allocation {
-	type groupKey struct {
-		src, dst int
-		points   string
-	}
-	pointsKey := func(c *mtcg.Comm) string {
-		pts := append([]mtcg.Point(nil), c.Points...)
-		sort.Slice(pts, func(i, j int) bool {
-			if pts[i].Block.ID != pts[j].Block.ID {
-				return pts[i].Block.ID < pts[j].Block.ID
-			}
-			return pts[i].Index < pts[j].Index
-		})
-		s := ""
-		for _, pt := range pts {
-			s += fmt.Sprintf("%d.%d;", pt.Block.ID, pt.Index)
-		}
-		return s
-	}
-
 	alloc := Allocation{
 		Before:  prog.NumQueues,
 		Mapping: make([]int, prog.NumQueues),
 	}
-	groups := map[groupKey]int{}
+	// A group's key is its producer, its consumer and its sorted points,
+	// each number varint-encoded.
+	groups := map[string]int{}
+	var pts []mtcg.Point
+	var key []byte
 	next := 0
 	for _, c := range prog.Comms {
-		k := groupKey{c.Src, c.Dst, pointsKey(c)}
-		phys, ok := groups[k]
+		pts = append(pts[:0], c.Points...)
+		slices.SortFunc(pts, func(a, b mtcg.Point) int {
+			if a.Block.ID != b.Block.ID {
+				return a.Block.ID - b.Block.ID
+			}
+			return a.Index - b.Index
+		})
+		key = binary.AppendVarint(binary.AppendVarint(key[:0], int64(c.Src)), int64(c.Dst))
+		for _, pt := range pts {
+			key = binary.AppendVarint(binary.AppendVarint(key, int64(pt.Block.ID)), int64(pt.Index))
+		}
+		phys, ok := groups[string(key)]
 		if !ok {
 			phys = next
 			next++
-			groups[k] = phys
+			groups[string(key)] = phys
 		}
 		alloc.Mapping[c.Queue] = phys
 	}
