@@ -24,10 +24,18 @@
 //	GET  /metrics         Prometheus text-format exposition
 //
 // -cache-dir "" disables the disk layer (no warmth across restarts).
-// Opening the cache runs a crash-recovery scan: orphaned temp files are
-// removed and corrupt entries quarantined, so a restart over a dirty
-// directory comes up clean. -durable fsyncs entries on write so the
-// cache survives machine crashes, not just process crashes. Disk faults
+// The directory holds one append-only log, entries.log: each computed
+// response appends one record. Opening the cache runs a crash-recovery
+// scan: the log is read once, torn or corrupt records are dropped (the
+// corrupt ones quarantined) and the log rewritten without them, and
+// orphaned temp files are removed, so a restart over a dirty directory
+// comes up clean. A cache directory written before the log (a file per
+// entry in two-character shard directories) is not read: the server
+// starts cold over it, and the old shard directories can be deleted by
+// hand. -durable fsyncs the log after each record, one fsync per cached
+// response, so the cache survives machine crashes, not just process
+// crashes. -disk-entries evicts the oldest entries first, by write
+// order (serving an entry does not refresh it). Disk faults
 // are retried with bounded deterministic backoff (-disk-retries), and
 // after -breaker-faults consecutive failures the disk layer trips to
 // memory-only mode (fail-open — requests keep serving), probing every
@@ -72,7 +80,7 @@ func run() (err error) {
 	addr := flag.String("addr", ":8437", "listen address")
 	cacheDir := flag.String("cache-dir", ".gmtserve-cache", "artifact cache directory (\"\" = memory-only)")
 	memEntries := flag.Int("mem-entries", 0, "in-memory cache entries (0 = default 1024)")
-	diskEntries := flag.Int("disk-entries", 0, "on-disk cache entries before LRU eviction (0 = unbounded)")
+	diskEntries := flag.Int("disk-entries", 0, "on-disk cache entries before the oldest written are evicted (0 = unbounded)")
 	jobs := flag.Int("jobs", 0, "batch fan-out worker-pool size (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "bounded compute-admission queue depth (0 = default 64)")
 	maxProfile := flag.Int64("max-profile-steps", 0, "per-request profile-step budget cap (0 = uncapped)")
@@ -80,7 +88,7 @@ func run() (err error) {
 	maxSim := flag.Int64("max-sim-cycles", 0, "per-request simulator-cycle budget cap (0 = uncapped)")
 	noDegrade := flag.Bool("no-degrade", false, "disable the graceful-degradation chain for requests that don't choose")
 	metricsPath := flag.String("metrics", "", "write the metrics registry as JSON on shutdown")
-	durable := flag.Bool("durable", false, "fsync cache entries on write (crash-durable Puts)")
+	durable := flag.Bool("durable", false, "fsync the cache log after each record (crash-durable Puts)")
 	deadline := flag.Duration("deadline", 0, "default per-request deadline (0 = none)")
 	maxDeadline := flag.Duration("max-deadline", 0, "cap on per-request deadlines (0 = uncapped)")
 	diskRetries := flag.Int("disk-retries", 0, "transient disk-fault retries per cache op (0 = default 2, -1 = off)")

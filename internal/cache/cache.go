@@ -5,16 +5,23 @@
 // stored in two layers — a bounded in-memory LRU in front of an on-disk
 // store that survives process restarts.
 //
-// The durability contract is checksum-or-absent: every stored payload is
-// wrapped in a checksummed envelope, writes are atomic (temp + rename,
-// optionally fsynced in Durable mode), opening the store runs a recovery
-// scan that removes orphaned temp files and quarantines invalid
-// envelopes, and a truncated, garbage, or tampered entry read later is
-// quarantined and reported as a miss — never served. The cache stores
-// opaque bytes and never re-serializes them, which is what lets the
-// serving layer promise byte-identical responses whether a request is
-// served cold, warm from memory, warm from disk, or merged into another
-// request's flight (see Group).
+// The disk layer is one append-only log per cache directory,
+// entries.log, plus an in-memory index from path key to the record's
+// (offset, length). A Put appends one record; a disk Get reads one span
+// at an offset; a lookup for a key the index does not hold makes no
+// system call at all. Every record is a checksummed envelope that names
+// its own path key, so a stale or wrong offset can only ever produce a
+// miss, never another key's bytes.
+//
+// The durability contract is checksum-or-absent: opening the store reads
+// the log once, verifies every record, and rewrites it (atomically, temp
+// + rename) without the torn tail, the junk of a failed append, or the
+// records whose checksum fails — those are quarantined. A record that
+// reads back invalid later is quarantined and reported as a miss — never
+// served. The cache stores opaque bytes and never re-serializes them,
+// which is what lets the serving layer promise byte-identical responses
+// whether a request is served cold, warm from memory, warm from disk, or
+// merged into another request's flight (see Group).
 //
 // Every disk touch goes through an internal/vfs filesystem, so tests
 // inject seeded faults (full disk, EIO, torn writes, crash points); the
@@ -28,12 +35,11 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -43,14 +49,16 @@ import (
 
 // entryMagic versions the on-disk envelope (not the payload schema —
 // that is the caller's SchemaVersion, hashed into the key). Bump it only
-// if the envelope framing itself changes; old entries then read as
-// corrupt, i.e. misses.
+// if the envelope framing itself changes; old records then read as
+// junk, i.e. misses.
 const entryMagic = "gmtcache1"
 
-// quarantineDir, under the cache root, receives invalid envelopes
-// instead of deleting them: operators can inspect what the disk did to
-// the bytes, and the entries are invisible to Get, eviction, and the
-// disk-entry count (the directory name is not a two-character shard).
+// logName is the cache directory's one data file.
+const logName = "entries.log"
+
+// quarantineDir, under the cache root, receives copies of records that
+// fail validation, named by their path key, so operators can inspect
+// what the disk did to the bytes.
 const quarantineDir = "quarantine"
 
 // Options configures a Cache.
@@ -61,17 +69,18 @@ type Options struct {
 	// MemEntries bounds the in-memory LRU layer; <= 0 means 1024.
 	MemEntries int
 	// DiskEntries bounds the on-disk store; <= 0 means unbounded. When
-	// the bound is exceeded the oldest entries (by modification time)
-	// are evicted. Eviction order never affects response bytes — an
-	// evicted entry is simply recomputed.
+	// the bound is exceeded the oldest entries by write order are
+	// evicted (a Get never refreshes an entry). Eviction order never
+	// affects response bytes — an evicted entry is simply recomputed.
 	DiskEntries int
 	// FS abstracts every disk touch; nil means the host filesystem
 	// (vfs.OS). Tests inject a vfs.Faulty here.
 	FS vfs.FS
-	// Durable fsyncs each written entry and its parent directory, so a
-	// completed Put survives a machine crash, at the cost of two fsyncs
-	// per write. Without it a post-rename crash can tear an entry — the
-	// recovery scan and checksums then turn it into a miss.
+	// Durable fsyncs the log after each appended record (and the
+	// directory when the log is created or replaced), so a completed
+	// Put survives a machine crash, at the cost of one fsync per write.
+	// Without it a crash can tear the last records — the open-time scan
+	// and checksums then turn them into misses.
 	Durable bool
 	// Retries bounds per-operation retries of transient disk faults
 	// (vfs.Transient); 0 means the default 2, < 0 disables retries.
@@ -130,8 +139,13 @@ type OpEvents struct {
 	BreakerCloses int64
 }
 
-// Cache is a two-layer (memory LRU + disk) content-addressed byte store.
-// All methods are safe for concurrent use.
+// Cache is a two-layer (memory LRU + disk log) content-addressed byte
+// store. All methods are safe for concurrent use.
+//
+// Several Cache values, in one process or many, may share a directory:
+// appends never overwrite each other, and each sees the others' records
+// after it reopens. A rewrite by one of them drops the records the
+// others appended since it opened, which only costs those entries.
 type Cache struct {
 	opts      Options
 	fs        vfs.FS
@@ -139,11 +153,19 @@ type Cache struct {
 	retryBase time.Duration
 	sleep     func(time.Duration)
 	brk       breaker
+	log       string // path of entries.log; "" without a disk layer
 
-	mu   sync.Mutex
-	mem  map[string]*list.Element
-	lru  list.List // front = most recently used
-	disk int       // tracked on-disk entry count (rebuilt by the open scan)
+	mu  sync.Mutex // guards the memory layer
+	mem map[string]*list.Element
+	lru list.List // front = most recently used
+
+	// logMu guards the index and serializes every log access, so no
+	// rewrite moves a record under a reader.
+	logMu sync.Mutex
+	index map[string]*list.Element // path key → its *record in order
+	order list.List                // live records in write order, front = oldest
+	live  int64                    // bytes of the live records
+	dead  int64                    // bytes the log holds for superseded, evicted or quarantined records
 }
 
 type memEntry struct {
@@ -151,10 +173,15 @@ type memEntry struct {
 	payload []byte
 }
 
+// record locates one live envelope in the log.
+type record struct {
+	pk  string
+	off int64
+	n   int64
+}
+
 // New opens (creating if needed) a cache rooted at opts.Dir and runs the
-// crash-recovery scan: orphaned temp files from crashed or failed writes
-// are removed, envelopes that fail validation are quarantined, and the
-// disk-entry count is rebuilt from what actually survived.
+// crash-recovery scan (see open).
 func New(opts Options) (*Cache, error) {
 	if opts.MemEntries <= 0 {
 		opts.MemEntries = 1024
@@ -185,11 +212,11 @@ func New(opts Options) (*Cache, error) {
 		if err := c.fs.MkdirAll(opts.Dir); err != nil {
 			return nil, fmt.Errorf("cache: %w", err)
 		}
-		n, err := c.recoverScan()
-		if err != nil {
+		c.log = filepath.Join(opts.Dir, logName)
+		c.index = map[string]*list.Element{}
+		if err := c.open(); err != nil {
 			return nil, fmt.Errorf("cache: %w", err)
 		}
-		c.disk = n
 	}
 	return c, nil
 }
@@ -199,38 +226,18 @@ func New(opts Options) (*Cache, error) {
 func (c *Cache) DiskOffline() bool { return c.brk.isOpen() }
 
 // pathKey is the content address of a key: its SHA-256, in hex. Keys are
-// usually already fingerprints (see Hasher), but hashing again makes any
-// string — including ones with separators or newlines — a safe filename.
+// usually already fingerprints (see Hasher), but hashing again gives
+// every key a fixed-size, separator-free name inside its record.
 func pathKey(key string) string {
 	s := sha256.Sum256([]byte(key))
 	return hex.EncodeToString(s[:])
 }
 
-// entryPath shards entries over 256 subdirectories by hash prefix.
-func (c *Cache) entryPath(pk string) string {
-	return filepath.Join(c.opts.Dir, pk[:2], pk)
-}
-
-// readFile reads through the FS with bounded deterministic backoff on
+// withRetry runs a disk operation with bounded deterministic backoff on
 // transient faults: retry k sleeps RetryBase << k.
-func (c *Cache) readFile(path string, ev *OpEvents) ([]byte, error) {
+func (c *Cache) withRetry(ev *OpEvents, op func() error) error {
 	for attempt := 0; ; attempt++ {
-		raw, err := c.fs.ReadFile(path)
-		if err == nil || !vfs.Transient(err) || attempt >= c.retries {
-			return raw, err
-		}
-		c.opts.Metrics.Counter("retry").Inc()
-		if ev != nil {
-			ev.Retries++
-		}
-		c.sleep(c.retryBase << attempt)
-	}
-}
-
-// writeFile writes through the FS with the same bounded backoff.
-func (c *Cache) writeFile(path string, data []byte, ev *OpEvents) error {
-	for attempt := 0; ; attempt++ {
-		err := c.fs.WriteFile(path, data, c.opts.Durable)
+		err := op()
 		if err == nil || !vfs.Transient(err) || attempt >= c.retries {
 			return err
 		}
@@ -279,9 +286,27 @@ func (c *Cache) allowDisk(ev *OpEvents) bool {
 	return true
 }
 
+// readError counts a disk read fault that survived the retries.
+func (c *Cache) readError(err error, ev *OpEvents) {
+	c.opts.Metrics.Counter("read_error").Inc()
+	if ev != nil {
+		ev.ReadErrors++
+	}
+	c.diskResult(err, ev)
+}
+
+// writeError counts a disk write fault that survived the retries.
+func (c *Cache) writeError(err error, ev *OpEvents) {
+	c.opts.Metrics.Counter("write_error").Inc()
+	if ev != nil {
+		ev.WriteErrors++
+	}
+	c.diskResult(err, ev)
+}
+
 // Get returns the payload stored under key. The second result reports
 // whether the key was present (in either layer) with a valid checksum;
-// a corrupt or truncated disk entry is quarantined and reported as a
+// a corrupt or truncated disk record is quarantined and reported as a
 // miss, and a disk read fault — after retries — degrades to a miss
 // rather than an error (fail-open: the caller recomputes).
 func (c *Cache) Get(key string) ([]byte, bool) {
@@ -309,40 +334,13 @@ func (c *Cache) GetEv(key string, ev *OpEvents) ([]byte, bool) {
 	if ev != nil {
 		ev.Layer = "miss"
 	}
-	if c.opts.Dir == "" || !c.allowDisk(ev) {
-		c.opts.Metrics.Counter("miss").Inc()
-		return nil, false
+	var payload []byte
+	ok := false
+	if c.log != "" {
+		payload, ok = c.getDisk(pathKey(key), ev)
 	}
-	pk := pathKey(key)
-	raw, err := c.readFile(c.entryPath(pk), ev)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			c.opts.Metrics.Counter("read_error").Inc()
-			if ev != nil {
-				ev.ReadErrors++
-			}
-		}
-		// An honest "not there" is a healthy disk answer; anything else
-		// counts against the breaker.
-		c.diskResult(ignoreNotExist(err), ev)
-		c.opts.Metrics.Counter("miss").Inc()
-		return nil, false
-	}
-	c.diskResult(nil, ev)
-	payload, ok := decodeEntry(raw, pk)
 	if !ok {
-		// Truncated or garbage entry: quarantine it and treat the read
-		// as a miss so the next Put rewrites it cleanly.
-		c.opts.Metrics.Counter("corrupt").Inc()
 		c.opts.Metrics.Counter("miss").Inc()
-		if ev != nil {
-			ev.Corrupt++
-		}
-		if c.quarantine(c.entryPath(pk), pk, ev) {
-			c.mu.Lock()
-			c.disk--
-			c.mu.Unlock()
-		}
 		return nil, false
 	}
 	c.insertMem(key, payload)
@@ -353,31 +351,42 @@ func (c *Cache) GetEv(key string, ev *OpEvents) ([]byte, bool) {
 	return append([]byte(nil), payload...), true
 }
 
-// ignoreNotExist maps a not-exist error to success for breaker
-// accounting.
-func ignoreNotExist(err error) error {
-	if os.IsNotExist(err) {
-		return nil
+// getDisk reads and verifies the record the index holds for pk. A key
+// the index does not hold costs no system call.
+func (c *Cache) getDisk(pk string, ev *OpEvents) ([]byte, bool) {
+	c.logMu.Lock()
+	defer c.logMu.Unlock()
+	el, ok := c.index[pk]
+	if !ok || !c.allowDisk(ev) {
+		return nil, false
 	}
-	return err
-}
-
-// quarantine moves an invalid envelope under quarantineDir (falling back
-// to deletion if the move fails) and reports whether the shard lost the
-// file.
-func (c *Cache) quarantine(path, name string, ev *OpEvents) bool {
-	qdir := filepath.Join(c.opts.Dir, quarantineDir)
-	ok := c.fs.MkdirAll(qdir) == nil && c.fs.Rename(path, filepath.Join(qdir, name)) == nil
-	if !ok {
-		ok = c.fs.Remove(path) == nil
+	rec := el.Value.(*record)
+	var raw []byte
+	err := c.withRetry(ev, func() (err error) {
+		raw, err = c.fs.ReadAt(c.log, rec.off, int(rec.n))
+		return err
+	})
+	switch {
+	case os.IsNotExist(err):
+		// The log is gone: an honest "not there" is a healthy answer.
+		c.diskResult(nil, ev)
+		return nil, false
+	case err != nil && !errors.Is(err, io.ErrUnexpectedEOF):
+		c.readError(err, ev)
+		return nil, false
 	}
-	if ok {
-		c.opts.Metrics.Counter("quarantined").Inc()
-		if ev != nil {
-			ev.Quarantined++
-		}
+	c.diskResult(nil, ev)
+	if payload, ok := decodeEntry(raw, pk); ok {
+		return payload, true
 	}
-	return ok
+	// Torn, tampered, or cut short by a log that ends inside it.
+	c.opts.Metrics.Counter("corrupt").Inc()
+	if ev != nil {
+		ev.Corrupt++
+	}
+	c.drop(el)
+	c.quarantine(pk, raw, ev)
+	return nil, false
 }
 
 // Put stores payload under key in both layers. The payload is copied;
@@ -393,40 +402,28 @@ func (c *Cache) PutEv(key string, payload []byte, ev *OpEvents) error {
 	p := append([]byte(nil), payload...)
 	c.insertMem(key, p)
 	c.opts.Metrics.Counter("put").Inc()
-	if c.opts.Dir == "" || !c.allowDisk(ev) {
+	if c.log == "" || !c.allowDisk(ev) {
 		return nil
 	}
 	pk := pathKey(key)
-	path := c.entryPath(pk)
-	if err := c.fs.MkdirAll(filepath.Dir(path)); err != nil {
-		c.opts.Metrics.Counter("write_error").Inc()
-		if ev != nil {
-			ev.WriteErrors++
-		}
-		c.diskResult(err, ev)
-		return fmt.Errorf("cache: %w", err)
-	}
-	_, statErr := c.fs.Stat(path) // pre-existing entry? (overwrite ≠ growth)
-	if err := c.writeFile(path, encodeEntry(p, pk), ev); err != nil {
-		c.opts.Metrics.Counter("write_error").Inc()
-		if ev != nil {
-			ev.WriteErrors++
-		}
-		c.diskResult(err, ev)
+	data := encodeEntry(p, pk)
+	c.logMu.Lock()
+	defer c.logMu.Unlock()
+	var off int64
+	err := c.withRetry(ev, func() (err error) {
+		off, err = c.fs.Append(c.log, data, c.opts.Durable)
+		return err
+	})
+	if err != nil {
+		c.writeError(err, ev)
 		return fmt.Errorf("cache: writing %s: %w", pk[:12], err)
 	}
 	c.diskResult(nil, ev)
-	if statErr != nil {
-		c.mu.Lock()
-		c.disk++
-		over := 0
-		if c.opts.DiskEntries > 0 {
-			over = c.disk - c.opts.DiskEntries
-		}
-		c.mu.Unlock()
-		if over > 0 {
-			c.evictDisk(over)
-		}
+	c.add(pk, off, int64(len(data)))
+	c.evictOldest(c.order.Len() - c.opts.DiskEntries)
+	if c.needsCompaction() {
+		// The record is in the log whether or not the rewrite lands.
+		c.compact(ev)
 	}
 	return nil
 }
@@ -460,34 +457,6 @@ func (c *Cache) MemLen() int {
 	return c.lru.Len()
 }
 
-// evictDisk removes the n oldest on-disk entries by modification time.
-func (c *Cache) evictDisk(n int) {
-	type aged struct {
-		path string
-		mod  int64
-	}
-	var entries []aged
-	walkEntries(c.fs, c.opts.Dir, func(path string, info os.FileInfo) {
-		entries = append(entries, aged{path: path, mod: info.ModTime().UnixNano()})
-	})
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].mod != entries[j].mod {
-			return entries[i].mod < entries[j].mod
-		}
-		return entries[i].path < entries[j].path
-	})
-	var evicted int64
-	for i := 0; i < n && i < len(entries); i++ {
-		if c.fs.Remove(entries[i].path) == nil {
-			evicted++
-		}
-	}
-	c.mu.Lock()
-	c.disk -= int(evicted)
-	c.mu.Unlock()
-	c.opts.Metrics.Counter("evict.disk").Add(evicted)
-}
-
 // encodeEntry wraps a payload in the checksummed envelope:
 //
 //	gmtcache1 <path-key> <payload-len> <payload-sha256>\n<payload>
@@ -497,78 +466,4 @@ func encodeEntry(payload []byte, pk string) []byte {
 	out := make([]byte, 0, len(header)+len(payload))
 	out = append(out, header...)
 	return append(out, payload...)
-}
-
-// decodeEntry validates an envelope read from disk: magic, key binding,
-// length, and payload checksum must all match, otherwise the entry is
-// corrupt.
-func decodeEntry(raw []byte, pk string) ([]byte, bool) {
-	nl := -1
-	for i, b := range raw {
-		if b == '\n' {
-			nl = i
-			break
-		}
-	}
-	if nl < 0 {
-		return nil, false
-	}
-	fields := strings.Split(string(raw[:nl]), " ")
-	if len(fields) != 4 || fields[0] != entryMagic || fields[1] != pk {
-		return nil, false
-	}
-	n, err := strconv.Atoi(fields[2])
-	if err != nil || n < 0 {
-		return nil, false
-	}
-	payload := raw[nl+1:]
-	if len(payload) != n {
-		return nil, false
-	}
-	sum := sha256.Sum256(payload)
-	if hex.EncodeToString(sum[:]) != fields[3] {
-		return nil, false
-	}
-	return payload, true
-}
-
-// countEntries counts on-disk entries under root (host filesystem; used
-// by tests and tooling).
-func countEntries(root string) (int, error) {
-	n := 0
-	err := walkEntries(vfs.OS{}, root, func(string, os.FileInfo) { n++ })
-	return n, err
-}
-
-// walkEntries visits every entry file under root (skipping temp files
-// and the quarantine directory, whose name is not a two-character
-// shard).
-func walkEntries(fsys vfs.FS, root string, visit func(path string, info os.FileInfo)) error {
-	shards, err := fsys.ReadDir(root)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
-	}
-	for _, shard := range shards {
-		if !shard.IsDir() || len(shard.Name()) != 2 {
-			continue
-		}
-		files, err := fsys.ReadDir(filepath.Join(root, shard.Name()))
-		if err != nil {
-			continue
-		}
-		for _, f := range files {
-			if f.IsDir() || strings.HasPrefix(f.Name(), ".tmp-") {
-				continue
-			}
-			info, err := f.Info()
-			if err != nil {
-				continue
-			}
-			visit(filepath.Join(root, shard.Name(), f.Name()), info)
-		}
-	}
-	return nil
 }

@@ -77,24 +77,19 @@ func TestRestartDeterminism(t *testing.T) {
 	}
 }
 
-// entryFile locates the single on-disk entry file.
-func entryFile(t *testing.T, dir string) string {
-	t.Helper()
-	var found string
-	err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
-		if err == nil && !info.IsDir() {
-			found = path
-		}
-		return err
-	})
-	if err != nil || found == "" {
-		t.Fatalf("no entry file under %s (err=%v)", dir, err)
-	}
-	return found
+// diskLen returns the number of live records on disk.
+func (c *Cache) diskLen() int {
+	c.logMu.Lock()
+	defer c.logMu.Unlock()
+	return c.order.Len()
 }
 
-// TestCorruptionIsAMiss truncates and garbles entries: both must read as
-// misses (never served), be deleted, and be rewritable.
+// logPath is the cache directory's log file.
+func logPath(dir string) string { return filepath.Join(dir, logName) }
+
+// TestCorruptionIsAMiss truncates and garbles the log under an open
+// cache: the record must read as a miss (never served), leave the index,
+// and be rewritable.
 func TestCorruptionIsAMiss(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -127,17 +122,23 @@ func TestCorruptionIsAMiss(t *testing.T) {
 			if err := c.Put("k", payload); err != nil {
 				t.Fatal(err)
 			}
-			if err := tc.corrupt(entryFile(t, dir)); err != nil {
+			// A fresh cache (no memory layer) indexes the record, then the
+			// disk damages it: the read must see a miss, not the bytes.
+			c2 := mustNew(t, Options{Dir: dir, Metrics: reg.Scope("cache2")})
+			if err := tc.corrupt(logPath(dir)); err != nil {
 				t.Fatal(err)
 			}
-			// A fresh cache (no memory layer) must see a miss, not the
-			// corrupt payload.
-			c2 := mustNew(t, Options{Dir: dir, Metrics: reg.Scope("cache2")})
 			if got, ok := c2.Get("k"); ok {
 				t.Fatalf("corrupt entry served: %q", got)
 			}
 			if v := reg.Counter("cache2.corrupt").Value(); v != 1 {
 				t.Errorf("corrupt counter = %d, want 1", v)
+			}
+			if v := reg.Counter("cache2.quarantined").Value(); v != 1 {
+				t.Errorf("quarantined counter = %d, want 1", v)
+			}
+			if n := c2.diskLen(); n != 0 {
+				t.Errorf("index holds %d records after the corrupt read, want 0", n)
 			}
 			// The entry was dropped and can be rewritten and served again.
 			if err := c2.Put("k", payload); err != nil {
@@ -192,20 +193,22 @@ func TestDiskEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n, err := countEntries(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
+	if n := c.diskLen(); n != 3 {
 		t.Fatalf("disk entries = %d, want 3", n)
 	}
 	if v := reg.Counter("cache.evict.disk").Value(); v != 2 {
 		t.Errorf("evict.disk = %d, want 2", v)
 	}
-	// Restart sees the surviving count.
-	c2 := mustNew(t, Options{Dir: dir, DiskEntries: 3})
-	if c2.disk != 3 {
-		t.Fatalf("restart disk count = %d, want 3", c2.disk)
+	// Restart sees the surviving count: the newest three, by write order.
+	c2 := mustNew(t, Options{Dir: dir, DiskEntries: 3, MemEntries: 1})
+	if n := c2.diskLen(); n != 3 {
+		t.Fatalf("restart disk count = %d, want 3", n)
+	}
+	for i := 0; i < 5; i++ {
+		got, ok := c2.Get(fmt.Sprintf("k%d", i))
+		if want := i >= 2; ok != want || (ok && !bytes.Equal(got, []byte{byte(i)})) {
+			t.Errorf("after restart k%d = %v, %v; want served %v", i, got, ok, want)
+		}
 	}
 }
 

@@ -14,84 +14,68 @@ import (
 	"repro/internal/vfs"
 )
 
-// TestRecoveryCleansDirtyDirectory is the temp-leak regression test: a
+// TestRecoveryCleansDirtyDirectory is the debris regression test: a
 // cache opened over a pre-seeded dirty directory (orphaned temp files
-// from crashed writes, a garbage entry, a truncated entry) removes the
-// temps, quarantines the invalid envelopes, rebuilds the disk-entry
-// count from survivors only, and still serves every valid entry.
+// from a crashed rewrite, a record whose payload no longer matches its
+// checksum, junk in mid-log, a torn tail) removes the temps, drops the
+// junk, quarantines the corrupt record, rewrites the log with exactly
+// the valid records, and still serves every one of them.
 func TestRecoveryCleansDirtyDirectory(t *testing.T) {
 	dir := t.TempDir()
-	c := mustNew(t, Options{Dir: dir, MemEntries: 1})
-	for i := 0; i < 3; i++ {
-		if err := c.Put(fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("payload-%d", i))); err != nil {
-			t.Fatal(err)
-		}
+	rec := func(i int) []byte {
+		return encodeEntry([]byte(fmt.Sprintf("payload-%d", i)), pathKey(fmt.Sprintf("k%d", i)))
 	}
-
-	// Dirty the directory the way crashed Puts would.
-	paths := entryPaths(t, dir)
-	if len(paths) != 3 {
-		t.Fatalf("seeded %d entries, want 3", len(paths))
+	corrupt := rec(1)
+	corrupt[len(corrupt)-1] ^= 0x01
+	var log []byte
+	log = append(log, rec(0)...)
+	log = append(log, corrupt...)
+	log = append(log, "not an envelope"...)
+	log = append(log, rec(2)...)
+	log = append(log, rec(3)[:30]...) // torn tail
+	if err := os.WriteFile(logPath(dir), log, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	shard := filepath.Dir(paths[0])
 	for i, name := range []string{".tmp-1234", ".tmp-orphan"} {
-		if err := os.WriteFile(filepath.Join(shard, name), []byte{byte(i)}, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte{byte(i)}, 0o644); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := os.WriteFile(filepath.Join(shard, "deadbeef"), []byte("not an envelope"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(paths[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(paths[1], raw[:len(raw)-3], 0o644); err != nil { // torn
-		t.Fatal(err)
 	}
 
 	reg := obs.NewRegistry()
-	c2 := mustNew(t, Options{Dir: dir, MemEntries: 1, Metrics: reg.Scope("cache")})
-	if v := reg.Counter("cache.recovered").Value(); v != 2 {
-		t.Errorf("recovered = %d, want 2 temp files", v)
+	c := mustNew(t, Options{Dir: dir, MemEntries: 1, Metrics: reg.Scope("cache")})
+	if v := reg.Counter("cache.recovered").Value(); v != 4 {
+		t.Errorf("recovered = %d, want 4 (2 temp files, the junk, the torn tail)", v)
 	}
-	if v := reg.Counter("cache.quarantined").Value(); v != 2 {
-		t.Errorf("quarantined = %d, want 2 (garbage + torn)", v)
+	if v := reg.Counter("cache.quarantined").Value(); v != 1 {
+		t.Errorf("quarantined = %d, want 1 (the corrupt record)", v)
 	}
-	if v := reg.Counter("cache.corrupt").Value(); v != 2 {
-		t.Errorf("corrupt = %d, want 2", v)
+	if v := reg.Counter("cache.corrupt").Value(); v != 1 {
+		t.Errorf("corrupt = %d, want 1", v)
 	}
-	if c2.disk != 2 {
-		t.Errorf("rebuilt disk count = %d, want the 2 survivors", c2.disk)
+	if n := c.diskLen(); n != 2 {
+		t.Errorf("rebuilt index holds %d records, want the 2 survivors", n)
 	}
 	if n := countTempFiles(dir); n != 0 {
 		t.Errorf("%d temp files survived recovery", n)
 	}
-	// The quarantined envelopes are preserved for inspection, outside the
-	// shard namespace.
-	qents, err := os.ReadDir(filepath.Join(dir, quarantineDir))
-	if err != nil || len(qents) != 2 {
-		t.Errorf("quarantine dir holds %d files (err %v), want 2", len(qents), err)
+	// No invalid byte survives: the log is exactly the valid records.
+	got, err := os.ReadFile(logPath(dir))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Survivors still served, byte-intact; the torn key is an honest miss.
-	tornKey := ""
-	for i := 0; i < 3; i++ {
-		k := fmt.Sprintf("k%d", i)
-		want := []byte(fmt.Sprintf("payload-%d", i))
-		got, ok := c2.Get(k)
-		if !ok {
-			if tornKey != "" {
-				t.Fatalf("both %s and %s missing, want exactly one torn", tornKey, k)
-			}
-			tornKey = k
-			continue
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s served %q, want %q", k, got, want)
-		}
+	if want := append(rec(0), rec(2)...); !bytes.Equal(got, want) {
+		t.Errorf("recovered log holds %d bytes, want exactly the 2 valid records (%d bytes)", len(got), len(want))
 	}
-	if tornKey == "" {
-		t.Fatal("torn entry was served")
+	// The quarantined record is preserved for inspection.
+	if q, err := os.ReadFile(filepath.Join(dir, quarantineDir, pathKey("k1"))); err != nil || !bytes.Equal(q, corrupt) {
+		t.Errorf("quarantine copy = %d bytes (err %v), want the corrupt record", len(q), err)
+	}
+	for i := 0; i < 4; i++ {
+		got, ok := c.Get(fmt.Sprintf("k%d", i))
+		if want := i == 0 || i == 2; ok != want || (ok && string(got) != fmt.Sprintf("payload-%d", i)) {
+			t.Errorf("k%d served %q, %v; want served %v", i, got, ok, want)
+		}
 	}
 }
 
@@ -103,6 +87,10 @@ func TestRecoveryIdempotent(t *testing.T) {
 	if err := c.Put("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
+	before, err := os.ReadFile(logPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 2; i++ {
 		reg := obs.NewRegistry()
 		c2 := mustNew(t, Options{Dir: dir, Metrics: reg.Scope("cache")})
@@ -112,8 +100,11 @@ func TestRecoveryIdempotent(t *testing.T) {
 		if v := reg.Counter("cache.quarantined").Value(); v != 0 {
 			t.Fatalf("open %d: quarantined = %d, want 0", i, v)
 		}
-		if c2.disk != 1 {
-			t.Fatalf("open %d: disk count = %d, want 1", i, c2.disk)
+		if n := c2.diskLen(); n != 1 {
+			t.Fatalf("open %d: disk count = %d, want 1", i, n)
+		}
+		if after, _ := os.ReadFile(logPath(dir)); !bytes.Equal(after, before) {
+			t.Fatalf("open %d rewrote a clean log", i)
 		}
 	}
 }
@@ -171,7 +162,7 @@ func TestRetryOutlastsTransientReadFault(t *testing.T) {
 	}
 }
 
-// scriptFS fails the first failWrites WriteFile calls with EIO, then
+// scriptFS fails the first failWrites Append calls with EIO, then
 // passes through — the "disk heals" script the breaker tests need
 // (Faulty's schedules never heal).
 type scriptFS struct {
@@ -181,15 +172,15 @@ type scriptFS struct {
 	writes     int
 }
 
-func (s *scriptFS) WriteFile(path string, data []byte, durable bool) error {
+func (s *scriptFS) Append(path string, data []byte, durable bool) (int64, error) {
 	s.mu.Lock()
 	s.writes++
 	fail := s.writes <= s.failWrites
 	s.mu.Unlock()
 	if fail {
-		return fmt.Errorf("scripted write fault: %w", syscall.EIO)
+		return 0, fmt.Errorf("scripted write fault: %w", syscall.EIO)
 	}
-	return s.OS.WriteFile(path, data, durable)
+	return s.OS.Append(path, data, durable)
 }
 
 // TestBreakerTripProbeClose drives the full breaker cycle: consecutive
@@ -281,17 +272,27 @@ func TestBreakerTripProbeClose(t *testing.T) {
 	}
 }
 
-// TestDurablePutSurvivesAfterRenameCrash: the durable mode's contract —
-// an entry whose Put completed before a machine crash at the worst
-// point (after rename, data blocks unsynced) is served intact, where
-// the non-durable cache quarantines a torn entry and misses.
+// TestDurablePutSurvivesAfterRenameCrash: the durable mode's contract
+// at the rewrite's worst crash point — after the rename, data blocks
+// unsynced. A cache opens over a log with a torn tail, and its recovery
+// rewrite crashes there. A Put that completed before is served intact
+// in durable mode; without durability the replaced log is torn, and the
+// record is dropped as junk and misses, never served.
 func TestDurablePutSurvivesAfterRenameCrash(t *testing.T) {
 	for _, durable := range []bool{false, true} {
 		dir := t.TempDir()
-		faulty := vfs.NewFaulty(vfs.Spec{Class: vfs.Crash, Seed: 21, CrashOp: 1, CrashStep: vfs.CrashAfterRename})
-		c := mustNew(t, Options{Dir: dir, FS: faulty, Durable: durable, Retries: -1, BreakerThreshold: -1})
 		payload := bytes.Repeat([]byte("d"), 400)
-		c.Put("k", payload) // dies at the crash point
+		c0 := mustNew(t, Options{Dir: dir, Durable: durable})
+		if err := c0.Put("k", payload); err != nil {
+			t.Fatal(err)
+		}
+		appendJunk(t, dir, encodeEntry([]byte("torn"), pathKey("torn"))[:40])
+
+		faulty := vfs.NewFaulty(vfs.Spec{Class: vfs.Crash, Seed: 21, CrashOp: 1, CrashStep: vfs.CrashAfterRename})
+		mustNew(t, Options{Dir: dir, FS: faulty, Durable: durable, Retries: -1, BreakerThreshold: -1})
+		if !faulty.Crashed() {
+			t.Fatal("the recovery rewrite did not reach the crash point")
+		}
 
 		reg := obs.NewRegistry()
 		c2 := mustNew(t, Options{Dir: dir, MemEntries: 1, Durable: durable, Metrics: reg.Scope("cache")})
@@ -304,9 +305,56 @@ func TestDurablePutSurvivesAfterRenameCrash(t *testing.T) {
 			if ok {
 				t.Fatal("non-durable torn entry was served")
 			}
-			if v := reg.Counter("cache.quarantined").Value(); v != 1 {
-				t.Fatalf("quarantined = %d, want the torn entry", v)
+			if v := reg.Counter("cache.recovered").Value(); v != 1 {
+				t.Fatalf("recovered = %d, want the torn record", v)
 			}
 		}
+	}
+}
+
+// TestDurablePutSurvivesAfterAppendCrash: the same contract at the
+// append's worst crash point. The log's new length survived the crash;
+// in durable mode so did the record's bytes, and it is served intact,
+// while without durability its tail reads back as zeros and the record
+// is quarantined and misses.
+func TestDurablePutSurvivesAfterAppendCrash(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		dir := t.TempDir()
+		faulty := vfs.NewFaulty(vfs.Spec{Class: vfs.Crash, Seed: 21, CrashOp: 1, CrashStep: vfs.CrashAfterAppend})
+		c := mustNew(t, Options{Dir: dir, FS: faulty, Durable: durable, Retries: -1, BreakerThreshold: -1})
+		payload := bytes.Repeat([]byte("d"), 400)
+		c.Put("k", payload) // dies at the crash point
+
+		reg := obs.NewRegistry()
+		c2 := mustNew(t, Options{Dir: dir, MemEntries: 1, Durable: durable, Metrics: reg.Scope("cache")})
+		got, ok := c2.Get("k")
+		if durable {
+			if !ok || !bytes.Equal(got, payload) {
+				t.Fatalf("durable entry lost to an after-append crash: %v", ok)
+			}
+		} else {
+			if ok {
+				t.Fatal("non-durable torn entry was served")
+			}
+			if v := reg.Counter("cache.quarantined").Value(); v != 1 {
+				t.Fatalf("quarantined = %d, want the zero-filled record", v)
+			}
+		}
+	}
+}
+
+// appendJunk appends raw bytes to the log, the way a failed append
+// leaves them.
+func appendJunk(t *testing.T, dir string, junk []byte) {
+	t.Helper()
+	f, err := os.OpenFile(logPath(dir), os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(junk); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

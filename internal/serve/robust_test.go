@@ -15,38 +15,25 @@ import (
 	"repro/internal/vfs"
 )
 
-// failingFS fails the first failWrites WriteFile calls with EIO, then
-// passes through (the disk "heals") — the script the breaker-driven
-// health tests need.
+// failingFS fails the first failWrites Append calls — the cache's
+// writes — with EIO, then passes through (the disk "heals"): the script
+// the breaker-driven health tests need.
 type failingFS struct {
 	vfs.OS
 	mu         sync.Mutex
 	failWrites int
-	failReads  int
 	writes     int
-	reads      int
 }
 
-func (f *failingFS) WriteFile(path string, data []byte, durable bool) error {
+func (f *failingFS) Append(path string, data []byte, durable bool) (int64, error) {
 	f.mu.Lock()
 	f.writes++
 	fail := f.writes <= f.failWrites
 	f.mu.Unlock()
 	if fail {
-		return fmt.Errorf("scripted write fault: %w", syscall.EIO)
+		return 0, fmt.Errorf("scripted write fault: %w", syscall.EIO)
 	}
-	return f.OS.WriteFile(path, data, durable)
-}
-
-func (f *failingFS) ReadFile(path string) ([]byte, error) {
-	f.mu.Lock()
-	f.reads++
-	fail := f.reads <= f.failReads
-	f.mu.Unlock()
-	if fail {
-		return nil, fmt.Errorf("scripted read fault: %w", syscall.EIO)
-	}
-	return f.OS.ReadFile(path)
+	return f.OS.Append(path, data, durable)
 }
 
 // TestPutFaultNeverFailsRequest: a disk too full to cache the response
@@ -227,9 +214,9 @@ func TestDeadlineClamp(t *testing.T) {
 // liveness vs readiness at each stop.
 func TestHealthStateMachine(t *testing.T) {
 	ctx := context.Background()
-	// Threshold 1: each request's healthy cache-miss read resets the
-	// consecutive-fault count, so a higher threshold would need faults on
-	// both paths to trip.
+	// Threshold 1: the scripted fault on the first request's Put trips the
+	// breaker at once (a cache miss touches no disk, so the Put is each
+	// cold request's only disk operation).
 	fs := &failingFS{failWrites: 1}
 	s := newServer(t, Options{
 		CacheDir: t.TempDir(), Degrade: true, FS: fs,
@@ -287,8 +274,8 @@ func TestHealthStateMachine(t *testing.T) {
 	}
 
 	// The disk healed after write 1; with probe-every-1 the next disk op
-	// (this request's cache-miss read) probes, succeeds, and closes the
-	// breaker: healthy again.
+	// (this request's Put) probes, succeeds, and closes the breaker:
+	// healthy again.
 	req2 := &Request{Workload: "ks", Partitioner: "dswp"}
 	mustOK(t, s.Do(ctx, req2))
 	if s.Health() != Healthy {
@@ -298,7 +285,7 @@ func TestHealthStateMachine(t *testing.T) {
 	if st := s.StatsSnapshot(); st.BreakerCloses != 1 {
 		t.Fatalf("breaker_closes = %d, want 1", st.BreakerCloses)
 	}
-	// Closed for real: the next request's Put reaches the disk.
+	// Closed for real: the next request's Put reaches the disk too.
 	req3 := &Request{Workload: "adpcmdec", Partitioner: "gremio"}
 	mustOK(t, s.Do(ctx, req3))
 	if st := s.StatsSnapshot(); st.CacheWriteErrors != 1 {

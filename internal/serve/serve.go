@@ -90,7 +90,7 @@ type Options struct {
 	// 0 means uncapped. Unlike budgets, deadlines never enter the cache
 	// key — they change whether a response arrives, never its bytes.
 	MaxDeadline time.Duration
-	// Durable fsyncs cache entries and their directory on write, so a
+	// Durable fsyncs the cache log after each appended record, so a
 	// completed Put survives a machine crash (see cache.Options.Durable).
 	Durable bool
 	// DiskRetries bounds transient-disk-fault retries per cache

@@ -568,9 +568,10 @@ func TestWarmRequestAllocation(t *testing.T) {
 	}
 }
 
-// TestCorruptDiskEntryRecomputes: a truncated cache file must be treated
-// as a miss — the server recomputes and rewrites it, and the corrupt
-// bytes are never served.
+// TestCorruptDiskEntryRecomputes: a cache record whose bytes no longer
+// match its checksum must be treated as a miss — the restarted server
+// quarantines it, recomputes and rewrites it, and the corrupt bytes are
+// never served.
 func TestCorruptDiskEntryRecomputes(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
@@ -580,7 +581,7 @@ func TestCorruptDiskEntryRecomputes(t *testing.T) {
 	good := s1.Do(ctx, req)
 	mustOK(t, good)
 
-	truncateCacheEntries(t, dir)
+	corruptCacheRecords(t, dir)
 
 	s2 := newServer(t, Options{CacheDir: dir, Degrade: true})
 	res := s2.Do(ctx, req)
@@ -597,37 +598,36 @@ func TestCorruptDiskEntryRecomputes(t *testing.T) {
 	}
 }
 
-// truncateCacheEntries chops every on-disk cache entry under dir in half,
-// simulating a crash mid-write that somehow survived the atomic rename
-// (or simple disk damage).
-func truncateCacheEntries(t *testing.T, dir string) {
+// corruptCacheRecords flips the last payload byte of every record in the
+// cache directory's log, simulating disk damage the checksums must catch.
+func corruptCacheRecords(t *testing.T, dir string) {
 	t.Helper()
-	shards, err := os.ReadDir(dir)
+	path := filepath.Join(dir, "entries.log")
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	for _, shard := range shards {
-		if !shard.IsDir() {
-			continue
+	magic := []byte("gmtcache1 ")
+	starts := []int{}
+	for off := 0; ; {
+		i := bytes.Index(raw[off:], magic)
+		if i < 0 {
+			break
 		}
-		files, err := os.ReadDir(filepath.Join(dir, shard.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range files {
-			p := filepath.Join(dir, shard.Name(), f.Name())
-			raw, err := os.ReadFile(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(p, raw[:len(raw)/2], 0o644); err != nil {
-				t.Fatal(err)
-			}
-			n++
-		}
+		starts = append(starts, off+i)
+		off += i + len(magic)
 	}
-	if n == 0 {
-		t.Fatal("no cache entries found to corrupt")
+	if len(starts) == 0 {
+		t.Fatal("no cache records found to corrupt")
+	}
+	for i := range starts {
+		end := len(raw)
+		if i+1 < len(starts) {
+			end = starts[i+1]
+		}
+		raw[end-1] ^= 0x20
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

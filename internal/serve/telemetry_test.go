@@ -345,26 +345,31 @@ func TestAccessLog(t *testing.T) {
 	}
 }
 
-// eioSeedFiringFirst finds (deterministically) the smallest ReadEIO seed
-// whose very first read is on the fault schedule, so a scenario's opening
-// cache lookup is guaranteed to hit the fault and retry.
-func eioSeedFiringFirst(t *testing.T) int64 {
+// eioSeedFiringSecond finds (deterministically) the smallest ReadEIO
+// seed whose schedule spares the first read and fires on the second: the
+// cache's open reads its log cleanly, and a scenario's opening cache
+// lookup is guaranteed to hit the fault and retry.
+func eioSeedFiringSecond(t *testing.T) int64 {
 	t.Helper()
 	probe := filepath.Join(t.TempDir(), "does-not-exist")
 	for seed := int64(1); seed <= 64; seed++ {
 		f := vfs.NewFaulty(vfs.Spec{Class: vfs.ReadEIO, Seed: seed})
-		if _, err := f.ReadFile(probe); errors.Is(err, syscall.EIO) {
+		_, first := f.ReadFile(probe)
+		_, second := f.ReadFile(probe)
+		if !errors.Is(first, syscall.EIO) && errors.Is(second, syscall.EIO) {
 			return seed
 		}
 	}
-	t.Fatal("no ReadEIO seed <= 64 fires on the first read")
+	t.Fatal("no ReadEIO seed <= 64 fires on the second read only")
 	return 0
 }
 
 // faultScenario runs the acceptance scenario once on a fresh durable
-// server over injected read faults: a budget so tight the degradation
-// chain exhausts, yielding a 5xx whose trace shows both the cache retry
-// and every degradation hop, and whose flight dump lands on disk.
+// server over injected read faults: the request's key holds a record
+// whose payload the disk damaged after the server opened, and a budget
+// so tight the degradation chain exhausts, yielding a 5xx whose trace
+// shows the cache retry, the corrupt record's quarantine and every
+// degradation hop, and whose flight dump lands on disk.
 type faultScenario struct {
 	res     Result
 	trace   []byte
@@ -377,16 +382,32 @@ type faultScenario struct {
 func runFaultScenario(t *testing.T, seed int64) faultScenario {
 	t.Helper()
 	flightDir := t.TempDir()
+	cacheDir := t.TempDir()
+	req := &Request{Workload: "ks", Budget: Budget{MeasureSteps: 1}}
+
+	// Pre-seed a record under the request's key, through a server of the
+	// same options so the key is the one the faulted server computes.
+	seeder := newServer(t, Options{CacheDir: cacheDir, Degrade: true, Durable: true})
+	w, err := req.workload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := requestKey(w, "GREMIO", req.Sim, req.Budget.toBudget(seeder.maxBudget), seeder.defDegrade)
+	if err := seeder.cache.Put(key, []byte(`{"seeded":"payload the disk will damage"}`)); err != nil {
+		t.Fatal(err)
+	}
+
 	var access bytes.Buffer
 	s := newServer(t, Options{
-		CacheDir:  t.TempDir(),
+		CacheDir:  cacheDir,
 		Degrade:   true,
 		Durable:   true,
 		FS:        vfs.NewFaulty(vfs.Spec{Class: vfs.ReadEIO, Seed: seed}),
 		FlightDir: flightDir,
 		AccessLog: &access,
 	})
-	req := &Request{Workload: "ks", Budget: Budget{MeasureSteps: 1}}
+	// The open indexed the record; now the disk tampers with its payload.
+	corruptCacheRecords(t, cacheDir)
 	res := s.Do(context.Background(), req)
 
 	trace, ok := s.traces.Get(res.TraceID)
@@ -411,14 +432,15 @@ func runFaultScenario(t *testing.T, seed int64) faultScenario {
 	}
 }
 
-// TestFaultedRequestTelemetry is the PR's acceptance scenario: on a
-// durable server under injected disk read faults, a request whose budget
-// exhausts the degradation chain yields a 5xx carrying its trace ID in
-// the body; the retained span tree shows the cache retry and the
+// TestFaultedRequestTelemetry is the acceptance scenario: on a durable
+// server under injected disk read faults, a request whose cached record
+// the disk damaged and whose budget exhausts the degradation chain
+// yields a 5xx carrying its trace ID in the body; the retained span tree
+// shows the cache retry, the corrupt record's quarantine and the
 // degradation hops; the flight recorder snapshots to disk; and a second
 // identical run reproduces every artifact byte for byte.
 func TestFaultedRequestTelemetry(t *testing.T) {
-	seed := eioSeedFiringFirst(t)
+	seed := eioSeedFiringSecond(t)
 	a := runFaultScenario(t, seed)
 
 	if a.res.Status != http.StatusInternalServerError {
@@ -448,15 +470,14 @@ func TestFaultedRequestTelemetry(t *testing.T) {
 	if err := json.Unmarshal(a.trace, &doc); err != nil {
 		t.Fatalf("trace is not valid JSON: %v\n%s", err, a.trace)
 	}
-	degrades, retries := 0, 0.0
+	degrades := 0
+	var lookup map[string]any
 	for _, sp := range doc.Spans {
 		if sp.Name == "degrade" {
 			degrades++
 		}
 		if sp.Name == "cache.lookup" {
-			if v, ok := sp.Attrs["retries"].(float64); ok {
-				retries = v
-			}
+			lookup = sp.Attrs
 		}
 	}
 	// gremio fails, dswp fails, single-threaded fails: two hops recorded
@@ -464,8 +485,10 @@ func TestFaultedRequestTelemetry(t *testing.T) {
 	if degrades < 2 {
 		t.Errorf("trace shows %d degradation hops, want >= 2:\n%s", degrades, a.trace)
 	}
-	if retries < 1 {
-		t.Errorf("cache.lookup span shows %v retries, want >= 1:\n%s", retries, a.trace)
+	for _, ev := range []string{"retries", "corrupt", "quarantined"} {
+		if v, _ := lookup[ev].(float64); v < 1 {
+			t.Errorf("cache.lookup span shows %v %s, want >= 1:\n%s", lookup[ev], ev, a.trace)
+		}
 	}
 
 	if !json.Valid(a.dump) {
@@ -509,7 +532,7 @@ func TestFaultedRequestTelemetry(t *testing.T) {
 //
 //	go test ./internal/serve -run FlightDumpGolden -update
 func TestFlightDumpGolden(t *testing.T) {
-	seed := eioSeedFiringFirst(t)
+	seed := eioSeedFiringSecond(t)
 	got := runFaultScenario(t, seed).dump
 	const path = "testdata/flight_dump.golden.json"
 	if *updateGolden {

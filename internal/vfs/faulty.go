@@ -16,27 +16,31 @@ type Class string
 
 const (
 	// WriteENOSPC models a filling disk: once the cumulative bytes
-	// written exceed the spec's byte budget, writes take only the
-	// remaining budget into their temp file (a real full disk keeps the
-	// partial data) and fail with ENOSPC; every later write fails too.
+	// written exceed the spec's byte budget, a write takes only the
+	// remaining budget — into its temp file, or onto the end of the file
+	// it appends to (a real full disk keeps the partial data) — and fails
+	// with ENOSPC; every later write fails too.
 	WriteENOSPC Class = "enospc"
 	// ReadEIO models flaky storage on the read path: seed-scheduled
-	// reads fail with EIO. Consecutive reads never both fire (the
-	// schedule period is at least two), so a single retry is a
-	// meaningful recovery strategy.
+	// reads (ReadFile and ReadAt) fail with EIO. Consecutive reads never
+	// both fire (the schedule period is at least two), so a single retry
+	// is a meaningful recovery strategy.
 	ReadEIO Class = "eio-read"
 	// TornWrite models silently lossy storage: a seed-scheduled write
-	// reports success but the renamed file holds only the first k bytes.
-	// Only a content checksum can catch this class.
+	// reports success but only its first k bytes land — the renamed file
+	// of a WriteFile, or the end of the file an Append extends. Only a
+	// content checksum can catch this class.
 	TornWrite Class = "torn-write"
-	// RenameFail models a failure at the commit point: the temp file is
-	// fully written, the rename fails with EIO, and the orphaned temp
-	// file is left behind — the leak the recovery scan must clean up.
+	// RenameFail models a failure at the commit point of a WriteFile:
+	// the temp file is fully written, the rename fails with EIO, and the
+	// orphaned temp file is left behind — the leak the recovery scan must
+	// clean up.
 	RenameFail Class = "rename-fail"
-	// Crash models kill -9 at a pinned point: the CrashOp-th WriteFile
-	// stops at CrashStep (leaving whatever a real crash would leave) and
-	// every subsequent mutating operation fails with ErrCrashed until
-	// the "process" is restarted on a fresh FS.
+	// Crash models kill -9 at a pinned point: the CrashOp-th Append (for
+	// an append step) or WriteFile (for a rewrite step) stops at
+	// CrashStep, leaving whatever a real crash would leave, and every
+	// subsequent mutating operation fails with ErrCrashed until the
+	// "process" is restarted on a fresh FS.
 	Crash Class = "crash"
 )
 
@@ -45,7 +49,9 @@ func Classes() []Class {
 	return []Class{WriteENOSPC, ReadEIO, TornWrite, RenameFail, Crash}
 }
 
-// CrashStep pins where inside an atomic write a Crash lands.
+// CrashStep pins where inside a write a Crash lands. The append steps
+// pin a point inside an Append, the others a point inside a WriteFile's
+// temp + rename.
 type CrashStep int
 
 const (
@@ -58,16 +64,34 @@ const (
 	// renamed.
 	CrashBeforeRename
 	// CrashAfterRename dies after the rename. Without durability the
-	// entry's data blocks were never synced, so the visible file is torn
+	// file's data blocks were never synced, so the visible file is torn
 	// at a seed-derived byte; with durable=true the pre-rename fsync
-	// makes the entry complete and the crash harmless.
+	// makes the file complete and the crash harmless.
 	CrashAfterRename
+	// CrashBeforeAppend dies before the append touches the file.
+	CrashBeforeAppend
+	// CrashMidAppend dies with only a seed-derived prefix of the data
+	// appended.
+	CrashMidAppend
+	// CrashAfterAppend dies after the append. Without durability the
+	// file's new length survived but its data blocks past a seed-derived
+	// byte did not: they read back as zeros. With durable=true the fsync
+	// makes the appended bytes complete and the crash harmless.
+	CrashAfterAppend
 )
 
-// CrashSteps returns every crash point in sweep order.
+// CrashSteps returns every crash point in sweep order: the append steps,
+// then the rewrite steps.
 func CrashSteps() []CrashStep {
-	return []CrashStep{CrashBeforeTemp, CrashMidTemp, CrashBeforeRename, CrashAfterRename}
+	return []CrashStep{
+		CrashBeforeAppend, CrashMidAppend, CrashAfterAppend,
+		CrashBeforeTemp, CrashMidTemp, CrashBeforeRename, CrashAfterRename,
+	}
 }
+
+// Append reports whether the step lands inside an Append (otherwise it
+// lands inside a WriteFile).
+func (s CrashStep) Append() bool { return s >= CrashBeforeAppend }
 
 func (s CrashStep) String() string {
 	switch s {
@@ -79,6 +103,12 @@ func (s CrashStep) String() string {
 		return "before-rename"
 	case CrashAfterRename:
 		return "after-rename"
+	case CrashBeforeAppend:
+		return "before-append"
+	case CrashMidAppend:
+		return "mid-append"
+	case CrashAfterAppend:
+		return "after-append"
 	}
 	return fmt.Sprintf("step-%d", int(s))
 }
@@ -96,7 +126,8 @@ type Spec struct {
 	// ByteBudget bounds total writable bytes under WriteENOSPC; <= 0
 	// derives a budget from the seed.
 	ByteBudget int64
-	// CrashOp is the 1-based WriteFile call the Crash class dies in.
+	// CrashOp is the 1-based call the Crash class dies in, counting
+	// Appends for an append step and WriteFiles for a rewrite step.
 	CrashOp int64
 	// CrashStep is where inside that write the crash lands.
 	CrashStep CrashStep
@@ -124,7 +155,9 @@ type Faulty struct {
 
 	mu       sync.Mutex
 	reads    int64
-	writes   int64
+	writes   int64 // every Append and WriteFile: the TornWrite/RenameFail schedule
+	appends  int64
+	replaces int64 // WriteFiles
 	written  int64
 	crashed  bool
 	injected int64
@@ -176,19 +209,35 @@ func (f *Faulty) tearAt(n int) int {
 }
 
 func (f *Faulty) ReadFile(path string) ([]byte, error) {
-	if f.spec.Class == ReadEIO {
-		f.mu.Lock()
-		f.reads++
-		fire := f.Fires(f.reads)
-		if fire {
-			f.injected++
-		}
-		f.mu.Unlock()
-		if fire {
-			return nil, fmt.Errorf("vfs: injected read fault on %s: %w", filepath.Base(path), syscall.EIO)
-		}
+	if err := f.readFault(path); err != nil {
+		return nil, err
 	}
 	return os.ReadFile(path)
+}
+
+func (f *Faulty) ReadAt(path string, off int64, n int) ([]byte, error) {
+	if err := f.readFault(path); err != nil {
+		return nil, err
+	}
+	return readAt(path, off, n)
+}
+
+// readFault advances the ReadEIO schedule by one read.
+func (f *Faulty) readFault(path string) error {
+	if f.spec.Class != ReadEIO {
+		return nil
+	}
+	f.mu.Lock()
+	f.reads++
+	fire := f.Fires(f.reads)
+	if fire {
+		f.injected++
+	}
+	f.mu.Unlock()
+	if fire {
+		return fmt.Errorf("vfs: injected read fault on %s: %w", filepath.Base(path), syscall.EIO)
+	}
+	return nil
 }
 
 func (f *Faulty) WriteFile(path string, data []byte, durable bool) error {
@@ -198,10 +247,11 @@ func (f *Faulty) WriteFile(path string, data []byte, durable bool) error {
 		return ErrCrashed
 	}
 	f.writes++
+	f.replaces++
 	n := f.writes
 	switch f.spec.Class {
 	case Crash:
-		if n == f.spec.CrashOp {
+		if !f.spec.CrashStep.Append() && f.replaces == f.spec.CrashOp {
 			return f.crash(path, data, durable)
 		}
 	case WriteENOSPC:
@@ -233,8 +283,64 @@ func (f *Faulty) WriteFile(path string, data []byte, durable bool) error {
 	return atomicWrite(path, data, durable)
 }
 
-// crash performs the partial work a kill -9 at the pinned step would
-// leave behind, then freezes all subsequent mutations.
+func (f *Faulty) Append(path string, data []byte, durable bool) (int64, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.crashed {
+		return 0, ErrCrashed
+	}
+	f.writes++
+	f.appends++
+	n := f.writes
+	switch f.spec.Class {
+	case Crash:
+		if f.spec.CrashStep.Append() && f.appends == f.spec.CrashOp {
+			return 0, f.crashAppend(path, data, durable)
+		}
+	case WriteENOSPC:
+		if f.written+int64(len(data)) > f.budget {
+			if rem := f.budget - f.written; rem > 0 {
+				appendFile(path, data[:rem], false)
+				f.written = f.budget
+			}
+			f.injected++
+			return 0, fmt.Errorf("vfs: injected full disk appending to %s: %w", filepath.Base(path), syscall.ENOSPC)
+		}
+		f.written += int64(len(data))
+	case TornWrite:
+		if f.Fires(n) {
+			f.injected++
+			// Reports success at the offset the record starts at; only
+			// its first k bytes reached the file.
+			return appendFile(path, data[:f.tearAt(len(data))], false)
+		}
+	}
+	return appendFile(path, data, durable)
+}
+
+// crashAppend leaves what a kill -9 at the pinned append step would,
+// then freezes all subsequent mutations.
+func (f *Faulty) crashAppend(path string, data []byte, durable bool) error {
+	f.crashed = true
+	f.injected++
+	switch f.spec.CrashStep {
+	case CrashMidAppend:
+		appendFile(path, data[:f.tearAt(len(data))], false)
+	case CrashAfterAppend:
+		if durable {
+			appendFile(path, data, true)
+		} else {
+			k := f.tearAt(len(data))
+			lost := make([]byte, len(data))
+			copy(lost, data[:k])
+			appendFile(path, lost, false)
+		}
+	}
+	return ErrCrashed
+}
+
+// crash performs the partial work a kill -9 at the pinned WriteFile step
+// would leave behind, then freezes all subsequent mutations.
 func (f *Faulty) crash(path string, data []byte, durable bool) error {
 	f.crashed = true
 	f.injected++
@@ -264,13 +370,6 @@ func (f *Faulty) Remove(path string) error {
 	return os.Remove(path)
 }
 
-func (f *Faulty) Rename(oldpath, newpath string) error {
-	if f.frozen() {
-		return ErrCrashed
-	}
-	return os.Rename(oldpath, newpath)
-}
-
 func (f *Faulty) MkdirAll(dir string) error {
 	if f.frozen() {
 		return ErrCrashed
@@ -279,7 +378,6 @@ func (f *Faulty) MkdirAll(dir string) error {
 }
 
 func (f *Faulty) ReadDir(dir string) ([]fs.DirEntry, error) { return os.ReadDir(dir) }
-func (f *Faulty) Stat(path string) (fs.FileInfo, error)     { return os.Stat(path) }
 
 func (f *Faulty) frozen() bool {
 	f.mu.Lock()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -49,6 +50,39 @@ func TestOSAtomicWrite(t *testing.T) {
 		}
 		if tmps := tempNames(t, dir); len(tmps) != 0 {
 			t.Fatalf("durable=%v: temp residue %v", durable, tmps)
+		}
+	}
+}
+
+// TestOSAppendReadAt: appends land back to back, each at the offset it
+// reports — also when a second writer appended in between — and ReadAt
+// reads any span back; a span past the end reads short.
+func TestOSAppendReadAt(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		path := filepath.Join(t.TempDir(), "log")
+		var fs FS = OS{}
+		var offs []int64
+		for _, rec := range []string{"first", "second", "third"} {
+			off, err := fs.Append(path, []byte(rec), durable)
+			if err != nil {
+				t.Fatal(err)
+			}
+			offs = append(offs, off)
+			// Another writer's bytes between ours.
+			if _, err := (OS{}).Append(path, []byte("|"), false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if want := []int64{0, 6, 13}; fmt.Sprint(offs) != fmt.Sprint(want) {
+			t.Fatalf("durable=%v: offsets %v, want %v", durable, offs, want)
+		}
+		got, err := fs.ReadAt(path, 6, 6)
+		if err != nil || string(got) != "second" {
+			t.Fatalf("durable=%v: ReadAt = %q, %v; want \"second\"", durable, got, err)
+		}
+		got, err = fs.ReadAt(path, 13, 10)
+		if !errors.Is(err, io.ErrUnexpectedEOF) || string(got) != "third|" {
+			t.Fatalf("durable=%v: short ReadAt = %q, %v; want the tail and io.ErrUnexpectedEOF", durable, got, err)
 		}
 	}
 }
@@ -121,6 +155,26 @@ func TestFaultyENOSPC(t *testing.T) {
 	}
 }
 
+// TestFaultyAppendENOSPC: an append past the byte budget leaves the
+// part that fit at the end of the file and fails with ENOSPC.
+func TestFaultyAppendENOSPC(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log")
+	f := NewFaulty(Spec{Class: WriteENOSPC, Seed: 7, ByteBudget: 150})
+	if _, err := f.Append(path, make([]byte, 100), false); err != nil {
+		t.Fatalf("append within budget: %v", err)
+	}
+	if _, err := f.Append(path, bytes.Repeat([]byte{1}, 100), false); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("over-budget append error = %v, want ENOSPC", err)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Size() != 150 {
+		t.Fatalf("log size = %d, want 150: the 50 budget bytes of the failed append kept", st.Size())
+	}
+}
+
 // TestFaultyReadEIO: scheduled reads fail with a transient EIO, and the
 // schedule's period >= 2 guarantees the immediate retry succeeds.
 func TestFaultyReadEIO(t *testing.T) {
@@ -148,6 +202,20 @@ func TestFaultyReadEIO(t *testing.T) {
 	if !sawFault {
 		t.Fatal("no read fault fired in 20 reads")
 	}
+	// ReadAt runs on the same schedule.
+	g := NewFaulty(Spec{Class: ReadEIO, Seed: 3})
+	fired := 0
+	for i := 0; i < 20; i++ {
+		got, err := g.ReadAt(path, 3, 4)
+		if errors.Is(err, syscall.EIO) {
+			fired++
+		} else if err != nil || string(got) != "load" {
+			t.Fatalf("ReadAt = %q, %v", got, err)
+		}
+	}
+	if fired == 0 {
+		t.Fatal("no ReadAt fault fired in 20 reads")
+	}
 }
 
 // TestFaultyTornWrite: a scheduled tear reports success but the visible
@@ -173,6 +241,33 @@ func TestFaultyTornWrite(t *testing.T) {
 	}
 	if !torn {
 		t.Fatal("no torn write in 20 attempts")
+	}
+}
+
+// TestFaultyTornAppend: a scheduled tear reports success at the offset
+// the record starts at, but only a prefix of it lands; the next append
+// starts right after that prefix and reports so.
+func TestFaultyTornAppend(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log")
+	f := NewFaulty(Spec{Class: TornWrite, Seed: 11})
+	payload := bytes.Repeat([]byte("x"), 200)
+	var end int64
+	for i := 0; i < 20; i++ {
+		off, err := f.Append(path, payload, false)
+		if err != nil {
+			t.Fatalf("torn append must report success, got %v", err)
+		}
+		if off != end {
+			t.Fatalf("append %d reported offset %d, want %d (the end of the file before it)", i, off, end)
+		}
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		end = st.Size()
+	}
+	if end >= 20*int64(len(payload)) {
+		t.Fatal("no torn append in 20 attempts")
 	}
 }
 
@@ -274,9 +369,67 @@ func TestFaultyCrashSteps(t *testing.T) {
 			if err := f.MkdirAll(filepath.Join(dir, "sub")); !errors.Is(err, ErrCrashed) {
 				t.Fatalf("post-crash mkdir error = %v, want ErrCrashed", err)
 			}
+			if _, err := f.Append(path, []byte{1}, false); !errors.Is(err, ErrCrashed) {
+				t.Fatalf("post-crash append error = %v, want ErrCrashed", err)
+			}
 			// Reads still work: recovery tooling inspects the dead disk.
 			if _, err := f.ReadDir(dir); err != nil {
 				t.Fatalf("post-crash readdir: %v", err)
+			}
+		})
+	}
+}
+
+// TestFaultyAppendCrashSteps verifies what each append crash point leaves
+// at the end of a log that already holds one record: nothing, a prefix,
+// the whole record (durable), or the record's length with its bytes
+// past the tear zeroed (not durable). A rewrite step never fires inside
+// an append, nor an append step inside a WriteFile.
+func TestFaultyAppendCrashSteps(t *testing.T) {
+	prior := []byte("prior-record|")
+	payload := bytes.Repeat([]byte("y"), 300)
+	for _, tc := range []struct {
+		step    CrashStep
+		durable bool
+		check   func(tail []byte) bool
+	}{
+		{CrashBeforeAppend, false, func(tail []byte) bool { return len(tail) == 0 }},
+		{CrashMidAppend, false, func(tail []byte) bool {
+			return len(tail) < len(payload) && bytes.Equal(tail, payload[:len(tail)])
+		}},
+		{CrashAfterAppend, true, func(tail []byte) bool { return bytes.Equal(tail, payload) }},
+		{CrashAfterAppend, false, func(tail []byte) bool {
+			k := bytes.IndexByte(tail, 0)
+			return len(tail) == len(payload) && k >= 0 && bytes.Equal(tail[:k], payload[:k]) &&
+				bytes.Count(tail[k:], []byte{0}) == len(tail)-k
+		}},
+	} {
+		t.Run(tc.step.String()+map[bool]string{true: "-durable", false: ""}[tc.durable], func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "log")
+			if err := os.WriteFile(path, prior, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			f := NewFaulty(Spec{Class: Crash, Seed: 9, CrashOp: 2, CrashStep: tc.step})
+			// A WriteFile does not count toward an append step's CrashOp.
+			if err := f.WriteFile(filepath.Join(dir, "other"), []byte("x"), false); err != nil {
+				t.Fatalf("WriteFile before the crash: %v", err)
+			}
+			if _, err := f.Append(path, prior, false); err != nil {
+				t.Fatalf("append 1: %v", err)
+			}
+			if _, err := f.Append(path, payload, tc.durable); !errors.Is(err, ErrCrashed) {
+				t.Fatalf("crash append error = %v, want ErrCrashed", err)
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tail := got[2*len(prior):]; !tc.check(tail) {
+				t.Fatalf("log tail after the crash is %d bytes: %q", len(tail), tail)
+			}
+			if _, err := f.Append(path, []byte{1}, false); !errors.Is(err, ErrCrashed) {
+				t.Fatalf("post-crash append error = %v, want ErrCrashed", err)
 			}
 		})
 	}
