@@ -22,10 +22,9 @@ const (
 )
 
 // timelineLines runs mpeg2enc under both partitioners with the detailed
-// timeline attached — interpreter queue lanes (the general loop: a trace
-// lane takes RunMT off its default loop) and simulator stall/occupancy lanes
-// (stepCore) — plus mpeg2enc's row of the chaos matrix (the general loop
-// under explicit policies and every injector), and summarizes each as one
+// timeline attached — interpreter queue lanes (stepThread) and simulator
+// stall/occupancy lanes (stepCore) — plus mpeg2enc's row of the chaos matrix
+// (explicit policies and every injector), and summarizes each as one
 // line: a SHA-256 of the bytes and the counts that say how much of the run
 // they cover.
 func timelineLines(t *testing.T) string {

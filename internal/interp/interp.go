@@ -8,19 +8,16 @@
 // producing the data behind Figures 1 and 7.
 //
 // RunMT decodes every thread once into a flat stream (ir.Stream), and a
-// thread's position is one program counter into it. Two loops advance that
-// counter. The general one asks the Scheduler before every step; it is the
-// one that serves an explicit policy, a fault injector or a trace lane. The
-// default one (no policy named, nothing attached) runs a thread until it
-// blocks on a queue or returns — the Adversarial policy, which is also what
-// a nil Scheduler means in the general loop. That is sound because a
-// correct MTCG program's live-outs, memory and instruction counts do not
-// depend on the interleaving (the oracle holds every corpus program to that
-// under five policies), and cheap because threads only interact at a queue
-// hand-off: consulting the policy anywhere else buys nothing. Only the
-// schedule-dependent numbers — SchedStats, QueueHWM — are the default
-// schedule's own. Run, the single-threaded reference every executor is
-// compared against, walks the IR's blocks directly.
+// thread's position is one program counter into it. One loop advances that
+// counter: it asks the Scheduler before every step, whatever policy, fault
+// injector or trace lane the run carries. A nil Scheduler means Adversarial
+// — run a thread until it blocks on a queue or returns — which is sound
+// because a correct MTCG program's live-outs, memory and instruction counts
+// do not depend on the interleaving (the oracle holds every corpus program
+// to that under five policies). Only the schedule-dependent numbers —
+// SchedStats, QueueHWM — are the chosen schedule's own. Run, the
+// single-threaded reference every executor is compared against, walks the
+// IR's blocks directly.
 package interp
 
 import (
@@ -134,7 +131,7 @@ func RunCtx(ctx context.Context, f *ir.Function, args []int64, mem Memory, maxSt
 
 // exec executes a memory instruction (Load or Store), bounds-checked.
 // Everything else that is neither control flow nor communication goes
-// through ir.Instr.Eval, called directly from the two interpreter loops.
+// through ir.Instr.Eval, called directly from Run and stepThread.
 func exec(in *ir.Instr, regs []int64, mem Memory) error {
 	switch in.Op {
 	case ir.Load:

@@ -87,9 +87,7 @@ type SchedStats struct {
 	// Policy is the scheduling policy's name.
 	Policy string
 	// Picks is the number of turns granted, one per issued instruction and
-	// one per blocked turn: the general loop's Scheduler.Pick calls. The
-	// default loop decides once per burst and reports the number the
-	// general loop would have counted for the same schedule.
+	// one per blocked turn: RunMT's Scheduler.Pick calls.
 	Picks int64
 	// BlockedTurns is the number of picks whose thread could not step
 	// because its queue operation would block.
@@ -109,9 +107,7 @@ type MTConfig struct {
 	// the Adversarial policy: the picked thread keeps issuing until it
 	// blocks on a queue or returns. Any correct MTCG program yields
 	// identical live-outs, memory and instruction counts under every policy,
-	// so the default is the policy with the fewest picks — and a nil Sched
-	// with no Inject or Trace runs it a burst at a time (runDecoded) instead
-	// of asking a Scheduler once per step.
+	// so the default is the policy with the fewest thread switches.
 	Sched Scheduler
 	// Assign is the original partition; used to classify replicated
 	// branches (via Instr.Orig).
@@ -217,8 +213,8 @@ func (o *runObs) queueDepth(q int, step int64, depth int) {
 }
 
 // threadState is one thread's execution context: its registers and one
-// program counter into its decoded stream (mtScratch.streams), which both
-// loops advance. Register files of all threads share one contiguous
+// program counter into its decoded stream (mtScratch.streams), which
+// stepThread advances. Register files of all threads share one contiguous
 // backing allocation; regs is a window into it.
 type threadState struct {
 	regs []int64 // window into the run's shared register backing
@@ -325,7 +321,7 @@ func RunMT(cfg MTConfig) (*MTResult, error) {
 		*ts = threadState{regs: sc.regsBack[regsOff : regsOff+nRegs]}
 		regsOff += nRegs
 		// One pass over the decoded thread validates its queues and marks
-		// the replicated branches in the record's Tag, which both loops read
+		// the replicated branches in the record's Tag, which stepThread reads
 		// in passing.
 		st := &sc.streams[i]
 		st.Decode(fn)
@@ -355,7 +351,6 @@ func RunMT(cfg MTConfig) (*MTResult, error) {
 		QueueHWM:  make([]int64, cfg.NumQueues),
 		Sched:     SchedStats{Policy: sched.Name()},
 	}
-	ro := newRunObs(&cfg)
 	x := &mtExec{
 		queues: queues,
 		qcap:   cfg.QueueCap,
@@ -363,7 +358,7 @@ func RunMT(cfg MTConfig) (*MTResult, error) {
 		inj:    cfg.Inject,
 		mem:    cfg.Mem,
 		res:    res,
-		ro:     ro,
+		ro:     newRunObs(&cfg),
 	}
 
 	// blocked[t] is set when t failed to step and cleared whenever any
@@ -388,19 +383,6 @@ func RunMT(cfg MTConfig) (*MTResult, error) {
 	}
 	sc.runnable = sized(sc.runnable, nThreads)
 
-	if cfg.Sched == nil && x.inj == nil && ro == nil {
-		// Default configuration: no explicit policy, injector or timeline
-		// (metrics are published from the result afterwards, so asking for
-		// them does not disqualify a run). runDecoded issues the interleaving
-		// the loop below would under Adversarial() — one pick per burst
-		// instead of one per step; TestRunMTFastPathEquivalence pins the two
-		// against each other.
-		steps, err := x.runDecoded(&cfg, sc, active)
-		if err != nil {
-			return nil, err
-		}
-		return res.finish(threads, steps, cfg.Metrics), nil
-	}
 	var steps int64
 	for len(active) > 0 {
 		runnable := active
@@ -480,199 +462,6 @@ func (r *MTResult) finish(threads []threadState, steps int64, m *obs.Scope) *MTR
 	}
 	r.publish(m)
 	return r
-}
-
-// runDecoded is the scheduler loop of RunMT's default configuration — no
-// explicit policy, fault injector or trace lane. It issues exactly the
-// interleaving the general loop issues under Adversarial(): the
-// picked thread runs until it blocks on a queue or returns, then the
-// runnable thread that has waited longest takes over. What makes that the
-// cheap schedule is that the policy is only consulted where threads
-// interact at all — at a queue hand-off — so a burst is a tight loop over
-// the thread's decoded stream (ir.Stream: flat records, branch targets
-// resolved to pcs, the hot ALU opcodes executed in the switch) with the
-// thread's registers and counters held in locals, and the scheduler
-// bookkeeping (blocked set, lastRan, the step budget, the context poll) is
-// settled once per burst instead of once per step. Every counter the general
-// loop maintains — Picks, BlockedTurns, per-queue traffic, HWM — comes out
-// identical, as do the deadlock report, the step at which ErrStepLimit and a
-// cancelled context strike, and memory-fault errors;
-// TestRunMTFastPathEquivalence asserts deep-equal MTResults and equal error
-// text on a program matrix, and the oracle runs both loops corpus-wide.
-func (x *mtExec) runDecoded(cfg *MTConfig, sc *mtScratch, active []int) (int64, error) {
-	threads, blocked, lastRan := sc.threads, sc.blocked, sc.lastRan
-	queues, qcap, mem, res := x.queues, x.qcap, x.mem, x.res
-	var steps int64
-	blockedCount := 0
-	cur := -1
-	for len(active) > 0 {
-		if blockedCount == len(active) {
-			return 0, fmt.Errorf("%w\n%s", ErrDeadlock, describeBlocked(threads, sc.streams, queues, qcap))
-		}
-		if cur < 0 || blocked[cur] || threads[cur].done {
-			// adversarial.Pick: the longest-waiting runnable thread, lowest
-			// index first among equals.
-			cur = -1
-			for _, a := range active {
-				if !blocked[a] && (cur < 0 || lastRan[a] < lastRan[cur]) {
-					cur = a
-				}
-			}
-		}
-
-		// One burst: issue from cur until it blocks, returns, or reaches
-		// the next step count the loop has to look up at — a multiple of
-		// checkEvery (context poll) or MaxSteps+1 (budget), whichever is
-		// nearer.
-		quota := checkEvery - steps&(checkEvery-1)
-		if room := cfg.MaxSteps - steps; room < quota {
-			quota = max(room+1, 1)
-		}
-		ts, stats := &threads[cur], &res.PerThread[cur]
-		code, regs, pc := sc.streams[cur].Code, ts.regs, ts.pc
-		// n counts the burst's issued instructions, comm and dup those of
-		// them that are not the original program's computation
-		// (communication, replicated branches). pc is advanced before the
-		// switch, so a terminator just overwrites it and a blocked operation
-		// backs up.
-		var n, comm, dup int64
-		stalled := false
-	burst:
-		for n < quota {
-			di := &code[pc]
-			pc++
-			switch di.Op {
-			case ir.Add:
-				regs[di.Dst] = regs[di.S0] + regs[di.S1]
-			case ir.Const:
-				regs[di.Dst] = di.Imm
-			case ir.Mov:
-				regs[di.Dst] = regs[di.S0]
-			case ir.Sub:
-				regs[di.Dst] = regs[di.S0] - regs[di.S1]
-			case ir.CmpLT:
-				if regs[di.S0] < regs[di.S1] {
-					regs[di.Dst] = 1
-				} else {
-					regs[di.Dst] = 0
-				}
-			case ir.CmpGT:
-				if regs[di.S0] > regs[di.S1] {
-					regs[di.Dst] = 1
-				} else {
-					regs[di.Dst] = 0
-				}
-			case ir.Shl:
-				regs[di.Dst] = regs[di.S0] << (uint64(regs[di.S1]) & 63)
-			case ir.Shr:
-				regs[di.Dst] = regs[di.S0] >> (uint64(regs[di.S1]) & 63)
-			case ir.And:
-				regs[di.Dst] = regs[di.S0] & regs[di.S1]
-			case ir.Xor:
-				regs[di.Dst] = regs[di.S0] ^ regs[di.S1]
-			case ir.Produce, ir.ProduceSync:
-				qb := &queues[di.Queue]
-				if qb.Len() >= qcap {
-					pc--
-					stalled = true
-					break burst
-				}
-				v := int64(0)
-				if di.Op == ir.Produce {
-					v = regs[di.S0]
-					stats.Produce++
-				} else {
-					stats.ProduceSync++
-				}
-				qb.Push(v)
-				res.PerQueue[di.Queue].Produced++
-				if d := int64(qb.Len()); d > res.QueueHWM[di.Queue] {
-					res.QueueHWM[di.Queue] = d
-				}
-				comm++
-			case ir.Consume, ir.ConsumeSync:
-				qb := &queues[di.Queue]
-				if qb.Len() == 0 {
-					pc--
-					stalled = true
-					break burst
-				}
-				v := qb.Pop()
-				res.PerQueue[di.Queue].Consumed++
-				if di.Op == ir.Consume {
-					regs[di.Dst] = v
-					stats.Consume++
-				} else {
-					stats.ConsumeSync++
-				}
-				comm++
-			case ir.Load:
-				a := regs[di.S0] + di.Imm
-				if a < 0 || a >= int64(len(mem)) {
-					return 0, x.memFault(&sc.streams[cur], cur, pc-1, regs)
-				}
-				regs[di.Dst] = mem[a]
-			case ir.Store:
-				a := regs[di.S1] + di.Imm
-				if a < 0 || a >= int64(len(mem)) {
-					return 0, x.memFault(&sc.streams[cur], cur, pc-1, regs)
-				}
-				mem[a] = regs[di.S0]
-			case ir.Br:
-				if di.Tag != 0 {
-					dup++
-				}
-				if regs[di.S0] != 0 {
-					pc = di.Taken()
-				} else {
-					pc = di.Fall()
-				}
-			case ir.Jump:
-				pc = di.Taken()
-			case ir.Ret:
-				ts.ret(sc.streams[cur].Instrs[pc-1])
-				n++
-				break burst
-			default:
-				if in := sc.streams[cur].Instrs[pc-1]; !in.Eval(regs) {
-					return 0, fmt.Errorf("interp: thread %d: %v: %w", cur, in, errOpcode(in.Op))
-				}
-			}
-			n++
-		}
-		ts.pc = pc
-		stats.DupBranch += dup
-		stats.Compute += n - comm - dup
-		if n > 0 {
-			// The burst's first instruction is what unblocked everyone set
-			// aside before it.
-			clear(blocked)
-			blockedCount = 0
-			steps += n
-			lastRan[cur] = steps - 1
-		}
-		if stalled {
-			blocked[cur] = true
-			blockedCount++
-			res.Sched.BlockedTurns++
-		}
-		if n == 0 {
-			continue
-		}
-		if ts.done {
-			active = dropThread(active, cur)
-		}
-		if steps > cfg.MaxSteps {
-			return 0, fmt.Errorf("%w (multi-threaded, %d steps)", ErrStepLimit, steps)
-		}
-		if steps&(checkEvery-1) == 0 && cfg.Ctx != nil {
-			if err := cfg.Ctx.Err(); err != nil {
-				return 0, fmt.Errorf("interp: multi-threaded run after %d steps: %w", steps, err)
-			}
-		}
-	}
-	res.Sched.Picks = steps + res.Sched.BlockedTurns
-	return steps, nil
 }
 
 // memFault renders the out-of-range access at pc of thread ti's stream st:

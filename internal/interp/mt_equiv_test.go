@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/coco"
@@ -84,59 +85,29 @@ func kernel(tb testing.TB, name string) *region {
 	return &region{name: name, f: w.F, objects: w.Objects, args: in.Args, mem: in.Mem}
 }
 
-// bothLoops runs one configuration twice — Sched nil, which takes the
-// decoded run-to-block loop, and an explicit Adversarial(), which takes the
-// general per-step loop — and demands the same outcome of both: deep-equal
-// MTResults (live-outs, memory, per-thread and per-queue counts, high-water
-// marks, Picks and BlockedTurns, the policy name), or errors with the same
-// text. mk builds a fresh config per run (memory images are mutated).
-func bothLoops(t *testing.T, label string, mk func() interp.MTConfig) (*interp.MTResult, error) {
-	t.Helper()
-	cfg := mk()
-	if cfg.Sched != nil || cfg.Inject != nil || cfg.Trace != nil {
-		t.Fatalf("%s: config would not take the decoded loop", label)
-	}
-	dec, decErr := interp.RunMT(cfg)
-	cfg = mk()
-	cfg.Sched = interp.Adversarial()
-	gen, genErr := interp.RunMT(cfg)
-	switch {
-	case (decErr == nil) != (genErr == nil):
-		t.Errorf("%s: decoded loop err %v, general loop err %v", label, decErr, genErr)
-	case decErr != nil:
-		if decErr.Error() != genErr.Error() {
-			t.Errorf("%s: error text differs:\ndecoded: %v\ngeneral: %v", label, decErr, genErr)
-		}
-	case !reflect.DeepEqual(dec, gen):
-		t.Errorf("%s: decoded loop result differs from the general loop under Adversarial():\ndecoded: %+v\ngeneral: %+v",
-			label, dec, gen)
-	}
-	return dec, decErr
-}
-
-// TestRunMTFastPathEquivalence pins the decoded run-to-block loop
-// (runDecoded, what a nil Sched means) against the general scheduler loop
-// under an explicit Adversarial(): the ping-pong pair across queue depths
-// and lengths (with the metrics-only case — metrics are published from the
-// finished result, so asking for them must neither change the loop nor the
-// result), every paper kernel × partitioner × communication plan × queue
-// depth, the oracle's corpus programs cut into three threads, and one case
-// per way a run can fail.
+// TestRunMTFastPathEquivalence runs RunMT's one scheduler loop under its
+// default policy (a nil Sched: run-to-block) over a program matrix and
+// checks each run against facts that do not depend on the loop: the
+// ping-pong pair across queue depths and lengths, where a metrics-only run
+// must equal the plain one (metrics are published from the finished
+// result) and publish every counter and gauge the MTResult carries; every
+// paper kernel × partitioner × communication plan × queue depth, and the
+// oracle's corpus programs cut into three threads, against their
+// single-threaded runs; and one case per way a run can fail. The name
+// dates from when a nil Sched took a second, burst-at-a-time loop that
+// this test held to the general one.
 func TestRunMTFastPathEquivalence(t *testing.T) {
 	t.Run("ping-pong", func(t *testing.T) {
 		for _, qcap := range []int{1, 2, 3, 32} {
 			for _, iters := range []int64{0, 1, 7, 100, 1000} {
 				label := fmt.Sprintf("cap=%d n=%d", qcap, iters)
 				threads, nq := interp.MTPair(iters, true)
-				mk := func() interp.MTConfig {
-					return interp.MTConfig{Threads: threads, NumQueues: nq, QueueCap: qcap, MaxSteps: 100_000}
-				}
-				plain, err := bothLoops(t, label, mk)
+				cfg := interp.MTConfig{Threads: threads, NumQueues: nq, QueueCap: qcap, MaxSteps: 100_000}
+				plain, err := interp.RunMT(cfg)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
 				reg := obs.NewRegistry()
-				cfg := mk()
 				cfg.Metrics = reg.Scope("interp")
 				metered, err := interp.RunMT(cfg)
 				if err != nil {
@@ -171,9 +142,9 @@ func TestRunMTFastPathEquivalence(t *testing.T) {
 		}
 	})
 
-	// compiled runs one generated program through both loops at the given
-	// depths and checks the decoded loop's run against the region's own
-	// single-threaded outcome as well.
+	// compiled runs one generated program at the given depths and checks
+	// each run against the region's own single-threaded outcome and its
+	// scheduler and role accounting.
 	compiled := func(t *testing.T, r *region, part partition.Partitioner, n int, caps []int) {
 		r.analyse(t)
 		golden := r.golden
@@ -181,19 +152,20 @@ func TestRunMTFastPathEquivalence(t *testing.T) {
 			prog, assign := r.compile(t, part, n, useCoco)
 			for _, qcap := range caps {
 				label := fmt.Sprintf("%s/%s/%dt/coco=%v/cap=%d", r.name, part.Name(), n, useCoco, qcap)
-				mt, err := bothLoops(t, label, func() interp.MTConfig {
-					return interp.MTConfig{
-						Threads: prog.Threads, NumQueues: prog.NumQueues, QueueCap: qcap,
-						Assign: assign, Args: r.args, Mem: append([]int64(nil), r.mem...),
-						MaxSteps: 50_000_000,
-					}
+				mt, err := interp.RunMT(interp.MTConfig{
+					Threads: prog.Threads, NumQueues: prog.NumQueues, QueueCap: qcap,
+					Assign: assign, Args: r.args, Mem: append([]int64(nil), r.mem...),
+					MaxSteps: 50_000_000,
 				})
 				if err != nil {
 					t.Errorf("%s: %v", label, err)
 					continue
 				}
 				if !reflect.DeepEqual(mt.LiveOuts, golden.LiveOuts) || !reflect.DeepEqual([]int64(mt.Mem), []int64(golden.Mem)) {
-					t.Errorf("%s: decoded loop diverges from the single-threaded run", label)
+					t.Errorf("%s: multi-threaded run diverges from the single-threaded run", label)
+				}
+				if mt.Sched.Policy != "adversarial" {
+					t.Errorf("%s: a nil Sched ran policy %q, want adversarial", label, mt.Sched.Policy)
 				}
 				if mt.Sched.Picks != mt.Sched.BlockedTurns+mt.Steps || mt.Steps != mt.Stats.Total() {
 					t.Errorf("%s: picks %d, blocked turns %d, steps %d, role total %d do not add up",
@@ -244,57 +216,60 @@ func TestRunMTFastPathEquivalence(t *testing.T) {
 
 	t.Run("deadlock", func(t *testing.T) {
 		// At the entry, and in the middle of a loop body after both
-		// threads have run for a while: the report names block and
-		// position, which the decoded loop has to recover from a pc.
-		_, err := bothLoops(t, "entry", func() interp.MTConfig {
-			return interp.MTConfig{Threads: interp.DeadlockPair(), NumQueues: 2, MaxSteps: 10_000}
-		})
+		// threads have run for a while: the report names every thread's
+		// block and position, recovered from its pc.
+		_, err := interp.RunMT(interp.MTConfig{Threads: interp.DeadlockPair(), NumQueues: 2, MaxSteps: 10_000})
 		if !errors.Is(err, interp.ErrDeadlock) {
 			t.Errorf("entry: err = %v, want ErrDeadlock", err)
 		}
 		threads, nq := interp.MTPair(50, true)
 		// Two producers-first threads: each fills its queue, then waits on
 		// one only the other's missing consumer half would fill.
-		_, err = bothLoops(t, "mid-loop", func() interp.MTConfig {
-			return interp.MTConfig{Threads: []*ir.Function{threads[0], threads[0]}, NumQueues: nq, QueueCap: 3, MaxSteps: 10_000}
+		_, err = interp.RunMT(interp.MTConfig{
+			Threads: []*ir.Function{threads[0], threads[0]}, NumQueues: nq, QueueCap: 3, MaxSteps: 10_000,
 		})
 		if !errors.Is(err, interp.ErrDeadlock) {
-			t.Errorf("mid-loop: err = %v, want ErrDeadlock", err)
+			t.Fatalf("mid-loop: err = %v, want ErrDeadlock", err)
+		}
+		for ti := 0; ti < 2; ti++ {
+			if want := fmt.Sprintf("thread %d: blocked at ", ti); !strings.Contains(err.Error(), want) {
+				t.Errorf("mid-loop: report lacks %q:\n%v", want, err)
+			}
 		}
 	})
 
 	t.Run("step-limit", func(t *testing.T) {
+		// The run stops at the first issued step past the budget, and a
+		// budget of exactly the issued count completes.
 		threads, nq := interp.MTPair(100, true)
 		const total = 2 * (4 + 100*5 + 1)
 		for _, budget := range []int64{-3, 0, 1, 4, 5, 777, total - 1} {
-			_, err := bothLoops(t, fmt.Sprintf("budget=%d", budget), func() interp.MTConfig {
-				return interp.MTConfig{Threads: threads, NumQueues: nq, QueueCap: 1, MaxSteps: budget}
-			})
+			_, err := interp.RunMT(interp.MTConfig{Threads: threads, NumQueues: nq, QueueCap: 1, MaxSteps: budget})
 			if !errors.Is(err, interp.ErrStepLimit) {
 				t.Errorf("budget=%d: err = %v, want ErrStepLimit", budget, err)
+			} else if want := fmt.Sprintf("(multi-threaded, %d steps)", max(budget, 0)+1); !strings.Contains(err.Error(), want) {
+				t.Errorf("budget=%d: err = %v, want it to strike at %s", budget, err, want)
 			}
 		}
-		if _, err := bothLoops(t, "budget=exact", func() interp.MTConfig {
-			return interp.MTConfig{Threads: threads, NumQueues: nq, QueueCap: 1, MaxSteps: total}
-		}); err != nil {
+		if _, err := interp.RunMT(interp.MTConfig{Threads: threads, NumQueues: nq, QueueCap: 1, MaxSteps: total}); err != nil {
 			t.Errorf("a budget of exactly the issued count: %v", err)
 		}
 	})
 
 	t.Run("cancelled-context", func(t *testing.T) {
+		// A done context strikes at the first poll, one poll interval
+		// (65 536 issued steps) in; a run shorter than that never polls.
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		threads, nq := interp.MTPair(10_000, true)
-		_, err := bothLoops(t, "cancelled", func() interp.MTConfig {
-			return interp.MTConfig{Threads: threads, NumQueues: nq, MaxSteps: 10_000_000, Ctx: ctx}
-		})
+		_, err := interp.RunMT(interp.MTConfig{Threads: threads, NumQueues: nq, MaxSteps: 10_000_000, Ctx: ctx})
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("err = %v, want context.Canceled", err)
+		} else if !strings.Contains(err.Error(), "after 65536 steps") {
+			t.Errorf("err = %v, want it to strike after 65536 steps", err)
 		}
 		short, nq := interp.MTPair(10, true)
-		if _, err := bothLoops(t, "cancelled-short", func() interp.MTConfig {
-			return interp.MTConfig{Threads: short, NumQueues: nq, MaxSteps: 10_000, Ctx: ctx}
-		}); err != nil {
+		if _, err := interp.RunMT(interp.MTConfig{Threads: short, NumQueues: nq, MaxSteps: 10_000, Ctx: ctx}); err != nil {
 			t.Errorf("a run shorter than the poll interval: %v", err)
 		}
 	})
@@ -314,21 +289,19 @@ func TestRunMTFastPathEquivalence(t *testing.T) {
 			acc.Imm = 2
 			e.Append(acc)
 			e.Append(f.NewInstr(ir.Ret, ir.NoReg))
-			_, err := bothLoops(t, op.String(), func() interp.MTConfig {
-				return interp.MTConfig{Threads: []*ir.Function{f}, Mem: make([]int64, 8), MaxSteps: 100}
-			})
-			if err == nil {
-				t.Errorf("%v at address 8 of 8 words: no error", op)
+			_, err := interp.RunMT(interp.MTConfig{Threads: []*ir.Function{f}, Mem: make([]int64, 8), MaxSteps: 100})
+			if err == nil || !strings.Contains(err.Error(), "address 8 out of range [0,8)") {
+				t.Errorf("%v at address 8 of 8 words: err = %v", op, err)
 			}
 		}
 	})
 
 	t.Run("unsound-function", func(t *testing.T) {
-		// A block without a terminator that no run reaches costs neither
-		// loop anything (gmtserve takes inline IR it has not verified). One
-		// that is reached made the block walk index out of range; both loops
-		// spin on the trap ir.Stream.Decode planted there and report the
-		// step budget — whatever takes the run off the default loop.
+		// A block without a terminator that no run reaches costs the loop
+		// nothing (gmtserve takes inline IR it has not verified). One that
+		// is reached made the block walk index out of range; the loop spins
+		// on the trap ir.Stream.Decode planted there and reports the step
+		// budget, under every policy, injector and trace lane.
 		mk := func(reach bool) *ir.Function {
 			f := ir.NewFunction("unsound")
 			entry, open, exit := f.NewBlock("entry"), f.NewBlock("open"), f.NewBlock("exit")
@@ -344,9 +317,7 @@ func TestRunMTFastPathEquivalence(t *testing.T) {
 			exit.Append(f.NewInstr(ir.Ret, ir.NoReg, c))
 			return f
 		}
-		res, err := bothLoops(t, "unreached", func() interp.MTConfig {
-			return interp.MTConfig{Threads: []*ir.Function{mk(false)}, MaxSteps: 100}
-		})
+		res, err := interp.RunMT(interp.MTConfig{Threads: []*ir.Function{mk(false)}, MaxSteps: 100})
 		if err != nil || len(res.LiveOuts) != 1 || res.Steps != 3 {
 			t.Errorf("unreached open block: result %+v, err %v", res, err)
 		}
@@ -376,23 +347,20 @@ func TestRunMTFastPathEquivalence(t *testing.T) {
 		e.Append(p)
 		e.Append(f.NewInstr(ir.Ret, ir.NoReg))
 		// Queue index NumQueues itself: one past the last.
-		_, err := bothLoops(t, "queue==NumQueues", func() interp.MTConfig {
-			return interp.MTConfig{Threads: []*ir.Function{f}, NumQueues: 1, MaxSteps: 100}
-		})
+		_, err := interp.RunMT(interp.MTConfig{Threads: []*ir.Function{f}, NumQueues: 1, MaxSteps: 100})
 		if !errors.Is(err, interp.ErrBadProgram) {
 			t.Errorf("err = %v, want ErrBadProgram", err)
 		}
 	})
 }
 
-// BenchmarkRunMTNoObserver measures the default interpreter loop (the path
-// bench/'s interp.mt_ms layer times through the full pipeline) and reports
-// its rate in millions of issued instructions per second: on the ping-pong
-// microprogram, and on two COCO programs of real kernels — ks under DSWP
-// (32-entry queues: long bursts) and mpeg2enc under GREMIO (single-entry
-// queues: a thread blocks every few instructions, which the ping-pong pair
-// at depth 32 never does). Run with -benchmem to see the zero per-step
-// allocation profile.
+// BenchmarkRunMTNoObserver measures RunMT's one scheduler loop under its
+// default policy with nothing attached, and reports its rate in millions of
+// issued instructions per second: on the ping-pong microprogram, and on two
+// COCO programs of real kernels — ks under DSWP (32-entry queues: long
+// bursts) and mpeg2enc under GREMIO (single-entry queues: a thread blocks
+// every few instructions, which the ping-pong pair at depth 32 never does).
+// Run with -benchmem to see the zero per-step allocation profile.
 func BenchmarkRunMTNoObserver(b *testing.B) {
 	run := func(b *testing.B, mk func() interp.MTConfig) {
 		b.ReportAllocs()

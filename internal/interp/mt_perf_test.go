@@ -41,14 +41,13 @@ func TestRunMTNoObserverAllocsConstant(t *testing.T) {
 
 // TestScratchReleasedClean: a scratch back in the pool holds nothing of the
 // run it last served — no decoded instruction, register window or live-out
-// — through either loop, whether the run succeeded or not.
+// — whether the run succeeded or not.
 // (gmtserve's inline-IR requests would otherwise each stay reachable from
 // the pool after their reply was sent.)
 func TestScratchReleasedClean(t *testing.T) {
 	threads, nq := mtPair(100, true)
 	runs := map[string]MTConfig{
-		"decoded":  {Threads: threads, NumQueues: nq, MaxSteps: 100_000},
-		"general":  {Threads: threads, NumQueues: nq, MaxSteps: 100_000, Sched: RoundRobin()},
+		"done":     {Threads: threads, NumQueues: nq, MaxSteps: 100_000},
 		"deadlock": {Threads: deadlockPair(), NumQueues: 2, MaxSteps: 100_000},
 		"limit":    {Threads: threads, NumQueues: nq, MaxSteps: 50},
 	}

@@ -76,13 +76,10 @@ func (s *randomSched) Pick(runnable []int, _ []int64, _ int64) int {
 // queues to their capacity limits and starves consumers, the schedule most
 // likely to expose placement and synchronization bugs.
 //
-// It is also the default: a nil MTConfig.Sched means this policy. The
-// schedule that is hardest on a wrong program is the cheapest on a right
-// one — the policy changes its mind only when a thread blocks or returns, so
-// a run makes one decision per burst instead of one per instruction, and
-// with nothing attached RunMT does not ask a Scheduler at all (runDecoded
-// issues the same interleaving a burst at a time). Results cannot tell
-// the difference: they are schedule-independent for every program the
+// It is also the default: a nil MTConfig.Sched means this policy. It
+// changes its mind only when a thread blocks or returns, so a run switches
+// threads once per burst instead of once per instruction. Results cannot
+// tell the difference: they are schedule-independent for every program the
 // oracle passes.
 type adversarial struct{ current int }
 

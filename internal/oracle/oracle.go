@@ -17,9 +17,6 @@
 //   - step accounting: RunMT's step counter equals the per-role totals;
 //   - schedule independence: dynamic instruction and queue-traffic
 //     counts are identical under every scheduling policy;
-//   - loop equivalence: the interpreter's default loop (a nil scheduler:
-//     run-to-block over a decoded stream) reproduces the general loop's
-//     adversarial run exactly, schedule-dependent counters included;
 //   - counted communication: on a clean cell every run's dynamic counts
 //     equal the program's placement counted over the golden run's edge
 //     profile (mtcg.Program.Counts), which is how the experiment harness
@@ -36,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"strings"
 
 	"repro/internal/coco"
@@ -226,9 +222,7 @@ type Report struct {
 	// Programs is the number of generated multi-threaded programs checked.
 	Programs int
 	// Runs is the number of executor runs the matrix asked for: one per
-	// schedule × queue depth, plus the simulator's. The default-loop twin
-	// of an adversarial cell (checkDefaultLoop) belongs to that cell and is
-	// not counted again.
+	// schedule × queue depth, plus the simulator's.
 	Runs     int
 	Failures []Failure
 	// Injected counts faults injected across all runs (always 0 without
@@ -440,9 +434,8 @@ func CheckProgram(rep *Report, caseName string, g *Golden, label string,
 
 	// On a clean cell the program's counts are also known without a run:
 	// each generated block executes as often as the original block it
-	// copies did in the golden run (mtcg.Program.Counts). Like the
-	// default-loop twin, the comparison belongs to the runs it checks and
-	// adds none to Runs.
+	// copies did in the golden run (mtcg.Program.Counts). The comparison
+	// belongs to the runs it checks and adds none to Runs.
 	var counted *interp.CommStats
 	if opts.Inject == nil && prog.Origins != nil {
 		c := prog.Counts(g.Profile)
@@ -471,10 +464,6 @@ func CheckProgram(rep *Report, caseName string, g *Golden, label string,
 			mt, err := interp.RunMT(cfg)
 			rep.Runs++
 			recordInjector(inj)
-			if sched.Name() == "adversarial" && inj == nil {
-				cfg.Sched, cfg.Mem = nil, append([]int64(nil), mem...)
-				checkDefaultLoop(rep, caseName, fmt.Sprintf("%s/cap=%d/default", label, qcap), cfg, mt, err)
-			}
 			if err != nil {
 				kind := ExecError
 				if errors.Is(err, interp.ErrDeadlock) {
@@ -631,33 +620,6 @@ func checkRunInvariants(rep *Report, caseName, config string, mt *interp.MTResul
 			rep.add(caseName, config, InvariantViolation, fmt.Sprintf(
 				"thread %d consumed %d values but owns queues totalling %d", t, gotCons, wantCons))
 		}
-	}
-}
-
-// checkDefaultLoop runs cfg — a clean adversarial cell with its scheduler
-// taken out — through the interpreter's default loop and holds it to that
-// cell's outcome under the general loop: run-to-block is the adversarial
-// policy, so the two must agree on everything an MTResult records (which
-// ties the default loop to the golden run through the checks the cell
-// itself gets), or fail with the same report. This is the only place the
-// decoded loop meets the corpus, the reproducers and the fuzzer; with an
-// injector armed a nil scheduler takes the general loop and there is
-// nothing further to compare.
-func checkDefaultLoop(rep *Report, caseName, config string, cfg interp.MTConfig, want *interp.MTResult, wantErr error) {
-	got, err := interp.RunMT(cfg)
-	switch {
-	case (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()):
-		rep.add(caseName, config, InvariantViolation, fmt.Sprintf(
-			"loop equivalence: default loop ended with %v, the general loop under adversarial with %v", err, wantErr))
-	case err == nil && !reflect.DeepEqual(got, want):
-		detail := diffVals("mem", got.Mem, want.Mem)
-		if detail == "" {
-			g, w := *got, *want
-			g.Mem, w.Mem = nil, nil
-			detail = fmt.Sprintf("%+v, want %+v", g, w)
-		}
-		rep.add(caseName, config, InvariantViolation,
-			"loop equivalence: default loop differs from the general loop under adversarial: "+detail)
 	}
 }
 
