@@ -406,3 +406,37 @@ func TestPostDominatorsNoRet(t *testing.T) {
 		t.Error("ControlDeps accepted a function with no Ret")
 	}
 }
+
+// TestWalkUpStopsAtUncoveredBlock: a block that cannot reach the exit has
+// no immediate post-dominator, so walking up the post-dominator tree from
+// it visits only the block — and from a block that can, the walk reaches
+// the root.
+func TestWalkUpStopsAtUncoveredBlock(t *testing.T) {
+	b := ir.NewBuilder("spin")
+	p := b.Param()
+	spin := b.Block("spin")
+	exit := b.Block("exit")
+	b.Br(p, spin, exit)
+	b.SetBlock(spin)
+	b.Jump(spin)
+	b.SetBlock(exit)
+	b.Ret()
+	pdom, err := PostDominators(b.F)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walk := func(from *ir.Block) []string {
+		var seen []string
+		pdom.WalkUp(from, func(x *ir.Block) bool {
+			seen = append(seen, x.Name)
+			return true
+		})
+		return seen
+	}
+	if got := walk(spin); !slices.Equal(got, []string{"spin"}) {
+		t.Errorf("WalkUp(spin) visited %v, want [spin]", got)
+	}
+	if got, want := walk(b.F.Entry()), []string{b.F.Entry().Name, "exit"}; !slices.Equal(got, want) {
+		t.Errorf("WalkUp(entry) visited %v, want %v", got, want)
+	}
+}

@@ -186,16 +186,13 @@ func (t *DomTree) StrictlyDominates(a, b *ir.Block) bool {
 }
 
 // WalkUp calls fn on b and then each of its ancestors in tree order, stopping
-// early if fn returns false.
+// early if fn returns false. A block the tree does not cover — one that
+// cannot reach a post-dominator tree's root, say — has no ancestors: fn
+// sees only b.
 func (t *DomTree) WalkUp(b *ir.Block, fn func(*ir.Block) bool) {
-	id := b.ID
-	for {
-		if !fn(t.fn.Blocks[id]) {
+	for id := b.ID; id >= 0; id = t.idom[id] {
+		if !fn(t.fn.Blocks[id]) || id == t.root {
 			return
 		}
-		if id == t.root {
-			return
-		}
-		id = t.idom[id]
 	}
 }

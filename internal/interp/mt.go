@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
-	"sync"
 
 	"repro/internal/fault"
 	"repro/internal/ir"
@@ -213,12 +211,10 @@ func (o *runObs) queueDepth(q int, step int64, depth int) {
 }
 
 // threadState is one thread's execution context: its registers and one
-// program counter into its decoded stream (mtScratch.streams), which
-// stepThread advances. Register files of all threads share one contiguous
-// backing allocation; regs is a window into it.
+// program counter into its decoded stream, which stepThread advances.
 type threadState struct {
-	regs []int64 // window into the run's shared register backing
-	pc   int     // position in the thread's decoded stream
+	regs []int64
+	pc   int // position in the thread's decoded stream
 	done bool
 	outs []int64 // live-outs captured at this thread's Ret
 }
@@ -229,47 +225,6 @@ func (ts *threadState) ret(in *ir.Instr) {
 	for _, r := range in.Srcs {
 		ts.outs = append(ts.outs, ts.regs[r])
 	}
-}
-
-// mtScratch is the reusable hot-loop state of one RunMT call. Runs acquire
-// a scratch from mtPool and return it on exit, so steady-state execution
-// allocates only the MTResult the caller keeps: thread states, register
-// backing, queue rings, and scheduler bookkeeping all settle at their
-// high-water capacity. Nothing in a scratch escapes into the MTResult, and
-// nothing of the program stays in a scratch once its run is over (release).
-type mtScratch struct {
-	threads  []threadState
-	streams  []ir.Stream // per-thread decoded code, validated at setup
-	regsBack []int64
-	queues   []ring.Buf[int64]
-	blocked  []bool
-	lastRan  []int64
-	active   []int
-	runnable []int
-}
-
-var mtPool = sync.Pool{New: func() any { return new(mtScratch) }}
-
-// release drops every reference into the caller's run — decoded
-// instructions, captured live-outs — and returns sc to the pool. Without it
-// an idle scratch pins the whole function of the last request it served
-// (for gmtserve, a client's inline IR) until the pool happens to be
-// collected.
-func (sc *mtScratch) release() {
-	clear(sc.threads)
-	for i := range sc.streams {
-		sc.streams[i].Release()
-	}
-	mtPool.Put(sc)
-}
-
-// sized returns s resliced to length n, growing the backing array if
-// needed. Contents are unspecified; callers reinitialize.
-func sized[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
 }
 
 // RunMT executes a multi-threaded program over blocking synchronization-
@@ -291,39 +246,25 @@ func RunMT(cfg MTConfig) (*MTResult, error) {
 	if sched == nil {
 		sched = Adversarial()
 	}
-	sc := mtPool.Get().(*mtScratch)
-	defer sc.release()
 
 	nThreads := len(cfg.Threads)
-	sc.queues = sized(sc.queues, cfg.NumQueues)
-	queues := sc.queues
+	queues := make([]ring.Buf[int64], cfg.NumQueues)
 	for i := range queues {
 		queues[i].Init(cfg.QueueCap)
 	}
-	// Size the shared register backing, then carve one window per thread.
-	regsNeed := 0
-	for _, fn := range cfg.Threads {
-		regsNeed += int(fn.MaxReg()) + 1
-	}
-	sc.regsBack = sized(sc.regsBack, regsNeed)
-	clear(sc.regsBack)
-	sc.threads = sized(sc.threads, nThreads)
-	sc.streams = sized(sc.streams, nThreads)
-	threads := sc.threads
-	regsOff := 0
+	threads := make([]threadState, nThreads)
+	streams := make([]ir.Stream, nThreads)
 	for i, fn := range cfg.Threads {
 		if len(cfg.Args) != len(fn.Params) {
 			return nil, fmt.Errorf("interp: thread %s takes %d params, got %d",
 				fn.Name, len(fn.Params), len(cfg.Args))
 		}
-		nRegs := int(fn.MaxReg()) + 1
 		ts := &threads[i]
-		*ts = threadState{regs: sc.regsBack[regsOff : regsOff+nRegs]}
-		regsOff += nRegs
+		ts.regs = make([]int64, int(fn.MaxReg())+1)
 		// One pass over the decoded thread validates its queues and marks
 		// the replicated branches in the record's Tag, which stepThread reads
 		// in passing.
-		st := &sc.streams[i]
+		st := &streams[i]
 		st.Decode(fn)
 		for pc := range st.Code {
 			di := &st.Code[pc]
@@ -361,76 +302,62 @@ func RunMT(cfg MTConfig) (*MTResult, error) {
 		ro:     newRunObs(&cfg),
 	}
 
-	// blocked[t] is set when t failed to step and cleared whenever any
-	// thread issues an instruction (which is the only event that can
-	// unblock a queue operation). active lists unfinished threads in
-	// ascending order; blockedCount tracks how many of them are blocked,
-	// so the common case (nothing blocked) hands active to the scheduler
-	// without rebuilding a runnable list every pick.
-	sc.blocked = sized(sc.blocked, nThreads)
-	blocked := sc.blocked
-	clear(blocked)
-	blockedCount := 0
-	sc.lastRan = sized(sc.lastRan, nThreads)
-	lastRan := sc.lastRan
+	// blockedAt[t] is the number of issued steps when t last failed to
+	// step: t is blocked while it equals steps, that is, until some thread
+	// issues an instruction (the only event that can unblock a queue
+	// operation).
+	blockedAt := make([]int64, nThreads)
+	lastRan := make([]int64, nThreads)
 	for i := range lastRan {
-		lastRan[i] = -1
+		blockedAt[i], lastRan[i] = -1, -1
 	}
-	sc.active = sized(sc.active, nThreads)
-	active := sc.active[:0]
-	for i := 0; i < nThreads; i++ {
-		active = append(active, i)
-	}
-	sc.runnable = sized(sc.runnable, nThreads)
+	runnable := make([]int, 0, nThreads)
 
 	var steps int64
-	for len(active) > 0 {
-		runnable := active
-		if blockedCount > 0 {
-			if blockedCount == len(active) {
-				return nil, fmt.Errorf("%w\n%s", ErrDeadlock, describeBlocked(threads, sc.streams, queues, cfg.QueueCap))
-			}
-			runnable = sc.runnable[:0]
-			for _, ti := range active {
-				if !blocked[ti] {
+	for {
+		// The threads neither finished nor blocked, in ascending order.
+		runnable = runnable[:0]
+		live := false
+		for ti := range threads {
+			if !threads[ti].done {
+				live = true
+				if blockedAt[ti] != steps {
 					runnable = append(runnable, ti)
 				}
 			}
 		}
+		if len(runnable) == 0 {
+			if live {
+				return nil, fmt.Errorf("%w\n%s", ErrDeadlock, describeBlocked(threads, streams, queues, cfg.QueueCap))
+			}
+			break
+		}
 		ti := sched.Pick(runnable, lastRan, steps)
-		if ti < 0 || ti >= nThreads || threads[ti].done || blocked[ti] {
+		if ti < 0 || ti >= nThreads || threads[ti].done || blockedAt[ti] == steps {
 			return nil, fmt.Errorf("%w: %s picked thread %d (runnable %v)",
 				ErrBadSchedule, sched.Name(), ti, runnable)
 		}
 		res.Sched.Picks++
 		if x.inj != nil && x.inj.Stall(ti, nThreads) {
 			// A frozen thread wastes its turn without issuing. It is NOT
-			// marked blocked: blocked[] feeds the deadlock detector, and a
+			// marked blocked: blockedAt feeds the deadlock detector, and a
 			// stall window always expires, so it must never look like a
 			// stuck queue operation. Counted as a blocked turn to preserve
 			// Picks == BlockedTurns + issued steps.
 			res.Sched.BlockedTurns++
 			continue
 		}
-		stepped, err := x.stepThread(&threads[ti], &sc.streams[ti], ti, &res.PerThread[ti], steps)
+		stepped, err := x.stepThread(&threads[ti], &streams[ti], ti, &res.PerThread[ti], steps)
 		if err != nil {
 			return nil, err
 		}
 		if !stepped {
-			blocked[ti] = true
-			blockedCount++
+			blockedAt[ti] = steps
 			res.Sched.BlockedTurns++
 			continue
 		}
-		if blockedCount > 0 {
-			clear(blocked)
-			blockedCount = 0
-		}
 		lastRan[ti] = steps
 		steps++
-		if threads[ti].done {
-			active = dropThread(active, ti)
-		}
 		if steps > cfg.MaxSteps {
 			return nil, fmt.Errorf("%w (multi-threaded, %d steps)", ErrStepLimit, steps)
 		}
@@ -442,12 +369,6 @@ func RunMT(cfg MTConfig) (*MTResult, error) {
 	}
 
 	return res.finish(threads, steps, cfg.Metrics), nil
-}
-
-// dropThread removes finished thread ti from the ascending active list.
-func dropThread(active []int, ti int) []int {
-	i := slices.Index(active, ti)
-	return slices.Delete(active, i, i+1)
 }
 
 // finish closes the ledger of a successful run — issued steps, live-outs,

@@ -2,7 +2,7 @@
 
 package interp
 
-// raceEnabled reports that the race detector is on: sync.Pool then drops
-// items on purpose and the runtime allocates for its own bookkeeping, so
-// tests that count allocations exactly run their code but skip the count.
+// raceEnabled reports that the race detector is on: the runtime then
+// allocates for its own bookkeeping, so tests that count allocations
+// exactly run their code but skip the count.
 const raceEnabled = true

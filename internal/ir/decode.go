@@ -44,8 +44,7 @@ func (d *Decoded) Fall() int { return int(d.S1) }
 // Stream is one function decoded for execution: its blocks laid end to end
 // in Blocks order, so a program counter is an index into Code, pc 0 is the
 // entry block's first instruction, and falling through a non-terminator is
-// pc+1. A Stream is reusable — Decode refills it in place, keeping its
-// capacity — so a pooled executor decodes without allocating.
+// pc+1.
 type Stream struct {
 	Code []Decoded
 	// Instrs[pc] is the instruction Code[pc] was decoded from (nil for the
@@ -55,7 +54,7 @@ type Stream struct {
 	starts []int32 // index in Blocks -> pc of the block's first instruction
 }
 
-// Decode refills s with f's instructions. It accepts any function, as
+// Decode fills s with f's instructions. It accepts any function, as
 // walking the blocks does: what Verify would reject costs nothing until
 // execution gets there. A flat stream has no block boundary to stop at, so
 // the places where a walk would have indexed out of range become traps —
@@ -73,11 +72,8 @@ func (s *Stream) Decode(f *Function) {
 			n++
 		}
 	}
-	if cap(s.Code) < n {
-		s.Code = make([]Decoded, n)
-		s.Instrs = make([]*Instr, n)
-	}
-	s.Code, s.Instrs = s.Code[:n], s.Instrs[:n]
+	s.Code = make([]Decoded, n)
+	s.Instrs = make([]*Instr, n)
 	pc := int32(0)
 	target := func(b *Block, i int) int32 {
 		if i >= len(b.Succs) {
@@ -115,12 +111,4 @@ func (s *Stream) Decode(f *Function) {
 			pc++
 		}
 	}
-}
-
-// Release empties s and drops its references into the decoded function,
-// keeping the capacity: what a pool calls before it takes the stream back,
-// so an idle stream does not pin the last program it ran.
-func (s *Stream) Release() {
-	clear(s.Instrs)
-	s.Code, s.Instrs = s.Code[:0], s.Instrs[:0]
 }

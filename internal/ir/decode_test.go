@@ -115,37 +115,6 @@ func TestDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStreamReuse: Decode refills a stream in place — a smaller function
-// after a larger one leaves no stale tail and allocates nothing — and
-// Release drops every reference into the function while keeping the room.
-func TestStreamReuse(t *testing.T) {
-	big := everyOpFunction(t)
-	small := NewFunction("small")
-	e := small.NewBlock("entry")
-	e.Append(small.NewInstr(Ret, NoReg))
-
-	var s Stream
-	s.Decode(big)
-	room := cap(s.Code)
-	s.Decode(small)
-	if len(s.Code) != 1 || len(s.Instrs) != 1 || s.Code[0].Op != Ret {
-		t.Fatalf("after decoding a one-instruction function: %d records, %d instructions", len(s.Code), len(s.Instrs))
-	}
-	if allocs := testing.AllocsPerRun(10, func() { s.Decode(big); s.Decode(small) }); allocs != 0 {
-		t.Errorf("re-decoding into a stream with room allocates %v times", allocs)
-	}
-	s.Decode(big)
-	s.Release()
-	if len(s.Code) != 0 || len(s.Instrs) != 0 || cap(s.Code) != room {
-		t.Errorf("Release left %d records, %d instructions, room for %d (was %d)", len(s.Code), len(s.Instrs), cap(s.Code), room)
-	}
-	for pc, in := range s.Instrs[:cap(s.Instrs)] {
-		if in != nil {
-			t.Fatalf("Release left the instruction at pc %d reachable", pc)
-		}
-	}
-}
-
 // TestDecodeTrapsUnsoundFunction: Decode takes any function, as walking the
 // blocks does, and costs a sound one nothing — but where a walk would index
 // out of range on arrival (the end of an unterminated block, a missing or

@@ -37,7 +37,8 @@ type commEmit struct {
 // taken from the plan). It returns an error if the plan is inconsistent —
 // most importantly if an irrelevant branch would have to decide between two
 // different relevant successors, which indicates a broken relevant-branch
-// closure.
+// closure — or if a branch leads to a block that cannot reach the exit,
+// which has no relevant block after it.
 func Generate(p *Plan) (*Program, error) {
 	f := p.F
 	pdomTree := p.PostDom
@@ -136,18 +137,23 @@ func generateThread(p *Plan, t int, thread []int, pdomTree *analysis.DomTree, re
 	ft.Params = append([]ir.Reg(nil), f.Params...)
 	ft.ReserveRegs(f.MaxReg())
 
-	// nextRel maps an original block to the first relevant block on every
-	// path from it: the nearest post-dominator in the relevant set.
-	nextRel := func(b *ir.Block) *ir.Block {
-		var found *ir.Block
-		pdomTree.WalkUp(b, func(x *ir.Block) bool {
-			if relevant[x.ID] {
-				found = x
-				return false
+	// nextRel maps each successor of an original block to the first
+	// relevant block on every path from it: the nearest post-dominator in
+	// the relevant set. A successor that cannot reach the exit has none.
+	nextRel := func(b *ir.Block) (rel [2]*ir.Block, err error) {
+		for i, s := range b.Succs {
+			pdomTree.WalkUp(s, func(x *ir.Block) bool {
+				if relevant[x.ID] {
+					rel[i] = x
+					return false
+				}
+				return true
+			})
+			if rel[i] == nil {
+				return rel, fmt.Errorf("mtcg: %s thread %d: block %s cannot reach the exit", f.Name, t, s.Name)
 			}
-			return true
-		})
-		return found
+		}
+		return rel, nil
 	}
 
 	// Create the blocks in original layout order.
@@ -236,25 +242,31 @@ func generateThread(p *Plan, t int, thread []int, pdomTree *analysis.DomTree, re
 			}
 			nb.Append(ret)
 		case ir.Br:
+			rel, err := nextRel(b)
+			if err != nil {
+				return nil, nil, err
+			}
 			if p.Relevant[t][b.ID] || thread[term.ID] == t {
 				br := ft.NewInstr(ir.Br, ir.NoReg, term.Srcs[0])
 				br.Orig = term
 				nb.Append(br)
-				t0, t1 := nextRel(b.Succs[0]), nextRel(b.Succs[1])
-				edges = append(edges, pendingEdge{nb, [2]*ir.Block{t0, t1}, 2})
+				edges = append(edges, pendingEdge{nb, rel, 2})
 			} else {
-				t0, t1 := nextRel(b.Succs[0]), nextRel(b.Succs[1])
-				if t0 != t1 {
+				if rel[0] != rel[1] {
 					return nil, nil, fmt.Errorf(
 						"mtcg: %s thread %d: irrelevant branch in %s separates relevant blocks %s and %s",
-						f.Name, t, b.Name, t0.Name, t1.Name)
+						f.Name, t, b.Name, rel[0].Name, rel[1].Name)
 				}
 				nb.Append(ft.NewInstr(ir.Jump, ir.NoReg))
-				edges = append(edges, pendingEdge{nb, [2]*ir.Block{t0}, 1})
+				edges = append(edges, pendingEdge{nb, rel, 1})
 			}
 		case ir.Jump:
+			rel, err := nextRel(b)
+			if err != nil {
+				return nil, nil, err
+			}
 			nb.Append(ft.NewInstr(ir.Jump, ir.NoReg))
-			edges = append(edges, pendingEdge{nb, [2]*ir.Block{nextRel(b.Succs[0])}, 1})
+			edges = append(edges, pendingEdge{nb, rel, 1})
 		}
 	}
 

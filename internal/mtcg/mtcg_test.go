@@ -1,6 +1,7 @@
 package mtcg_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/interp"
@@ -225,6 +226,38 @@ func TestGenerateRejectsBadPlans(t *testing.T) {
 			t.Error("Generate accepted communication without points")
 		}
 	})
+}
+
+// TestGenerateRejectsBlockThatCannotExit: a never-taken branch into a
+// self-loop leaves a block with no immediate post-dominator, so no relevant
+// block follows it. Generate answers with an error naming the block instead
+// of walking the post-dominator tree off its end.
+func TestGenerateRejectsBlockThatCannotExit(t *testing.T) {
+	b := ir.NewBuilder("spin")
+	p := b.Param()
+	pre, spin, exit := b.Block("pre"), b.Block("spin"), b.Block("exit")
+	b.Br(p, pre, exit)
+	b.SetBlock(pre)
+	b.Jump(spin)
+	b.SetBlock(spin)
+	b.Jump(spin)
+	b.SetBlock(exit)
+	sum := b.Add(p, p)
+	b.Ret(sum)
+	if err := b.F.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	assign := map[*ir.Instr]int{}
+	b.F.Instrs(func(in *ir.Instr) {
+		if in.Block() == exit {
+			assign[in] = 1
+		}
+	})
+	plan := mtcg.NaivePlan(b.F, pdg.Build(b.F, nil), assign, 2)
+	_, err := mtcg.Generate(plan)
+	if err == nil || !strings.Contains(err.Error(), "block pre cannot reach the exit") {
+		t.Errorf("Generate: err = %v, want one naming block pre", err)
+	}
 }
 
 func TestThreadFunctionsShareRegisterSpace(t *testing.T) {

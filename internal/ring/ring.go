@@ -22,15 +22,10 @@ type Buf[T any] struct {
 	tail uint64 // index of the next Push, monotonically increasing
 }
 
-// Init empties the buffer and ensures capacity for at least min elements
-// without growing. Existing storage is kept when large enough, so a pooled
-// Buf reused across runs settles at its high-water capacity and stops
-// allocating.
+// Init makes b an empty buffer with room for at least min elements
+// before it grows.
 func (b *Buf[T]) Init(min int) {
-	b.head, b.tail = 0, 0
-	if min > len(b.buf) {
-		b.buf = make([]T, ceilPow2(min))
-	}
+	*b = Buf[T]{buf: make([]T, ceilPow2(min))}
 }
 
 // Len returns the number of buffered elements.
@@ -54,18 +49,6 @@ func (b *Buf[T]) Pop() T {
 	v := b.buf[b.head&uint64(len(b.buf)-1)]
 	b.head++
 	return v
-}
-
-// Peek returns the oldest element without removing it. It must not be
-// called on an empty buffer.
-func (b *Buf[T]) Peek() T {
-	return b.buf[b.head&uint64(len(b.buf)-1)]
-}
-
-// At returns the i-th element from the head (At(0) == Peek()). It must
-// only be called with 0 <= i < Len().
-func (b *Buf[T]) At(i int) T {
-	return b.buf[(b.head+uint64(i))&uint64(len(b.buf)-1)]
 }
 
 // grow doubles the ring, copying the live elements in FIFO order.

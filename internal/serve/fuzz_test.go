@@ -68,6 +68,11 @@ func FuzzRequestBody(f *testing.F) {
 	}
 	f.Add(false, false, []byte(kernelReq))
 	f.Add(false, false, inlineReq)
+	critReq, err := json.Marshal(selfLatchSum)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(false, false, critReq)
 	f.Add(true, false, []byte(`{"requests":[`+kernelReq+`,`+string(inlineReq)+`,{}]}`))
 	f.Add(false, false, []byte(kernelReq[:len(kernelReq)/2]))
 	f.Add(true, false, []byte(`{"requests":[{"workload":"ks"`))

@@ -142,6 +142,10 @@ func (r *Request) workload() (*workloads.Workload, error) {
 	if err := f.Verify(); err != nil {
 		return nil, fmt.Errorf("verifying ir: %v", err)
 	}
+	// COCO's placement needs critical edges split. Every built-in workload
+	// and randprog program arrives split already, and splitting a function
+	// that has none changes nothing, so neither its key nor its reply.
+	f.SplitCriticalEdges()
 	name := r.Name
 	if name == "" {
 		name = "inline"

@@ -335,6 +335,30 @@ func TestInlineIR(t *testing.T) {
 	}
 }
 
+// selfLatchSum is an inline sum loop whose latch is its own header: the
+// edge loop->loop is critical (loop has two successors and two
+// predecessors). It parses and verifies, and COCO refuses an unsplit
+// critical edge, so the server must split it on the way in.
+var selfLatchSum = Request{
+	IR: "func sum(r1)\nentry:\n  r2 = const 0\n  r3 = const 1\n  jump loop\n" +
+		"loop:\n  r2 = add r2, r1\n  r1 = sub r1, r3\n  br r1 loop, exit\n" +
+		"exit:\n  ret r2\n",
+	Args: []int64{5}, Partitioner: "gremio", Sim: true,
+}
+
+// TestInlineCriticalEdge: inline IR with an unsplit critical edge is
+// scheduled and simulated; it was answered 500 when coco.Plan refused the
+// edge.
+func TestInlineCriticalEdge(t *testing.T) {
+	s := newServer(t, Options{})
+	req := selfLatchSum
+	res := s.Do(context.Background(), &req)
+	resp := mustOK(t, res)
+	if resp.Comm == nil || resp.Cycles == nil {
+		t.Fatalf("critical-edge response lacks counts or cycles: %s", res.Body)
+	}
+}
+
 // TestBudgetClampSharesKey: requested budgets past the server cap clamp
 // to the cap before keying, so an over-ask and an exact-ask share one
 // cache entry and one computation.
