@@ -218,8 +218,8 @@ func RenderFig6b(w io.Writer, ws []*workloads.Workload) {
 
 func orderedNames(rows []CommRow) []string {
 	pos := map[string]int{}
-	for i, w := range workloads.All() {
-		pos[w.Name] = i
+	for i, name := range workloads.Names() {
+		pos[name] = i
 	}
 	seen := map[string]bool{}
 	var names []string

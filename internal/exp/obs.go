@@ -13,7 +13,7 @@ import (
 // pipeline carries no nil checks at record sites.
 //
 // The trace layout is deterministic: each workload is one trace process
-// (pid = its position in workloads.All(), so traces from different runs
+// (pid = its position in workloads.Names(), so traces from different runs
 // line up), with the partitioner-independent analysis phases on tid 0 and
 // each partitioner's pipeline phases on their own tid. Phase spans are
 // self-clocked in abstract work units (interpreter steps, dependence-graph
@@ -57,13 +57,13 @@ var (
 )
 
 // workloadPid returns the deterministic trace process ID for a workload:
-// its 1-based position in workloads.All(). Workloads outside the standard
+// its 1-based position in workloads.Names(). Workloads outside the standard
 // set (hand-built test kernels) share one parking pid.
 func workloadPid(name string) int {
 	pidOnce.Do(func() {
 		pids = map[string]int{}
-		for i, w := range workloads.All() {
-			pids[w.Name] = i + 1
+		for i, name := range workloads.Names() {
+			pids[name] = i + 1
 		}
 	})
 	if p, ok := pids[name]; ok {

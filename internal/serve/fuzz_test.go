@@ -32,6 +32,7 @@ func FuzzInlineIR(f *testing.F) {
 		}
 		f.Add(string(text))
 	}
+	f.Add(hugeRegister)
 	f.Fuzz(func(t *testing.T, text string) {
 		w, err := (&Request{IR: text}).workload()
 		if err != nil {

@@ -120,9 +120,21 @@ type errorBody struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
-// workload resolves the request's workload: a named benchmark or an
-// inline IR function. Either way the result is a fresh value — new IR,
-// new instruction pointers — that no other request shares.
+// maxInlineReg is the highest register an inline function may name. The
+// executors and the register-indexed analysis tables are sized by the
+// highest register, not by how many are used, so r9999999999994 alone
+// would size a register file past any memory. The eleven kernels name at
+// most r69 and a size-10 240 randprog program about r7 500, so 1<<16
+// refuses nothing the repository generates and keeps a register file at
+// 512 KiB.
+const maxInlineReg = 1 << 16
+
+// workload resolves the request's workload. A named benchmark is the
+// kernels table's value, built once per process and shared by every
+// request for that kernel; nothing on the request path writes to it, so
+// one engine per computation keys it by the same pointer every time. An
+// inline IR function is a fresh value — new IR, new instruction
+// pointers — that no other request shares.
 func (r *Request) workload() (*workloads.Workload, error) {
 	switch {
 	case r.Workload != "" && r.IR != "":
@@ -141,6 +153,10 @@ func (r *Request) workload() (*workloads.Workload, error) {
 	// invariants: refuse it here, as the client's error it is.
 	if err := f.Verify(); err != nil {
 		return nil, fmt.Errorf("verifying ir: %v", err)
+	}
+	// After Verify no register exceeds MaxReg.
+	if f.MaxReg() > maxInlineReg {
+		return nil, fmt.Errorf("ir names register %v; inline functions may name registers up to %v", f.MaxReg(), ir.Reg(maxInlineReg))
 	}
 	// COCO's placement needs critical edges split. Every built-in workload
 	// and randprog program arrives split already, and splitting a function

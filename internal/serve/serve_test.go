@@ -359,6 +359,46 @@ func TestInlineCriticalEdge(t *testing.T) {
 	}
 }
 
+// hugeRegister names a register whose number alone sizes every register
+// file and register-indexed table: it parses and verifies, and before the
+// door refused it the first run killed the process with "out of memory".
+const hugeRegister = "func f(r2)\nentry:\n  r8 = mul r9999999999994, r2\n  ret r8\n"
+
+// TestInlineRegisterBound: inline IR may name registers up to r65536. A
+// higher one is refused at the door with a 400 that names the register
+// and the limit, and the server goes on answering. A huge queue number
+// sizes nothing: the profile refuses the communication instruction
+// whatever its queue, and the server goes on answering too.
+func TestInlineRegisterBound(t *testing.T) {
+	s := newServer(t, Options{})
+	ctx := context.Background()
+	for _, tc := range []struct {
+		ir     string
+		status int
+		says   []string
+	}{
+		{strings.Replace(hugeRegister, "r9999999999994", "r65536", 1), http.StatusOK, nil},
+		{strings.Replace(hugeRegister, "r9999999999994", "r65537", 1), http.StatusBadRequest, []string{"r65537", "r65536"}},
+		{hugeRegister, http.StatusBadRequest, []string{"r9999999999994", "r65536"}},
+		{"func f(r1)\nentry:\n  produce [q9999999999] = r1\n  ret r1\n", 0, nil},
+	} {
+		res := s.Do(ctx, &Request{IR: tc.ir, Args: []int64{3}})
+		switch {
+		case tc.status == 0 && res.Status == http.StatusOK:
+			t.Errorf("%q: answered 200", tc.ir)
+		case tc.status != 0 && res.Status != tc.status:
+			t.Errorf("%q: status %d, want %d: %s", tc.ir, res.Status, tc.status, res.Body)
+		}
+		for _, want := range tc.says {
+			if !bytes.Contains(res.Body, []byte(want)) {
+				t.Errorf("%q: the error does not name %s: %s", tc.ir, want, res.Body)
+			}
+		}
+		req := selfLatchSum
+		mustOK(t, s.Do(ctx, &req))
+	}
+}
+
 // TestBudgetClampSharesKey: requested budgets past the server cap clamp
 // to the cap before keying, so an over-ask and an exact-ask share one
 // cache entry and one computation.
@@ -542,13 +582,15 @@ func TestOversizeBodyIs413(t *testing.T) {
 }
 
 // TestWarmRequestAllocation pins the warm path. Once mpeg2enc (the
-// kernel with the largest images) has been served, a repeat resolves the
-// kernel, takes its fingerprint from the kernels table and reads the
-// cache — it neither rebuilds nor rehashes the two memory images, which
-// alone were over 1 MiB a call. A repeated inline program still parses
-// its text and prints it again for its key; with fmt in the printer and a
-// token slice per parsed line that was about 104 KiB a call for a size-160
-// random program.
+// kernel with the largest images) has been served, a repeat takes the
+// kernels table's value, built once per process, reads the fingerprint
+// memoized on it and reads the cache: about 4 KiB in 31 allocations. It
+// rebuilt the kernel's IR on every call before (13 KiB, 232
+// allocations), and before that it rehashed the two memory images too
+// (over 1 MiB). A repeated inline program still parses its text and
+// prints it again for its key: about 51 KiB in 191 allocations for a
+// size-160 random program, 104 KiB when the printer used fmt and the
+// parser a token slice per line.
 func TestWarmRequestAllocation(t *testing.T) {
 	axes, p := randprog.GenerateSized(600000, 160)
 	inline := &Request{IR: p.F.String(), Name: "rp", Args: p.Args, Mem: p.Mem, Partitioner: "dswp"}
@@ -559,12 +601,13 @@ func TestWarmRequestAllocation(t *testing.T) {
 		inline.Objects = append(inline.Objects, MemObject{Name: o.Name, Base: o.Base, Size: o.Size})
 	}
 	for _, tc := range []struct {
-		name  string
-		req   *Request
-		limit uint64
+		name    string
+		req     *Request
+		limit   uint64 // bytes
+		mallocs uint64
 	}{
-		{"mpeg2enc", &Request{Workload: "mpeg2enc", Partitioner: "dswp"}, 64 << 10},
-		{"inline", inline, 72 << 10},
+		{"mpeg2enc", &Request{Workload: "mpeg2enc", Partitioner: "dswp"}, 8 << 10, 40},
+		{"inline", inline, 72 << 10, 256},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := newServer(t, Options{})
@@ -583,6 +626,9 @@ func TestWarmRequestAllocation(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; perCall >= tc.limit {
 				t.Errorf("a warm %s request allocates %d bytes, want under %d KiB", tc.name, perCall, tc.limit>>10)
+			}
+			if perCall := (after.Mallocs - before.Mallocs) / calls; perCall >= tc.mallocs {
+				t.Errorf("a warm %s request allocates %d times, want under %d", tc.name, perCall, tc.mallocs)
 			}
 			if st := s.StatsSnapshot(); st.Compute != 1 || st.CacheHitMem != calls {
 				t.Errorf("compute = %d, memory hits = %d after 1 cold + %d warm requests, want 1 and one hit per warm request",

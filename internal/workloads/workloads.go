@@ -46,16 +46,8 @@ type Workload struct {
 	Train func() Input
 	Ref   func() Input
 
-	// fp memoizes Fingerprint; shared, when set, is the kernels table
-	// entry's memo and takes its place.
-	fp     fpMemo
-	shared *fpMemo
-}
-
-// fpMemo is a content fingerprint computed at most once.
-type fpMemo struct {
-	once sync.Once
-	sum  string
+	fpOnce sync.Once
+	fp     string
 }
 
 // Fingerprint returns a content hash over everything that determines the
@@ -64,22 +56,16 @@ type fpMemo struct {
 // merely share a Name have different fingerprints when any of those
 // differ — which is what lets caches key on content instead of on names.
 //
-// The contract has two halves. A value handed out by ByName or All is
-// immutable and carries its kernel's fingerprint: the kernel is a
-// constant of the binary, so its content is hashed on the first call in
-// the process and every later call, on any value of that kernel, is a
-// load. A value you construct yourself (KS() and the other constructors,
-// an inline-IR workload) hashes its own content on its first call, so
-// changing its IR or inputs before that call changes the fingerprint;
-// after it the value is treated as immutable, like the rest of the
-// framework does.
+// The hash is computed on the first call and every later call is a load,
+// so the value is treated as immutable from then on, like the rest of the
+// framework does. A value handed out by ByName or All is the process's one
+// value of its kernel, hashed once per process. A value you construct
+// yourself (KS() and the other constructors, an inline-IR workload)
+// hashes its own content on its first call, so changing its IR or inputs
+// before that call changes the fingerprint.
 func (w *Workload) Fingerprint() string {
-	m := w.shared
-	if m == nil {
-		m = &w.fp
-	}
-	m.once.Do(func() { m.sum = w.contentHash() })
-	return m.sum
+	w.fpOnce.Do(func() { w.fp = w.contentHash() })
+	return w.fp
 }
 
 // contentHash builds the IR text and both input images and hashes them:
@@ -104,19 +90,20 @@ func (w *Workload) contentHash() string {
 
 // kernel is one row of the kernels table: the constructor, the name it
 // returns (so a lookup or a listing constructs no kernel it does not hand
-// out), and the fingerprint every value built from the row shares.
+// out), and the one value of the kernel the process hands out.
 type kernel struct {
 	name  string
 	build func() *Workload
-	fp    fpMemo
+	once  sync.Once
+	w     *Workload
 }
 
-// get builds a fresh value of the kernel — new IR, new instruction
-// pointers — that shares only the row's fingerprint memo.
+// get returns the row's value, built on the first call in the process.
+// The kernel is a constant of the binary, so every caller — every request
+// of a server, every cell of an experiment — shares that one value.
 func (k *kernel) get() *Workload {
-	w := k.build()
-	w.shared = &k.fp
-	return w
+	k.once.Do(func() { k.w = k.build() })
+	return k.w
 }
 
 // kernels lists every workload in the order of Figure 6(b) — the order
@@ -135,9 +122,8 @@ var kernels = []*kernel{
 	{name: "458.sjeng", build: Sjeng},
 }
 
-// All returns a fresh value of every workload, in the order of Figure
-// 6(b). The values are immutable and carry their kernels' fingerprints
-// (see Fingerprint).
+// All returns every workload, in the order of Figure 6(b): the same
+// shared values ByName hands out.
 func All() []*Workload {
 	ws := make([]*Workload, len(kernels))
 	for i, k := range kernels {
@@ -155,10 +141,10 @@ func Names() []string {
 	return names
 }
 
-// ByName returns a fresh value of the workload with the given name: its
-// IR is its own, so callers may run analyses that annotate it, but its
-// content is the kernel's and immutable, and it carries the kernel's
-// fingerprint (see Fingerprint).
+// ByName returns the workload with the given name. The value is built once
+// per process and shared by every caller, so it is immutable: run analyses
+// over it freely, but a caller that wants to change a kernel changes a
+// copy (ir.Parse(w.F.String()), or the kernel's constructor).
 func ByName(name string) (*Workload, error) {
 	for _, k := range kernels {
 		if k.name == name {

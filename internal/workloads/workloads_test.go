@@ -103,8 +103,30 @@ var constructors = map[string]func() *workloads.Workload{
 	"435.gromacs": workloads.Gromacs, "458.sjeng": workloads.Sjeng,
 }
 
-// TestFingerprintConcurrentFirstUse: the table's memo is the one piece of
-// state requests share, and its first use may come from many at once (CI
+// TestTableHandsOutOneValue: a kernel is built once per process. ByName and
+// All hand out the same shared value on every call, and a constructor
+// called directly builds a value of its own.
+func TestTableHandsOutOneValue(t *testing.T) {
+	all := workloads.All()
+	for i, name := range workloads.Names() {
+		a, err := workloads.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b, _ := workloads.ByName(name); a != b {
+			t.Errorf("ByName(%s) returned two values", name)
+		}
+		if all[i] != a {
+			t.Errorf("All()[%d] is not ByName(%s)", i, name)
+		}
+		if constructors[name]() == a {
+			t.Errorf("the %s constructor returned the table's value", name)
+		}
+	}
+}
+
+// TestFingerprintConcurrentFirstUse: a table value and its fingerprint
+// are built on first use, which may come from many requests at once (CI
 // runs this package under -race).
 func TestFingerprintConcurrentFirstUse(t *testing.T) {
 	want := constructors["188.ammp"]().Fingerprint()
@@ -128,8 +150,9 @@ func TestFingerprintConcurrentFirstUse(t *testing.T) {
 }
 
 // TestFingerprintMemoIsPerKernelNotPerName: a value built and changed by
-// the caller hashes what it holds, and neither reads nor writes the memo
-// the kernels table keeps for its name — in either order of first use.
+// the caller hashes what it holds, and neither reads nor writes the
+// fingerprint of the table's value of its name — in either order of first
+// use.
 func TestFingerprintMemoIsPerKernelNotPerName(t *testing.T) {
 	swapped := func(name string) *workloads.Workload {
 		w := constructors[name]()
@@ -157,7 +180,7 @@ func TestFingerprintMemoIsPerKernelNotPerName(t *testing.T) {
 // memoized fingerprints and before cache.Hasher stopped using fmt. Cache
 // directories written by older binaries are keyed by these strings, so
 // the file changes only together with a schema bump. Both ways to a
-// fingerprint must give the golden one: the table's memo (ByName, hashed
+// fingerprint must give the golden one: the table's value (ByName, hashed
 // once, then a load) and the content hash of a directly constructed value.
 func TestFingerprintsGolden(t *testing.T) {
 	data, err := os.ReadFile("testdata/fingerprints.golden")
