@@ -22,10 +22,10 @@
 // Robustness: -chaos matrix runs the detector-coverage matrix (every
 // fault class × workload × partitioner cell through the differential
 // oracle) and exits nonzero if any cell misses its contract; -chaos with a
-// fault class name arms that fault for the figure runs, exercising the
-// graceful-degradation chain (fallback rows are annotated in the figures).
-// -chaos-seed makes the fault schedule deterministic: same seed, same
-// schedule, byte-identical reports. -fail-fast disables the degradation
+// destructive fault class name measures every program's mutant in the
+// figure runs, exercising the graceful-degradation chain (fallback rows are
+// annotated in the figures). -chaos-seed makes the fault deterministic:
+// same seed, same mutants, byte-identical reports. -fail-fast disables the degradation
 // chain so the first stage failure aborts instead of falling back.
 //
 // Profiling: -explain re-simulates every Figure 8 cell under the
@@ -64,8 +64,8 @@ func run() (err error) {
 	of.Register()
 	timeline := flag.Bool("timeline", false, "record per-cycle simulator/interpreter lanes in the trace (large)")
 	explain := flag.Bool("explain", false, "annotate Figure 8 rows with the profiler's naive→COCO cycle-delta decomposition")
-	chaos := flag.String("chaos", "", "\"matrix\" runs the detector-coverage matrix; a fault class name injects that fault into the figure runs")
-	chaosSeed := flag.Int64("chaos-seed", 1, "deterministic fault-schedule seed (same seed = same schedule)")
+	chaos := flag.String("chaos", "", "\"matrix\" runs the detector-coverage matrix; a destructive fault class name measures every program's mutant in the figure runs")
+	chaosSeed := flag.Int64("chaos-seed", 1, "deterministic fault seed (same seed = same mutants)")
 	failFast := flag.Bool("fail-fast", false, "disable the graceful-degradation chain: abort on the first stage failure")
 	flag.Parse()
 	of.Timeline = *timeline
@@ -93,8 +93,8 @@ func run() (err error) {
 		if err != nil {
 			return cli.Usagef("%v (or \"matrix\")", err)
 		}
-		if cls == fault.MisplacePlan {
-			return cli.Usagef("misplan is a compile-time fault; use -chaos matrix to exercise it")
+		if cls.Benign() {
+			return cli.Usagef("%s changes no program, so no run can fail of it; use -chaos matrix to exercise it", cls)
 		}
 		eopts.Chaos = &fault.Spec{Class: cls, Seed: *chaosSeed}
 	}
@@ -173,7 +173,7 @@ func run() (err error) {
 	}
 
 	if st := engine.Stats(); st.FaultsInjected > 0 || st.Fallbacks > 0 {
-		fmt.Fprintf(os.Stderr, "chaos: %d faults injected, %d fallbacks taken\n",
+		fmt.Fprintf(os.Stderr, "chaos: %d mutants measured, %d fallbacks taken\n",
 			st.FaultsInjected, st.Fallbacks)
 	}
 	return nil

@@ -19,10 +19,11 @@
 // internal/oracle/testdata/corpus) and exits nonzero; with -shrink the
 // reproducer is first minimized.
 //
-// With -chaos, a deterministic fault schedule (seeded by -chaos-seed) is
-// injected into every multi-threaded run and the pass/fail sense inverts
-// into a detector check: a destructive fault the oracle does NOT report is
-// the failure. Benign classes (stall-thread, shrink-queue) must instead be
+// With -chaos, a deterministic fault (seeded by -chaos-seed) is armed on
+// every compiled program — a destructive class checks the program's mutant,
+// one edit at an executed communication site, in its place — and the
+// pass/fail sense inverts into a detector check: a destructive fault the
+// oracle does NOT report is the failure. Benign classes (stall-thread, shrink-queue) must instead be
 // tolerated. -fail-fast stops at the first unexpected program.
 package main
 
@@ -48,8 +49,8 @@ func run() error {
 	workload := flag.String("workload", "", "check a benchmark workload instead of random programs (a name, or 'all')")
 	replay := flag.String("replay", "", "re-run a reproducer file (oracle corpus format); its replay directive pins the matrix cell")
 	nosim := flag.Bool("nosim", false, "skip the cycle-level simulator cross-check")
-	chaos := flag.String("chaos", "", "inject this fault class into every run and check the oracle detects it")
-	chaosSeed := flag.Int64("chaos-seed", 1, "deterministic fault-schedule seed (same seed = same schedule)")
+	chaos := flag.String("chaos", "", "arm this fault class on every program and check the oracle detects it")
+	chaosSeed := flag.Int64("chaos-seed", 1, "deterministic fault seed (same seed = same mutant)")
 	failFast := flag.Bool("fail-fast", false, "stop at the first failing (or, with -chaos, undetected) program")
 	flag.Parse()
 
@@ -65,7 +66,7 @@ func run() error {
 		}
 		chaosClass = cls
 		opts.Inject = &fault.Spec{Class: cls, Seed: *chaosSeed}
-		// Injected deadlocks should fail fast, not burn the sim budget.
+		// A mutant's deadlock should fail fast, not burn the sim budget.
 		opts.SimStallLimit = 50_000
 	}
 
@@ -102,7 +103,7 @@ func run() error {
 		if chaosClass != "" {
 			if chaosClass.Judge(rep.Injected, rep.Ok()) != fault.VerdictOK {
 				fail++
-				fmt.Printf("UNEXPECTED %s: class %s injected %d faults, failures %v\n",
+				fmt.Printf("UNEXPECTED %s: class %s changed %d programs, failures %v\n",
 					c.Name, chaosClass, rep.Injected, rep.Failures)
 				if *failFast {
 					break
@@ -131,7 +132,7 @@ func run() error {
 		}
 	}
 	if chaosClass != "" {
-		fmt.Printf("chaos %s seed %d: checked %d programs (%d runs, %d faults injected): %d undetected\n",
+		fmt.Printf("chaos %s seed %d: checked %d programs (%d runs, %d faulted programs): %d undetected\n",
 			chaosClass, *chaosSeed, *n, runs, injected, fail)
 	} else {
 		fmt.Printf("checked %d programs (%d compiled configurations, %d executor runs): %d failing\n",

@@ -35,9 +35,6 @@ const (
 	QueueFull
 	// Branch: front-end bubble after a mispredicted branch.
 	Branch
-	// Fault: an injected stall froze the core (fault injection runs only;
-	// always zero on clean runs).
-	Fault
 	// Idle: the core finished its thread before the end of the run.
 	Idle
 
@@ -47,7 +44,7 @@ const (
 
 var bucketNames = [NumBuckets]string{
 	"issue", "dep-stall", "memory", "comms-latency",
-	"queue-empty", "queue-full", "branch", "fault", "idle",
+	"queue-empty", "queue-full", "branch", "idle",
 }
 
 // String returns the bucket's report name.

@@ -15,11 +15,11 @@ import (
 const (
 	// ChaosDetected: the oracle reported at least one named failure kind.
 	ChaosDetected = "detected"
-	// ChaosTolerated: faults were injected and every check passed — the
-	// run completed with correct live-outs and intact invariants.
+	// ChaosTolerated: the fault was injected and every check passed —
+	// the run completed with correct live-outs and intact invariants.
 	ChaosTolerated = "tolerated"
-	// ChaosNotInjected: the schedule never fired (e.g. swap-queue on a
-	// single-queue program); the cell is vacuous.
+	// ChaosNotInjected: the fault had nowhere to go (e.g. swap-queue on a
+	// single-queue program, shrink-queue at depth 1); the cell is vacuous.
 	ChaosNotInjected = "not-injected"
 )
 
@@ -34,11 +34,12 @@ type ChaosCell struct {
 	// Kinds lists the distinct oracle failure kinds observed, in first-
 	// occurrence order (empty unless Outcome is ChaosDetected).
 	Kinds []string
-	// Injected counts faults injected across the cell's executor runs.
+	// Injected is 1 when the fault changed the cell's program or its
+	// runs, 0 when it had nowhere to go.
 	Injected int64
-	// Schedule is the deterministic fault schedule of the cell's first
-	// run (or the plan mutation for misplan) — byte-identical across runs
-	// with the same seed.
+	// Schedule describes the change (the mutant's edit, the shrunk
+	// capacity, the stall window) — byte-identical across runs with the
+	// same seed.
 	Schedule string
 	// Detail is the first failure line (detected cells only).
 	Detail string
@@ -46,8 +47,8 @@ type ChaosCell struct {
 
 // Expected reports whether the cell met its fault class's contract
 // (fault.Class.Judge): destructive classes (and the mis-specified plan)
-// must be detected, benign classes tolerated, and a cell whose schedule
-// never fired must be clean.
+// must be detected, benign classes tolerated, and a cell whose fault had
+// nowhere to go must be clean.
 func (c ChaosCell) Expected() bool {
 	return c.Class.Judge(c.Injected, c.Outcome != ChaosDetected) == fault.VerdictOK
 }
@@ -64,8 +65,9 @@ func ChaosOK(cells []ChaosCell) bool {
 
 // CoverageMatrix runs the detector-coverage matrix — mutation testing for
 // the runtime's guardrails: every (workload × partitioner × fault class)
-// cell injects one deterministic fault schedule into the cell's naive
-// program and pushes it through the differential oracle on the train
+// cell arms one deterministic fault on the cell's naive program — for a
+// destructive class, one edit at a communication site the train input
+// executes — and pushes it through the differential oracle on the train
 // input. The returned cells are in a fixed order (partitioner-major, then
 // workload, then fault.Classes() order) and are deterministic at any Jobs
 // setting: the same seed yields byte-identical rendered reports.
@@ -112,25 +114,12 @@ func (e *Engine) chaosCell(ctx context.Context, c cell, cls fault.Class, seed in
 		MaxSteps:      e.budget.MeasureSteps,
 		SimCycles:     e.budget.SimCycles,
 		SimStallLimit: 50_000,
+		Inject:        &fault.Spec{Class: cls, Seed: seed},
 	}
 	rep := &oracle.Report{}
 	label := fmt.Sprintf("%s/chaos=%s", c.part.Name(), cls)
-	if cls == fault.MisplacePlan {
-		mut, desc, ok, err := oracle.Misplanned(p.Naive, seed)
-		if err != nil {
-			return out, fmt.Errorf("exp: chaos misplan on %s/%s: %w", c.w.Name, c.part.Name(), err)
-		}
-		if !ok {
-			out.Outcome = ChaosNotInjected
-			return out, nil
-		}
-		out.Injected, out.Schedule = 1, desc
-		oracle.CheckProgram(rep, c.w.Name, golden, label, mut, train.Args, train.Mem, opts)
-	} else {
-		opts.Inject = &fault.Spec{Class: cls, Seed: seed}
-		oracle.CheckProgram(rep, c.w.Name, golden, label, p.Naive, train.Args, train.Mem, opts)
-		out.Injected, out.Schedule = rep.Injected, rep.FaultSchedule
-	}
+	oracle.CheckProgram(rep, c.w.Name, golden, label, p.Naive, train.Args, train.Mem, opts)
+	out.Injected, out.Schedule = rep.Injected, rep.FaultSchedule
 	e.noteInjected(out.Injected)
 	switch {
 	case len(rep.Failures) > 0:

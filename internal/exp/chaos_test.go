@@ -126,10 +126,10 @@ func TestChaosCellExpected(t *testing.T) {
 		cell ChaosCell
 		want bool
 	}{
-		{ChaosCell{Class: fault.DropProduce, Outcome: ChaosDetected, Injected: 3}, true},
-		{ChaosCell{Class: fault.DropProduce, Outcome: ChaosTolerated, Injected: 3}, false},
-		{ChaosCell{Class: fault.StallThread, Outcome: ChaosTolerated, Injected: 3}, true},
-		{ChaosCell{Class: fault.StallThread, Outcome: ChaosDetected, Injected: 3}, false},
+		{ChaosCell{Class: fault.DropProduce, Outcome: ChaosDetected, Injected: 1}, true},
+		{ChaosCell{Class: fault.DropProduce, Outcome: ChaosTolerated, Injected: 1}, false},
+		{ChaosCell{Class: fault.StallThread, Outcome: ChaosTolerated, Injected: 1}, true},
+		{ChaosCell{Class: fault.StallThread, Outcome: ChaosDetected, Injected: 1}, false},
 		{ChaosCell{Class: fault.ShrinkQueue, Outcome: ChaosTolerated, Injected: 1}, true},
 		{ChaosCell{Class: fault.SwapQueue, Outcome: ChaosNotInjected}, true},
 		{ChaosCell{Class: fault.MisplacePlan, Outcome: ChaosDetected, Injected: 1}, true},

@@ -35,10 +35,12 @@ type EngineOptions struct {
 	// phase is recorded exactly once per engine regardless of Jobs, so
 	// the written trace is identical at any worker-pool size.
 	Obs *Obs
-	// Chaos, when non-nil, arms deterministic fault injection on every
-	// measurement run (a fresh injector per run, so the fault schedule is
-	// identical at any Jobs setting). Injections are counted in Stats and
-	// the "fault.injected" metrics counter.
+	// Chaos, when non-nil, arms a destructive fault on every measurement:
+	// each attempt measures its programs' mutants (fault.Mutate over the
+	// workload's reference run) in their place, the same mutants at any
+	// Jobs setting. A benign class changes no program, and so nothing.
+	// Mutants are counted in Stats and the "fault.injected" metrics
+	// counter.
 	Chaos *fault.Spec
 	// Degrade enables the graceful-degradation chain: a matrix cell whose
 	// pipeline or measurement fails falls back requested partitioner →
@@ -169,7 +171,8 @@ type EngineStats struct {
 	ProfileRuns int64 // train-input interpreter passes
 	PDGBuilds   int64 // PDG constructions
 	// Fallbacks counts degradation-chain steps taken (stages fallen back
-	// from); FaultsInjected counts injected faults across all runs.
+	// from); FaultsInjected counts the mutants measured and the chaos
+	// cells the fault changed.
 	Fallbacks      int64
 	FaultsInjected int64
 }
@@ -321,10 +324,10 @@ func (e *Engine) commCell(ctx context.Context, c cell, sp *obs.Span) (CommRow, e
 	row := CommRow{Workload: c.w.Name, Partitioner: c.part.Name()}
 	var err error
 	row.Naive, row.Coco, row.Fallback, err = chain(ctx, e, c, sp, "measure",
-		func(p *Pipeline, prog *mtcg.Program, msp *obs.Span) (interp.CommStats, int64, error) {
-			st, injected, err := p.measureCommInjected(ctx, prog, e.chaos, msp)
+		func(p *Pipeline, run, prog *mtcg.Program, msp *obs.Span) (interp.CommStats, error) {
+			st, err := p.measureComm(ctx, run, prog)
 			msp.SetInt("compute", st.Compute).SetInt("produce", st.Produce)
-			return st, injected, err
+			return st, err
 		},
 		func() (interp.CommStats, error) { return e.singleThreadedComm(ctx, c.w) })
 	return row, err
@@ -343,7 +346,7 @@ func (e *Engine) SpeedupExperiment(ctx context.Context, cfg sim.Config, ws []*wo
 
 // speedupCell simulates one matrix cell; its last resort is the
 // single-threaded baseline itself (speedup 1.0x). With chaos armed the
-// no-progress watchdog is lowered so an injected deadlock fails in bounded
+// no-progress watchdog is lowered so a mutant's deadlock fails in bounded
 // time.
 func (e *Engine) speedupCell(ctx context.Context, cfg sim.Config, c cell, sp *obs.Span) (SpeedupRow, error) {
 	row := SpeedupRow{Workload: c.w.Name, Partitioner: c.part.Name()}
@@ -356,23 +359,23 @@ func (e *Engine) speedupCell(ctx context.Context, cfg sim.Config, c cell, sp *ob
 	}
 	row.STCycles = st
 	row.NaiveCycles, row.CocoCycles, row.Fallback, err = chain(ctx, e, c, sp, "simulate",
-		func(p *Pipeline, prog *mtcg.Program, msp *obs.Span) (int64, int64, error) {
+		func(p *Pipeline, run, prog *mtcg.Program, msp *obs.Span) (int64, error) {
 			mtCfg := p.Machine(cfg)
 			if e.chaos != nil {
 				mtCfg.StallLimit = 100_000
 			}
-			cycles, injected, err := p.measureCyclesInjected(mtCfg, prog, e.chaos, msp)
+			cycles, err := p.measureCycles(mtCfg, run, prog, msp)
 			msp.SetInt("cycles", cycles)
-			return cycles, injected, err
+			return cycles, err
 		},
 		func() (int64, error) { return st, nil })
 	return row, err
 }
 
-// measureFunc measures one generated program of a built pipeline, stamps
-// what it measured on msp, and reports how many faults the run injected —
-// even when the run fails.
-type measureFunc[T any] func(p *Pipeline, prog *mtcg.Program, msp *obs.Span) (T, int64, error)
+// measureFunc measures run — one generated program prog of a built
+// pipeline, or prog's mutant when chaos is armed — and stamps what it
+// measured on msp.
+type measureFunc[T any] func(p *Pipeline, run, prog *mtcg.Program, msp *obs.Span) (T, error)
 
 // chain measures cell c with the degradation policy every cell kind
 // shares: the requested partitioner and, when Degrade is on, the alternate
@@ -445,13 +448,33 @@ func attempt[T any](ctx context.Context, e *Engine, w *workloads.Workload, part 
 	for i, prog := range [2]*mtcg.Program{p.Naive, p.Coco} {
 		label, _ := p.progLabel(prog)
 		msp := sp.Child(stage + "-" + label)
-		v, injected, err := measure(p, prog, msp)
-		e.noteInjected(injected)
+		run, err := e.armed(ctx, p, prog)
+		if err == nil {
+			out[i], err = measure(p, run, prog, msp)
+		}
 		msp.Finish()
 		if err != nil {
 			return naive, opt, stageError(stage, w, part, err)
 		}
-		out[i] = v
 	}
 	return out[0], out[1], nil
+}
+
+// armed returns the program a measurement of prog runs: prog itself, or,
+// with chaos armed, its mutant over the workload's reference run, when the
+// fault has somewhere to go there.
+func (e *Engine) armed(ctx context.Context, p *Pipeline, prog *mtcg.Program) (*mtcg.Program, error) {
+	if e.chaos == nil {
+		return prog, nil
+	}
+	ref, err := p.reference(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("exp: measuring %s/%s: %w", p.W.Name, p.Part.Name(), err)
+	}
+	mut, _, ok, err := fault.Mutate(prog, ref.profile, *e.chaos)
+	if !ok || err != nil {
+		return prog, err
+	}
+	e.noteInjected(1)
+	return mut, nil
 }

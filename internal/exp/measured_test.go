@@ -260,8 +260,9 @@ func TestCountedStepLimit(t *testing.T) {
 }
 
 // TestObservedAndInjectedRunsAreNotShared: a pipeline with an observer
-// runs both programs in full — both leave their metrics — and so does a
-// run with a fault spec armed, whatever becomes of it.
+// runs both programs in full — both leave their metrics — and a mutant,
+// which records no Origins, is run, never counted, whatever becomes of it,
+// and has no twin to share a result with.
 func TestObservedAndInjectedRunsAreNotShared(t *testing.T) {
 	w := kernel(t, "mpeg2enc")
 	o := &Obs{Metrics: obs.NewRegistry()}
@@ -291,17 +292,24 @@ func TestObservedAndInjectedRunsAreNotShared(t *testing.T) {
 	}
 
 	p = buildPipeline(t, w, 0)
-	spec := &fault.Spec{Class: fault.StallThread, Seed: 3}
+	ref, err := p.reference(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := p.Machine(sim.DefaultConfig())
 	for _, prog := range []*mtcg.Program{p.Naive, p.Coco} {
-		p.measureCommInjected(ctx, prog, spec, nil)
-		p.measureCyclesInjected(cfg, prog, spec, nil)
+		mut, _, ok, err := fault.Mutate(prog, ref.profile, fault.Spec{Class: fault.DropProduce, Seed: 3})
+		if !ok || err != nil {
+			t.Fatalf("no drop mutant: ok=%v err=%v", ok, err)
+		}
+		p.MeasureComm(mut)
+		p.MeasureCycles(cfg, mut)
 	}
 	if got := p.plain.executed.Load(); got != 4 {
-		t.Errorf("%d executor runs with a fault spec armed, want 4", got)
+		t.Errorf("%d executor runs of mutants, want 4", got)
 	}
 	if len(p.plain.cycles) != 0 {
-		t.Errorf("injected runs left %d results on record", len(p.plain.cycles))
+		t.Errorf("mutant runs left %d results on record", len(p.plain.cycles))
 	}
 }
 

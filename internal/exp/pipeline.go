@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/budget"
 	"repro/internal/coco"
-	"repro/internal/fault"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/mtcg"
@@ -116,11 +115,11 @@ func referenceRun(ctx context.Context, m *memo[*reference], w *workloads.Workloa
 }
 
 // measured is a pipeline's record of its plain simulations. A simulation
-// that is neither observed nor injected is a function of code, input and
-// machine, and a pipeline fixes the input: where Coco is the same code as
-// Naive (COCO found nothing to move) the simulation of one is the
-// simulation of the other, and the second call reads it instead of running
-// the simulator again. Results are filed under the program that ran and
+// that is not observed is a function of code, input and machine, and a
+// pipeline fixes the input: where Coco is the same code as Naive (COCO
+// found nothing to move) the simulation of one is the simulation of the
+// other, and the second call reads it instead of running the simulator
+// again. Results are filed under the program that ran and
 // only the other program reads them: a program whose twin has not run is
 // run each time it is simulated. The zero value is ready: a Pipeline built
 // as a literal is treated as one an Engine built, with a reference run of
@@ -144,10 +143,10 @@ type plainRun struct {
 }
 
 // twin returns the pipeline's other program when prog is one of an
-// identical Naive/Coco pair and the run is plain — no observer, no armed
-// fault spec — and nil otherwise. The comparison is made once per pipeline,
-// on first use.
-func (p *Pipeline) twin(prog *mtcg.Program, spec *fault.Spec) *mtcg.Program {
+// identical Naive/Coco pair and the run is plain — no observer — and nil
+// otherwise (a mutant of either has no twin). The comparison is made once
+// per pipeline, on first use.
+func (p *Pipeline) twin(prog *mtcg.Program) *mtcg.Program {
 	var other *mtcg.Program
 	switch prog {
 	case p.Naive:
@@ -155,7 +154,7 @@ func (p *Pipeline) twin(prog *mtcg.Program, spec *fault.Spec) *mtcg.Program {
 	case p.Coco:
 		other = p.Naive
 	}
-	if other == nil || other == prog || p.o != nil || spec != nil {
+	if other == nil || other == prog || p.o != nil {
 		return nil
 	}
 	m := &p.plain
@@ -292,29 +291,24 @@ func buildFromArtifact(ctx context.Context, w *workloads.Workload, part partitio
 }
 
 // MeasureComm returns a generated program's dynamic instruction statistics
-// on the reference input. A plain measurement — no observer, no fault
-// spec — runs no program: it counts them from the program's placement over
-// the workload's reference run (mtcg.Program.Counts), and fails with
-// interp.ErrStepLimit, as the run would, when they exceed the MeasureSteps
-// budget.
+// on the reference input. MTCG's own output measured without an observer
+// runs no program: its counts come from its placement over the workload's
+// reference run (mtcg.Program.Counts), failing with interp.ErrStepLimit,
+// as the run would, when they exceed the MeasureSteps budget. A program
+// that records no Origins (a fault.Mutate mutant), or any program of an
+// observed pipeline, runs on the counting interpreter.
 func (p *Pipeline) MeasureComm(prog *mtcg.Program) (interp.CommStats, error) {
-	st, _, err := p.measureCommInjected(context.Background(), prog, nil, nil)
-	return st, err
+	return p.measureComm(context.Background(), prog, prog)
 }
 
-// measureCommInjected is MeasureComm with an optional armed fault spec. A
-// run with a spec armed, or with an observer attached, executes the
-// program on the counting interpreter: a fresh injector is built per run
-// (same spec ⇒ same deterministic fault schedule) and the number of faults
-// actually injected is returned even when the run fails — a chaos run that
-// dies of an injected deadlock still reports its injections. msp is the
-// caller's span for this measurement (nil for none).
-func (p *Pipeline) measureCommInjected(ctx context.Context, prog *mtcg.Program, spec *fault.Spec, msp *obs.Span) (interp.CommStats, int64, error) {
-	if p.o == nil && spec == nil {
-		st, err := p.countComm(ctx, prog)
-		return st, 0, err
+// measureComm is MeasureComm under ctx. as is the program the run is
+// labeled after in the observer's sinks: prog itself, or the program prog
+// is a mutant of.
+func (p *Pipeline) measureComm(ctx context.Context, prog, as *mtcg.Program) (interp.CommStats, error) {
+	if p.o == nil && prog.Origins != nil {
+		return p.countComm(ctx, prog)
 	}
-	label, bit := p.progLabel(prog)
+	label, bit := p.progLabel(as)
 	in := p.W.Ref()
 	cfg := interp.MTConfig{
 		Threads:   prog.Threads,
@@ -326,9 +320,6 @@ func (p *Pipeline) measureCommInjected(ctx context.Context, prog *mtcg.Program, 
 		MaxSteps:  p.measureBudget().MeasureSteps,
 		Ctx:       ctx,
 	}
-	if spec != nil {
-		cfg.Inject = spec.New()
-	}
 	if p.o != nil {
 		cfg.Metrics = p.o.partScope(p.W.Name, p.Part.Name()).Child(label + ".interp")
 		cfg.Trace = p.o.interpLane(p.W.Name, p.Part.Name(), label, bit)
@@ -336,23 +327,28 @@ func (p *Pipeline) measureCommInjected(ctx context.Context, prog *mtcg.Program, 
 	p.plain.executed.Add(1)
 	mt, err := interp.RunMT(cfg)
 	if err != nil {
-		return interp.CommStats{}, cfg.Inject.Count(),
-			fmt.Errorf("exp: measuring %s/%s: %w", p.W.Name, p.Part.Name(), err)
+		return interp.CommStats{}, fmt.Errorf("exp: measuring %s/%s: %w", p.W.Name, p.Part.Name(), err)
 	}
 	p.o.partLane(p.W.Name, p.Part.Name()).Span("measure-"+label, "measure",
 		mt.Steps, obs.A("steps", mt.Steps))
-	return mt.Stats, cfg.Inject.Count(), nil
+	return mt.Stats, nil
+}
+
+// reference returns the workload's reference run, made on first use within
+// the MeasureSteps budget.
+func (p *Pipeline) reference(ctx context.Context) (*reference, error) {
+	m := p.ref
+	if m == nil {
+		m = &p.plain.ref
+	}
+	return referenceRun(ctx, m, p.W, p.measureBudget().MeasureSteps)
 }
 
 // countComm is a plain communication measurement: prog's placement counted
 // over the reference run's edge profile.
 func (p *Pipeline) countComm(ctx context.Context, prog *mtcg.Program) (interp.CommStats, error) {
 	steps := p.measureBudget().MeasureSteps
-	m := p.ref
-	if m == nil {
-		m = &p.plain.ref
-	}
-	ref, err := referenceRun(ctx, m, p.W, steps)
+	ref, err := p.reference(ctx)
 	if err != nil {
 		return interp.CommStats{}, fmt.Errorf("exp: measuring %s/%s: %w", p.W.Name, p.Part.Name(), err)
 	}
@@ -382,35 +378,28 @@ func (p *Pipeline) Machine(cfg sim.Config) sim.Config {
 // measured). The machine is taken as given; callers modeling
 // the paper's per-partitioner queue depths wrap cfg with Machine first.
 func (p *Pipeline) MeasureCycles(cfg sim.Config, prog *mtcg.Program) (int64, error) {
-	cycles, _, err := p.measureCyclesInjected(cfg, prog, nil, nil)
-	return cycles, err
+	return p.measureCycles(cfg, prog, prog, nil)
 }
 
-// measureCyclesInjected is MeasureCycles with an optional armed fault spec
-// (fresh deterministic injector per run) and the caller's span, as
-// measureCommInjected; it also returns the number of faults injected, even
-// when the simulation fails.
-func (p *Pipeline) measureCyclesInjected(cfg sim.Config, prog *mtcg.Program, spec *fault.Spec, msp *obs.Span) (int64, int64, error) {
-	label, bit := p.progLabel(prog)
-	twin, run := p.twin(prog, spec), plainRun{prog: prog, cfg: cfg}
+// measureCycles is MeasureCycles labeled after as, as measureComm, with
+// the caller's span msp (nil for none).
+func (p *Pipeline) measureCycles(cfg sim.Config, prog, as *mtcg.Program, msp *obs.Span) (int64, error) {
+	label, bit := p.progLabel(as)
+	twin, run := p.twin(prog), plainRun{prog: prog, cfg: cfg}
 	if c, ok := p.twinCycles(twin, run, msp); ok {
-		return c, 0, nil
+		return c, nil
 	}
 	in := p.W.Ref()
 	ob := p.o.simObserver(p.W.Name, p.Part.Name(), label, bit)
-	var inj *fault.Injector
-	if spec != nil {
-		inj = spec.New()
-	}
 	p.plain.executed.Add(1)
-	res, err := sim.RunInjected(cfg, prog.Threads, in.Args, in.Mem, p.measureBudget().SimCycles, ob, inj)
+	res, err := sim.RunObserved(cfg, prog.Threads, in.Args, in.Mem, p.measureBudget().SimCycles, ob)
 	if err != nil {
-		return 0, inj.Count(), fmt.Errorf("exp: simulating %s/%s: %w", p.W.Name, p.Part.Name(), err)
+		return 0, fmt.Errorf("exp: simulating %s/%s: %w", p.W.Name, p.Part.Name(), err)
 	}
 	p.o.partLane(p.W.Name, p.Part.Name()).Span("simulate-"+label, "measure",
 		res.Cycles, obs.A("cycles", res.Cycles))
 	p.record(twin, run, res.Cycles)
-	return res.Cycles, inj.Count(), nil
+	return res.Cycles, nil
 }
 
 // measureBudget returns the pipeline's budget, defaulting for pipelines

@@ -1,69 +1,76 @@
-// Package fault is the deterministic fault-injection layer of the runtime.
-// It exists to prove the system's detectors — ir.Verify, the oracle's
-// invariant checks, interp.ErrDeadlock, the differential comparison against
-// the single-threaded golden run — actually catch the fault classes they
-// claim to, the same way mutation testing proves a test suite catches
-// mutants.
+// Package fault is the deterministic fault layer of the runtime. It exists
+// to prove the system's detectors — ir.Verify, the oracle's invariant
+// checks, interp.ErrDeadlock, the differential comparison against the
+// single-threaded golden run — actually catch the fault classes they claim
+// to, the same way mutation testing proves a test suite catches mutants.
 //
-// Everything here is seeded and replayable: an Injector's decisions are a
-// pure function of its Spec and the sequence of injection opportunities the
-// runtime presents, and the runtimes themselves are deterministic, so the
-// same seed produces the same fault schedule, byte for byte, on every run.
-// No wall-clock time and no global randomness are ever consulted.
+// In MTCG, inter-thread communication is a set of instructions in the
+// generated program (produce, consume and their .sync forms), so a
+// communication fault is an edit of that program. Mutate expresses each
+// destructive class as one seeded edit at one produce or consume site,
+// decided before anything runs; the executors run the mutant like any
+// other program and know nothing of faults. The two benign classes need no
+// edit: ShrinkQueue is the halved capacity Spec.QueueCap returns, and
+// StallThread is the scheduler wrapper Spec.Sched returns.
+//
+// Everything here is seeded and replayable: a mutant, a capacity and a
+// stall window are pure functions of the Spec and the program, and the
+// runtimes themselves are deterministic, so the same seed produces the same
+// faulty run, byte for byte, every time. No wall-clock time and no global
+// randomness are ever consulted.
 //
 // What this package shares with the filesystem injector (vfs.Faulty) is the
-// seeded machinery — Splitmix, ClassSalt and the Cadence both embed. The
+// seeded machinery — Splitmix, ClassSalt and the Cadence it embeds. The
 // class tables and report formats stay apart on purpose: queue faults are
-// judged by the oracle per run (Class.Judge, Event schedules), filesystem
-// faults by the cache's recovery scan, and neither vocabulary fits the other.
-//
-// The runtime classes are intercepted at the synchronization-array hooks of
-// the multi-threaded interpreter (interp.MTConfig.Inject) and the
-// cycle-level simulator (sim.RunInjected); MisplacePlan is a compile-time
-// fault that corrupts a generated program's queue ownership before it runs.
+// judged by the oracle per program (Class.Judge), filesystem faults by the
+// cache's recovery scan, and neither vocabulary fits the other.
 package fault
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
+	"repro/internal/interp"
 	"repro/internal/ir"
+	"repro/internal/mtcg"
 )
 
 // Class names one fault class.
 type Class string
 
 const (
-	// DropProduce models a lost synchronization-array write: the produce
-	// instruction issues and is accounted, but the value never lands in
-	// the queue. Expected detection: deadlock (the consumer starves) or a
-	// queue-ownership/traffic invariant violation.
+	// DropProduce models a lost synchronization-array write: one produce
+	// is deleted from the program. Expected detection: deadlock (the
+	// consumer starves) or a queue-balance violation.
 	DropProduce Class = "drop-produce"
-	// DupProduce models a doubled SA write: one produce enqueues its value
-	// twice. Expected detection: live-out mismatch (the value stream
-	// shifts) or a queue-balance violation.
+	// DupProduce models a doubled SA write: one produce is duplicated in
+	// place. Expected detection: live-out mismatch (the value stream
+	// shifts), a queue-balance violation, or deadlock.
 	DupProduce Class = "dup-produce"
-	// CorruptValue models a bit-flipped data value in flight: the enqueued
-	// value is XORed with a seed-derived mask. Sync tokens (whose value is
-	// ignored) are never corrupted — that would be undetectable by
-	// construction. Expected detection: live-out or memory mismatch.
+	// CorruptValue models a bit-flipped data value in flight: one data
+	// produce sends its value XORed with a seed-derived mask through a new
+	// register. Sync tokens (whose value is ignored) are never corrupted —
+	// that would be undetectable by construction. Expected detection:
+	// live-out or memory mismatch.
 	CorruptValue Class = "corrupt-value"
-	// SwapQueue models a mis-addressed SA write: a produce lands in a
-	// different queue. Expected detection: deadlock or an ownership
-	// violation. Vacuous on single-queue programs.
+	// SwapQueue models a mis-addressed SA write: one produce names a
+	// different queue. Expected detection: deadlock or an ownership or
+	// balance violation. Vacuous on single-queue programs.
 	SwapQueue Class = "swap-queue"
-	// StallThread freezes one thread (core) for a bounded window. It is
-	// semantics-preserving — a correct MTCG program is schedule
-	// independent — so the run must complete with correct results.
+	// StallThread defers one thread for a bounded window of scheduler
+	// picks. It is semantics-preserving — a correct MTCG program is
+	// schedule independent — so the run must complete with correct
+	// results.
 	StallThread Class = "stall-thread"
 	// ShrinkQueue halves the synchronization-array queue capacity (never
 	// below one entry). Also semantics-preserving: MTCG correctness holds
 	// at every capacity >= 1. Vacuous when the capacity is already 1.
 	ShrinkQueue Class = "shrink-queue"
-	// MisplacePlan is the compile-time fault: a generated program's queue
-	// ownership is corrupted (one consume rewired to the wrong queue), the
-	// "mis-specified plan" case. Expected detection: the oracle's queue
-	// ownership check, before a single instruction runs.
+	// MisplacePlan is the mis-specified plan: one consume is rewired to
+	// the wrong queue. Expected detection: the oracle's queue ownership
+	// check before a single instruction runs, or a balance violation or
+	// deadlock when the rewired queue has the same owners.
 	MisplacePlan Class = "misplan"
 )
 
@@ -71,13 +78,6 @@ const (
 func Classes() []Class {
 	return []Class{DropProduce, DupProduce, CorruptValue, SwapQueue,
 		StallThread, ShrinkQueue, MisplacePlan}
-}
-
-// RuntimeClasses returns the classes injected through runtime hooks
-// (everything except the compile-time MisplacePlan).
-func RuntimeClasses() []Class {
-	return []Class{DropProduce, DupProduce, CorruptValue, SwapQueue,
-		StallThread, ShrinkQueue}
 }
 
 // Benign reports whether the class preserves program semantics: a correct
@@ -93,17 +93,18 @@ const (
 	// VerdictOK: the contract held.
 	VerdictOK Verdict = iota
 	// VerdictMismatch: the run reported failures although no destructive
-	// fault fired — nothing excuses them.
+	// fault was injected — nothing excuses them.
 	VerdictMismatch
-	// VerdictUndetected: a destructive fault fired and every check passed.
+	// VerdictUndetected: a destructive fault was injected and every check
+	// passed.
 	VerdictUndetected
 )
 
 // Judge applies the detector contract to a run that injected the given
 // number of faults and was clean (no check failed) or not: a destructive
-// fault that fired must be detected; a benign one, or a schedule that never
-// fired, must leave the run clean. The empty class — a fault-free run —
-// injects nothing and so must be clean.
+// fault that was injected must be detected; a benign one, or one with
+// nowhere to go, must leave the run clean. The empty class — a fault-free
+// run — injects nothing and so must be clean.
 func (c Class) Judge(injected int64, clean bool) Verdict {
 	switch {
 	case injected > 0 && !c.Benign():
@@ -131,10 +132,9 @@ func ParseClass(s string) (Class, error) {
 	return "", fmt.Errorf("fault: unknown class %q (want one of %s)", s, strings.Join(names, ", "))
 }
 
-// Spec names a fault schedule: a class plus the seed that parameterizes
-// where it fires. A Spec is immutable and comparable; each executor run
-// instantiates its own stateful Injector with New, so concurrent runs never
-// share mutable state and every run sees the same schedule.
+// Spec names a fault: a class plus the seed that decides where it lands. A
+// Spec is immutable and comparable. The zero Spec is no fault: Mutate finds
+// nothing to edit, QueueCap and Sched change nothing.
 type Spec struct {
 	Class Class
 	Seed  int64
@@ -143,26 +143,8 @@ type Spec struct {
 // String renders the spec for reports and reproducer labels.
 func (s Spec) String() string { return fmt.Sprintf("%s(seed=%d)", s.Class, s.Seed) }
 
-// New instantiates a fresh injector for one executor run.
-func (s Spec) New() *Injector {
-	i := &Injector{spec: s}
-	h := Splitmix(uint64(s.Seed) ^ ClassSalt(string(s.Class)))
-	// First opportunity to fire, and the refire period. Both are small
-	// enough that any realistic run presents an opportunity, and the
-	// period is large enough that runs are perturbed, not buried.
-	i.Offset = int64(h%29) + 1
-	h = Splitmix(h)
-	i.Period = int64(h%389) + 97
-	h = Splitmix(h)
-	// Nonzero corruption mask; flips low and high bits so both integer
-	// and reinterpreted float values change materially.
-	i.mask = int64(h) | 1
-	h = Splitmix(h)
-	i.stallLen = int64(h%193) + 64
-	h = Splitmix(h)
-	i.pickSalt = h
-	return i
-}
+// hash is the spec's first seeded draw; later draws Splitmix it onward.
+func (s Spec) hash() uint64 { return Splitmix(uint64(s.Seed) ^ ClassSalt(string(s.Class))) }
 
 // ClassSalt decorrelates schedules across classes under one seed (FNV-1a
 // over the class name). Shared by every seeded injector (fault, vfs).
@@ -186,8 +168,8 @@ func Splitmix(x uint64) uint64 {
 }
 
 // Cadence is the periodic firing pattern of a seeded injector: opportunity
-// Offset fires, and every Period-th after it. Injector and vfs.Faulty embed
-// it and draw the two numbers from their own seed.
+// Offset fires, and every Period-th after it. vfs.Faulty embeds it and
+// draws the two numbers from its own seed.
 type Cadence struct {
 	Offset, Period int64
 }
@@ -197,228 +179,277 @@ func (c Cadence) Fires(n int64) bool {
 	return n >= c.Offset && (n-c.Offset)%c.Period == 0
 }
 
-// Event is one injected fault, recorded for the schedule report.
-type Event struct {
-	// N is the injection opportunity index the fault fired at (the n-th
-	// produce, pick, ... presented to the injector).
-	N int64
-	// Where is the thread or core the fault applied to (-1 when not
-	// thread-specific).
-	Where int
-	// Queue is the queue affected (-1 when not queue-specific).
-	Queue int
-	// Detail describes the concrete mutation.
-	Detail string
-}
-
-// String renders the event on one line.
-func (e Event) String() string {
-	s := fmt.Sprintf("@%d", e.N)
-	if e.Where >= 0 {
-		s += fmt.Sprintf(" t%d", e.Where)
-	}
-	if e.Queue >= 0 {
-		s += fmt.Sprintf(" q%d", e.Queue)
-	}
-	return s + " " + e.Detail
-}
-
-// maxRecorded bounds the event log; injections past the cap still happen
-// and still count, they just stop accumulating log entries.
-const maxRecorded = 64
-
-// Injector is one run's stateful fault schedule. It is used by a single
-// executor run and is not safe for concurrent use — exactly like a
-// Scheduler. The runtimes call the hook methods below at each injection
-// opportunity; the injector decides deterministically whether to fire.
-type Injector struct {
-	spec Spec
-	Cadence
-	mask     int64
-	stallLen int64
-	pickSalt uint64
-
-	produces int64 // produce opportunities seen
-	picks    int64 // scheduler-pick opportunities seen
-
-	stallTarget  int // frozen thread, chosen on first pick
-	stallStarted bool
-	stallLeft    int64
-
-	count  int64
-	events []Event
-}
-
-// Spec returns the injector's immutable schedule name.
-func (i *Injector) Spec() Spec { return i.spec }
-
-// Count returns how many faults have been injected so far.
-func (i *Injector) Count() int64 {
-	if i == nil {
-		return 0
-	}
-	return i.count
-}
-
-// Schedule renders the fault schedule deterministically, one event per
-// line, for byte-identical reports across runs with the same seed.
-func (i *Injector) Schedule() string {
-	if i == nil || i.count == 0 {
-		return ""
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s: %d injected\n", i.spec, i.count)
-	for _, e := range i.events {
-		fmt.Fprintf(&b, "  %s\n", e)
-	}
-	if extra := i.count - int64(len(i.events)); extra > 0 {
-		fmt.Fprintf(&b, "  ... and %d more\n", extra)
-	}
-	return b.String()
-}
-
-func (i *Injector) record(e Event) {
-	i.count++
-	if len(i.events) < maxRecorded {
-		i.events = append(i.events, e)
-	}
-}
-
-// QueueCap returns the effective queue capacity: halved (never below one)
-// under ShrinkQueue, untouched otherwise. The first effective shrink is
-// recorded once.
-func (i *Injector) QueueCap(cap int) int {
-	if i == nil || i.spec.Class != ShrinkQueue {
+// QueueCap returns the capacity a run under the spec uses in place of cap:
+// halved (never below one) under ShrinkQueue, cap itself otherwise.
+func (s Spec) QueueCap(cap int) int {
+	if s.Class != ShrinkQueue || cap <= 1 {
 		return cap
 	}
-	eff := cap / 2
-	if eff < 1 {
-		eff = 1
-	}
-	if eff != cap && i.count == 0 {
-		i.record(Event{N: 0, Where: -1, Queue: -1,
-			Detail: fmt.Sprintf("queue capacity %d -> %d", cap, eff)})
-	}
-	return eff
+	return cap / 2
 }
 
-// Produce intercepts one enqueue: thread (core) t is producing value v into
-// queue q of a program with numQueues queues; data is true for a value
-// carrying produce (false for a sync token). It returns the queue the
-// value(s) actually land in, the value, and the multiplicity: 0 drops the
-// value, 1 is a faithful enqueue, 2 duplicates it.
-func (i *Injector) Produce(t, q int, v int64, numQueues int, data bool) (int, int64, int) {
-	if i == nil {
-		return q, v, 1
+// Sched returns the scheduler a run of an n-thread program under the spec
+// uses in place of inner: under StallThread, inner wrapped so that one
+// seed-chosen thread is deferred for a bounded window of picks; inner
+// itself otherwise, or when there is no second thread to run instead.
+// Like every Scheduler, the result belongs to one run.
+func (s Spec) Sched(inner interp.Scheduler, n int) interp.Scheduler {
+	if s.Class != StallThread || n < 2 {
+		return inner
 	}
-	switch i.spec.Class {
-	case DropProduce:
-		i.produces++
-		if i.Fires(i.produces) {
-			i.record(Event{N: i.produces, Where: t, Queue: q, Detail: "produce dropped"})
-			return q, v, 0
-		}
-	case DupProduce:
-		i.produces++
-		if i.Fires(i.produces) {
-			i.record(Event{N: i.produces, Where: t, Queue: q, Detail: "produce duplicated"})
-			return q, v, 2
-		}
-	case CorruptValue:
-		if !data {
-			break // corrupting an ignored sync token is undetectable
-		}
-		i.produces++
-		if i.Fires(i.produces) {
-			i.record(Event{N: i.produces, Where: t, Queue: q,
-				Detail: fmt.Sprintf("value %d corrupted to %d", v, v^i.mask)})
-			return q, v ^ i.mask, 1
-		}
-	case SwapQueue:
-		if numQueues < 2 {
-			break // nowhere to misdirect to
-		}
-		i.produces++
-		if i.Fires(i.produces) {
-			to := (q + 1 + int(Splitmix(uint64(i.produces))%uint64(numQueues-1))) % numQueues
-			i.record(Event{N: i.produces, Where: t, Queue: q,
-				Detail: fmt.Sprintf("produce misdirected to q%d", to)})
-			return to, v, 1
-		}
-	}
-	return q, v, 1
+	st := s.stall(n)
+	st.inner = inner
+	return &st
 }
 
-// Stall intercepts one scheduler pick (interp) or core issue slot (sim):
-// it reports whether thread/core t of n total is frozen this turn. The
-// frozen target and the freeze window are seed-derived; the window counts
-// down per intercepted turn, so a freeze always expires even if no other
-// thread can run, and a stall can never manufacture a deadlock.
-func (i *Injector) Stall(t, n int) bool {
-	if i == nil || i.spec.Class != StallThread || n == 0 {
-		return false
-	}
-	if !i.stallStarted {
-		i.stallTarget = int(i.pickSalt % uint64(n))
-		i.stallStarted = true
-		i.stallLeft = i.stallLen
-	}
-	if t != i.stallTarget || i.stallLeft <= 0 {
-		return false
-	}
-	i.picks++
-	if i.picks < i.Offset {
-		return false // freeze begins at the offset-th pick of the target
-	}
-	i.stallLeft--
-	if i.picks == i.Offset {
-		i.record(Event{N: i.picks, Where: t, Queue: -1,
-			Detail: fmt.Sprintf("frozen for %d turns", i.stallLen)})
-	} else {
-		i.count++ // every wasted turn is an injection, but log only the window
-	}
-	return true
+// stall draws the StallThread window for an n-thread program.
+func (s Spec) stall(n int) stall {
+	h := s.hash()
+	st := stall{target: int(h % uint64(n))}
+	h = Splitmix(h)
+	st.from = int64(h%29) + 1
+	h = Splitmix(h)
+	st.left = int64(h%193) + 64
+	return st
 }
 
-// Misplan returns structural clones of a generated program's threads with
-// one consume rewired to the wrong queue — the mis-specified-plan fault.
-// The clones are built by an IR print→parse round trip, so the threads
-// themselves are never touched. It returns ok=false when the program has no
-// communication to corrupt. The mutation deterministically picks a consume
-// and a wrong target queue from the seed; when the program has a single
-// queue the consume is rewired to an out-of-range queue, which the runtimes
-// reject as a typed error.
-func Misplan(threads []*ir.Function, numQueues int, seed int64) ([]*ir.Function, string, bool, error) {
-	if numQueues == 0 {
-		return nil, "", false, nil
-	}
-	var clone []*ir.Function
-	for _, f := range threads {
-		cf, err := ir.Parse(f.String())
-		if err != nil {
-			return nil, "", false, fmt.Errorf("fault: cloning thread %s: %w", f.Name, err)
-		}
-		clone = append(clone, cf)
-	}
-	var consumes []*ir.Instr
-	for _, f := range clone {
-		f.Instrs(func(in *ir.Instr) {
-			if in.Op == ir.Consume || in.Op == ir.ConsumeSync {
-				consumes = append(consumes, in)
+// Perturbs describes what a benign spec changes about the runs of an
+// n-thread program at the queue capacities caps; ok is false when it
+// changes nothing (a destructive class changes the program instead: see
+// Mutate).
+func (s Spec) Perturbs(n int, caps []int) (desc string, ok bool) {
+	switch s.Class {
+	case ShrinkQueue:
+		for _, c := range caps {
+			if h := s.QueueCap(c); h != c {
+				return fmt.Sprintf("queue capacity %d -> %d", c, h), true
 			}
-		})
+		}
+	case StallThread:
+		if n > 1 {
+			st := s.stall(n)
+			return fmt.Sprintf("thread %d deferred for %d picks from pick %d", st.target, st.left, st.from), true
+		}
 	}
-	if len(consumes) == 0 {
+	return "", false
+}
+
+// stall defers thread target: from the run's from-th pick on, for left
+// picks at which another thread is runnable too, it asks inner to choose
+// among the others. When target is the only runnable thread it is picked, so a stall
+// delays but never deadlocks a run.
+type stall struct {
+	inner      interp.Scheduler
+	target     int
+	from, left int64
+	picks      int64
+	others     []int
+}
+
+func (s *stall) Name() string { return fmt.Sprintf("%s+stall(t%d)", s.inner.Name(), s.target) }
+
+func (s *stall) Pick(runnable []int, lastRan []int64, step int64) int {
+	s.picks++
+	if s.picks >= s.from && s.left > 0 && len(runnable) > 1 {
+		s.others = s.others[:0]
+		for _, t := range runnable {
+			if t != s.target {
+				s.others = append(s.others, t)
+			}
+		}
+		if len(s.others) < len(runnable) {
+			s.left--
+			return s.inner.Pick(s.others, lastRan, step)
+		}
+	}
+	return s.inner.Pick(runnable, lastRan, step)
+}
+
+// Mutate returns a copy of prog carrying the spec's destructive fault as
+// one edit at one communication site, with a one-line description of the
+// edit. The mutant is a well-formed program (it passes ir.Verify). The
+// site is drawn by the seed from the produces (the data produces some
+// consumer observes, for CorruptValue; consumes, for MisplacePlan) whose
+// origin block executed in the run that recorded prof,
+// the golden run's edge profile over prog.Orig — so a mutant always
+// changes what that input executes. ok is false when the class is benign
+// or empty, when prog records no Origins (a mutant or a hand-written
+// program: nothing is known to execute), or when no candidate site
+// executed.
+//
+// The copy is built by an IR print→parse round trip, keeping each
+// instruction's Orig, so prog is never touched; it records no Origins, as
+// it is no longer MTCG's output.
+func Mutate(prog *mtcg.Program, prof *ir.Profile, spec Spec) (*mtcg.Program, string, bool, error) {
+	if prog.Origins == nil {
 		return nil, "", false, nil
 	}
-	h := Splitmix(uint64(seed) ^ ClassSalt(string(MisplacePlan)))
-	victim := consumes[h%uint64(len(consumes))]
-	from := victim.Queue
-	to := numQueues // out of range: the single-queue case
-	if numQueues > 1 {
-		to = (from + 1 + int(Splitmix(h)%uint64(numQueues-1))) % numQueues
+	want := siteFilter(spec.Class, prog)
+	if want == nil {
+		return nil, "", false, nil
 	}
-	victim.Queue = to
-	desc := fmt.Sprintf("consume rewired from q%d to q%d", from, to)
-	return clone, desc, true, nil
+	freq := mtcg.BlockFreq(prog.Orig, prof)
+	type site struct{ t, b, i int }
+	var sites []site
+	for t, f := range prog.Threads {
+		for b, blk := range f.Blocks {
+			if freq[prog.Origins[t][b].ID] == 0 {
+				continue
+			}
+			for i, in := range blk.Instrs {
+				if want(in) {
+					sites = append(sites, site{t, b, i})
+				}
+			}
+		}
+	}
+	if len(sites) == 0 {
+		return nil, "", false, nil
+	}
+	threads := make([]*ir.Function, len(prog.Threads))
+	for t, f := range prog.Threads {
+		cf, err := clone(f)
+		if err != nil {
+			return nil, "", false, err
+		}
+		threads[t] = cf
+	}
+	h := spec.hash()
+	nq := prog.NumQueues
+	at := sites[h%uint64(len(sites))]
+	h = Splitmix(h)
+	f := threads[at.t]
+	blk := f.Blocks[at.b]
+	in := blk.Instrs[at.i]
+	where := fmt.Sprintf("thread %d %s[%d] %v", at.t, blk.Name, at.i, in)
+	var desc string
+	switch spec.Class {
+	case DropProduce:
+		blk.Instrs = append(blk.Instrs[:at.i], blk.Instrs[at.i+1:]...)
+		desc = "dropped " + where
+	case DupProduce:
+		dup := f.NewInstr(in.Op, ir.NoReg, in.Srcs...)
+		dup.Queue, dup.Orig = in.Queue, in.Orig
+		blk.InsertAt(at.i+1, dup)
+		desc = "duplicated " + where
+	case CorruptValue:
+		// The mask sets bits 0, 62 and 63 among seeded bits between,
+		// so the value changes materially read either way. As an
+		// integer it changes parity and sign: zero never stays zero,
+		// and a sentinel (a running maximum's -2^40 start) crosses to
+		// the other side of every small value. As a float64 its
+		// exponent's top bit flips: an accumulator's 0.0 start becomes
+		// at least 2 in magnitude, too large for later sums to absorb.
+		mask := int64(h) | 1 | 1<<62 | math.MinInt64
+		m, v := f.NewReg(), f.NewReg()
+		c := f.NewInstr(ir.Const, m)
+		c.Imm = mask
+		blk.InsertAt(at.i, c)
+		blk.InsertAt(at.i+1, f.NewInstr(ir.Xor, v, in.Srcs[0], m))
+		in.Srcs = []ir.Reg{v}
+		desc = fmt.Sprintf("corrupted (xor %#x) %s", uint64(mask), where)
+	case SwapQueue, MisplacePlan:
+		to := nq // a single-queue misplan: a new queue nothing produces into
+		if nq > 1 {
+			to = (in.Queue + 1 + int(h%uint64(nq-1))) % nq
+		} else {
+			nq++
+			for _, f := range threads {
+				f.NumQueues = nq
+			}
+		}
+		in.Queue = to
+		desc = fmt.Sprintf("rewired to q%d %s", to, where)
+	}
+	return &mtcg.Program{
+		Orig:       prog.Orig,
+		Threads:    threads,
+		NumQueues:  nq,
+		Comms:      append([]*mtcg.Comm(nil), prog.Comms...),
+		Assign:     prog.Assign,
+		NumThreads: prog.NumThreads,
+	}, desc, true, nil
+}
+
+// siteFilter returns which instructions of prog class c may edit, or nil
+// when it edits none.
+func siteFilter(c Class, prog *mtcg.Program) func(*ir.Instr) bool {
+	produce := func(in *ir.Instr) bool { return in.Op == ir.Produce || in.Op == ir.ProduceSync }
+	switch c {
+	case DropProduce, DupProduce:
+		return produce
+	case CorruptValue:
+		seen := observed(prog)
+		return func(in *ir.Instr) bool { return in.Op == ir.Produce && seen[in.Queue] }
+	case SwapQueue:
+		if prog.NumQueues > 1 {
+			return produce
+		}
+	case MisplacePlan:
+		if prog.NumQueues > 0 {
+			return func(in *ir.Instr) bool { return in.Op == ir.Consume || in.Op == ir.ConsumeSync }
+		}
+	}
+	return nil
+}
+
+// observed reports, per queue, whether a value consumed from it can reach
+// what a run shows — a live-out, a store, a branch or a load address —
+// through the registers of the consuming thread, and on through its
+// produces to the threads downstream. A value no consumer observes is as
+// undetectable corrupted as a sync token. Register flow is followed
+// regardless of position, so a queue is reported unobserved only when its
+// value is certainly dead.
+func observed(prog *mtcg.Program) []bool {
+	seen := make([]bool, prog.NumQueues)
+	need := make([][]bool, len(prog.Threads))
+	for t, f := range prog.Threads {
+		need[t] = make([]bool, int(f.MaxReg())+1)
+	}
+	for grew := true; grew; {
+		grew = false
+		for t, f := range prog.Threads {
+			f.Instrs(func(in *ir.Instr) {
+				switch in.Op {
+				case ir.Ret, ir.Store, ir.Br, ir.Load:
+				case ir.Produce:
+					if !seen[in.Queue] {
+						return
+					}
+				case ir.Consume:
+					if need[t][in.Dst] && !seen[in.Queue] {
+						seen[in.Queue], grew = true, true
+					}
+					return
+				default:
+					if in.Dst == ir.NoReg || !need[t][in.Dst] {
+						return
+					}
+				}
+				for _, r := range in.Srcs {
+					if !need[t][r] {
+						need[t][r], grew = true, true
+					}
+				}
+			})
+		}
+	}
+	return seen
+}
+
+// clone copies f by printing and parsing it, then restores what the text
+// does not carry: the queue count, and each instruction's Orig link (the
+// copy's blocks and instructions are in f's order).
+func clone(f *ir.Function) (*ir.Function, error) {
+	cf, err := ir.Parse(f.String())
+	if err != nil {
+		return nil, fmt.Errorf("fault: cloning thread %s: %w", f.Name, err)
+	}
+	cf.NumQueues = f.NumQueues
+	for b, blk := range f.Blocks {
+		for i, in := range blk.Instrs {
+			cf.Blocks[b].Instrs[i].Orig = in.Orig
+		}
+	}
+	return cf, nil
 }

@@ -1,211 +1,270 @@
 package fault
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/interp"
 	"repro/internal/ir"
+	"repro/internal/mtcg"
 )
 
-// drive presents n produce opportunities to an injector and returns the
-// observed (queue, value, multiplicity) decisions.
-type decision struct {
-	q     int
-	v     int64
-	times int
+func mustParse(t *testing.T, src string) *ir.Function {
+	t.Helper()
+	f, err := ir.Parse(src)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	return f
 }
 
-func drive(inj *Injector, n, numQueues int, data bool) []decision {
-	var ds []decision
-	for k := 0; k < n; k++ {
-		q, v, times := inj.Produce(0, k%numQueues, int64(100+k), numQueues, data)
-		ds = append(ds, decision{q, v, times})
+// handProgram wraps hand-written threads as MTCG output whose every block
+// copies the entry block of a one-block original, which the empty profile
+// executes once — or, with dead, a block of the original no run reaches.
+func handProgram(t *testing.T, dead bool, threads ...*ir.Function) (*mtcg.Program, *ir.Profile) {
+	t.Helper()
+	orig := mustParse(t, "func o()\nentry:\n\tjump exit\nunreached:\n\tjump exit\nexit:\n\tret\n")
+	from := orig.Entry()
+	if dead {
+		from = orig.BlockByName("unreached")
 	}
-	return ds
+	prog := &mtcg.Program{Orig: orig, Threads: threads, NumThreads: len(threads)}
+	for _, f := range threads {
+		if f.NumQueues > prog.NumQueues {
+			prog.NumQueues = f.NumQueues
+		}
+		var o []*ir.Block
+		for range f.Blocks {
+			o = append(o, from)
+		}
+		prog.Origins = append(prog.Origins, o)
+	}
+	return prog, ir.NewProfile()
+}
+
+// testThreads is a producer and a consumer thread talking over queues
+// queues, each queue once per data produce and once per sync token.
+func testThreads(t *testing.T, queues int) []*ir.Function {
+	t.Helper()
+	var prod, cons strings.Builder
+	prod.WriteString("func t0(r1)\nentry:\n")
+	cons.WriteString("func t1(r1)\nentry:\n")
+	for q := 0; q < queues; q++ {
+		fmt.Fprintf(&prod, "\tproduce [q%d] = r1\n\tproduce.sync [q%d]\n", q, q)
+		fmt.Fprintf(&cons, "\tr2 = consume [q%d]\n\tconsume.sync [q%d]\n", q, q)
+	}
+	prod.WriteString("\tret\n")
+	cons.WriteString("\tret r2\n")
+	return []*ir.Function{mustParse(t, prod.String()), mustParse(t, cons.String())}
+}
+
+func mutate(t *testing.T, prog *mtcg.Program, prof *ir.Profile, spec Spec) (*mtcg.Program, string) {
+	t.Helper()
+	mut, desc, ok, err := Mutate(prog, prof, spec)
+	if err != nil || !ok {
+		t.Fatalf("%s: ok=%v err=%v", spec, ok, err)
+	}
+	return mut, desc
+}
+
+// count returns how many instructions of op the program's threads hold.
+func count(prog *mtcg.Program, op ir.Op) int {
+	n := 0
+	for _, f := range prog.Threads {
+		f.Instrs(func(in *ir.Instr) {
+			if in.Op == op {
+				n++
+			}
+		})
+	}
+	return n
+}
+
+func text(prog *mtcg.Program) string {
+	var b strings.Builder
+	for _, f := range prog.Threads {
+		b.WriteString(f.String())
+	}
+	return b.String()
 }
 
 func TestScheduleDeterminism(t *testing.T) {
-	for _, cls := range RuntimeClasses() {
+	prog, prof := handProgram(t, false, testThreads(t, 3)...)
+	for _, cls := range []Class{DropProduce, DupProduce, CorruptValue, SwapQueue, MisplacePlan} {
 		spec := Spec{Class: cls, Seed: 42}
-		a, b := spec.New(), spec.New()
-		da := drive(a, 2000, 3, true)
-		db := drive(b, 2000, 3, true)
-		for i := range da {
-			if da[i] != db[i] {
-				t.Fatalf("%s: decision %d differs: %+v vs %+v", cls, i, da[i], db[i])
-			}
-		}
-		if a.Schedule() != b.Schedule() {
-			t.Errorf("%s: schedules differ:\n%s\nvs\n%s", cls, a.Schedule(), b.Schedule())
-		}
-		if a.Count() != b.Count() {
-			t.Errorf("%s: counts differ: %d vs %d", cls, a.Count(), b.Count())
+		a, da := mutate(t, prog, prof, spec)
+		b, db := mutate(t, prog, prof, spec)
+		if da != db || text(a) != text(b) {
+			t.Errorf("%s: same seed, different mutants:\n%s\n%s\nvs\n%s\n%s", cls, da, text(a), db, text(b))
 		}
 	}
 }
 
 func TestSeedChangesSchedule(t *testing.T) {
-	a := Spec{Class: DropProduce, Seed: 1}.New()
-	b := Spec{Class: DropProduce, Seed: 2}.New()
-	da, db := drive(a, 2000, 2, true), drive(b, 2000, 2, true)
-	same := true
-	for i := range da {
-		if da[i] != db[i] {
-			same = false
-			break
-		}
+	prog, prof := handProgram(t, false, testThreads(t, 3)...)
+	seen := map[string]bool{}
+	for seed := int64(1); seed <= 8; seed++ {
+		_, desc := mutate(t, prog, prof, Spec{Class: DropProduce, Seed: seed})
+		seen[desc] = true
 	}
-	if same {
-		t.Error("seeds 1 and 2 produced identical drop schedules")
+	if len(seen) < 2 {
+		t.Errorf("seeds 1..8 all dropped the same produce: %v", seen)
 	}
 }
 
 func TestDropAndDupFire(t *testing.T) {
+	prog, prof := handProgram(t, false, testThreads(t, 2)...)
+	before := count(prog, ir.Produce) + count(prog, ir.ProduceSync)
 	for _, tc := range []struct {
 		cls  Class
-		mult int
-	}{{DropProduce, 0}, {DupProduce, 2}} {
-		inj := Spec{Class: tc.cls, Seed: 7}.New()
-		ds := drive(inj, 2000, 2, true)
-		fired := 0
-		for _, d := range ds {
-			if d.times == tc.mult {
-				fired++
-			} else if d.times != 1 {
-				t.Fatalf("%s: unexpected multiplicity %d", tc.cls, d.times)
+		diff int
+	}{{DropProduce, -1}, {DupProduce, +1}} {
+		mut, desc := mutate(t, prog, prof, Spec{Class: tc.cls, Seed: 7})
+		if got := count(mut, ir.Produce) + count(mut, ir.ProduceSync); got != before+tc.diff {
+			t.Errorf("%s (%s): %d produces, want %d", tc.cls, desc, got, before+tc.diff)
+		}
+		for _, f := range mut.Threads {
+			if err := f.Verify(); err != nil {
+				t.Errorf("%s: mutant does not verify: %v", tc.cls, err)
 			}
-		}
-		if fired == 0 {
-			t.Errorf("%s: never fired in 2000 opportunities", tc.cls)
-		}
-		if int64(fired) != inj.Count() {
-			t.Errorf("%s: fired %d but Count() = %d", tc.cls, fired, inj.Count())
-		}
-		// Firing pattern is offset + k*period: at most 1 + 1999/97 ≈ 21.
-		if fired > 21 {
-			t.Errorf("%s: fired %d times — period too dense", tc.cls, fired)
 		}
 	}
 }
 
 func TestCorruptOnlyData(t *testing.T) {
-	inj := Spec{Class: CorruptValue, Seed: 3}.New()
-	for k, d := range drive(inj, 2000, 2, false) {
-		if d.times != 1 || d.v != int64(100+k) {
-			t.Fatalf("sync token %d mutated: %+v", k, d)
+	syncOnly := []*ir.Function{
+		mustParse(t, "func t0()\nentry:\n\tproduce.sync [q0]\n\tret\n"),
+		mustParse(t, "func t1()\nentry:\n\tconsume.sync [q0]\n\tret\n"),
+	}
+	prog, prof := handProgram(t, false, syncOnly...)
+	if _, _, ok, err := Mutate(prog, prof, Spec{Class: CorruptValue, Seed: 3}); ok || err != nil {
+		t.Errorf("corrupt-value edited a sync-only program: ok=%v err=%v", ok, err)
+	}
+	prog, prof = handProgram(t, false, testThreads(t, 2)...)
+	mut, desc := mutate(t, prog, prof, Spec{Class: CorruptValue, Seed: 3})
+	if count(mut, ir.Xor) != 1 || count(mut, ir.ProduceSync) != count(prog, ir.ProduceSync) {
+		t.Errorf("%s: want one xor feeding a data produce:\n%s", desc, text(mut))
+	}
+	mut.Threads[0].Instrs(func(in *ir.Instr) {
+		if in.Op == ir.Xor {
+			if next := in.Block().Instrs[in.Index()+1]; next.Op != ir.Produce || next.Srcs[0] != in.Dst {
+				t.Errorf("%s: the xor feeds %v, not the produce after it", desc, next)
+			}
 		}
-	}
-	if inj.Count() != 0 {
-		t.Errorf("corrupt-value fired %d times on sync tokens", inj.Count())
-	}
-	inj2 := Spec{Class: CorruptValue, Seed: 3}.New()
-	corrupted := 0
-	for k := 0; k < 2000; k++ {
-		_, v, times := inj2.Produce(0, 0, 1000, 2, true)
-		if times != 1 {
-			t.Fatalf("corrupt changed multiplicity to %d", times)
-		}
-		if v != 1000 {
-			corrupted++
-		}
-	}
-	if corrupted == 0 {
-		t.Error("corrupt-value never corrupted a data value")
-	}
-	if int64(corrupted) != inj2.Count() {
-		t.Errorf("corrupted %d values but Count() = %d", corrupted, inj2.Count())
-	}
+	})
 }
 
 func TestSwapNeedsTwoQueues(t *testing.T) {
-	inj := Spec{Class: SwapQueue, Seed: 5}.New()
-	for _, d := range drive(inj, 2000, 1, true) {
-		if d.q != 0 {
-			t.Fatalf("swap redirected with a single queue: %+v", d)
-		}
+	prog, prof := handProgram(t, false, testThreads(t, 1)...)
+	if _, _, ok, err := Mutate(prog, prof, Spec{Class: SwapQueue, Seed: 5}); ok || err != nil {
+		t.Errorf("swap-queue edited a single-queue program: ok=%v err=%v", ok, err)
 	}
-	if inj.Count() != 0 {
-		t.Errorf("swap fired %d times with nowhere to misdirect", inj.Count())
-	}
-	inj2 := Spec{Class: SwapQueue, Seed: 5}.New()
-	swapped := 0
-	for k := 0; k < 2000; k++ {
-		q, _, _ := inj2.Produce(0, 1, 0, 4, true)
-		if q != 1 {
-			swapped++
-			if q < 0 || q >= 4 {
-				t.Fatalf("swap target q%d out of range", q)
+	prog, prof = handProgram(t, false, testThreads(t, 4)...)
+	mut, desc := mutate(t, prog, prof, Spec{Class: SwapQueue, Seed: 5})
+	moved := 0
+	for i, f := range mut.Threads {
+		orig := prog.Threads[i].Blocks[0].Instrs
+		for j, in := range f.Blocks[0].Instrs {
+			if in.Queue != orig[j].Queue {
+				moved++
+				if in.Queue < 0 || in.Queue >= 4 || orig[j].Op != ir.Produce && orig[j].Op != ir.ProduceSync {
+					t.Errorf("%s: rewired %v", desc, in)
+				}
 			}
 		}
 	}
-	if swapped == 0 {
-		t.Error("swap-queue never misdirected with 4 queues")
+	if moved != 1 {
+		t.Errorf("%s: %d instructions changed queue, want 1", desc, moved)
 	}
 }
 
 func TestQueueCapShrink(t *testing.T) {
-	inj := Spec{Class: ShrinkQueue, Seed: 1}.New()
-	if got := inj.QueueCap(32); got != 16 {
+	shrink := Spec{Class: ShrinkQueue, Seed: 1}
+	if got := shrink.QueueCap(32); got != 16 {
 		t.Errorf("QueueCap(32) = %d, want 16", got)
 	}
-	if inj.Count() != 1 {
-		t.Errorf("shrink recorded %d events, want 1", inj.Count())
-	}
-	one := Spec{Class: ShrinkQueue, Seed: 1}.New()
-	if got := one.QueueCap(1); got != 1 {
+	if got := shrink.QueueCap(1); got != 1 {
 		t.Errorf("QueueCap(1) = %d, want 1 (never below one)", got)
 	}
-	if one.Count() != 0 {
-		t.Error("vacuous shrink (cap 1) still counted as injected")
+	if desc, ok := shrink.Perturbs(2, []int{1, 32}); !ok || desc != "queue capacity 32 -> 16" {
+		t.Errorf("Perturbs at caps {1, 32} = %q, %v", desc, ok)
 	}
-	noop := Spec{Class: DropProduce, Seed: 1}.New()
-	if noop.QueueCap(32) != 32 {
+	if _, ok := shrink.Perturbs(2, []int{1}); ok {
+		t.Error("a shrink at depth 1 reported a change")
+	}
+	if (Spec{Class: DropProduce, Seed: 1}).QueueCap(32) != 32 {
 		t.Error("non-shrink class changed the queue capacity")
 	}
 }
 
+// offered records the runnable sets a policy is offered.
+type offered struct {
+	interp.Scheduler
+	sets [][]int
+}
+
+func (o *offered) Pick(runnable []int, lastRan []int64, step int64) int {
+	o.sets = append(o.sets, append([]int(nil), runnable...))
+	return o.Scheduler.Pick(runnable, lastRan, step)
+}
+
 func TestStallExpires(t *testing.T) {
-	inj := Spec{Class: StallThread, Seed: 9}.New()
-	frozen := 0
-	for turn := 0; turn < 10_000; turn++ {
-		for ti := 0; ti < 3; ti++ {
-			if inj.Stall(ti, 3) {
-				frozen++
+	spec := Spec{Class: StallThread, Seed: 9}
+	st := spec.stall(3)
+	inner := &offered{Scheduler: interp.RoundRobin()}
+	s := spec.Sched(inner, 3)
+	lastRan := make([]int64, 3)
+	for pick := 0; pick < 10_000; pick++ {
+		s.Pick([]int{0, 1, 2}, lastRan, int64(pick))
+	}
+	// A deferred pick offers the inner policy every thread but the target.
+	deferred, lastDeferred := 0, -1
+	for i, set := range inner.sets {
+		if len(set) != 3 {
+			deferred++
+			lastDeferred = i
+			for _, ti := range set {
+				if ti == st.target {
+					t.Fatalf("pick %d offered the stalled thread %d: %v", i, st.target, set)
+				}
 			}
 		}
 	}
-	if frozen == 0 {
-		t.Fatal("stall-thread never froze a thread")
+	if deferred == 0 {
+		t.Fatal("stall-thread never deferred its thread")
 	}
-	if frozen > 64+193 {
-		t.Errorf("frozen %d turns, want at most the seeded window (<= 257)", frozen)
+	if int64(deferred) != st.left || int64(lastDeferred-deferred+1) != st.from-1 {
+		t.Errorf("deferred %d picks ending at pick %d, want the seeded window of %d from pick %d",
+			deferred, lastDeferred+1, st.left, st.from)
 	}
-	// The window is spent: no further freezes, ever.
-	for turn := 0; turn < 1000; turn++ {
-		for ti := 0; ti < 3; ti++ {
-			if inj.Stall(ti, 3) {
-				t.Fatal("stall froze again after its window expired")
-			}
-		}
+	// The target is picked when it is the only runnable thread.
+	if got := s.Pick([]int{st.target}, lastRan, 0); got != st.target {
+		t.Errorf("sole runnable thread %d not picked: %d", st.target, got)
 	}
-	if inj.Count() != int64(frozen) {
-		t.Errorf("froze %d turns but Count() = %d", frozen, inj.Count())
+	if s.Name() == "round-robin" {
+		t.Error("the wrapped policy does not say it stalls")
+	}
+	if spec.Sched(interp.RoundRobin(), 1).Name() != "round-robin" {
+		t.Error("a one-thread program's scheduler was wrapped")
 	}
 }
 
-func TestNilInjectorIsTransparent(t *testing.T) {
-	var inj *Injector
-	if q, v, times := inj.Produce(0, 3, 77, 5, true); q != 3 || v != 77 || times != 1 {
-		t.Errorf("nil injector mutated a produce: q=%d v=%d times=%d", q, v, times)
+func TestZeroSpecIsTransparent(t *testing.T) {
+	var spec Spec
+	prog, prof := handProgram(t, false, testThreads(t, 2)...)
+	if _, _, ok, err := Mutate(prog, prof, spec); ok || err != nil {
+		t.Errorf("zero spec mutated: ok=%v err=%v", ok, err)
 	}
-	if inj.Stall(0, 2) {
-		t.Error("nil injector stalled a thread")
+	if spec.QueueCap(32) != 32 {
+		t.Error("zero spec changed the queue capacity")
 	}
-	if inj.QueueCap(32) != 32 {
-		t.Error("nil injector changed the queue capacity")
+	inner := interp.RoundRobin()
+	if spec.Sched(inner, 2) != inner {
+		t.Error("zero spec wrapped the scheduler")
 	}
-	if inj.Count() != 0 {
-		t.Error("nil injector reports injections")
+	if _, ok := spec.Perturbs(2, []int{32}); ok {
+		t.Error("zero spec reports a change")
 	}
 }
 
@@ -224,71 +283,35 @@ func TestParseClass(t *testing.T) {
 	}
 }
 
-func mustParse(t *testing.T, src string) *ir.Function {
-	t.Helper()
-	f, err := ir.Parse(src)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	return f
-}
-
-// testThreads is a producer and a consumer thread talking over queues
-// queues.
-func testThreads(t *testing.T, queues int) []*ir.Function {
-	t.Helper()
-	var prod, cons strings.Builder
-	prod.WriteString("func t0(r1)\nentry:\n")
-	cons.WriteString("func t1(r1)\nentry:\n")
-	for q := 0; q < queues; q++ {
-		prod.WriteString("\tproduce [q" + string(rune('0'+q)) + "] = r1\n")
-		cons.WriteString("\tr2 = consume [q" + string(rune('0'+q)) + "]\n")
-	}
-	prod.WriteString("\tret\n")
-	cons.WriteString("\tret\n")
-	return []*ir.Function{mustParse(t, prod.String()), mustParse(t, cons.String())}
-}
-
 func TestMisplanDeterministicAndNonMutating(t *testing.T) {
-	prog := testThreads(t, 3)
-	m1, d1, ok1, err1 := Misplan(prog, 3, 11)
-	m2, d2, ok2, err2 := Misplan(prog, 3, 11)
-	if err1 != nil || err2 != nil || !ok1 || !ok2 {
-		t.Fatalf("Misplan failed: %v %v ok=%v,%v", err1, err2, ok1, ok2)
-	}
-	if d1 != d2 {
+	prog, prof := handProgram(t, false, testThreads(t, 3)...)
+	before := text(prog)
+	m1, d1 := mutate(t, prog, prof, Spec{Class: MisplacePlan, Seed: 11})
+	m2, d2 := mutate(t, prog, prof, Spec{Class: MisplacePlan, Seed: 11})
+	if d1 != d2 || text(m1) != text(m2) {
 		t.Errorf("same seed gave different mutations: %q vs %q", d1, d2)
 	}
-	if m1[1].String() != m2[1].String() {
-		t.Error("same seed gave different mutated programs")
+	if text(prog) != before || prog.Origins == nil {
+		t.Error("the input program was changed")
 	}
-	// The original is untouched: every consume still reads its own queue.
-	q := 0
-	prog[1].Instrs(func(in *ir.Instr) {
-		if in.Op == ir.Consume {
-			if in.Queue != q {
-				t.Errorf("original program mutated: consume %d reads q%d", q, in.Queue)
-			}
-			q++
-		}
-	})
+	if m1.Origins != nil {
+		t.Error("the mutant records Origins")
+	}
 	// The mutation changed exactly one consume's queue.
-	if m1[1].String() == prog[1].String() {
-		t.Error("mutated consumer is identical to the original")
+	if m1.Threads[0].String() != prog.Threads[0].String() || m1.Threads[1].String() == prog.Threads[1].String() {
+		t.Errorf("want only the consumer changed (%s)", d1)
 	}
 }
 
 func TestMisplanSingleQueueGoesOutOfRange(t *testing.T) {
-	m, desc, ok, err := Misplan(testThreads(t, 1), 1, 5)
-	if err != nil || !ok {
-		t.Fatalf("Misplan: %v ok=%v", err, ok)
-	}
+	prog, prof := handProgram(t, false, testThreads(t, 1)...)
+	m, desc := mutate(t, prog, prof, Spec{Class: MisplacePlan, Seed: 5})
 	if !strings.Contains(desc, "q1") {
 		t.Errorf("single-queue misplan should rewire out of range, got %q", desc)
 	}
 	found := false
-	m[1].Instrs(func(in *ir.Instr) {
-		if in.Op == ir.Consume && in.Queue == 1 {
+	m.Threads[1].Instrs(func(in *ir.Instr) {
+		if in.Op.IsComm() && in.Queue == 1 {
 			found = true
 		}
 	})
@@ -298,8 +321,25 @@ func TestMisplanSingleQueueGoesOutOfRange(t *testing.T) {
 }
 
 func TestMisplanNoComm(t *testing.T) {
-	f := mustParse(t, "func t0(r1)\nentry:\n\tret\n")
-	if _, _, ok, err := Misplan([]*ir.Function{f}, 0, 1); ok || err != nil {
-		t.Errorf("Misplan on comm-free program: ok=%v err=%v, want vacuous", ok, err)
+	prog, prof := handProgram(t, false, mustParse(t, "func t0(r1)\nentry:\n\tret\n"))
+	if _, _, ok, err := Mutate(prog, prof, Spec{Class: MisplacePlan, Seed: 1}); ok || err != nil {
+		t.Errorf("Mutate on a comm-free program: ok=%v err=%v, want vacuous", ok, err)
+	}
+}
+
+// TestMutateOnlyExecutedSites: a site is drawn only from blocks whose
+// origin executed, and a program without Origins (a mutant, a hand-written
+// program) has none known to execute.
+func TestMutateOnlyExecutedSites(t *testing.T) {
+	prog, prof := handProgram(t, true, testThreads(t, 2)...)
+	for _, cls := range []Class{DropProduce, DupProduce, CorruptValue, SwapQueue, MisplacePlan} {
+		if _, _, ok, err := Mutate(prog, prof, Spec{Class: cls, Seed: 1}); ok || err != nil {
+			t.Errorf("%s edited a block that never executed: ok=%v err=%v", cls, ok, err)
+		}
+	}
+	prog, prof = handProgram(t, false, testThreads(t, 2)...)
+	mut, _ := mutate(t, prog, prof, Spec{Class: DupProduce, Seed: 1})
+	if _, _, ok, _ := Mutate(mut, prof, Spec{Class: DupProduce, Seed: 1}); ok {
+		t.Error("a mutant without Origins was mutated again")
 	}
 }

@@ -9,8 +9,8 @@
 //
 // RunMT decodes every thread once into a flat stream (ir.Stream), and a
 // thread's position is one program counter into it. One loop advances that
-// counter: it asks the Scheduler before every step, whatever policy, fault
-// injector or trace lane the run carries. A nil Scheduler means Adversarial
+// counter: it asks the Scheduler before every step, whatever policy or
+// trace lane the run carries. A nil Scheduler means Adversarial
 // — run a thread until it blocks on a queue or returns — which is sound
 // because a correct MTCG program's live-outs, memory and instruction counts
 // do not depend on the interleaving (the oracle holds every corpus program

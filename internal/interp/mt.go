@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/fault"
 	"repro/internal/ir"
 	"repro/internal/obs"
 	"repro/internal/ring"
@@ -129,10 +128,6 @@ type MTConfig struct {
 	// counter events named "q<N>" with series "depth", timestamped in
 	// issued steps.
 	Trace *obs.Lane
-	// Inject, when non-nil, is a deterministic fault injector consulted at
-	// each queue operation and scheduler pick. An injector belongs to one
-	// run: create a fresh one (fault.Spec.New) per RunMT call.
-	Inject *fault.Injector
 }
 
 // MTResult is the outcome of a multi-threaded run.
@@ -238,10 +233,6 @@ func RunMT(cfg MTConfig) (*MTResult, error) {
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = DefaultQueueCap
 	}
-	// A ShrinkQueue injector halves the capacity for the whole run; folding
-	// it into cfg keeps every later cap check (including the deadlock
-	// diagnostic) consistent with the effective depth.
-	cfg.QueueCap = cfg.Inject.QueueCap(cfg.QueueCap)
 	sched := cfg.Sched
 	if sched == nil {
 		sched = Adversarial()
@@ -295,8 +286,6 @@ func RunMT(cfg MTConfig) (*MTResult, error) {
 	x := &mtExec{
 		queues: queues,
 		qcap:   cfg.QueueCap,
-		nq:     cfg.NumQueues,
-		inj:    cfg.Inject,
 		mem:    cfg.Mem,
 		res:    res,
 		ro:     newRunObs(&cfg),
@@ -338,15 +327,6 @@ func RunMT(cfg MTConfig) (*MTResult, error) {
 				ErrBadSchedule, sched.Name(), ti, runnable)
 		}
 		res.Sched.Picks++
-		if x.inj != nil && x.inj.Stall(ti, nThreads) {
-			// A frozen thread wastes its turn without issuing. It is NOT
-			// marked blocked: blockedAt feeds the deadlock detector, and a
-			// stall window always expires, so it must never look like a
-			// stuck queue operation. Counted as a blocked turn to preserve
-			// Picks == BlockedTurns + issued steps.
-			res.Sched.BlockedTurns++
-			continue
-		}
 		stepped, err := x.stepThread(&threads[ti], &streams[ti], ti, &res.PerThread[ti], steps)
 		if err != nil {
 			return nil, err
@@ -398,8 +378,6 @@ func (x *mtExec) memFault(st *ir.Stream, ti, pc int, regs []int64) error {
 type mtExec struct {
 	queues []ring.Buf[int64]
 	qcap   int
-	nq     int
-	inj    *fault.Injector
 	mem    Memory
 	res    *MTResult
 	ro     *runObs
@@ -414,7 +392,8 @@ func (x *mtExec) stepThread(ts *threadState, st *ir.Stream, ti int, stats *CommS
 	di, regs := &st.Code[ts.pc], ts.regs
 	switch di.Op {
 	case ir.Produce, ir.ProduceSync:
-		if x.queues[di.Queue].Len() >= x.qcap {
+		qb := &x.queues[di.Queue]
+		if qb.Len() >= x.qcap {
 			return false, nil // queue full
 		}
 		v := int64(0)
@@ -424,25 +403,12 @@ func (x *mtExec) stepThread(ts *threadState, st *ir.Stream, ti int, stats *CommS
 		} else {
 			stats.ProduceSync++
 		}
-		// Role stats above count the instruction; the per-queue traffic
-		// below counts what actually lands in the array. Under injection
-		// the two may diverge (drop, dup, swap) — that divergence is
-		// exactly what the oracle's balance/ownership checks detect.
-		q, val, times := int(di.Queue), v, 1
-		if x.inj != nil {
-			q, val, times = x.inj.Produce(ti, q, v, x.nq, di.Op == ir.Produce)
+		qb.Push(v)
+		x.res.PerQueue[di.Queue].Produced++
+		if d := int64(qb.Len()); d > x.res.QueueHWM[di.Queue] {
+			x.res.QueueHWM[di.Queue] = d
 		}
-		for k := 0; k < times; k++ {
-			qb := &x.queues[q]
-			qb.Push(val)
-			x.res.PerQueue[q].Produced++
-			if d := int64(qb.Len()); d > x.res.QueueHWM[q] {
-				x.res.QueueHWM[q] = d
-			}
-		}
-		if times > 0 {
-			x.ro.queueDepth(q, step, x.queues[q].Len())
-		}
+		x.ro.queueDepth(int(di.Queue), step, qb.Len())
 		ts.pc++
 	case ir.Consume, ir.ConsumeSync:
 		qb := &x.queues[di.Queue]

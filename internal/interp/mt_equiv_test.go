@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/coco"
-	"repro/internal/fault"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/mtcg"
@@ -301,7 +300,7 @@ func TestRunMTFastPathEquivalence(t *testing.T) {
 		// nothing (gmtserve takes inline IR it has not verified). One that
 		// is reached made the block walk index out of range; the loop spins
 		// on the trap ir.Stream.Decode planted there and reports the step
-		// budget, under every policy, injector and trace lane.
+		// budget, under every policy and trace lane.
 		mk := func(reach bool) *ir.Function {
 			f := ir.NewFunction("unsound")
 			entry, open, exit := f.NewBlock("entry"), f.NewBlock("open"), f.NewBlock("exit")
@@ -327,7 +326,6 @@ func TestRunMTFastPathEquivalence(t *testing.T) {
 		}{
 			{"default", func(*interp.MTConfig) {}},
 			{"round-robin", func(c *interp.MTConfig) { c.Sched = interp.RoundRobin() }},
-			{"stall-thread", func(c *interp.MTConfig) { c.Inject = fault.Spec{Class: fault.StallThread, Seed: 1}.New() }},
 			{"trace", func(c *interp.MTConfig) { c.Trace = obs.NewTrace().Lane(1, 0) }},
 		} {
 			cfg := interp.MTConfig{Threads: []*ir.Function{mk(true)}, MaxSteps: 100}

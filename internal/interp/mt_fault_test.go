@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/fault"
 	"repro/internal/ir"
 )
 
@@ -81,80 +80,5 @@ func TestBadProgramRejected(t *testing.T) {
 	_, err := RunMT(MTConfig{Threads: []*ir.Function{f}, NumQueues: 1, MaxSteps: 100})
 	if !errors.Is(err, ErrBadProgram) {
 		t.Errorf("err = %v, want ErrBadProgram", err)
-	}
-}
-
-// TestInjectDropDeadlocks: dropping produces starves the consumer, and the
-// existing deadlock detector names the fault — no hang, no wrong result.
-func TestInjectDropDeadlocks(t *testing.T) {
-	threads, nq := mtPair(2000, true)
-	inj := fault.Spec{Class: fault.DropProduce, Seed: 1}.New()
-	_, err := RunMT(MTConfig{
-		Threads: threads, NumQueues: nq, MaxSteps: 1_000_000, Inject: inj,
-	})
-	if !errors.Is(err, ErrDeadlock) {
-		t.Fatalf("err = %v, want ErrDeadlock", err)
-	}
-	if inj.Count() == 0 {
-		t.Error("no faults injected before the deadlock")
-	}
-}
-
-// TestInjectStallTolerated: freezing a thread for a bounded window must be
-// absorbed — same live-outs as the clean run, stall turns visible in the
-// scheduler stats, Picks == BlockedTurns + issued steps preserved.
-func TestInjectStallTolerated(t *testing.T) {
-	threads, nq := mtPair(500, true)
-	clean, err := RunMT(MTConfig{Threads: threads, NumQueues: nq, MaxSteps: 1_000_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	threads2, _ := mtPair(500, true)
-	inj := fault.Spec{Class: fault.StallThread, Seed: 3}.New()
-	res, err := RunMT(MTConfig{
-		Threads: threads2, NumQueues: nq, MaxSteps: 1_000_000, Inject: inj,
-	})
-	if err != nil {
-		t.Fatalf("stall must be tolerated, got %v", err)
-	}
-	if inj.Count() == 0 {
-		t.Fatal("stall never fired")
-	}
-	if len(res.LiveOuts) != len(clean.LiveOuts) {
-		t.Fatalf("live-out count changed: %d vs %d", len(res.LiveOuts), len(clean.LiveOuts))
-	}
-	for i := range res.LiveOuts {
-		if res.LiveOuts[i] != clean.LiveOuts[i] {
-			t.Errorf("live-out[%d] = %d, want %d", i, res.LiveOuts[i], clean.LiveOuts[i])
-		}
-	}
-	if res.Sched.BlockedTurns < inj.Count() {
-		t.Errorf("BlockedTurns = %d, want >= %d injected stall turns",
-			res.Sched.BlockedTurns, inj.Count())
-	}
-	if res.Sched.Picks != res.Sched.BlockedTurns+res.Steps {
-		t.Errorf("Picks (%d) != BlockedTurns (%d) + Steps (%d)",
-			res.Sched.Picks, res.Sched.BlockedTurns, res.Steps)
-	}
-}
-
-// TestInjectShrinkTolerated: halving the queue capacity only adds
-// back-pressure; results stay correct.
-func TestInjectShrinkTolerated(t *testing.T) {
-	threads, nq := mtPair(500, true)
-	inj := fault.Spec{Class: fault.ShrinkQueue, Seed: 1}.New()
-	res, err := RunMT(MTConfig{
-		Threads: threads, NumQueues: nq, QueueCap: 32, MaxSteps: 1_000_000, Inject: inj,
-	})
-	if err != nil {
-		t.Fatalf("shrunk queue must be tolerated, got %v", err)
-	}
-	if inj.Count() != 1 {
-		t.Errorf("shrink injected %d events, want 1", inj.Count())
-	}
-	for q, hwm := range res.QueueHWM {
-		if hwm > 16 {
-			t.Errorf("queue %d HWM %d exceeds the shrunken capacity 16", q, hwm)
-		}
 	}
 }

@@ -10,18 +10,13 @@ import (
 // without running it. Each thread keeps the relevant blocks of Orig and
 // replicates the branches that decide them, so on the same input each of
 // its blocks executes exactly as often as the original block it copies: a
-// count is static instructions times that block's frequency. A block's
-// frequency is the exact sum of its incoming edges, plus one for the entry.
+// count is static instructions times that block's frequency (BlockFreq).
 // A branch whose original another thread owns counts as DupBranch; every
 // other instruction that is not communication, inserted jumps included,
 // counts as Compute — the classification interp.RunMT makes as it runs.
 // The program must record its Origins (see Program).
 func (p *Program) Counts(prof *ir.Profile) interp.CommStats {
-	freq := make([]int64, len(p.Orig.Blocks))
-	freq[p.Orig.Entry().ID] = 1
-	for e, n := range prof.Edges {
-		freq[e.To] += n
-	}
+	freq := BlockFreq(p.Orig, prof)
 	var st interp.CommStats
 	for t, ft := range p.Threads {
 		for i, b := range ft.Blocks {
@@ -45,4 +40,16 @@ func (p *Program) Counts(prof *ir.Profile) interp.CommStats {
 		}
 	}
 	return st
+}
+
+// BlockFreq returns how often each block of orig (indexed by block ID)
+// executed in the run that recorded the edge profile prof: the exact sum of
+// its incoming edges, plus one for the entry.
+func BlockFreq(orig *ir.Function, prof *ir.Profile) []int64 {
+	freq := make([]int64, len(orig.Blocks))
+	freq[orig.Entry().ID] = 1
+	for e, n := range prof.Edges {
+		freq[e.To] += n
+	}
+	return freq
 }

@@ -53,7 +53,8 @@ type ReplayConfig struct {
 	ScheduleSeed int64
 	// QueueCap restricts the synchronization-array depth (0 = defaults).
 	QueueCap int
-	// Fault arms deterministic fault injection of this class ("" = none).
+	// Fault arms this fault class, seeded by FaultSeed ("" = none; see
+	// Options.Inject).
 	Fault     fault.Class
 	FaultSeed int64
 	// NoSim skips the cycle-level simulator cross-check.
@@ -177,7 +178,7 @@ func (rc *ReplayConfig) Apply(o Options) (Options, error) {
 	if rc.Fault != "" {
 		o.Inject = &fault.Spec{Class: rc.Fault, Seed: rc.FaultSeed}
 		if o.SimStallLimit == 0 {
-			// Injected deadlocks should fail fast, not burn the sim budget.
+			// A mutant's deadlock should fail fast, not burn the sim budget.
 			o.SimStallLimit = 50_000
 		}
 	}

@@ -9,14 +9,14 @@ import (
 )
 
 // FuzzFaultInjection drives the detector-coverage contract over random
-// programs: a random generator seed × a random fault schedule must always
+// programs: a random generator seed × fault class × fault seed must always
 // yield either a classified oracle failure (every failure carries a named
 // Kind) or a clean tolerated run — never a panic, and for benign fault
 // classes (bounded stalls, shrunken queues) never a wrong result. Run with
 //
 //	go test -fuzz=FuzzFaultInjection -fuzztime=30s ./internal/oracle
 func FuzzFaultInjection(f *testing.F) {
-	classes := fault.RuntimeClasses()
+	classes := fault.Classes()
 	for i := range classes {
 		f.Add(int64(1), int64(1), byte(i))
 		f.Add(int64(42), int64(7), byte(i))
@@ -28,7 +28,7 @@ func FuzzFaultInjection(f *testing.F) {
 		opts := Options{
 			Seed:          progSeed,
 			Inject:        &fault.Spec{Class: cls, Seed: faultSeed},
-			SimStallLimit: 50_000, // injected deadlocks fail fast in the sim
+			SimStallLimit: 50_000, // a mutant's deadlock fails fast in the sim
 		}
 		rep, err := Check(c, opts)
 		if err != nil {
@@ -49,7 +49,7 @@ func FuzzFaultInjection(f *testing.F) {
 				progSeed, cls, faultSeed, rep.Injected, rep.Err(), FormatCase(c))
 		}
 		if rep.Injected > 0 && rep.FaultSchedule == "" {
-			t.Fatalf("seed %d class %s: %d faults injected but no schedule recorded",
+			t.Fatalf("seed %d class %s: %d programs faulted but no change recorded",
 				progSeed, cls, rep.Injected)
 		}
 	})

@@ -143,12 +143,14 @@ type Options struct {
 	SimCycles int64
 	// SimStallLimit overrides the simulator's no-progress watchdog
 	// (sim.Config.StallLimit); 0 keeps the default. Chaos runs lower it so
-	// an injected deadlock fails fast.
+	// a mutant's deadlock fails fast.
 	SimStallLimit int64
-	// Inject, when non-nil, arms deterministic fault injection: every
-	// executor run gets a fresh injector built from this spec, so the same
-	// spec yields the same fault schedule on every run. The injected-fault
-	// count and first fault schedule are reported in Report.Injected and
+	// Inject, when non-nil, arms a deterministic fault, decided per
+	// program before anything runs: a destructive class checks the
+	// program's mutant (fault.Mutate) in its place, a benign one shrinks
+	// every run's queues (fault.Spec.QueueCap) or wraps every interpreter
+	// run's scheduler (fault.Spec.Sched). The programs it changed and the
+	// first change are reported in Report.Injected and
 	// Report.FaultSchedule. With a destructive fault armed, failures are
 	// the expected outcome — the detector-coverage matrix asserts they
 	// appear.
@@ -225,12 +227,12 @@ type Report struct {
 	// schedule × queue depth, plus the simulator's.
 	Runs     int
 	Failures []Failure
-	// Injected counts faults injected across all runs (always 0 without
-	// Options.Inject).
+	// Injected counts the programs the armed fault changed (always 0
+	// without Options.Inject).
 	Injected int64
-	// FaultSchedule is the first run's rendered fault schedule — a
-	// deterministic function of the fault spec and the program, so reports
-	// under the same seed are byte-identical.
+	// FaultSchedule describes the first change — a deterministic function
+	// of the fault spec and the program, so reports under the same seed
+	// are byte-identical.
 	FaultSchedule string
 }
 
@@ -358,71 +360,57 @@ func checkPlan(rep *Report, c *Case, g *Golden, label string, plan *mtcg.Plan, o
 		}
 	}
 	queue.Allocate(prog)
-	// The compile-time fault class rewires the communication plan itself;
-	// runtime injectors never see it (Injector ignores the class), so it
-	// is applied here, between code generation and execution.
-	if opts.Inject != nil && opts.Inject.Class == fault.MisplacePlan {
-		mut, desc, applied, err := Misplanned(prog, opts.Inject.Seed)
-		if err != nil {
-			rep.add(c.Name, label, ExecError, "misplan: "+err.Error())
-			return
-		}
-		if applied {
-			prog = mut
-			rep.Injected++
-			if rep.FaultSchedule == "" {
-				rep.FaultSchedule = desc
-			}
-		}
-	}
 	CheckProgram(rep, c.Name, g, label, prog, c.Args, c.Mem, opts)
-}
-
-// Misplanned returns a copy of prog whose threads carry fault.Misplan's
-// rewired consume, with the fault's description; ok is false when prog has
-// no communication to corrupt. The copy is no longer MTCG's output, so it
-// records no Origins.
-func Misplanned(prog *mtcg.Program, seed int64) (*mtcg.Program, string, bool, error) {
-	threads, desc, ok, err := fault.Misplan(prog.Threads, prog.NumQueues, seed)
-	if !ok || err != nil {
-		return nil, "", ok, err
-	}
-	return &mtcg.Program{
-		Orig:       prog.Orig,
-		Threads:    threads,
-		NumQueues:  prog.NumQueues,
-		Comms:      append([]*mtcg.Comm(nil), prog.Comms...),
-		Assign:     prog.Assign,
-		NumThreads: prog.NumThreads,
-	}, desc, true, nil
 }
 
 // CheckProgram cross-checks one compiled multi-threaded program against
 // the golden outcome: the interpreter under every schedule × queue depth
 // of opts, the internal invariants, and (unless opts.SkipSim) the
-// simulator. Failures are appended to rep. The experiment harness uses
-// this entry point directly on the workload pipelines.
+// simulator. With a fault armed it checks what the fault makes of prog
+// (see Options.Inject). Failures are appended to rep. The experiment
+// harness uses this entry point directly on the workload pipelines.
 func CheckProgram(rep *Report, caseName string, g *Golden, label string,
 	prog *mtcg.Program, args, mem []int64, opts Options) {
 	opts = opts.withDefaults()
 	rep.Programs++
 
-	// Each executor run gets a fresh injector from the armed spec (an
-	// injector is single-run state, like a Scheduler); afterwards the run's
-	// injection count and first fault schedule fold into the report.
-	newInjector := func() *fault.Injector {
-		if opts.Inject == nil {
-			return nil
-		}
-		return opts.Inject.New()
+	var spec fault.Spec
+	if opts.Inject != nil {
+		spec = *opts.Inject
 	}
-	recordInjector := func(inj *fault.Injector) {
-		if inj == nil {
-			return
+	// The counts of MTCG's own output are also known without a run: each
+	// generated block executes as often as the original block it copies
+	// did in the golden run (mtcg.Program.Counts). The comparison belongs
+	// to the runs it checks and adds none to Runs.
+	var counted *interp.CommStats
+	if prog.Origins != nil {
+		c := prog.Counts(g.Profile)
+		counted = &c
+	}
+	maxSteps := opts.MaxSteps
+	mut, desc, changed, err := fault.Mutate(prog, g.Profile, spec)
+	if err != nil {
+		rep.add(caseName, label, ExecError, err.Error())
+		return
+	}
+	if changed {
+		// A mutant adds at most two instructions per execution of its
+		// site, so while it keeps prog's control flow it issues at most
+		// three times prog's count. Past that it has left it — a
+		// corrupted loop bound spins — and stops there, not at the
+		// budget. Its own counts are no longer the placement's.
+		prog = mut
+		if counted != nil {
+			maxSteps = min(maxSteps, 3*counted.Total())
+			counted = nil
 		}
-		rep.Injected += inj.Count()
+	} else {
+		desc, changed = spec.Perturbs(len(prog.Threads), opts.QueueCaps)
+	}
+	if changed {
+		rep.Injected++
 		if rep.FaultSchedule == "" {
-			rep.FaultSchedule = inj.Schedule()
+			rep.FaultSchedule = desc
 		}
 	}
 
@@ -430,16 +418,6 @@ func CheckProgram(rep *Report, caseName string, g *Golden, label string,
 	if err != nil {
 		rep.add(caseName, label, InvariantViolation, err.Error())
 		return
-	}
-
-	// On a clean cell the program's counts are also known without a run:
-	// each generated block executes as often as the original block it
-	// copies did in the golden run (mtcg.Program.Counts). The comparison
-	// belongs to the runs it checks and adds none to Runs.
-	var counted *interp.CommStats
-	if opts.Inject == nil && prog.Origins != nil {
-		c := prog.Counts(g.Profile)
-		counted = &c
 	}
 
 	// ref is the first successful interpreter run; every later run must
@@ -454,16 +432,14 @@ func CheckProgram(rep *Report, caseName string, g *Golden, label string,
 				rep.add(caseName, config, ExecError, err.Error())
 				continue
 			}
-			inj := newInjector()
 			cfg := interp.MTConfig{
 				Threads: prog.Threads, NumQueues: prog.NumQueues,
-				QueueCap: qcap, Sched: sched, Assign: prog.Assign,
-				Args: args, Mem: append([]int64(nil), mem...),
-				MaxSteps: opts.MaxSteps, Inject: inj,
+				QueueCap: spec.QueueCap(qcap), Sched: spec.Sched(sched, len(prog.Threads)),
+				Assign: prog.Assign, Args: args, Mem: append([]int64(nil), mem...),
+				MaxSteps: maxSteps,
 			}
 			mt, err := interp.RunMT(cfg)
 			rep.Runs++
-			recordInjector(inj)
 			if err != nil {
 				kind := ExecError
 				if errors.Is(err, interp.ErrDeadlock) {
@@ -498,7 +474,7 @@ func CheckProgram(rep *Report, caseName string, g *Golden, label string,
 	for _, qcap := range opts.QueueCaps {
 		config := fmt.Sprintf("%s/cap=%d/sim", label, qcap)
 		cfg := sim.DefaultConfig()
-		cfg.QueueCap = qcap
+		cfg.QueueCap = spec.QueueCap(qcap)
 		if len(prog.Threads) > cfg.Cores {
 			cfg.Cores = len(prog.Threads)
 		}
@@ -508,10 +484,8 @@ func CheckProgram(rep *Report, caseName string, g *Golden, label string,
 		if opts.SimStallLimit > 0 {
 			cfg.StallLimit = opts.SimStallLimit
 		}
-		inj := newInjector()
-		sr, err := sim.RunInjected(cfg, prog.Threads, args, append([]int64(nil), mem...), opts.SimCycles, nil, inj)
+		sr, err := sim.Run(cfg, prog.Threads, args, append([]int64(nil), mem...), opts.SimCycles)
 		rep.Runs++
-		recordInjector(inj)
 		if err != nil {
 			rep.add(caseName, config, SimDivergence, err.Error())
 			continue

@@ -62,8 +62,8 @@ type node struct {
 }
 
 // buildPath reconstructs the dynamic dependence graph of an event stream
-// and extracts its critical path. qcap is the run's effective queue
-// capacity (it decides which consume freed the slot a produce filled).
+// and extracts its critical path. qcap is the run's queue capacity (it
+// decides which consume freed the slot a produce filled).
 func buildPath(events []sim.Event, threads []*ir.Function, qcap int) *Path {
 	p := &Path{}
 	if len(events) == 0 {
@@ -87,15 +87,12 @@ func buildPath(events []sim.Event, threads []*ir.Function, qcap int) *Path {
 		lastOnCore[i] = -1
 	}
 	// Per-queue matching state: tokens is the FIFO of producing event
-	// indices still in flight (one entry per landed value — an injected
-	// dup pushes the same producer twice, a drop pushes nothing); head is
-	// its consumption cursor; consumed collects consume events in pop
-	// order; pushed counts landed values.
+	// indices in push order, with head its consumption cursor; consumed
+	// collects consume events in pop order.
 	type qstate struct {
 		tokens   []int32
 		head     int
 		consumed []int32
-		pushed   int
 	}
 	var qs []qstate
 
@@ -137,18 +134,15 @@ func buildPath(events []sim.Event, threads []*ir.Function, qcap int) *Path {
 		switch e.In.Op {
 		case ir.Produce, ir.ProduceSync:
 			q := queueOf(e.Queue)
-			for k := 0; k < e.Times; k++ {
-				// The token occupies slot (pushed mod qcap); if the queue
-				// had ever been full here, the consume that freed it is
-				// pop number pushed-qcap.
-				if qcap > 0 && q.pushed >= qcap {
-					if ci := q.pushed - qcap; ci < len(q.consumed) {
-						consider(q.consumed[ci], events[q.consumed[ci]].Issue, arcSlot, int32(e.Queue))
-					}
+			// The token occupies slot (pushed mod qcap); if the queue had
+			// ever been full here, the consume that freed it is pop number
+			// pushed-qcap.
+			if pushed := len(q.tokens); qcap > 0 && pushed >= qcap {
+				if ci := pushed - qcap; ci < len(q.consumed) {
+					consider(q.consumed[ci], events[q.consumed[ci]].Issue, arcSlot, int32(e.Queue))
 				}
-				q.tokens = append(q.tokens, int32(i))
-				q.pushed++
 			}
+			q.tokens = append(q.tokens, int32(i))
 		case ir.Consume, ir.ConsumeSync:
 			q := queueOf(e.Queue)
 			if q.head < len(q.tokens) {

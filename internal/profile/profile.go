@@ -11,8 +11,7 @@
 //     longest weighted path extracted and its cycles blamed on static
 //     instructions and queues.
 //
-// Explain diffs two profiled runs (GREMIO vs DSWP, naive vs COCO, faulted
-// vs clean) and decomposes the cycle delta exactly into per-bucket deltas.
+// Explain diffs two profiled runs (GREMIO vs DSWP, naive vs COCO) and decomposes the cycle delta exactly into per-bucket deltas.
 // Everything is measured in simulator cycles — never wall-clock — and all
 // renderings are byte-deterministic.
 package profile
@@ -24,7 +23,6 @@ import (
 
 	"repro/internal/attr"
 	"repro/internal/budget"
-	"repro/internal/fault"
 	"repro/internal/ir"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -42,9 +40,6 @@ type Options struct {
 	Mem     []int64
 	// MaxCycles bounds the simulation (<= 0 uses the default budget).
 	MaxCycles int64
-	// Fault, when non-nil, arms deterministic fault injection (a fresh
-	// injector is built for the run), profiling the degraded schedule.
-	Fault *fault.Spec
 	// Metrics and Trace are optional observability sinks; Trace also
 	// receives produce→consume flow events (Perfetto arrows) when Flows is
 	// set. Pid places the run's lanes in the trace.
@@ -87,11 +82,7 @@ func Run(o Options) (*Report, error) {
 		Events:  col.add,
 		Flows:   o.Flows && o.Trace != nil,
 	}
-	var inj *fault.Injector
-	if o.Fault != nil {
-		inj = o.Fault.New()
-	}
-	res, err := sim.RunInjected(o.Cfg, o.Threads, o.Args, o.Mem, maxCycles, ob, inj)
+	res, err := sim.RunObserved(o.Cfg, o.Threads, o.Args, o.Mem, maxCycles, ob)
 	if err != nil {
 		return nil, fmt.Errorf("profile: %s/%s/%s: %w", o.Workload, o.Partitioner, o.Program, err)
 	}
@@ -114,7 +105,7 @@ func Run(o Options) (*Report, error) {
 		Cores:       len(res.PerCore),
 		Instrs:      instrs,
 		Attr:        res.Attr,
-		Path:        buildPath(col.events, o.Threads, inj.QueueCap(o.Cfg.QueueCap)),
+		Path:        buildPath(col.events, o.Threads, o.Cfg.QueueCap),
 	}, nil
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/attr"
 	"repro/internal/coco"
-	"repro/internal/fault"
 	"repro/internal/ir"
 	"repro/internal/mtcg"
 	"repro/internal/obs"
@@ -18,7 +17,8 @@ import (
 	"repro/internal/testprog"
 )
 
-// fig5Options builds profiling options for the paper's Figure 5 program.
+// fig5Options builds profiling options for the paper's Figure 5 program
+// compiled with COCO.
 func fig5Options(t *testing.T) profile.Options {
 	t.Helper()
 	p := testprog.Fig5()
@@ -27,6 +27,18 @@ func fig5Options(t *testing.T) profile.Options {
 	if err != nil {
 		t.Fatalf("coco: %v", err)
 	}
+	return fig5Run(t, "coco", pl)
+}
+
+// fig5Naive is fig5Options for the naive MTCG program.
+func fig5Naive(t *testing.T) profile.Options {
+	t.Helper()
+	p := testprog.Fig5()
+	return fig5Run(t, "naive", mtcg.NaivePlan(p.F, pdg.Build(p.F, p.Objects), p.Assign, 2))
+}
+
+func fig5Run(t *testing.T, label string, pl *mtcg.Plan) profile.Options {
+	t.Helper()
 	prog, err := mtcg.Generate(pl)
 	if err != nil {
 		t.Fatalf("mtcg: %v", err)
@@ -34,7 +46,7 @@ func fig5Options(t *testing.T) profile.Options {
 	return profile.Options{
 		Workload:    "fig5",
 		Partitioner: "gremio",
-		Program:     "coco",
+		Program:     label,
 		Cfg:         sim.DefaultConfig(),
 		Threads:     prog.Threads,
 		Args:        []int64{9, 1, 1},
@@ -120,19 +132,15 @@ func TestRenderDeterministic(t *testing.T) {
 }
 
 func TestExplainDecomposesExactly(t *testing.T) {
-	clean := fig5Options(t)
-	a, err := profile.Run(clean)
+	a, err := profile.Run(fig5Naive(t))
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
-	// Subject: the same program degraded by injected core stalls — the
-	// delta must decompose with a visible fault bucket.
-	faulted := fig5Options(t)
-	faulted.Program = "faulted"
-	faulted.Fault = &fault.Spec{Class: fault.StallThread, Seed: 7}
-	b, err := profile.Run(faulted)
+	// Subject: the COCO program, which trades the naive program's
+	// communication for fewer cycles — the delta must decompose exactly.
+	b, err := profile.Run(fig5Options(t))
 	if err != nil {
-		t.Fatalf("faulted: %v", err)
+		t.Fatalf("coco: %v", err)
 	}
 	e := profile.Explain(a, b)
 	var sum, den int64
@@ -144,8 +152,8 @@ func TestExplainDecomposesExactly(t *testing.T) {
 	if sum != e.Delta()*den {
 		t.Fatalf("bucket deltas sum to %d/%d, cycle delta is %d", sum, den, e.Delta())
 	}
-	if n, _ := e.BucketDelta(attr.Fault); n >= 0 {
-		t.Errorf("stall-injected subject shows no fault-bucket cost (delta %d)", n)
+	if e.Delta() == 0 {
+		t.Fatal("naive and COCO programs take the same cycles: nothing to explain")
 	}
 	var buf bytes.Buffer
 	if err := e.Render(&buf, 5); err != nil {
@@ -153,9 +161,9 @@ func TestExplainDecomposesExactly(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"== explain fig5/gremio/faulted against fig5/gremio/coco ==",
+		"== explain fig5/gremio/coco against fig5/gremio/naive ==",
 		"cycle-delta decomposition",
-		"fault",
+		"queue-empty",
 		"(sum)",
 	} {
 		if !strings.Contains(out, want) {

@@ -158,6 +158,18 @@ func (r *Request) workload() (*workloads.Workload, error) {
 	if f.MaxReg() > maxInlineReg {
 		return nil, fmt.Errorf("ir names register %v; inline functions may name registers up to %v", f.MaxReg(), ir.Reg(maxInlineReg))
 	}
+	// Communication is what the server generates from a function: source
+	// that already holds a produce or consume is no single-threaded
+	// program, and the profile cannot run it.
+	var comm *ir.Instr
+	f.Instrs(func(in *ir.Instr) {
+		if comm == nil && in.Op.IsComm() {
+			comm = in
+		}
+	})
+	if comm != nil {
+		return nil, fmt.Errorf("ir holds %v; inline functions are single-threaded source, the server generates the communication", comm)
+	}
 	// COCO's placement needs critical edges split. Every built-in workload
 	// and randprog program arrives split already, and splitting a function
 	// that has none changes nothing, so neither its key nor its reply.

@@ -367,8 +367,8 @@ const hugeRegister = "func f(r2)\nentry:\n  r8 = mul r9999999999994, r2\n  ret r
 // TestInlineRegisterBound: inline IR may name registers up to r65536. A
 // higher one is refused at the door with a 400 that names the register
 // and the limit, and the server goes on answering. A huge queue number
-// sizes nothing: the profile refuses the communication instruction
-// whatever its queue, and the server goes on answering too.
+// sizes nothing: the door refuses the communication instruction whatever
+// its queue, and the server goes on answering too.
 func TestInlineRegisterBound(t *testing.T) {
 	s := newServer(t, Options{})
 	ctx := context.Background()
@@ -380,19 +380,44 @@ func TestInlineRegisterBound(t *testing.T) {
 		{strings.Replace(hugeRegister, "r9999999999994", "r65536", 1), http.StatusOK, nil},
 		{strings.Replace(hugeRegister, "r9999999999994", "r65537", 1), http.StatusBadRequest, []string{"r65537", "r65536"}},
 		{hugeRegister, http.StatusBadRequest, []string{"r9999999999994", "r65536"}},
-		{"func f(r1)\nentry:\n  produce [q9999999999] = r1\n  ret r1\n", 0, nil},
+		{"func f(r1)\nentry:\n  produce [q9999999999] = r1\n  ret r1\n", http.StatusBadRequest, []string{"produce [q9999999999] = r1"}},
 	} {
 		res := s.Do(ctx, &Request{IR: tc.ir, Args: []int64{3}})
-		switch {
-		case tc.status == 0 && res.Status == http.StatusOK:
-			t.Errorf("%q: answered 200", tc.ir)
-		case tc.status != 0 && res.Status != tc.status:
+		if res.Status != tc.status {
 			t.Errorf("%q: status %d, want %d: %s", tc.ir, res.Status, tc.status, res.Body)
 		}
 		for _, want := range tc.says {
 			if !bytes.Contains(res.Body, []byte(want)) {
 				t.Errorf("%q: the error does not name %s: %s", tc.ir, want, res.Body)
 			}
+		}
+		req := selfLatchSum
+		mustOK(t, s.Do(ctx, &req))
+	}
+}
+
+// inlineComm holds one communication instruction of each kind: source a
+// client wrote with a produce already in it. Before the door refused it
+// the profile failed with "unexpected opcode produce", answered 500.
+const inlineComm = "func f(r1)\nentry:\n  produce [q0] = r1\n  r2 = consume [q0]\n" +
+	"  produce.sync [q1]\n  consume.sync [q1]\n  ret r2\n"
+
+// TestInlineCommRefused: inline IR holding a produce, consume or their
+// .sync forms is refused at the door with a 400 that names the
+// instruction, and the server answers the next request.
+func TestInlineCommRefused(t *testing.T) {
+	s := newServer(t, Options{})
+	ctx := context.Background()
+	lines := strings.Split(strings.TrimSpace(inlineComm), "\n")
+	for i, instr := range lines[2 : len(lines)-1] {
+		// Keep the instructions from instr on: the first is the one named.
+		text := lines[0] + "\n" + lines[1] + "\n" + strings.Join(lines[2+i:], "\n") + "\n"
+		res := s.Do(ctx, &Request{IR: text, Args: []int64{3}})
+		if res.Status != http.StatusBadRequest {
+			t.Errorf("%q: status %d, want 400: %s", text, res.Status, res.Body)
+		}
+		if want := strings.TrimSpace(instr); !bytes.Contains(res.Body, []byte(want)) {
+			t.Errorf("%q: the error does not name %q: %s", text, want, res.Body)
 		}
 		req := selfLatchSum
 		mustOK(t, s.Do(ctx, &req))

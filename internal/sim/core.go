@@ -143,9 +143,9 @@ func (s *system) stepCore(c *core, cycle int64, saPortsUsed *int) (int, cycleTag
 
 		// done is the cycle the instruction's result becomes usable (the
 		// Event.Done the profiler builds dependence edges from); evQueue
-		// and evTimes describe communication effects.
+		// is the queue a communication instruction touched.
 		done := cycle + 1
-		evQueue, evTimes := -1, 1
+		evQueue := -1
 		stop := false // terminator: the issue group ends here
 
 		switch di.Op {
@@ -166,39 +166,28 @@ func (s *system) stepCore(c *core, cycle int64, saPortsUsed *int) (int, cycleTag
 			if di.Op == ir.Produce {
 				v = c.regs[di.S0]
 			}
-			// Core stats count the issued instruction; queue stats count
-			// what actually lands in the array — under injection (drop,
-			// dup, swap) the two diverge, which is the detection signal.
-			tq, val, times := int(di.Queue), v, 1
-			if s.inj != nil {
-				tq, val, times = s.inj.Produce(c.id, tq, v, len(s.queues), di.Op == ir.Produce)
-			}
 			c.stats.Produces++
-			for k := 0; k < times; k++ {
-				q := s.queues[tq]
-				e := saEntry{val: val, arrival: cycle + int64(cfg.SALatency)}
-				if s.flows {
-					s.flowSeq++
-					e.flow = s.flowSeq
-				}
-				q.Push(e)
-				qs := &s.qstats[tq]
-				qs.Produced++
-				if d := int64(q.Len()); d > qs.HighWater {
-					qs.HighWater = d
-				}
-				if s.saLane != nil {
-					s.saLane.Counter(s.qnames[tq], cycle, "depth", int64(q.Len()))
-				}
-				if s.flows {
-					s.coreLanes[c.id].FlowStart(s.qnames[tq], "sa", e.flow, cycle)
-				}
+			q := s.queues[di.Queue]
+			e := saEntry{val: v, arrival: cycle + int64(cfg.SALatency)}
+			if s.flows {
+				s.flowSeq++
+				e.flow = s.flowSeq
+			}
+			q.Push(e)
+			qs := &s.qstats[di.Queue]
+			qs.Produced++
+			if d := int64(q.Len()); d > qs.HighWater {
+				qs.HighWater = d
+			}
+			if s.saLane != nil {
+				s.saLane.Counter(s.qnames[di.Queue], cycle, "depth", int64(q.Len()))
 			}
 			if s.flows {
-				s.coreLanes[c.id].SpanAt("produce", "sa", cycle, 1, obs.A("q", int64(tq)))
+				s.coreLanes[c.id].FlowStart(s.qnames[di.Queue], "sa", e.flow, cycle)
+				s.coreLanes[c.id].SpanAt("produce", "sa", cycle, 1, obs.A("q", int64(di.Queue)))
 			}
 			done = cycle + int64(cfg.SALatency)
-			evQueue, evTimes = tq, times
+			evQueue = int(di.Queue)
 		case ir.Consume, ir.ConsumeSync:
 			q := s.queues[di.Queue]
 			if q.Len() == 0 {
@@ -311,7 +300,7 @@ func (s *system) stepCore(c *core, cycle int64, saPortsUsed *int) (int, cycleTag
 			firstID = id
 		}
 		if s.events != nil {
-			s.events(Event{Core: c.id, In: c.code.Instrs[pc], Issue: cycle, Done: done, Queue: evQueue, Times: evTimes})
+			s.events(Event{Core: c.id, In: c.code.Instrs[pc], Issue: cycle, Done: done, Queue: evQueue})
 		}
 		if stop {
 			return issued, cycleTag{bucket: attr.Issue, instr: firstID, queue: -1}
@@ -329,7 +318,7 @@ func (s *system) stepCore(c *core, cycle int64, saPortsUsed *int) (int, cycleTag
 // the pc in a register and executes the hot ALU opcodes in its switch. Both
 // run over the thread's decoded stream (ir.Stream — the flat, pc-indexed
 // records the interpreter runs over too, with Tag holding the issue-port
-// class). Timing, statistics, fault injection, and block memos are
+// class). Timing, statistics, and block memos are
 // bit-identical to stepCore — TestStepCoreFastEquivalence pins the two
 // against each other.
 func (s *system) stepCoreFast(c *core, cycle int64, saPortsUsed *int) int {
@@ -439,19 +428,13 @@ loop:
 			if di.Op == ir.Produce {
 				v = regs[di.S0]
 			}
-			tq, val, times := int(di.Queue), v, 1
-			if s.inj != nil {
-				tq, val, times = s.inj.Produce(c.id, int(di.Queue), v, len(s.queues), di.Op == ir.Produce)
-			}
 			c.stats.Produces++
-			for k := 0; k < times; k++ {
-				q := s.queues[tq]
-				q.Push(saEntry{val: val, arrival: cycle + int64(cfg.SALatency)})
-				qs := &s.qstats[tq]
-				qs.Produced++
-				if d := int64(q.Len()); d > qs.HighWater {
-					qs.HighWater = d
-				}
+			q := s.queues[di.Queue]
+			q.Push(saEntry{val: v, arrival: cycle + int64(cfg.SALatency)})
+			qs := &s.qstats[di.Queue]
+			qs.Produced++
+			if d := int64(q.Len()); d > qs.HighWater {
+				qs.HighWater = d
 			}
 		case ir.Consume, ir.ConsumeSync:
 			q := s.queues[di.Queue]

@@ -70,11 +70,6 @@ func TestAttrConservesAndIsObservational(t *testing.T) {
 	if err := res.Attr.CheckConservation(totals); err != nil {
 		t.Fatalf("conservation: %v", err)
 	}
-	// No fault injection → the Fault bucket must be empty.
-	if tot := res.Attr.TotalBuckets(); tot[attr.Fault] != 0 {
-		t.Errorf("clean run attributed %d cycles to fault", tot[attr.Fault])
-	}
-
 	// The event stream carries exactly the issued instructions, in
 	// nondecreasing issue order per core.
 	var instrs int64
@@ -99,8 +94,8 @@ func TestAttrConservesAndIsObservational(t *testing.T) {
 		switch e.In.Op {
 		case ir.Produce, ir.ProduceSync:
 			produces++
-			if e.Queue < 0 || e.Times != 1 {
-				t.Fatalf("clean produce event %d has queue %d times %d", i, e.Queue, e.Times)
+			if e.Queue < 0 {
+				t.Fatalf("produce event %d has queue %d", i, e.Queue)
 			}
 		case ir.Consume, ir.ConsumeSync:
 			consumes++

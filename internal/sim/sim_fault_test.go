@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/ir"
+	"repro/internal/mtcg"
 )
 
 // faultPair builds a one-queue producer/consumer pair exchanging n values.
@@ -46,6 +47,27 @@ func faultPair(n int64) []*ir.Function {
 		return f
 	}
 	return []*ir.Function{mk(true), mk(false)}
+}
+
+// faultMutant returns the spec's mutant of faultPair(n), wrapped as MTCG
+// output: both threads copy the producer's three blocks, executed as a
+// single-threaded run of the loop would.
+func faultMutant(t *testing.T, n int64, spec fault.Spec) *mtcg.Program {
+	t.Helper()
+	threads := faultPair(n)
+	orig := threads[0]
+	entry, loop, exit := orig.Blocks[0], orig.Blocks[1], orig.Blocks[2]
+	prof := ir.NewProfile()
+	prof.AddEdge(entry, loop, 1)
+	prof.AddEdge(loop, loop, n-1)
+	prof.AddEdge(loop, exit, 1)
+	prog := &mtcg.Program{Orig: orig, Threads: threads, NumQueues: 1, NumThreads: 2,
+		Origins: [][]*ir.Block{orig.Blocks, orig.Blocks}}
+	mut, _, ok, err := fault.Mutate(prog, prof, spec)
+	if !ok || err != nil {
+		t.Fatalf("no %s mutant: ok=%v err=%v", spec, ok, err)
+	}
+	return mut
 }
 
 // TestSimBadProgramRejected: comm instructions referencing queues outside
@@ -101,18 +123,16 @@ func TestSimUnsoundFunction(t *testing.T) {
 			unreached.Cycles, unreached.LiveOuts, sound.Cycles)
 	}
 	// Every loop spins on the trap, not only the unobserved one: an observed
-	// run (stepCore) and an injected one.
+	// run (stepCore) too.
 	events := 0
 	for _, tc := range []struct {
 		name string
 		ob   *Observer
-		inj  *fault.Injector
 	}{
-		{"plain", nil, nil},
-		{"observed", &Observer{Attr: true, Events: func(Event) { events++ }}, nil},
-		{"injected", nil, fault.Spec{Class: fault.StallThread, Seed: 1}.New()},
+		{"plain", nil},
+		{"observed", &Observer{Attr: true, Events: func(Event) { events++ }}},
 	} {
-		_, err := RunInjected(DefaultConfig(), []*ir.Function{mk(true, true)}, nil, nil, 10_000, tc.ob, tc.inj)
+		_, err := RunObserved(DefaultConfig(), []*ir.Function{mk(true, true)}, nil, nil, 10_000, tc.ob)
 		if !errors.Is(err, ErrCycleLimit) {
 			t.Errorf("open block reached, %s: err = %v, want ErrCycleLimit", tc.name, err)
 		}
@@ -122,57 +142,26 @@ func TestSimUnsoundFunction(t *testing.T) {
 	}
 }
 
-// TestSimInjectDropStalls: dropped produces starve the consumer core; with
-// a low stall limit the watchdog converts the silent hang into a named
+// TestSimInjectDropStalls: a drop mutant starves the consumer core; with a
+// low stall limit the watchdog converts the silent hang into a named
 // no-progress error instead of burning the full cycle budget.
 func TestSimInjectDropStalls(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.StallLimit = 10_000
-	inj := fault.Spec{Class: fault.DropProduce, Seed: 1}.New()
-	_, err := RunInjected(cfg, faultPair(2000), nil, nil, 50_000_000, nil, inj)
-	if !errors.Is(err, ErrNoProgress) {
+	mut := faultMutant(t, 2000, fault.Spec{Class: fault.DropProduce, Seed: 1})
+	if _, err := RunObserved(cfg, mut.Threads, nil, nil, 50_000_000, nil); !errors.Is(err, ErrNoProgress) {
 		t.Fatalf("err = %v, want ErrNoProgress", err)
 	}
-	if inj.Count() == 0 {
-		t.Error("no faults injected before the stall")
-	}
 }
 
-// TestSimInjectStallTolerated: a bounded thread freeze costs cycles but
-// the run completes; the frozen turns land in IssueStallCycles.
-func TestSimInjectStallTolerated(t *testing.T) {
-	clean, err := Run(DefaultConfig(), faultPair(500), nil, nil, 10_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := fault.Spec{Class: fault.StallThread, Seed: 3}.New()
-	res, err := RunInjected(DefaultConfig(), faultPair(500), nil, nil, 10_000_000, nil, inj)
-	if err != nil {
-		t.Fatalf("stall must be tolerated, got %v", err)
-	}
-	if inj.Count() == 0 {
-		t.Fatal("stall never fired")
-	}
-	var cleanIssued, faultIssued int64
-	for i := range clean.PerCore {
-		cleanIssued += clean.PerCore[i].Instrs
-		faultIssued += res.PerCore[i].Instrs
-	}
-	if faultIssued != cleanIssued {
-		t.Errorf("stalled run issued %d instructions, clean run %d", faultIssued, cleanIssued)
-	}
-}
-
-// TestSimInjectShrinkTolerated: halved queue capacity adds back-pressure
-// only; the run still completes with every value delivered.
+// TestSimInjectShrinkTolerated: the halved queue capacity adds
+// back-pressure only; the run still completes with every value delivered.
 func TestSimInjectShrinkTolerated(t *testing.T) {
-	inj := fault.Spec{Class: fault.ShrinkQueue, Seed: 1}.New()
-	res, err := RunInjected(DefaultConfig(), faultPair(500), nil, nil, 10_000_000, nil, inj)
+	cfg := DefaultConfig()
+	cfg.QueueCap = fault.Spec{Class: fault.ShrinkQueue, Seed: 1}.QueueCap(32)
+	res, err := Run(cfg, faultPair(500), nil, nil, 10_000_000)
 	if err != nil {
 		t.Fatalf("shrunk queue must be tolerated, got %v", err)
-	}
-	if inj.Count() != 1 {
-		t.Errorf("shrink injected %d events, want 1", inj.Count())
 	}
 	if res.PerQueue[0].Consumed != 500 {
 		t.Errorf("consumed %d values, want 500", res.PerQueue[0].Consumed)
@@ -182,20 +171,20 @@ func TestSimInjectShrinkTolerated(t *testing.T) {
 	}
 }
 
-// TestSimInjectDeterministic: the same spec yields the same cycle count
-// and the same schedule, run after run.
+// TestSimInjectDeterministic: the same spec yields the same mutant and the
+// same cycle count, run after run.
 func TestSimInjectDeterministic(t *testing.T) {
 	run := func() (*Result, string) {
-		inj := fault.Spec{Class: fault.DupProduce, Seed: 11}.New()
+		mut := faultMutant(t, 300, fault.Spec{Class: fault.DupProduce, Seed: 11})
 		cfg := DefaultConfig()
 		cfg.StallLimit = 10_000
-		res, _ := RunInjected(cfg, faultPair(300), nil, nil, 10_000_000, nil, inj)
-		return res, inj.Schedule()
+		res, _ := Run(cfg, mut.Threads, nil, nil, 10_000_000)
+		return res, mut.Threads[0].String() + mut.Threads[1].String()
 	}
 	r1, s1 := run()
 	r2, s2 := run()
 	if s1 != s2 {
-		t.Errorf("fault schedules differ:\n%s\nvs\n%s", s1, s2)
+		t.Errorf("mutants differ:\n%s\nvs\n%s", s1, s2)
 	}
 	if (r1 == nil) != (r2 == nil) {
 		t.Fatal("one run failed, the other succeeded")

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/attr"
-	"repro/internal/fault"
 	"repro/internal/ir"
 	"repro/internal/obs"
 	"repro/internal/ring"
@@ -141,14 +140,16 @@ type core struct {
 
 // system couples the cores, the shared L3, and the SA.
 type system struct {
-	cfg    Config
-	qcap   int // effective queue capacity (cfg.QueueCap, possibly shrunk)
-	inj    *fault.Injector
-	cores  []*core
-	queues []*saQueue
-	qstats []QueueStats
-	mem    []int64
-	err    error // first memory fault
+	cfg  Config
+	qcap int // cfg.QueueCap, read on the hot path
+	// doneCores counts finished cores so the cycle loop terminates on a
+	// counter compare instead of scanning every core every cycle.
+	doneCores int
+	cores     []*core
+	queues    []*saQueue
+	qstats    []QueueStats
+	mem       []int64
+	err       error // first memory fault
 
 	// Hot-path tables, derived from cfg once at setup so the issue loop
 	// performs no per-instruction switch dispatch or per-call array
@@ -156,9 +157,6 @@ type system struct {
 	// opcode to its result latency.
 	limits [4]int
 	lat    [256]int64
-	// doneCores counts finished cores so the cycle loop terminates on a
-	// counter compare instead of scanning every core every cycle.
-	doneCores int
 
 	// Observability sinks (all optional). saLane carries queue-occupancy
 	// counter tracks; coreLanes carry per-core coalesced stall spans.
@@ -176,9 +174,8 @@ type system struct {
 // Event is one issued instruction instance, streamed to Observer.Events as
 // the simulation advances. The profiler (internal/profile) reconstructs the
 // run's dynamic dependence graph from this stream: In identifies the static
-// instruction, Issue/Done bound its execution in cycles, and Queue/Times
-// describe what a communication instruction did to the synchronization
-// array. Events are emitted in deterministic order: cycle-major, core-minor,
+// instruction, Issue/Done bound its execution in cycles, and Queue names the
+// synchronization-array queue a communication instruction touched. Events are emitted in deterministic order: cycle-major, core-minor,
 // issue-slot-minor.
 type Event struct {
 	// Core is the issuing core.
@@ -194,12 +191,9 @@ type Event struct {
 	// produces, branch-resolution (including any mispredict bubble) for
 	// branches, Issue+1 otherwise.
 	Done int64
-	// Queue is the effective synchronization-array queue touched (after
-	// any fault injection), or -1 for non-communication instructions.
+	// Queue is the synchronization-array queue touched, or -1 for
+	// non-communication instructions.
 	Queue int
-	// Times is the number of values a produce actually landed (0 under an
-	// injected drop, 2 under a dup); 1 for everything else.
-	Times int
 }
 
 // Observer carries the optional observability sinks for one simulation
@@ -246,14 +240,6 @@ func Run(cfg Config, threads []*ir.Function, args []int64, mem []int64, maxCycle
 // stall timelines stream into ob's sinks as the simulation advances. A nil
 // ob (or nil fields) records nothing and is exactly Run.
 func RunObserved(cfg Config, threads []*ir.Function, args []int64, mem []int64, maxCycles int64, ob *Observer) (*Result, error) {
-	return RunInjected(cfg, threads, args, mem, maxCycles, ob, nil)
-}
-
-// RunInjected is RunObserved with a deterministic fault injector consulted
-// at each synchronization-array operation and core issue slot. The injector
-// belongs to this run (create a fresh one per call); nil injects nothing
-// and is exactly RunObserved.
-func RunInjected(cfg Config, threads []*ir.Function, args []int64, mem []int64, maxCycles int64, ob *Observer, inj *fault.Injector) (*Result, error) {
 	if len(threads) > cfg.Cores {
 		return nil, fmt.Errorf("sim: %d threads exceed %d cores", len(threads), cfg.Cores)
 	}
@@ -268,7 +254,7 @@ func RunInjected(cfg Config, threads []*ir.Function, args []int64, mem []int64, 
 			numQueues, cfg.NumQueues)
 	}
 	l3 := newCache(cfg.L3Sets, cfg.L3Ways, cfg.L3Line)
-	sys := &system{cfg: cfg, qcap: inj.QueueCap(cfg.QueueCap), inj: inj, mem: mem}
+	sys := &system{cfg: cfg, qcap: cfg.QueueCap, mem: mem}
 	for i, f := range threads {
 		if len(args) != len(f.Params) {
 			return nil, fmt.Errorf("sim: thread %s takes %d params, got %d", f.Name, len(f.Params), len(args))
@@ -386,9 +372,9 @@ func RunInjected(cfg Config, threads []*ir.Function, args []int64, mem []int64, 
 }
 
 // run executes the cycle loop to completion over this system's cores and
-// returns the cycle count. Observability hooks (attr, trace lanes, fault
-// injector) are guarded behind nil checks so an unobserved run pays no
-// per-cycle callback or allocation cost.
+// returns the cycle count. Observability hooks (attr, trace lanes, event
+// stream) are guarded behind nil checks; a run with none of them takes
+// runFast and pays no per-cycle callback or allocation cost.
 func (s *system) run(maxCycles int64) (int64, error) {
 	// stallStart[i] is the cycle core i's current issue-stall episode
 	// began, or -1 when issuing; consecutive stall cycles coalesce into
@@ -405,13 +391,11 @@ func (s *system) run(maxCycles int64) (int64, error) {
 
 	// Block memos are exact but skip stepCore's per-cycle cause analysis,
 	// so attribution runs take the full call every cycle. With no sinks at
-	// all the per-core step drops to the trimmed stepCoreFast.
+	// all the whole cycle loop reduces to memo requalification plus
+	// stepCoreFast: runFast, without the per-cycle lane and attribution
+	// branches.
 	memo := s.attr == nil
-	fast := memo && s.events == nil && s.saLane == nil && s.coreLanes == nil && !s.flows
-	if fast && s.inj == nil {
-		// No sinks and no injector: the whole cycle loop reduces to memo
-		// requalification plus stepCoreFast, so run it without the
-		// per-cycle injector/lane/attribution branches.
+	if memo && s.events == nil && s.saLane == nil && s.coreLanes == nil && !s.flows {
 		return s.runFast(maxCycles, stallLimit)
 	}
 
@@ -429,19 +413,6 @@ func (s *system) run(maxCycles int64) (int64, error) {
 			if c.done {
 				if s.attr != nil {
 					s.attr.Note(ci, attr.Idle, -1, -1)
-				}
-				continue
-			}
-			if s.inj != nil && s.inj.Stall(ci, len(s.cores)) {
-				// Frozen core: issues nothing this cycle. The freeze window
-				// always expires (far below the no-progress watchdog), so a
-				// stall can delay but never deadlock the simulation.
-				c.stats.IssueStallCycles++
-				if s.attr != nil {
-					s.attr.Note(ci, attr.Fault, int(c.code.Code[c.pc].ID), -1)
-				}
-				if s.coreLanes != nil && stallStart[ci] < 0 {
-					stallStart[ci] = cycle
 				}
 				continue
 			}
@@ -476,15 +447,9 @@ func (s *system) run(maxCycles int64) (int64, error) {
 					c.blockedFullQ = -1
 				}
 			}
-			var issued int
-			if fast {
-				issued = s.stepCoreFast(c, cycle, &saPortsUsed)
-			} else {
-				var tag cycleTag
-				issued, tag = s.stepCore(c, cycle, &saPortsUsed)
-				if s.attr != nil {
-					s.attr.Note(ci, tag.bucket, tag.instr, tag.queue)
-				}
+			issued, tag := s.stepCore(c, cycle, &saPortsUsed)
+			if s.attr != nil {
+				s.attr.Note(ci, tag.bucket, tag.instr, tag.queue)
 			}
 			if issued > 0 {
 				anyIssued = true
@@ -524,8 +489,7 @@ func (s *system) run(maxCycles int64) (int64, error) {
 	return cycle, nil
 }
 
-// runFast is the cycle loop for runs with no observability sinks and no
-// fault injector: per-core work is memo requalification plus stepCoreFast,
+// runFast is the cycle loop for runs with no observability sinks: per-core work is memo requalification plus stepCoreFast,
 // and cycles where no core can issue are jumped over in bulk. Timing,
 // statistics, termination, and error behavior are identical to run.
 func (s *system) runFast(maxCycles, stallLimit int64) (int64, error) {

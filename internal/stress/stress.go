@@ -51,7 +51,7 @@ var (
 	threadsPool = []int{2, 3}
 	// faultPool is weighted: most cells run fault-free (the differential
 	// sweep proper); the rest exercise the detector contract across every
-	// runtime class plus the compile-time misplan.
+	// fault class.
 	faultPool = []fault.Class{"", "", "", "", "", "",
 		fault.StallThread, fault.ShrinkQueue,
 		fault.DropProduce, fault.DupProduce, fault.CorruptValue,
@@ -391,7 +391,7 @@ func runCell(c Cell, opts Options) CellResult {
 		res.Status = StatusMismatch
 	case fault.VerdictUndetected:
 		res.Status = StatusUndetected
-		res.Detail = fmt.Sprintf("%s fired %d time(s), no detector reported it",
+		res.Detail = fmt.Sprintf("%s changed %d program(s), no detector reported it",
 			c.Config.Fault, rep.Injected)
 	}
 	return res
