@@ -118,7 +118,7 @@ func Plan(f *ir.Function, g *pdg.Graph, assign map[*ir.Instr]int, numThreads int
 			return nil, fmt.Errorf("coco: %s did not converge after %d iterations", f.Name, iter)
 		}
 		p.grew = false
-		next, err := p.iterate()
+		next, err := p.iterate(len(deps))
 		if err != nil {
 			return nil, err
 		}
@@ -134,7 +134,7 @@ func Plan(f *ir.Function, g *pdg.Graph, assign map[*ir.Instr]int, numThreads int
 		Iterations: iter,
 		PostDom:    g.PostDom,
 	}
-	var keys []depKey
+	keys := make([]depKey, 0, len(deps))
 	for k := range deps {
 		keys = append(keys, k)
 	}
@@ -325,8 +325,9 @@ func (p *planner) pairs() []threadPair {
 
 // iterate performs one pass over all thread pairs (the body of the
 // repeat-until loop of Algorithm 2), returning the dependence placements.
-func (p *planner) iterate() (map[depKey][]mtcg.Point, error) {
-	deps := map[depKey][]mtcg.Point{}
+// hint is how many the previous pass returned.
+func (p *planner) iterate(hint int) (map[depKey][]mtcg.Point, error) {
+	deps := make(map[depKey][]mtcg.Point, hint)
 	for _, pr := range p.pairs() {
 		if err := p.optimizePair(pr.ts, pr.td, deps); err != nil {
 			return nil, err

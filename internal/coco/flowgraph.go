@@ -6,6 +6,7 @@ package coco
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/dataflow"
 	"repro/internal/ir"
@@ -61,11 +62,37 @@ func newFlowGraph(f *ir.Function, prof *ir.Profile, tables *dataflow.PointSets) 
 		instrNode[in.ID] = nBlocks + nInstrs
 		nInstrs++
 	})
+	// The network is allocated once, at its final size: an arc into every
+	// instruction node and one per CFG edge from its block's last node,
+	// counted here with their ends at every node, and room for the
+	// terminal arcs of the largest cut. A register's cut hangs each of
+	// its definitions off S and each instruction that reads it off T, so
+	// an instruction node takes at most two terminal arcs.
+	nodes := nBlocks + nInstrs + 2
+	ends := make([]int, nodes)
+	nPoints := 0
+	for _, b := range f.Blocks {
+		prev := b.ID
+		for _, in := range b.Instrs {
+			node := instrNode[in.ID]
+			ends[prev]++
+			ends[node] += 1 + 2 // the arc into it, then room for a source and a sink
+			prev = node
+		}
+		for _, s := range b.Succs {
+			ends[prev]++
+			ends[s.ID]++
+		}
+		nPoints += len(b.Instrs) + len(b.Succs)
+	}
+	terms := maxDefsAndUses(f)
+	ends[nodes-2], ends[nodes-1] = terms, terms
 	fg := &flowGraph{
 		fn:        f,
-		g:         mincut.New(nBlocks + nInstrs + 2),
-		s:         nBlocks + nInstrs,
-		t:         nBlocks + nInstrs + 1,
+		g:         mincut.NewSized(ends, nPoints+terms),
+		s:         nodes - 2,
+		t:         nodes - 1,
+		points:    make([]flowPoint, 0, nPoints),
 		instrNode: instrNode,
 	}
 	addPoint := func(from, to int, pt mtcg.Point, weight int64) {
@@ -99,6 +126,29 @@ func newFlowGraph(f *ir.Function, prof *ir.Profile, tables *dataflow.PointSets) 
 		}
 	}
 	return fg, nil
+}
+
+// maxDefsAndUses returns the largest number, over f's registers, of
+// instructions that define the register plus instructions that read it:
+// the most terminal arcs one register cut adds.
+func maxDefsAndUses(f *ir.Function) int {
+	perReg := make([]int32, f.MaxReg()+1)
+	count := func(r ir.Reg) {
+		if int(r) < len(perReg) {
+			perReg[r]++
+		}
+	}
+	f.Instrs(func(in *ir.Instr) {
+		if d := in.Defs(); d != ir.NoReg {
+			count(d)
+		}
+		for i, r := range in.Srcs {
+			if !slices.Contains(in.Srcs[:i], r) {
+				count(r)
+			}
+		}
+	})
+	return int(slices.Max(perReg))
 }
 
 // addSource connects S to an instruction node with infinite capacity.

@@ -136,6 +136,21 @@ func TestLivenessLoop(t *testing.T) {
 	}
 }
 
+// TestPointSetsBytes: the sizing formula the server's door applies is
+// what NewPointSets allocates for its sets.
+func TestPointSetsBytes(t *testing.T) {
+	f, _ := buildCountLoop()
+	wide, err := ir.Parse("func w(r1)\nentry:\n  r700 = add r1, r1\n  br r700 a, b\na:\n  jump b\nb:\n  ret r700\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []*ir.Function{f, wide} {
+		if got, want := PointSetsBytes(f), int64(8*len(NewPointSets(f).bits)); got != want {
+			t.Errorf("%s: PointSetsBytes = %d, NewPointSets allocates %d", f.Name, got, want)
+		}
+	}
+}
+
 func TestBlockLivePositions(t *testing.T) {
 	f, regs := buildCountLoop()
 	l := ComputeLiveness(f, AllUses)

@@ -29,108 +29,139 @@ func (s defSet) andNot(o defSet) {
 	}
 }
 
+func (s defSet) count() int {
+	n := 0
+	for _, w := range s {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
 // ReachingDefs computes, for every use of a register, the set of definition
 // instructions whose values may reach it. These def→use chains are the
 // register data-dependence arcs of the PDG. Live-in registers (function
 // parameters) have an implicit definition at function entry, represented by
 // a nil *ir.Instr in chain results.
 type ReachingDefs struct {
-	fn      *ir.Function
-	defs    []*ir.Instr // def number -> defining instruction
-	defNum  []int       // instruction ID -> def number
-	defsOf  []defSet    // register -> set of its def numbers; nil if never defined
-	reachIn []defSet    // block ID -> defs reaching block entry
-	words   int         // words per defSet
+	fn     *ir.Function
+	defs   []*ir.Instr // def number -> defining instruction
+	defNum []int       // instruction ID -> def number
+	regRow []int32     // register -> 1 + its row of sets; 0 if never defined
+	// sets has a row per defined register, the set of its def numbers,
+	// then a row per block of the defs reaching its entry, then the
+	// analysis' own reach-out, gen and kill rows per block.
+	sets  defTable
+	nRows int // rows before the blocks'
 }
+
+// defTable is a table of equally wide defSets in one array.
+type defTable struct {
+	words int
+	bits  []uint64
+}
+
+// row returns the table's i-th set. It aliases the table.
+func (t defTable) row(i int) defSet {
+	return defSet(t.bits[i*t.words : (i+1)*t.words : (i+1)*t.words])
+}
+
+// defsOf returns the def numbers of register r, nil if r is never defined.
+func (rd *ReachingDefs) defsOf(r ir.Reg) defSet {
+	if int(r) >= len(rd.regRow) || rd.regRow[r] == 0 {
+		return nil
+	}
+	return rd.sets.row(int(rd.regRow[r]) - 1)
+}
+
+// reachIn returns the defs reaching block b's entry.
+func (rd *ReachingDefs) reachIn(b *ir.Block) defSet { return rd.sets.row(rd.nRows + b.ID) }
 
 // ComputeReachingDefs runs the forward may analysis over f.
 func ComputeReachingDefs(f *ir.Function) *ReachingDefs {
-	rd := &ReachingDefs{fn: f, defNum: make([]int, f.NumInstrIDs())}
-	// Number definitions. Pseudo-defs for params come first.
 	nRegs := int(f.MaxReg()) + 1
 	for _, p := range f.Params {
 		nRegs = max(nRegs, int(p)+1)
-		rd.defs = append(rd.defs, nil)
 	}
-	f.Instrs(func(in *ir.Instr) {
-		if in.Defs() != ir.NoReg {
-			rd.defNum[in.ID] = len(rd.defs)
-			rd.defs = append(rd.defs, in)
+	rd := &ReachingDefs{fn: f, defNum: make([]int, f.NumInstrIDs()), regRow: make([]int32, nRegs)}
+	// Number definitions, giving each defined register a row, then list
+	// them by number. Pseudo-defs for params come first.
+	define := func(r ir.Reg) {
+		if rd.regRow[r] == 0 {
+			rd.nRows++
+			rd.regRow[r] = int32(rd.nRows)
 		}
-	})
-	nDefs := len(rd.defs)
-	rd.words = (nDefs + 63) / 64
-	// Every set is cut from one slab: one per defined register, then
-	// gen, kill, reach-in and reach-out per block.
-	n := len(f.Blocks)
-	slab := make(defSet, rd.words*(nRegs+4*n))
-	cut := func() defSet {
-		s := slab[:rd.words:rd.words]
-		slab = slab[rd.words:]
-		return s
 	}
-	rd.defsOf = make([]defSet, nRegs)
-	ensure := func(r ir.Reg) defSet {
-		if rd.defsOf[r] == nil {
-			rd.defsOf[r] = cut()
-		}
-		return rd.defsOf[r]
+	for _, p := range f.Params {
+		define(p)
 	}
-	for i, p := range f.Params {
-		ensure(p).add(i)
-	}
+	nDefs := len(f.Params)
 	f.Instrs(func(in *ir.Instr) {
 		if d := in.Defs(); d != ir.NoReg {
-			ensure(d).add(rd.defNum[in.ID])
+			define(d)
+			rd.defNum[in.ID] = nDefs
+			nDefs++
+		}
+	})
+	rd.defs = make([]*ir.Instr, nDefs)
+	f.Instrs(func(in *ir.Instr) {
+		if in.Defs() != ir.NoReg {
+			rd.defs[rd.defNum[in.ID]] = in
 		}
 	})
 
-	// Per-block gen/kill.
-	gen := make([]defSet, n)
-	kill := make([]defSet, n)
+	// Every set is a row of one table: one per defined register, then
+	// reach-in, reach-out, gen and kill per block.
+	n := len(f.Blocks)
+	rd.sets = defTable{words: (nDefs + 63) / 64}
+	rd.sets.bits = make([]uint64, rd.sets.words*(rd.nRows+4*n))
+	reachOut := func(b *ir.Block) defSet { return rd.sets.row(rd.nRows + n + b.ID) }
+	gen := func(b *ir.Block) defSet { return rd.sets.row(rd.nRows + 2*n + b.ID) }
+	kill := func(b *ir.Block) defSet { return rd.sets.row(rd.nRows + 3*n + b.ID) }
+	for i, p := range f.Params {
+		rd.defsOf(p).add(i)
+	}
+	f.Instrs(func(in *ir.Instr) {
+		if d := in.Defs(); d != ir.NoReg {
+			rd.defsOf(d).add(rd.defNum[in.ID])
+		}
+	})
+
 	for _, b := range f.Blocks {
-		g, k := cut(), cut()
+		g, k := gen(b), kill(b)
 		for _, in := range b.Instrs {
 			d := in.Defs()
 			if d == ir.NoReg {
 				continue
 			}
-			all := rd.defsOf[d]
+			all := rd.defsOf(d)
 			k.unionWith(all)
 			g.andNot(all)
 			g.add(rd.defNum[in.ID])
 		}
-		gen[b.ID], kill[b.ID] = g, k
 	}
 
-	rd.reachIn = make([]defSet, n)
-	reachOut := make([]defSet, n)
-	for i := 0; i < n; i++ {
-		rd.reachIn[i] = cut()
-		reachOut[i] = cut()
-	}
 	// Parameters reach the entry; of a repeated parameter, its last
 	// pseudo-definition.
 	for i, p := range f.Params {
 		if !slices.Contains(f.Params[i+1:], p) {
-			rd.reachIn[f.Entry().ID].add(i)
+			rd.reachIn(f.Entry()).add(i)
 		}
 	}
 	order := rpo(f)
-	out := make(defSet, rd.words)
+	out := make(defSet, rd.sets.words)
 	for changed := true; changed; {
 		changed = false
 		for _, b := range order {
-			in := rd.reachIn[b.ID]
+			in := rd.reachIn(b)
 			for _, p := range b.Preds {
-				if in.unionWith(reachOut[p.ID]) {
+				if in.unionWith(reachOut(p)) {
 					changed = true
 				}
 			}
 			copy(out, in)
-			out.andNot(kill[b.ID])
-			out.unionWith(gen[b.ID])
-			if reachOut[b.ID].unionWith(out) {
+			out.andNot(kill(b))
+			out.unionWith(gen(b))
+			if reachOut(b).unionWith(out) {
 				changed = true
 			}
 		}
@@ -149,34 +180,58 @@ type UseChain struct {
 // visiting blocks in layout order. uses selects which sources of an
 // instruction count (pass AllUses for every source).
 func (rd *ReachingDefs) Chains(uses func(*ir.Instr) []ir.Reg) []UseChain {
-	var out []UseChain
-	var defs []*ir.Instr // every chain's definitions, back to back
-	cur := make(defSet, rd.words)
+	// A first walk counts the chains and their definitions, so that the
+	// second fills two arrays allocated at their final size: every
+	// chain's Defs is a window of the one definitions array.
+	nChains, nDefs := 0, 0
+	rd.reaching(uses, func(_ *ir.Instr, _ ir.Reg, reach defSet) {
+		if n := reach.count(); n > 0 {
+			nChains++
+			nDefs += n
+		}
+	})
+	out := make([]UseChain, 0, nChains)
+	defs := make([]*ir.Instr, 0, nDefs)
+	rd.reaching(uses, func(in *ir.Instr, r ir.Reg, reach defSet) {
+		start := len(defs)
+		for w := range reach { // r's definitions that reach here, in def order
+			for m := reach[w]; m != 0; m &= m - 1 {
+				defs = append(defs, rd.defs[w*64+bits.TrailingZeros64(m)])
+			}
+		}
+		if len(defs) > start {
+			out = append(out, UseChain{Use: in, Reg: r, Defs: defs[start:len(defs):len(defs)]})
+		}
+	})
+	return out
+}
+
+// reaching calls fn for every use of a defined register, in block layout
+// order, with the set of that register's definitions that reach the use.
+// The set is scratch, valid for the call.
+func (rd *ReachingDefs) reaching(uses func(*ir.Instr) []ir.Reg, fn func(in *ir.Instr, r ir.Reg, reach defSet)) {
+	words := rd.sets.words
+	scratch := make(defSet, 2*words)
+	cur, reach := scratch[:words:words], scratch[words:]
 	for _, b := range rd.fn.Blocks {
-		copy(cur, rd.reachIn[b.ID])
+		copy(cur, rd.reachIn(b))
 		for _, in := range b.Instrs {
 			for _, r := range dedupRegs(uses(in)) {
-				if int(r) >= len(rd.defsOf) || rd.defsOf[r] == nil {
+				ds := rd.defsOf(r)
+				if ds == nil {
 					continue
 				}
-				ds := rd.defsOf[r]
-				start := len(defs)
-				for w := range ds { // r's definitions that reach here, in def order
-					for m := ds[w] & cur[w]; m != 0; m &= m - 1 {
-						defs = append(defs, rd.defs[w*64+bits.TrailingZeros64(m)])
-					}
+				for w, d := range ds {
+					reach[w] = d & cur[w]
 				}
-				if len(defs) > start {
-					out = append(out, UseChain{Use: in, Reg: r, Defs: defs[start:len(defs):len(defs)]})
-				}
+				fn(in, r, reach)
 			}
 			if d := in.Defs(); d != ir.NoReg {
-				cur.andNot(rd.defsOf[d])
+				cur.andNot(rd.defsOf(d))
 				cur.add(rd.defNum[in.ID])
 			}
 		}
 	}
-	return out
 }
 
 // dedupRegs returns rs without repeats, in first-occurrence order. It

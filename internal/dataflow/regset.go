@@ -154,6 +154,19 @@ func NewPointSets(f *ir.Function) *PointSets {
 	return p
 }
 
+// Positions returns the number of instruction positions of f: the points
+// before its instructions and its blocks' exits.
+func Positions(f *ir.Function) int {
+	return f.NumInstrs() + len(f.Blocks)
+}
+
+// PointSetsBytes returns what NewPointSets(f) allocates for its sets,
+// without allocating it: a register set as wide as f's highest register at
+// each of f's positions.
+func PointSetsBytes(f *ir.Function) int64 {
+	return int64(Positions(f)) * int64(regWords(f.MaxReg())) * 8
+}
+
 // Pos returns the position of the point immediately before b.Instrs[i];
 // i == len(b.Instrs) is the block's exit.
 func (p *PointSets) Pos(b *ir.Block, i int) int { return p.start[b.ID] + i }

@@ -1,6 +1,9 @@
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Function is a single-entry region of code: the unit the GMT scheduling
 // framework parallelizes. In the paper this corresponds to an arbitrary
@@ -22,6 +25,11 @@ type Function struct {
 
 	nextReg  Reg
 	nextInst int
+
+	// Room made by Reserve: NewBlock and NewInstr cut from these while
+	// they last.
+	blockSlab []Block
+	instrSlab []Instr
 }
 
 // NewFunction returns an empty function with the given name.
@@ -29,9 +37,26 @@ func NewFunction(name string) *Function {
 	return &Function{Name: name, nextReg: 1}
 }
 
+// Reserve makes room for blocks more blocks and instrs more instructions,
+// so that NewBlock and NewInstr take them from one allocation each instead
+// of allocating them one by one. A builder that knows the size of what it
+// builds calls it first; past the room both allocate as before.
+func (f *Function) Reserve(blocks, instrs int) {
+	f.Blocks = slices.Grow(f.Blocks, blocks)
+	f.blockSlab = make([]Block, 0, blocks)
+	f.instrSlab = make([]Instr, 0, instrs)
+}
+
 // NewBlock appends a new empty block with the given name.
 func (f *Function) NewBlock(name string) *Block {
-	b := &Block{ID: len(f.Blocks), Name: name, fn: f}
+	var b *Block
+	if n := len(f.blockSlab); n < cap(f.blockSlab) {
+		f.blockSlab = f.blockSlab[:n+1]
+		b = &f.blockSlab[n]
+	} else {
+		b = new(Block)
+	}
+	*b = Block{ID: len(f.Blocks), Name: name, fn: f}
 	f.Blocks = append(f.Blocks, b)
 	return b
 }
@@ -60,7 +85,14 @@ func (f *Function) MaxReg() Reg { return f.nextReg - 1 }
 
 // NewInstr creates a detached instruction owned by this function's ID space.
 func (f *Function) NewInstr(op Op, dst Reg, srcs ...Reg) *Instr {
-	in := &Instr{ID: f.nextInst, Op: op, Dst: dst, Srcs: srcs, Queue: NoQueue}
+	var in *Instr
+	if n := len(f.instrSlab); n < cap(f.instrSlab) {
+		f.instrSlab = f.instrSlab[:n+1]
+		in = &f.instrSlab[n]
+	} else {
+		in = new(Instr)
+	}
+	*in = Instr{ID: f.nextInst, Op: op, Dst: dst, Srcs: srcs, Queue: NoQueue}
 	f.nextInst++
 	return in
 }

@@ -82,20 +82,19 @@ type parser struct {
 	// a capacity-capped window of body, which lists the instructions in
 	// text order; start is where cur's window begins. Capped windows keep
 	// the pieces independent: an append to one copies it.
-	instrs []Instr
-	regs   []Reg
-	body   []*Instr
-	start  int
+	regs  []Reg
+	body  []*Instr
+	start int
 }
 
-// newInstr is Function.NewInstr with the instruction taken from a slab.
+// newInstr is Function.NewInstr with the instruction taken from a slab:
+// the text's instruction count is not known ahead, so the function's
+// room is made a slab at a time.
 func (p *parser) newInstr(op Op, dst Reg, srcs []Reg) *Instr {
-	if len(p.instrs) == cap(p.instrs) {
-		p.instrs = make([]Instr, 0, slabSize)
+	if len(p.f.instrSlab) == cap(p.f.instrSlab) {
+		p.f.instrSlab = make([]Instr, 0, slabSize)
 	}
-	p.instrs = append(p.instrs, Instr{ID: p.f.nextInst, Op: op, Dst: dst, Srcs: srcs, Queue: NoQueue})
-	p.f.nextInst++
-	return &p.instrs[len(p.instrs)-1]
+	return p.f.NewInstr(op, dst, srcs...)
 }
 
 // operands returns n register slots from a slab.

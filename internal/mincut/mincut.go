@@ -44,6 +44,25 @@ func New(n int) *Graph {
 	return &Graph{n: n, adj: make([][]int32, n), parent: make([]int32, n), seen: make([]bool, n)}
 }
 
+// NewSized returns an empty flow network with one node per element of
+// ends and room for arcs arcs, of which ends[v] touch node v. The arcs and
+// the adjacency lists each take one allocation; AddArc within that room
+// allocates nothing, and past it still works, growing what it must.
+func NewSized(ends []int, arcs int) *Graph {
+	g := New(len(ends))
+	g.arcs = make([]arc, 0, 2*arcs)
+	total := 0
+	for _, k := range ends {
+		total += k
+	}
+	backing := make([]int32, total)
+	for v, k := range ends {
+		g.adj[v] = backing[:0:k]
+		backing = backing[k:]
+	}
+	return g
+}
+
 // AddArc adds a directed arc with the given capacity and returns its ID.
 func (g *Graph) AddArc(from, to int, capacity int64) ArcID {
 	id := ArcID(len(g.arcs) / 2)

@@ -14,11 +14,15 @@ import (
 
 // TestCompileAllocations bounds what the compile path before COCO allocates:
 // pdg.Build, both partitioners, and a naive plan generated for each
-// partition. The bounds, one above the counts measured, hold the
-// ID-indexed tables of pdg, partition and mtcg in place; with adjacency
-// maps, string-keyed arc deduplication, map-keyed partitioner state and a
-// post-dominator tree per generated program the same work allocated 3 000
-// times for ks and 7 499 times for the size-160 program.
+// partition. The bounds, one above the counts measured under -race (a
+// plain run reads four fewer), hold the ID-indexed tables of pdg,
+// partition and mtcg in place, each allocated once at its final size. With
+// the chains, the arc slab, the components and every generated
+// instruction, block and instruction list grown or allocated one by one,
+// the same work allocated 1 159 times for ks and 2 540 times for the
+// size-160 program; with adjacency maps, string-keyed arc deduplication,
+// map-keyed partitioner state and a post-dominator tree per generated
+// program, 3 000 and 7 499 times.
 func TestCompileAllocations(t *testing.T) {
 	ks := workloads.KS()
 	train := ks.Train()
@@ -31,8 +35,8 @@ func TestCompileAllocations(t *testing.T) {
 		mem     []int64
 		limit   float64
 	}{
-		{"ks", ks.F, ks.Objects, train.Args, train.Mem, 1160},
-		{"randprog160", rp.F, rp.Objects, rp.Args, rp.Mem, 2541},
+		{"ks", ks.F, ks.Objects, train.Args, train.Mem, 709},
+		{"randprog160", rp.F, rp.Objects, rp.Args, rp.Mem, 1520},
 	} {
 		res, err := interp.Run(c.f, c.args, append([]int64(nil), c.mem...), 1<<30)
 		if err != nil {

@@ -67,6 +67,8 @@ func Generate(p *Plan) (*Program, error) {
 		Comms:      p.Comms,
 		Assign:     p.Assign,
 		NumThreads: p.NumThreads,
+		Threads:    make([]*ir.Function, 0, p.NumThreads),
+		Origins:    make([][]*ir.Block, 0, p.NumThreads),
 	}
 
 	thread := threadTable(f, p.Assign)
@@ -92,7 +94,13 @@ func generateThread(p *Plan, t int, thread []int, pdomTree *analysis.DomTree, re
 	// at each point in an order shared by producer and consumer threads:
 	// produces first (cannot deadlock and are value-correct at any point
 	// of their cut), then consumes, each by queue number.
-	var emits []commEmit
+	nEmits := 0
+	for _, c := range p.Comms {
+		if c.Src == t || c.Dst == t {
+			nEmits += len(c.Points)
+		}
+	}
+	emits := make([]commEmit, 0, nEmits)
 	for _, c := range p.Comms {
 		for _, pt := range c.Points {
 			if c.Src == t {
@@ -156,14 +164,55 @@ func generateThread(p *Plan, t int, thread []int, pdomTree *analysis.DomTree, re
 		return rel, nil
 	}
 
+	// The thread's blocks, instructions, instruction lists and operand
+	// lists are each cut from one allocation, sized by a first walk over
+	// the relevant blocks: per block at most its communications, the
+	// instructions it keeps and a terminator. Lists are capacity-capped,
+	// so an append to one copies it.
+	var order []*ir.Block
+	nInstrs, nRegs := 0, 0
+	size := make([]int, len(f.Blocks))
+	next := 0
+	for _, b := range f.Blocks {
+		if !relevant[b.ID] {
+			continue // nor has it a communication point
+		}
+		for ; next < len(emits) && emits[next].blk == b.ID; next++ {
+			size[b.ID]++
+			if e := emits[next]; e.comm.Kind == pdg.KindReg && e.produce {
+				nRegs++
+			}
+		}
+		order = append(order, b)
+		size[b.ID]++ // the terminator
+		for _, in := range b.Instrs {
+			if in.IsTerminator() {
+				nRegs += len(in.Srcs)
+			} else if assignable(in) && thread[in.ID] == t {
+				size[b.ID]++
+				nRegs += len(in.Srcs)
+			}
+		}
+		nInstrs += size[b.ID]
+	}
+	ft.Reserve(len(order), nInstrs)
+	body := make([]*ir.Instr, nInstrs)
+	regs := make([]ir.Reg, 0, nRegs)
+	operands := func(rs ...ir.Reg) []ir.Reg {
+		if len(rs) == 0 {
+			return nil
+		}
+		start := len(regs)
+		regs = append(regs, rs...)
+		return regs[start:len(regs):len(regs)]
+	}
+
 	// Create the blocks in original layout order.
 	copies := make([]*ir.Block, len(f.Blocks))
-	var order []*ir.Block
-	for _, b := range f.Blocks {
-		if relevant[b.ID] {
-			copies[b.ID] = ft.NewBlock(b.Name)
-			order = append(order, b)
-		}
+	for _, b := range order {
+		nb := ft.NewBlock(b.Name)
+		nb.Instrs, body = body[:0:size[b.ID]], body[size[b.ID]:]
+		copies[b.ID] = nb
 	}
 
 	type pendingEdge struct {
@@ -171,26 +220,11 @@ func generateThread(p *Plan, t int, thread []int, pdomTree *analysis.DomTree, re
 		targets [2]*ir.Block // original targets
 		n       int          // targets in use: 1 for a jump, 2 for a br
 	}
-	var edges []pendingEdge
-
-	// Copied operand lists are cut from slabs rather than allocated one by
-	// one; each is capacity-capped, so an append to one copies it.
-	var regs []ir.Reg
-	operands := func(rs []ir.Reg) []ir.Reg {
-		if len(rs) == 0 {
-			return nil
-		}
-		if cap(regs)-len(regs) < len(rs) {
-			regs = make([]ir.Reg, 0, max(64, len(rs)))
-		}
-		start := len(regs)
-		regs = append(regs, rs...)
-		return regs[start:len(regs):len(regs)]
-	}
+	edges := make([]pendingEdge, 0, len(order))
 
 	// Blocks are created in ID order, so one cursor walks the sorted
 	// emits; a point past its block's terminator is never reached.
-	next := 0
+	next = 0
 	for _, b := range order {
 		nb := copies[b.ID]
 		emitComms := func(idx int) {
@@ -202,7 +236,7 @@ func generateThread(p *Plan, t int, thread []int, pdomTree *analysis.DomTree, re
 				var in *ir.Instr
 				switch {
 				case e.comm.Kind == pdg.KindReg && e.produce:
-					in = ft.NewInstr(ir.Produce, ir.NoReg, e.comm.Reg)
+					in = ft.NewInstr(ir.Produce, ir.NoReg, operands(e.comm.Reg)...)
 				case e.comm.Kind == pdg.KindReg:
 					in = ft.NewInstr(ir.Consume, e.comm.Reg)
 				case e.produce:
@@ -220,7 +254,7 @@ func generateThread(p *Plan, t int, thread []int, pdomTree *analysis.DomTree, re
 				break
 			}
 			if assignable(in) && thread[in.ID] == t {
-				cp := ft.NewInstr(in.Op, in.Dst, operands(in.Srcs)...)
+				cp := ft.NewInstr(in.Op, in.Dst, operands(in.Srcs...)...)
 				cp.Imm = in.Imm
 				cp.Orig = in
 				nb.Append(cp)
@@ -235,7 +269,7 @@ func generateThread(p *Plan, t int, thread []int, pdomTree *analysis.DomTree, re
 		case ir.Ret:
 			var ret *ir.Instr
 			if thread[term.ID] == t {
-				ret = ft.NewInstr(ir.Ret, ir.NoReg, operands(term.Srcs)...)
+				ret = ft.NewInstr(ir.Ret, ir.NoReg, operands(term.Srcs...)...)
 				ret.Orig = term
 			} else {
 				ret = ft.NewInstr(ir.Ret, ir.NoReg)
@@ -247,7 +281,7 @@ func generateThread(p *Plan, t int, thread []int, pdomTree *analysis.DomTree, re
 				return nil, nil, err
 			}
 			if p.Relevant[t][b.ID] || thread[term.ID] == t {
-				br := ft.NewInstr(ir.Br, ir.NoReg, term.Srcs[0])
+				br := ft.NewInstr(ir.Br, ir.NoReg, operands(term.Srcs[0])...)
 				br.Orig = term
 				nb.Append(br)
 				edges = append(edges, pendingEdge{nb, rel, 2})

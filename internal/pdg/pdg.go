@@ -100,24 +100,41 @@ func (a *adjacency) of(id int) []*Arc {
 // the points-to analysis; pass nil if f performs no memory accesses.
 func Build(f *ir.Function, objects []ir.MemObject) *Graph {
 	g := &Graph{Fn: f}
-	// Arcs are cut from one slab. No arc is added twice, so none needs
-	// deduplication: the chains name each (definition, use, register)
-	// once, the memory loop visits each ordered pair once, and the control
-	// loop skips a branch a block's dependences name twice.
-	var slab []Arc
-
-	// Register dependences from reaching-definition chains. Parameter
-	// pseudo-definitions (nil) need no arcs: every thread starts with a
-	// copy of the live-ins.
+	// No arc is added twice, so none needs deduplication: the chains name
+	// each (definition, use, register) once, the memory loop visits each
+	// ordered pair once, and the control loop skips a branch a block's
+	// dependences name twice.
 	g.Chains = dataflow.ComputeReachingDefs(f).Chains(dataflow.AllUses)
+	pdom, err := analysis.PostDominators(f)
+	if err != nil {
+		panic(err) // Build takes verified functions, which have a Ret
+	}
+	g.PostDom = pdom
+	g.CDG = analysis.MustControlDeps(f, pdom)
+
+	// Register and control arcs are counted before they are made, and cut
+	// from one slab of that size. Parameter pseudo-definitions (nil) need
+	// no arcs: every thread starts with a copy of the live-ins.
+	nReg, nCtrl := 0, 0
 	for _, uc := range g.Chains {
 		for _, def := range uc.Defs {
-			if def == nil {
-				continue
+			if def != nil {
+				nReg++
 			}
-			slab = append(slab, Arc{From: def, To: uc.Use, Kind: KindReg, Reg: uc.Reg})
 		}
 	}
+	g.controlArcs(func(_, _ *ir.Instr) { nCtrl++ })
+	slab := make([]Arc, 0, nReg+nCtrl)
+	for _, uc := range g.Chains {
+		for _, def := range uc.Defs {
+			if def != nil {
+				slab = append(slab, Arc{From: def, To: uc.Use, Kind: KindReg, Reg: uc.Reg})
+			}
+		}
+	}
+	g.controlArcs(func(br, in *ir.Instr) {
+		slab = append(slab, Arc{From: br, To: in, Kind: KindControl})
+	})
 
 	// Memory dependences: for each may-aliasing pair with at least one
 	// store, an arc in every direction permitted by control flow. Inside
@@ -144,6 +161,7 @@ func Build(f *ir.Function, objects []ir.MemObject) *Graph {
 	ordered := func(a, b access) bool {
 		return a.blk == b.blk && a.idx < b.idx || reach[a.blk][b.blk]
 	}
+	var mem []Arc
 	for i, a := range mems {
 		for _, b := range mems[i+1:] {
 			if a.in.Op != ir.Store && b.in.Op != ir.Store {
@@ -153,23 +171,35 @@ func Build(f *ir.Function, objects []ir.MemObject) *Graph {
 				continue
 			}
 			if ordered(a, b) {
-				slab = append(slab, Arc{From: a.in, To: b.in, Kind: KindMem})
+				mem = append(mem, Arc{From: a.in, To: b.in, Kind: KindMem})
 			}
 			if ordered(b, a) {
-				slab = append(slab, Arc{From: b.in, To: a.in, Kind: KindMem})
+				mem = append(mem, Arc{From: b.in, To: a.in, Kind: KindMem})
 			}
 		}
 	}
 
-	// Control dependences: the branch terminating block u controls every
-	// instruction of each block control dependent on u.
-	pdom, err := analysis.PostDominators(f)
-	if err != nil {
-		panic(err) // Build takes verified functions, which have a Ret
+	// Arcs list register, then memory, then control dependences.
+	g.Arcs = make([]*Arc, 0, len(slab)+len(mem))
+	for i := range slab[:nReg] {
+		g.Arcs = append(g.Arcs, &slab[i])
 	}
-	g.PostDom = pdom
-	g.CDG = analysis.MustControlDeps(f, pdom)
-	for _, blk := range f.Blocks {
+	for i := range mem {
+		g.Arcs = append(g.Arcs, &mem[i])
+	}
+	for i := range slab[nReg:] {
+		g.Arcs = append(g.Arcs, &slab[nReg+i])
+	}
+	g.out = index(g.Arcs, f.NumInstrIDs(), func(a *Arc) int { return a.From.ID })
+	g.in = index(g.Arcs, f.NumInstrIDs(), func(a *Arc) int { return a.To.ID })
+	return g
+}
+
+// controlArcs calls fn for every control dependence in block order: the
+// branch terminating block u controls every instruction of each block
+// control dependent on u.
+func (g *Graph) controlArcs(fn func(br, in *ir.Instr)) {
+	for _, blk := range g.Fn.Blocks {
 		deps := g.CDG.Deps(blk)
 		for k, d := range deps {
 			if namedBefore(deps[:k], d.Branch) {
@@ -184,18 +214,10 @@ func Build(f *ir.Function, objects []ir.MemObject) *Graph {
 					// partitioning or dependence enforcement.
 					continue
 				}
-				slab = append(slab, Arc{From: br, To: in, Kind: KindControl})
+				fn(br, in)
 			}
 		}
 	}
-
-	g.Arcs = make([]*Arc, len(slab))
-	for i := range slab {
-		g.Arcs[i] = &slab[i]
-	}
-	g.out = index(g.Arcs, f.NumInstrIDs(), func(a *Arc) int { return a.From.ID })
-	g.in = index(g.Arcs, f.NumInstrIDs(), func(a *Arc) int { return a.To.ID })
-	return g
 }
 
 // namedBefore reports whether one of deps names branch block br.

@@ -17,15 +17,17 @@ type SCC struct {
 // condensation (sources first). The result also carries the condensed
 // successor relation.
 func (g *Graph) SCCs() []*SCC {
-	ids := g.Fn.NumInstrIDs()
+	ids, n := g.Fn.NumInstrIDs(), g.Fn.NumInstrs()
 	// index[id] is the instruction's visitation number, counted from 1 so
 	// that 0 means unvisited; sccOf[id] reuses the table once Tarjan is done.
 	index := make([]int, ids)
 	low := make([]int, ids)
 	onStack := make([]bool, ids)
-	members := make([]*ir.Instr, 0, g.Fn.NumInstrs()) // every component's instructions, back to back
-	var stack []*ir.Instr
-	var comps [][]*ir.Instr
+	stack := make([]*ir.Instr, 0, n)
+	// Tarjan emits every component's instructions back to back into
+	// members; ends[k] is one past the last of the k-th component emitted.
+	members := make([]*ir.Instr, 0, n)
+	ends := make([]int, 0, n)
 	counter := 0
 
 	var strongconnect func(v *ir.Instr)
@@ -49,7 +51,6 @@ func (g *Graph) SCCs() []*SCC {
 		}
 
 		if low[v.ID] == index[v.ID] {
-			start := len(members)
 			for {
 				w := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
@@ -59,7 +60,7 @@ func (g *Graph) SCCs() []*SCC {
 					break
 				}
 			}
-			comps = append(comps, members[start:len(members):len(members)])
+			ends = append(ends, len(members))
 		}
 	}
 
@@ -69,35 +70,43 @@ func (g *Graph) SCCs() []*SCC {
 		}
 	})
 
-	// Tarjan emits components in reverse topological order; reverse them.
-	for i, j := 0, len(comps)-1; i < j; i, j = i+1, j-1 {
-		comps[i], comps[j] = comps[j], comps[i]
-	}
-
+	// Tarjan emits components in reverse topological order: the k-th
+	// emitted is component len(ends)-1-k.
 	sccOf := index
-	scc := make([]SCC, len(comps))
-	out := make([]*SCC, len(comps))
-	for ci, comp := range comps {
-		scc[ci].Instrs = comp
+	scc := make([]SCC, len(ends))
+	out := make([]*SCC, len(ends))
+	start := 0
+	for k, end := range ends {
+		ci := len(ends) - 1 - k
+		scc[ci].Instrs = members[start:end:end]
 		out[ci] = &scc[ci]
-		for _, in := range comp {
+		for _, in := range scc[ci].Instrs {
 			sccOf[in.ID] = ci
 		}
+		start = end
 	}
-	// seen[cj] == ci+1: component cj is already a successor of ci.
-	seen := make([]int, len(comps))
-	var succs []int // every component's successors, back to back
-	for ci, comp := range comps {
-		start := len(succs)
-		for _, in := range comp {
+	// succsOf calls fn for each component ci has arcs into, once each, in
+	// arc order; seen[cj] == mark: cj was already named.
+	seen := make([]int, len(scc))
+	succsOf := func(ci, mark int, fn func(cj int)) {
+		for _, in := range scc[ci].Instrs {
 			for _, a := range g.OutArcs(in) {
-				tj := sccOf[a.To.ID]
-				if tj != ci && seen[tj] != ci+1 {
-					seen[tj] = ci + 1
-					succs = append(succs, tj)
+				if cj := sccOf[a.To.ID]; cj != ci && seen[cj] != mark {
+					seen[cj] = mark
+					fn(cj)
 				}
 			}
 		}
+	}
+	// Count every component's successors, then list them back to back.
+	nSuccs := 0
+	for ci := range scc {
+		succsOf(ci, ci+1, func(int) { nSuccs++ })
+	}
+	succs := make([]int, 0, nSuccs)
+	for ci := range scc {
+		start := len(succs)
+		succsOf(ci, -(ci + 1), func(cj int) { succs = append(succs, cj) })
 		if len(succs) > start {
 			scc[ci].Succs = succs[start:len(succs):len(succs)]
 		}

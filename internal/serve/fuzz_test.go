@@ -33,6 +33,7 @@ func FuzzInlineIR(f *testing.F) {
 		f.Add(string(text))
 	}
 	f.Add(hugeRegister)
+	f.Add(wideTables(widestAdmitted + 1))
 	f.Add(inlineComm)
 	f.Fuzz(func(t *testing.T, text string) {
 		w, err := (&Request{IR: text}).workload()

@@ -6,6 +6,7 @@ import (
 	"repro/internal/budget"
 	"repro/internal/cache"
 	"repro/internal/cli"
+	"repro/internal/dataflow"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/workloads"
@@ -129,6 +130,15 @@ type errorBody struct {
 // 512 KiB.
 const maxInlineReg = 1 << 16
 
+// maxInlinePointSets bounds, in bytes, one per-point register table of an
+// inline function (dataflow.PointSets, of which COCO keeps two). A table
+// holds a register set as wide as the highest register at every
+// instruction position, so with every register under maxInlineReg a body
+// near maxBody could still ask for gigabytes: 419 427 one-line
+// instructions naming r65536 size each table at 3.4 GB. The kernels need
+// at most 2 KiB and a size-10 240 randprog program about 9 MB.
+const maxInlinePointSets = 32 << 20
+
 // workload resolves the request's workload. A named benchmark is the
 // kernels table's value, built once per process and shared by every
 // request for that kernel; nothing on the request path writes to it, so
@@ -157,6 +167,10 @@ func (r *Request) workload() (*workloads.Workload, error) {
 	// After Verify no register exceeds MaxReg.
 	if f.MaxReg() > maxInlineReg {
 		return nil, fmt.Errorf("ir names register %v; inline functions may name registers up to %v", f.MaxReg(), ir.Reg(maxInlineReg))
+	}
+	if n := dataflow.PointSetsBytes(f); n > maxInlinePointSets {
+		return nil, fmt.Errorf("ir has %d instruction positions and names registers up to %v: a per-point register table would take %d bytes; inline functions may size one up to %d",
+			dataflow.Positions(f), f.MaxReg(), n, maxInlinePointSets)
 	}
 	// Communication is what the server generates from a function: source
 	// that already holds a produce or consume is no single-threaded

@@ -25,6 +25,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -695,12 +696,22 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, body)
 }
 
+// maxBodyPrealloc bounds the buffer readJSON allocates for a body before
+// any of it arrives. A declared Content-Length up to this sizes the buffer
+// once; a longer body grows it as its bytes come in, so a header that
+// declares more than it sends costs the server no more than this.
+const maxBodyPrealloc = 64 << 10
+
 // readJSON decodes a bounded request body, replying 413 to a body over
 // maxBody and 400 to bad JSON.
 func readJSON(w http.ResponseWriter, r *http.Request, into any) bool {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+	// MinRead past the declared length leaves ReadFrom room to see the end
+	// of the body without growing the buffer.
+	var buf bytes.Buffer
+	buf.Grow(int(min(max(r.ContentLength, 0), maxBodyPrealloc)) + bytes.MinRead)
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody))
 	if err == nil {
-		err = json.Unmarshal(body, into)
+		err = json.Unmarshal(buf.Bytes(), into)
 	}
 	if err != nil {
 		status := http.StatusBadRequest

@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -15,6 +17,8 @@ import (
 	"testing"
 
 	"repro/internal/budget"
+	"repro/internal/dataflow"
+	"repro/internal/ir"
 	"repro/internal/randprog"
 	"repro/internal/workloads"
 )
@@ -396,6 +400,96 @@ func TestInlineRegisterBound(t *testing.T) {
 	}
 }
 
+// wideTables returns a function of n one-line instructions that each name
+// r65536: every register is under maxInlineReg, and each instruction
+// position costs a per-point register table 1 025 words.
+//
+// widestAdmitted is the most lines it may have and pass the door: its
+// positions are the lines, the ret and the block's exit.
+func wideTables(n int) string {
+	var b strings.Builder
+	b.WriteString("func f(r1)\nentry:\n")
+	for range n {
+		b.WriteString("  r65536 = const 1\n")
+	}
+	b.WriteString("  ret r65536\n")
+	return b.String()
+}
+
+const widestAdmitted = maxInlinePointSets/(8*1025) - 2
+
+// TestInlinePointSetsBound: an inline function whose per-point register
+// tables (dataflow.PointSets, two per COCO plan) would outgrow
+// maxInlinePointSets is refused at the door with a 400 that names its
+// positions, its highest register, the table's size and the limit, and
+// the server goes on answering. The largest such body under maxBody asks
+// for gigabytes a table, worked out from the sizing formula, not
+// allocated. Every kernel and randprog programs up to size 10 240 pass
+// the door.
+func TestInlinePointSetsBound(t *testing.T) {
+	// The largest body of such lines an HTTP client can post: the JSON
+	// encoding spends one byte more a line on its escaped newline.
+	largest := wideTables((maxBody - 64) / 20)
+	if body, err := json.Marshal(Request{IR: largest}); err != nil || len(body) > maxBody {
+		t.Fatalf("the generated request is %d bytes (%v), over the %d-byte limit", len(body), err, maxBody)
+	}
+	f, err := ir.Parse(largest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := dataflow.PointSetsBytes(f)
+	t.Logf("%d instruction positions naming %v: %d bytes a table", dataflow.Positions(f), f.MaxReg(), size)
+	if size < 3<<30 {
+		t.Errorf("the largest body sizes a table at %d bytes; want the gigabytes the door is for", size)
+	}
+
+	s := newServer(t, Options{})
+	ctx := context.Background()
+	for _, tc := range []struct {
+		ir     string
+		status int
+	}{
+		{wideTables(widestAdmitted), http.StatusOK},
+		{wideTables(widestAdmitted + 1), http.StatusBadRequest},
+		{largest, http.StatusBadRequest},
+	} {
+		res := s.Do(ctx, &Request{IR: tc.ir, Args: []int64{3}})
+		if res.Status != tc.status {
+			t.Errorf("%d bytes of ir: status %d, want %d: %.300s", len(tc.ir), res.Status, tc.status, res.Body)
+		}
+		if tc.status == http.StatusBadRequest {
+			w, err := ir.Parse(tc.ir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, want := range []string{
+				fmt.Sprint(dataflow.Positions(w)), "r65536",
+				fmt.Sprint(dataflow.PointSetsBytes(w)), fmt.Sprint(maxInlinePointSets),
+			} {
+				if !bytes.Contains(res.Body, []byte(want)) {
+					t.Errorf("%d bytes of ir: the error does not name %s: %s", len(tc.ir), want, res.Body)
+				}
+			}
+		}
+		req := selfLatchSum
+		mustOK(t, s.Do(ctx, &req))
+	}
+
+	for _, w := range workloads.All() {
+		if _, err := (&Request{IR: w.F.String()}).workload(); err != nil {
+			t.Errorf("kernel %s as inline ir: %v", w.Name, err)
+		}
+	}
+	for _, size := range []int{160, 640, 2560, 10240} {
+		for seed := int64(1); seed <= 4; seed++ {
+			_, p := randprog.GenerateSized(seed, size)
+			if _, err := (&Request{IR: p.F.String()}).workload(); err != nil {
+				t.Errorf("randprog seed %d size %d: %v", seed, size, err)
+			}
+		}
+	}
+}
+
 // inlineComm holds one communication instruction of each kind: source a
 // client wrote with a produce already in it. Before the door refused it
 // the profile failed with "unexpected opcode produce", answered 500.
@@ -603,6 +697,96 @@ func TestOversizeBodyIs413(t *testing.T) {
 	}
 	if n := s.StatsSnapshot().Requests; n != 0 {
 		t.Errorf("an oversize body reached the request path: requests = %d", n)
+	}
+}
+
+// TestShortBodyAllocatesWhatArrives: a request that declares an 8 MiB body
+// and sends 10 bytes gets a 400, and the server allocates for the bytes
+// that came, not for the length declared: a declared length sizes the
+// read buffer only up to maxBodyPrealloc. The server answers the next
+// request.
+func TestShortBodyAllocatesWhatArrives(t *testing.T) {
+	s := newServer(t, Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fmt.Fprintf(conn, "POST /v1/schedule HTTP/1.1\r\nHost: gmtserve\r\nContent-Type: application/json\r\n"+
+		"Content-Length: %d\r\n\r\n%s", 8<<20, `{"workload`)
+	conn.(*net.TCPConn).CloseWrite() // the other 8 388 598 bytes never come
+	res, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e errorBody
+	err = json.NewDecoder(res.Body).Decode(&e)
+	res.Body.Close()
+	runtime.ReadMemStats(&after)
+	if res.StatusCode != http.StatusBadRequest || err != nil || !strings.HasPrefix(e.Error, "decoding request: ") {
+		t.Errorf("a short body: status %d, error body %+v (decode: %v); want 400 decoding request", res.StatusCode, e, err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Errorf("a 10-byte body that declared 8 MiB cost the server %d bytes", n)
+	}
+
+	body, err := json.Marshal(selfLatchSum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := http.Post(ts.URL+"/v1/schedule", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	next.Body.Close()
+	if next.StatusCode != http.StatusOK {
+		t.Errorf("the request after the short body: status %d, want 200", next.StatusCode)
+	}
+}
+
+// TestColdInlineAllocation pins the cold compile path's tables: every
+// table a cold inline request builds (the PDG with its chains, COCO's flow
+// network, both generated programs) is allocated once at its final size.
+// Twenty-four distinct size-160 random programs go to a fresh server each
+// pass, as in the benchmark's cold_inline, through Do without the HTTP
+// round trip. A request allocated 390 KB when those tables grew by append
+// from empty; it allocates 304 KB (308 KB under -race).
+func TestColdInlineAllocation(t *testing.T) {
+	const programs = 24
+	reqs := make([]*Request, programs)
+	for i := range reqs {
+		axes, p := randprog.GenerateSized(700000+int64(i), 160)
+		reqs[i] = &Request{IR: p.F.String(), Name: "rp", Args: p.Args, Mem: p.Mem, Partitioner: "dswp"}
+		if axes.Shape == randprog.ShapeStraight {
+			reqs[i].Partitioner = "gremio"
+		}
+		for _, o := range p.Objects {
+			reqs[i].Objects = append(reqs[i].Objects, MemObject{Name: o.Name, Base: o.Base, Size: o.Size})
+		}
+	}
+	ctx := context.Background()
+	var perCall uint64 = 1 << 62
+	for pass := 0; pass < 3; pass++ { // the least of three passes
+		s := newServer(t, Options{})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, req := range reqs {
+			if res := s.Do(ctx, req); res.Status != http.StatusOK || res.Source != "cold" {
+				t.Fatalf("status %d, source %q: %s", res.Status, res.Source, res.Body)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		perCall = min(perCall, (after.TotalAlloc-before.TotalAlloc)/programs)
+	}
+	const limit = 320_000
+	t.Logf("a cold inline request allocates %d bytes (limit %d)", perCall, limit)
+	if perCall >= limit {
+		t.Errorf("a cold inline request allocates %d bytes, want under %d", perCall, limit)
 	}
 }
 
