@@ -19,7 +19,8 @@
 //	POST /v1/schedule     {"workload":"ks","partitioner":"gremio","sim":true}
 //	POST /v1/batch        {"requests":[...]} -> in-order responses
 //	GET  /v1/workloads    GET /v1/partitioners
-//	GET  /v1/stats        GET /v1/metrics       GET /v1/healthz[?ready=1]
+//	GET  /v1/metrics      every counter, as JSON
+//	GET  /v1/healthz[?ready=1]
 //	GET  /v1/trace/{id}   span tree of a retained request trace
 //	GET  /metrics         Prometheus text-format exposition
 //
@@ -49,9 +50,11 @@
 // one structured JSON line per request.
 //
 // -deadline/-max-deadline bound per-request wall-clock time (504 on
-// expiry); deadlines never enter the cache key. -metrics writes the
-// full metrics registry on shutdown — atomically, and on error paths
-// too, like every other command. SIGINT/SIGTERM mark the server
+// expiry); deadlines never enter the cache key. Every counter the
+// server keeps is in one registry, served at GET /v1/metrics and
+// GET /metrics; -metrics writes it on shutdown — atomically, and on
+// error paths too, like every other command (a server that failed to
+// start writes an empty one). SIGINT/SIGTERM mark the server
 // draining (readiness false, /v1/healthz?ready=1 → 503) and drain
 // in-flight requests before exiting.
 package main
@@ -109,17 +112,23 @@ func run() (err error) {
 		accessW = f
 	}
 
-	reg := obs.NewRegistry()
+	// A server that failed to start has no registry: the nil registry
+	// still writes a valid, empty metrics file.
+	var s *serve.Server
 	defer func() {
 		if *metricsPath == "" {
 			return
+		}
+		var reg *obs.Registry
+		if s != nil {
+			reg = s.Metrics()
 		}
 		if werr := cli.WriteFileAtomic(*metricsPath, reg.WriteJSON); werr != nil && err == nil {
 			err = werr
 		}
 	}()
 
-	s, err := serve.New(serve.Options{
+	s, err = serve.New(serve.Options{
 		CacheDir:    *cacheDir,
 		MemEntries:  *memEntries,
 		DiskEntries: *diskEntries,
@@ -137,7 +146,6 @@ func run() (err error) {
 		DiskRetries:      *diskRetries,
 		BreakerThreshold: *breakerFaults,
 		BreakerProbe:     *breakerProbe,
-		Metrics:          reg,
 		TraceRetain:      *traceRetain,
 		FlightDir:        *flightDir,
 		AccessLog:        accessW,

@@ -440,3 +440,17 @@ func TestWalkUpStopsAtUncoveredBlock(t *testing.T) {
 		t.Errorf("WalkUp(entry) visited %v, want %v", got, want)
 	}
 }
+
+// TestReachabilityBytes: the sizing formula the server's door applies is
+// what Reachability allocates for its relation, one byte a boolean.
+func TestReachabilityBytes(t *testing.T) {
+	for _, f := range []*ir.Function{buildDiamond(), buildLoopNest()} {
+		n := 0
+		for _, row := range Reachability(f) {
+			n += len(row)
+		}
+		if got := ReachabilityBytes(f); got != int64(n) {
+			t.Errorf("%s: ReachabilityBytes = %d, Reachability allocates %d", f.Name, got, n)
+		}
+	}
+}

@@ -133,6 +133,13 @@ func ReversePostorder(f *ir.Function) []*ir.Block {
 	return post
 }
 
+// ReachabilityBytes returns what Reachability(f) allocates for its
+// relation, without allocating it: a boolean for every pair of blocks.
+func ReachabilityBytes(f *ir.Function) int64 {
+	n := int64(len(f.Blocks))
+	return n * n
+}
+
 // Reachability computes the block-level transitive reachability relation:
 // result[a][b] reports whether b is reachable from a by a non-empty path.
 // It is used to orient memory-dependence arcs in the PDG.

@@ -104,18 +104,19 @@ type Options struct {
 	// order; the callback must not call back into the cache.
 	OnDiskState func(open bool)
 	// Metrics, when non-nil, receives the cache counters: hit.mem,
-	// hit.disk, miss, put, corrupt, evict.mem, evict.disk, recovered,
+	// hit.disk, miss, corrupt, evict.mem, evict.disk, recovered,
 	// quarantined, read_error, write_error, retry, bypass,
-	// breaker.trip, breaker.probe, breaker.close.
+	// breaker.trip, breaker.probe, breaker.close. All but evict.* and
+	// recovered are also a field of each call's OpEvents.
 	Metrics *obs.Scope
 }
 
 // OpEvents collects the fault-handling events of a single cache call so
-// the serving layer can attribute them to one request's trace. The
-// fields mirror the registry counters (which aggregate across all
-// requests and cannot say which request paid for a retry). A nil
-// *OpEvents records nothing; a non-nil one must not be shared between
-// concurrent calls.
+// the serving layer can attribute them to one request's trace. Each event
+// is recorded once, into the call's OpEvents and the registry counter of
+// the same event together (which aggregate across all requests and cannot
+// say which request paid for a retry). An OpEvents must not be shared
+// between concurrent calls.
 type OpEvents struct {
 	// Layer reports where a Get was answered: "mem", "disk", or "miss".
 	Layer string
@@ -233,6 +234,19 @@ func pathKey(key string) string {
 	return hex.EncodeToString(s[:])
 }
 
+// count records one event of a cache call: n is the call's OpEvents
+// field for it, counter the aggregate registry counter.
+func (c *Cache) count(n *int64, counter string) {
+	*n++
+	c.opts.Metrics.Counter(counter).Inc()
+}
+
+// answer records which layer answered a Get.
+func (c *Cache) answer(ev *OpEvents, layer, counter string) {
+	ev.Layer = layer
+	c.opts.Metrics.Counter(counter).Inc()
+}
+
 // withRetry runs a disk operation with bounded deterministic backoff on
 // transient faults: retry k sleeps RetryBase << k.
 func (c *Cache) withRetry(ev *OpEvents, op func() error) error {
@@ -241,10 +255,7 @@ func (c *Cache) withRetry(ev *OpEvents, op func() error) error {
 		if err == nil || !vfs.Transient(err) || attempt >= c.retries {
 			return err
 		}
-		c.opts.Metrics.Counter("retry").Inc()
-		if ev != nil {
-			ev.Retries++
-		}
+		c.count(&ev.Retries, "retry")
 		c.sleep(c.retryBase << attempt)
 	}
 }
@@ -254,15 +265,9 @@ func (c *Cache) withRetry(ev *OpEvents, op func() error) error {
 func (c *Cache) diskResult(err error, ev *OpEvents) {
 	switch c.brk.result(err == nil) {
 	case +1:
-		c.opts.Metrics.Counter("breaker.trip").Inc()
-		if ev != nil {
-			ev.BreakerTrips++
-		}
+		c.count(&ev.BreakerTrips, "breaker.trip")
 	case -1:
-		c.opts.Metrics.Counter("breaker.close").Inc()
-		if ev != nil {
-			ev.BreakerCloses++
-		}
+		c.count(&ev.BreakerCloses, "breaker.close")
 	}
 }
 
@@ -271,36 +276,24 @@ func (c *Cache) diskResult(err error, ev *OpEvents) {
 func (c *Cache) allowDisk(ev *OpEvents) bool {
 	allow, probe := c.brk.allow()
 	if !allow {
-		c.opts.Metrics.Counter("bypass").Inc()
-		if ev != nil {
-			ev.Bypass++
-		}
+		c.count(&ev.Bypass, "bypass")
 		return false
 	}
 	if probe {
-		c.opts.Metrics.Counter("breaker.probe").Inc()
-		if ev != nil {
-			ev.Probes++
-		}
+		c.count(&ev.Probes, "breaker.probe")
 	}
 	return true
 }
 
 // readError counts a disk read fault that survived the retries.
 func (c *Cache) readError(err error, ev *OpEvents) {
-	c.opts.Metrics.Counter("read_error").Inc()
-	if ev != nil {
-		ev.ReadErrors++
-	}
+	c.count(&ev.ReadErrors, "read_error")
 	c.diskResult(err, ev)
 }
 
 // writeError counts a disk write fault that survived the retries.
 func (c *Cache) writeError(err error, ev *OpEvents) {
-	c.opts.Metrics.Counter("write_error").Inc()
-	if ev != nil {
-		ev.WriteErrors++
-	}
+	c.count(&ev.WriteErrors, "write_error")
 	c.diskResult(err, ev)
 }
 
@@ -310,12 +303,13 @@ func (c *Cache) writeError(err error, ev *OpEvents) {
 // miss, and a disk read fault — after retries — degrades to a miss
 // rather than an error (fail-open: the caller recomputes).
 func (c *Cache) Get(key string) ([]byte, bool) {
-	return c.GetEv(key, nil)
+	var ev OpEvents
+	return c.GetEv(key, &ev)
 }
 
 // GetEv is Get with per-call event capture: retries, faults, breaker
-// activity, and the answering layer are recorded into ev (which may be
-// nil) in addition to the aggregate registry counters.
+// activity, and the answering layer are recorded into ev as well as into
+// the aggregate registry counters.
 func (c *Cache) GetEv(key string, ev *OpEvents) ([]byte, bool) {
 	c.mu.Lock()
 	if el, ok := c.mem[key]; ok {
@@ -323,31 +317,22 @@ func (c *Cache) GetEv(key string, ev *OpEvents) ([]byte, bool) {
 		p := el.Value.(*memEntry).payload
 		out := append([]byte(nil), p...)
 		c.mu.Unlock()
-		c.opts.Metrics.Counter("hit.mem").Inc()
-		if ev != nil {
-			ev.Layer = "mem"
-		}
+		c.answer(ev, "mem", "hit.mem")
 		return out, true
 	}
 	c.mu.Unlock()
 
-	if ev != nil {
-		ev.Layer = "miss"
-	}
 	var payload []byte
 	ok := false
 	if c.log != "" {
 		payload, ok = c.getDisk(pathKey(key), ev)
 	}
 	if !ok {
-		c.opts.Metrics.Counter("miss").Inc()
+		c.answer(ev, "miss", "miss")
 		return nil, false
 	}
 	c.insertMem(key, payload)
-	c.opts.Metrics.Counter("hit.disk").Inc()
-	if ev != nil {
-		ev.Layer = "disk"
-	}
+	c.answer(ev, "disk", "hit.disk")
 	return append([]byte(nil), payload...), true
 }
 
@@ -380,10 +365,7 @@ func (c *Cache) getDisk(pk string, ev *OpEvents) ([]byte, bool) {
 		return payload, true
 	}
 	// Torn, tampered, or cut short by a log that ends inside it.
-	c.opts.Metrics.Counter("corrupt").Inc()
-	if ev != nil {
-		ev.Corrupt++
-	}
+	c.count(&ev.Corrupt, "corrupt")
 	c.drop(el)
 	c.quarantine(pk, raw, ev)
 	return nil, false
@@ -394,14 +376,14 @@ func (c *Cache) getDisk(pk string, ev *OpEvents) ([]byte, bool) {
 // failure is reported but the memory layer already holds the bytes, so
 // callers treat the error as degraded durability, not a failed store.
 func (c *Cache) Put(key string, payload []byte) error {
-	return c.PutEv(key, payload, nil)
+	var ev OpEvents
+	return c.PutEv(key, payload, &ev)
 }
 
-// PutEv is Put with per-call event capture into ev (which may be nil).
+// PutEv is Put with per-call event capture into ev.
 func (c *Cache) PutEv(key string, payload []byte, ev *OpEvents) error {
 	p := append([]byte(nil), payload...)
 	c.insertMem(key, p)
-	c.opts.Metrics.Counter("put").Inc()
 	if c.log == "" || !c.allowDisk(ev) {
 		return nil
 	}

@@ -168,14 +168,15 @@ func (c *Cache) open() error {
 			recovered++
 		}
 	}
+	var ev OpEvents
 	var raw []byte
-	err = c.withRetry(nil, func() (err error) {
+	err = c.withRetry(&ev, func() (err error) {
 		raw, err = c.fs.ReadFile(c.log)
 		return err
 	})
 	if err != nil {
 		if !os.IsNotExist(err) {
-			c.readError(err, nil)
+			c.readError(err, &ev)
 		}
 		c.opts.Metrics.Counter("recovered").Add(recovered)
 		return nil
@@ -186,8 +187,8 @@ func (c *Cache) open() error {
 		case spanValid:
 			c.add(s.pk, s.off, s.n)
 		case spanCorrupt:
-			c.opts.Metrics.Counter("corrupt").Inc()
-			c.quarantine(s.pk, raw[s.off:s.off+s.n], nil)
+			c.count(&ev.Corrupt, "corrupt")
+			c.quarantine(s.pk, raw[s.off:s.off+s.n], &ev)
 			dirty = true
 		case spanJunk:
 			recovered++
@@ -197,7 +198,7 @@ func (c *Cache) open() error {
 	c.opts.Metrics.Counter("recovered").Add(recovered)
 	c.evictOldest(c.order.Len() - c.opts.DiskEntries)
 	if dirty || c.needsCompaction() {
-		c.rewrite(raw, nil)
+		c.rewrite(raw, &ev)
 	}
 	return nil
 }
@@ -274,10 +275,7 @@ func (c *Cache) rewrite(raw []byte, ev *OpEvents) {
 			offs = append(offs, int64(len(buf)))
 			buf = append(buf, rec...)
 		} else {
-			c.opts.Metrics.Counter("corrupt").Inc()
-			if ev != nil {
-				ev.Corrupt++
-			}
+			c.count(&ev.Corrupt, "corrupt")
 			c.drop(el)
 			c.quarantine(r.pk, rec, ev)
 		}
@@ -305,8 +303,5 @@ func (c *Cache) quarantine(pk string, raw []byte, ev *OpEvents) {
 	if c.fs.MkdirAll(qdir) == nil {
 		c.fs.WriteFile(filepath.Join(qdir, pk), raw, false)
 	}
-	c.opts.Metrics.Counter("quarantined").Inc()
-	if ev != nil {
-		ev.Quarantined++
-	}
+	c.count(&ev.Quarantined, "quarantined")
 }

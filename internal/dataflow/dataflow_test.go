@@ -1,7 +1,9 @@
 package dataflow
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -147,6 +149,32 @@ func TestPointSetsBytes(t *testing.T) {
 	for _, f := range []*ir.Function{f, wide} {
 		if got, want := PointSetsBytes(f), int64(8*len(NewPointSets(f).bits)); got != want {
 			t.Errorf("%s: PointSetsBytes = %d, NewPointSets allocates %d", f.Name, got, want)
+		}
+	}
+}
+
+// TestReachingDefsBytes: the sizing formula the server's door applies is
+// what ComputeReachingDefs allocates for its def sets, with the
+// definitions on either side of a word's width.
+func TestReachingDefsBytes(t *testing.T) {
+	f, _ := buildCountLoop()
+	fs := []*ir.Function{f}
+	for _, n := range []int{62, 63, 64, 130} {
+		var b strings.Builder
+		b.WriteString("func chain(r1)\nentry:\n  jump b0\n")
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, "b%d:\n  r%d = add r1, r1\n  jump b%d\n", i, 2+i%5, i+1)
+		}
+		fmt.Fprintf(&b, "b%d:\n  ret r2\n", n)
+		chain, err := ir.Parse(b.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs = append(fs, chain)
+	}
+	for _, f := range fs {
+		if got, want := ReachingDefsBytes(f), int64(8*len(ComputeReachingDefs(f).sets.bits)); got != want {
+			t.Errorf("%s with %d blocks: ReachingDefsBytes = %d, ComputeReachingDefs allocates %d", f.Name, len(f.Blocks), got, want)
 		}
 	}
 }

@@ -76,6 +76,35 @@ func (rd *ReachingDefs) defsOf(r ir.Reg) defSet {
 // reachIn returns the defs reaching block b's entry.
 func (rd *ReachingDefs) reachIn(b *ir.Block) defSet { return rd.sets.row(rd.nRows + b.ID) }
 
+// ReachingDefsBytes returns what ComputeReachingDefs(f) allocates for its
+// table of def sets, without allocating it: a set as wide as f's
+// definitions, the parameters' pseudo-definitions included, for every
+// defined register and four for every block.
+func ReachingDefsBytes(f *ir.Function) int64 {
+	maxReg := f.MaxReg()
+	for _, p := range f.Params {
+		maxReg = max(maxReg, p)
+	}
+	defined := NewRegSet(maxReg)
+	nDefs, nRows := len(f.Params), 0
+	define := func(r ir.Reg) {
+		if !defined.Has(r) {
+			defined.Add(r)
+			nRows++
+		}
+	}
+	for _, p := range f.Params {
+		define(p)
+	}
+	f.Instrs(func(in *ir.Instr) {
+		if d := in.Defs(); d != ir.NoReg {
+			define(d)
+			nDefs++
+		}
+	})
+	return int64((nDefs+63)/64) * int64(nRows+4*len(f.Blocks)) * 8
+}
+
 // ComputeReachingDefs runs the forward may analysis over f.
 func ComputeReachingDefs(f *ir.Function) *ReachingDefs {
 	nRegs := int(f.MaxReg()) + 1

@@ -34,6 +34,8 @@ func FuzzInlineIR(f *testing.F) {
 	}
 	f.Add(hugeRegister)
 	f.Add(wideTables(widestAdmitted + 1))
+	f.Add(blockChain(mostBlocksAdmitted+1, 0))
+	f.Add(blockChain(5000, 3))
 	f.Add(inlineComm)
 	f.Fuzz(func(t *testing.T, text string) {
 		w, err := (&Request{IR: text}).workload()

@@ -94,10 +94,3 @@ func (h *health) State() State {
 	defer h.mu.Unlock()
 	return h.state
 }
-
-// BreakerOpen reports whether the disk breaker input is currently open.
-func (h *health) BreakerOpen() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.breakerOpen
-}

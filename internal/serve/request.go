@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 
+	"repro/internal/analysis"
 	"repro/internal/budget"
 	"repro/internal/cache"
 	"repro/internal/cli"
@@ -139,6 +140,17 @@ const maxInlineReg = 1 << 16
 // at most 2 KiB and a size-10 240 randprog program about 9 MB.
 const maxInlinePointSets = 32 << 20
 
+// maxInlineBlockTables bounds, in bytes, each of the two tables pdg.Build
+// sizes by the square of an inline function's blocks: their reachability
+// (analysis.Reachability, a boolean a pair of blocks) and the reaching
+// definitions (dataflow.ComputeReachingDefs, a set of every definition for
+// each defined register and four for each block). With every register
+// small a body near maxBody still holds 200 000 blocks, which size the
+// first at 40 GB and, each defining r2, the second at 20 GB. The kernels
+// need at most 3 KiB, and a size-10 240 randprog program (about 1 600
+// blocks) 2.4 MB and 11.4 MB.
+const maxInlineBlockTables = 32 << 20
+
 // workload resolves the request's workload. A named benchmark is the
 // kernels table's value, built once per process and shared by every
 // request for that kernel; nothing on the request path writes to it, so
@@ -171,6 +183,14 @@ func (r *Request) workload() (*workloads.Workload, error) {
 	if n := dataflow.PointSetsBytes(f); n > maxInlinePointSets {
 		return nil, fmt.Errorf("ir has %d instruction positions and names registers up to %v: a per-point register table would take %d bytes; inline functions may size one up to %d",
 			dataflow.Positions(f), f.MaxReg(), n, maxInlinePointSets)
+	}
+	if n := analysis.ReachabilityBytes(f); n > maxInlineBlockTables {
+		return nil, fmt.Errorf("ir has %d blocks: their reachability table would take %d bytes; inline functions may size it up to %d",
+			len(f.Blocks), n, maxInlineBlockTables)
+	}
+	if n := dataflow.ReachingDefsBytes(f); n > maxInlineBlockTables {
+		return nil, fmt.Errorf("ir has %d blocks: their reaching-definition table would take %d bytes; inline functions may size it up to %d",
+			len(f.Blocks), n, maxInlineBlockTables)
 	}
 	// Communication is what the server generates from a function: source
 	// that already holds a produce or consume is no single-threaded

@@ -59,11 +59,10 @@ func TestPutFaultNeverFailsRequest(t *testing.T) {
 	if got.Fingerprint != want.Fingerprint {
 		t.Fatalf("fingerprints differ: %s vs %s", got.Fingerprint, want.Fingerprint)
 	}
-	st := s.StatsSnapshot()
-	if st.CachePutErrors == 0 {
-		t.Fatal("cache_put_errors = 0, want the failed Put counted")
+	if counter(s, "serve.cache.put_errors") == 0 {
+		t.Fatal("cache.put_errors = 0, want the failed Put counted")
 	}
-	if st.Errors != 0 {
+	if st := s.StatsSnapshot(); st.Errors != 0 {
 		t.Fatalf("errors = %d, want 0 (the request succeeded)", st.Errors)
 	}
 	// The memory layer still has the bytes: the retry is warm and equal.
@@ -159,8 +158,8 @@ func TestDeadlineExceeded(t *testing.T) {
 		t.Fatalf("status = %d, want 504: %s", res.Status, res.Body)
 	}
 	st := s.StatsSnapshot()
-	if st.DeadlineExceeded != 1 {
-		t.Fatalf("deadline_exceeded = %d, want 1", st.DeadlineExceeded)
+	if n := counter(s, "serve.deadline.exceeded"); n != 1 {
+		t.Fatalf("deadline.exceeded = %d, want 1", n)
 	}
 	req.DeadlineMS = 0
 	res = s.Do(ctx, req)
@@ -268,9 +267,8 @@ func TestHealthStateMachine(t *testing.T) {
 		t.Fatalf("state after breaker trip = %v, want degraded", s.Health())
 	}
 	checkHealthz("degraded", true)
-	st := s.StatsSnapshot()
-	if !st.BreakerOpen || st.BreakerTrips != 1 || st.Health != "degraded" {
-		t.Fatalf("stats after trip: %+v", st)
+	if trips := counter(s, "serve.cache.breaker.trip"); !s.cache.DiskOffline() || trips != 1 || s.Health().String() != "degraded" {
+		t.Fatalf("after trip: disk offline %v, breaker.trip %d, health %v", s.cache.DiskOffline(), trips, s.Health())
 	}
 
 	// The disk healed after write 1; with probe-every-1 the next disk op
@@ -282,14 +280,14 @@ func TestHealthStateMachine(t *testing.T) {
 		t.Fatalf("state after probe success = %v, want healthy", s.Health())
 	}
 	checkHealthz("healthy", true)
-	if st := s.StatsSnapshot(); st.BreakerCloses != 1 {
-		t.Fatalf("breaker_closes = %d, want 1", st.BreakerCloses)
+	if n := counter(s, "serve.cache.breaker.close"); n != 1 {
+		t.Fatalf("breaker.close = %d, want 1", n)
 	}
 	// Closed for real: the next request's Put reaches the disk too.
 	req3 := &Request{Workload: "adpcmdec", Partitioner: "gremio"}
 	mustOK(t, s.Do(ctx, req3))
-	if st := s.StatsSnapshot(); st.CacheWriteErrors != 1 {
-		t.Fatalf("cache_write_errors = %d, want only the scripted fault", st.CacheWriteErrors)
+	if n := counter(s, "serve.cache.write_error"); n != 1 {
+		t.Fatalf("cache.write_error = %d, want only the scripted fault", n)
 	}
 
 	// Draining is terminal: not ready, still alive, still serving.

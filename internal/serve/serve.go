@@ -14,10 +14,11 @@
 // Identical in-flight requests are deduplicated (cache.Group), admission
 // is bounded (queue-full requests get 503 rather than unbounded pileup),
 // per-request budgets are clamped to server caps, and failed cells walk
-// the same graceful-degradation chain as the experiment engine. Cache
-// hits, misses, evictions, singleflight merges, queue depth, and
-// in-flight counts are all surfaced through internal/obs (GET /v1/stats
-// and /v1/metrics).
+// the same graceful-degradation chain as the experiment engine. Every
+// counter — requests, computations, cache hits, misses, evictions and
+// faults, singleflight merges, admission — lives in one obs.Registry,
+// encoded as JSON at GET /v1/metrics and as Prometheus text at GET
+// /metrics.
 //
 // Response bytes are all that one request shares with another. Each
 // computation resolves its own workload and builds its own exp.Engine;
@@ -97,9 +98,6 @@ type Options struct {
 	// DiskRetries bounds transient-disk-fault retries per cache
 	// operation; 0 means the cache default (2), < 0 disables.
 	DiskRetries int
-	// RetryBase is the deterministic backoff unit between retries
-	// (attempt k sleeps RetryBase << k); 0 means the cache default.
-	RetryBase time.Duration
 	// BreakerThreshold trips the cache's disk layer to memory-only mode
 	// after this many consecutive disk faults; 0 means the cache default
 	// (8), < 0 disables the breaker.
@@ -110,14 +108,6 @@ type Options struct {
 	// FS overrides the cache's filesystem (test hook for fault
 	// injection); nil means the host filesystem.
 	FS vfs.FS
-	// Metrics receives all serve and cache instrumentation; a private
-	// registry is created when nil.
-	Metrics *obs.Registry
-	// Clock supplies span-tree timestamps. nil means a logical
-	// per-server counter that ticks once per trace event, which keeps
-	// serial traces, dumps, and histograms byte-deterministic; inject a
-	// wall clock here to trade that determinism for real durations.
-	Clock func() int64
 	// TraceRetain bounds how many completed request traces stay
 	// queryable via GET /v1/trace/{id}; <= 0 means 256. The newest 32 of
 	// them are what a flight dump snapshots to disk on 5xx, breaker trip,
@@ -149,11 +139,11 @@ type Server struct {
 	reg   *obs.Registry
 	scope *obs.Scope
 
-	inflight atomic.Int64
-
-	// Telemetry: per-request span trees timed by clock (logical by
-	// default), retained in traces for GET /v1/trace/{id} and for
-	// postmortem dumps under flightDir.
+	// Telemetry: per-request span trees timed by clock, a logical
+	// per-server counter that ticks once per trace event, which keeps
+	// serial traces, dumps, and histograms byte-deterministic. They are
+	// retained in traces for GET /v1/trace/{id} and for postmortem dumps
+	// under flightDir.
 	clock     func() int64
 	tick      atomic.Int64
 	reqSeq    atomic.Int64
@@ -175,10 +165,7 @@ func New(o Options) (*Server, error) {
 	if o.Queue <= 0 {
 		o.Queue = 64
 	}
-	reg := o.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	if o.TraceRetain <= 0 {
 		o.TraceRetain = 256
 	}
@@ -197,16 +184,13 @@ func New(o Options) (*Server, error) {
 		health:      h,
 		reg:         reg,
 		scope:       reg.Scope("serve"),
-		clock:       o.Clock,
 		traces:      obs.NewFlightRecorder(o.TraceRetain),
 		flightDir:   o.FlightDir,
 		durable:     o.Durable,
 		fs:          fsys,
 		access:      newAccessLogger(o.AccessLog),
 	}
-	if s.clock == nil {
-		s.clock = func() int64 { return s.tick.Add(1) }
-	}
+	s.clock = func() int64 { return s.tick.Add(1) }
 	c, err := cache.New(cache.Options{
 		Dir:              o.CacheDir,
 		MemEntries:       o.MemEntries,
@@ -214,7 +198,6 @@ func New(o Options) (*Server, error) {
 		FS:               o.FS,
 		Durable:          o.Durable,
 		Retries:          o.DiskRetries,
-		RetryBase:        o.RetryBase,
 		BreakerThreshold: o.BreakerThreshold,
 		BreakerProbe:     o.BreakerProbe,
 		OnDiskState: func(open bool) {
@@ -248,8 +231,8 @@ func (s *Server) BeginDrain() {
 // Health returns the current availability state.
 func (s *Server) Health() State { return s.health.State() }
 
-// Metrics returns the server's registry (for -metrics artifacts and
-// tests).
+// Metrics returns the server's registry, the one account of its
+// counters (for -metrics artifacts and tests).
 func (s *Server) Metrics() *obs.Registry { return s.reg }
 
 // Result is one served response: a status, the path that served it, and
@@ -295,8 +278,6 @@ func (s *Server) Do(ctx context.Context, req *Request) Result {
 // serveTraced is the request path proper, recording spans under root.
 func (s *Server) serveTraced(ctx context.Context, req *Request, root *obs.Span, id string) Result {
 	s.scope.Counter("requests").Inc()
-	s.scope.Gauge("inflight").SetMax(s.inflight.Add(1))
-	defer s.inflight.Add(-1)
 
 	d := s.deadlineFor(req)
 	if d > 0 {
@@ -356,7 +337,6 @@ func (s *Server) serveTraced(ctx context.Context, req *Request, root *obs.Span, 
 			adm.Finish()
 			return nil, errQueueFull
 		}
-		s.scope.Gauge("queue.depth").SetMax(int64(len(s.queue)))
 		adm.SetStr("outcome", "admitted")
 		adm.Finish()
 		defer func() { <-s.queue }()
@@ -487,8 +467,7 @@ func commPct(c interp.CommStats) float64 {
 //	POST /v1/batch        {"requests":[...]} -> {"responses":[...]} in order
 //	GET  /v1/workloads    built-in workload names
 //	GET  /v1/partitioners partitioner names
-//	GET  /v1/stats        serving counters (cache, singleflight, queue, health)
-//	GET  /v1/metrics      the full metrics registry (JSON)
+//	GET  /v1/metrics      every counter of the server's registry (JSON)
 //	GET  /v1/trace/{id}   a retained request's span tree
 //	GET  /v1/healthz      liveness; add ?ready=1 for readiness (503 while draining)
 //	GET  /metrics         Prometheus text exposition of the same registry
@@ -502,7 +481,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/partitioners", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, map[string][]string{"partitioners": cli.PartitionerNames()})
 	})
-	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		s.reg.WriteJSON(w)
@@ -573,7 +551,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("batch of %d requests exceeds the limit of %d", n, maxBatch))
 		return
 	}
-	s.scope.Counter("batches").Inc()
 	items := make([]BatchItem, len(batch.Requests))
 	// Responses land in preallocated index-addressed slots, so the order
 	// is the request order at any Jobs setting. Per-item failures are
@@ -587,85 +564,33 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, BatchResponse{Responses: items})
 }
 
-// Stats is the body of GET /v1/stats: the counters the smoke job and
-// operators check.
+// Stats is a view of the registry: the counters the benchmark reads.
 type Stats struct {
-	Schema             int   `json:"schema"`
-	Requests           int64 `json:"requests"`
-	Compute            int64 `json:"compute"`
-	Errors             int64 `json:"errors"`
-	CacheHitMem        int64 `json:"cache_hit_mem"`
-	CacheHitDisk       int64 `json:"cache_hit_disk"`
-	CacheMiss          int64 `json:"cache_miss"`
-	CacheCorrupt       int64 `json:"cache_corrupt"`
-	CacheEvictMem      int64 `json:"cache_evict_mem"`
-	CacheEvictDisk     int64 `json:"cache_evict_disk"`
-	SingleflightMerged int64 `json:"singleflight_merged"`
-	QueueRejected      int64 `json:"queue_rejected"`
-	QueueCapacity      int   `json:"queue_capacity"`
-	QueueDepth         int   `json:"queue_depth"`
-	Inflight           int64 `json:"inflight"`
-
-	// Robustness counters: the health state machine, the disk breaker,
-	// recovery-at-open results, and per-operation fault handling.
-	Health           string `json:"health"`
-	BreakerOpen      bool   `json:"breaker_open"`
-	BreakerTrips     int64  `json:"breaker_trips"`
-	BreakerCloses    int64  `json:"breaker_closes"`
-	CacheRecovered   int64  `json:"cache_recovered"`
-	CacheQuarantined int64  `json:"cache_quarantined"`
-	CachePutErrors   int64  `json:"cache_put_errors"`
-	CacheReadErrors  int64  `json:"cache_read_errors"`
-	CacheWriteErrors int64  `json:"cache_write_errors"`
-	CacheRetries     int64  `json:"cache_retries"`
-	CacheBypass      int64  `json:"cache_bypass"`
-	DeadlineExceeded int64  `json:"deadline_exceeded"`
-
-	// Telemetry counters: retained traces and flight-recorder activity.
-	TracesRetained   int   `json:"traces_retained"`
-	FlightDumps      int64 `json:"flight_dumps"`
-	FlightDumpErrors int64 `json:"flight_dump_errors"`
+	Requests           int64
+	Compute            int64
+	Errors             int64
+	CacheHitMem        int64
+	CacheHitDisk       int64
+	CacheMiss          int64
+	CacheEvictMem      int64
+	SingleflightMerged int64
+	QueueRejected      int64
 }
 
-// StatsSnapshot reads the current counters (also used by tests).
+// StatsSnapshot reads the current counters.
 func (s *Server) StatsSnapshot() Stats {
 	cs := s.reg.Scope("serve.cache")
 	return Stats{
-		Schema:             SchemaVersion,
 		Requests:           s.scope.Counter("requests").Value(),
 		Compute:            s.scope.Counter("compute").Value(),
 		Errors:             s.scope.Counter("errors").Value(),
 		CacheHitMem:        cs.Counter("hit.mem").Value(),
 		CacheHitDisk:       cs.Counter("hit.disk").Value(),
 		CacheMiss:          cs.Counter("miss").Value(),
-		CacheCorrupt:       cs.Counter("corrupt").Value(),
 		CacheEvictMem:      cs.Counter("evict.mem").Value(),
-		CacheEvictDisk:     cs.Counter("evict.disk").Value(),
 		SingleflightMerged: s.scope.Counter("singleflight.merged").Value(),
 		QueueRejected:      s.scope.Counter("queue.rejected").Value(),
-		QueueCapacity:      cap(s.queue),
-		QueueDepth:         len(s.queue),
-		Inflight:           s.inflight.Load(),
-		Health:             s.health.State().String(),
-		BreakerOpen:        s.health.BreakerOpen(),
-		BreakerTrips:       cs.Counter("breaker.trip").Value(),
-		BreakerCloses:      cs.Counter("breaker.close").Value(),
-		CacheRecovered:     cs.Counter("recovered").Value(),
-		CacheQuarantined:   cs.Counter("quarantined").Value(),
-		CachePutErrors:     s.scope.Counter("cache.put_errors").Value(),
-		CacheReadErrors:    cs.Counter("read_error").Value(),
-		CacheWriteErrors:   cs.Counter("write_error").Value(),
-		CacheRetries:       cs.Counter("retry").Value(),
-		CacheBypass:        cs.Counter("bypass").Value(),
-		DeadlineExceeded:   s.scope.Counter("deadline.exceeded").Value(),
-		TracesRetained:     s.traces.Len(),
-		FlightDumps:        s.scope.Counter("flight.dumps").Value(),
-		FlightDumpErrors:   s.scope.Counter("flight.dump_errors").Value(),
 	}
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.StatsSnapshot())
 }
 
 // healthzBody is the /v1/healthz response.

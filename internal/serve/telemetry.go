@@ -3,8 +3,8 @@
 // the flight recorder snapshotted to disk on 5xx, breaker trip, or
 // drain, and the structured JSON access log.
 //
-// Everything here is timed by the server's injected clock (logical by
-// default), so a serial request sequence renders byte-identical traces,
+// Everything here is timed by the server's logical clock, so a serial
+// request sequence renders byte-identical traces,
 // dumps, and log lines on every run — the property the golden tests and
 // the CI smoke jobs pin.
 package serve
@@ -26,9 +26,6 @@ import (
 // took. Zero-valued events are omitted so the common clean path stays
 // one attribute.
 func spanCacheEvents(sp *obs.Span, ev *cache.OpEvents) {
-	if sp == nil || ev == nil {
-		return
-	}
 	if ev.Layer != "" {
 		sp.SetStr("layer", ev.Layer)
 	}

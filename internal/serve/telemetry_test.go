@@ -114,8 +114,8 @@ func TestTraceLifecycle(t *testing.T) {
 		t.Errorf("error body trace_id = %q, want %q", eb.TraceID, batch.Responses[1].TraceID)
 	}
 
-	if st := s.StatsSnapshot(); st.TracesRetained < 3 {
-		t.Errorf("traces_retained = %d, want >= 3", st.TracesRetained)
+	if n := s.traces.Len(); n < 3 {
+		t.Errorf("traces retained = %d, want >= 3", n)
 	}
 }
 
@@ -136,7 +136,6 @@ func TestGETEndpointContentTypes(t *testing.T) {
 	}{
 		{"/v1/workloads", http.StatusOK, "application/json"},
 		{"/v1/partitioners", http.StatusOK, "application/json"},
-		{"/v1/stats", http.StatusOK, "application/json"},
 		{"/v1/metrics", http.StatusOK, "application/json"},
 		{"/v1/healthz", http.StatusOK, "application/json"},
 		{"/v1/healthz?ready=1", http.StatusOK, "application/json"},
@@ -180,29 +179,37 @@ func readAll(r *http.Response) ([]byte, error) {
 
 // TestHealthTransitionScript drives the availability state machine
 // through a scripted event sequence — breaker trips, recoveries, drain —
-// and asserts the /v1/healthz?ready=1 status code at every stop,
-// including that draining is terminal (a later breaker close cannot
-// resurrect readiness).
+// and asserts the /v1/healthz?ready=1 status code, the serve.health.state
+// gauge and the serve.health.transitions counter at every stop, including
+// that draining is terminal (a later breaker close cannot resurrect
+// readiness) and that a step that changes no state counts no transition.
 func TestHealthTransitionScript(t *testing.T) {
 	s := newServer(t, Options{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	for _, step := range []struct {
-		name      string
-		event     func()
-		wantState string
-		wantReady int
+		name            string
+		event           func()
+		wantState       string
+		wantReady       int
+		wantTransitions int64
 	}{
-		{"initial", func() {}, "healthy", http.StatusOK},
-		{"breaker trips", func() { s.health.setBreaker(true) }, "degraded", http.StatusOK},
-		{"breaker closes", func() { s.health.setBreaker(false) }, "healthy", http.StatusOK},
-		{"breaker trips again", func() { s.health.setBreaker(true) }, "degraded", http.StatusOK},
-		{"drain while degraded", func() { s.BeginDrain() }, "draining", http.StatusServiceUnavailable},
-		{"breaker close cannot undrain", func() { s.health.setBreaker(false) }, "draining", http.StatusServiceUnavailable},
-		{"second drain is idempotent", func() { s.BeginDrain() }, "draining", http.StatusServiceUnavailable},
+		{"initial", func() {}, "healthy", http.StatusOK, 0},
+		{"breaker trips", func() { s.health.setBreaker(true) }, "degraded", http.StatusOK, 1},
+		{"breaker closes", func() { s.health.setBreaker(false) }, "healthy", http.StatusOK, 2},
+		{"breaker trips again", func() { s.health.setBreaker(true) }, "degraded", http.StatusOK, 3},
+		{"drain while degraded", func() { s.BeginDrain() }, "draining", http.StatusServiceUnavailable, 4},
+		{"breaker close cannot undrain", func() { s.health.setBreaker(false) }, "draining", http.StatusServiceUnavailable, 4},
+		{"second drain is idempotent", func() { s.BeginDrain() }, "draining", http.StatusServiceUnavailable, 4},
 	} {
 		step.event()
+		if g := State(s.Metrics().Gauge("serve.health.state").Value()); g.String() != step.wantState {
+			t.Errorf("%s: serve.health.state = %v, want %s", step.name, g, step.wantState)
+		}
+		if n := counter(s, "serve.health.transitions"); n != step.wantTransitions {
+			t.Errorf("%s: serve.health.transitions = %d, want %d", step.name, n, step.wantTransitions)
+		}
 		r, err := http.Get(ts.URL + "/v1/healthz?ready=1")
 		if err != nil {
 			t.Fatal(err)
@@ -376,7 +383,7 @@ type faultScenario struct {
 	dump    []byte
 	metrics []byte
 	access  []byte
-	stats   Stats
+	reg     *obs.Registry
 }
 
 func runFaultScenario(t *testing.T, seed int64) faultScenario {
@@ -428,7 +435,7 @@ func runFaultScenario(t *testing.T, seed int64) faultScenario {
 		dump:    dump,
 		metrics: mb.Bytes(),
 		access:  append([]byte(nil), access.Bytes()...),
-		stats:   s.StatsSnapshot(),
+		reg:     s.Metrics(),
 	}
 }
 
@@ -497,11 +504,15 @@ func TestFaultedRequestTelemetry(t *testing.T) {
 	if !bytes.Contains(a.dump, []byte(a.res.TraceID)) {
 		t.Error("flight dump does not contain the failing request's trace")
 	}
-	if a.stats.FlightDumps != 1 || a.stats.FlightDumpErrors != 0 {
-		t.Errorf("flight_dumps = %d, errors = %d, want 1 / 0", a.stats.FlightDumps, a.stats.FlightDumpErrors)
+	dumps, dumpErrors := a.reg.Counter("serve.flight.dumps").Value(), a.reg.Counter("serve.flight.dump_errors").Value()
+	if dumps != 1 || dumpErrors != 0 {
+		t.Errorf("flight.dumps = %d, dump_errors = %d, want 1 / 0", dumps, dumpErrors)
 	}
-	if a.stats.CacheRetries < 1 {
-		t.Errorf("cache_retries = %d, want >= 1", a.stats.CacheRetries)
+	if n := a.reg.Counter("serve.cache.retry").Value(); n < 1 {
+		t.Errorf("cache.retry = %d, want >= 1", n)
+	}
+	if n := a.reg.Counter("serve.errors").Value(); n != 1 {
+		t.Errorf("errors = %d, want the one 500", n)
 	}
 
 	// Determinism: a second identical run reproduces every artifact.
@@ -569,8 +580,8 @@ func TestFlightDumpOnDrainAndBreaker(t *testing.T) {
 	if !json.Valid(dump) || !bytes.Contains(dump, []byte(`"reason": "drain"`)) {
 		t.Fatalf("drain dump malformed:\n%s", dump)
 	}
-	if st := s.StatsSnapshot(); st.FlightDumps != 1 {
-		t.Errorf("flight_dumps = %d, want 1", st.FlightDumps)
+	if n := counter(s, "serve.flight.dumps"); n != 1 {
+		t.Errorf("flight.dumps = %d, want 1", n)
 	}
 
 	// One ring serves lookups and dumps: after 40 requests a dump holds
@@ -610,8 +621,8 @@ func TestFlightDumpOnDrainAndBreaker(t *testing.T) {
 	if _, ok := s40.traces.Get(ids[0]); !ok {
 		t.Error("trace 1 no longer resolves by ID")
 	}
-	if st := s40.StatsSnapshot(); st.TracesRetained != 40 {
-		t.Errorf("traces_retained = %d, want 40", st.TracesRetained)
+	if n := s40.traces.Len(); n != 40 {
+		t.Errorf("traces retained = %d, want 40", n)
 	}
 
 	// Breaker trip dumps too (scripted via the health hook's path: a
@@ -642,7 +653,7 @@ func TestFlightDumpOnDrainAndBreaker(t *testing.T) {
 	// No flight dir: dumping is disabled, nothing breaks.
 	s3 := newServer(t, Options{})
 	s3.BeginDrain()
-	if st := s3.StatsSnapshot(); st.FlightDumps != 0 || st.FlightDumpErrors != 0 {
-		t.Errorf("dir-less dump counted: %+v", st)
+	if dumps, dumpErrors := counter(s3, "serve.flight.dumps"), counter(s3, "serve.flight.dump_errors"); dumps != 0 || dumpErrors != 0 {
+		t.Errorf("dir-less dump counted: flight.dumps %d, dump_errors %d", dumps, dumpErrors)
 	}
 }
