@@ -114,7 +114,7 @@ func isCtxErr(err error) bool {
 // reference run, which the engine has already made if any pipeline of w
 // measured its communication).
 func (e *Engine) singleThreadedComm(ctx context.Context, w *workloads.Workload) (interp.CommStats, error) {
-	ref, err := referenceRun(ctx, slot(&e.mu, e.refs, w), w, e.budget.MeasureSteps)
+	ref, err := e.reference(ctx, w)
 	if err != nil {
 		return interp.CommStats{}, fmt.Errorf("exp: single-threaded fallback for %s: %w", w.Name, err)
 	}

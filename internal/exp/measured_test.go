@@ -170,7 +170,6 @@ func TestPlainCommRunsNoProgram(t *testing.T) {
 	e := NewEngine(EngineOptions{Jobs: 1})
 	ctx := context.Background()
 	for _, w := range ws {
-		var shared *memo[*reference]
 		for _, part := range Partitioners() {
 			row, err := e.CommCell(ctx, w, part)
 			if err != nil {
@@ -206,23 +205,23 @@ func TestPlainCommRunsNoProgram(t *testing.T) {
 			if got := p.plain.executed.Load() + lit.plain.executed.Load(); got != 0 {
 				t.Errorf("%s/%s: %d executor runs for plain communication measurements, want 0", w.Name, part.Name(), got)
 			}
-			if shared == nil {
-				shared = p.ref
-			}
-			if p.ref == nil || p.ref != shared {
-				t.Errorf("%s/%s: the pipeline does not share its workload's reference run", w.Name, part.Name())
+			if p.eng != e {
+				t.Errorf("%s/%s: the pipeline does not share its engine's reference run", w.Name, part.Name())
 			}
 		}
 		last, err := e.singleThreadedComm(ctx, w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if last.Compute != shared.val.steps {
-			t.Errorf("%s: the last resort counted %d steps, the reference run %d", w.Name, last.Compute, shared.val.steps)
+		if ref := e.refs[w]; last.Compute != ref.val.steps {
+			t.Errorf("%s: the last resort counted %d steps, the reference run %d", w.Name, last.Compute, ref.val.steps)
 		}
 	}
 	if len(e.refs) != len(ws) {
 		t.Errorf("%d reference runs for %d workloads under both partitioners", len(e.refs), len(ws))
+	}
+	if got, want := e.Stats().ReferenceRuns, int64(len(ws)); got != want {
+		t.Errorf("ReferenceRuns = %d, want %d: one per workload under both partitioners and the last resort", got, want)
 	}
 	if got, want := e.Stats().ProfileRuns, int64(len(ws)); got != want {
 		t.Errorf("ProfileRuns = %d, want %d: the reference run is not a train profile", got, want)

@@ -83,11 +83,10 @@ type Pipeline struct {
 	budget budget.Budget
 	o      *Obs
 	plain  measured
-	// ref holds the workload's reference run, one slot per workload of
-	// the engine that built the pipeline, which its other pipelines and
-	// its last resort share; a Pipeline built as a literal has none and
-	// keeps its own in plain.ref.
-	ref *memo[*reference]
+	// eng is the engine that built the pipeline: its one reference run of
+	// W is shared by its other pipelines and its last resort. A Pipeline
+	// built as a literal has none and keeps its own in plain.ref.
+	eng *Engine
 }
 
 // reference is a workload's single-threaded run on its reference input.
@@ -100,18 +99,15 @@ type reference struct {
 	steps   int64
 }
 
-// referenceRun returns the reference run held in m, running w
-// single-threaded on its reference input within maxSteps — the budget of
-// the multi-threaded run it stands in for — on first use.
-func referenceRun(ctx context.Context, m *memo[*reference], w *workloads.Workload, maxSteps int64) (*reference, error) {
-	return m.do(func() (*reference, error) {
-		in := w.Ref()
-		res, err := interp.RunCtx(ctx, w.F, in.Args, in.Mem, maxSteps)
-		if err != nil {
-			return nil, err
-		}
-		return &reference{profile: res.Profile, steps: res.Steps}, nil
-	})
+// runReference runs w single-threaded on its reference input within
+// maxSteps, the budget of the multi-threaded run it stands in for.
+func runReference(ctx context.Context, w *workloads.Workload, maxSteps int64) (*reference, error) {
+	in := w.Ref()
+	res, err := interp.RunCtx(ctx, w.F, in.Args, in.Mem, maxSteps)
+	if err != nil {
+		return nil, err
+	}
+	return &reference{profile: res.Profile, steps: res.Steps}, nil
 }
 
 // measured is a pipeline's record of its plain simulations. A simulation
@@ -337,11 +333,12 @@ func (p *Pipeline) measureComm(ctx context.Context, prog, as *mtcg.Program) (int
 // reference returns the workload's reference run, made on first use within
 // the MeasureSteps budget.
 func (p *Pipeline) reference(ctx context.Context) (*reference, error) {
-	m := p.ref
-	if m == nil {
-		m = &p.plain.ref
+	if p.eng != nil {
+		return p.eng.reference(ctx, p.W)
 	}
-	return referenceRun(ctx, m, p.W, p.measureBudget().MeasureSteps)
+	return p.plain.ref.do(func() (*reference, error) {
+		return runReference(ctx, p.W, p.measureBudget().MeasureSteps)
+	})
 }
 
 // countComm is a plain communication measurement: prog's placement counted

@@ -104,3 +104,31 @@ func TestDiskOpsPerRequest(t *testing.T) {
 		t.Fatalf("a disk hit made %v, want exactly one ReadAt", got)
 	}
 }
+
+// TestDiskOpsBaseline pins what the baseline record costs the filesystem:
+// a cold simulated request appends its response and then its baseline,
+// and a later comm-only request for the same kernel on a new server reads
+// the baseline at its offset and appends only its response.
+func TestDiskOpsBaseline(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+
+	cfs := &countingFS{}
+	s1 := newServer(t, Options{CacheDir: dir, FS: cfs})
+	cfs.take()
+	mustOK(t, s1.Do(ctx, &Request{Workload: "adpcmdec", Sim: true}))
+	if got := cfs.take(); len(got) != 1 || got["Append"] != 2 {
+		t.Fatalf("a cold simulated request made %v, want exactly two Appends", got)
+	}
+
+	cfs2 := &countingFS{}
+	s2 := newServer(t, Options{CacheDir: dir, FS: cfs2})
+	cfs2.take()
+	mustOK(t, s2.Do(ctx, &Request{Workload: "adpcmdec"}))
+	if n := counter(s2, "serve.baseline.hit"); n != 1 {
+		t.Fatalf("serve.baseline.hit = %d, want 1", n)
+	}
+	if got := cfs2.take(); len(got) != 2 || got["ReadAt"] != 1 || got["Append"] != 1 {
+		t.Fatalf("a comm-only request after a simulated one made %v, want one ReadAt and one Append", got)
+	}
+}
