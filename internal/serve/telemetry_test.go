@@ -20,7 +20,7 @@ import (
 	"repro/internal/vfs"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the flight-recorder golden dump")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files (flight-recorder dump, baseline record)")
 
 // TestTraceLifecycle: every request gets a trace ID — echoed in the
 // X-Gmtserve-Trace header, in batch items, and (for errors) in the body
