@@ -77,7 +77,7 @@ func EstimateProfile(f *ir.Function) *ir.Profile {
 	// Final forward propagation from the entry.
 	freq := make([]float64, len(f.Blocks))
 	freq[f.Entry().ID] = 1
-	prof := ir.NewProfile()
+	prof := ir.NewProfile(f)
 	for _, b := range ReversePostorder(f) {
 		fb := freq[b.ID]
 		if l := lf.InnermostLoop(b); l != nil && l.Header == b {

@@ -40,7 +40,7 @@ func handProgram(t *testing.T, dead bool, threads ...*ir.Function) (*mtcg.Progra
 		}
 		prog.Origins = append(prog.Origins, o)
 	}
-	return prog, ir.NewProfile()
+	return prog, ir.NewProfile(orig)
 }
 
 // testThreads is a producer and a consumer thread talking over queues

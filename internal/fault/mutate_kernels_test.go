@@ -29,7 +29,7 @@ func TestMutateKernels(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			freq := mtcg.BlockFreq(p.W.F, p.Profile)
+			freq := p.Profile.Frequencies(p.W.F)
 			for _, prog := range []*mtcg.Program{p.Naive, p.Coco} {
 				text := threadText(prog)
 				var origins [][]*ir.Block

@@ -50,7 +50,7 @@ type Result struct {
 	Mem      Memory
 	// Steps is the number of dynamic instructions executed.
 	Steps int64
-	// Profile holds the observed execution count of every CFG edge.
+	// Profile holds the observed exits of every block.
 	Profile *ir.Profile
 }
 
@@ -74,8 +74,8 @@ func RunCtx(ctx context.Context, f *ir.Function, args []int64, mem Memory, maxSt
 		regs[p] = args[i]
 	}
 	res := &Result{Mem: mem}
-	// tally[b][s] counts block b's exits to its successor s; the profile
-	// is filled from it once, at Ret.
+	// tally[b][s] counts block b's exits to its successor s: the
+	// profile's own format (ir.Profile.Exits), handed over at Ret.
 	tally := make([][2]int64, len(f.Blocks))
 	blk := f.Entry()
 	idx := 0
@@ -105,15 +105,14 @@ func RunCtx(ctx context.Context, f *ir.Function, args []int64, mem Memory, maxSt
 			for _, r := range in.Srcs {
 				res.LiveOuts = append(res.LiveOuts, regs[r])
 			}
-			res.Profile = ir.NewProfile()
-			for id, exits := range tally {
-				for s, n := range exits {
-					if n != 0 {
-						b := f.Blocks[id]
-						res.Profile.AddEdge(b, b.Succs[s], n)
-					}
+			// A branch whose two arms reach one block counts in slot 0.
+			for id, b := range f.Blocks {
+				if len(b.Succs) == 2 && b.Succs[1] == b.Succs[0] {
+					tally[id][0] += tally[id][1]
+					tally[id][1] = 0
 				}
 			}
+			res.Profile = &ir.Profile{Exits: tally}
 			return res, nil
 		case ir.Load, ir.Store:
 			if err := exec(in, regs, mem); err != nil {

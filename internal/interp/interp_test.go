@@ -2,6 +2,7 @@ package interp
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/ir"
@@ -143,9 +144,9 @@ func TestRunProfileCountsEdges(t *testing.T) {
 	}
 }
 
-// TestRunProfileOneEntryPerEdge: the profile holds exactly the edges taken,
-// and a branch whose two targets are one block adds both of its exits to
-// that one edge.
+// TestRunProfileOneEntryPerEdge: the profile's tally holds exactly the
+// exits taken, and a branch whose two targets are one block counts both of
+// its exits in slot 0, so that one edge has one entry.
 func TestRunProfileOneEntryPerEdge(t *testing.T) {
 	b := ir.NewBuilder("same")
 	loop := b.Block("loop")
@@ -170,19 +171,14 @@ func TestRunProfileOneEntryPerEdge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[ir.Edge]int64{
-		{From: b.F.Entry().ID, To: loop.ID}: 1,
-		{From: loop.ID, To: join.ID}:        5,
-		{From: join.ID, To: loop.ID}:        4,
-		{From: join.ID, To: exit.ID}:        1,
+	// entry jumps to loop once; loop's branch reaches join five times
+	// (three taken, two not); join loops back four times and exits once.
+	want := [][2]int64{{1, 0}, {5, 0}, {4, 1}, {0, 0}}
+	if !slices.Equal(res.Profile.Exits, want) {
+		t.Errorf("profile = %v, want %v", res.Profile.Exits, want)
 	}
-	if len(res.Profile.Edges) != len(want) {
-		t.Errorf("profile = %v, want %v", res.Profile.Edges, want)
-	}
-	for e, n := range want {
-		if got := res.Profile.Edges[e]; got != n {
-			t.Errorf("edge %v = %d, want %d", e, got, n)
-		}
+	if w := res.Profile.EdgeWeight(loop, join); w != 5 {
+		t.Errorf("EdgeWeight(loop, join) = %d, want 5", w)
 	}
 }
 

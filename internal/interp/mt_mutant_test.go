@@ -18,7 +18,7 @@ func pairProgram(n int64) (*mtcg.Program, *ir.Profile) {
 	threads, nq := interp.MTPair(n, true)
 	orig := threads[0]
 	entry, loop, exit := orig.Blocks[0], orig.Blocks[1], orig.Blocks[2]
-	prof := ir.NewProfile()
+	prof := ir.NewProfile(orig)
 	prof.AddEdge(entry, loop, 1)
 	prof.AddEdge(loop, loop, n-1)
 	prof.AddEdge(loop, exit, 1)

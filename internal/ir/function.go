@@ -183,45 +183,3 @@ func (f *Function) SplitCriticalEdges() int {
 	}
 	return n
 }
-
-// Edge identifies a CFG edge by block IDs.
-type Edge struct{ From, To int }
-
-// Profile holds execution-frequency estimates: a count per CFG edge. These
-// drive the costs in COCO's min-cut flow graphs.
-type Profile struct {
-	Edges map[Edge]int64
-}
-
-// NewProfile returns an empty profile.
-func NewProfile() *Profile { return &Profile{Edges: map[Edge]int64{}} }
-
-// EdgeWeight returns the execution count estimate of the edge from to.
-func (p *Profile) EdgeWeight(from, to *Block) int64 {
-	return p.Edges[Edge{from.ID, to.ID}]
-}
-
-// AddEdge adds n executions to the edge from to.
-func (p *Profile) AddEdge(from, to *Block, n int64) {
-	p.Edges[Edge{from.ID, to.ID}] += n
-}
-
-// BlockWeight returns the execution count estimate of block b: the sum of
-// incoming edge counts, or of outgoing counts for the entry block.
-func (p *Profile) BlockWeight(b *Block) int64 {
-	if len(b.Preds) == 0 {
-		var w int64
-		for _, s := range b.Succs {
-			w += p.EdgeWeight(b, s)
-		}
-		if w == 0 {
-			w = 1 // entry executes once
-		}
-		return w
-	}
-	var w int64
-	for _, pr := range b.Preds {
-		w += p.EdgeWeight(pr, b)
-	}
-	return w
-}

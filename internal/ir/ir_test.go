@@ -206,7 +206,7 @@ func TestVerifyCatchesBrokenFunctions(t *testing.T) {
 func TestProfileWeights(t *testing.T) {
 	b, _ := buildDiamond(t)
 	f := b.F
-	p := NewProfile()
+	p := NewProfile(f)
 	entry, then, els, join := f.Blocks[0], f.Blocks[1], f.Blocks[2], f.Blocks[3]
 	p.AddEdge(entry, then, 7)
 	p.AddEdge(entry, els, 3)

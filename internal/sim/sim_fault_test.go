@@ -57,7 +57,7 @@ func faultMutant(t *testing.T, n int64, spec fault.Spec) *mtcg.Program {
 	threads := faultPair(n)
 	orig := threads[0]
 	entry, loop, exit := orig.Blocks[0], orig.Blocks[1], orig.Blocks[2]
-	prof := ir.NewProfile()
+	prof := ir.NewProfile(orig)
 	prof.AddEdge(entry, loop, 1)
 	prof.AddEdge(loop, loop, n-1)
 	prof.AddEdge(loop, exit, 1)

@@ -89,7 +89,7 @@ func Fig3() *Prog {
 
 	// Profile: 10 iterations; B1->B2 7, B1->B3 3; B2->B2e 4, B2->B3 3;
 	// B3->B1 9, B3->exit 1.
-	prof := ir.NewProfile()
+	prof := ir.NewProfile(f)
 	wire(prof, f.Entry(), b2, 7)
 	wire(prof, f.Entry(), b3, 3)
 	wire(prof, b2, b2e, 4)
@@ -185,7 +185,7 @@ func Fig4() *Prog {
 		}
 	})
 
-	prof := ir.NewProfile()
+	prof := ir.NewProfile(f)
 	wire(prof, f.Entry(), b2, 1)
 	wire(prof, b2, b2, 9)
 	wire(prof, b2, b3, 1)
@@ -318,7 +318,7 @@ func Fig5() *Prog {
 		}
 	})
 
-	prof := ir.NewProfile()
+	prof := ir.NewProfile(f)
 	wire(prof, f.Entry(), b2, 8)
 	wire(prof, b2, b3, 4)
 	wire(prof, b2, b4, 4)
