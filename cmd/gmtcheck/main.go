@@ -66,8 +66,7 @@ func run() error {
 		}
 		chaosClass = cls
 		opts.Inject = &fault.Spec{Class: cls, Seed: *chaosSeed}
-		// A mutant's deadlock should fail fast, not burn the sim budget.
-		opts.SimStallLimit = 50_000
+		opts.SimStallLimit = fault.StallLimit
 	}
 
 	if *replay != "" {

@@ -113,7 +113,7 @@ func (e *Engine) chaosCell(ctx context.Context, c cell, cls fault.Class, seed in
 		QueueCaps:     []int{p.QueueCap},
 		MaxSteps:      e.budget.MeasureSteps,
 		SimCycles:     e.budget.SimCycles,
-		SimStallLimit: 50_000,
+		SimStallLimit: fault.StallLimit,
 		Inject:        &fault.Spec{Class: cls, Seed: seed},
 	}
 	rep := &oracle.Report{}

@@ -178,8 +178,7 @@ func (rc *ReplayConfig) Apply(o Options) (Options, error) {
 	if rc.Fault != "" {
 		o.Inject = &fault.Spec{Class: rc.Fault, Seed: rc.FaultSeed}
 		if o.SimStallLimit == 0 {
-			// A mutant's deadlock should fail fast, not burn the sim budget.
-			o.SimStallLimit = 50_000
+			o.SimStallLimit = fault.StallLimit
 		}
 	}
 	if rc.NoSim {

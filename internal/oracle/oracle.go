@@ -273,23 +273,14 @@ func (r *Report) add(caseName, config string, kind Kind, detail string) {
 }
 
 // Golden is the single-threaded reference outcome every other executor is
-// compared against.
-type Golden struct {
-	LiveOuts []int64
-	Mem      []int64
-	Steps    int64
-	Profile  *ir.Profile
-}
+// compared against: the interpreter's record of the case's run.
+type Golden = interp.Result
 
 // RunGolden executes the case single-threaded. An error here means the
 // case itself is bad (e.g. it exceeds the step budget), not that a bug
 // was found.
 func RunGolden(c *Case, maxSteps int64) (*Golden, error) {
-	res, err := interp.Run(c.F, c.Args, append([]int64(nil), c.Mem...), maxSteps)
-	if err != nil {
-		return nil, err
-	}
-	return &Golden{LiveOuts: res.LiveOuts, Mem: res.Mem, Steps: res.Steps, Profile: res.Profile}, nil
+	return interp.Run(c.F, c.Args, append([]int64(nil), c.Mem...), maxSteps)
 }
 
 // Check runs the full differential matrix on one case: every partition

@@ -45,8 +45,9 @@ type Config struct {
 
 	// StallLimit is the no-progress watchdog: the run aborts with
 	// ErrNoProgress after this many consecutive cycles with no core
-	// issuing. <= 0 selects the default (2,000,000 cycles). Chaos tests
-	// lower it so an injected deadlock fails in microseconds, not seconds.
+	// issuing. <= 0 selects the default (2,000,000 cycles). A run with a
+	// fault armed lowers it to fault.StallLimit, so a mutant's deadlock
+	// fails in microseconds, not seconds.
 	StallLimit int64
 }
 
