@@ -1,8 +1,7 @@
 package exp
 
 import (
-	"context"
-
+	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/sim"
 	"repro/internal/workloads"
@@ -27,22 +26,10 @@ type Baseline struct {
 // keeps its outcome. b must be what the engine would compute for w under
 // its budget: the cells read it as their own.
 func (e *Engine) SeedBaseline(w *workloads.Workload, cfg sim.Config, b Baseline) {
-	slot(&e.mu, e.refs, w).do(func() (*reference, error) {
-		return &reference{profile: b.Profile, steps: b.Steps}, nil
+	slot(&e.mu, e.refs, w).do(func() (*interp.Result, error) {
+		return &interp.Result{Profile: b.Profile, Steps: b.Steps}, nil
 	})
 	slot(&e.mu, e.stCycles, stKey{w, cfg}).do(func() (int64, error) {
 		return b.STCycles, nil
 	})
-}
-
-// Reference returns w's reference run — the edge profile and the step
-// count its cells read — running it within the MeasureSteps budget on
-// first use only. Together with SingleThreadedCycles it reads back the
-// baseline the engine's cells left, computing nothing once they ran.
-func (e *Engine) Reference(ctx context.Context, w *workloads.Workload) (*ir.Profile, int64, error) {
-	ref, err := e.reference(ctx, w)
-	if err != nil {
-		return nil, 0, err
-	}
-	return ref.profile, ref.steps, nil
 }

@@ -114,9 +114,9 @@ func isCtxErr(err error) bool {
 // reference run, which the engine has already made if any pipeline of w
 // measured its communication).
 func (e *Engine) singleThreadedComm(ctx context.Context, w *workloads.Workload) (interp.CommStats, error) {
-	ref, err := e.reference(ctx, w)
+	ref, err := e.Reference(ctx, w)
 	if err != nil {
 		return interp.CommStats{}, fmt.Errorf("exp: single-threaded fallback for %s: %w", w.Name, err)
 	}
-	return interp.CommStats{Compute: ref.steps}, nil
+	return interp.CommStats{Compute: ref.Steps}, nil
 }

@@ -213,8 +213,8 @@ func TestPlainCommRunsNoProgram(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ref := e.refs[w]; last.Compute != ref.val.steps {
-			t.Errorf("%s: the last resort counted %d steps, the reference run %d", w.Name, last.Compute, ref.val.steps)
+		if ref := e.refs[w]; last.Compute != ref.val.Steps {
+			t.Errorf("%s: the last resort counted %d steps, the reference run %d", w.Name, last.Compute, ref.val.Steps)
 		}
 	}
 	if len(e.refs) != len(ws) {
@@ -297,7 +297,7 @@ func TestObservedAndInjectedRunsAreNotShared(t *testing.T) {
 	}
 	cfg := p.Machine(sim.DefaultConfig())
 	for _, prog := range []*mtcg.Program{p.Naive, p.Coco} {
-		mut, _, ok, err := fault.Mutate(prog, ref.profile, fault.Spec{Class: fault.DropProduce, Seed: 3})
+		mut, _, ok, err := fault.Mutate(prog, ref.Profile, fault.Spec{Class: fault.DropProduce, Seed: 3})
 		if !ok || err != nil {
 			t.Fatalf("no drop mutant: ok=%v err=%v", ok, err)
 		}

@@ -89,25 +89,15 @@ type Pipeline struct {
 	eng *Engine
 }
 
-// reference is a workload's single-threaded run on its reference input.
-// A plain communication measurement counts a program's placement over its
+// runReference runs w single-threaded on its reference input within
+// maxSteps, the budget of the multi-threaded run it stands in for. A plain
+// communication measurement counts a program's placement over the run's
 // edge profile (mtcg.Program.Counts) instead of running the program, and
 // the communication experiment's last resort reports its steps. It is not
 // a train profile: nothing is partitioned or planned with it.
-type reference struct {
-	profile *ir.Profile
-	steps   int64
-}
-
-// runReference runs w single-threaded on its reference input within
-// maxSteps, the budget of the multi-threaded run it stands in for.
-func runReference(ctx context.Context, w *workloads.Workload, maxSteps int64) (*reference, error) {
+func runReference(ctx context.Context, w *workloads.Workload, maxSteps int64) (*interp.Result, error) {
 	in := w.Ref()
-	res, err := interp.RunCtx(ctx, w.F, in.Args, in.Mem, maxSteps)
-	if err != nil {
-		return nil, err
-	}
-	return &reference{profile: res.Profile, steps: res.Steps}, nil
+	return interp.RunCtx(ctx, w.F, in.Args, in.Mem, maxSteps)
 }
 
 // measured is a pipeline's record of its plain simulations. A simulation
@@ -124,7 +114,7 @@ type measured struct {
 	mu            sync.Mutex
 	decided, same bool
 	cycles        map[plainRun]int64
-	ref           memo[*reference]
+	ref           memo[*interp.Result]
 	// executed counts the executor runs the pipeline started, of any kind;
 	// the tests hold it to one simulation per distinct program and no run
 	// for a plain communication measurement.
@@ -332,11 +322,11 @@ func (p *Pipeline) measureComm(ctx context.Context, prog, as *mtcg.Program) (int
 
 // reference returns the workload's reference run, made on first use within
 // the MeasureSteps budget.
-func (p *Pipeline) reference(ctx context.Context) (*reference, error) {
+func (p *Pipeline) reference(ctx context.Context) (*interp.Result, error) {
 	if p.eng != nil {
-		return p.eng.reference(ctx, p.W)
+		return p.eng.Reference(ctx, p.W)
 	}
-	return p.plain.ref.do(func() (*reference, error) {
+	return p.plain.ref.do(func() (*interp.Result, error) {
 		return runReference(ctx, p.W, p.measureBudget().MeasureSteps)
 	})
 }
@@ -349,7 +339,7 @@ func (p *Pipeline) countComm(ctx context.Context, prog *mtcg.Program) (interp.Co
 	if err != nil {
 		return interp.CommStats{}, fmt.Errorf("exp: measuring %s/%s: %w", p.W.Name, p.Part.Name(), err)
 	}
-	st := prog.Counts(ref.profile)
+	st := prog.Counts(ref.Profile)
 	if st.Total() > steps {
 		return interp.CommStats{}, fmt.Errorf("exp: measuring %s/%s: %w (multi-threaded, %d steps counted)",
 			p.W.Name, p.Part.Name(), interp.ErrStepLimit, st.Total())
