@@ -1,6 +1,9 @@
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Profile is an edge profile, measured (interp.Run) or estimated
 // (analysis.EstimateProfile), that weighs the partitioners' and COCO's
@@ -41,27 +44,32 @@ func (p *Profile) AddEdge(from, to *Block, n int64) {
 // BlockWeight returns the execution count estimate of block b: the sum of
 // incoming edge counts, or of outgoing counts for the entry block. It is
 // the partitioners' and COCO's weight; Frequencies is the exact count.
+// Preds and Succs list a same-target branch once per arm and EdgeWeight
+// returns the whole edge, so each distinct neighbour is counted once.
 func (p *Profile) BlockWeight(b *Block) int64 {
 	var w int64
 	if len(b.Preds) == 0 {
-		for _, s := range b.Succs {
-			w += p.EdgeWeight(b, s)
+		for i, s := range b.Succs {
+			if !slices.Contains(b.Succs[:i], s) {
+				w += p.EdgeWeight(b, s)
+			}
 		}
 		if w == 0 {
 			w = 1 // entry executes once
 		}
 		return w
 	}
-	for _, pr := range b.Preds {
-		w += p.EdgeWeight(pr, b)
+	for i, pr := range b.Preds {
+		if !slices.Contains(b.Preds[:i], pr) {
+			w += p.EdgeWeight(pr, b)
+		}
 	}
 	return w
 }
 
 // Frequencies returns how often each block of f (by block ID) executed in
 // the run that recorded p: the exact sum of its incoming exits, plus one
-// for the entry. It differs from BlockWeight on an entry with a back edge
-// and on a same-target branch's target.
+// for the entry. It differs from BlockWeight on an entry with a back edge.
 func (p *Profile) Frequencies(f *Function) []int64 {
 	freq := make([]int64, len(f.Blocks))
 	freq[f.Entry().ID] = 1

@@ -7,11 +7,12 @@ import (
 
 // TestProfileAnswers pins what a profile answers on four shapes, against
 // counts worked out by hand from the run each tally records. BlockWeight
-// sums a block's incoming edges once per predecessor slot (its outgoing
-// edges for a block without predecessors); Frequencies is the exact count.
-// They differ on a branch whose two arms reach one block, where the target
-// lists its predecessor twice, and on an entry block with a back edge,
-// whose weight counts only the back edge.
+// sums a block's incoming edges once per distinct predecessor (its outgoing
+// edges, once per distinct successor, for a block without predecessors);
+// Frequencies is the exact count. They agree on a branch whose two arms
+// reach one block, where the target lists its predecessor twice, and
+// differ on an entry block with a back edge, whose weight counts only the
+// back edge.
 func TestProfileAnswers(t *testing.T) {
 	type edge struct {
 		from, to string
@@ -30,7 +31,7 @@ func TestProfileAnswers(t *testing.T) {
 		text:   "func f()\nentry:\n  r1 = const 1\n  br r1 join, join\njoin:\n  ret r1\n",
 		exits:  [][2]int64{{1, 0}, {0, 0}},
 		edges:  []edge{{"entry", "join", 1}},
-		weight: []int64{2, 2},
+		weight: []int64{1, 1},
 		freq:   []int64{1, 1},
 	}, {
 		// r1 = 3: entry runs three times, loops back twice, exits once.

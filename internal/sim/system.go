@@ -253,7 +253,12 @@ func RunObserved(cfg Config, threads []*ir.Function, args []int64, mem []int64, 
 		return nil, fmt.Errorf("sim: program needs %d queues, hardware has %d (run queue allocation)",
 			numQueues, cfg.NumQueues)
 	}
-	l3 := newCache(cfg.L3Sets, cfg.L3Ways, cfg.L3Line)
+	// Each level keeps only the ways the image's lines can fill (exact;
+	// see imageWays). The private levels' ways are the same for every core.
+	words := len(mem)
+	l1Ways := imageWays(cfg.L1Sets, cfg.L1Ways, cfg.L1Line, words)
+	l2Ways := imageWays(cfg.L2Sets, cfg.L2Ways, cfg.L2Line, words)
+	l3 := newCache(cfg.L3Sets, imageWays(cfg.L3Sets, cfg.L3Ways, cfg.L3Line, words), cfg.L3Line)
 	sys := &system{cfg: cfg, qcap: cfg.QueueCap, mem: mem}
 	for i, f := range threads {
 		if len(args) != len(f.Params) {
@@ -267,8 +272,8 @@ func RunObserved(cfg Config, threads []*ir.Function, args []int64, mem []int64, 
 			blockedEmptyQ: -1,
 			blockedFullQ:  -1,
 			caches: &hierarchy{
-				l1:  newCache(cfg.L1Sets, cfg.L1Ways, cfg.L1Line),
-				l2:  newCache(cfg.L2Sets, cfg.L2Ways, cfg.L2Line),
+				l1:  newCache(cfg.L1Sets, l1Ways, cfg.L1Line),
+				l2:  newCache(cfg.L2Sets, l2Ways, cfg.L2Line),
 				l3:  l3,
 				cfg: &cfg,
 			},
