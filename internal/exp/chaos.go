@@ -98,7 +98,9 @@ func (e *Engine) chaosCell(ctx context.Context, c cell, cls fault.Class, seed in
 	if err != nil {
 		return out, err
 	}
-	train := c.w.Train()
+	// The oracle copies the image before each run it makes, so every run
+	// reads the workload's shared train input.
+	train, _ := c.w.Inputs()
 	golden, err := oracle.RunGolden(&oracle.Case{
 		Name: c.w.Name, F: c.w.F, Objects: c.w.Objects,
 		Args: train.Args, Mem: train.Mem,

@@ -36,10 +36,12 @@ func chaosWorkloads(t *testing.T) []*workloads.Workload {
 // no silently wrong live-outs.
 func TestCoverageMatrixContract(t *testing.T) {
 	e := NewEngine(EngineOptions{Jobs: 4})
-	cells, err := e.CoverageMatrix(context.Background(), chaosWorkloads(t), 1)
+	ws := chaosWorkloads(t)
+	cells, err := e.CoverageMatrix(context.Background(), ws, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkInputsPristine(t, ws)
 	wantCells := 2 * 2 * len(fault.Classes())
 	if len(cells) != wantCells {
 		t.Fatalf("got %d cells, want %d", len(cells), wantCells)

@@ -94,6 +94,10 @@ type Engine struct {
 	pipelines map[pipeKey]*memo[*Pipeline]
 	refs      map[*workloads.Workload]*memo[*interp.Result]
 	stCycles  map[stKey]*memo[int64]
+
+	// imgs holds the working images the engine's runs take and give
+	// back: copies of their workloads' Inputs, reused across runs.
+	imgs images
 }
 
 // memo is a once-filled cache slot.
@@ -222,7 +226,7 @@ func (e *Engine) Artifact(ctx context.Context, w *workloads.Workload) (*Artifact
 	return slot(&e.mu, e.artifacts, w).do(func() (*Artifact, error) {
 		e.profileRuns.Add(1)
 		e.pdgBuilds.Add(1)
-		return buildArtifact(ctx, w, e.budget, e.obs)
+		return buildArtifact(ctx, w, e.budget, e.obs, &e.imgs)
 	})
 }
 
@@ -251,18 +255,19 @@ func (e *Engine) SingleThreadedCycles(ctx context.Context, cfg sim.Config, w *wo
 			return 0, fmt.Errorf("exp: single-threaded %s: %w", w.Name, err)
 		}
 		e.stSimulations.Add(1)
-		return singleThreadedCycles(cfg, w, e.budget, e.obs)
+		return singleThreadedCycles(cfg, w, e.budget, e.obs, &e.imgs)
 	})
 }
 
 // Reference returns w's reference run — its edge profile and step count
 // are what the cells read — running it within the MeasureSteps budget on
 // first use only. Together with SingleThreadedCycles it reads back the
-// baseline the engine's cells left, computing nothing once they ran.
+// baseline the engine's cells left, computing nothing once they ran. The
+// result's Mem is nil: the run's working image went back to the engine.
 func (e *Engine) Reference(ctx context.Context, w *workloads.Workload) (*interp.Result, error) {
 	return slot(&e.mu, e.refs, w).do(func() (*interp.Result, error) {
 		e.referenceRuns.Add(1)
-		return runReference(ctx, w, e.budget.MeasureSteps)
+		return runReference(ctx, w, e.budget.MeasureSteps, &e.imgs)
 	})
 }
 

@@ -31,7 +31,9 @@ func (e *Engine) Profile(ctx context.Context, cfg sim.Config, w *workloads.Workl
 	if !useCoco {
 		prog, label = p.Naive, "naive"
 	}
-	in := w.Ref()
+	_, in := w.Inputs()
+	mem := e.imgs.take(in.Mem)
+	defer e.imgs.give(mem)
 	o := profile.Options{
 		Workload:    w.Name,
 		Partitioner: part.Name(),
@@ -39,7 +41,7 @@ func (e *Engine) Profile(ctx context.Context, cfg sim.Config, w *workloads.Workl
 		Cfg:         p.Machine(cfg),
 		Threads:     prog.Threads,
 		Args:        in.Args,
-		Mem:         in.Mem,
+		Mem:         mem,
 		MaxCycles:   e.budget.SimCycles,
 		Trace:       tr,
 		Pid:         pid,

@@ -46,7 +46,9 @@ func (e *Engine) OracleExperiment(ctx context.Context, ws []*workloads.Workload,
 // oraclePass checks one pipeline's two programs on the train input.
 func oraclePass(w *workloads.Workload, p *Pipeline, schedSeed int64, b budget.Budget) (OracleRow, error) {
 	b = b.OrElse(budget.Experiments())
-	train := w.Train()
+	// The oracle copies the image before each run it makes, so every run
+	// reads the workload's shared train input.
+	train, _ := w.Inputs()
 	golden, err := oracle.RunGolden(&oracle.Case{
 		Name: w.Name, F: w.F, Objects: w.Objects,
 		Args: train.Args, Mem: train.Mem,

@@ -36,4 +36,5 @@ func TestOracleExperimentCleanOnWorkloads(t *testing.T) {
 			t.Errorf("%s/%s: %v", r.Workload, r.Partitioner, f)
 		}
 	}
+	checkInputsPristine(t, ws)
 }

@@ -40,11 +40,14 @@ type Artifact struct {
 	Graph   *pdg.Graph
 }
 
-// buildArtifact profiles w on its train input and builds its PDG.
-func buildArtifact(ctx context.Context, w *workloads.Workload, b budget.Budget, o *Obs) (*Artifact, error) {
+// buildArtifact profiles w on its train input, on a working image from
+// imgs, and builds its PDG.
+func buildArtifact(ctx context.Context, w *workloads.Workload, b budget.Budget, o *Obs, imgs *images) (*Artifact, error) {
 	b = b.OrElse(budget.Experiments())
-	train := w.Train()
-	prof, err := interp.RunCtx(ctx, w.F, train.Args, train.Mem, b.ProfileSteps)
+	train, _ := w.Inputs()
+	mem := imgs.take(train.Mem)
+	prof, err := interp.RunCtx(ctx, w.F, train.Args, mem, b.ProfileSteps)
+	imgs.give(mem)
 	if err != nil {
 		return nil, fmt.Errorf("exp: profiling %s: %w", w.Name, err)
 	}
@@ -84,20 +87,39 @@ type Pipeline struct {
 	o      *Obs
 	plain  measured
 	// eng is the engine that built the pipeline: its one reference run of
-	// W is shared by its other pipelines and its last resort. A Pipeline
-	// built as a literal has none and keeps its own in plain.ref.
+	// W is shared by its other pipelines and its last resort, and its
+	// working images are the ones the pipeline's runs take. A Pipeline
+	// built as a literal has none: it keeps its own reference run in
+	// plain.ref and each run copies its image privately.
 	eng *Engine
 }
 
-// runReference runs w single-threaded on its reference input within
-// maxSteps, the budget of the multi-threaded run it stands in for. A plain
-// communication measurement counts a program's placement over the run's
-// edge profile (mtcg.Program.Counts) instead of running the program, and
-// the communication experiment's last resort reports its steps. It is not
-// a train profile: nothing is partitioned or planned with it.
-func runReference(ctx context.Context, w *workloads.Workload, maxSteps int64) (*interp.Result, error) {
-	in := w.Ref()
-	return interp.RunCtx(ctx, w.F, in.Args, in.Mem, maxSteps)
+// images returns the free list of working images the pipeline's runs take
+// from: its engine's, or nil for a literal's private copies.
+func (p *Pipeline) images() *images {
+	if p.eng == nil {
+		return nil
+	}
+	return &p.eng.imgs
+}
+
+// runReference runs w single-threaded on its reference input, on a
+// working image from imgs, within maxSteps, the budget of the
+// multi-threaded run it stands in for. A plain communication measurement
+// counts a program's placement over the run's edge profile
+// (mtcg.Program.Counts) instead of running the program, and the
+// communication experiment's last resort reports its steps. It is not a
+// train profile: nothing is partitioned or planned with it. The result's
+// Mem is nil: the image it ran on goes back to imgs for the next run.
+func runReference(ctx context.Context, w *workloads.Workload, maxSteps int64, imgs *images) (*interp.Result, error) {
+	_, in := w.Inputs()
+	mem := imgs.take(in.Mem)
+	defer imgs.give(mem)
+	res, err := interp.RunCtx(ctx, w.F, in.Args, mem, maxSteps)
+	if res != nil {
+		res.Mem = nil
+	}
+	return res, err
 }
 
 // measured is a pipeline's record of its plain simulations. A simulation
@@ -295,14 +317,17 @@ func (p *Pipeline) measureComm(ctx context.Context, prog, as *mtcg.Program) (int
 		return p.countComm(ctx, prog)
 	}
 	label, bit := p.progLabel(as)
-	in := p.W.Ref()
+	_, in := p.W.Inputs()
+	imgs := p.images()
+	mem := imgs.take(in.Mem)
+	defer imgs.give(mem)
 	cfg := interp.MTConfig{
 		Threads:   prog.Threads,
 		NumQueues: prog.NumQueues,
 		QueueCap:  p.QueueCap,
 		Assign:    p.Assign,
 		Args:      in.Args,
-		Mem:       in.Mem,
+		Mem:       mem,
 		MaxSteps:  p.measureBudget().MeasureSteps,
 		Ctx:       ctx,
 	}
@@ -327,7 +352,7 @@ func (p *Pipeline) reference(ctx context.Context) (*interp.Result, error) {
 		return p.eng.Reference(ctx, p.W)
 	}
 	return p.plain.ref.do(func() (*interp.Result, error) {
-		return runReference(ctx, p.W, p.measureBudget().MeasureSteps)
+		return runReference(ctx, p.W, p.measureBudget().MeasureSteps, nil)
 	})
 }
 
@@ -376,10 +401,13 @@ func (p *Pipeline) measureCycles(cfg sim.Config, prog, as *mtcg.Program, msp *ob
 	if c, ok := p.twinCycles(twin, run, msp); ok {
 		return c, nil
 	}
-	in := p.W.Ref()
+	_, in := p.W.Inputs()
+	imgs := p.images()
+	mem := imgs.take(in.Mem)
 	ob := p.o.simObserver(p.W.Name, p.Part.Name(), label, bit)
 	p.plain.executed.Add(1)
-	res, err := sim.RunObserved(cfg, prog.Threads, in.Args, in.Mem, p.measureBudget().SimCycles, ob)
+	res, err := sim.RunObserved(cfg, prog.Threads, in.Args, mem, p.measureBudget().SimCycles, ob)
+	imgs.give(mem)
 	if err != nil {
 		return 0, fmt.Errorf("exp: simulating %s/%s: %w", p.W.Name, p.Part.Name(), err)
 	}
@@ -397,14 +425,18 @@ func (p *Pipeline) measureBudget() budget.Budget {
 
 // SingleThreadedCycles simulates the original function on one core.
 func SingleThreadedCycles(cfg sim.Config, w *workloads.Workload) (int64, error) {
-	return singleThreadedCycles(cfg, w, budget.Experiments(), nil)
+	return singleThreadedCycles(cfg, w, budget.Experiments(), nil, nil)
 }
 
-func singleThreadedCycles(cfg sim.Config, w *workloads.Workload, b budget.Budget, o *Obs) (int64, error) {
-	in := w.Ref()
+// singleThreadedCycles is SingleThreadedCycles within b, observed by o, on
+// a working image from imgs.
+func singleThreadedCycles(cfg sim.Config, w *workloads.Workload, b budget.Budget, o *Obs, imgs *images) (int64, error) {
+	_, in := w.Inputs()
+	mem := imgs.take(in.Mem)
 	ob := o.simObserver(w.Name, "", "st", 0)
-	res, err := sim.RunObserved(cfg, []*ir.Function{w.F}, in.Args, in.Mem,
+	res, err := sim.RunObserved(cfg, []*ir.Function{w.F}, in.Args, mem,
 		b.OrElse(budget.Experiments()).SimCycles, ob)
+	imgs.give(mem)
 	if err != nil {
 		return 0, fmt.Errorf("exp: single-threaded %s: %w", w.Name, err)
 	}

@@ -278,7 +278,7 @@ type Golden = interp.Result
 
 // RunGolden executes the case single-threaded. An error here means the
 // case itself is bad (e.g. it exceeds the step budget), not that a bug
-// was found.
+// was found. It runs on a copy of c.Mem and never writes c.Mem.
 func RunGolden(c *Case, maxSteps int64) (*Golden, error) {
 	return interp.Run(c.F, c.Args, append([]int64(nil), c.Mem...), maxSteps)
 }
@@ -358,8 +358,10 @@ func checkPlan(rep *Report, c *Case, g *Golden, label string, plan *mtcg.Plan, o
 // the golden outcome: the interpreter under every schedule × queue depth
 // of opts, the internal invariants, and (unless opts.SkipSim) the
 // simulator. With a fault armed it checks what the fault makes of prog
-// (see Options.Inject). Failures are appended to rep. The experiment
-// harness uses this entry point directly on the workload pipelines.
+// (see Options.Inject). Failures are appended to rep. Every run is made
+// on a copy of mem, so mem and args are only read: the experiment
+// harness uses this entry point directly on the workload pipelines, with
+// a workload's shared train input.
 func CheckProgram(rep *Report, caseName string, g *Golden, label string,
 	prog *mtcg.Program, args, mem []int64, opts Options) {
 	opts = opts.withDefaults()

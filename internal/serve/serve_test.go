@@ -892,6 +892,50 @@ func TestColdInlineAllocation(t *testing.T) {
 	}
 }
 
+// TestColdKernelAllocation pins a cold named-kernel request with the
+// simulator on: its computation's runs — the train profile, the reference
+// run, the single-threaded and both multi-threaded simulations — copy
+// the kernel's shared inputs into one working image of the computation's
+// engine, so besides the compile tables and the simulations' cache arrays
+// a request allocates about one image. Each pass sends each kernel to a
+// fresh server; the least of three passes counts, so the process's one
+// build of the kernel's inputs falls outside it. A ks request (13 KB
+// images) allocates 264 KB, and an mpeg2enc request (1 MB images) 1.57 MB;
+// they allocated 319 KB and 4.74 MB when each run built its own image.
+func TestColdKernelAllocation(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		kernel string
+		limit  uint64 // bytes
+	}{
+		{"ks", 290_000},
+		{"mpeg2enc", 1_700_000},
+	} {
+		t.Run(tc.kernel, func(t *testing.T) {
+			req := &Request{Workload: tc.kernel, Partitioner: "dswp", Sim: true}
+			var perCall uint64 = 1 << 62
+			for pass := 0; pass < 3; pass++ {
+				s := newServer(t, Options{})
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				res := s.Do(ctx, req)
+				runtime.ReadMemStats(&after)
+				if res.Status != http.StatusOK || res.Source != "cold" {
+					t.Fatalf("status %d, source %q: %s", res.Status, res.Source, res.Body)
+				}
+				perCall = min(perCall, after.TotalAlloc-before.TotalAlloc)
+			}
+			if raceEnabled {
+				t.Skipf("race detector on: a cold %s request allocated %d bytes, bound not checked", tc.kernel, perCall)
+			}
+			t.Logf("a cold %s request allocates %d bytes (limit %d)", tc.kernel, perCall, tc.limit)
+			if perCall >= tc.limit {
+				t.Errorf("a cold %s request allocates %d bytes, want under %d", tc.kernel, perCall, tc.limit)
+			}
+		})
+	}
+}
+
 // TestWarmRequestAllocation pins the warm path. Once mpeg2enc (the
 // kernel with the largest images) has been served, a repeat takes the
 // kernels table's value, built once per process, reads the fingerprint

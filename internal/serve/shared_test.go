@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"reflect"
 	"sync"
 	"testing"
 
+	"repro/internal/exp"
+	"repro/internal/sim"
 	"repro/internal/workloads"
 )
 
@@ -19,8 +22,12 @@ import (
 // warm or merge into the flights. No request may write to the shared
 // value: the race detector watches the run (CI runs this package under
 // -race), and afterwards every table value's IR text, fingerprint and
-// input images must still equal those of a freshly constructed kernel —
-// also after the package's other tests, when tests run shuffled.
+// shared input images (Inputs, which every run copies into its engine's
+// working image) must still equal those of a freshly constructed kernel —
+// also after the package's other tests, when tests run shuffled, and
+// after a four-worker engine has rendered the figures over the table
+// values: every kernel with Figure 8's profiler notes, or under -short ks
+// alone without them.
 //
 // It runs twice. Unseeded, the servers share nothing, so each runs the
 // kernel's reference interpretation and single-threaded simulation over
@@ -32,6 +39,18 @@ func TestSharedKernelStaysPristine(t *testing.T) {
 		t.Run(fmt.Sprintf("seeded=%v", seeded), func(t *testing.T) {
 			sharedKernelPass(t, seeded)
 		})
+	}
+	ws, explain := workloads.All(), true
+	if testing.Short() {
+		ks, err := workloads.ByName("ks")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws, explain = []*workloads.Workload{ks}, false
+	}
+	e := exp.NewEngine(exp.EngineOptions{Jobs: 4})
+	if err := e.RenderFigures(context.Background(), io.Discard, sim.DefaultConfig(), ws, "all", explain, nil); err != nil {
+		t.Fatal(err)
 	}
 	for name, build := range constructors {
 		if err := sameAsConstructed(name, build()); err != nil {
@@ -45,8 +64,8 @@ func sharedKernelPass(t *testing.T, seeded bool) {
 	const kernel = "ks"
 	var reqs []*Request
 	for _, part := range []string{"gremio", "dswp"} {
-		for _, sim := range []bool{false, true} {
-			reqs = append(reqs, &Request{Workload: kernel, Partitioner: part, Sim: sim})
+		for _, simOn := range []bool{false, true} {
+			reqs = append(reqs, &Request{Workload: kernel, Partitioner: part, Sim: simOn})
 		}
 	}
 	var opts Options
@@ -126,12 +145,13 @@ func sameAsConstructed(name string, fresh *workloads.Workload) error {
 	if got, want := w.Fingerprint(), fresh.Fingerprint(); got != want {
 		return fmt.Errorf("%s: the table value's fingerprint is %s, a fresh value's %s", name, got, want)
 	}
+	train, ref := w.Inputs()
 	for _, in := range []struct {
 		set       string
 		got, want workloads.Input
-	}{{"train", w.Train(), fresh.Train()}, {"ref", w.Ref(), fresh.Ref()}} {
+	}{{"train", train, fresh.Train()}, {"ref", ref, fresh.Ref()}} {
 		if !reflect.DeepEqual(in.got, in.want) {
-			return fmt.Errorf("%s: the table value's %s input differs from a fresh value's", name, in.set)
+			return fmt.Errorf("%s: the table value's shared %s input differs from a fresh value's", name, in.set)
 		}
 	}
 	return nil

@@ -41,13 +41,26 @@ type Workload struct {
 	F       *ir.Function
 	Objects []ir.MemObject
 
-	// Train and Ref build fresh input sets (memory images are mutated by
-	// runs, so each call returns a new copy).
+	// Train and Ref build fresh input sets: memory images are mutated by
+	// runs, so each call returns a new copy its caller may run on. An
+	// engine's runs (internal/exp) call neither: they copy the images
+	// Inputs built once into a working image the engine reuses.
 	Train func() Input
 	Ref   func() Input
 
-	fpOnce sync.Once
-	fp     string
+	inOnce     sync.Once
+	train, ref Input
+	fpOnce     sync.Once
+	fp         string
+}
+
+// Inputs returns the workload's train and reference input sets, built by
+// Train and Ref on the first call and shared by every later one. They are
+// read-only: a run mutates its memory image, so it runs on a copy of
+// Mem, and a caller that wants an image of its own calls Train or Ref.
+func (w *Workload) Inputs() (train, ref Input) {
+	w.inOnce.Do(func() { w.train, w.ref = w.Train(), w.Ref() })
+	return w.train, w.ref
 }
 
 // Fingerprint returns a content hash over everything that determines the
@@ -61,16 +74,17 @@ type Workload struct {
 // framework does. A value handed out by ByName or All is the process's one
 // value of its kernel, hashed once per process. A value you construct
 // yourself (KS() and the other constructors, an inline-IR workload)
-// hashes its own content on its first call, so changing its IR or inputs
-// before that call changes the fingerprint.
+// hashes its own content on its first call, so changing its IR, or its
+// inputs before Inputs first builds them, changes the fingerprint.
 func (w *Workload) Fingerprint() string {
 	w.fpOnce.Do(func() { w.fp = w.contentHash() })
 	return w.fp
 }
 
-// contentHash builds the IR text and both input images and hashes them:
+// contentHash builds the IR text and hashes it with both input sets:
 // milliseconds for the larger kernels, which is why Fingerprint memoizes
-// it.
+// it. The inputs it hashes are Inputs', so their build here is the
+// workload's only one.
 func (w *Workload) contentHash() string {
 	h := cache.NewHasher(1)
 	h.Field("name", w.Name)
@@ -80,7 +94,7 @@ func (w *Workload) contentHash() string {
 		h.Int("base", o.Base)
 		h.Int("size", o.Size)
 	}
-	train, ref := w.Train(), w.Ref()
+	train, ref := w.Inputs()
 	h.Int64s("train.args", train.Args)
 	h.Int64s("train.mem", train.Mem)
 	h.Int64s("ref.args", ref.Args)
