@@ -118,16 +118,19 @@ func BenchmarkFig6aConfig(b *testing.B) {
 	b.ReportMetric(float64(cfg.MemLat), "mem-latency-cycles")
 }
 
-// ablationComm measures relative dynamic communication for a COCO variant.
+// ablationComm measures relative dynamic communication for a COCO variant:
+// the program opts plans over each pipeline's partition and profile,
+// against the pipeline's naive program.
 func ablationComm(b *testing.B, name string, opts coco.Options) {
 	b.Helper()
 	ws := benchWorkloads(b)
 	var rel []float64
 	for i := 0; i < b.N; i++ {
 		rel = rel[:0]
+		e := exp.NewEngine(exp.EngineOptions{Jobs: 1})
 		for _, part := range exp.Partitioners() {
 			for _, w := range ws {
-				p, err := exp.NewEngine(exp.EngineOptions{Jobs: 1, Coco: &opts}).Pipeline(context.Background(), w, part)
+				p, err := e.Pipeline(context.Background(), w, part)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -135,7 +138,15 @@ func ablationComm(b *testing.B, name string, opts coco.Options) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				opt, err := p.MeasureComm(p.Coco)
+				plan, err := coco.Plan(w.F, p.Graph, p.Assign, 2, p.Profile, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				prog, err := mtcg.Generate(plan)
+				if err != nil {
+					b.Fatal(err)
+				}
+				opt, err := p.MeasureComm(prog)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -194,7 +205,8 @@ func BenchmarkAblationQueueAllocation(b *testing.B) {
 
 // BenchmarkCompilePipeline measures end-to-end compilation cost (the
 // Section 4 claim that Edmonds–Karp "performed well enough not to
-// significantly increase compilation time").
+// significantly increase compilation time"): profile, PDG, partition and
+// naive MTCG, and with coco=true COCO's plan and its program on top.
 func BenchmarkCompilePipeline(b *testing.B) {
 	for _, sched := range []partition.Partitioner{partition.DSWP{}, partition.GREMIO{}} {
 		for _, withCoco := range []bool{false, true} {
@@ -204,26 +216,29 @@ func BenchmarkCompilePipeline(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				opts := coco.DefaultOptions()
 				for i := 0; i < b.N; i++ {
-					if withCoco {
-						if _, err := exp.NewEngine(exp.EngineOptions{Jobs: 1, Coco: &opts}).Pipeline(context.Background(), w, sched); err != nil {
-							b.Fatal(err)
-						}
-					} else {
-						in := w.Train()
-						g := pdg.Build(w.F, w.Objects)
-						prof, err := profileOnce(w, in)
-						if err != nil {
-							b.Fatal(err)
-						}
-						assign, err := sched.Partition(w.F, g, prof, 2)
-						if err != nil {
-							b.Fatal(err)
-						}
-						if _, err := mtcg.Generate(mtcg.NaivePlan(w.F, g, assign, 2)); err != nil {
-							b.Fatal(err)
-						}
+					in := w.Train()
+					g := pdg.Build(w.F, w.Objects)
+					prof, err := profileOnce(w, in)
+					if err != nil {
+						b.Fatal(err)
+					}
+					assign, err := sched.Partition(w.F, g, prof, 2)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := mtcg.Generate(mtcg.NaivePlan(w.F, g, assign, 2)); err != nil {
+						b.Fatal(err)
+					}
+					if !withCoco {
+						continue
+					}
+					plan, err := coco.Plan(w.F, g, assign, 2, prof, coco.DefaultOptions())
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := mtcg.Generate(plan); err != nil {
+						b.Fatal(err)
 					}
 				}
 			})

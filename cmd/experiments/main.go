@@ -21,12 +21,13 @@
 //
 // Robustness: -chaos matrix runs the detector-coverage matrix (every
 // fault class × workload × partitioner cell through the differential
-// oracle) and exits nonzero if any cell misses its contract; -chaos with a
-// destructive fault class name measures every program's mutant in the
-// figure runs, exercising the graceful-degradation chain (fallback rows are
-// annotated in the figures). -chaos-seed makes the fault deterministic:
-// same seed, same mutants, byte-identical reports. -fail-fast disables the degradation
-// chain so the first stage failure aborts instead of falling back.
+// oracle) and exits nonzero if any cell misses its contract; any other
+// -chaos value is a usage error. -chaos-seed makes the faults
+// deterministic: same seed, same mutants, byte-identical reports. A figure
+// cell whose pipeline or measurement fails falls back (alternate
+// partitioner, then single-threaded) and its row is annotated; -fail-fast
+// disables that degradation chain so the first stage failure aborts
+// instead.
 //
 // Profiling: -explain re-simulates every Figure 8 cell under the
 // cycle-attribution profiler (internal/profile) and annotates each row
@@ -35,7 +36,7 @@
 //
 //	experiments [-fig all|1|6a|6b|7|8] [-workloads ks,mpeg2enc,...] [-j N]
 //	            [-explain] [-trace out.json] [-metrics out.json] [-timeline]
-//	            [-trace-limit N] [-chaos matrix|<fault-class>] [-chaos-seed N]
+//	            [-trace-limit N] [-chaos matrix] [-chaos-seed N]
 //	            [-fail-fast]
 package main
 
@@ -49,7 +50,6 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/exp"
-	"repro/internal/fault"
 	"repro/internal/sim"
 )
 
@@ -64,7 +64,7 @@ func run() (err error) {
 	of.Register()
 	timeline := flag.Bool("timeline", false, "record per-cycle simulator/interpreter lanes in the trace (large)")
 	explain := flag.Bool("explain", false, "annotate Figure 8 rows with the profiler's naive→COCO cycle-delta decomposition")
-	chaos := flag.String("chaos", "", "\"matrix\" runs the detector-coverage matrix; a destructive fault class name measures every program's mutant in the figure runs")
+	chaos := flag.String("chaos", "", "\"matrix\" runs the detector-coverage matrix instead of the figures")
 	chaosSeed := flag.Int64("chaos-seed", 1, "deterministic fault seed (same seed = same mutants)")
 	failFast := flag.Bool("fail-fast", false, "disable the graceful-degradation chain: abort on the first stage failure")
 	flag.Parse()
@@ -74,6 +74,9 @@ func run() (err error) {
 	case "all", "1", "6a", "6b", "7", "8":
 	default:
 		return cli.Usagef("unknown figure %q (want all, 1, 6a, 6b, 7 or 8)", *fig)
+	}
+	if *chaos != "" && *chaos != "matrix" {
+		return cli.Usagef("unknown -chaos %q (want matrix)", *chaos)
 	}
 	if *jobs < 1 {
 		*jobs = runtime.GOMAXPROCS(0)
@@ -86,18 +89,7 @@ func run() (err error) {
 	ctx := context.Background()
 	o := of.New()
 	defer of.FlushTo(o, &err)
-	eopts := exp.EngineOptions{Jobs: *jobs, Obs: o, Degrade: !*failFast}
-	if *chaos != "" && *chaos != "matrix" {
-		cls, err := fault.ParseClass(*chaos)
-		if err != nil {
-			return cli.Usagef("%v (or \"matrix\")", err)
-		}
-		if cls.Benign() {
-			return cli.Usagef("%s changes no program, so no run can fail of it; use -chaos matrix to exercise it", cls)
-		}
-		eopts.Chaos = &fault.Spec{Class: cls, Seed: *chaosSeed}
-	}
-	engine := exp.NewEngine(eopts)
+	engine := exp.NewEngine(exp.EngineOptions{Jobs: *jobs, Obs: o, Degrade: !*failFast})
 
 	if *chaos == "matrix" {
 		cells, err := engine.CoverageMatrix(ctx, ws, *chaosSeed)
@@ -118,9 +110,8 @@ func run() (err error) {
 		return err
 	}
 
-	if st := engine.Stats(); st.FaultsInjected > 0 || st.Fallbacks > 0 {
-		fmt.Fprintf(os.Stderr, "chaos: %d mutants measured, %d fallbacks taken\n",
-			st.FaultsInjected, st.Fallbacks)
+	if n := engine.Stats().Fallbacks; n > 0 {
+		fmt.Fprintf(os.Stderr, "%d fallbacks taken\n", n)
 	}
 	return nil
 }

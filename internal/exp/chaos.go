@@ -122,7 +122,6 @@ func (e *Engine) chaosCell(ctx context.Context, c cell, cls fault.Class, seed in
 	label := fmt.Sprintf("%s/chaos=%s", c.part.Name(), cls)
 	oracle.CheckProgram(rep, c.w.Name, golden, label, p.Naive, train.Args, train.Mem, opts)
 	out.Injected, out.Schedule = rep.Injected, rep.FaultSchedule
-	e.noteInjected(out.Injected)
 	switch {
 	case len(rep.Failures) > 0:
 		out.Outcome = ChaosDetected

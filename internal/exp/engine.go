@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/budget"
-	"repro/internal/coco"
-	"repro/internal/fault"
 	"repro/internal/interp"
 	"repro/internal/mtcg"
 	"repro/internal/obs"
@@ -26,22 +24,11 @@ type EngineOptions struct {
 	// Budget bounds interpreter and simulator runs; zero fields default
 	// to budget.Experiments(), the paper's limits.
 	Budget budget.Budget
-	// Coco, when non-nil, overrides coco.DefaultOptions() for every
-	// pipeline the engine builds (nil rather than a zero Options because
-	// the zero value — everything off — is a meaningful ablation).
-	Coco *coco.Options
 	// Obs, when non-nil, records every pipeline phase, interpreter run,
 	// and simulation into its trace/metrics sinks. Memoization means each
 	// phase is recorded exactly once per engine regardless of Jobs, so
 	// the written trace is identical at any worker-pool size.
 	Obs *Obs
-	// Chaos, when non-nil, arms a destructive fault on every measurement:
-	// each attempt measures its programs' mutants (fault.Mutate over the
-	// workload's reference run) in their place, the same mutants at any
-	// Jobs setting. A benign class changes no program, and so nothing.
-	// Mutants are counted in Stats and the "fault.injected" metrics
-	// counter.
-	Chaos *fault.Spec
 	// Degrade enables the graceful-degradation chain: a matrix cell whose
 	// pipeline or measurement fails falls back requested partitioner →
 	// alternate partitioner → single-threaded execution instead of
@@ -77,17 +64,14 @@ type EngineOptions struct {
 type Engine struct {
 	jobs    int
 	budget  budget.Budget
-	opts    coco.Options
 	obs     *Obs
-	chaos   *fault.Spec
 	degrade bool
 
-	profileRuns    atomic.Int64
-	pdgBuilds      atomic.Int64
-	referenceRuns  atomic.Int64
-	stSimulations  atomic.Int64
-	fallbacks      atomic.Int64
-	faultsInjected atomic.Int64
+	profileRuns   atomic.Int64
+	pdgBuilds     atomic.Int64
+	referenceRuns atomic.Int64
+	stSimulations atomic.Int64
+	fallbacks     atomic.Int64
 
 	mu        sync.Mutex
 	artifacts map[*workloads.Workload]*memo[*Artifact]
@@ -152,16 +136,10 @@ type stKey struct {
 
 // NewEngine returns an engine with empty caches.
 func NewEngine(o EngineOptions) *Engine {
-	opts := coco.DefaultOptions()
-	if o.Coco != nil {
-		opts = *o.Coco
-	}
 	return &Engine{
 		jobs:      o.Jobs,
 		budget:    o.Budget.OrElse(budget.Experiments()),
-		opts:      opts,
 		obs:       o.Obs,
-		chaos:     o.Chaos,
 		degrade:   o.Degrade,
 		artifacts: map[*workloads.Workload]*memo[*Artifact]{},
 		pipelines: map[pipeKey]*memo[*Pipeline]{},
@@ -177,10 +155,8 @@ type EngineStats struct {
 	ProfileRuns int64 // train-input interpreter passes
 	PDGBuilds   int64 // PDG constructions
 	// Fallbacks counts degradation-chain steps taken (stages fallen back
-	// from); FaultsInjected counts the mutants measured and the chaos
-	// cells the fault changed.
-	Fallbacks      int64
-	FaultsInjected int64
+	// from).
+	Fallbacks int64
 	// ReferenceRuns counts single-threaded runs on a reference input and
 	// STSimulations single-threaded simulations: a workload's baseline,
 	// which SeedBaseline saves both of.
@@ -191,12 +167,11 @@ type EngineStats struct {
 // Stats returns the engine's work counters.
 func (e *Engine) Stats() EngineStats {
 	return EngineStats{
-		ProfileRuns:    e.profileRuns.Load(),
-		PDGBuilds:      e.pdgBuilds.Load(),
-		Fallbacks:      e.fallbacks.Load(),
-		FaultsInjected: e.faultsInjected.Load(),
-		ReferenceRuns:  e.referenceRuns.Load(),
-		STSimulations:  e.stSimulations.Load(),
+		ProfileRuns:   e.profileRuns.Load(),
+		PDGBuilds:     e.pdgBuilds.Load(),
+		Fallbacks:     e.fallbacks.Load(),
+		ReferenceRuns: e.referenceRuns.Load(),
+		STSimulations: e.stSimulations.Load(),
 	}
 }
 
@@ -206,18 +181,6 @@ func (e *Engine) noteFallback() {
 	e.fallbacks.Add(1)
 	if e.obs != nil && e.obs.Metrics != nil {
 		e.obs.Metrics.Scope("exp").Counter("fallbacks").Inc()
-	}
-}
-
-// noteInjected records injected faults in the engine stats and the
-// "fault.injected" metrics counter.
-func (e *Engine) noteInjected(n int64) {
-	if n == 0 {
-		return
-	}
-	e.faultsInjected.Add(n)
-	if e.obs != nil && e.obs.Metrics != nil {
-		e.obs.Metrics.Scope("fault").Counter("injected").Add(n)
 	}
 }
 
@@ -238,7 +201,7 @@ func (e *Engine) Pipeline(ctx context.Context, w *workloads.Workload, part parti
 		if err != nil {
 			return nil, err
 		}
-		p, err := buildFromArtifact(ctx, w, part, e.opts, art, e.budget, e.obs)
+		p, err := buildFromArtifact(ctx, w, part, art, e.budget, e.obs)
 		if err != nil {
 			return nil, err
 		}
@@ -350,8 +313,8 @@ func (e *Engine) commCell(ctx context.Context, c cell, sp *obs.Span) (CommRow, e
 	row := CommRow{Workload: c.w.Name, Partitioner: c.part.Name()}
 	var err error
 	row.Naive, row.Coco, row.Fallback, err = chain(ctx, e, c, sp, "measure",
-		func(p *Pipeline, run, prog *mtcg.Program, msp *obs.Span) (interp.CommStats, error) {
-			st, err := p.measureComm(ctx, run, prog)
+		func(p *Pipeline, prog *mtcg.Program, msp *obs.Span) (interp.CommStats, error) {
+			st, err := p.measureComm(ctx, prog)
 			msp.SetInt("compute", st.Compute).SetInt("produce", st.Produce)
 			return st, err
 		},
@@ -371,9 +334,7 @@ func (e *Engine) SpeedupExperiment(ctx context.Context, cfg sim.Config, ws []*wo
 }
 
 // speedupCell simulates one matrix cell; its last resort is the
-// single-threaded baseline itself (speedup 1.0x). With chaos armed the
-// no-progress watchdog is lowered so a mutant's deadlock fails in bounded
-// time.
+// single-threaded baseline itself (speedup 1.0x).
 func (e *Engine) speedupCell(ctx context.Context, cfg sim.Config, c cell, sp *obs.Span) (SpeedupRow, error) {
 	row := SpeedupRow{Workload: c.w.Name, Partitioner: c.part.Name()}
 	ssp := sp.Child("single-threaded-baseline")
@@ -385,12 +346,8 @@ func (e *Engine) speedupCell(ctx context.Context, cfg sim.Config, c cell, sp *ob
 	}
 	row.STCycles = st
 	row.NaiveCycles, row.CocoCycles, row.Fallback, err = chain(ctx, e, c, sp, "simulate",
-		func(p *Pipeline, run, prog *mtcg.Program, msp *obs.Span) (int64, error) {
-			mtCfg := p.Machine(cfg)
-			if e.chaos != nil {
-				mtCfg.StallLimit = fault.StallLimit
-			}
-			cycles, err := p.measureCycles(mtCfg, run, prog, msp)
+		func(p *Pipeline, prog *mtcg.Program, msp *obs.Span) (int64, error) {
+			cycles, err := p.measureCycles(p.Machine(cfg), prog, msp)
 			msp.SetInt("cycles", cycles)
 			return cycles, err
 		},
@@ -398,10 +355,9 @@ func (e *Engine) speedupCell(ctx context.Context, cfg sim.Config, c cell, sp *ob
 	return row, err
 }
 
-// measureFunc measures run — one generated program prog of a built
-// pipeline, or prog's mutant when chaos is armed — and stamps what it
-// measured on msp.
-type measureFunc[T any] func(p *Pipeline, run, prog *mtcg.Program, msp *obs.Span) (T, error)
+// measureFunc measures prog, one generated program of a built pipeline,
+// and stamps what it measured on msp.
+type measureFunc[T any] func(p *Pipeline, prog *mtcg.Program, msp *obs.Span) (T, error)
 
 // chain measures cell c with the degradation policy every cell kind
 // shares: the requested partitioner and, when Degrade is on, the alternate
@@ -474,33 +430,11 @@ func attempt[T any](ctx context.Context, e *Engine, w *workloads.Workload, part 
 	for i, prog := range [2]*mtcg.Program{p.Naive, p.Coco} {
 		label, _ := p.progLabel(prog)
 		msp := sp.Child(stage + "-" + label)
-		run, err := e.armed(ctx, p, prog)
-		if err == nil {
-			out[i], err = measure(p, run, prog, msp)
-		}
+		out[i], err = measure(p, prog, msp)
 		msp.Finish()
 		if err != nil {
 			return naive, opt, stageError(stage, w, part, err)
 		}
 	}
 	return out[0], out[1], nil
-}
-
-// armed returns the program a measurement of prog runs: prog itself, or,
-// with chaos armed, its mutant over the workload's reference run, when the
-// fault has somewhere to go there.
-func (e *Engine) armed(ctx context.Context, p *Pipeline, prog *mtcg.Program) (*mtcg.Program, error) {
-	if e.chaos == nil {
-		return prog, nil
-	}
-	ref, err := p.reference(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("exp: measuring %s/%s: %w", p.W.Name, p.Part.Name(), err)
-	}
-	mut, _, ok, err := fault.Mutate(prog, ref.Profile, *e.chaos)
-	if !ok || err != nil {
-		return prog, err
-	}
-	e.noteInjected(1)
-	return mut, nil
 }

@@ -245,7 +245,7 @@ func progInstrs(prog *mtcg.Program) int64 {
 // partitioning, naive MTCG, COCO, and queue allocation — over a
 // precomputed (and possibly shared) artifact. It never mutates art.
 func buildFromArtifact(ctx context.Context, w *workloads.Workload, part partition.Partitioner,
-	opts coco.Options, art *Artifact, b budget.Budget, o *Obs) (*Pipeline, error) {
+	art *Artifact, b budget.Budget, o *Obs) (*Pipeline, error) {
 
 	g, prof := art.Graph, art.Profile
 	assign, err := part.Partition(w.F, g, prof, 2)
@@ -272,7 +272,7 @@ func buildFromArtifact(ctx context.Context, w *workloads.Workload, part partitio
 	sp.Gauge("naive.instrs").Set(progInstrs(naive))
 	sp.Gauge("naive.queues").Set(int64(naive.NumQueues))
 
-	plan, err := coco.Plan(w.F, g, assign, 2, prof, opts)
+	plan, err := coco.Plan(w.F, g, assign, 2, prof, coco.DefaultOptions())
 	if err != nil {
 		return nil, fmt.Errorf("exp: COCO for %s/%s: %w", w.Name, part.Name(), err)
 	}
@@ -306,17 +306,15 @@ func buildFromArtifact(ctx context.Context, w *workloads.Workload, part partitio
 // that records no Origins (a fault.Mutate mutant), or any program of an
 // observed pipeline, runs on the counting interpreter.
 func (p *Pipeline) MeasureComm(prog *mtcg.Program) (interp.CommStats, error) {
-	return p.measureComm(context.Background(), prog, prog)
+	return p.measureComm(context.Background(), prog)
 }
 
-// measureComm is MeasureComm under ctx. as is the program the run is
-// labeled after in the observer's sinks: prog itself, or the program prog
-// is a mutant of.
-func (p *Pipeline) measureComm(ctx context.Context, prog, as *mtcg.Program) (interp.CommStats, error) {
+// measureComm is MeasureComm under ctx.
+func (p *Pipeline) measureComm(ctx context.Context, prog *mtcg.Program) (interp.CommStats, error) {
 	if p.o == nil && prog.Origins != nil {
 		return p.countComm(ctx, prog)
 	}
-	label, bit := p.progLabel(as)
+	label, bit := p.progLabel(prog)
 	_, in := p.W.Inputs()
 	imgs := p.images()
 	mem := imgs.take(in.Mem)
@@ -390,13 +388,12 @@ func (p *Pipeline) Machine(cfg sim.Config) sim.Config {
 // measured). The machine is taken as given; callers modeling
 // the paper's per-partitioner queue depths wrap cfg with Machine first.
 func (p *Pipeline) MeasureCycles(cfg sim.Config, prog *mtcg.Program) (int64, error) {
-	return p.measureCycles(cfg, prog, prog, nil)
+	return p.measureCycles(cfg, prog, nil)
 }
 
-// measureCycles is MeasureCycles labeled after as, as measureComm, with
-// the caller's span msp (nil for none).
-func (p *Pipeline) measureCycles(cfg sim.Config, prog, as *mtcg.Program, msp *obs.Span) (int64, error) {
-	label, bit := p.progLabel(as)
+// measureCycles is MeasureCycles with the caller's span msp (nil for none).
+func (p *Pipeline) measureCycles(cfg sim.Config, prog *mtcg.Program, msp *obs.Span) (int64, error) {
+	label, bit := p.progLabel(prog)
 	twin, run := p.twin(prog), plainRun{prog: prog, cfg: cfg}
 	if c, ok := p.twinCycles(twin, run, msp); ok {
 		return c, nil

@@ -219,22 +219,21 @@ func (r *Request) workload() (*workloads.Workload, error) {
 		}
 		objs[i] = ir.MemObject{Name: o.Name, Base: o.Base, Size: o.Size}
 	}
-	// Runs mutate the memory image, so each call hands out a fresh copy;
-	// the inline input serves as both train and reference set.
-	input := func() workloads.Input {
-		return workloads.Input{
-			Args: append([]int64(nil), r.Args...),
-			Mem:  append([]int64(nil), r.Mem...),
-		}
-	}
+	// Runs mutate the memory image, so each call hands out a fresh copy.
+	// The inline input serves as both train and reference set: Ref is nil,
+	// so Inputs builds it once for both.
 	return &workloads.Workload{
 		Name:     name,
 		Function: name,
 		Suite:    "inline",
 		F:        f,
 		Objects:  objs,
-		Train:    input,
-		Ref:      input,
+		Train: func() workloads.Input {
+			return workloads.Input{
+				Args: append([]int64(nil), r.Args...),
+				Mem:  append([]int64(nil), r.Mem...),
+			}
+		},
 	}, nil
 }
 

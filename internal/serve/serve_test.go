@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -365,6 +366,36 @@ func TestInlineCriticalEdge(t *testing.T) {
 	resp := mustOK(t, res)
 	if resp.Comm == nil || resp.Cycles == nil {
 		t.Fatalf("critical-edge response lacks counts or cycles: %s", res.Body)
+	}
+}
+
+// TestInlineInputsBuiltOnce: an inline request's one input is its train
+// and its reference set, built once and handed out as both, and its cache
+// keys hash the reference set over the same words as before, so no key
+// moved when the second copy went.
+func TestInlineInputsBuiltOnce(t *testing.T) {
+	req := selfLatchSum
+	req.Mem = []int64{7, 8, 9}
+	w, err := req.workload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	train, ref := w.Inputs()
+	if &train.Mem[0] != &ref.Mem[0] || &train.Args[0] != &ref.Args[0] {
+		t.Error("Inputs built the inline input twice: train and ref have their own backing arrays")
+	}
+	if !reflect.DeepEqual(train, workloads.Input{Args: req.Args, Mem: req.Mem}) {
+		t.Errorf("inline input = %+v, want the request's args and memory", train)
+	}
+	for _, k := range []struct{ name, got, want string }{
+		{"request", requestKey(w, req.Partitioner, req.Sim, budget.Experiments(), true),
+			"8bb8685f362de5c7a1b5d047ea296449b898c9b34c1dd3a70379b3d37c2283aa"},
+		{"baseline", baselineKey(w, budget.Experiments()),
+			"3cbafd15552633c6ef3ba511fcdec6f71411b4c656e8ec1ff906f15eb88a4dfe"},
+	} {
+		if k.got != k.want {
+			t.Errorf("%s key = %s, want %s", k.name, k.got, k.want)
+		}
 	}
 }
 

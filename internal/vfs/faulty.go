@@ -44,11 +44,6 @@ const (
 	Crash Class = "crash"
 )
 
-// Classes returns every fault class in a fixed report order.
-func Classes() []Class {
-	return []Class{WriteENOSPC, ReadEIO, TornWrite, RenameFail, Crash}
-}
-
 // CrashStep pins where inside a write a Crash lands. The append steps
 // pin a point inside an Append, the others a point inside a WriteFile's
 // temp + rename.
@@ -181,9 +176,6 @@ func NewFaulty(spec Spec) *Faulty {
 	}
 	return f
 }
-
-// Spec returns the immutable schedule name.
-func (f *Faulty) Spec() Spec { return f.spec }
 
 // Injected returns how many faults have fired so far.
 func (f *Faulty) Injected() int64 {

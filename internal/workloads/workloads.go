@@ -44,7 +44,10 @@ type Workload struct {
 	// Train and Ref build fresh input sets: memory images are mutated by
 	// runs, so each call returns a new copy its caller may run on. An
 	// engine's runs (internal/exp) call neither: they copy the images
-	// Inputs built once into a working image the engine reuses.
+	// Inputs built once into a working image the engine reuses. A nil Ref
+	// means the train set is the reference set too (an inline request's
+	// one input): Inputs builds it once and returns it as both, and a
+	// caller that wants a private reference image calls Train.
 	Train func() Input
 	Ref   func() Input
 
@@ -55,11 +58,18 @@ type Workload struct {
 }
 
 // Inputs returns the workload's train and reference input sets, built by
-// Train and Ref on the first call and shared by every later one. They are
-// read-only: a run mutates its memory image, so it runs on a copy of
-// Mem, and a caller that wants an image of its own calls Train or Ref.
+// Train and Ref on the first call and shared by every later one; with a
+// nil Ref both are the one set Train built. They are read-only: a run
+// mutates its memory image, so it runs on a copy of Mem, and a caller
+// that wants an image of its own calls Train or Ref.
 func (w *Workload) Inputs() (train, ref Input) {
-	w.inOnce.Do(func() { w.train, w.ref = w.Train(), w.Ref() })
+	w.inOnce.Do(func() {
+		w.train = w.Train()
+		w.ref = w.train
+		if w.Ref != nil {
+			w.ref = w.Ref()
+		}
+	})
 	return w.train, w.ref
 }
 
